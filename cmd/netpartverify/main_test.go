@@ -45,10 +45,14 @@ func runJSON(t *testing.T, args ...string) (int, []jsonRecord) {
 }
 
 // TestRealProtocolsProved is the acceptance run: every lockstep protocol
-// in the module — the halo exchange, the repartitioning decision round,
-// the migration plans, and the FT recovery round — must be deadlock-free
-// and message-conserving at every P in 2..5 under both rendezvous and
-// bounded-buffer semantics.
+// in the module must be deadlock-free and message-conserving at every P in
+// 2..5 under the semantics its source claims. The repartitioning decision
+// round, the migration plans, the FT recovery round and the converge
+// reduction claim both rendezvous and bounded-buffer semantics; the cycle
+// driver's halo exchange declares sem=buffered (the paper's order is a
+// send-send cycle under rendezvous by design), so it must be proved at
+// capacity 1 with at most one message in flight per channel, and must not
+// be reported under rendezvous at all.
 func TestRealProtocolsProved(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explores the full module state space")
@@ -62,38 +66,84 @@ func TestRealProtocolsProved(t *testing.T) {
 		}
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	wantProtos := map[string]bool{
-		"stencil.runLiveTask":     false,
-		"repart.Engine.Round":     false,
-		"repart.Migrator.Migrate": false,
-		"stencil.ftTask.recover":  false,
+	both := []string{"rendezvous", "buffered"}
+	wantSems := map[string][]string{
+		"stencil.rankState.cycles": {"buffered"},
+		"stencil.reduceMax":        both,
+		"repart.Engine.Round":      both,
+		"repart.Migrator.Migrate":  both,
+		"stencil.ftTask.recover":   both,
 	}
 	perP := map[string]map[int]map[string]bool{}
 	for _, r := range recs {
 		name := strings.NewReplacer("(", "", ")", "", "*", "").Replace(r.Fn)
-		if _, ok := wantProtos[name]; ok {
-			wantProtos[name] = true
-			if perP[name] == nil {
-				perP[name] = map[int]map[string]bool{}
-			}
-			if perP[name][r.P] == nil {
-				perP[name][r.P] = map[string]bool{}
-			}
-			perP[name][r.P][r.Sem] = true
+		if _, ok := wantSems[name]; !ok {
+			continue
+		}
+		if perP[name] == nil {
+			perP[name] = map[int]map[string]bool{}
+		}
+		if perP[name][r.P] == nil {
+			perP[name][r.P] = map[string]bool{}
+		}
+		perP[name][r.P][r.Sem] = true
+		if name == "stencil.rankState.cycles" && (r.Capacity != 1 || r.MaxQ > 1) {
+			t.Errorf("%s P=%d [%s]: capacity %d, max in flight %d; want capacity 1 to suffice", name, r.P, r.Assign, r.Capacity, r.MaxQ)
 		}
 	}
-	for name, seen := range wantProtos {
-		if !seen {
+	for name, sems := range wantSems {
+		if perP[name] == nil {
 			t.Errorf("protocol %s was not verified", name)
 			continue
 		}
 		for p := 2; p <= 5; p++ {
-			for _, sem := range []string{"rendezvous", "buffered"} {
+			if len(perP[name][p]) != len(sems) {
+				t.Errorf("%s at P=%d checked under %v, want exactly %v", name, p, perP[name][p], sems)
+			}
+			for _, sem := range sems {
 				if !perP[name][p][sem] {
 					t.Errorf("%s missing a check at P=%d under %s", name, p, sem)
 				}
 			}
 		}
+	}
+}
+
+// TestDeclaredBufferedIsSkippedNotPassed pins the text report's wording for
+// a sem=buffered function: its rendezvous rows say skip, never ok.
+func TestDeclaredBufferedIsSkippedNotPassed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("typechecks the whole module from source")
+	}
+	var buf bytes.Buffer
+	if code := run([]string{"-p", "2"}, &buf); code != 0 {
+		t.Fatalf("exit code = %d, want 0\n%s", code, buf.String())
+	}
+	var skip, okBuffered bool
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if !strings.Contains(line, "cycles") {
+			continue
+		}
+		switch {
+		case strings.HasPrefix(line, "skip ") && strings.Contains(line, "rendezvous") && strings.Contains(line, "(declared buffered)"):
+			skip = true
+		case strings.HasPrefix(line, "ok ") && strings.Contains(line, "buffered") && strings.Contains(line, "maxq=1"):
+			okBuffered = true
+		default:
+			t.Errorf("unexpected report line for the cycle driver: %q", line)
+		}
+	}
+	if !skip || !okBuffered {
+		t.Errorf("want one skip (rendezvous) and one ok (buffered) line for the cycle driver, got:\n%s", buf.String())
+	}
+}
+
+// TestUnknownDeclaredSemantics: a directive naming semantics the checker
+// does not know is a load error, not a protocol checked under the default.
+func TestUnknownDeclaredSemantics(t *testing.T) {
+	var buf bytes.Buffer
+	if code := run([]string{"-p", "2", "./cmd/netpartverify/testdata/badsem"}, &buf); code != 2 {
+		t.Errorf("sem=bogus: exit %d, want 2\n%s", code, buf.String())
 	}
 }
 
@@ -267,7 +317,7 @@ func TestUnknownBuiltinModel(t *testing.T) {
 }
 
 // BenchmarkProtoVerify measures the exhaustive check of every builtin and
-// extracted protocol instance at P=4 under both semantics — the unit CI's
+// extracted protocol instance at P=4 under the semantics it claims — the unit CI's
 // latency ceiling in BENCH_policy.json guards. Extraction runs once
 // outside the loop: the checker, not the loader, is the hot path.
 func BenchmarkProtoVerify(b *testing.B) {
@@ -284,12 +334,20 @@ func BenchmarkProtoVerify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	protos, diags := analysis.ExtractProtos(pkgs, loader.Interproc())
-	if len(diags) > 0 {
-		b.Fatalf("extraction diagnostics: %v", diags)
+	protos, diags, err := analysis.ExtractProtos(pkgs, loader.Interproc())
+	if err != nil || len(diags) > 0 {
+		b.Fatalf("extraction: %v %v", err, diags)
 	}
-	var systems []*protomc.System
+	type unit struct {
+		sys  *protomc.System
+		sems []protomc.Semantics
+	}
+	var systems []unit
 	for _, lp := range protos {
+		sems := []protomc.Semantics{protomc.Rendezvous, protomc.Buffered}
+		if lp.Buffered {
+			sems = sems[1:]
+		}
 		var batch []*protomc.System
 		if lp.Model != "" {
 			batch, err = builtinSystems(lp.Model, 4)
@@ -299,21 +357,23 @@ func BenchmarkProtoVerify(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		systems = append(systems, batch...)
+		for _, sys := range batch {
+			systems = append(systems, unit{sys, sems})
+		}
 	}
 	if len(systems) == 0 {
 		b.Fatal("no systems to check")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, sys := range systems {
-			for _, sem := range []protomc.Semantics{protomc.Rendezvous, protomc.Buffered} {
-				res, err := protomc.Check(sys, protomc.Config{Sem: sem})
+		for _, u := range systems {
+			for _, sem := range u.sems {
+				res, err := protomc.Check(u.sys, protomc.Config{Sem: sem})
 				if err != nil {
 					b.Fatal(err)
 				}
 				if !res.OK() {
-					b.Fatalf("%s: %s", sys.Name, res.Violation)
+					b.Fatalf("%s: %s", u.sys.Name, res.Violation)
 				}
 			}
 		}

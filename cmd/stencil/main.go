@@ -13,11 +13,18 @@
 //	        [-faults "crash:3@12;drop:0.05"] [-faultseed 1] [-ckpt 8]
 //	        [-repart] [-repart-every 4] [-repart-horizon 32]
 //
+// The sim runtime is stencil.RunSimAdaptive, whose options carry every sim
+// mode (instrumentation, -mode converge as Tol, -mode adaptive as
+// RebalanceEvery + Slowdown, -faults as Injector); the live runtime is
+// stencil.RunLiveMonitored, RunLiveAdaptive with -repart, or RunLiveFT with
+// -faults. All but RunLiveFT execute one cycle driver, so sim and live run
+// the same exchange protocol.
+//
 // With -faults, the sim runtime injects packet faults below the simulated
-// reliability layer (RunSimFaulty), and the live runtime switches to the
-// fault-tolerant protocol (RunLiveFT): buddy checkpointing every -ckpt
-// cycles, failure detection, and recovery by re-running the paper's
-// partitioning algorithm over the survivors.
+// reliability layer, and the live runtime switches to the fault-tolerant
+// protocol (RunLiveFT): buddy checkpointing every -ckpt cycles, failure
+// detection, and recovery by re-running the paper's partitioning algorithm
+// over the survivors.
 //
 // With -repart, the live runtime repartitions continuously: the drift
 // monitor's events (sustained deviation from the predicted T_c) trigger an
@@ -229,8 +236,7 @@ func run(o runOptions) error {
 		var rep spmdReport
 		switch o.Mode {
 		case "fixed":
-			var grid2 [][]float64
-			var elapsedMs float64
+			sopts := stencil.AdaptiveOptions{Metrics: metrics, Trace: rec, Cycles: cycleSink}
 			if o.Faults != "" {
 				sched, err := faults.Parse(o.Faults)
 				if err != nil {
@@ -240,22 +246,15 @@ func run(o runOptions) error {
 				if len(sched.Crashes) > 0 {
 					return fmt.Errorf("crash faults need the fault-tolerant live runtime (-runtime live)")
 				}
-				eng := faults.NewEngine(sched, o.FaultSeed, metrics)
 				fmt.Printf("fault schedule : %s (seed %d)\n", sched.String(), o.FaultSeed)
-				res, err := stencil.RunSimFaulty(net, cfgCost, vec, variant, n, iters, eng, 10,
-					stencil.AdaptiveOptions{Metrics: metrics, Trace: rec})
-				if err != nil {
-					return err
-				}
-				grid2, elapsedMs, rep = res.Grid, res.ElapsedMs, res.Report
-			} else {
-				res, err := stencil.RunSimMonitored(net, cfgCost, vec, variant, n, iters, metrics, rec, cycleSink)
-				if err != nil {
-					return err
-				}
-				grid2, elapsedMs, rep = res.Grid, res.ElapsedMs, res.Report
+				sopts.Injector, sopts.RetransmitMs = faults.NewEngine(sched, o.FaultSeed, metrics), 10
 			}
-			grid = grid2
+			res, err := stencil.RunSimAdaptive(net, cfgCost, vec, variant, n, iters, sopts)
+			if err != nil {
+				return err
+			}
+			elapsedMs := res.ElapsedMs
+			grid, rep = res.Grid, res.Report
 			fmt.Printf("simulated time : %.1f ms (%d iterations, %s)\n", elapsedMs, iters, variant)
 			if predictedTcMs > 0 && iters > 0 {
 				// Estimate-vs-measured drift: predicted per-cycle cost
@@ -267,7 +266,8 @@ func run(o runOptions) error {
 					predictedTcMs, measured, drift)
 			}
 		case "converge":
-			res, err := stencil.RunSimUntil(net, cfgCost, vec, variant, n, o.Tol, iters*100)
+			res, err := stencil.RunSimAdaptive(net, cfgCost, vec, variant, n, iters*100,
+				stencil.AdaptiveOptions{Tol: o.Tol})
 			if err != nil {
 				return err
 			}

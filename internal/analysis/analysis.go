@@ -37,7 +37,9 @@
 //	                                     not follow the EncodeX/DecodeX pattern
 //	//netpart:lockstep        (func)     the function's sends and receives form
 //	                                     a lockstep protocol round msgproto
-//	                                     checks for symmetry and deadlock
+//	                                     checks for symmetry and deadlock;
+//	                                     model=<name> and sem=buffered are
+//	                                     netpartverify's (protoextract.go)
 //
 // A finding is suppressed with an explained escape hatch on the same line:
 //

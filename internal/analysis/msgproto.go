@@ -61,7 +61,7 @@ func runMsgProto(pass *Pass) error {
 			// model=<name> protocols opt out of syntactic pairing: their
 			// traffic is data-dependent and verified against a builtin
 			// model by netpartverify instead.
-			if lockstepModel(fd) == "" {
+			if lockstepArg(fd, "model") == "" {
 				checkLockstep(pass, ip, wi, fd)
 			}
 		}

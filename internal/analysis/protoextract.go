@@ -51,6 +51,13 @@ import (
 // `//netpart:lockstep model=<name>`: netpartverify substitutes its builtin
 // model, which is built by the very runtime functions that compute the
 // real traffic.
+//
+// A protocol that relies on the transport queueing its sends (the paper's
+// halo exchange: both borders out, then both ghosts in) says so with
+// `//netpart:lockstep sem=buffered`. The declaration narrows what is
+// claimed, never what is checked for the rest: netpartverify proves such a
+// function under buffered semantics only and reports the rendezvous case as
+// skipped, not as passed.
 
 // LockstepProto is one //netpart:lockstep function's extracted protocol.
 type LockstepProto struct {
@@ -63,6 +70,10 @@ type LockstepProto struct {
 	// Model, when non-empty, names the builtin model the function's
 	// directive requested instead of extraction.
 	Model string
+	// Buffered is set by the directive's sem=buffered argument: the
+	// function declares that it relies on sends being queued, so it is
+	// only checked under buffered semantics.
+	Buffered bool
 }
 
 // UnextractableError reports why a lockstep function has no extractable
@@ -79,8 +90,10 @@ func (e *UnextractableError) Error() string {
 // ExtractProtos extracts a protocol from every //netpart:lockstep function
 // of the loaded packages. Functions whose directive carries model=<name>
 // are returned with Model set and no Proto; functions the extractor cannot
-// handle surface as "protoextract" diagnostics.
-func ExtractProtos(pkgs []*Package, ip *Interproc) ([]*LockstepProto, []Diagnostic) {
+// handle surface as "protoextract" diagnostics. A directive with an unknown
+// sem= value is an error: the source declares a contract the checker does
+// not know, so nothing can be claimed about the tree.
+func ExtractProtos(pkgs []*Package, ip *Interproc) ([]*LockstepProto, []Diagnostic, error) {
 	var protos []*LockstepProto
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
@@ -93,7 +106,15 @@ func ExtractProtos(pkgs []*Package, ip *Interproc) ([]*LockstepProto, []Diagnost
 				continue
 			}
 			lp := &LockstepProto{Fn: funcLabel(fn), Pos: pkg.Fset.Position(fd.Pos())}
-			if model := lockstepModel(fd); model != "" {
+			switch sem := lockstepArg(fd, "sem"); sem {
+			case "":
+			case "buffered":
+				lp.Buffered = true
+			default:
+				return nil, nil, fmt.Errorf("%s: //netpart:lockstep on %s: unknown sem=%q (the only declarable semantics is buffered)",
+					lp.Pos, lp.Fn, sem)
+			}
+			if model := lockstepArg(fd, "model"); model != "" {
 				lp.Model = model
 				protos = append(protos, lp)
 				continue
@@ -111,13 +132,14 @@ func ExtractProtos(pkgs []*Package, ip *Interproc) ([]*LockstepProto, []Diagnost
 			protos = append(protos, lp)
 		}
 	}
-	return protos, diags
+	return protos, diags, nil
 }
 
-// lockstepModel returns the model=<name> argument of a lockstep directive.
-func lockstepModel(fd *ast.FuncDecl) string {
+// lockstepArg returns the value of the key=<value> argument of a lockstep
+// directive (model=, sem=), or "" when absent.
+func lockstepArg(fd *ast.FuncDecl, key string) string {
 	for _, f := range strings.Fields(directiveRest(fd.Doc, "netpart:lockstep")) {
-		if v, ok := strings.CutPrefix(f, "model="); ok {
+		if v, ok := strings.CutPrefix(f, key+"="); ok {
 			return v
 		}
 	}

@@ -98,25 +98,10 @@ func proto(t *tr, iters int) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		fset := token.NewFileSet()
-		file, err := parser.ParseFile(fset, "fuzz.go", src, parser.ParseComments)
-		if err != nil {
-			return // not Go: the loader would already have rejected it
+		pkg, file := checkSource(src)
+		if pkg == nil {
+			return // not Go, or ill-typed: extraction only ever sees checked packages
 		}
-		info := &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-			Implicits:  map[ast.Node]types.Object{},
-			Scopes:     map[ast.Node]*types.Scope{},
-		}
-		conf := types.Config{Importer: importer.Default(), Error: func(error) {}}
-		tpkg, err := conf.Check("fuzz", fset, []*ast.File{file}, info)
-		if err != nil {
-			return // ill-typed: extraction only ever sees checked packages
-		}
-		pkg := &analysis.Package{Path: "fuzz", Fset: fset, Files: []*ast.File{file}, Types: tpkg, Info: info}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
@@ -138,4 +123,28 @@ func proto(t *tr, iters int) {
 			}
 		}
 	})
+}
+
+// checkSource parses and typechecks one self-contained source file the way
+// the loader would, returning nil for sources it would have rejected.
+func checkSource(src string) (*analysis.Package, *ast.File) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "fuzz.go", src, parser.ParseComments)
+	if err != nil {
+		return nil, nil
+	}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Implicits:  map[ast.Node]types.Object{},
+		Scopes:     map[ast.Node]*types.Scope{},
+	}
+	conf := types.Config{Importer: importer.Default(), Error: func(error) {}}
+	tpkg, err := conf.Check("fuzz", fset, []*ast.File{file}, info)
+	if err != nil {
+		return nil, nil
+	}
+	return &analysis.Package{Path: "fuzz", Fset: fset, Files: []*ast.File{file}, Types: tpkg, Info: info}, file
 }

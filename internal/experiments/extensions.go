@@ -603,16 +603,7 @@ func noiseLevel(e *Env, jitter float64) (NoiseRow, error) {
 		if err != nil {
 			return 0, err
 		}
-		names, counts := cfg.Active()
-		pl, err := topo.Contiguous(names, counts)
-		if err != nil {
-			return 0, err
-		}
-		rep, err := runStencilNoisy(e.Net, pl, vec, n, jitter, seed)
-		if err != nil {
-			return 0, err
-		}
-		return rep, nil
+		return runStencilNoisy(e.Net, cfg, vec, n, jitter, seed)
 	}
 	var min trace.MinTracker
 	for i, c := range Table2Configs {
@@ -632,12 +623,13 @@ func noiseLevel(e *Env, jitter float64) (NoiseRow, error) {
 }
 
 // runStencilNoisy executes STEN-2 with jittered channel holds.
-func runStencilNoisy(net *model.Network, pl topo.Placement, vec core.Vector, n int, jitter float64, seed uint64) (float64, error) {
+func runStencilNoisy(net *model.Network, cfg cost.Config, vec core.Vector, n int, jitter float64, seed uint64) (float64, error) {
 	var opts []simnet.Option
 	if jitter > 0 {
 		opts = append(opts, simnet.WithJitter(jitter, seed))
 	}
-	return stencil.RunSimNoisy(net, pl, vec, stencil.STEN2, n, Iterations, opts...)
+	res, err := stencil.RunSimAdaptive(net, cfg, vec, stencil.STEN2, n, Iterations, stencil.AdaptiveOptions{SimOptions: opts})
+	return res.ElapsedMs, err
 }
 
 // RenderNoise prints the E15 table.

@@ -245,11 +245,20 @@ func (t *Task) ExchangeBorders(bytes int, payload func(nb int) interface{}) map[
 	for _, nb := range ns {
 		got[nb] = t.Recv(nb)
 	}
-	t.m.exchangeMs.Observe(t.NowMs() - start)
-	if t.sink != nil {
-		t.sink.OnExchange(t.rank, t.cycle, t.NowMs()-start)
-	}
+	t.ObserveExchange(t.NowMs() - start)
 	return got
+}
+
+// ObserveExchange records the communication portion of the current cycle
+// (virtual milliseconds spent sending and waiting on receives): it feeds
+// the exchange histogram and the cycle sink. ExchangeBorders calls it;
+// bodies that run their own exchange call it once per cycle, before
+// EndCycle.
+func (t *Task) ObserveExchange(ms float64) {
+	t.m.exchangeMs.Observe(ms)
+	if t.sink != nil {
+		t.sink.OnExchange(t.rank, t.cycle, ms)
+	}
 }
 
 // Job describes one SPMD execution: the network, the processor

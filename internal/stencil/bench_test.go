@@ -24,10 +24,11 @@ func BenchmarkStencilKernel(b *testing.B) {
 }
 
 // BenchmarkHaloExchange measures one full border exchange between two ranks
-// over the in-memory transport: encode both ghost rows as halo frames, send,
-// receive, decode, and recycle the delivered buffers — the per-cycle
-// communication work of the live runtimes. CI hard-gates this at zero
-// allocations per op once the transport free lists are warm.
+// over the in-memory transport through the cycle driver's live link: encode
+// both ghost rows as halo frames, send, receive, decode, and recycle the
+// delivered buffers — the per-cycle communication work of the live
+// runtimes. CI hard-gates this at zero allocations per op once the
+// transport free lists are warm.
 func BenchmarkHaloExchange(b *testing.B) {
 	const n = 240
 	world, err := mmps.NewLocalWorld(2)
@@ -43,42 +44,37 @@ func BenchmarkHaloExchange(b *testing.B) {
 	for i := range row {
 		row[i] = float64(i) * 0.25
 	}
-	sendBuf := make([]byte, 0, haloHeaderLen+8*n)
-	ghost := make([]float64, 0, n)
+	var links [2]*liveLink
+	for r := range links {
+		links[r] = &liveLink{tr: world[r], sendBuf: make([]byte, 0, haloHeaderLen+8*n), ghostVals: make([]float64, 0, n)}
+	}
 	into := make([]float64, n)
-	exchange := func(src, dst mmps.Transport, g, cycle int) error {
-		sendBuf = appendHaloFrame(sendBuf[:0], g, cycle, row)
-		if err := src.Send(dst.Rank(), sendBuf); err != nil {
+	exchange := func(src, dst *liveLink, g, cycle int) error {
+		if err := src.Send(dst.Rank(), halo{g, cycle, row}); err != nil {
 			return err
 		}
-		buf, err := dst.Recv(src.Rank())
+		h, err := dst.Recv(src.Rank())
 		if err != nil {
 			return err
 		}
-		_, _, vals, err := parseHaloFrame(buf, ghost[:0])
-		if err != nil {
-			return err
-		}
-		ghost = vals
-		copy(into, vals)
-		mmps.Recycle(dst, buf)
+		copy(into, h.vals)
 		return nil
 	}
 	// Warm both directions so the transports' free lists are populated.
-	if err := exchange(world[0], world[1], 0, 0); err != nil {
+	if err := exchange(links[0], links[1], 0, 0); err != nil {
 		b.Fatal(err)
 	}
-	if err := exchange(world[1], world[0], n-1, 0); err != nil {
+	if err := exchange(links[1], links[0], n-1, 0); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(2 * (haloHeaderLen + 8*n)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := exchange(world[0], world[1], 0, i); err != nil {
+		if err := exchange(links[0], links[1], 0, i); err != nil {
 			b.Fatal(err)
 		}
-		if err := exchange(world[1], world[0], n-1, i); err != nil {
+		if err := exchange(links[1], links[0], n-1, i); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,0 +1,463 @@
+package stencil
+
+import (
+	"fmt"
+	"math"
+
+	"netpart/internal/core"
+	"netpart/internal/mmps"
+	"netpart/internal/repart"
+)
+
+// The cycle driver. Every stencil runtime except the fault-tolerant one
+// (ftlive.go) executes this one per-rank loop; what differs between the
+// simulated and the live runtimes sits behind the link interface, and what
+// differs between the entry points (load, converge-until, repartitioning)
+// is a field of job, not a copy of the loop.
+
+// halo is one border row in flight: the global row index, the cycle it
+// belongs to, and its values.
+type halo struct {
+	row, cycle int
+	vals       []float64
+}
+
+// link is the driver's view of one rank's runtime. The simulator's link
+// (sim.go) charges the paper's 4N bytes per border and advances virtual
+// time; the live link (live.go) frames borders through the halo codec onto
+// an mmps transport and reads the wall clock.
+type link interface {
+	Rank() int
+	Size() int
+	// Send queues one border row for dst and returns without waiting for
+	// the receiver (Transport.Send's contract; the simulator's sends are
+	// asynchronous too). The driver's exchange relies on that: see cycles.
+	Send(dst int, h halo) error
+	// Recv blocks for the next border row from src. The values are only
+	// valid until the next Recv.
+	Recv(src int) (halo, error)
+	// control is the byte-frame channel between the same ranks, used by
+	// the repartitioning round, row migration and the converge reduction.
+	control() repart.Link
+	// nowMs reads the runtime's clock: virtual or wall milliseconds.
+	nowMs() float64
+	// charge accounts for updating count rows starting at global row first
+	// under a load factor, and returns how often the driver must execute
+	// each update: the simulator charges the operations to virtual time
+	// and computes once, the live runtime emulates the load by repeating
+	// the work.
+	charge(first, count, n int, factor float64) (reps int)
+	// endCycle reports one finished cycle that began at startMs and spent
+	// exchangeMs sending and waiting on receives.
+	endCycle(iter int, startMs, exchangeMs float64)
+}
+
+// job is one distributed run: the problem, the policies the entry point
+// chose, and the shared result. Ranks read it concurrently; only rank 0
+// writes out.
+type job struct {
+	v        Variant
+	n, iters int
+	vec      core.Vector
+	initial  [][]float64
+	res      *resultGrid
+
+	// load multiplies the cost of rank's row updates at iter; nil means 1.
+	load func(rank, iter int) float64
+	// tol > 0 ends the run once the global maximum point change of a cycle
+	// falls to it; iters is then the cap.
+	tol float64
+	// every > 0 enters a repartitioning round after each multiple of every
+	// cycles. With a trigger, rank 0 only plans in a round when the trigger
+	// fired or the fallback interval is due.
+	every    int
+	trigger  repart.Trigger
+	fallback int
+	eng      *repart.Engine
+
+	out RunStats
+}
+
+// RunStats is what a run's policies did, as rank 0 saw it.
+type RunStats struct {
+	// Rebalances counts repartitioning decisions that changed the vector.
+	Rebalances int
+	// MigratedRows counts grid rows that changed owners.
+	MigratedRows int
+	// FinalVector is the partition vector after the last rebalance.
+	FinalVector core.Vector
+	// Plans is the ordered decision sequence rank 0 took (keeps included).
+	// Deterministic under the virtual-time simulator: the golden tests
+	// compare rendered plans byte-for-byte across runs and worker counts.
+	Plans []repart.Plan
+	// Iterations is the number of cycles executed: iters, or fewer when a
+	// tolerance stopped the run.
+	Iterations int
+	// FinalDelta is the last global maximum point change (runs with a
+	// tolerance only).
+	FinalDelta float64
+}
+
+// checkVector is the one validation every entry point shares: the
+// partition vector must give each of the tasks at least one row (a rank
+// without rows has no border to send, and its neighbours would wait on it
+// forever), sum to the problem size, and match the work factors if any.
+func checkVector(vec core.Vector, tasks, n int, workFactor []int) error {
+	if tasks == 0 || tasks != len(vec) {
+		return fmt.Errorf("stencil: %d tasks for %d vector entries", tasks, len(vec))
+	}
+	for rank, rows := range vec {
+		if rows < 1 {
+			return fmt.Errorf("stencil: rank %d is assigned %d rows; every rank needs at least one", rank, rows)
+		}
+	}
+	if vec.Sum() != n {
+		return fmt.Errorf("stencil: vector sums to %d, want N=%d rows", vec.Sum(), n)
+	}
+	if workFactor != nil && len(workFactor) != tasks {
+		return fmt.Errorf("stencil: %d work factors for %d tasks", len(workFactor), tasks)
+	}
+	return nil
+}
+
+// newJob validates the inputs and sets up a run; the engine carries the
+// repartitioning policy's planner and its observability.
+func newJob(vec core.Vector, tasks int, v Variant, n, iters int, workFactor []int, eng *repart.Engine) (*job, error) {
+	if err := checkVector(vec, tasks, n, workFactor); err != nil {
+		return nil, err
+	}
+	return &job{
+		v: v, n: n, iters: iters, vec: vec, eng: eng,
+		initial: NewGrid(n),
+		res:     newResultGrid(n),
+		out:     RunStats{FinalVector: append(core.Vector(nil), vec...)},
+	}, nil
+}
+
+// finish returns the assembled grid once every rank is done. A rank's own
+// error comes before the runtime's (runErr, the simulator's): it is what
+// explains the deadlock reported once that rank's neighbours wait on it
+// forever.
+func (j *job) finish(errs []error, runErr error) ([][]float64, error) {
+	for rank, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("stencil: rank %d: %w", rank, err)
+		}
+	}
+	if runErr != nil {
+		return nil, runErr
+	}
+	for i, row := range j.res.rows {
+		if row == nil {
+			return nil, fmt.Errorf("stencil: row %d not produced", i)
+		}
+	}
+	return j.res.rows, nil
+}
+
+// rankState is one rank's share of a job: it owns global rows
+// [off, off+rows), held in cur/next as flat blocks with one ghost row on
+// each side at local indices 0 and rows+1.
+type rankState struct {
+	job       *job
+	lk        link
+	rows, off int
+	cur, next block
+	scratch   []float64 // target of the repeated updates that emulate load
+	windowMs  float64   // compute time since the last repartitioning round
+	delta     float64   // this cycle's local maximum point change
+}
+
+// runRank is the per-rank body of every driver-based runtime: cycles up to
+// the next synchronisation point, then whatever the job's policies ask for
+// there — the converge reduction, a repartitioning round with its
+// migration — until the iterations are done.
+func (j *job) runRank(lk link) error {
+	rank, size := lk.Rank(), lk.Size()
+	own := repart.NewOwners(j.vec)
+	s := &rankState{job: j, lk: lk, rows: own.Count(rank), off: own.First(rank)}
+	s.cur, s.next = newBlock(s.rows, j.n), newBlock(s.rows, j.n)
+	for i := 0; i < s.rows; i++ {
+		copy(s.cur.row(i+1), j.initial[s.off+i])
+	}
+	copy(s.next.cells, s.cur.cells)
+
+	iter := 0
+	for iter < j.iters {
+		stop := j.iters
+		switch {
+		case j.tol > 0:
+			stop = iter + 1
+		case j.every > 0 && size > 1:
+			stop = min(stop, (iter/j.every+1)*j.every)
+		}
+		if err := s.cycles(iter, stop); err != nil {
+			return err
+		}
+		iter = stop
+		if j.tol > 0 {
+			global, err := reduceMax(lk.control(), s.delta)
+			if err != nil {
+				return err
+			}
+			if rank == 0 {
+				j.out.FinalDelta = global
+			}
+			if global <= j.tol {
+				break
+			}
+		}
+		if iter < j.iters && j.every > 0 && iter%j.every == 0 && size > 1 {
+			if err := s.rebalance(iter); err != nil {
+				return err
+			}
+		}
+	}
+	if rank == 0 {
+		j.out.Iterations = iter
+	}
+	for i := 0; i < s.rows; i++ {
+		copy(j.res.take(s.off+i), s.cur.row(i+1))
+	}
+	return nil
+}
+
+// cycles runs iterations [from, to) of the paper's communication cycle:
+// asynchronous sends of both border rows, blocking receives of both ghost
+// rows, the grid update — with STEN-2 hiding the transfer behind the
+// interior rows, which need no ghost data (Eq. 4–6). The exchange time
+// reported per cycle covers the sends and the receive waits only.
+//
+// Sending both borders before receiving is a send-send cycle between
+// neighbours, so the order is only live on a transport whose Send queues
+// the message and returns. That is the contract of mmps.Transport.Send and
+// of the simulator, and it is declared here rather than assumed:
+// netpartverify checks this function under buffered semantics (capacity 1
+// suffices) and does not claim the rendezvous case.
+//
+//netpart:lockstep sem=buffered
+func (s *rankState) cycles(from, to int) error {
+	lk, n := s.lk, s.job.n
+	rank, size := lk.Rank(), lk.Size()
+	north, south := rank-1, rank+1
+	hasNorth, hasSouth := north >= 0, south < size
+	exchangeMs := 0.0
+	recvGhost := func(src, row, iter int, into []float64) error {
+		h, err := lk.Recv(src)
+		if err != nil {
+			return err
+		}
+		if h.row != row || h.cycle != iter || len(h.vals) != n {
+			return fmt.Errorf("ghost row %d at cycle %d with %d values, want row %d cycle %d (%d values)",
+				h.row, h.cycle, len(h.vals), row, iter, n)
+		}
+		copy(into, h.vals)
+		return nil
+	}
+	recvGhosts := func(iter int) error {
+		start := lk.nowMs()
+		if hasNorth {
+			if err := recvGhost(north, s.off-1, iter, s.cur.row(0)); err != nil {
+				return err
+			}
+		}
+		if hasSouth {
+			if err := recvGhost(south, s.off+s.rows, iter, s.cur.row(s.rows+1)); err != nil {
+				return err
+			}
+		}
+		exchangeMs += lk.nowMs() - start
+		return nil
+	}
+
+	for iter := from; iter < to; iter++ {
+		start := lk.nowMs()
+		s.delta = 0
+		if hasNorth {
+			if err := lk.Send(north, halo{s.off, iter, s.cur.row(1)}); err != nil {
+				return err
+			}
+		}
+		if hasSouth {
+			if err := lk.Send(south, halo{s.off + s.rows - 1, iter, s.cur.row(s.rows)}); err != nil {
+				return err
+			}
+		}
+		exchangeMs = lk.nowMs() - start
+		switch s.job.v {
+		case STEN1:
+			if err := recvGhosts(iter); err != nil {
+				return err
+			}
+			s.computeRows(1, s.rows, iter)
+		default: // STEN2; no variant may leave the borders just sent unreceived
+			if s.rows > 2 {
+				s.computeRows(2, s.rows-1, iter)
+			}
+			if err := recvGhosts(iter); err != nil {
+				return err
+			}
+			s.computeRows(1, 1, iter)
+			if s.rows > 1 {
+				s.computeRows(s.rows, s.rows, iter)
+			}
+		}
+		s.cur, s.next = s.next, s.cur
+		lk.endCycle(iter, start, exchangeMs)
+	}
+	return nil
+}
+
+// computeRows updates local rows [lo, hi] under the job's load and adds
+// the time it took, on the link's clock, to the measurement window the
+// next repartitioning round reports. One link call covers the whole span.
+func (s *rankState) computeRows(lo, hi, iter int) {
+	j := s.job
+	factor := 1.0
+	if j.load != nil {
+		factor = j.load(s.lk.Rank(), iter)
+	}
+	start := s.lk.nowMs()
+	reps := s.lk.charge(s.off+lo-1, hi-lo+1, j.n, factor)
+	if reps > 1 && s.scratch == nil {
+		s.scratch = make([]float64, j.n)
+	}
+	var delta *float64
+	if j.tol > 0 {
+		delta = &s.delta
+	}
+	updateRows(s.next, s.cur, s.off, j.n, lo, hi, reps, s.scratch, delta)
+	s.windowMs += s.lk.nowMs() - start
+}
+
+// updateRows advances local rows [lo, hi] of a block that starts at global
+// row off by one Jacobi step, cur into next: the grid's first and last rows
+// are copied, every other row gets the five-point update. reps > 1 redoes
+// each update reps-1 more times into scratch, making the rank behave like a
+// proportionally slower processor. A non-nil delta is raised to the largest
+// point change seen. Shared by the driver and the fault-tolerant runtime.
+func updateRows(next, cur block, off, n, lo, hi, reps int, scratch []float64, delta *float64) {
+	for li := lo; li <= hi; li++ {
+		nr, cr := next.row(li), cur.row(li)
+		if g := off + li - 1; g == 0 || g == n-1 {
+			copy(nr, cr)
+			continue
+		}
+		up, down := cur.row(li-1), cur.row(li+1)
+		updateRow(nr, cr, up, down)
+		for extra := 1; extra < reps; extra++ {
+			updateRow(scratch, cr, up, down)
+		}
+		if delta != nil {
+			for c := 1; c < n-1; c++ {
+				if d := math.Abs(nr[c] - cr[c]); d > *delta {
+					*delta = d
+				}
+			}
+		}
+	}
+}
+
+// rowOps returns the operations charged for updating one global row: the
+// five-point update for interior rows, a copy for boundary rows.
+func rowOps(globalRow, n int) float64 {
+	if globalRow == 0 || globalRow == n-1 {
+		return float64(n) // boundary rows are only copied
+	}
+	return OpsPerPoint * float64(n)
+}
+
+// reduceMax is the converge-until reduction: every rank reports its local
+// maximum point change to rank 0, which broadcasts the global maximum —
+// the same gather/broadcast shape as the repartitioning round. A
+// contribution is one float64 in the mmps coercion format, 8 bytes.
+//
+//netpart:lockstep
+func reduceMax(lk repart.Link, local float64) (float64, error) {
+	rank, size := lk.Rank(), lk.Size()
+	if rank != 0 {
+		if err := lk.Send(0, mmps.EncodeFloat64s([]float64{local})); err != nil {
+			return 0, err
+		}
+		buf, err := lk.Recv(0)
+		if err != nil {
+			return 0, err
+		}
+		return oneFloat64(mmps.DecodeFloat64s(buf))
+	}
+	global := local
+	for src := 1; src < size; src++ {
+		buf, err := lk.Recv(src)
+		if err != nil {
+			return 0, err
+		}
+		d, err := oneFloat64(mmps.DecodeFloat64s(buf))
+		if err != nil {
+			return 0, err
+		}
+		global = max(global, d)
+	}
+	msg := mmps.EncodeFloat64s([]float64{global})
+	for dst := 1; dst < size; dst++ {
+		if err := lk.Send(dst, msg); err != nil {
+			return 0, err
+		}
+	}
+	return global, nil
+}
+
+// oneFloat64 unwraps a decoded convergence frame.
+func oneFloat64(vals []float64, err error) (float64, error) {
+	if err == nil && len(vals) != 1 {
+		err = fmt.Errorf("stencil: convergence frame of %d values, want 1", len(vals))
+	}
+	if err != nil {
+		return 0, err
+	}
+	return vals[0], nil
+}
+
+// rebalance is one repartitioning round after iter completed cycles: the
+// engine's gather → plan → broadcast and, when the plan moved rows, their
+// migration. Every rank enters at the shared cadence so the protocol stays
+// in lockstep; only rank 0 consults the trigger, so wall-clock-dependent
+// firing cannot desynchronize the ranks.
+func (s *rankState) rebalance(iter int) error {
+	j, ctl := s.job, s.lk.control()
+	rank := ctl.Rank()
+	doPlan, reason := true, "interval"
+	if rank == 0 && j.trigger != nil {
+		doPlan, reason = j.trigger.Take(), "drift"
+		if !doPlan && j.fallback > 0 && iter%j.fallback == 0 {
+			doPlan, reason = true, "interval"
+		}
+	}
+	plan, err := j.eng.Round(ctl, iter-1, reason, s.rows, s.windowMs, doPlan)
+	if err != nil {
+		return err
+	}
+	s.windowMs = 0
+	if rank == 0 {
+		j.out.Plans = append(j.out.Plans, plan)
+		if plan.Changed() {
+			j.out.Rebalances++
+			j.out.MigratedRows += plan.MovedRows
+		}
+		copy(j.out.FinalVector, plan.New)
+	}
+	if !plan.Changed() {
+		return nil
+	}
+	newOwn := repart.NewOwners(plan.New)
+	newRows, newOff := newOwn.Count(rank), newOwn.First(rank)
+	ncur, nnext := newBlock(newRows, j.n), newBlock(newRows, j.n)
+	_, _, err = repart.Migrator{Width: j.n}.Migrate(ctl, plan.Old, plan.New,
+		func(g int) []float64 { return s.cur.row(g - s.off + 1) },
+		func(g int, row []float64) { copy(ncur.row(g-newOff+1), row) })
+	if err != nil {
+		return err
+	}
+	s.rows, s.off = newRows, newOff
+	s.cur, s.next = ncur, nnext
+	return nil
+}

@@ -140,14 +140,8 @@ type ftShared struct {
 //
 //netpart:wallclock
 func RunLiveFT(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, opts FTOptions) (FTResult, error) {
-	if len(world) == 0 || len(world) != len(vec) {
-		return FTResult{}, fmt.Errorf("stencil: %d transports for %d vector entries", len(world), len(vec))
-	}
-	if vec.Sum() != n {
-		return FTResult{}, fmt.Errorf("stencil: vector sums to %d, want N=%d", vec.Sum(), n)
-	}
-	if opts.WorkFactor != nil && len(opts.WorkFactor) != len(world) {
-		return FTResult{}, fmt.Errorf("stencil: %d work factors for %d tasks", len(opts.WorkFactor), len(world))
+	if err := checkVector(vec, len(world), n, opts.WorkFactor); err != nil {
+		return FTResult{}, err
 	}
 	if opts.CheckpointEvery <= 0 {
 		opts.CheckpointEvery = 8
@@ -167,22 +161,12 @@ func RunLiveFT(world []mmps.Transport, vec core.Vector, v Variant, n, iters int,
 		failed: map[int]bool{},
 		vec:    append(core.Vector(nil), vec...),
 	}
-	errs := make([]error, len(world))
-	var wg sync.WaitGroup
-	start := time.Now()
-	for rank := range world {
-		rank := rank
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t := newFTTask(world[rank], vec, v, n, iters, opts, sh, initial, start)
-			errs[rank] = t.run()
-			ftdebugf("rank %d EXIT err=%v iter=%d epoch=%d dead=%v", rank, errs[rank], t.iter, t.epoch, t.deadList())
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	opts.Metrics.Gauge(MetricLiveElapsedMs).Set(float64(elapsed) / float64(time.Millisecond))
+	errs, elapsed := runRanks(len(world), opts.Metrics, func(rank int, start time.Time) error {
+		t := newFTTask(world[rank], vec, v, n, iters, opts, sh, initial, start)
+		err := t.run()
+		ftdebugf("rank %d EXIT err=%v iter=%d epoch=%d dead=%v", rank, err, t.iter, t.epoch, t.deadList())
+		return err
+	})
 
 	out := FTResult{Elapsed: elapsed}
 	for rank, err := range errs {
@@ -276,7 +260,7 @@ type ftTask struct {
 
 	epoch    int
 	vec      core.Vector
-	own      owners
+	own      repart.Owners
 	dead     map[int]bool
 	iter     int
 	executed int // monotonic executed-cycle count (crash injection key)
@@ -311,7 +295,7 @@ func newFTTask(tr mmps.Transport, vec core.Vector, v Variant, n, iters int, opts
 	return &ftTask{
 		tr: tr, rank: tr.Rank(), size: tr.Size(), n: n, iters: iters, v: v,
 		opts: opts, sh: sh, initial: initial, epochT0: t0,
-		vec: append(core.Vector(nil), vec...), own: newOwners(vec),
+		vec: append(core.Vector(nil), vec...), own: repart.NewOwners(vec),
 		dead:      map[int]bool{},
 		ownCkpt:   map[int][][]float64{},
 		ckptIn:    map[int]map[int]ckptBlob{},
@@ -615,32 +599,21 @@ func (t *ftTask) awaitBorder(owner, g, cycle int, into []float64) error {
 // run is the rank's whole life: compute, detect, recover, finish.
 func (t *ftTask) run() error {
 	t.rows, t.off = t.own.Count(t.rank), t.own.First(t.rank)
-	if t.rows == 0 {
-		return errRetired
-	}
-	t.cur, t.next = t.allocBlock(t.rows)
+	t.cur, t.next = newBlock(t.rows, t.n), newBlock(t.rows, t.n)
 	for i := 0; i < t.rows; i++ {
 		copy(t.cur.row(i+1), t.initial[t.off+i])
 	}
 	copy(t.next.cells, t.cur.cells)
 	for {
-		if err := t.computeLoop(); err != nil {
-			if errors.Is(err, errNeedRecovery) {
-				if rerr := t.recover(); rerr != nil {
-					return rerr
-				}
-				continue
-			}
-			return err
+		err := t.computeLoop()
+		done := false
+		if err == nil {
+			done, err = t.linger()
 		}
-		done, err := t.linger()
+		if errors.Is(err, errNeedRecovery) {
+			err = t.recover()
+		}
 		if err != nil {
-			if errors.Is(err, errNeedRecovery) {
-				if rerr := t.recover(); rerr != nil {
-					return rerr
-				}
-				continue
-			}
 			return err
 		}
 		if done {
@@ -653,10 +626,6 @@ func (t *ftTask) run() error {
 	}
 	t.sh.mu.Unlock()
 	return nil
-}
-
-func (t *ftTask) allocBlock(rows int) (block, block) {
-	return newBlock(rows, t.n), newBlock(rows, t.n)
 }
 
 // neighbors under the current vector: adjacent row-owners, not adjacent
@@ -676,28 +645,17 @@ func (t *ftTask) computeRows(lo, hi int) {
 	if t.opts.Injector != nil {
 		factor = t.opts.Injector.Slowdown(t.rank, t.iter)
 	}
-	reps := 1
 	if t.opts.WorkFactor != nil {
-		reps = t.opts.WorkFactor[t.rank]
+		factor *= float64(t.opts.WorkFactor[t.rank])
 	}
-	reps = int(float64(reps)*factor + 0.5)
-	if reps < 1 {
-		reps = 1
-	}
-	for li := lo; li <= hi; li++ {
-		g := t.off + li - 1
-		if g == 0 || g == t.n-1 {
-			copy(t.next.row(li), t.cur.row(li))
-			continue
-		}
-		updateRow(t.next.row(li), t.cur.row(li), t.cur.row(li-1), t.cur.row(li+1))
-		for extra := 1; extra < reps; extra++ {
-			updateRow(t.scratch, t.cur.row(li), t.cur.row(li-1), t.cur.row(li+1))
-		}
-	}
+	updateRows(t.next, t.cur, t.off, t.n, lo, hi, loadReps(factor), t.scratch, nil)
 }
 
-// computeLoop runs iterations until completion or a recovery signal.
+// computeLoop runs iterations until completion or a recovery signal. It is
+// the one cycle loop outside the driver (driver.go): every receive here is a
+// bounded, pump-driven wait that can end in a failure verdict and a rollback,
+// which the driver's blocking link cannot express. The exchange order and
+// the row update (updateRows) are the driver's.
 func (t *ftTask) computeLoop() error {
 	for t.iter < t.iters {
 		if t.needRecovery {
@@ -749,15 +707,14 @@ func (t *ftTask) computeLoop() error {
 			}
 		}
 		t.cur, t.next = t.next, t.cur
-		t.cycleMs.Observe(float64(time.Since(cycleStart)) / float64(time.Millisecond))
+		cycleMs := float64(time.Since(cycleStart)) / float64(time.Millisecond)
+		t.cycleMs.Observe(cycleMs)
 		if t.opts.Cycles != nil {
-			t.opts.Cycles.OnCycle(t.rank, t.iter, float64(time.Since(cycleStart))/float64(time.Millisecond))
+			t.opts.Cycles.OnCycle(t.rank, t.iter, cycleMs)
 		}
 		if t.opts.Trace != nil {
 			startMs := float64(cycleStart.Sub(t.epochT0)) / float64(time.Millisecond)
-			t.opts.Trace.Span("cycle", t.rank, startMs,
-				float64(time.Since(cycleStart))/float64(time.Millisecond),
-				map[string]any{"iter": t.iter, "epoch": t.epoch})
+			t.opts.Trace.Span("cycle", t.rank, startMs, cycleMs, map[string]any{"iter": t.iter, "epoch": t.epoch})
 		}
 		t.iter++
 		t.executed++
@@ -1031,7 +988,7 @@ func (t *ftTask) applyRecovery(dl []int, parts []int) error {
 
 	oldOwn := t.own
 	oldOff, oldRows := t.off, t.rows
-	newOwn := newOwners(newVec)
+	newOwn := repart.NewOwners(newVec)
 	newRows, newOff := newOwn.Count(t.rank), newOwn.First(t.rank)
 	round := roundKey(dl)
 
@@ -1083,7 +1040,7 @@ func (t *ftTask) applyRecovery(dl []int, parts []int) error {
 
 	// Build the new block: regenerate (c*=0), keep local rows, then absorb
 	// incoming batches until every expected row arrived.
-	ncur, nnext := t.allocBlock(newRows)
+	ncur, nnext := newBlock(newRows, t.n), newBlock(newRows, t.n)
 	have := make([]bool, newRows)
 	pending := 0
 	for g := newOff; g < newOff+newRows; g++ {

@@ -33,12 +33,7 @@ const ftHeaderLen = 9
 //
 //netpart:wire ftframe encode
 func ftFrame(typ byte, epoch, cycle int, payload []byte) []byte {
-	buf := make([]byte, ftHeaderLen+len(payload))
-	buf[0] = typ
-	binary.BigEndian.PutUint32(buf[1:], uint32(epoch))
-	binary.BigEndian.PutUint32(buf[5:], uint32(cycle))
-	copy(buf[ftHeaderLen:], payload)
-	return buf
+	return append(appendFTFrame(make([]byte, 0, ftHeaderLen+len(payload)), typ, epoch, cycle), payload...)
 }
 
 // appendFTFrame appends the frame header onto dst and returns the extended

@@ -34,14 +34,6 @@ func (b block) row(i int) []float64 {
 	return b.cells[i*b.width : (i+1)*b.width]
 }
 
-// rows returns the number of data rows (excluding the two ghost rows).
-func (b block) rows() int {
-	if b.width == 0 {
-		return 0
-	}
-	return len(b.cells)/b.width - 2
-}
-
 // updateSpan computes the five-point Jacobi update of columns [lo, hi) of
 // one row: dst[j] = (up[j] + down[j] + cur[j-1] + cur[j+1]) * 0.25. The
 // span must be interior (lo >= 1, hi <= len(cur)-1). Reslicing hoists the

@@ -1,20 +1,20 @@
 package stencil
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
 	"netpart/internal/core"
 	"netpart/internal/mmps"
 	"netpart/internal/obs"
+	"netpart/internal/repart"
 )
 
-// Metric names RunLiveObserved records. Live metrics measure wall-clock
+// Metric names the live runtimes record. Live metrics measure wall-clock
 // time, unlike the spmd.Metric* virtual-time metrics.
 const (
 	MetricLiveCycleMs    = "live.cycle_ms"    // per-task per-cycle wall time
-	MetricLiveExchangeMs = "live.exchange_ms" // border exchange (send+recv) wall time
+	MetricLiveExchangeMs = "live.exchange_ms" // border exchange (sends + receive waits) wall time
 	MetricLiveElapsedMs  = "live.elapsed_ms"  // gauge: whole-run wall time
 )
 
@@ -40,240 +40,225 @@ type LiveResult struct {
 //
 //netpart:wallclock
 func RunLive(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, workFactor []int) (LiveResult, error) {
-	return RunLiveObserved(world, vec, v, n, iters, workFactor, nil, nil)
+	return RunLiveMonitored(world, vec, v, n, iters, workFactor, nil, nil, nil)
 }
 
-// RunLiveObserved is RunLive with observability attached: wall-clock
-// per-cycle and border-exchange histograms (the MetricLive* names) into m
-// and one span per task per cycle into rec, timestamped relative to the
-// iteration loop's start so the Chrome trace aligns all ranks. Either may
-// be nil to disable.
-//
-//netpart:wallclock
-func RunLiveObserved(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, workFactor []int, m *obs.Registry, rec *obs.Recorder) (LiveResult, error) {
-	return RunLiveMonitored(world, vec, v, n, iters, workFactor, m, rec, nil)
-}
-
-// RunLiveMonitored is RunLiveObserved plus a per-cycle subscription: sink
-// (when non-nil) receives every rank's wall-clock cycle and
+// RunLiveMonitored is RunLive with observability attached: wall-clock
+// per-cycle and border-exchange histograms (the MetricLive* names) into m,
+// one span per task per cycle into rec, timestamped relative to the
+// iteration loop's start so the Chrome trace aligns all ranks, and a
+// per-cycle subscription: sink receives every rank's cycle and
 // border-exchange duration as it completes, from that rank's goroutine —
-// the hookup point for the drift monitor (internal/obs/drift).
+// the hookup point for the drift monitor (internal/obs/drift). Any of the
+// three may be nil.
 //
 //netpart:wallclock
 func RunLiveMonitored(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, workFactor []int, m *obs.Registry, rec *obs.Recorder, sink obs.CycleSink) (LiveResult, error) {
-	if len(world) == 0 || len(world) != len(vec) {
-		return LiveResult{}, fmt.Errorf("stencil: %d transports for %d vector entries", len(world), len(vec))
-	}
-	if vec.Sum() != n {
-		return LiveResult{}, fmt.Errorf("stencil: vector sums to %d, want N=%d", vec.Sum(), n)
-	}
-	if workFactor != nil && len(workFactor) != len(world) {
-		return LiveResult{}, fmt.Errorf("stencil: %d work factors for %d tasks", len(workFactor), len(world))
-	}
-	initial := NewGrid(n)
-	res := newResultGrid(n)
-	offsets := make([]int, len(vec))
-	off := 0
-	for r, a := range vec {
-		offsets[r] = off
-		off += a
-	}
+	res, err := RunLiveAdaptive(world, vec, v, n, iters, LiveAdaptiveOptions{
+		WorkFactor: workFactor, Metrics: m, Trace: rec, Cycles: sink,
+	})
+	return res.LiveResult, err
+}
 
-	errs := make([]error, len(world))
+// DefaultCheckEvery is the trigger-polling cadence (in iterations) when a
+// repart trigger is configured without an explicit CheckEvery.
+const DefaultCheckEvery = 4
+
+// LiveAdaptiveOptions configures RunLiveAdaptive. The zero value is
+// RunLive with uniform work factors.
+type LiveAdaptiveOptions struct {
+	// RebalanceEvery recomputes the partition vector every R iterations
+	// from measured wall-clock compute times (0 disables). With a Trigger
+	// it becomes the fallback cadence: a plan is still computed at this
+	// interval even if no drift event fired.
+	RebalanceEvery int
+	// Trigger, when non-nil, switches to drift-triggered repartitioning:
+	// the tasks enter a protocol round every CheckEvery iterations but
+	// rank 0 only plans when the trigger has fired since the last check
+	// (or the RebalanceEvery fallback is due). Wire a repart.DriftTrigger
+	// into drift.Config.Notify and pass the same trigger here.
+	Trigger repart.Trigger
+	// CheckEvery is the round cadence when Trigger is set; 0 means
+	// DefaultCheckEvery. Each round costs one gather/broadcast exchange,
+	// so keep it coarse relative to the cycle time.
+	CheckEvery int
+	// Planner parameterizes the repartitioning search (migration cost,
+	// amortization horizon, hysteresis).
+	Planner repart.PlannerConfig
+	// WorkFactor emulates heterogeneity/load: per-rank extra repetitions
+	// of the row update (1 = nominal). Nil means uniform.
+	WorkFactor []int
+	// Metrics, when non-nil, receives the MetricLive* wall-clock series
+	// and the engine's repart.* series.
+	Metrics *obs.Registry
+	// Trace, when non-nil, receives one span per task per cycle and one
+	// "repart" event per decision.
+	Trace *obs.Recorder
+	// Observer, when non-nil, receives decisions as EvRepartPlan events.
+	Observer core.Observer
+	// Cycles, when non-nil, receives per-task per-cycle wall-clock
+	// measurements — hand it the drift.Monitor that feeds the Trigger to
+	// close the detect → plan → migrate loop.
+	Cycles obs.CycleSink
+}
+
+// checkEvery is the effective round cadence.
+func (o LiveAdaptiveOptions) checkEvery() int {
+	if o.Trigger == nil {
+		return o.RebalanceEvery
+	}
+	if o.CheckEvery > 0 {
+		return o.CheckEvery
+	}
+	return DefaultCheckEvery
+}
+
+// LiveAdaptiveResult extends LiveResult with what the run's policies did.
+type LiveAdaptiveResult struct {
+	LiveResult
+	RunStats
+}
+
+// RunLiveAdaptive is the general live entry point: RunLiveMonitored plus
+// dynamic repartitioning. Concurrent tasks over mmps transports measure
+// their wall-clock compute time and repartition through the
+// internal/repart engine — rank 0 plans, broadcasts, and the actual grid
+// rows migrate over the wire. The result is bit-exact with the sequential
+// kernel for any plan sequence (decisions may vary with wall-clock noise;
+// the migration protocol keeps every rank consistent because only rank 0
+// decides and broadcasts).
+//
+//netpart:wallclock
+func RunLiveAdaptive(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, opts LiveAdaptiveOptions) (LiveAdaptiveResult, error) {
+	j, err := newJob(vec, len(world), v, n, iters, opts.WorkFactor, &repart.Engine{
+		Planner:  repart.NewPlanner(opts.Planner),
+		Metrics:  opts.Metrics,
+		Trace:    opts.Trace,
+		Observer: opts.Observer,
+	})
+	if err != nil {
+		return LiveAdaptiveResult{}, err
+	}
+	if wf := opts.WorkFactor; wf != nil {
+		j.load = func(rank, _ int) float64 { return float64(wf[rank]) }
+	}
+	j.every, j.trigger, j.fallback = opts.checkEvery(), opts.Trigger, opts.RebalanceEvery
+	errs, elapsed := runRanks(len(world), opts.Metrics, func(rank int, start time.Time) error {
+		return j.runRank(&liveLink{
+			tr:         world[rank],
+			epoch:      start,
+			rec:        opts.Trace,
+			cycleMs:    opts.Metrics.Histogram(MetricLiveCycleMs),
+			exchangeMs: opts.Metrics.Histogram(MetricLiveExchangeMs),
+			cycles:     opts.Cycles,
+			sendBuf:    make([]byte, 0, haloHeaderLen+8*n),
+			ghostVals:  make([]float64, 0, n),
+		})
+	})
+	grid, err := j.finish(errs, nil)
+	if err != nil {
+		return LiveAdaptiveResult{}, err
+	}
+	return LiveAdaptiveResult{LiveResult{Elapsed: elapsed, Grid: grid}, j.out}, nil
+}
+
+// runRanks runs body once per rank, each on its own goroutine and all
+// handed the same start time, waits for every rank, and returns their errors
+// and the wall time, which it also records as MetricLiveElapsedMs.
+//
+//netpart:wallclock
+func runRanks(tasks int, m *obs.Registry, body func(rank int, start time.Time) error) ([]error, time.Duration) {
+	errs := make([]error, tasks)
 	var wg sync.WaitGroup
 	start := time.Now()
-	lo := liveObs{
-		epoch:      start,
-		rec:        rec,
-		cycleMs:    m.Histogram(MetricLiveCycleMs),
-		exchangeMs: m.Histogram(MetricLiveExchangeMs),
-		cycles:     sink,
-	}
-	for rank := range world {
+	for rank := range errs {
 		rank := rank
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			factor := 1
-			if workFactor != nil {
-				factor = workFactor[rank]
-			}
-			errs[rank] = runLiveTask(world[rank], vec[rank], offsets[rank], initial, res, v, n, iters, factor, lo)
+			errs[rank] = body(rank, start)
 		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 	m.Gauge(MetricLiveElapsedMs).Set(float64(elapsed) / float64(time.Millisecond))
-	for rank, err := range errs {
-		if err != nil {
-			return LiveResult{}, fmt.Errorf("stencil: rank %d: %w", rank, err)
-		}
-	}
-	for i, row := range res.rows {
-		if row == nil {
-			return LiveResult{}, fmt.Errorf("stencil: row %d not produced", i)
-		}
-	}
-	return LiveResult{Elapsed: elapsed, Grid: res.rows}, nil
+	return errs, elapsed
 }
 
-// liveObs carries the wall-clock observability hooks into runLiveTask.
-// Zero-valued hooks disable recording (obs instruments are nil-safe).
-type liveObs struct {
+// liveLink is the driver's link over an mmps transport: each border is one
+// halo frame (halo.go) built in a reused buffer and parsed into a reused
+// scratch, so the exchange allocates nothing in steady state. One goroutine
+// owns it. The observability hooks are nil-safe; zero values disable them.
+type liveLink struct {
+	tr         mmps.Transport
 	epoch      time.Time
 	rec        *obs.Recorder
 	cycleMs    *obs.Histogram
 	exchangeMs *obs.Histogram
 	cycles     obs.CycleSink
+
+	// Send copies its argument before returning and Recv's values are
+	// consumed before the next Recv, so one frame buffer and one value
+	// scratch serve every exchange of the run — across migrations too,
+	// because every block is n columns wide.
+	sendBuf   []byte
+	ghostVals []float64
 }
 
-// sinceMs is the wall time since the run epoch in milliseconds.
-func (lo liveObs) sinceMs() float64 {
-	return float64(time.Since(lo.epoch)) / float64(time.Millisecond)
+func (l *liveLink) Rank() int { return l.tr.Rank() }
+func (l *liveLink) Size() int { return l.tr.Size() }
+
+func (l *liveLink) Send(dst int, h halo) error {
+	l.sendBuf = appendHaloFrame(l.sendBuf[:0], h.row, h.cycle, h.vals)
+	return l.tr.Send(dst, l.sendBuf)
 }
 
-// runLiveTask is the real-execution analogue of runTask: identical cycle
-// structure, but borders are marshaled through the transport and the row
-// update is executed for real. cur/next are flat blocks (grid.go) and each
-// border exchange is one pooled halo frame per neighbor per cycle.
+func (l *liveLink) Recv(src int) (halo, error) {
+	buf, err := l.tr.Recv(src)
+	if err != nil {
+		return halo{}, err
+	}
+	row, cycle, vals, err := parseHaloFrame(buf, l.ghostVals[:0])
+	if err != nil {
+		return halo{}, err
+	}
+	l.ghostVals = vals
+	// The values now live in the scratch, so the delivered buffer can go
+	// back to the transport's free list.
+	mmps.Recycle(l.tr, buf)
+	return halo{row, cycle, vals}, nil
+}
+
+func (l *liveLink) control() repart.Link { return l.tr }
+
+// nowMs is the wall time since the run epoch in milliseconds.
 //
-//netpart:lockstep
-func runLiveTask(tr mmps.Transport, rows, off int, initial [][]float64, res *resultGrid, v Variant, n, iters, workFactor int, lo liveObs) error {
-	rank, size := tr.Rank(), tr.Size()
-	cur := newBlock(rows, n)
-	next := newBlock(rows, n)
-	scratch := make([]float64, n)
-	for i := 0; i < rows; i++ {
-		copy(cur.row(i+1), initial[off+i])
-	}
-	copy(next.cells, cur.cells)
-	north, south := rank-1, rank+1
-	hasNorth, hasSouth := north >= 0, south < size
+//netpart:wallclock
+func (l *liveLink) nowMs() float64 {
+	return float64(time.Since(l.epoch)) / float64(time.Millisecond)
+}
 
-	computeRows := func(lo, hi int) {
-		for li := lo; li <= hi; li++ {
-			g := off + li - 1
-			if g == 0 || g == n-1 {
-				copy(next.row(li), cur.row(li))
-				continue
-			}
-			updateRow(next.row(li), cur.row(li), cur.row(li-1), cur.row(li+1))
-			// Heterogeneity emulation: redo the work into a scratch row.
-			for extra := 1; extra < workFactor; extra++ {
-				updateRow(scratch, cur.row(li), cur.row(li-1), cur.row(li+1))
-			}
-		}
-	}
-	// Reusable halo buffers: Send copies its argument before returning and
-	// the parse scratch is consumed by the copy into the ghost row, so one
-	// frame buffer and one value scratch serve every exchange of the run.
-	// Delivered buffers go back to the transport's free list (Recycle).
-	sendBuf := make([]byte, 0, haloHeaderLen+8*n)
-	ghostVals := make([]float64, 0, n)
-	recvGhost := func(from, wantRow, it int, into []float64) error {
-		buf, err := tr.Recv(from)
-		if err != nil {
-			return err
-		}
-		g, cyc, vals, err := parseHaloFrame(buf, ghostVals[:0])
-		if err != nil {
-			return err
-		}
-		ghostVals = vals
-		if g != wantRow || cyc != it || len(vals) != n {
-			return fmt.Errorf("ghost row %d at cycle %d with %d values, want row %d cycle %d (%d values)",
-				g, cyc, len(vals), wantRow, it, n)
-		}
-		copy(into, vals)
-		mmps.Recycle(tr, buf)
-		return nil
-	}
-	// exchangePhase runs one phase of the odd-even pairwise border
-	// exchange. The neighbor pair (a, a+1) is active in phase a%2; within
-	// the pair the lower rank initiates (send south, then receive south's
-	// border) while the upper rank mirrors the order (receive north, then
-	// send north). Every send faces a partner already committed to the
-	// matching receive, so the exchange is deadlock-free even on a
-	// rendezvous transport — the old send-both-then-receive-both order
-	// relied on transport buffering and netpartverify finds the send-send
-	// cycle it forms at every P ≥ 2 under rendezvous semantics. Payloads
-	// are unaffected: sends read border rows and receives write ghost
-	// rows, so the grid results are bit-identical to the buffered order.
-	exchangePhase := func(phase, it int) error {
-		if rank%2 == phase && hasSouth {
-			sendBuf = appendHaloFrame(sendBuf[:0], off+rows-1, it, cur.row(rows))
-			if err := tr.Send(south, sendBuf); err != nil {
-				return err
-			}
-			if err := recvGhost(south, off+rows, it, cur.row(rows+1)); err != nil {
-				return err
-			}
-		}
-		if rank%2 != phase && hasNorth {
-			if err := recvGhost(north, off-1, it, cur.row(0)); err != nil {
-				return err
-			}
-			sendBuf = appendHaloFrame(sendBuf[:0], off, it, cur.row(1))
-			if err := tr.Send(north, sendBuf); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+func (l *liveLink) charge(_, _, _ int, factor float64) int { return loadReps(factor) }
 
-	for it := 0; it < iters; it++ {
-		cycleStart := lo.sinceMs()
-		switch v {
-		case STEN1:
-			exchStart := lo.sinceMs()
-			if err := exchangePhase(0, it); err != nil {
-				return err
-			}
-			if err := exchangePhase(1, it); err != nil {
-				return err
-			}
-			exchMs := lo.sinceMs() - exchStart
-			lo.exchangeMs.Observe(exchMs)
-			if lo.cycles != nil {
-				lo.cycles.OnExchange(rank, it, exchMs)
-			}
-			computeRows(1, rows)
-		case STEN2:
-			// Overlap: the second exchange phase is deferred until after the
-			// interior update, which touches neither the border rows the
-			// phase sends nor the ghost rows it fills.
-			exchStart := lo.sinceMs()
-			if err := exchangePhase(0, it); err != nil {
-				return err
-			}
-			if rows > 2 {
-				computeRows(2, rows-1)
-			}
-			if err := exchangePhase(1, it); err != nil {
-				return err
-			}
-			exchMs := lo.sinceMs() - exchStart
-			lo.exchangeMs.Observe(exchMs)
-			if lo.cycles != nil {
-				lo.cycles.OnExchange(rank, it, exchMs)
-			}
-			computeRows(1, 1)
-			if rows > 1 {
-				computeRows(rows, rows)
-			}
-		}
-		cur, next = next, cur
-		now := lo.sinceMs()
-		lo.cycleMs.Observe(now - cycleStart)
-		if lo.cycles != nil {
-			lo.cycles.OnCycle(rank, it, now-cycleStart)
-		}
-		if lo.rec != nil {
-			lo.rec.Span("cycle", rank, cycleStart, now-cycleStart, map[string]any{"iter": it})
-		}
+// loadReps turns a load factor into repetitions of the real work.
+func loadReps(factor float64) int {
+	if reps := int(factor + 0.5); reps > 1 {
+		return reps
 	}
-	for i := 0; i < rows; i++ {
-		copy(res.take(off+i), cur.row(i+1))
+	return 1
+}
+
+//netpart:wallclock
+func (l *liveLink) endCycle(iter int, startMs, exchangeMs float64) {
+	cycle := l.nowMs() - startMs
+	rank := l.tr.Rank()
+	l.cycleMs.Observe(cycle)
+	l.exchangeMs.Observe(exchangeMs)
+	if l.cycles != nil {
+		l.cycles.OnExchange(rank, iter, exchangeMs)
+		l.cycles.OnCycle(rank, iter, cycle)
 	}
-	return nil
+	if l.rec != nil {
+		l.rec.Span("cycle", rank, startMs, cycle, map[string]any{"iter": iter})
+	}
 }

@@ -11,7 +11,7 @@ import (
 	"netpart/internal/spmd"
 )
 
-func TestRunSimObservedMetricsAndSpans(t *testing.T) {
+func TestSimMetricsAndSpans(t *testing.T) {
 	const n, iters, p1, p2 = 32, 4, 2, 2
 	net := model.PaperTestbed()
 	cfg := paperConfig(p1, p2)
@@ -21,7 +21,7 @@ func TestRunSimObservedMetricsAndSpans(t *testing.T) {
 	}
 	m := obs.NewRegistry()
 	rec := obs.NewRecorder(nil)
-	res, err := RunSimObserved(net, cfg, vec, STEN1, n, iters, m, rec)
+	res, err := RunSimAdaptive(net, cfg, vec, STEN1, n, iters, AdaptiveOptions{Metrics: m, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +98,13 @@ func TestRunSimObservedMetricsAndSpans(t *testing.T) {
 	}
 }
 
-func TestRunLiveObservedMetrics(t *testing.T) {
+func TestLiveMetrics(t *testing.T) {
 	const n, iters, tasks = 24, 3, 3
 	world := localWorld(t, tasks)
 	vec := core.Vector{8, 8, 8}
 	m := obs.NewRegistry()
 	rec := obs.NewRecorder(nil)
-	res, err := RunLiveObserved(world, vec, STEN1, n, iters, nil, m, rec)
+	res, err := RunLiveMonitored(world, vec, STEN1, n, iters, nil, m, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,198 @@
+package stencil
+
+import (
+	"netpart/internal/core"
+	"netpart/internal/cost"
+	"netpart/internal/faults"
+	"netpart/internal/model"
+	"netpart/internal/obs"
+	"netpart/internal/repart"
+	"netpart/internal/simnet"
+	"netpart/internal/spmd"
+	"netpart/internal/topo"
+)
+
+// SimResult is the outcome of one simulated distributed execution.
+type SimResult struct {
+	// ElapsedMs is the virtual elapsed time of the whole run (10-iteration
+	// Table 2 measurements exclude initial distribution, as does this).
+	ElapsedMs float64
+	// Grid is the assembled final grid.
+	Grid [][]float64
+	// Report carries substrate statistics.
+	Report spmd.Report
+}
+
+// RunSim executes the distributed stencil on the simulated network: one
+// task per processor of the configuration (contiguous 1-D placement,
+// fastest cluster first), rows assigned by the partition vector, iters
+// Jacobi iterations. The final grid is assembled and returned for
+// verification against Sequential.
+func RunSim(net *model.Network, cfg cost.Config, vec core.Vector, v Variant, n, iters int) (SimResult, error) {
+	res, err := RunSimAdaptive(net, cfg, vec, v, n, iters, AdaptiveOptions{})
+	return res.SimResult, err
+}
+
+// AdaptiveOptions configures RunSimAdaptive. The zero value is RunSim.
+type AdaptiveOptions struct {
+	// RebalanceEvery recomputes the partition vector every R iterations
+	// from measured per-task compute times — the paper's §7 future-work
+	// strategy for load imbalance from processor sharing (0 disables).
+	RebalanceEvery int
+	// Planner parameterizes the repartitioning search (migration cost,
+	// amortization horizon, hysteresis). The zero value load-balances with
+	// free migration.
+	Planner repart.PlannerConfig
+	// Slowdown injects external load: a multiplicative compute-time factor
+	// for (rank, iteration). Nil means none.
+	Slowdown func(rank, iter int) float64
+	// Tol, when positive, runs until the global maximum point change of an
+	// iteration falls to it (iters is then the cap): each iteration ends
+	// with a max-reduction gathered at rank 0 and broadcast back.
+	Tol float64
+	// Injector, when non-nil, runs under its fault schedule. Packet faults
+	// are injected below the simulator's reliability layer — drops cost
+	// retransmission round-trips of RetransmitMs each and delays stretch
+	// delivery, but messages still arrive intact and in order — and
+	// slowdown faults stretch compute times, composing with Slowdown.
+	// Crashes are not meaningful under the virtual-time simulator; failure
+	// recovery belongs to the live runtime (RunLiveFT).
+	Injector     faults.Injector
+	RetransmitMs float64
+	// Metrics, when non-nil, receives the spmd runtime metrics (per-cycle
+	// and per-exchange virtual times, messages, bytes) plus rebalance
+	// counters (adaptive.rebalances, adaptive.migrated_rows) and the
+	// engine's repart.* series.
+	Metrics *obs.Registry
+	// Trace, when non-nil, receives one span per task per cycle for Chrome
+	// export and one "repart" event per planning decision.
+	Trace *obs.Recorder
+	// Cycles, when non-nil, receives every task's cycle and border-exchange
+	// duration in virtual milliseconds as it completes — the hookup point
+	// for the drift monitor (internal/obs/drift).
+	Cycles obs.CycleSink
+	// Observer, when non-nil, receives repart decisions as EvRepartPlan
+	// search events.
+	Observer core.Observer
+	// SimOptions configure the underlying simulator (jitter, message
+	// observers).
+	SimOptions []simnet.Option
+}
+
+// AdaptiveResult extends SimResult with what the run's policies did.
+type AdaptiveResult struct {
+	SimResult
+	RunStats
+}
+
+// RunSimAdaptive is the general simulated entry point: RunSim plus the
+// policies in opts. With RebalanceEvery it repartitions periodically
+// through the internal/repart engine — the tasks report their measured
+// compute times to rank 0, which runs the incremental restreaming planner
+// and broadcasts the decision; tasks then migrate the actual grid rows to
+// their new owners before continuing. The final grid remains bit-exact with
+// the sequential reference regardless of how rows move.
+func RunSimAdaptive(net *model.Network, cfg cost.Config, vec core.Vector, v Variant, n, iters int, opts AdaptiveOptions) (AdaptiveResult, error) {
+	names, counts := cfg.Active()
+	pl, err := topo.Contiguous(names, counts)
+	if err != nil {
+		return AdaptiveResult{}, err
+	}
+	j, err := newJob(vec, pl.NumTasks(), v, n, iters, nil, &repart.Engine{
+		Planner:  repart.NewPlanner(opts.Planner),
+		Metrics:  opts.Metrics,
+		Trace:    opts.Trace,
+		Observer: opts.Observer,
+	})
+	if err != nil {
+		return AdaptiveResult{}, err
+	}
+	j.load, j.tol, j.every = opts.Slowdown, opts.Tol, opts.RebalanceEvery
+	simOpts := opts.SimOptions
+	if inj := opts.Injector; inj != nil {
+		simOpts = append(append([]simnet.Option(nil), simOpts...),
+			simnet.WithFaultInjector(inj, opts.RetransmitMs))
+		injected := faults.SlowdownFunc(inj)
+		if base := opts.Slowdown; base != nil {
+			j.load = func(rank, iter int) float64 { return base(rank, iter) * injected(rank, iter) }
+		} else {
+			j.load = injected
+		}
+	}
+	errs := make([]error, len(vec))
+	rep, err := spmd.Run(spmd.Job{
+		Net:        net,
+		Placement:  pl,
+		Vector:     vec,
+		Topology:   topo.OneD{},
+		Metrics:    opts.Metrics,
+		Trace:      opts.Trace,
+		Cycles:     opts.Cycles,
+		SimOptions: simOpts,
+		Body:       func(t *spmd.Task) { errs[t.Rank()] = j.runRank(simLink{t}) },
+	})
+	grid, err := j.finish(errs, err)
+	if err != nil {
+		return AdaptiveResult{}, err
+	}
+	opts.Metrics.Counter("adaptive.rebalances").Add(int64(j.out.Rebalances))
+	opts.Metrics.Counter("adaptive.migrated_rows").Add(int64(j.out.MigratedRows))
+	return AdaptiveResult{SimResult{ElapsedMs: rep.ElapsedMs, Grid: grid, Report: rep}, j.out}, nil
+}
+
+// simLink is the driver's link over a virtual-time task handle.
+type simLink struct{ t *spmd.Task }
+
+func (l simLink) Rank() int { return l.t.Rank() }
+func (l simLink) Size() int { return l.t.NumTasks() }
+
+// Send charges the paper's 4N bytes for the border. The values are copied:
+// the sim delivers them at a later virtual time, after this task may have
+// swapped and begun overwriting the row.
+func (l simLink) Send(dst int, h halo) error {
+	h.vals = append([]float64(nil), h.vals...)
+	l.t.Send(dst, BytesPerPoint*len(h.vals), h)
+	return nil
+}
+
+// Recv leaves a payload of the wrong kind (a control frame where a border
+// is due, or the reverse in simControl.Recv) as the zero value, which the
+// driver's row and cycle check, or the frame's decoder, rejects.
+func (l simLink) Recv(src int) (halo, error) {
+	h, _ := l.t.Recv(src).(halo)
+	return h, nil
+}
+
+func (l simLink) control() repart.Link { return simControl(l) }
+func (l simLink) nowMs() float64       { return l.t.NowMs() }
+
+// charge batches the span's per-row virtual-time charges into one
+// scheduler trip.
+func (l simLink) charge(first, count, n int, factor float64) int {
+	cb := l.t.BeginCompute()
+	for g := first; g < first+count; g++ {
+		cb.Ops(rowOps(g, n)*factor, model.OpFloat)
+	}
+	cb.Done()
+	return 1
+}
+
+func (l simLink) endCycle(_ int, _, exchangeMs float64) {
+	l.t.ObserveExchange(exchangeMs)
+	l.t.EndCycle()
+}
+
+// simControl adapts the task handle to the repart protocol's transport
+// surface. Sends are charged at the encoded byte size.
+type simControl struct{ t *spmd.Task }
+
+func (l simControl) Rank() int { return l.t.Rank() }
+func (l simControl) Size() int { return l.t.NumTasks() }
+func (l simControl) Send(dst int, data []byte) error {
+	l.t.Send(dst, len(data), data)
+	return nil
+}
+func (l simControl) Recv(src int) ([]byte, error) {
+	buf, _ := l.t.Recv(src).([]byte)
+	return buf, nil
+}

@@ -10,14 +10,11 @@
 package stencil
 
 import (
-	"errors"
-	"fmt"
+	"math"
 
 	"netpart/internal/core"
 	"netpart/internal/cost"
 	"netpart/internal/model"
-	"netpart/internal/obs"
-	"netpart/internal/simnet"
 	"netpart/internal/spmd"
 	"netpart/internal/topo"
 )
@@ -81,16 +78,13 @@ func Annotations(n int, v Variant, iters int) *core.Annotations {
 // time — the quantity the paper's Table 2 timings exclude and its
 // amortization argument bounds.
 func ScatterSim(net *model.Network, cfg cost.Config, vec core.Vector, n int) (float64, error) {
-	if vec.Sum() != n {
-		return 0, fmt.Errorf("stencil: vector sums to %d, want %d", vec.Sum(), n)
-	}
 	names, counts := cfg.Active()
 	pl, err := topo.Contiguous(names, counts)
 	if err != nil {
 		return 0, err
 	}
-	if pl.NumTasks() != len(vec) {
-		return 0, errors.New("stencil: configuration and vector disagree on task count")
+	if err := checkVector(vec, pl.NumTasks(), n, nil); err != nil {
+		return 0, err
 	}
 	job := spmd.Job{
 		Net:       net,
@@ -153,189 +147,26 @@ func Sequential(grid [][]float64, iters int) [][]float64 {
 	return rowsView(cur, n, n)
 }
 
-// SimResult is the outcome of one simulated distributed execution.
-type SimResult struct {
-	// ElapsedMs is the virtual elapsed time of the whole run (10-iteration
-	// Table 2 measurements exclude initial distribution, as does this).
-	ElapsedMs float64
-	// Grid is the assembled final grid.
-	Grid [][]float64
-	// Report carries substrate statistics.
-	Report spmd.Report
-}
-
-// RunSim executes the distributed stencil on the simulated network: one
-// task per processor of the configuration (contiguous 1-D placement,
-// fastest cluster first), rows assigned by the partition vector, iters
-// Jacobi iterations. The final grid is assembled and returned for
-// verification against Sequential.
-func RunSim(net *model.Network, cfg cost.Config, vec core.Vector, v Variant, n, iters int) (SimResult, error) {
-	return RunSimObserved(net, cfg, vec, v, n, iters, nil, nil)
-}
-
-// RunSimObserved is RunSim with observability attached: per-cycle and
-// per-message runtime metrics (the spmd.Metric* names) recorded into m,
-// and one span per task per cycle into rec for Chrome trace export. Either
-// may be nil to disable.
-func RunSimObserved(net *model.Network, cfg cost.Config, vec core.Vector, v Variant, n, iters int, m *obs.Registry, rec *obs.Recorder) (SimResult, error) {
-	return RunSimMonitored(net, cfg, vec, v, n, iters, m, rec, nil)
-}
-
-// RunSimMonitored is RunSimObserved plus a per-cycle subscription: sink
-// (when non-nil) receives every task's cycle and border-exchange duration
-// in virtual-time milliseconds as it completes — the hookup point for the
-// drift monitor (internal/obs/drift).
-func RunSimMonitored(net *model.Network, cfg cost.Config, vec core.Vector, v Variant, n, iters int, m *obs.Registry, rec *obs.Recorder, sink obs.CycleSink) (SimResult, error) {
-	if vec.Sum() != n {
-		return SimResult{}, fmt.Errorf("stencil: vector sums to %d, want N=%d rows", vec.Sum(), n)
-	}
-	names, counts := cfg.Active()
-	pl, err := topo.Contiguous(names, counts)
-	if err != nil {
-		return SimResult{}, err
-	}
-	if pl.NumTasks() != len(vec) {
-		return SimResult{}, errors.New("stencil: configuration and vector disagree on task count")
-	}
-	initial := NewGrid(n)
-	res := newResultGrid(n)
-	job := spmd.Job{
-		Net:       net,
-		Placement: pl,
-		Vector:    vec,
-		Topology:  topo.OneD{},
-		Metrics:   m,
-		Trace:     rec,
-		Cycles:    sink,
-		Body: func(t *spmd.Task) {
-			runTask(t, initial, res, v, n, iters)
-		},
-	}
-	rep, err := spmd.Run(job)
-	if err != nil {
-		return SimResult{}, err
-	}
-	for i, row := range res.rows {
-		if row == nil {
-			return SimResult{}, fmt.Errorf("stencil: row %d not produced", i)
-		}
-	}
-	return SimResult{ElapsedMs: rep.ElapsedMs, Grid: res.rows, Report: rep}, nil
-}
-
-// RunSimNoisy is RunSim with explicit placement and simulator options
-// (e.g. simnet.WithJitter), returning only the elapsed time. It skips the
-// result-grid assembly used by RunSim's verification path.
-func RunSimNoisy(net *model.Network, pl topo.Placement, vec core.Vector, v Variant, n, iters int, opts ...simnet.Option) (float64, error) {
-	if vec.Sum() != n {
-		return 0, fmt.Errorf("stencil: vector sums to %d, want N=%d rows", vec.Sum(), n)
-	}
-	if pl.NumTasks() != len(vec) {
-		return 0, errors.New("stencil: placement and vector disagree on task count")
-	}
-	initial := NewGrid(n)
-	res := newResultGrid(n)
-	job := spmd.Job{
-		Net:        net,
-		Placement:  pl,
-		Vector:     vec,
-		Topology:   topo.OneD{},
-		SimOptions: opts,
-		Body: func(t *spmd.Task) {
-			runTask(t, initial, res, v, n, iters)
-		},
-	}
-	rep, err := spmd.Run(job)
-	if err != nil {
-		return 0, err
-	}
-	return rep.ElapsedMs, nil
-}
-
-// rowOps returns the operations charged for updating one global row: the
-// five-point update for interior rows, a copy for boundary rows.
-func rowOps(globalRow, n int) float64 {
-	if globalRow == 0 || globalRow == n-1 {
-		return float64(n) // boundary rows are only copied
-	}
-	return OpsPerPoint * float64(n)
-}
-
-// runTask is the per-rank body shared by STEN-1 and STEN-2. The task owns
-// global rows [off, off+rows); cur/next are flat blocks with one ghost row
-// on each side at local indices 0 and rows+1.
-func runTask(t *spmd.Task, initial [][]float64, res *resultGrid, v Variant, n, iters int) {
-	rows := t.PDUs()
-	off := t.PDUOffset()
-	cur := newBlock(rows, n)
-	next := newBlock(rows, n)
-	for i := 0; i < rows; i++ {
-		copy(cur.row(i+1), initial[off+i])
-	}
-	copy(next.cells, cur.cells)
-	north, south := t.Rank()-1, t.Rank()+1
-	hasNorth, hasSouth := north >= 0, south < t.NumTasks()
-	msgBytes := BytesPerPoint * n
-
-	// computeRows updates local rows [lo, hi] (1-based local indices),
-	// batching the per-row virtual-time charges into one scheduler trip.
-	computeRows := func(lo, hi int) {
-		cb := t.BeginCompute()
-		for li := lo; li <= hi; li++ {
-			g := off + li - 1 // global row
-			if g == 0 || g == n-1 {
-				copy(next.row(li), cur.row(li))
-			} else {
-				updateRow(next.row(li), cur.row(li), cur.row(li-1), cur.row(li+1))
-			}
-			cb.Ops(rowOps(g, n), model.OpFloat)
-		}
-		cb.Done()
-	}
-	sendBorders := func() {
-		// Payloads are copies: the sim delivers them at a later virtual
-		// time, after this task may have swapped and begun overwriting.
-		if hasNorth {
-			t.Send(north, msgBytes, append([]float64(nil), cur.row(1)...))
-		}
-		if hasSouth {
-			t.Send(south, msgBytes, append([]float64(nil), cur.row(rows)...))
-		}
-	}
-	recvGhosts := func() {
-		if hasNorth {
-			copy(cur.row(0), t.Recv(north).([]float64))
-		}
-		if hasSouth {
-			copy(cur.row(rows+1), t.Recv(south).([]float64))
-		}
-	}
-
-	for it := 0; it < iters; it++ {
-		switch v {
-		case STEN1:
-			// Communication phase (async sends then blocking receives),
-			// then the computation phase.
-			sendBorders()
-			recvGhosts()
-			computeRows(1, rows)
-		case STEN2:
-			// Border transmission overlapped with the interior update:
-			// rows 2..rows-1 need no ghost data.
-			sendBorders()
-			if rows > 2 {
-				computeRows(2, rows-1)
-			}
-			recvGhosts()
-			computeRows(1, 1)
-			if rows > 1 {
-				computeRows(rows, rows)
+// SequentialUntil is the reference for converge-until runs
+// (AdaptiveOptions.Tol): iterate until the maximum point change falls to
+// tol (or maxIters), returning the grid, iteration count and final change.
+func SequentialUntil(grid [][]float64, tol float64, maxIters int) ([][]float64, int, float64) {
+	n := len(grid)
+	cur := cloneGrid(grid)
+	next := cloneGrid(grid)
+	delta := math.Inf(1)
+	it := 0
+	for ; it < maxIters && delta > tol; it++ {
+		delta = 0
+		for i := 1; i < n-1; i++ {
+			updateRow(next[i], cur[i], cur[i-1], cur[i+1])
+			for j := 1; j < n-1; j++ {
+				if d := math.Abs(next[i][j] - cur[i][j]); d > delta {
+					delta = d
+				}
 			}
 		}
 		cur, next = next, cur
-		t.EndCycle()
 	}
-	for i := 0; i < rows; i++ {
-		copy(res.take(off+i), cur.row(i+1))
-	}
+	return cur, it, delta
 }

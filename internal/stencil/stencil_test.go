@@ -468,7 +468,7 @@ func TestConvergenceMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunSimUntil(net, cfg, vec, v, n, tol, maxIters)
+			res, err := RunSimAdaptive(net, cfg, vec, v, n, maxIters, AdaptiveOptions{Tol: tol})
 			if err != nil {
 				t.Fatalf("%s (%d,%d): %v", v, cfgCounts[0], cfgCounts[1], err)
 			}
@@ -494,7 +494,7 @@ func TestConvergenceMaxItersCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSimUntil(net, cfg, vec, STEN1, n, 1e-30, 7) // unreachable tol
+	res, err := RunSimAdaptive(net, cfg, vec, STEN1, n, 7, AdaptiveOptions{Tol: 1e-30}) // unreachable tol
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -271,13 +271,17 @@ func PartitionGlobal(net *Network, costs *CostTable, ann *Annotations) (Result, 
 // testbed plus an 8-node multicomputer on a fast private segment.
 func MetasystemTestbed() *Network { return model.MetasystemTestbed() }
 
-// StencilAdaptiveOptions configures adaptive (dynamically repartitioned)
-// stencil execution.
+// StencilAdaptiveOptions selects the policies of a simulated stencil run:
+// instrumentation (Metrics, Trace, the Cycles drift-monitor hookup),
+// periodic dynamic repartitioning (RebalanceEvery), injected load
+// (Slowdown), packet and slowdown faults (Injector, RetransmitMs) and
+// run-to-convergence (Tol). The zero value is RunStencilSim.
 type StencilAdaptiveOptions = stencil.AdaptiveOptions
 
-// RunStencilAdaptive executes the stencil with periodic dynamic
-// repartitioning and real row migration (the §7 future-work strategy for
-// load imbalance from processor sharing).
+// RunStencilAdaptive is the general simulated entry point: RunStencilSim
+// plus the policies in opts — among them periodic dynamic repartitioning
+// with real row migration, the §7 future-work strategy for load imbalance
+// from processor sharing.
 func RunStencilAdaptive(net *Network, cfg Config, vec Vector, v StencilVariant, n, iters int, opts StencilAdaptiveOptions) (stencil.AdaptiveResult, error) {
 	return stencil.RunSimAdaptive(net, cfg, vec, v, n, iters, opts)
 }
@@ -376,12 +380,6 @@ func RunStencilLiveAdaptive(world []Transport, vec Vector, v StencilVariant, n, 
 	return stencil.RunLiveAdaptive(world, vec, v, n, iters, opts)
 }
 
-// RunStencilSimUntil executes the stencil until the global maximum point
-// change falls to tol (run-to-convergence with a per-iteration reduction).
-func RunStencilSimUntil(net *Network, cfg Config, vec Vector, v StencilVariant, n int, tol float64, maxIters int) (stencil.ConvergeResult, error) {
-	return stencil.RunSimUntil(net, cfg, vec, v, n, tol, maxIters)
-}
-
 // Observability types: search tracing for the partitioner and runtime
 // metrics for the SPMD executions.
 type (
@@ -436,19 +434,6 @@ func NewTraceRecorder(w io.Writer) *TraceRecorder { return obs.NewRecorder(w) }
 // JSON format (open the output in chrome://tracing or Perfetto).
 func WriteChromeTrace(w io.Writer, events []TraceEvent) error {
 	return obs.WriteChromeTrace(w, events)
-}
-
-// RunStencilSimObserved is RunStencilSim with instrumentation: per-cycle
-// timings, message/byte counters, and delivery latencies land in m, and a
-// per-task-cycle span stream lands in rec (either may be nil).
-func RunStencilSimObserved(net *Network, cfg Config, vec Vector, v StencilVariant, n, iters int, m *Metrics, rec *TraceRecorder) (stencil.SimResult, error) {
-	return stencil.RunSimObserved(net, cfg, vec, v, n, iters, m, rec)
-}
-
-// RunStencilLiveObserved is RunStencilLive with wall-clock cycle/exchange
-// instrumentation.
-func RunStencilLiveObserved(world []Transport, vec Vector, v StencilVariant, n, iters int, workFactor []int, m *Metrics, rec *TraceRecorder) (stencil.LiveResult, error) {
-	return stencil.RunLiveObserved(world, vec, v, n, iters, workFactor, m, rec)
 }
 
 // WithTransportMetrics counts messages, bytes, packets, and retransmissions
@@ -513,14 +498,6 @@ func StencilRepartitioner(net *Network, costs *CostTable, v StencilVariant, n, i
 	return stencil.Repartitioner(net, costs, v, n, iters, placement)
 }
 
-// RunStencilSimFaulty is RunStencilSim under packet and slowdown faults:
-// drops cost retransmission round-trips (retransmitMs each), delays stretch
-// delivery, slowdowns stretch compute. Crashes are rejected here — failure
-// recovery belongs to the live runtime (RunStencilLiveFT).
-func RunStencilSimFaulty(net *Network, cfg Config, vec Vector, v StencilVariant, n, iters int, inj FaultInjector, retransmitMs float64, opts StencilAdaptiveOptions) (stencil.AdaptiveResult, error) {
-	return stencil.RunSimFaulty(net, cfg, vec, v, n, iters, inj, retransmitMs, opts)
-}
-
 // Live telemetry and drift monitoring types. TelemetryServer exposes a
 // Metrics registry over HTTP (Prometheus text on /metrics, JSON on
 // /metrics.json, /healthz, /debug/pprof/); DriftMonitor subscribes to a
@@ -556,20 +533,16 @@ func WritePrometheus(w io.Writer, m *Metrics) error {
 
 // NewDriftMonitor builds a drift monitor writing gauges and counters to m
 // and structured "drift" events to rec (either may be nil). Wire it into
-// a runtime via RunStencilSimMonitored, RunStencilLiveMonitored, or
+// a runtime via StencilAdaptiveOptions.Cycles, RunStencilLiveMonitored, or
 // FTOptions.Cycles.
 func NewDriftMonitor(cfg DriftConfig, m *Metrics, rec *TraceRecorder) *DriftMonitor {
 	return drift.New(cfg, m, rec)
 }
 
-// RunStencilSimMonitored is RunStencilSimObserved plus a per-cycle
-// subscription (the drift-monitor hookup).
-func RunStencilSimMonitored(net *Network, cfg Config, vec Vector, v StencilVariant, n, iters int, m *Metrics, rec *TraceRecorder, sink CycleSink) (stencil.SimResult, error) {
-	return stencil.RunSimMonitored(net, cfg, vec, v, n, iters, m, rec, sink)
-}
-
-// RunStencilLiveMonitored is RunStencilLiveObserved plus a per-cycle
-// subscription (the drift-monitor hookup).
+// RunStencilLiveMonitored is RunStencilLive with observability attached:
+// wall-clock cycle/exchange histograms into m, per-task-cycle spans into
+// rec, and a per-cycle subscription for sink — the drift-monitor hookup
+// (any of the three may be nil).
 func RunStencilLiveMonitored(world []Transport, vec Vector, v StencilVariant, n, iters int, workFactor []int, m *Metrics, rec *TraceRecorder, sink CycleSink) (stencil.LiveResult, error) {
 	return stencil.RunLiveMonitored(world, vec, v, n, iters, workFactor, m, rec, sink)
 }

@@ -211,8 +211,8 @@ func TestFacadeFaultTolerance(t *testing.T) {
 	lossy := netpart.NewFaultEngine(netpart.FaultSchedule{
 		Drops: []netpart.FaultDrop{{Prob: 0.1, ToMs: 1e18}},
 	}, 7, nil)
-	sim, err := netpart.RunStencilSimFaulty(net, cfg, vec, netpart.STEN1, n, iters, lossy, 10,
-		netpart.StencilAdaptiveOptions{})
+	sim, err := netpart.RunStencilAdaptive(net, cfg, vec, netpart.STEN1, n, iters,
+		netpart.StencilAdaptiveOptions{Injector: lossy, RetransmitMs: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

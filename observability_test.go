@@ -122,7 +122,8 @@ func TestFacadeObservedStencilRun(t *testing.T) {
 	}
 	m := netpart.NewMetrics()
 	rec := netpart.NewTraceRecorder(nil)
-	res, err := netpart.RunStencilSimObserved(net, cfg, vec, netpart.STEN1, n, iters, m, rec)
+	res, err := netpart.RunStencilAdaptive(net, cfg, vec, netpart.STEN1, n, iters,
+		netpart.StencilAdaptiveOptions{Metrics: m, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
