@@ -18,10 +18,11 @@
 //
 // gate enforces absolute per-benchmark budgets from a committed policy
 // file instead of diffing against a baseline: each entry names a hard
-// ns/op and/or allocs/op ceiling, and a policy benchmark missing from the
-// snapshot is itself a failure. Unlike compare, gate has no soft mode —
+// ns/op, allocs/op and/or B/op ceiling, and a policy benchmark missing from
+// the snapshot is itself a failure. Unlike compare, gate has no soft mode —
 // the budgets are chosen loose enough (latency) or exact (zero-alloc
-// guarantees, which shared-runner noise cannot perturb) to hard-fail CI.
+// guarantees and bytes allocated, which shared-runner noise cannot
+// perturb) to hard-fail CI.
 //
 // With -hotpath-src, gate additionally ties the dynamic zero-alloc
 // budgets to the static allocfree proof: each policy entry may list the
@@ -299,11 +300,13 @@ func runCompare(args []string, out io.Writer) (int, error) {
 }
 
 // Limit is one benchmark's absolute budget in a gate policy. Nil fields are
-// unconstrained; MaxAllocsPerOp additionally requires -benchmem columns in
-// the gated snapshot (a zero without them is meaningless).
+// unconstrained; MaxAllocsPerOp and MaxBytesPerOp additionally require
+// -benchmem columns in the gated snapshot (a zero without them is
+// meaningless).
 type Limit struct {
 	MaxNsPerOp     *float64 `json:"max_ns_per_op,omitempty"`
 	MaxAllocsPerOp *float64 `json:"max_allocs_per_op,omitempty"`
+	MaxBytesPerOp  *float64 `json:"max_bytes_per_op,omitempty"`
 	// Hotpath names the //netpart:hotpath functions this benchmark's
 	// zero-alloc ceiling dynamically verifies (anchor form
 	// "internal/core.(Estimator).Estimate"). Checked with -hotpath-src:
@@ -335,24 +338,26 @@ func gate(policy Policy, snap Snapshot, annotated map[string]bool) (lines []stri
 			violations++
 			continue
 		}
-		if lim.MaxNsPerOp != nil {
-			if m.NsPerOp > *lim.MaxNsPerOp {
-				lines = append(lines, fmt.Sprintf("FAIL %s: %.4g ns/op exceeds budget %.4g", name, m.NsPerOp, *lim.MaxNsPerOp))
-				violations++
-			} else {
-				lines = append(lines, fmt.Sprintf("ok   %s: %.4g ns/op within budget %.4g", name, m.NsPerOp, *lim.MaxNsPerOp))
-			}
-		}
-		if lim.MaxAllocsPerOp != nil {
+		for _, b := range []struct {
+			unit    string
+			max     *float64
+			got     float64
+			needMem bool
+		}{
+			{"ns/op", lim.MaxNsPerOp, m.NsPerOp, false},
+			{"allocs/op", lim.MaxAllocsPerOp, m.AllocsPerOp, true},
+			{"B/op", lim.MaxBytesPerOp, m.BytesPerOp, true},
+		} {
 			switch {
-			case !m.HaveMem:
-				lines = append(lines, fmt.Sprintf("FAIL %s: allocs/op budget set but snapshot lacks -benchmem columns", name))
+			case b.max == nil:
+			case b.needMem && !m.HaveMem:
+				lines = append(lines, fmt.Sprintf("FAIL %s: %s budget set but snapshot lacks -benchmem columns", name, b.unit))
 				violations++
-			case m.AllocsPerOp > *lim.MaxAllocsPerOp:
-				lines = append(lines, fmt.Sprintf("FAIL %s: %.4g allocs/op exceeds budget %.4g", name, m.AllocsPerOp, *lim.MaxAllocsPerOp))
+			case b.got > *b.max:
+				lines = append(lines, fmt.Sprintf("FAIL %s: %.4g %s exceeds budget %.4g", name, b.got, b.unit, *b.max))
 				violations++
 			default:
-				lines = append(lines, fmt.Sprintf("ok   %s: %.4g allocs/op within budget %.4g", name, m.AllocsPerOp, *lim.MaxAllocsPerOp))
+				lines = append(lines, fmt.Sprintf("ok   %s: %.4g %s within budget %.4g", name, b.got, b.unit, *b.max))
 			}
 		}
 		if annotated == nil {

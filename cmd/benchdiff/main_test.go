@@ -227,6 +227,26 @@ func TestGateAllocRegression(t *testing.T) {
 	}
 }
 
+// TestGateBytesBudget: a bytes/op ceiling passes below it, fails above it,
+// and — like the allocs/op one — fails on a snapshot without -benchmem.
+func TestGateBytesBudget(t *testing.T) {
+	policy := Policy{"p/BenchmarkPass": {MaxBytesPerOp: f64(450e6)}}
+	for _, tc := range []struct {
+		m          Metrics
+		violations int
+		want       string
+	}{
+		{Metrics{NsPerOp: 1, BytesPerOp: 314e6, HaveMem: true}, 0, "ok   p/BenchmarkPass: 3.14e+08 B/op within budget 4.5e+08"},
+		{Metrics{NsPerOp: 1, BytesPerOp: 1e9, HaveMem: true}, 1, "FAIL p/BenchmarkPass: 1e+09 B/op exceeds budget 4.5e+08"},
+		{Metrics{NsPerOp: 1}, 1, "FAIL p/BenchmarkPass: B/op budget set but snapshot lacks -benchmem columns"},
+	} {
+		lines, violations := gate(policy, Snapshot{"p/BenchmarkPass": tc.m}, nil)
+		if violations != tc.violations || len(lines) != 1 || lines[0] != tc.want {
+			t.Errorf("%+v: %d violations %q, want %d %q", tc.m, violations, lines, tc.violations, tc.want)
+		}
+	}
+}
+
 func TestRunGateExitCode(t *testing.T) {
 	dir := t.TempDir()
 	writeJSON := func(name string, v any) string {

@@ -41,12 +41,12 @@ type link interface {
 	control() repart.Link
 	// nowMs reads the runtime's clock: virtual or wall milliseconds.
 	nowMs() float64
-	// charge accounts for updating count rows starting at global row first
-	// under a load factor, and returns how often the driver must execute
-	// each update: the simulator charges the operations to virtual time
-	// and computes once, the live runtime emulates the load by repeating
-	// the work.
-	charge(first, count, n int, factor float64) (reps int)
+	// compute runs s.update on local rows [lo, hi] under a load factor and
+	// returns once it is done: the live runtime emulates the load by
+	// repeating the work; the simulator computes once, charges the
+	// operations to virtual time, and lets the update run beside the
+	// other ranks' while this rank is parked in that time.
+	compute(s *rankState, lo, hi int, factor float64)
 	// endCycle reports one finished cycle that began at startMs and spent
 	// exchangeMs sending and waiting on receives.
 	endCycle(iter int, startMs, exchangeMs float64)
@@ -54,13 +54,14 @@ type link interface {
 
 // job is one distributed run: the problem, the policies the entry point
 // chose, and the shared result. Ranks read it concurrently; only rank 0
-// writes out.
+// writes out, and each rank publishes its own rows of the grid.
 type job struct {
 	v        Variant
 	n, iters int
 	vec      core.Vector
-	initial  [][]float64
-	res      *resultGrid
+	// rows is the result: row g is a view of the final cur block of the rank
+	// that owns it, nil until that rank finishes.
+	rows [][]float64
 
 	// load multiplies the cost of rank's row updates at iter; nil means 1.
 	load func(rank, iter int) float64
@@ -128,9 +129,8 @@ func newJob(vec core.Vector, tasks int, v Variant, n, iters int, workFactor []in
 	}
 	return &job{
 		v: v, n: n, iters: iters, vec: vec, eng: eng,
-		initial: NewGrid(n),
-		res:     newResultGrid(n),
-		out:     RunStats{FinalVector: append(core.Vector(nil), vec...)},
+		rows: make([][]float64, n),
+		out:  RunStats{FinalVector: append(core.Vector(nil), vec...)},
 	}, nil
 }
 
@@ -147,17 +147,19 @@ func (j *job) finish(errs []error, runErr error) ([][]float64, error) {
 	if runErr != nil {
 		return nil, runErr
 	}
-	for i, row := range j.res.rows {
+	for i, row := range j.rows {
 		if row == nil {
 			return nil, fmt.Errorf("stencil: row %d not produced", i)
 		}
 	}
-	return j.res.rows, nil
+	return j.rows, nil
 }
 
 // rankState is one rank's share of a job: it owns global rows
 // [off, off+rows), held in cur/next as flat blocks with one ghost row on
-// each side at local indices 0 and rows+1.
+// each side at local indices 0 and rows+1. cur starts as the run's one
+// zeroed allocation and ends as the caller's result rows; next comes from
+// blockPool with stale contents and goes back to it.
 type rankState struct {
 	job       *job
 	lk        link
@@ -176,11 +178,10 @@ func (j *job) runRank(lk link) error {
 	rank, size := lk.Rank(), lk.Size()
 	own := repart.NewOwners(j.vec)
 	s := &rankState{job: j, lk: lk, rows: own.Count(rank), off: own.First(rank)}
-	s.cur, s.next = newBlock(s.rows, j.n), newBlock(s.rows, j.n)
-	for i := 0; i < s.rows; i++ {
-		copy(s.cur.row(i+1), j.initial[s.off+i])
+	s.cur, s.next = newBlock(s.rows, j.n), getBlock(s.rows, j.n)
+	if s.off == 0 {
+		initialRow(s.cur.row(1), 0)
 	}
-	copy(s.next.cells, s.cur.cells)
 
 	iter := 0
 	for iter < j.iters {
@@ -217,8 +218,9 @@ func (j *job) runRank(lk link) error {
 		j.out.Iterations = iter
 	}
 	for i := 0; i < s.rows; i++ {
-		copy(j.res.take(s.off+i), s.cur.row(i+1))
+		j.rows[s.off+i] = s.cur.row(i + 1)
 	}
+	putBlock(s.next)
 	return nil
 }
 
@@ -312,13 +314,20 @@ func (s *rankState) cycles(from, to int) error {
 // the time it took, on the link's clock, to the measurement window the
 // next repartitioning round reports. One link call covers the whole span.
 func (s *rankState) computeRows(lo, hi, iter int) {
-	j := s.job
 	factor := 1.0
-	if j.load != nil {
-		factor = j.load(s.lk.Rank(), iter)
+	if s.job.load != nil {
+		factor = s.job.load(s.lk.Rank(), iter)
 	}
 	start := s.lk.nowMs()
-	reps := s.lk.charge(s.off+lo-1, hi-lo+1, j.n, factor)
+	s.lk.compute(s, lo, hi, factor)
+	s.windowMs += s.lk.nowMs() - start
+}
+
+// update is the numeric half of computeRows, reps times over. It touches
+// this rank's blocks, scratch and delta only, which is what lets the
+// simulator's link run it on another goroutine while the rank is parked.
+func (s *rankState) update(lo, hi, reps int) {
+	j := s.job
 	if reps > 1 && s.scratch == nil {
 		s.scratch = make([]float64, j.n)
 	}
@@ -327,7 +336,6 @@ func (s *rankState) computeRows(lo, hi, iter int) {
 		delta = &s.delta
 	}
 	updateRows(s.next, s.cur, s.off, j.n, lo, hi, reps, s.scratch, delta)
-	s.windowMs += s.lk.nowMs() - start
 }
 
 // updateRows advances local rows [lo, hi] of a block that starts at global
@@ -450,13 +458,14 @@ func (s *rankState) rebalance(iter int) error {
 	}
 	newOwn := repart.NewOwners(plan.New)
 	newRows, newOff := newOwn.Count(rank), newOwn.First(rank)
-	ncur, nnext := newBlock(newRows, j.n), newBlock(newRows, j.n)
+	ncur, nnext := newBlock(newRows, j.n), getBlock(newRows, j.n)
 	_, _, err = repart.Migrator{Width: j.n}.Migrate(ctl, plan.Old, plan.New,
 		func(g int) []float64 { return s.cur.row(g - s.off + 1) },
 		func(g int, row []float64) { copy(ncur.row(g-newOff+1), row) })
 	if err != nil {
 		return err
 	}
+	putBlock(s.next)
 	s.rows, s.off = newRows, newOff
 	s.cur, s.next = ncur, nnext
 	return nil

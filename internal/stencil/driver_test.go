@@ -1,8 +1,10 @@
 package stencil
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -238,6 +240,153 @@ func TestLiveExchangeTimeExcludesInteriorCompute(t *testing.T) {
 	}
 	if sum[1].ex >= sum[1].cyc/2 {
 		t.Errorf("loaded rank: exchange %.3f ms of %.3f ms cycle time, want under half", sum[1].ex, sum[1].cyc)
+	}
+}
+
+// TestResultGridOwnedByCaller: the rows RunSim returns are views of the
+// ranks' final cur blocks, and only next blocks go back to the pool. Later
+// runs of the same size — which draw their next blocks from that pool — must
+// therefore leave an earlier result alone. Enough iterations that the hot
+// edge has reached every row: a block written by a later run differs from
+// the held one everywhere.
+func TestResultGridOwnedByCaller(t *testing.T) {
+	const n, iters = 64, 70
+	net := model.PaperTestbed()
+	cfg := paperConfig(2, 2)
+	want := Sequential(NewGrid(n), iters)
+	first, err := RunSim(net, cfg, core.Vector{16, 16, 16, 16}, STEN2, n, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Blocks of at most 16 rows fit the ones the first run would have pooled.
+	for _, vec := range []core.Vector{{16, 16, 16, 16}, {12, 20, 12, 20}, {10, 22, 22, 10}} {
+		for _, v := range []Variant{STEN1, STEN2} {
+			res, err := RunSim(net, cfg, vec, v, n, iters+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gridsEqual(res.Grid, want) {
+				t.Fatalf("%v %s: %d iterations equal %d", vec, v, iters+1, iters)
+			}
+		}
+	}
+	if !gridsEqual(first.Grid, want) {
+		t.Error("a later run wrote into an earlier run's result grid")
+	}
+}
+
+// TestSimIndependentOfGOMAXPROCS: overlapping the ranks' updates in wall
+// time must not be visible in virtual time or in any grid bit, whether the
+// updates share one core or spread over four — also when the worker writes
+// the convergence delta, and across a rebalance's block replacement.
+func TestSimIndependentOfGOMAXPROCS(t *testing.T) {
+	const n, iters = 160, 9 // 40-row spans at four ranks
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	net := model.PaperTestbed()
+	cfg := paperConfig(2, 2)
+	vec := core.Vector{40, 40, 40, 40}
+	slow := func(rank, iter int) float64 {
+		if rank == 3 && iter >= 2 {
+			return 4
+		}
+		return 1
+	}
+	for name, opts := range map[string]AdaptiveOptions{
+		"plain":     {},
+		"converge":  {Tol: 4}, // reached after 7 of the 9 iterations
+		"rebalance": {RebalanceEvery: 3, Slowdown: slow},
+	} {
+		for _, v := range []Variant{STEN1, STEN2} {
+			var ref AdaptiveResult
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				res, err := RunSimAdaptive(net, cfg, vec, v, n, iters, opts)
+				if err != nil {
+					t.Fatalf("%s %s GOMAXPROCS=%d: %v", name, v, procs, err)
+				}
+				if procs == 1 {
+					ref = res
+					want := Sequential(NewGrid(n), res.Iterations)
+					if !gridsEqual(res.Grid, want) {
+						t.Errorf("%s %s: grid differs from Sequential after %d iterations", name, v, res.Iterations)
+					}
+					if name == "rebalance" && res.Rebalances == 0 {
+						t.Errorf("%s %s: no rebalance happened", name, v)
+					}
+					if name == "converge" && res.Iterations != 7 {
+						t.Errorf("%s %s: stopped after %d iterations, want 7", name, v, res.Iterations)
+					}
+					continue
+				}
+				// Plans carry a wall-clock planning latency; their rendering omits it.
+				if res.ElapsedMs != ref.ElapsedMs || !reflect.DeepEqual(res.Report, ref.Report) ||
+					fmt.Sprint(res.Plans) != fmt.Sprint(ref.Plans) || res.FinalDelta != ref.FinalDelta ||
+					!gridsEqual(res.Grid, ref.Grid) {
+					t.Errorf("%s %s: GOMAXPROCS=%d differs from 1 (elapsed %v against %v ms)",
+						name, v, procs, res.ElapsedMs, ref.ElapsedMs)
+				}
+			}
+		}
+	}
+}
+
+// TestRunSimAllocationCeiling: one run costs one grid of fresh memory — the
+// ranks' cur blocks, which leave as the result — plus the simulator's border
+// copies. The next blocks come from the pool once it is warm and nothing is
+// staged or copied out, so two grids is a ceiling with room for a pool that
+// the collector has just half emptied; four zeroed grids were 4.4.
+func TestRunSimAllocationCeiling(t *testing.T) {
+	const n, iters = 600, 10
+	net := model.PaperTestbed()
+	cfg := paperConfig(6, 6)
+	vec, err := core.Decompose(net, cfg, n, model.OpFloat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := RunSim(net, cfg, vec, STEN1, n, iters); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run() // warm the pool
+	best := run()
+	for i := 0; i < 2; i++ {
+		best = min(best, run())
+	}
+	if ceiling := uint64(2 * 8 * n * n); best > ceiling {
+		t.Errorf("RunSim(N=%d, 6+6) allocated %d bytes, want at most %d (2 grids)", n, best, ceiling)
+	}
+}
+
+// TestDriverDegenerateRuns: no iterations returns the initial condition
+// straight from the ranks' blocks, and a single rank has no ghost row that
+// is ever received — its dirty next block must still come out right, on the
+// inline path (N = 24) and on the goroutine path (N = 80).
+func TestDriverDegenerateRuns(t *testing.T) {
+	net := model.PaperTestbed()
+	for _, v := range []Variant{STEN1, STEN2} {
+		res, err := RunSim(net, paperConfig(2, 1), core.Vector{1, 2, 21}, v, 24, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !gridsEqual(res.Grid, NewGrid(24)) {
+			t.Errorf("%s: zero iterations changed the initial grid", v)
+		}
+		for _, n := range []int{24, 80} {
+			for _, iters := range []int{1, 4} {
+				res, err := RunSim(net, paperConfig(1, 0), core.Vector{n}, v, n, iters)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !gridsEqual(res.Grid, Sequential(NewGrid(n), iters)) {
+					t.Errorf("%s N=%d P=1 iters=%d: grid differs from Sequential", v, n, iters)
+				}
+			}
+		}
 	}
 }
 

@@ -155,14 +155,13 @@ func RunLiveFT(world []mmps.Transport, vec core.Vector, v Variant, n, iters int,
 	if opts.Repartition == nil {
 		opts.Repartition = evenRepartition(len(world), n)
 	}
-	initial := NewGrid(n)
 	sh := &ftShared{
 		result: make([][]float64, n),
 		failed: map[int]bool{},
 		vec:    append(core.Vector(nil), vec...),
 	}
 	errs, elapsed := runRanks(len(world), opts.Metrics, func(rank int, start time.Time) error {
-		t := newFTTask(world[rank], vec, v, n, iters, opts, sh, initial, start)
+		t := newFTTask(world[rank], vec, v, n, iters, opts, sh, start)
 		err := t.run()
 		ftdebugf("rank %d EXIT err=%v iter=%d epoch=%d dead=%v", rank, err, t.iter, t.epoch, t.deadList())
 		return err
@@ -255,7 +254,6 @@ type ftTask struct {
 	v       Variant
 	opts    FTOptions
 	sh      *ftShared
-	initial [][]float64
 	epochT0 time.Time
 
 	epoch    int
@@ -290,11 +288,11 @@ type ftTask struct {
 	cycleMs  *obs.Histogram
 }
 
-func newFTTask(tr mmps.Transport, vec core.Vector, v Variant, n, iters int, opts FTOptions, sh *ftShared, initial [][]float64, t0 time.Time) *ftTask {
+func newFTTask(tr mmps.Transport, vec core.Vector, v Variant, n, iters int, opts FTOptions, sh *ftShared, t0 time.Time) *ftTask {
 	m := opts.Metrics
 	return &ftTask{
 		tr: tr, rank: tr.Rank(), size: tr.Size(), n: n, iters: iters, v: v,
-		opts: opts, sh: sh, initial: initial, epochT0: t0,
+		opts: opts, sh: sh, epochT0: t0,
 		vec: append(core.Vector(nil), vec...), own: repart.NewOwners(vec),
 		dead:      map[int]bool{},
 		ownCkpt:   map[int][][]float64{},
@@ -600,10 +598,9 @@ func (t *ftTask) awaitBorder(owner, g, cycle int, into []float64) error {
 func (t *ftTask) run() error {
 	t.rows, t.off = t.own.Count(t.rank), t.own.First(t.rank)
 	t.cur, t.next = newBlock(t.rows, t.n), newBlock(t.rows, t.n)
-	for i := 0; i < t.rows; i++ {
-		copy(t.cur.row(i+1), t.initial[t.off+i])
+	if t.off == 0 {
+		initialRow(t.cur.row(1), 0)
 	}
-	copy(t.next.cells, t.cur.cells)
 	for {
 		err := t.computeLoop()
 		done := false
@@ -1046,7 +1043,7 @@ func (t *ftTask) applyRecovery(dl []int, parts []int) error {
 	for g := newOff; g < newOff+newRows; g++ {
 		switch {
 		case cstar == 0:
-			copy(ncur.row(g-newOff+1), t.initial[g])
+			initialRow(ncur.row(g-newOff+1), g)
 			have[g-newOff] = true
 		case holder(g) == t.rank:
 			if g >= oldOff && g < oldOff+oldRows {

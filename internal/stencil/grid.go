@@ -9,6 +9,8 @@ package stencil
 // is exactly the seed kernel's, so results stay bit-for-bit identical
 // (golden tests in grid_test.go pin this against the reference kernel).
 
+import "sync"
+
 // colTile is the column-tile width of the cache-blocked full-grid sweep:
 // three active rows of one tile (3 × 512 × 8 B = 12 KiB) sit comfortably
 // in L1 even with write-allocate traffic for the destination tile.
@@ -26,6 +28,26 @@ type block struct {
 func newBlock(rows, width int) block {
 	return block{width: width, cells: make([]float64, (rows+2)*width)}
 }
+
+// blockPool recycles the driver's next blocks between runs. The final cur
+// blocks leave with the caller as the result's rows, so only a block that was
+// next when its rank finished, or that a rebalance replaced, comes back here.
+var blockPool sync.Pool
+
+// getBlock is newBlock without the zeroing guarantee: a recycled block
+// keeps whatever an earlier run left in it. That suits a rank's next block
+// and nothing else — every data row is written before the swap makes it
+// cur, and a ghost row is received before it is read.
+func getBlock(rows, width int) block {
+	need := (rows + 2) * width
+	if p, _ := blockPool.Get().(*[]float64); p != nil && cap(*p) >= need {
+		return block{width: width, cells: (*p)[:need]}
+	}
+	return newBlock(rows, width)
+}
+
+// putBlock recycles a block nothing refers to any more.
+func putBlock(b block) { blockPool.Put(&b.cells) }
 
 // row returns the local row i as a slice view into the backing array.
 //
@@ -118,27 +140,4 @@ func rowsView(cells []float64, rows, width int) [][]float64 {
 		out[i] = cells[i*width : (i+1)*width]
 	}
 	return out
-}
-
-// resultGrid is the preallocated gather target the distributed runtimes
-// assemble their final grid into: one flat backing array plus the
-// [][]float64 row table handed back to callers. A row's header is
-// published only when its data lands (take), preserving the runtimes'
-// every-row-produced verification.
-type resultGrid struct {
-	rows  [][]float64
-	cells []float64
-	width int
-}
-
-func newResultGrid(n int) *resultGrid {
-	return &resultGrid{rows: make([][]float64, n), cells: make([]float64, n*n), width: n}
-}
-
-// take returns global row g's destination slice and publishes its header.
-// Safe for concurrent use across distinct rows only.
-func (r *resultGrid) take(g int) []float64 {
-	dst := r.cells[g*r.width : (g+1)*r.width]
-	r.rows[g] = dst
-	return dst
 }

@@ -238,7 +238,9 @@ func (l *liveLink) nowMs() float64 {
 	return float64(time.Since(l.epoch)) / float64(time.Millisecond)
 }
 
-func (l *liveLink) charge(_, _, _ int, factor float64) int { return loadReps(factor) }
+func (l *liveLink) compute(s *rankState, lo, hi int, factor float64) {
+	s.update(lo, hi, loadReps(factor))
+}
 
 // loadReps turns a load factor into repetitions of the real work.
 func loadReps(factor float64) int {

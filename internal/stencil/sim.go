@@ -166,15 +166,35 @@ func (l simLink) Recv(src int) (halo, error) {
 func (l simLink) control() repart.Link { return simControl(l) }
 func (l simLink) nowMs() float64       { return l.t.NowMs() }
 
-// charge batches the span's per-row virtual-time charges into one
-// scheduler trip.
-func (l simLink) charge(first, count, n int, factor float64) int {
+// overlapPoints is the smallest span, in grid points, whose update is worth
+// a goroutine hand-off; a smaller one runs on the rank's own goroutine.
+const overlapPoints = 4096
+
+// compute batches the span's per-row virtual-time charges into one
+// scheduler trip and overlaps the update with it: while the rank is parked
+// for the charged time the scheduler runs the ranks that compute at the same
+// virtual time, and their updates run beside this one on whatever cores
+// there are. Joining before the return keeps the swap and the next Send
+// behind the update, so no other goroutine sees a block mid-write and
+// virtual time does not see the update at all.
+func (l simLink) compute(s *rankState, lo, hi int, factor float64) {
+	n := s.job.n
 	cb := l.t.BeginCompute()
-	for g := first; g < first+count; g++ {
+	for g := s.off + lo - 1; g < s.off+hi; g++ {
 		cb.Ops(rowOps(g, n)*factor, model.OpFloat)
 	}
+	if (hi-lo+1)*n < overlapPoints {
+		s.update(lo, hi, 1)
+		cb.Done()
+		return
+	}
+	done := make(chan struct{})
+	go func() {
+		s.update(lo, hi, 1)
+		close(done)
+	}()
 	cb.Done()
-	return 1
+	<-done
 }
 
 func (l simLink) endCycle(_ int, _, exchangeMs float64) {

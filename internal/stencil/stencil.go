@@ -111,15 +111,24 @@ func ScatterSim(net *model.Network, cfg cost.Config, vec core.Vector, n int) (fl
 // NewGrid returns the deterministic N×N initial condition used throughout
 // the experiments: a hot (100.0) north edge, cold elsewhere.
 func NewGrid(n int) [][]float64 {
-	g := make([][]float64, n)
-	cells := make([]float64, n*n)
-	for i := range g {
-		g[i], cells = cells[:n], cells[n:]
-	}
-	for j := 0; j < n; j++ {
-		g[0][j] = 100.0
+	g := rowsView(make([]float64, n*n), n, n)
+	if n > 0 {
+		initialRow(g[0], 0)
 	}
 	return g
+}
+
+// initialRow writes global row g of the initial condition into dst. It is
+// the one source of that condition: NewGrid, the cycle driver and the
+// fault-tolerant runtime's cycle-0 regeneration all call it.
+func initialRow(dst []float64, g int) {
+	v := 0.0
+	if g == 0 {
+		v = 100.0
+	}
+	for j := range dst {
+		dst[j] = v
+	}
 }
 
 // cloneGrid deep-copies a grid.
@@ -139,7 +148,10 @@ func cloneGrid(g [][]float64) [][]float64 {
 func Sequential(grid [][]float64, iters int) [][]float64 {
 	n := len(grid)
 	cur := flatten(grid)
-	next := append([]float64(nil), cur...)
+	// jacobiIter rewrites every row of next but the first and the last.
+	next := make([]float64, n*n)
+	copy(next[:n], cur[:n])
+	copy(next[n*n-n:], cur[n*n-n:])
 	for it := 0; it < iters; it++ {
 		jacobiIter(next, cur, n)
 		cur, next = next, cur
