@@ -109,6 +109,10 @@ type Interproc struct {
 	ifaceCache map[*types.Func][]*types.Func
 	concrete   []types.Type
 
+	// asm holds the module's body-less declarations — functions written in
+	// assembly — and whether each is modeled allocation-free (summary.go).
+	asm map[*types.Func]bool
+
 	// wire is the lazily built module-wide codec index (msgproto.go).
 	wire *wireIndex
 }
@@ -138,6 +142,7 @@ func BuildInterproc(fset *token.FileSet, pkgs []*Package) *Interproc {
 		pureFields: map[types.Object]bool{},
 		sups:       map[string]map[int][]suppression{},
 		ifaceCache: map[*types.Func][]*types.Func{},
+		asm:        map[*types.Func]bool{},
 	}
 	for _, pkg := range pkgs {
 		if pkg == nil || pkg.Types == nil || pkg.Info == nil {
@@ -157,6 +162,7 @@ func BuildInterproc(fset *token.FileSet, pkgs []*Package) *Interproc {
 			node := &FuncNode{Fn: fn, Decl: fd, Pkg: pkg}
 			ip.nodes[fn] = node
 		}
+		ip.collectAssembly(pkg)
 	}
 	for _, node := range ip.nodes {
 		ip.scanNode(node)

@@ -2,8 +2,12 @@ package analysis
 
 import (
 	"go/ast"
+	"go/build"
 	"go/token"
 	"go/types"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 )
 
@@ -42,6 +46,13 @@ import (
 // allocate. Unresolved indirect calls are likewise conservative, except
 // through //netpart:purecallback fields — the annotation-callback contract
 // (core.Annotations), whose installed callbacks promise to be pure.
+//
+// Module functions written in assembly have no bodies either. One is
+// modeled allocation-free when its Go declaration is //go:noescape (no
+// pointer argument outlives the call) and its TEXT symbol is NOSPLIT with
+// a $0 frame (it cannot grow the stack, and has no frame to call the
+// runtime from): a leaf that works on its arguments and returns. Any other
+// assembly function is assumed to allocate, and the finding says so.
 //
 // Functions or packages annotated //netpart:wallclock declare that they
 // measure real time by design (live runtimes, transports): their
@@ -323,6 +334,12 @@ func (ip *Interproc) resolveNode(node *FuncNode) bool {
 				}
 				continue
 			}
+			if leaf, isAsm := ip.asm[target]; isAsm {
+				if allocOK && !leaf {
+					s.Allocs = appendSite(s.Allocs, &Site{Pos: pos, Desc: "call to " + funcLabel(target) + " (assembly, not modeled allocation-free)", ViaCall: true})
+				}
+				continue
+			}
 			// No body: stdlib (or unloaded) — consult the model.
 			ip.mergeStdlib(s, cs, target, allocOK, detOK)
 		}
@@ -366,6 +383,55 @@ func (ip *Interproc) mergeStdlib(s *Summary, cs *Callsite, fn *types.Func, alloc
 		return // panic(fmt.Sprintf(...)): the failure path, never steady state
 	}
 	s.Allocs = appendSite(s.Allocs, &Site{Pos: pos, Desc: "call to " + funcLabel(fn) + " (stdlib, not modeled allocation-free)", ViaCall: true})
+}
+
+// asmTextRe matches an assembly function's header and captures its name,
+// its flags and its frame size: TEXT ·name(SB), NOSPLIT, $0-48.
+var asmTextRe = regexp.MustCompile(`(?m)^TEXT\s+·(\w+)(?:<\w+>)?\(SB\)\s*,\s*([^,\n]+?)\s*,\s*\$(-?\d+)`)
+
+// collectAssembly records the package's body-less function declarations
+// and which of them the package's .s files (those the host's build would
+// assemble) define as frameless NOSPLIT leaves behind a //go:noescape
+// declaration. An unreadable .s file models nothing: its functions stay
+// "assumed to allocate".
+func (ip *Interproc) collectAssembly(pkg *Package) {
+	var leaves map[string]bool
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body != nil {
+				continue
+			}
+			fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+			if fn == nil {
+				continue
+			}
+			if leaves == nil {
+				leaves = asmLeaves(pkg.Dir)
+			}
+			ip.asm[fn] = funcHasDirective(fd, "go:noescape") && leaves[fd.Name.Name]
+		}
+	}
+}
+
+// asmLeaves returns the names of the TEXT symbols in dir's assembly files
+// that are NOSPLIT and have a $0 frame.
+func asmLeaves(dir string) map[string]bool {
+	leaves := map[string]bool{}
+	names, _ := filepath.Glob(filepath.Join(dir, "*.s"))
+	for _, name := range names {
+		if ok, err := build.Default.MatchFile(dir, filepath.Base(name)); err != nil || !ok {
+			continue
+		}
+		src, err := os.ReadFile(name)
+		if err != nil {
+			continue
+		}
+		for _, m := range asmTextRe.FindAllStringSubmatch(string(src), -1) {
+			leaves[m[1]] = strings.Contains(m[2], "NOSPLIT") && m[3] == "0"
+		}
+	}
+	return leaves
 }
 
 // nonallocStdPkgs are packages whose exported functions and methods never

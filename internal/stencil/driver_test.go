@@ -14,6 +14,8 @@ import (
 	"netpart/internal/core"
 	"netpart/internal/mmps"
 	"netpart/internal/model"
+	"netpart/internal/spmd"
+	"netpart/internal/topo"
 )
 
 // entryPoints runs every stencil entry point on one (vector, variant)
@@ -86,38 +88,41 @@ func entryPoints(t *testing.T, vec core.Vector, v Variant, n, iters int, udp boo
 
 // TestDifferential drives seeded random (N, P, vector, variant) problems —
 // vectors with 1- and 2-row ranks included — through every entry point and
-// policy and requires each final grid to be bit-equal to Sequential.
+// policy, on each kernel path, and requires each final grid to be bit-equal
+// to the seed kernel's.
 func TestDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(1994))
-	const cases, iters = 12, 7
-	for c := 0; c < cases; c++ {
-		tasks := c%6 + 1
-		n := tasks + 2 + rng.Intn(30)
-		// Every rank starts with one row; the rest land on random ranks, but
-		// rank c%tasks keeps one row and its neighbour at most two.
-		vec := make(core.Vector, tasks)
-		for r := range vec {
-			vec[r] = 1
-		}
-		one, two := c%tasks, (c+1)%tasks
-		for left := n - tasks; left > 0; {
-			r := rng.Intn(tasks)
-			if tasks > 2 && (r == one || (r == two && vec[r] == 2)) {
-				continue
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1994))
+		const cases, iters = 12, 7
+		for c := 0; c < cases; c++ {
+			tasks := c%6 + 1
+			n := tasks + 2 + rng.Intn(30)
+			// Every rank starts with one row; the rest land on random ranks, but
+			// rank c%tasks keeps one row and its neighbour at most two.
+			vec := make(core.Vector, tasks)
+			for r := range vec {
+				vec[r] = 1
 			}
-			vec[r]++
-			left--
-		}
-		v := Variant(c % 2)
-		want := Sequential(NewGrid(n), iters)
-		entryPoints(t, vec, v, n, iters, c < 4, func(name string, grid [][]float64, err error) {
-			if err != nil {
-				t.Errorf("N=%d %v %s %s: %v", n, vec, v, name, err)
-			} else if !gridsEqual(grid, want) {
-				t.Errorf("N=%d %v %s %s: grid differs from Sequential", n, vec, v, name)
+			one, two := c%tasks, (c+1)%tasks
+			for left := n - tasks; left > 0; {
+				r := rng.Intn(tasks)
+				if tasks > 2 && (r == one || (r == two && vec[r] == 2)) {
+					continue
+				}
+				vec[r]++
+				left--
 			}
-		})
-	}
+			v := Variant(c % 2)
+			want := seedSequential(NewGrid(n), iters)
+			entryPoints(t, vec, v, n, iters, c < 4, func(name string, grid [][]float64, err error) {
+				if err != nil {
+					t.Errorf("N=%d %v %s %s: %v", n, vec, v, name, err)
+				} else if !gridsEqual(grid, want) {
+					t.Errorf("N=%d %v %s %s: grid differs from the seed kernel's", n, vec, v, name)
+				}
+			})
+		}
+	})
 }
 
 // TestZeroRowEntriesRejected: a rank without rows has no border to send, so
@@ -211,8 +216,10 @@ func TestSimReportsExchangeTime(t *testing.T) {
 
 // TestLiveExchangeTimeExcludesInteriorCompute: on STEN-2 the exchange time
 // is the sends plus the receive waits, not the interior update they overlap
-// with. Rank 1 repeats its row work eight times, so its update dominates
-// its cycle and its lighter neighbour's borders are always waiting for it:
+// with. Rank 1 repeats its row work 64 times (some 3 ms a cycle with the
+// vector kernel, well above a scheduler hiccup on a busy box), so its update
+// dominates its cycle and its lighter neighbour's borders are always waiting
+// for it:
 // its summed exchange time must stay under half its summed cycle time.
 // Bracketing the interior update, as the live runtime once did, puts it
 // above 90 %. (Rank 0 legitimately spends most of each cycle waiting for
@@ -225,7 +232,7 @@ func TestLiveExchangeTimeExcludesInteriorCompute(t *testing.T) {
 	world := localWorld(t, 2)
 	defer closeWorld(world)
 	log := newCycleLog()
-	if _, err := RunLiveMonitored(world, core.Vector{n / 2, n / 2}, STEN2, n, iters, []int{1, 8}, nil, nil, log); err != nil {
+	if _, err := RunLiveMonitored(world, core.Vector{n / 2, n / 2}, STEN2, n, iters, []int{1, 64}, nil, nil, log); err != nil {
 		t.Fatal(err)
 	}
 	var sum [2]struct{ ex, cyc float64 }
@@ -359,6 +366,43 @@ func TestRunSimAllocationCeiling(t *testing.T) {
 	}
 	if ceiling := uint64(2 * 8 * n * n); best > ceiling {
 		t.Errorf("RunSim(N=%d, 6+6) allocated %d bytes, want at most %d (2 grids)", n, best, ceiling)
+	}
+}
+
+// brokenLink is a simLink whose rank 1 loses its next block just before an
+// update, so the update indexes past it.
+type brokenLink struct{ simLink }
+
+func (l brokenLink) compute(s *rankState, lo, hi int, factor float64) {
+	if l.Rank() == 1 {
+		s.next = block{width: s.next.width}
+	}
+	l.simLink.compute(s, lo, hi, factor)
+}
+
+// TestOverlappedUpdatePanicIsAnError: a panic in an update that simLink
+// runs on a worker goroutine (64 rows of 128 points is past overlapPoints)
+// must come back as the simulator's "task panicked" error, like a panic on
+// the rank's own goroutine, and not end the process.
+func TestOverlappedUpdatePanicIsAnError(t *testing.T) {
+	const n = 128
+	vec := core.Vector{n / 2, n / 2}
+	names, counts := paperConfig(2, 0).Active()
+	pl, err := topo.Contiguous(names, counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := newJob(vec, pl.NumTasks(), STEN1, n, 2, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, len(vec))
+	_, err = spmd.Run(spmd.Job{
+		Net: model.PaperTestbed(), Placement: pl, Vector: vec, Topology: topo.OneD{},
+		Body: func(t *spmd.Task) { errs[t.Rank()] = j.runRank(brokenLink{simLink{t}}) },
+	})
+	if _, err = j.finish(errs, err); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("run returned %v, want the simulator's task-panicked error", err)
 	}
 }
 

@@ -3,11 +3,13 @@ package stencil
 // This file holds the flat-grid compute kernel shared by every stencil
 // runtime — Sequential, the simulated variants, the live/adaptive
 // runtimes, and FT recovery. Rows live in one row-major backing array
-// (type block), and the five-point update runs cache-blocked, with bounds
-// checks hoisted and the inner loop unrolled 4-wide. The arithmetic — one
-// (up + down + left + right) * 0.25 per point, operands in that order —
-// is exactly the seed kernel's, so results stay bit-for-bit identical
-// (golden tests in grid_test.go pin this against the reference kernel).
+// (type block), and the five-point update runs cache-blocked: four points
+// per instruction where the processor has AVX2 (kernel_amd64.s), a Go loop
+// with hoisted bounds checks everywhere else and for what the vector routine
+// leaves. The arithmetic — one (up + down + left + right) * 0.25 per point,
+// operands in that order — is exactly the seed kernel's on either path, so
+// results stay bit-for-bit identical (golden tests in grid_test.go pin both
+// against the reference kernel, kernel_test.go one against the other).
 
 import "sync"
 
@@ -56,11 +58,25 @@ func (b block) row(i int) []float64 {
 	return b.cells[i*b.width : (i+1)*b.width]
 }
 
+// useAVX2 is decided once, here, from what the processor and the operating
+// system report. Only the tests write it afterwards, to hold both paths of
+// updateSpan to the same grids on one machine.
+var useAVX2 = cpuHasAVX2()
+
+// vectorMinSpan is the shortest span handed to the vector routine: the call
+// and the VZEROUPPER cost more than four lanes save at 4 points and less
+// from 8 on (BenchmarkUpdateSpan; EXPERIMENTS E21).
+const vectorMinSpan = 8
+
 // updateSpan computes the five-point Jacobi update of columns [lo, hi) of
 // one row: dst[j] = (up[j] + down[j] + cur[j-1] + cur[j+1]) * 0.25. The
-// span must be interior (lo >= 1, hi <= len(cur)-1). Reslicing hoists the
-// bounds checks out of the loop and the 4-wide unroll keeps the FP adds
-// pipelined; the operand order matches the seed kernel exactly.
+// span must be interior (lo >= 1, hi <= len(cur)-1), and dst must not be
+// cur. This is the one place the kernel is chosen: with AVX2 the vector
+// routine takes every whole group of four points and the Go loop the 0-3
+// left over; without it, or on a short span, the Go loop takes them all.
+// Reslicing hoists its bounds checks and the 4-wide unroll keeps the FP
+// adds pipelined. Either way each point sees the seed kernel's operations
+// in the seed kernel's order.
 //
 //netpart:hotpath
 func updateSpan(dst, cur, up, down []float64, lo, hi int) {
@@ -75,6 +91,10 @@ func updateSpan(dst, cur, up, down []float64, lo, hi int) {
 	r := cur[lo+1 : hi+1]
 	_, _, _, _ = u[m-1], w[m-1], l[m-1], r[m-1]
 	j := 0
+	if useAVX2 && m >= vectorMinSpan {
+		j = m &^ 3
+		spanAVX2(&d[0], &u[0], &w[0], &l[0], &r[0], j)
+	}
 	for ; j+3 < m; j += 4 {
 		d[j] = (u[j] + w[j] + l[j] + r[j]) * 0.25
 		d[j+1] = (u[j+1] + w[j+1] + l[j+1] + r[j+1]) * 0.25

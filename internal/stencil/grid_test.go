@@ -1,10 +1,6 @@
 package stencil
 
-import (
-	"testing"
-
-	"netpart/internal/mmps"
-)
+import "testing"
 
 // seedUpdateRow is the original (pre-flat-grid) row kernel, kept verbatim
 // as the bit-identity reference: dst[j] = (up[j] + down[j] + cur[j-1] +
@@ -33,81 +29,82 @@ func seedSequential(grid [][]float64, iters int) [][]float64 {
 	return cur
 }
 
-// goldenSizes covers the kernel's tiling and unrolling edges: tiny grids,
-// interior widths not divisible by the 4-wide unroll, widths around the
-// colTile boundary, and one comfortably multi-tile width.
-var goldenSizes = []int{3, 4, 5, 7, 16, 60, 61, 127, 240, colTile + 1, colTile + 7}
+// goldenSizes covers the kernel's tiling and stepping edges: tiny grids
+// (spans below vectorMinSpan), interior widths that leave 1, 2 and 3 points
+// after the vector routine's 8-point steps alone (9, 10, 11) and after its
+// single 4-point step (13, 14, 15), the same six remainders in a last tile
+// just short of colTile and in a second tile just past it, and the sizes
+// the benchmarks run.
+var goldenSizes = []int{3, 4, 5, 7, 11, 12, 13, 15, 16, 17, 60, 61, 127, 240,
+	colTile - 5, colTile - 4, colTile - 3, colTile - 1, colTile, colTile + 1, colTile + 7,
+	colTile + 11, colTile + 12, colTile + 13, colTile + 15, colTile + 16, colTile + 17}
 
 // TestFlatKernelMatchesSeed pins the tentpole's hard invariant: the flat
 // cache-blocked kernel produces bit-for-bit the seed kernel's grids for
 // every size and several iteration counts.
 func TestFlatKernelMatchesSeed(t *testing.T) {
-	for _, n := range goldenSizes {
-		for _, iters := range []int{1, 2, 7} {
-			got := Sequential(NewGrid(n), iters)
-			want := seedSequential(NewGrid(n), iters)
-			for i := range want {
-				for j := range want[i] {
-					if got[i][j] != want[i][j] {
-						t.Fatalf("n=%d iters=%d: grid[%d][%d] = %v, seed %v", n, iters, i, j, got[i][j], want[i][j])
+	eachKernel(t, func(t *testing.T) {
+		for _, n := range goldenSizes {
+			for _, iters := range []int{1, 2, 7} {
+				got := Sequential(NewGrid(n), iters)
+				want := seedSequential(NewGrid(n), iters)
+				for i := range want {
+					for j := range want[i] {
+						if got[i][j] != want[i][j] {
+							t.Fatalf("n=%d iters=%d: grid[%d][%d] = %v, seed %v", n, iters, i, j, got[i][j], want[i][j])
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestUpdateRowMatchesSeed pins the row kernel (the distributed runtimes'
 // unit of compute) against the seed row kernel on awkward widths.
 func TestUpdateRowMatchesSeed(t *testing.T) {
-	for _, n := range goldenSizes {
-		g := NewGrid(n)
-		got := make([]float64, n)
-		want := make([]float64, n)
-		for i := 1; i < n-1; i++ {
-			updateRow(got, g[i], g[i-1], g[i+1])
-			seedUpdateRow(want, g[i], g[i-1], g[i+1])
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("n=%d row %d col %d: %v, seed %v", n, i, j, got[j], want[j])
+	eachKernel(t, func(t *testing.T) {
+		for _, n := range goldenSizes {
+			g := NewGrid(n)
+			got := make([]float64, n)
+			want := make([]float64, n)
+			for i := 1; i < n-1; i++ {
+				updateRow(got, g[i], g[i-1], g[i+1])
+				seedUpdateRow(want, g[i], g[i-1], g[i+1])
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("n=%d row %d col %d: %v, seed %v", n, i, j, got[j], want[j])
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestLiveMatchesSeedKernel runs the live runtime (flat blocks, pooled halo
 // frames) across awkward sizes and both variants and requires bit-identity
 // with the seed kernel — the end-to-end form of the golden guarantee.
 func TestLiveMatchesSeedKernel(t *testing.T) {
-	for _, n := range []int{7, 61, 127} {
-		for _, v := range []Variant{STEN1, STEN2} {
-			world, err := mmps.NewLocalWorld(3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			trs := make([]mmps.Transport, len(world))
-			for i, w := range world {
-				trs[i] = w
-			}
-			vec := core3Vector(n)
-			res, err := RunLive(trs, vec, v, n, 5, nil)
-			if err != nil {
-				t.Fatalf("n=%d %v: %v", n, v, err)
-			}
-			want := seedSequential(NewGrid(n), 5)
-			for i := range want {
-				for j := range want[i] {
-					if res.Grid[i][j] != want[i][j] {
-						t.Fatalf("n=%d %v: grid[%d][%d] = %v, seed %v", n, v, i, j, res.Grid[i][j], want[i][j])
+	eachKernel(t, func(t *testing.T) {
+		for _, n := range []int{7, 61, 127} {
+			for _, v := range []Variant{STEN1, STEN2} {
+				world := localWorld(t, 3)
+				res, err := RunLive(world, core3Vector(n), v, n, 5, nil)
+				closeWorld(world)
+				if err != nil {
+					t.Fatalf("n=%d %v: %v", n, v, err)
+				}
+				want := seedSequential(NewGrid(n), 5)
+				for i := range want {
+					for j := range want[i] {
+						if res.Grid[i][j] != want[i][j] {
+							t.Fatalf("n=%d %v: grid[%d][%d] = %v, seed %v", n, v, i, j, res.Grid[i][j], want[i][j])
+						}
 					}
 				}
 			}
-			for _, w := range world {
-				w.Close()
-			}
 		}
-	}
+	})
 }
 
 // core3Vector splits n rows over 3 ranks with a deliberately uneven split.

@@ -1,0 +1,36 @@
+package stencil
+
+import (
+	"os"
+	"strings"
+	"testing"
+)
+
+// TestCPUProbeAgreesWithKernel holds the CPUID/XGETBV probe to the Linux
+// kernel's reading of the same processor, where there is one, and the
+// dispatch to the probe: a probe that quietly answered no would leave every
+// test green and the vector routine unused.
+func TestCPUProbeAgreesWithKernel(t *testing.T) {
+	if useAVX2 != cpuHasAVX2() {
+		t.Fatalf("useAVX2 = %v at start-up, the probe says %v", useAVX2, cpuHasAVX2())
+	}
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no /proc/cpuinfo to compare with: %v", err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		name, flags, ok := strings.Cut(line, ":")
+		if !ok || strings.TrimSpace(name) != "flags" {
+			continue
+		}
+		want := false
+		for _, f := range strings.Fields(flags) {
+			want = want || f == "avx2"
+		}
+		if got := cpuHasAVX2(); got != want {
+			t.Fatalf("cpuHasAVX2() = %v, /proc/cpuinfo flags say %v", got, want)
+		}
+		return
+	}
+	t.Skip("/proc/cpuinfo has no flags line")
+}

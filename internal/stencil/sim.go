@@ -176,7 +176,11 @@ const overlapPoints = 4096
 // virtual time, and their updates run beside this one on whatever cores
 // there are. Joining before the return keeps the swap and the next Send
 // behind the update, so no other goroutine sees a block mid-write and
-// virtual time does not see the update at all.
+// virtual time does not see the update at all. A panic in the update is
+// carried over the join and raised again here, on the rank's goroutine,
+// where the simulator turns it into the run's error; the join is deferred
+// so that it also happens, and the worker is not left blocked on its send,
+// if the scheduler trip itself panics.
 func (l simLink) compute(s *rankState, lo, hi int, factor float64) {
 	n := s.job.n
 	cb := l.t.BeginCompute()
@@ -188,13 +192,17 @@ func (l simLink) compute(s *rankState, lo, hi int, factor float64) {
 		cb.Done()
 		return
 	}
-	done := make(chan struct{})
+	done := make(chan any) // unbuffered: the deferred join below always receives
 	go func() {
+		defer func() { done <- recover() }()
 		s.update(lo, hi, 1)
-		close(done)
+	}()
+	defer func() {
+		if r := <-done; r != nil {
+			panic(r)
+		}
 	}()
 	cb.Done()
-	<-done
 }
 
 func (l simLink) endCycle(_ int, _, exchangeMs float64) {
