@@ -19,6 +19,7 @@ import (
 	"netpart/internal/cost"
 	"netpart/internal/experiments"
 	"netpart/internal/gauss"
+	"netpart/internal/mmps"
 	"netpart/internal/model"
 	"netpart/internal/repart"
 	"netpart/internal/stencil"
@@ -247,8 +248,16 @@ func BenchmarkStencilLiveLocal(b *testing.B) {
 }
 
 // BenchmarkMMPSRoundTripUDP measures the reliable-UDP substrate's
-// request/response latency.
-func BenchmarkMMPSRoundTripUDP(b *testing.B) {
+// request/response latency on a single-datagram message. Neither side
+// recycles, so the two delivered buffers are the two allocations left.
+func BenchmarkMMPSRoundTripUDP(b *testing.B) { benchPingPongUDP(b, 1024, false) }
+
+// BenchmarkMMPSHaloUDP is the same exchange at the live stencil's size and
+// habits: a 4 KB halo row is three fragments and one range ack, and both
+// sides hand delivered buffers back, so the steady state allocates nothing.
+func BenchmarkMMPSHaloUDP(b *testing.B) { benchPingPongUDP(b, 4096, true) }
+
+func benchPingPongUDP(b *testing.B, size int, recycle bool) {
 	world, err := netpart.NewUDPWorld(2)
 	if err != nil {
 		b.Fatal(err)
@@ -269,16 +278,24 @@ func BenchmarkMMPSRoundTripUDP(b *testing.B) {
 			if err := world[1].Send(0, buf); err != nil {
 				return
 			}
+			if recycle {
+				mmps.Recycle(world[1], buf)
+			}
 		}
 	}()
-	payload := make([]byte, 1024)
+	payload := make([]byte, size)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := world[0].Send(1, payload); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := world[0].Recv(1); err != nil {
+		buf, err := world[0].Recv(1)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if recycle {
+			mmps.Recycle(world[0], buf)
 		}
 	}
 	b.StopTimer()

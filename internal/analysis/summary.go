@@ -40,7 +40,8 @@ import (
 // Stdlib calls have no loaded bodies, so they are modeled: a small
 // whitelist of provably non-allocating packages and methods (math,
 // math/bits, sync/atomic, binary.PutUint*/Uint*, sync.Pool.Get/Put, lock
-// and WaitGroup operations, time.Duration arithmetic) passes; time.Now/
+// and WaitGroup operations, time.Duration arithmetic, the UDP AddrPort
+// datagram calls) passes; time.Now/
 // Since/Until and the auto-seeded math/rand globals contribute wall-clock
 // and rand facts; every other stdlib call is conservatively assumed to
 // allocate. Unresolved indirect calls are likewise conservative, except
@@ -472,6 +473,11 @@ func nonallocStdlib(fn *types.Func) bool {
 			strings.HasPrefix(name, "PutVarint") || strings.HasPrefix(name, "Varint")
 	case "sync":
 		return nonallocSyncMethods[name]
+	case "net":
+		// The AddrPort datagram calls exist to be allocation-free: a
+		// netip.AddrPort value where ReadFromUDP/WriteToUDP take or return
+		// a heap *UDPAddr.
+		return name == "ReadFromUDPAddrPort" || name == "WriteToUDPAddrPort"
 	case "time":
 		// time.Duration arithmetic (Seconds, Milliseconds, ...) is pure;
 		// only methods qualify — package-level constructors may allocate.

@@ -5,7 +5,11 @@
 // originating expression, and never re-reports hotpath's direct sites.
 package allocfree
 
-import "fmt"
+import (
+	"fmt"
+	"net"
+	"net/netip"
+)
 
 type table struct {
 	rows []float64
@@ -118,4 +122,14 @@ func (boxy) size(n int) []float64 { return make([]float64, n) }
 //netpart:hotpath
 func (t *table) hotIface(s sizer, n int) {
 	t.buf = s.size(n) // want `hot path .*hotIface reaches an allocation: .*size → make allocates`
+}
+
+// hotDatagram: the AddrPort datagram calls are modeled allocation-free;
+// their *UDPAddr predecessors, like every other stdlib call outside the
+// model, are not.
+//
+//netpart:hotpath
+func (t *table) hotDatagram(c *net.UDPConn, to netip.AddrPort, old *net.UDPAddr, b []byte) {
+	c.WriteToUDPAddrPort(b, to)
+	c.WriteToUDP(b, old) // want `hot path .*hotDatagram reaches an allocation: call to net.\(UDPConn\).WriteToUDP \(stdlib, not modeled allocation-free\)`
 }

@@ -21,10 +21,6 @@ type Local struct {
 	world *localWorld
 }
 
-// maxFreeBufs bounds the world's recycled-buffer list; beyond it, returned
-// buffers fall to the garbage collector.
-const maxFreeBufs = 256
-
 type localWorld struct {
 	size        int
 	recvTimeout time.Duration
@@ -35,10 +31,8 @@ type localWorld struct {
 	mu          sync.Mutex
 	closed      []bool
 	// free holds delivered buffers handed back through Recycle, reused by
-	// Send for its delivery copies. Never handed out twice concurrently:
-	// Send pops under mu and the popped buffer's ownership then follows the
-	// message (queue -> Recv caller -> Recycle).
-	free [][]byte
+	// Send for its delivery copies.
+	free freeList
 	// queues[dst][src] holds pending messages with a condition variable
 	// per destination for blocking receives.
 	queues []map[int][][]byte
@@ -111,7 +105,7 @@ func (l *Local) Send(dst int, data []byte) error {
 		w.mu.Unlock()
 		return ErrClosed
 	}
-	cp := w.takeBuf(len(data))
+	cp := w.free.take(len(data))
 	copy(cp, data)
 	w.metrics.msgsSent.Inc()
 	w.metrics.bytesSent.Add(int64(len(data)))
@@ -296,33 +290,12 @@ func (l *Local) RecvAny(d time.Duration) (int, []byte, error) {
 	}
 }
 
-// takeBuf returns a buffer of length n, reusing recycled capacity when any
-// is available. The caller must hold w.mu.
-//
-//netpart:hotpath
-func (w *localWorld) takeBuf(n int) []byte {
-	if len(w.free) == 0 {
-		return make([]byte, n)
-	}
-	b := w.free[len(w.free)-1]
-	w.free = w.free[:len(w.free)-1]
-	if cap(b) < n {
-		return make([]byte, n)
-	}
-	return b[:n]
-}
-
 // Recycle implements Recycler: a delivered buffer rejoins the world's free
 // list for a later Send to reuse. The caller must not touch buf afterwards.
 func (l *Local) Recycle(buf []byte) {
-	if cap(buf) == 0 {
-		return
-	}
 	w := l.world
 	w.mu.Lock()
-	if len(w.free) < maxFreeBufs {
-		w.free = append(w.free, buf)
-	}
+	w.free.put(buf)
 	w.mu.Unlock()
 }
 

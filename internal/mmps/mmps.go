@@ -88,6 +88,8 @@ const (
 	MetricBytesRecv   = "mmps.bytes_received"
 	MetricPacketsSent = "mmps.packets_sent" // UDP data packets, first transmissions
 	MetricRetransmits = "mmps.retransmits"  // UDP data packets re-sent after an RTO
+	MetricAcksSent    = "mmps.acks_sent"    // UDP range acks written
+	MetricInflightMax = "mmps.inflight_max" // gauge: most unacknowledged fragments any UDP stream had outstanding
 )
 
 // transportMetrics holds pre-resolved instruments; the zero value (all nil
@@ -100,6 +102,8 @@ type transportMetrics struct {
 	bytesRecv   *obs.Counter
 	packetsSent *obs.Counter
 	retransmits *obs.Counter
+	acksSent    *obs.Counter
+	inflightMax *obs.Gauge
 }
 
 func defaultOptions() options {
@@ -150,8 +154,9 @@ func WithInjector(inj faults.Injector) Option {
 }
 
 // WithMetrics records transport activity (the Metric* names) into r: message
-// and byte counts on both transports, plus packet and retransmission counts
-// on the UDP transport. Nil r disables.
+// and byte counts on both transports, plus packet, retransmission and ack
+// counts and the in-flight high-water mark on the UDP transport. Nil r
+// disables.
 func WithMetrics(r *obs.Registry) Option {
 	return func(o *options) {
 		o.metrics = transportMetrics{
@@ -161,6 +166,8 @@ func WithMetrics(r *obs.Registry) Option {
 			bytesRecv:   r.Counter(MetricBytesRecv),
 			packetsSent: r.Counter(MetricPacketsSent),
 			retransmits: r.Counter(MetricRetransmits),
+			acksSent:    r.Counter(MetricAcksSent),
+			inflightMax: r.Gauge(MetricInflightMax),
 		}
 	}
 }

@@ -9,18 +9,27 @@ import (
 // to):
 //
 //	0:4   magic "MMPS"
-//	4     version (1)
+//	4     version (2)
 //	5     kind (0 = data, 1 = ack)
 //	6:8   source rank
 //	8:10  destination rank
 //	10:14 message sequence number (per source→destination stream)
-//	14:18 fragment index
-//	18:22 fragment count (data) / 0 (ack)
+//	14:18 fragment index (ack: first fragment of the acknowledged run)
+//	18:22 fragment count of the message (data) / run length (ack)
 //	22:26 payload length (data) / 0 (ack)
 //	26:   payload
+//
+// An ack covers the contiguous fragments [index, index+run) of one message;
+// a run of 0 acknowledges nothing. Version 1 sent one ack per fragment with
+// bytes 18:22 zero. The version byte moved with the change in meaning
+// because the two do not interoperate usefully: a version-1 sender reading a
+// range ack would credit only its first fragment and retransmit the rest
+// after every RTO. Worlds are built in one process by NewUDPWorld, so no
+// endpoint ever meets a peer of the other version; a stray version-1
+// datagram is dropped by decodePacket like any malformed one.
 const (
 	headerSize    = 26
-	packetVersion = 1
+	packetVersion = 2
 
 	kindData = 0
 	kindAck  = 1
@@ -34,7 +43,7 @@ type packet struct {
 	src, dst  int
 	seq       uint32
 	fragIdx   uint32
-	fragCount uint32
+	fragCount uint32 // data: fragments in the message; ack: run length
 	payload   []byte
 }
 
@@ -60,18 +69,19 @@ func (p *packet) encodeTo(buf []byte) {
 	copy(buf[headerSize:], p.payload)
 }
 
-// decodePacket parses a datagram. The returned payload aliases buf.
-func decodePacket(buf []byte) (*packet, error) {
+// decodePacket parses a datagram. The returned payload aliases buf. The
+// packet comes back by value: the reader decodes one per datagram.
+func decodePacket(buf []byte) (packet, error) {
 	if len(buf) < headerSize {
-		return nil, fmt.Errorf("%w: %d bytes", errBadPacket, len(buf))
+		return packet{}, fmt.Errorf("%w: %d bytes", errBadPacket, len(buf))
 	}
 	if [4]byte(buf[0:4]) != magic {
-		return nil, errWrongWorld
+		return packet{}, errWrongWorld
 	}
 	if buf[4] != packetVersion {
-		return nil, fmt.Errorf("%w: version %d", errBadPacket, buf[4])
+		return packet{}, fmt.Errorf("%w: version %d", errBadPacket, buf[4])
 	}
-	p := &packet{
+	p := packet{
 		kind:      buf[5],
 		src:       int(binary.BigEndian.Uint16(buf[6:8])),
 		dst:       int(binary.BigEndian.Uint16(buf[8:10])),
@@ -80,11 +90,11 @@ func decodePacket(buf []byte) (*packet, error) {
 		fragCount: binary.BigEndian.Uint32(buf[18:22]),
 	}
 	if p.kind != kindData && p.kind != kindAck {
-		return nil, fmt.Errorf("%w: kind %d", errBadPacket, p.kind)
+		return packet{}, fmt.Errorf("%w: kind %d", errBadPacket, p.kind)
 	}
 	n := binary.BigEndian.Uint32(buf[22:26])
 	if int(n) != len(buf)-headerSize {
-		return nil, fmt.Errorf("%w: payload length %d of %d", errBadPacket, n, len(buf)-headerSize)
+		return packet{}, fmt.Errorf("%w: payload length %d of %d", errBadPacket, n, len(buf)-headerSize)
 	}
 	p.payload = buf[headerSize:]
 	return p, nil

@@ -4,10 +4,11 @@ import "sync"
 
 // bufPool recycles the transport's short-lived byte buffers: encoded
 // datagrams (alive only until the socket write completes — or, under an
-// injected delay, until the deferred write fires) and per-fragment
-// reassembly copies (alive until their message is assembled). Buffers whose
-// lifetime extends into the application — delivered messages — must NOT come
-// from this pool: Recv hands them to the caller and never sees them again.
+// injected delay, until the deferred write fires) and Send's message copies
+// (alive until the message is acknowledged, fails, or the endpoint closes).
+// Buffers whose lifetime extends into the application — delivered messages —
+// must NOT come from this pool: Recv hands them to the caller, and only the
+// caller can hand them back (Recycler, recycle.go).
 //
 // The pool stores and hands out *[]byte boxes so that neither Get nor Put
 // allocates once the pool is warm; callers keep the box and return it with

@@ -4,9 +4,10 @@ package mmps
 // buffers can be returned for reuse once the receiver has copied out what
 // it keeps. Recv transfers buffer ownership to the caller and the
 // transport never sees the buffer again, so only the caller knows when it
-// dies; handing it back lets the transport serve a later Send from a free
-// list instead of the heap. (The internal bufPool cannot back delivered
-// messages for exactly this reason — see pool.go.)
+// dies; handing it back lets the transport serve a later delivery from a
+// free list instead of the heap. (The internal bufPool cannot back
+// delivered messages for exactly this reason — see pool.go.) Both
+// transports implement it.
 type Recycler interface {
 	// Recycle returns a buffer previously obtained from Recv or RecvAny.
 	// The caller must not touch the buffer afterwards.
@@ -18,5 +19,38 @@ type Recycler interface {
 func Recycle(tr Transport, buf []byte) {
 	if r, ok := tr.(Recycler); ok {
 		r.Recycle(buf)
+	}
+}
+
+// maxFreeBufs bounds a freeList; beyond it, returned buffers fall to the
+// garbage collector.
+const maxFreeBufs = 256
+
+// freeList holds delivered buffers handed back through Recycle, reused for
+// later delivery copies. A buffer is never handed out twice concurrently:
+// take pops under the owner's lock and the popped buffer's ownership then
+// follows the message (queue -> Recv caller -> Recycle).
+type freeList [][]byte
+
+// take returns a buffer of length n, reusing recycled capacity when any is
+// available. The caller must hold the owner's lock.
+//
+//netpart:hotpath
+func (f *freeList) take(n int) []byte {
+	if len(*f) == 0 {
+		return make([]byte, n)
+	}
+	b := (*f)[len(*f)-1]
+	*f = (*f)[:len(*f)-1]
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
+}
+
+// put adds a recycled buffer. The caller must hold the owner's lock.
+func (f *freeList) put(buf []byte) {
+	if cap(buf) > 0 && len(*f) < maxFreeBufs {
+		*f = append(*f, buf)
 	}
 }

@@ -1,6 +1,7 @@
 package stencil
 
 import (
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -11,6 +12,17 @@ import (
 	"netpart/internal/model"
 	"netpart/internal/obs"
 )
+
+// raceDetector reports whether this test binary was built with -race.
+func raceDetector() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
 
 // ftWorld builds a local transport world as []mmps.Transport.
 func ftWorld(t *testing.T, n int) []mmps.Transport {
@@ -196,6 +208,60 @@ func TestRunLiveFTCrashOverUDP(t *testing.T) {
 		t.Fatalf("recoveries = %d, want 1", res.Recoveries)
 	}
 	gridsMatch(t, res.Grid, Sequential(NewGrid(n), iters))
+}
+
+// TestRunLiveFTFaultFreeOverUDPAtCheckpointSize pins the checkpoint-burst
+// bug. At N = 512 on 4 ranks a buddy checkpoint is 128 rows x 512 points x
+// 8 bytes = 524 KB = 375 datagrams. The old UDP engine wrote all 375 in one
+// burst into the peer's 208 KB default receive buffer, so every checkpoint
+// lost most of itself and paid several 20 ms RTO rounds (about 3.7 s for
+// these 300 cycles), and because pings share the checkpoint's in-order
+// stream they queued behind it: about 1 fault-free run in 24 ended in "too
+// few survivors for a recovery quorum: 2 of 4" at a checkpoint cycle. With
+// the fragment window (mmps sendWindow) the same run takes about 0.3 s,
+// retransmits nothing, and six fresh worlds in a row finish without a
+// verdict.
+//
+// Both things the test asserts are wall-clock properties, so it needs a
+// machine that gives the ranks CPU. Retransmissions are bounded at 1 % of
+// the data datagrams rather than at zero (the old engine re-sent 75 000 for
+// 61 000, 120 %; the new one none on an idle box), and the race detector's
+// build is skipped: there the runtime polls the network only every 10 ms
+// or so while both threads are busy, an ack's round trip alone passes the
+// 20 ms RTO a hundred times a run, a run takes 4 s instead of 0.3 s, and
+// beside another package's tests the failure detector's 200 ms windows
+// expire on live ranks.
+func TestRunLiveFTFaultFreeOverUDPAtCheckpointSize(t *testing.T) {
+	if testing.Short() || raceDetector() {
+		t.Skip("six 300-cycle N=512 runs over loopback UDP, timing-sensitive")
+	}
+	const n, iters = 512, 300
+	want := Sequential(NewGrid(n), iters)
+	for run := 0; run < 6; run++ {
+		m := obs.NewRegistry()
+		conns, err := mmps.NewUDPWorld(4, mmps.WithMetrics(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		world := make([]mmps.Transport, len(conns))
+		for i, c := range conns {
+			world[i] = c
+		}
+		res, err := RunLiveFT(world, core.Vector{128, 128, 128, 128}, STEN2, n, iters, FTOptions{})
+		for _, c := range conns {
+			c.Close()
+		}
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if res.Recoveries != 0 || len(res.Failed) != 0 {
+			t.Fatalf("run %d: fault-free run reported %d recoveries, failed=%v", run, res.Recoveries, res.Failed)
+		}
+		gridsMatch(t, res.Grid, want)
+		if re, sent := m.Counter(mmps.MetricRetransmits).Value(), m.Counter(mmps.MetricPacketsSent).Value(); re > sent/100 {
+			t.Errorf("run %d: %d retransmits for %d data datagrams", run, re, sent)
+		}
+	}
 }
 
 // TestRepartitionerReducedNetwork: the policy drops dead processors from
