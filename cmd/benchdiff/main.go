@@ -136,8 +136,11 @@ func runParse(args []string, stdin io.Reader, out io.Writer) error {
 //	BenchmarkPartitionOverhead-8   200   8109 ns/op   818 B/op   29 allocs/op
 //	BenchmarkStencilKernel-8       200   45997 ns/op  10017.50 MB/s  0 B/op  0 allocs/op
 //
-// The optional MB/s column appears when a benchmark calls b.SetBytes.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+[\d.]+ MB/s)?(?:\s+([\d.]+) B/op\s+([\d.]+) allocs/op)?`)
+//	BenchmarkBlockSweep/16x64-8    200   591.1 ns/op   0.5772 ns/pt    0 B/op  0 allocs/op
+//
+// The MB/s column appears when a benchmark calls b.SetBytes, and any columns
+// it adds with b.ReportMetric come before the memory pair too.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:.*?\s([\d.]+) B/op\s+([\d.]+) allocs/op)?`)
 
 // parseBench extracts benchmark results from `go test -bench` output,
 // keying each by the enclosing package (the "pkg:" header lines) plus the

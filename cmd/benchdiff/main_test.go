@@ -48,11 +48,15 @@ func TestParseBench(t *testing.T) {
 
 func TestParseBenchWithThroughputColumn(t *testing.T) {
 	// b.SetBytes adds an MB/s column between ns/op and the -benchmem
-	// columns; the parser must skip it.
+	// columns, b.ReportMetric one per unit; the parser must skip them.
 	snap, err := parseBench(strings.NewReader(
-		"pkg: netpart/internal/stencil\nBenchmarkStencilKernel-8   200   45997 ns/op   10017.50 MB/s   0 B/op   0 allocs/op\n"))
+		"pkg: netpart/internal/stencil\nBenchmarkStencilKernel-8   200   45997 ns/op   10017.50 MB/s   0 B/op   0 allocs/op\n" +
+			"BenchmarkBlockSweep/16x64-2   2097612   591.1 ns/op   111.0 MB/s   0.5772 ns/pt   0 B/op   3 allocs/op\n"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m := snap["netpart/internal/stencil/BenchmarkBlockSweep/16x64"]; m.NsPerOp != 591.1 || m.AllocsPerOp != 3 || !m.HaveMem {
+		t.Fatalf("metrics behind a custom column = %+v, want ns=591.1 allocs=3 HaveMem", m)
 	}
 	m, ok := snap["netpart/internal/stencil/BenchmarkStencilKernel"]
 	if !ok {

@@ -1,6 +1,7 @@
 package stencil
 
 import (
+	"fmt"
 	"testing"
 
 	"netpart/internal/mmps"
@@ -20,6 +21,32 @@ func BenchmarkStencilKernel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		jacobiIter(next, cur, n)
 		cur, next = next, cur
+	}
+}
+
+// BenchmarkBlockSweep measures one cycle of the driver's in-place sweep on a
+// rank in the middle of the grid, ghost rows left as they are: a 2 MB block
+// (256 rows of 1024 points, the live-kernel workload's, in STEN-2's order —
+// interior, stash, edge rows) that streams from L2/L3, and 16 rows of 64
+// points (live-exchange-local's, STEN-1's one span) that never leave L1. CI
+// hard-gates both at zero allocations per op.
+func BenchmarkBlockSweep(b *testing.B) {
+	for _, c := range []struct {
+		rows, n int
+		v       Variant
+	}{{256, 1024, STEN2}, {16, 64, STEN1}} {
+		b.Run(fmt.Sprintf("%dx%d", c.rows, c.n), func(b *testing.B) {
+			blk := newBlock(c.rows, c.n)
+			for i := range blk.cells {
+				blk.cells[i] = float64(i % 97)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sweepCycle(&blk, c.v, c.n/2, c.n, 1, nil, nil, func() {})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.rows*c.n), "ns/pt")
+		})
 	}
 }
 

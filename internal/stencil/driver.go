@@ -2,7 +2,6 @@ package stencil
 
 import (
 	"fmt"
-	"math"
 
 	"netpart/internal/core"
 	"netpart/internal/mmps"
@@ -59,8 +58,8 @@ type job struct {
 	v        Variant
 	n, iters int
 	vec      core.Vector
-	// rows is the result: row g is a view of the final cur block of the rank
-	// that owns it, nil until that rank finishes.
+	// rows is the result: row g is a view of the block of the rank that owns
+	// it, nil until that rank finishes.
 	rows [][]float64
 
 	// load multiplies the cost of rank's row updates at iter; nil means 1.
@@ -156,15 +155,14 @@ func (j *job) finish(errs []error, runErr error) ([][]float64, error) {
 }
 
 // rankState is one rank's share of a job: it owns global rows
-// [off, off+rows), held in cur/next as flat blocks with one ghost row on
-// each side at local indices 0 and rows+1. cur starts as the run's one
-// zeroed allocation and ends as the caller's result rows; next comes from
-// blockPool with stale contents and goes back to it.
+// [off, off+rows), held in cur as one flat block with a ghost row on each
+// side at local indices 0 and rows+1. cur is the run's one zeroed allocation,
+// is swept in place every cycle and ends as the caller's result rows.
 type rankState struct {
 	job       *job
 	lk        link
 	rows, off int
-	cur, next block
+	cur       block
 	scratch   []float64 // target of the repeated updates that emulate load
 	windowMs  float64   // compute time since the last repartitioning round
 	delta     float64   // this cycle's local maximum point change
@@ -178,7 +176,7 @@ func (j *job) runRank(lk link) error {
 	rank, size := lk.Rank(), lk.Size()
 	own := repart.NewOwners(j.vec)
 	s := &rankState{job: j, lk: lk, rows: own.Count(rank), off: own.First(rank)}
-	s.cur, s.next = newBlock(s.rows, j.n), getBlock(s.rows, j.n)
+	s.cur = newBlock(s.rows, j.n)
 	if s.off == 0 {
 		initialRow(s.cur.row(1), 0)
 	}
@@ -220,7 +218,6 @@ func (j *job) runRank(lk link) error {
 	for i := 0; i < s.rows; i++ {
 		j.rows[s.off+i] = s.cur.row(i + 1)
 	}
-	putBlock(s.next)
 	return nil
 }
 
@@ -304,7 +301,7 @@ func (s *rankState) cycles(from, to int) error {
 				s.computeRows(s.rows, s.rows, iter)
 			}
 		}
-		s.cur, s.next = s.next, s.cur
+		s.cur.flip()
 		lk.endCycle(iter, start, exchangeMs)
 	}
 	return nil
@@ -324,7 +321,7 @@ func (s *rankState) computeRows(lo, hi, iter int) {
 }
 
 // update is the numeric half of computeRows, reps times over. It touches
-// this rank's blocks, scratch and delta only, which is what lets the
+// this rank's block, scratch and delta only, which is what lets the
 // simulator's link run it on another goroutine while the rank is parked.
 func (s *rankState) update(lo, hi, reps int) {
 	j := s.job
@@ -335,35 +332,7 @@ func (s *rankState) update(lo, hi, reps int) {
 	if j.tol > 0 {
 		delta = &s.delta
 	}
-	updateRows(s.next, s.cur, s.off, j.n, lo, hi, reps, s.scratch, delta)
-}
-
-// updateRows advances local rows [lo, hi] of a block that starts at global
-// row off by one Jacobi step, cur into next: the grid's first and last rows
-// are copied, every other row gets the five-point update. reps > 1 redoes
-// each update reps-1 more times into scratch, making the rank behave like a
-// proportionally slower processor. A non-nil delta is raised to the largest
-// point change seen. Shared by the driver and the fault-tolerant runtime.
-func updateRows(next, cur block, off, n, lo, hi, reps int, scratch []float64, delta *float64) {
-	for li := lo; li <= hi; li++ {
-		nr, cr := next.row(li), cur.row(li)
-		if g := off + li - 1; g == 0 || g == n-1 {
-			copy(nr, cr)
-			continue
-		}
-		up, down := cur.row(li-1), cur.row(li+1)
-		updateRow(nr, cr, up, down)
-		for extra := 1; extra < reps; extra++ {
-			updateRow(scratch, cr, up, down)
-		}
-		if delta != nil {
-			for c := 1; c < n-1; c++ {
-				if d := math.Abs(nr[c] - cr[c]); d > *delta {
-					*delta = d
-				}
-			}
-		}
-	}
+	s.cur.sweep(s.off, j.n, lo, hi, reps, s.scratch, delta)
 }
 
 // rowOps returns the operations charged for updating one global row: the
@@ -458,15 +427,13 @@ func (s *rankState) rebalance(iter int) error {
 	}
 	newOwn := repart.NewOwners(plan.New)
 	newRows, newOff := newOwn.Count(rank), newOwn.First(rank)
-	ncur, nnext := newBlock(newRows, j.n), getBlock(newRows, j.n)
+	ncur := newBlock(newRows, j.n)
 	_, _, err = repart.Migrator{Width: j.n}.Migrate(ctl, plan.Old, plan.New,
 		func(g int) []float64 { return s.cur.row(g - s.off + 1) },
 		func(g int, row []float64) { copy(ncur.row(g-newOff+1), row) })
 	if err != nil {
 		return err
 	}
-	putBlock(s.next)
-	s.rows, s.off = newRows, newOff
-	s.cur, s.next = ncur, nnext
+	s.rows, s.off, s.cur = newRows, newOff, ncur
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"netpart/internal/core"
+	"netpart/internal/faults"
 	"netpart/internal/mmps"
 	"netpart/internal/model"
 	"netpart/internal/spmd"
@@ -251,11 +252,10 @@ func TestLiveExchangeTimeExcludesInteriorCompute(t *testing.T) {
 }
 
 // TestResultGridOwnedByCaller: the rows RunSim returns are views of the
-// ranks' final cur blocks, and only next blocks go back to the pool. Later
-// runs of the same size — which draw their next blocks from that pool — must
-// therefore leave an earlier result alone. Enough iterations that the hot
-// edge has reached every row: a block written by a later run differs from
-// the held one everywhere.
+// ranks' blocks, which no run keeps or recycles. Later runs of the same size
+// must therefore leave an earlier result alone. Enough iterations that the
+// hot edge has reached every row: a block written by a later run differs
+// from the held one everywhere.
 func TestResultGridOwnedByCaller(t *testing.T) {
 	const n, iters = 64, 70
 	net := model.PaperTestbed()
@@ -265,7 +265,6 @@ func TestResultGridOwnedByCaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Blocks of at most 16 rows fit the ones the first run would have pooled.
 	for _, vec := range []core.Vector{{16, 16, 16, 16}, {12, 20, 12, 20}, {10, 22, 22, 10}} {
 		for _, v := range []Variant{STEN1, STEN2} {
 			res, err := RunSim(net, cfg, vec, v, n, iters+1)
@@ -337,11 +336,11 @@ func TestSimIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestRunSimAllocationCeiling: one run costs one grid of fresh memory — the
-// ranks' cur blocks, which leave as the result — plus the simulator's border
-// copies. The next blocks come from the pool once it is warm and nothing is
-// staged or copied out, so two grids is a ceiling with room for a pool that
-// the collector has just half emptied; four zeroed grids were 4.4.
+// TestRunSimAllocationCeiling: a run allocates one block per rank — rows + 3
+// storage rows, which leave as the result — a two-row stash per rank and the
+// simulator's copy of every border sent, and there is no pool to warm: the
+// first run is held to that sum plus a tenth for the runtime's own state (two
+// blocks per rank, one of them pooled, made a cold run 2.5 grids; this is 1.5).
 func TestRunSimAllocationCeiling(t *testing.T) {
 	const n, iters = 600, 10
 	net := model.PaperTestbed()
@@ -350,32 +349,36 @@ func TestRunSimAllocationCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := RunSim(net, cfg, vec, STEN1, n, iters); err != nil {
-			t.Fatal(err)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := RunSim(net, cfg, vec, STEN1, n, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	tasks := len(vec)
+	values := (n+3*tasks)*n + 2*tasks*n + 2*(tasks-1)*iters*n
+	if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(8*values*11/10); got > ceiling {
+		t.Errorf("RunSim(N=%d, 6+6) allocated %d bytes, want at most %d (%.2f grids)", n, got, ceiling, float64(ceiling)/(8*n*n))
+	}
+	// After an even number of cycles a rank's first data row is storage row 2
+	// again, so what follows it in the block is its capacity.
+	off := 0
+	for rank, rows := range vec {
+		if got := cap(res.Grid[off]) + 2*n; got != (rows+3)*n {
+			t.Errorf("rank %d: block of %d values for %d rows of %d, want (rows + 3) x width", rank, got, rows, n)
 		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	run() // warm the pool
-	best := run()
-	for i := 0; i < 2; i++ {
-		best = min(best, run())
-	}
-	if ceiling := uint64(2 * 8 * n * n); best > ceiling {
-		t.Errorf("RunSim(N=%d, 6+6) allocated %d bytes, want at most %d (2 grids)", n, best, ceiling)
+		off += rows
 	}
 }
 
-// brokenLink is a simLink whose rank 1 loses its next block just before an
-// update, so the update indexes past it.
+// brokenLink is a simLink whose rank 1 loses its block's storage just before
+// an update, so the update indexes past it.
 type brokenLink struct{ simLink }
 
 func (l brokenLink) compute(s *rankState, lo, hi int, factor float64) {
 	if l.Rank() == 1 {
-		s.next = block{width: s.next.width}
+		s.cur.cells = nil
 	}
 	l.simLink.compute(s, lo, hi, factor)
 }
@@ -408,8 +411,16 @@ func TestOverlappedUpdatePanicIsAnError(t *testing.T) {
 
 // TestDriverDegenerateRuns: no iterations returns the initial condition
 // straight from the ranks' blocks, and a single rank has no ghost row that
-// is ever received — its dirty next block must still come out right, on the
-// inline path (N = 24) and on the goroutine path (N = 80).
+// is ever received — its never-written ghost storage must not reach the
+// result, on the inline path (N = 24) and on the goroutine path (N = 80).
+// Then the shapes that leave the in-place sweep no room: every rank one row
+// (P = N), and ranks of exactly two rows — STEN-2 has no interior span there,
+// and on a downward sweep the first edge row overwrites the second's operand —
+// first, in the middle and last, through every entry point, for an even and an
+// odd number of cycles (the result is published from either parity); runs that
+// a tolerance stops; a rebalance that migrates rows out of a block after an odd
+// number of cycles; and a crash that makes the ranks next to it abandon a cycle
+// between the interior span and the edge rows, with the block half updated.
 func TestDriverDegenerateRuns(t *testing.T) {
 	net := model.PaperTestbed()
 	for _, v := range []Variant{STEN1, STEN2} {
@@ -431,6 +442,76 @@ func TestDriverDegenerateRuns(t *testing.T) {
 				}
 			}
 		}
+
+		for _, vec := range []core.Vector{{1, 1, 1, 1, 1, 1, 1, 1}, {2, 5, 2, 6, 2}} {
+			n, tasks := vec.Sum(), len(vec)
+			for _, iters := range []int{6, 7} {
+				want := seedSequential(NewGrid(n), iters)
+				entryPoints(t, vec, v, n, iters, false, func(name string, grid [][]float64, err error) {
+					if err != nil {
+						t.Errorf("%v %s %d cycles %s: %v", vec, v, iters, name, err)
+					} else if !gridsEqual(grid, want) {
+						t.Errorf("%v %s %d cycles %s: grid differs from the seed kernel's", vec, v, iters, name)
+					}
+				})
+			}
+			cfg := paperConfig(min(tasks, 6), tasks-min(tasks, 6))
+			stops := map[bool]bool{}
+			for _, tol := range []float64{3, 2, 1.5} {
+				want, iters, delta := SequentialUntil(NewGrid(n), tol, 40)
+				res, err := RunSimAdaptive(net, cfg, vec, v, n, 40, AdaptiveOptions{Tol: tol})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Iterations != iters || res.FinalDelta != delta || !gridsEqual(res.Grid, want) {
+					t.Errorf("%v %s tol %v: stopped after %d cycles at delta %v, Sequential after %d at %v (grids equal: %v)",
+						vec, v, tol, res.Iterations, res.FinalDelta, iters, delta, gridsEqual(res.Grid, want))
+				}
+				stops[iters%2 == 0] = true
+			}
+			if len(stops) != 2 {
+				t.Errorf("%v: the three tolerances stop on one parity only", vec)
+			}
+		}
+
+		vec := core.Vector{2, 5, 2, 6, 2}
+		ad, err := RunSimAdaptive(net, paperConfig(5, 0), vec, v, 17, 8, AdaptiveOptions{
+			RebalanceEvery: 3,
+			Slowdown: func(rank, iter int) float64 {
+				if rank == 3 {
+					return 6
+				}
+				return 1
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ad.Plans) == 0 || !ad.Plans[0].Changed() {
+			t.Errorf("%s: the round after 3 cycles moved no rows: %v", v, ad.Plans)
+		}
+		if !gridsEqual(ad.Grid, Sequential(NewGrid(17), 8)) {
+			t.Errorf("%s: grid differs from Sequential after a migration at cycle 3", v)
+		}
+	}
+
+	// Rank 1 stops before its sends of cycle 5. Ranks 0 and 2 have by then swept
+	// their interiors for that cycle and wait for its border until the verdict;
+	// everyone rolls back to the checkpoint of cycle 3, which recovery must
+	// rebuild from the checkpointed rows alone.
+	for _, iters := range []int{8, 9} {
+		dt, dr := fastDetect()
+		res, err := RunLiveFT(ftWorld(t, 4), core.Vector{5, 2, 6, 4}, STEN2, 17, iters, FTOptions{
+			Injector:        faults.NewEngine(faults.Schedule{Crashes: []faults.Crash{{Rank: 1, Cycle: 5}}}, 1, nil),
+			CheckpointEvery: 3, DetectTimeout: dt, DetectRetries: dr,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Events) != 1 || res.Events[0].RollbackCycle != 3 {
+			t.Errorf("%d cycles: recovery events %v, want one rollback to cycle 3", iters, res.Events)
+		}
+		gridsMatch(t, res.Grid, Sequential(NewGrid(17), iters))
 	}
 }
 

@@ -264,7 +264,7 @@ type ftTask struct {
 	executed int // monotonic executed-cycle count (crash injection key)
 
 	rows, off int
-	cur, next block
+	cur       block
 	scratch   []float64
 	sendBuf   []byte // reused border-frame buffer (one goroutine owns the task)
 
@@ -597,7 +597,7 @@ func (t *ftTask) awaitBorder(owner, g, cycle int, into []float64) error {
 // run is the rank's whole life: compute, detect, recover, finish.
 func (t *ftTask) run() error {
 	t.rows, t.off = t.own.Count(t.rank), t.own.First(t.rank)
-	t.cur, t.next = newBlock(t.rows, t.n), newBlock(t.rows, t.n)
+	t.cur = newBlock(t.rows, t.n)
 	if t.off == 0 {
 		initialRow(t.cur.row(1), 0)
 	}
@@ -645,14 +645,16 @@ func (t *ftTask) computeRows(lo, hi int) {
 	if t.opts.WorkFactor != nil {
 		factor *= float64(t.opts.WorkFactor[t.rank])
 	}
-	updateRows(t.next, t.cur, t.off, t.n, lo, hi, loadReps(factor), t.scratch, nil)
+	t.cur.sweep(t.off, t.n, lo, hi, loadReps(factor), t.scratch, nil)
 }
 
 // computeLoop runs iterations until completion or a recovery signal. It is
 // the one cycle loop outside the driver (driver.go): every receive here is a
 // bounded, pump-driven wait that can end in a failure verdict and a rollback,
 // which the driver's blocking link cannot express. The exchange order and
-// the row update (updateRows) are the driver's.
+// the in-place row update (block.sweep) are the driver's; a cycle abandoned
+// between its spans leaves the block half updated, and recovery never reads
+// it — it rebuilds from checkpoints.
 func (t *ftTask) computeLoop() error {
 	for t.iter < t.iters {
 		if t.needRecovery {
@@ -703,7 +705,7 @@ func (t *ftTask) computeLoop() error {
 				t.computeRows(t.rows, t.rows)
 			}
 		}
-		t.cur, t.next = t.next, t.cur
+		t.cur.flip()
 		cycleMs := float64(time.Since(cycleStart)) / float64(time.Millisecond)
 		t.cycleMs.Observe(cycleMs)
 		if t.opts.Cycles != nil {
@@ -1037,7 +1039,7 @@ func (t *ftTask) applyRecovery(dl []int, parts []int) error {
 
 	// Build the new block: regenerate (c*=0), keep local rows, then absorb
 	// incoming batches until every expected row arrived.
-	ncur, nnext := newBlock(newRows, t.n), newBlock(newRows, t.n)
+	ncur := newBlock(newRows, t.n)
 	have := make([]bool, newRows)
 	pending := 0
 	for g := newOff; g < newOff+newRows; g++ {
@@ -1117,7 +1119,7 @@ func (t *ftTask) applyRecovery(dl []int, parts []int) error {
 	t.vec = newVec
 	t.own = newOwn
 	t.rows, t.off = newRows, newOff
-	t.cur, t.next = ncur, nnext
+	t.cur = ncur
 	t.iter = cstar
 	// t.borders intentionally survives too: a neighbor that committed
 	// first may already have sent post-rollback ghost rows, and border

@@ -11,51 +11,114 @@ package stencil
 // results stay bit-for-bit identical (golden tests in grid_test.go pin both
 // against the reference kernel, kernel_test.go one against the other).
 
-import "sync"
+import "math"
 
 // colTile is the column-tile width of the cache-blocked full-grid sweep:
 // three active rows of one tile (3 × 512 × 8 B = 12 KiB) sit comfortably
 // in L1 even with write-allocate traffic for the destination tile.
 const colTile = 512
 
-// block is a task-local band of grid rows in one flat row-major
-// allocation: rows data rows at local indices 1..rows, plus the north and
-// south ghost rows at 0 and rows+1.
+// block is a task-local band of grid rows in one flat row-major allocation,
+// updated in place. The logical rows — data rows 1..rows between the north
+// and south ghost rows 0 and rows+1 — occupy rows+2 of rows+3 storage rows,
+// logical row i at storage row i+shift. A sweep with shift 1 walks the rows
+// upwards and writes new row i into storage row i, over old row i-1; with
+// shift 0 it walks them downwards and writes new row i into storage row i+1,
+// over old row i+1; flip then toggles shift. The destination is always a row
+// the sweep has just read, so a point costs one line read and one written
+// back (16 B) where a second block adds a write-allocate fetch (24 B), and
+// the working set is one block, not two.
 type block struct {
-	width int
-	cells []float64
+	width, rows, shift int
+	cells              []float64
+	// stash holds old rows held and held+1 (held 0: nothing) for a cycle whose
+	// first span starts behind rows still to be updated and overwrites their
+	// operands: STEN-2's interior span, which runs before the edge rows.
+	// swept says that a span of this cycle has run.
+	stash []float64
+	held  int
+	swept bool
 }
 
-// newBlock allocates a zeroed block of rows data rows plus two ghost rows.
+// newBlock allocates a zeroed block of rows data rows plus two ghost rows,
+// and its stash, so that the sweep never allocates.
 func newBlock(rows, width int) block {
-	return block{width: width, cells: make([]float64, (rows+2)*width)}
+	return block{width: width, rows: rows, shift: 1,
+		cells: make([]float64, (rows+3)*width), stash: make([]float64, 2*width)}
 }
-
-// blockPool recycles the driver's next blocks between runs. The final cur
-// blocks leave with the caller as the result's rows, so only a block that was
-// next when its rank finished, or that a rebalance replaced, comes back here.
-var blockPool sync.Pool
-
-// getBlock is newBlock without the zeroing guarantee: a recycled block
-// keeps whatever an earlier run left in it. That suits a rank's next block
-// and nothing else — every data row is written before the swap makes it
-// cur, and a ghost row is received before it is read.
-func getBlock(rows, width int) block {
-	need := (rows + 2) * width
-	if p, _ := blockPool.Get().(*[]float64); p != nil && cap(*p) >= need {
-		return block{width: width, cells: (*p)[:need]}
-	}
-	return newBlock(rows, width)
-}
-
-// putBlock recycles a block nothing refers to any more.
-func putBlock(b block) { blockPool.Put(&b.cells) }
 
 // row returns the local row i as a slice view into the backing array.
 //
 //netpart:hotpath
-func (b block) row(i int) []float64 {
+func (b *block) row(i int) []float64 {
+	i += b.shift
 	return b.cells[i*b.width : (i+1)*b.width]
+}
+
+// old returns local row i as the cycle found it: the stashed copy if there is
+// one, because the row itself may have been overwritten since.
+//
+//netpart:hotpath
+func (b *block) old(i int) []float64 {
+	if k := i - b.held; b.held > 0 && uint(k) < 2 {
+		return b.stash[k*b.width : (k+1)*b.width]
+	}
+	return b.row(i)
+}
+
+// flip ends a cycle that swept every data row: the new rows sit one storage
+// row from where the old ones were, and the next sweep runs the other way.
+func (b *block) flip() {
+	b.shift ^= 1
+	b.held, b.swept = 0, false
+}
+
+// sweep advances local rows [lo, hi] of a block that starts at global row off
+// by one Jacobi step: the grid's first and last rows are copied, every other
+// row gets the five-point update, each into the storage of the old row behind
+// it (dst is exactly up or exactly down, which updateSpan allows). The spans
+// of one cycle partition 1..rows, and only the first may start behind a row
+// not yet updated (STEN-2: the interior, then the edge rows in either order).
+// Such a span is about to destroy two old rows which that row's update reads
+// — its own first row and the one behind — and stashes them; a span at the
+// sweep's leading edge (STEN-1's one span) or behind an updated row, which
+// any later span is, stashes nothing. reps > 1 first redoes each update
+// reps-1 times into scratch, while the operands are intact, making the rank
+// behave like a proportionally slower processor. A non-nil delta is raised to
+// the largest point change seen. Shared by the driver and the fault-tolerant
+// runtime.
+//
+//netpart:hotpath
+func (b *block) sweep(off, n, lo, hi, reps int, scratch []float64, delta *float64) {
+	back := 1 - 2*b.shift // new row i takes the storage of old row i+back
+	first, last := hi, lo
+	if back < 0 {
+		first, last = lo, hi
+	}
+	if e := first + back; !b.swept && e >= 1 && e <= b.rows {
+		b.held = min(e, first)
+		copy(b.stash, b.cells[(b.held+b.shift)*b.width:(b.held+b.shift+2)*b.width])
+	}
+	b.swept = true
+	for li := first; li != last-back; li -= back {
+		dst, cur := b.row(li+back), b.old(li)
+		if g := off + li - 1; g == 0 || g == n-1 {
+			copy(dst, cur)
+			continue
+		}
+		up, down := b.old(li-1), b.old(li+1)
+		for extra := 1; extra < reps; extra++ {
+			updateRow(scratch, cur, up, down)
+		}
+		updateRow(dst, cur, up, down)
+		if delta != nil {
+			for c := 1; c < n-1; c++ {
+				if d := math.Abs(dst[c] - cur[c]); d > *delta {
+					*delta = d
+				}
+			}
+		}
+	}
 }
 
 // useAVX2 is decided once, here, from what the processor and the operating
@@ -70,8 +133,13 @@ const vectorMinSpan = 8
 
 // updateSpan computes the five-point Jacobi update of columns [lo, hi) of
 // one row: dst[j] = (up[j] + down[j] + cur[j-1] + cur[j+1]) * 0.25. The
-// span must be interior (lo >= 1, hi <= len(cur)-1), and dst must not be
-// cur. This is the one place the kernel is chosen: with AVX2 the vector
+// span must be interior (lo >= 1, hi <= len(cur)-1). dst may be a row of its
+// own, or exactly up, or exactly down — the same words at the same offset,
+// which is how the in-place sweep calls it: on either path every point (every
+// lane) loads up[j] and down[j] before it stores dst[j], and no other point
+// reads them. dst may overlap up or down in no other way, and cur not at all:
+// cur is read at j-1 and j+1, so a point would see its neighbour's new value.
+// This is the one place the kernel is chosen: with AVX2 the vector
 // routine takes every whole group of four points and the Go loop the 0-3
 // left over; without it, or on a short span, the Go loop takes them all.
 // Reslicing hoists its bounds checks and the 4-wide unroll keeps the FP

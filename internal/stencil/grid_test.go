@@ -1,6 +1,11 @@
 package stencil
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 // seedUpdateRow is the original (pre-flat-grid) row kernel, kept verbatim
 // as the bit-identity reference: dst[j] = (up[j] + down[j] + cur[j-1] +
@@ -99,6 +104,118 @@ func TestLiveMatchesSeedKernel(t *testing.T) {
 					for j := range want[i] {
 						if res.Grid[i][j] != want[i][j] {
 							t.Fatalf("n=%d %v: grid[%d][%d] = %v, seed %v", n, v, i, j, res.Grid[i][j], want[i][j])
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// sweepCycle takes b through one cycle as rankState.cycles does: v's spans in
+// the driver's order, ghosts called where the driver receives them, the flip.
+func sweepCycle(b *block, v Variant, off, n, reps int, scratch []float64, delta *float64, ghosts func()) {
+	if v == STEN1 {
+		ghosts()
+		b.sweep(off, n, 1, b.rows, reps, scratch, delta)
+	} else {
+		if b.rows > 2 {
+			b.sweep(off, n, 2, b.rows-1, reps, scratch, delta)
+		}
+		ghosts()
+		b.sweep(off, n, 1, 1, reps, scratch, delta)
+		if b.rows > 1 {
+			b.sweep(off, n, b.rows, b.rows, reps, scratch, delta)
+		}
+	}
+	b.flip()
+}
+
+// TestBlockSweepMatchesTwoArrays drives the in-place sweep directly, on
+// blocks that have no zeros to hide behind: every driver-level test starts
+// from NewGrid (row 0 hot, the rest 0), where a wrong operand far from row 0
+// multiplies zeros for the first dozen cycles and passes. Here every value is
+// random and the ghost rows are fresh each cycle. Blocks of 1..7 rows, placed
+// first, in the middle, last or alone in the grid (global rows 0 and n-1 are
+// copied), swept in STEN-1's and STEN-2's call orders — the ghosts arriving
+// after the interior span, as in cycles — for six cycles from each starting
+// parity, with and without repeats and the convergence delta, must equal a
+// two-array reference bit for bit after every cycle. The repeats run on
+// operands the real update has not yet overwritten: what they leave in
+// scratch is one of the cycle's new rows.
+func TestBlockSweepMatchesTwoArrays(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1994))
+		value := func() float64 { return math.Ldexp(2*rng.Float64()-1, rng.Intn(40)-20) }
+		fill := func(rows ...[]float64) {
+			for j := range rows[0] {
+				v := value()
+				for _, row := range rows {
+					row[j] = v
+				}
+			}
+		}
+		for rows := 1; rows <= 7; rows++ {
+			for _, place := range []string{"first", "middle", "last", "alone"} {
+				n, off := 24, 0 // 22 interior columns: vector steps of 8, 8 and 4, then 2 scalar
+				switch place {
+				case "middle":
+					off = 9
+				case "last":
+					off = n - rows
+				case "alone":
+					n = rows // below vectorMinSpan: the Go loop alone
+				}
+				for c := 0; c < 16; c++ {
+					v, flipped, reps, withDelta := Variant(c&1), c&2 != 0, 1+c>>2&1, c&8 != 0
+					b := newBlock(rows, n)
+					if flipped {
+						b.flip()
+					}
+					ref, next := make([][]float64, rows+2), make([][]float64, rows+2)
+					for i := range ref {
+						ref[i], next[i] = make([]float64, n), make([]float64, n)
+						fill(ref[i], b.row(i))
+					}
+					scratch := make([]float64, n)
+					for cycle := 0; cycle < 6; cycle++ {
+						var got, want float64
+						delta := &got
+						if !withDelta {
+							delta = nil
+						}
+						ghosts := func() {
+							fill(ref[0], b.row(0))
+							fill(ref[rows+1], b.row(rows+1))
+						}
+						sweepCycle(&b, v, off, n, reps, scratch, delta, ghosts)
+						for i := 1; i <= rows; i++ {
+							if g := off + i - 1; g == 0 || g == n-1 {
+								copy(next[i], ref[i])
+								continue
+							}
+							seedUpdateRow(next[i], ref[i], ref[i-1], ref[i+1])
+							for j := 1; j < n-1; j++ {
+								want = max(want, math.Abs(next[i][j]-ref[i][j]))
+							}
+						}
+						ref, next = next, ref
+						repeated := reps == 1 || n < 3 || rows == 1 && place != "middle"
+						for i := 1; i <= rows; i++ {
+							for j, w := range ref[i] {
+								if math.Float64bits(b.row(i)[j]) != math.Float64bits(w) {
+									t.Fatalf("%d rows %s %s flipped=%v reps=%d cycle %d: row %d column %d = %v, two arrays give %v",
+										rows, place, v, flipped, reps, cycle, i, j, b.row(i)[j], w)
+								}
+							}
+							repeated = repeated || slices.Equal(scratch, ref[i])
+						}
+						if !repeated {
+							t.Fatalf("%d rows %s %s flipped=%v cycle %d: scratch holds none of the new rows", rows, place, v, flipped, cycle)
+						}
+						if withDelta && got != want {
+							t.Fatalf("%d rows %s %s flipped=%v reps=%d cycle %d: delta %v, two arrays give %v",
+								rows, place, v, flipped, reps, cycle, got, want)
 						}
 					}
 				}

@@ -6,9 +6,12 @@
 // [0, n), n a positive multiple of 4. Each lane does the scalar loop's
 // operations in the scalar loop's order with the same IEEE rounding: no FMA,
 // no reassociation, MXCSR as the caller left it (so denormals are computed,
-// not flushed). Loads and stores are unaligned; dst may not overlap the
-// inputs ahead of the element being written (updateSpan's callers write a
-// different block).
+// not flushed). Loads and stores are unaligned. dst may be up or down itself
+// (same address: the in-place sweep): each step's loads all precede its
+// stores, and a step stores only the words of up and down it loaded. Any
+// other overlap of dst with up or down, and any overlap with left or right —
+// one row seen one word apart, so a step would load what the step before
+// stored — is not allowed.
 TEXT ·spanAVX2(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ up+8(FP), SI

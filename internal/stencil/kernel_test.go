@@ -80,7 +80,9 @@ func aligned32(buf []float64) []float64 {
 // left after the whole groups of four goes through the scalar expression, as
 // in updateSpan), every 8-byte offset 0..3 of each of the five operands from
 // a 32-byte boundary, and values from kernelValue. The words after the span
-// must come out untouched.
+// must come out untouched. The two overlaps the in-place sweep uses — dst the
+// very same words as up, and as down — must give the disjoint call's bits at
+// every alignment of the four inputs.
 func TestSpanAVX2BitIdentical(t *testing.T) {
 	if !cpuHasAVX2() {
 		t.Skip("no AVX2 on this machine")
@@ -93,6 +95,7 @@ func TestSpanAVX2BitIdentical(t *testing.T) {
 	}
 	want := make([]float64, maxLen)
 	sentinel := make([]float64, guard)
+	saved := make([]float64, maxLen+guard)
 	for m := 0; m <= maxLen; m++ {
 		// Fresh operands per length; each offset combination then sees them
 		// at a different alignment and pairing.
@@ -129,13 +132,38 @@ func TestSpanAVX2BitIdentical(t *testing.T) {
 					t.Fatalf("len %d offsets %010b: wrote %d past the span", m, offs, j)
 				}
 			}
+			if offs&3 != 0 {
+				continue // dst's own offset plays no part below
+			}
+			for i, alias := range [][]float64{u, w} {
+				name := [...]string{"up", "down"}[i]
+				copy(saved, alias)
+				if n > 0 {
+					spanAVX2(&alias[0], &u[0], &w[0], &l[0], &r[0], n)
+				}
+				for j := n; j < m; j++ {
+					alias[j] = (u[j] + w[j] + l[j] + r[j]) * 0.25
+				}
+				for j, v := range saved[:len(alias)] {
+					if j < m {
+						v = want[j]
+					}
+					if math.Float64bits(alias[j]) != math.Float64bits(v) {
+						t.Fatalf("len %d offsets %010b point %d, dst == %s: %x, disjoint %x",
+							m, offs, j, name, math.Float64bits(alias[j]), math.Float64bits(v))
+					}
+				}
+				copy(alias, saved)
+			}
 		}
 	}
 }
 
 // TestUpdateSpanPathsAgree holds the two paths of the dispatch itself to
 // each other over every span length and starting column, on the same
-// operand classes.
+// operand classes — and each path, called with dst == up and with dst ==
+// down, to its own disjoint call: the span's points the same bits, the rest
+// of the aliased row untouched.
 func TestUpdateSpanPathsAgree(t *testing.T) {
 	if !cpuHasAVX2() {
 		t.Skip("no AVX2 on this machine")
@@ -158,6 +186,23 @@ func TestUpdateSpanPathsAgree(t *testing.T) {
 			for j := range want {
 				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 					t.Fatalf("span [%d, %d) column %d: avx2 %x, go %x", lo, hi, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+				}
+			}
+			for i, alias := range [][]float64{up, down} {
+				name := [...]string{"up", "down"}[i]
+				for _, useAVX2 = range []bool{false, true} {
+					copy(got, alias)
+					updateSpan(alias, cur, up, down, lo, hi)
+					for j, v := range got {
+						if j >= lo && j < hi {
+							v = want[j]
+						}
+						if math.Float64bits(alias[j]) != math.Float64bits(v) {
+							t.Fatalf("span [%d, %d) column %d, dst == %s, avx2 %v: %x, disjoint %x",
+								lo, hi, j, name, useAVX2, math.Float64bits(alias[j]), math.Float64bits(v))
+						}
+					}
+					copy(alias, got)
 				}
 			}
 		}

@@ -147,8 +147,8 @@ func (l simLink) Rank() int { return l.t.Rank() }
 func (l simLink) Size() int { return l.t.NumTasks() }
 
 // Send charges the paper's 4N bytes for the border. The values are copied:
-// the sim delivers them at a later virtual time, after this task may have
-// swapped and begun overwriting the row.
+// the sim delivers them at a later virtual time, after this task has begun
+// overwriting the row in place.
 func (l simLink) Send(dst int, h halo) error {
 	h.vals = append([]float64(nil), h.vals...)
 	l.t.Send(dst, BytesPerPoint*len(h.vals), h)
@@ -174,7 +174,7 @@ const overlapPoints = 4096
 // scheduler trip and overlaps the update with it: while the rank is parked
 // for the charged time the scheduler runs the ranks that compute at the same
 // virtual time, and their updates run beside this one on whatever cores
-// there are. Joining before the return keeps the swap and the next Send
+// there are. Joining before the return keeps the flip and the next Send
 // behind the update, so no other goroutine sees a block mid-write and
 // virtual time does not see the update at all. A panic in the update is
 // carried over the join and raised again here, on the rank's goroutine,
