@@ -1,10 +1,10 @@
 // netpartlint is the project's static-analysis gate: it runs the
-// internal/analysis suite — determinism, hotpath, allocfree, msgproto,
-// poollifetime, poolflow, concsafety, units, obsnil, errcheck — over the
-// module and fails the build on any violation. The
-// analyzers machine-check the invariants the partitioner's correctness
-// rests on (see DESIGN.md §7 and the README's "Static analysis" section);
-// CI runs `go run ./cmd/netpartlint ./...` as a hard gate.
+// internal/analysis suite — determinism, allocfree, msgproto, poolflow,
+// concsafety, units, obsnil, errcheck — over the module and fails the
+// build on any violation. The analyzers machine-check the invariants the
+// partitioner's correctness rests on (see DESIGN.md §7 and the README's
+// "Static analysis" section); CI runs `go run ./cmd/netpartlint ./...` as
+// a hard gate.
 //
 // Usage:
 //
@@ -70,12 +70,7 @@ func run(args []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "netpartlint:", err)
-		return 2
-	}
-	root, modPath, err := analysis.FindModuleRoot(cwd)
+	root, modPath, err := analysis.FindModuleRoot(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netpartlint:", err)
 		return 2

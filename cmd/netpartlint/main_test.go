@@ -82,7 +82,7 @@ func TestWriteNDJSON(t *testing.T) {
 func TestWriteNDJSONSorted(t *testing.T) {
 	diags := []analysis.Diagnostic{
 		{Analyzer: "units", Pos: token.Position{Filename: "z/late.go", Line: 3}, Message: "m3"},
-		{Analyzer: "hotpath", Pos: token.Position{Filename: "a/early.go", Line: 90}, Message: "m2"},
+		{Analyzer: "poolflow", Pos: token.Position{Filename: "a/early.go", Line: 90}, Message: "m2"},
 		{Analyzer: "msgproto", Pos: token.Position{Filename: "a/early.go", Line: 7}, Message: "m1"},
 		{Analyzer: "allocfree", Pos: token.Position{Filename: "a/early.go", Line: 7}, Message: "m0"},
 	}

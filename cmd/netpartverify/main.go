@@ -61,92 +61,66 @@ type record struct {
 }
 
 func run(args []string, stdout io.Writer) int {
-	fs := flag.NewFlagSet("netpartverify", flag.ExitOnError)
-	maxP := fs.Int("p", 5, "largest world size; every P in 2..p is checked")
-	sem := fs.String("sem", "both", "message semantics: rendezvous, buffered, or both")
-	capacity := fs.Int("cap", 1, "per-channel buffer capacity under buffered semantics")
-	asJSON := fs.Bool("json", false, "emit one NDJSON record per check")
-	traceDir := fs.String("trace-dir", "", "write violation counterexample traces into this directory")
-	verbose := fs.Bool("v", false, "report every system checked, not per-protocol summaries")
-	maxStates := fs.Int("max-states", 0, "state-count cap per check (0: checker default)")
-	if err := fs.Parse(args); err != nil {
+	v, patterns, ok := parseArgs(args, stdout)
+	if !ok {
 		return 2
 	}
-	var sems []protomc.Semantics
-	switch *sem {
-	case "both":
-		sems = []protomc.Semantics{protomc.Rendezvous, protomc.Buffered}
-	case "rendezvous":
-		sems = []protomc.Semantics{protomc.Rendezvous}
-	case "buffered":
-		sems = []protomc.Semantics{protomc.Buffered}
-	default:
-		fmt.Fprintf(os.Stderr, "netpartverify: -sem %q is not rendezvous, buffered, or both\n", *sem)
-		return 2
-	}
-	if *maxP < 2 {
-		fmt.Fprintln(os.Stderr, "netpartverify: -p must be at least 2")
-		return 2
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	cwd, err := os.Getwd()
+	pkgs, ip, err := load(patterns)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netpartverify:", err)
 		return 2
 	}
-	root, modPath, err := analysis.FindModuleRoot(cwd)
+	return v.verify(pkgs, ip)
+}
+
+// load type-checks the packages the patterns name, from the module that
+// encloses the working directory, and solves the call graph over them.
+func load(patterns []string) ([]*analysis.Package, *analysis.Interproc, error) {
+	root, modPath, err := analysis.FindModuleRoot(".")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "netpartverify:", err)
-		return 2
+		return nil, nil, err
 	}
 	loader := analysis.NewLoader(root, modPath)
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "netpartverify:", err)
-		return 2
+		return nil, nil, err
 	}
-	for _, pkg := range pkgs {
-		for _, e := range pkg.TypeErrors {
-			fmt.Fprintf(os.Stderr, "netpartverify: %s: type error: %v\n", pkg.Path, e)
-		}
-		if len(pkg.TypeErrors) > 0 {
-			return 2
-		}
-	}
-	protos, diags, err := analysis.ExtractProtos(pkgs, loader.Interproc())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "netpartverify:", err)
-		return 2
-	}
-	bad := 0
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-		bad++
-	}
-	sort.Slice(protos, func(i, j int) bool { return protos[i].Fn < protos[j].Fn })
+	return pkgs, loader.Interproc(), nil
+}
 
-	v := &verifier{
-		stdout: stdout, sems: sems, maxP: *maxP, capacity: *capacity,
-		maxStates: *maxStates, asJSON: *asJSON, traceDir: *traceDir, verbose: *verbose,
+// parseArgs turns the command line into a configured verifier and the
+// package patterns to load; ok is false after a usage error was reported.
+func parseArgs(args []string, stdout io.Writer) (v *verifier, patterns []string, ok bool) {
+	v = &verifier{stdout: stdout}
+	fs := flag.NewFlagSet("netpartverify", flag.ExitOnError)
+	fs.IntVar(&v.maxP, "p", 5, "largest world size; every P in 2..p is checked")
+	sem := fs.String("sem", "both", "message semantics: rendezvous, buffered, or both")
+	fs.IntVar(&v.capacity, "cap", 1, "per-channel buffer capacity under buffered semantics")
+	fs.BoolVar(&v.asJSON, "json", false, "emit one NDJSON record per check")
+	fs.StringVar(&v.traceDir, "trace-dir", "", "write violation counterexample traces into this directory")
+	fs.BoolVar(&v.verbose, "v", false, "report every system checked, not per-protocol summaries")
+	fs.IntVar(&v.maxStates, "max-states", 0, "state-count cap per check (0: checker default)")
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, false
 	}
-	for _, lp := range protos {
-		if err := v.verifyProto(lp); err != nil {
-			fmt.Fprintln(os.Stderr, "netpartverify:", err)
-			return 2
-		}
+	v.sems = map[string][]protomc.Semantics{
+		"both":       {protomc.Rendezvous, protomc.Buffered},
+		"rendezvous": {protomc.Rendezvous},
+		"buffered":   {protomc.Buffered},
+	}[*sem]
+	if v.sems == nil {
+		fmt.Fprintf(os.Stderr, "netpartverify: -sem %q is not rendezvous, buffered, or both\n", *sem)
+		return nil, nil, false
 	}
-	bad += v.violations
-	if !*asJSON {
-		fmt.Fprintf(stdout, "netpartverify: %d protocols, %d checks, %d violations\n",
-			len(protos), v.checks, bad)
+	if v.maxP < 2 {
+		fmt.Fprintln(os.Stderr, "netpartverify: -p must be at least 2")
+		return nil, nil, false
 	}
-	if bad > 0 {
-		return 1
+	patterns = fs.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-	return 0
+	return v, patterns, true
 }
 
 // verifier drives the instantiate/check/replay loop and owns the output.
@@ -164,10 +138,48 @@ type verifier struct {
 	traceSeq   int
 }
 
+// verify extracts and checks every lockstep protocol of the loaded
+// packages and returns the command's exit status. ip is the interprocedural
+// state of the loader the packages came from.
+func (v *verifier) verify(pkgs []*analysis.Package, ip *analysis.Interproc) int {
+	for _, pkg := range pkgs {
+		for _, e := range pkg.TypeErrors {
+			fmt.Fprintf(os.Stderr, "netpartverify: %s: type error: %v\n", pkg.Path, e)
+		}
+		if len(pkg.TypeErrors) > 0 {
+			return 2
+		}
+	}
+	protos, diags, err := analysis.ExtractProtos(pkgs, ip)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "netpartverify:", err)
+		return 2
+	}
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, d)
+	}
+	sort.Slice(protos, func(i, j int) bool { return protos[i].Fn < protos[j].Fn })
+	for _, lp := range protos {
+		if err := v.verifyProto(lp); err != nil {
+			fmt.Fprintln(os.Stderr, "netpartverify:", err)
+			return 2
+		}
+	}
+	bad := len(diags) + v.violations
+	if !v.asJSON {
+		fmt.Fprintf(v.stdout, "netpartverify: %d protocols, %d checks, %d violations\n",
+			len(protos), v.checks, bad)
+	}
+	if bad > 0 {
+		return 1
+	}
+	return 0
+}
+
 // verifyProto checks one lockstep protocol at every P and semantics.
 func (v *verifier) verifyProto(lp *analysis.LockstepProto) error {
 	for p := 2; p <= v.maxP; p++ {
-		systems, err := v.systemsAt(lp, p)
+		systems, err := systemsAt(lp, p)
 		if err != nil {
 			return err
 		}
@@ -179,8 +191,8 @@ func (v *verifier) verifyProto(lp *analysis.LockstepProto) error {
 				continue
 			}
 			agg := struct {
-				states, transitions, depth, maxq, bad int
-				elapsed                               time.Duration
+				states, depth, maxq, bad int
+				elapsed                  time.Duration
 			}{}
 			for _, sys := range systems {
 				cfg := protomc.Config{Sem: sem, Capacity: v.capacity, MaxStates: v.maxStates}
@@ -209,14 +221,9 @@ func (v *verifier) verifyProto(lp *analysis.LockstepProto) error {
 					}
 				}
 				agg.states += res.States
-				agg.transitions += res.Transitions
 				agg.elapsed += elapsed
-				if res.Depth > agg.depth {
-					agg.depth = res.Depth
-				}
-				if res.MaxInFlight > agg.maxq {
-					agg.maxq = res.MaxInFlight
-				}
+				agg.depth = max(agg.depth, res.Depth)
+				agg.maxq = max(agg.maxq, res.MaxInFlight)
 				if v.asJSON {
 					if err := json.NewEncoder(v.stdout).Encode(rec); err != nil {
 						return err
@@ -242,7 +249,7 @@ func (v *verifier) verifyProto(lp *analysis.LockstepProto) error {
 // systemsAt instantiates lp at world size p: the extracted symbolic
 // protocol over every shared-parameter assignment, or every instance of
 // the builtin model the directive named.
-func (v *verifier) systemsAt(lp *analysis.LockstepProto, p int) ([]*protomc.System, error) {
+func systemsAt(lp *analysis.LockstepProto, p int) ([]*protomc.System, error) {
 	if lp.Model != "" {
 		return builtinSystems(lp.Model, p)
 	}
@@ -307,9 +314,5 @@ func sanitize(name string) string {
 
 // indent prefixes every line of s with two spaces.
 func indent(s string) string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	for i, l := range lines {
-		lines[i] = "  " + l
-	}
-	return strings.Join(lines, "\n") + "\n"
+	return "  " + strings.ReplaceAll(strings.TrimRight(s, "\n"), "\n", "\n  ") + "\n"
 }

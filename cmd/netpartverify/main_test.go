@@ -3,14 +3,70 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"netpart/internal/analysis"
 	"netpart/internal/analysis/protomc"
 )
+
+// The whole-tree tests and the benchmark share one loaded module:
+// type-checking it from source costs seconds, checking its protocols
+// milliseconds. TestMain fails the binary if typecheckModule ever ran
+// twice.
+var (
+	moduleLoads atomic.Int32 // whole-module type-checks in this test binary
+	module      struct {
+		once sync.Once
+		pkgs []*analysis.Package
+		ip   *analysis.Interproc
+		err  error
+	}
+)
+
+// typecheckModule loads the whole module the way run would. Tests reach it
+// through loadModule.
+func typecheckModule() ([]*analysis.Package, *analysis.Interproc, error) {
+	moduleLoads.Add(1)
+	return load([]string{"./..."})
+}
+
+// loadModule returns the shared module, loading it on first use, whatever
+// the test order or the -run selection.
+func loadModule(tb testing.TB) ([]*analysis.Package, *analysis.Interproc) {
+	tb.Helper()
+	module.once.Do(func() { module.pkgs, module.ip, module.err = typecheckModule() })
+	if module.err != nil {
+		tb.Fatal(module.err)
+	}
+	return module.pkgs, module.ip
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if n := moduleLoads.Load(); n > 1 {
+		fmt.Fprintf(os.Stderr, "the module was type-checked %d times in one test binary; share loadModule's copy\n", n)
+		code = 1
+	}
+	os.Exit(code)
+}
+
+// runModule is run over the shared module: the command line is parsed as
+// run parses it, and the loaded packages are handed to the step run would
+// hand its own to.
+func runModule(t *testing.T, stdout *bytes.Buffer, args ...string) int {
+	t.Helper()
+	v, _, ok := parseArgs(args, stdout)
+	if !ok {
+		t.Fatalf("arguments %v rejected", args)
+	}
+	return v.verify(loadModule(t))
+}
 
 // jsonRecord mirrors record's wire form for decoding NDJSON output.
 type jsonRecord struct {
@@ -32,8 +88,14 @@ func runJSON(t *testing.T, args ...string) (int, []jsonRecord) {
 	t.Helper()
 	var buf bytes.Buffer
 	code := run(append([]string{"-json"}, args...), &buf)
+	return code, decodeRecords(t, &buf)
+}
+
+// decodeRecords decodes an NDJSON report.
+func decodeRecords(t *testing.T, buf *bytes.Buffer) []jsonRecord {
+	t.Helper()
 	var recs []jsonRecord
-	dec := json.NewDecoder(&buf)
+	dec := json.NewDecoder(buf)
 	for dec.More() {
 		var r jsonRecord
 		if err := dec.Decode(&r); err != nil {
@@ -41,7 +103,7 @@ func runJSON(t *testing.T, args ...string) (int, []jsonRecord) {
 		}
 		recs = append(recs, r)
 	}
-	return code, recs
+	return recs
 }
 
 // TestRealProtocolsProved is the acceptance run: every lockstep protocol
@@ -57,7 +119,9 @@ func TestRealProtocolsProved(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explores the full module state space")
 	}
-	code, recs := runJSON(t, "-p", "5")
+	var out bytes.Buffer
+	code := runModule(t, &out, "-json", "-p", "5")
+	recs := decodeRecords(t, &out)
 	if code != 0 {
 		for _, r := range recs {
 			if r.Violation != nil {
@@ -116,7 +180,7 @@ func TestDeclaredBufferedIsSkippedNotPassed(t *testing.T) {
 		t.Skip("typechecks the whole module from source")
 	}
 	var buf bytes.Buffer
-	if code := run([]string{"-p", "2"}, &buf); code != 0 {
+	if code := runModule(t, &buf, "-p", "2"); code != 0 {
 		t.Fatalf("exit code = %d, want 0\n%s", code, buf.String())
 	}
 	var skip, okBuffered bool
@@ -266,6 +330,73 @@ func TestSeededDoubleSend(t *testing.T) {
 	}
 }
 
+// TestHubRounds covers the hub-and-peer rounds of rounds.go. The round
+// done right verifies clean at every P under both semantics; each seeded
+// defect yields a counterexample of the kind it is, confirmed by simnet
+// replay.
+func TestHubRounds(t *testing.T) {
+	code, recs := runJSON(t, "-p", "3", fixturePattern)
+	if code != 1 {
+		t.Fatalf("exit code = %d, want 1", code)
+	}
+	// lostRound blocks on its unmatched sends under rendezvous and ends with
+	// them queued under buffering; peerSkew's decode mismatch needs the
+	// message delivered, so it shows under buffering.
+	wantKinds := map[string][]string{
+		"lostRound":     {"deadlock", "leftover"},
+		"selfRound":     {"bad-peer"},
+		"deadlockRound": {"deadlock"},
+		"peerSkew":      {"skew"},
+	}
+	clean, confirmed := 0, map[string]map[string]bool{}
+	for _, r := range recs {
+		name := strings.TrimPrefix(r.Protocol, "protofix.")
+		if name == "goodRound" {
+			if r.Violation != nil {
+				t.Errorf("goodRound P=%d %s: %s", r.P, r.Sem, r.Violation)
+			}
+			clean++
+		}
+		if wantKinds[name] == nil || r.Violation == nil {
+			continue
+		}
+		if r.Replay == nil || !r.Replay.Confirmed {
+			t.Errorf("%s P=%d %s: replay did not confirm: %+v (err %q)", name, r.P, r.Sem, r.Replay, r.ReplayErr)
+			continue
+		}
+		if confirmed[name] == nil {
+			confirmed[name] = map[string]bool{}
+		}
+		confirmed[name][r.Violation.Kind] = true
+		if name == "selfRound" && !strings.Contains(r.Violation.Detail, "to itself") {
+			t.Errorf("selfRound P=%d %s: %s; want a send to itself", r.P, r.Sem, r.Violation.Detail)
+		}
+	}
+	if clean != 4 {
+		t.Errorf("goodRound checked %d times, want 4 (P=2,3 x both semantics)", clean)
+	}
+	for name, kinds := range wantKinds {
+		for _, kind := range kinds {
+			if !confirmed[name][kind] {
+				t.Errorf("%s: no confirmed %s counterexample; got %v", name, kind, confirmed[name])
+			}
+		}
+	}
+}
+
+// TestUnextractableIsRefused: netpartverify is the only checker of
+// //netpart:lockstep functions, so one it cannot extract fails the run
+// (exit 1) instead of passing unchecked.
+func TestUnextractableIsRefused(t *testing.T) {
+	code, recs := runJSON(t, "-p", "2", "./cmd/netpartverify/testdata/unextractable")
+	if code != 1 {
+		t.Errorf("exit code = %d, want 1", code)
+	}
+	if len(recs) != 0 {
+		t.Errorf("%d checks ran on an unextractable protocol, want none", len(recs))
+	}
+}
+
 // TestTraceDir writes counterexample trace files for artifact upload: one
 // JSON file per violation, each holding the schedule and replay report.
 func TestTraceDir(t *testing.T) {
@@ -321,20 +452,8 @@ func TestUnknownBuiltinModel(t *testing.T) {
 // latency ceiling in BENCH_policy.json guards. Extraction runs once
 // outside the loop: the checker, not the loader, is the hot path.
 func BenchmarkProtoVerify(b *testing.B) {
-	cwd, err := os.Getwd()
-	if err != nil {
-		b.Fatal(err)
-	}
-	root, modPath, err := analysis.FindModuleRoot(cwd)
-	if err != nil {
-		b.Fatal(err)
-	}
-	loader := analysis.NewLoader(root, modPath)
-	pkgs, err := loader.Load("./...")
-	if err != nil {
-		b.Fatal(err)
-	}
-	protos, diags, err := analysis.ExtractProtos(pkgs, loader.Interproc())
+	pkgs, ip := loadModule(b)
+	protos, diags, err := analysis.ExtractProtos(pkgs, ip)
 	if err != nil || len(diags) > 0 {
 		b.Fatalf("extraction: %v %v", err, diags)
 	}
@@ -348,12 +467,7 @@ func BenchmarkProtoVerify(b *testing.B) {
 		if lp.Buffered {
 			sems = sems[1:]
 		}
-		var batch []*protomc.System
-		if lp.Model != "" {
-			batch, err = builtinSystems(lp.Model, 4)
-		} else {
-			batch, err = protomc.InstantiateAll(lp.Proto, 4)
-		}
+		batch, err := systemsAt(lp, 4)
 		if err != nil {
 			b.Fatal(err)
 		}

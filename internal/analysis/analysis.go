@@ -5,14 +5,15 @@
 //
 // The analyzers encode the repository's runtime invariants as compile-time
 // checks — determinism of the partitioning pipeline, the zero-allocation
-// estimate hot path, sync.Pool buffer lifetimes in mmps, and nil-safety of
-// every observability hook. The contracts they enforce are driven by
-// source-level directives:
+// estimate hot path, wire-codec symmetry, sync.Pool buffer lifetimes in
+// mmps, and nil-safety of every observability hook. The contracts they
+// enforce are driven by source-level directives:
 //
 //	//netpart:deterministic   (package)  output must not depend on map order,
 //	                                     wall-clock time, or global rand
-//	//netpart:hotpath         (func)     body must not allocate outside
-//	                                     nil/cap-guarded slow paths
+//	//netpart:hotpath         (func)     neither the body nor anything it
+//	                                     calls may allocate outside nil/cap-
+//	                                     guarded slow paths
 //	//netpart:nilsafe         (package)  exported pointer methods must
 //	                                     nil-guard their receiver
 //	//netpart:nilhook         (type)     calls through this interface must be
@@ -36,18 +37,21 @@
 //	                                     wire group and side when its name does
 //	                                     not follow the EncodeX/DecodeX pattern
 //	//netpart:lockstep        (func)     the function's sends and receives form
-//	                                     a lockstep protocol round msgproto
-//	                                     checks for symmetry and deadlock;
-//	                                     model=<name> and sem=buffered are
-//	                                     netpartverify's (protoextract.go)
+//	                                     a lockstep protocol round. No analyzer
+//	                                     here reads it: netpartverify extracts
+//	                                     the round (protoextract.go) and model-
+//	                                     checks it, and refuses a function it
+//	                                     cannot extract; model=<name> and
+//	                                     sem=buffered are its arguments
 //
 // A finding is suppressed with an explained escape hatch on the same line:
 //
 //	//nolint:netpart reason=<why the invariant does not apply here>
 //
 // or scoped to one analyzer with //nolint:netpart/<name>. A suppression
-// whose reason is missing or empty is itself a diagnostic: unexplained
-// suppressions are how invariants rot.
+// whose reason is missing or empty, or whose <name> is not an analyzer of
+// the suite, is itself a diagnostic: unexplained suppressions, and ones
+// that outlive the check they waived, are how invariants rot.
 package analysis
 
 import (
@@ -56,6 +60,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -119,13 +124,14 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full netpartlint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Determinism, HotPath, AllocFree, MsgProto, PoolLifetime, PoolFlow, ConcSafety, Units, ObsNil, ErrCheck}
+	return []*Analyzer{Determinism, AllocFree, MsgProto, PoolFlow, ConcSafety, Units, ObsNil, ErrCheck}
 }
 
 // Check runs the given analyzers over one loaded package and returns the
 // surviving diagnostics: suppressions are applied, and malformed
-// suppressions (no reason) are reported as diagnostics of the pseudo
-// analyzer "nolint". Diagnostics come back sorted by position.
+// suppressions (no reason, or a scope that names no analyzer) are reported
+// as diagnostics of the pseudo analyzer "nolint". Diagnostics come back
+// sorted by position.
 func Check(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	all, err := CheckAll(pkg, analyzers)
 	if err != nil {
@@ -222,8 +228,14 @@ func parseSuppressions(fset *token.FileSet, file *ast.File) map[int][]suppressio
 
 // applySuppressions marks diagnostics covered by a well-formed
 // //nolint:netpart comment on the same line as Suppressed, and reports
-// malformed suppressions (empty reason) as diagnostics in their own right.
+// malformed suppressions (empty reason, or a scope outside the suite — the
+// waiver of a renamed or retired analyzer suppresses nothing) as
+// diagnostics in their own right.
 func applySuppressions(pkg *Package, diags []Diagnostic) []Diagnostic {
+	var names []string
+	for _, a := range Analyzers() {
+		names = append(names, a.Name)
+	}
 	byFile := map[string]map[int][]suppression{}
 	var malformed []Diagnostic
 	for _, f := range pkg.Files {
@@ -240,6 +252,13 @@ func applySuppressions(pkg *Package, diags []Diagnostic) []Diagnostic {
 						Analyzer: "nolint",
 						Pos:      s.pos,
 						Message:  "suppression without a reason: write //nolint:netpart reason=<why this line may break the invariant>",
+					})
+				}
+				if s.analyzer != "" && !slices.Contains(names, s.analyzer) {
+					malformed = append(malformed, Diagnostic{
+						Analyzer: "nolint",
+						Pos:      s.pos,
+						Message:  fmt.Sprintf("suppression scoped to %q, which is not an analyzer (valid: %s): it suppresses nothing", s.analyzer, strings.Join(names, ", ")),
 					})
 				}
 			}

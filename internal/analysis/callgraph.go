@@ -234,8 +234,8 @@ func (ip *Interproc) suppressedAt(pos token.Pos, analyzer string) bool {
 }
 
 // scanNode extracts the call sites of one declaration, tracking the
-// guarded-slow-path and return contexts hotpath's intraprocedural walk
-// uses. Closure bodies are included (folded into the enclosing node).
+// guarded-slow-path and return contexts the allocation solve needs.
+// Closure bodies are included (folded into the enclosing node).
 func (ip *Interproc) scanNode(node *FuncNode) {
 	info := node.Pkg.Info
 	var walk func(n ast.Node, guarded bool)

@@ -5,171 +5,14 @@ import (
 	"go/types"
 )
 
-// HotPath enforces the zero-allocation contract on functions annotated
-// //netpart:hotpath — the estimator's Estimate fast path, the search's
-// scratch-probe helpers, and the halo encode/decode codec. The annotated
-// contract (see DESIGN.md) is: the steady-state, observer-free execution
-// of the function performs no heap allocation, which is what keeps the
-// O(K·log2 P) runtime search cheap enough to re-run on every adaptation
-// cycle and what cmd/benchdiff's allocs/op gate measures dynamically.
-//
-// Inside an annotated function the analyzer flags, intra-procedurally:
-//
-//   - fmt.* calls (interface boxing plus formatting state) — except
-//     fmt.Errorf directly returned, which only runs on failure paths;
-//   - make/new and &T{...} allocations;
-//   - append through a local slice that was declared without capacity
-//     ("unsized append") — reslicing idioms like buf[:0] and appends into
-//     caller-owned or field-held scratch are accepted;
-//   - closures that capture enclosing variables (the capture forces the
-//     closure, and usually the captured variable, onto the heap);
-//   - explicit conversions of concrete values to interface types.
-//
-// Allocation is permitted under an explicit guard — an if whose condition
-// compares something to nil or inspects cap(...) — because those are the
-// two sanctioned slow paths: lazy one-time initialization / instrumented
-// observer branches, and first-use buffer growth.
-var HotPath = &Analyzer{
-	Name: "hotpath",
-	Doc:  "forbids heap-allocating constructs in //netpart:hotpath functions outside nil/cap-guarded slow paths",
-	Run:  runHotPath,
-}
+// The guard and declaration helpers behind the summary's allocation
+// recogniser (summary.go): which if statements are sanctioned slow paths,
+// whether an appended-to local slice was declared with capacity, and which
+// variable a closure captures.
 
-func runHotPath(pass *Pass) error {
-	for _, fd := range enclosingFuncDecls(pass.Files) {
-		if funcHasDirective(fd, "netpart:hotpath") {
-			checkHotFunc(pass, fd)
-		}
-	}
-	return nil
-}
-
-func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
-	checkHotSubtree(pass, fd, fd.Body)
-}
-
-// checkHotSubtree walks one hot region, pruning guarded slow paths (their
-// else branches stay hot and re-enter the walk).
-func checkHotSubtree(pass *Pass, fd *ast.FuncDecl, root ast.Node) {
-	walkStack(root, func(n ast.Node, stack []ast.Node) bool {
-		if ifs, ok := n.(*ast.IfStmt); ok && isGuardedSlowPath(ifs) {
-			if ifs.Else != nil {
-				checkHotSubtree(pass, fd, ifs.Else)
-			}
-			return false
-		}
-		checkHotNode(pass, fd, n, stack)
-		return true
-	})
-}
-
-func checkHotNode(pass *Pass, fd *ast.FuncDecl, n ast.Node, stack []ast.Node) {
-	info := pass.TypesInfo
-	switch x := n.(type) {
-	case *ast.CallExpr:
-		checkHotCall(pass, x, stack)
-	case *ast.UnaryExpr:
-		if x.Op.String() == "&" {
-			if _, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
-				pass.Reportf(x.Pos(), "&composite literal escapes to the heap on the hot path")
-			}
-		}
-	case *ast.FuncLit:
-		if capt := capturedVar(info, fd, x); capt != "" {
-			pass.Reportf(x.Pos(), "closure captures %q; captured closures allocate on the hot path", capt)
-		}
-	}
-}
-
-func checkHotCall(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
-	info := pass.TypesInfo
-	// Builtin allocators and unsized appends.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		switch id.Name {
-		case "make":
-			if isBuiltin(info, id) {
-				pass.Reportf(call.Pos(), "make allocates on the hot path; hoist the buffer into reusable scratch behind a cap guard")
-			}
-			return
-		case "new":
-			if isBuiltin(info, id) {
-				pass.Reportf(call.Pos(), "new allocates on the hot path")
-			}
-			return
-		case "append":
-			if isBuiltin(info, id) && len(call.Args) > 0 {
-				checkHotAppend(pass, call, stack)
-			}
-			return
-		}
-	}
-	// fmt calls.
-	if pkgPath, name := calleePkgFunc(info, call); pkgPath == "fmt" {
-		if name == "Errorf" && len(stack) > 0 {
-			if _, ok := stack[len(stack)-1].(*ast.ReturnStmt); ok {
-				return // error construction on the failure return only
-			}
-		}
-		pass.Reportf(call.Pos(), "fmt.%s allocates (formatting state and interface boxing) on the hot path", name)
-		return
-	}
-	// Explicit conversion to an interface type.
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		if _, isIface := tv.Type.Underlying().(*types.Interface); isIface {
-			if at := info.TypeOf(call.Args[0]); at != nil {
-				if _, argIface := at.Underlying().(*types.Interface); !argIface {
-					if b, basic := at.Underlying().(*types.Basic); !basic || b.Kind() != types.UntypedNil {
-						pass.Reportf(call.Pos(), "conversion to interface boxes the value on the hot path")
-					}
-				}
-			}
-		}
-	}
-}
-
-// checkHotAppend flags appends whose destination cannot amortize: a local
-// slice declared with no capacity. Reslice expressions (buf[:0]),
-// parameters, fields, and make-sized locals pass.
-func checkHotAppend(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
-	info := pass.TypesInfo
-	switch dst := ast.Unparen(call.Args[0]).(type) {
-	case *ast.SliceExpr:
-		return // reuse idiom: append(buf[:0], ...)
-	case *ast.Ident:
-		obj := identObj(info, dst)
-		if obj == nil {
-			return
-		}
-		decl := localSliceDecl(stack, obj)
-		if decl == nil {
-			return // parameter, field, or package-level scratch: caller-owned
-		}
-		if declHasCapacity(info, decl, obj) {
-			return
-		}
-		pass.Reportf(call.Pos(), "append to unsized local slice %q grows on the hot path; preallocate or reuse scratch", dst.Name)
-	default:
-		// Fresh-slice copies: append([]T(nil), ...) / append([]T{}, ...).
-		if tv, ok := info.Types[call.Args[0]]; ok && !tv.IsType() {
-			if _, isLit := ast.Unparen(call.Args[0]).(*ast.CompositeLit); isLit {
-				pass.Reportf(call.Pos(), "append to a fresh slice literal allocates on the hot path")
-			}
-		}
-		if ce, ok := ast.Unparen(call.Args[0]).(*ast.CallExpr); ok {
-			if tv, okt := info.Types[ce.Fun]; okt && tv.IsType() {
-				pass.Reportf(call.Pos(), "append to a fresh nil-converted slice allocates on the hot path")
-			}
-		}
-	}
-}
-
-// localSliceDecl finds the declaration node of obj among the enclosing
-// statements (nil when obj is not a local of this function).
-func localSliceDecl(stack []ast.Node, obj types.Object) ast.Node {
-	if len(stack) == 0 {
-		return nil
-	}
-	root := stack[0]
+// localSliceDecl finds the declaration node of obj inside the function
+// declaration root (nil when obj is not a local of this function).
+func localSliceDecl(root *ast.FuncDecl, obj types.Object) ast.Node {
 	if obj.Pos() < root.Pos() || obj.Pos() > root.End() {
 		return nil // declared outside this function
 	}

@@ -13,18 +13,7 @@ import (
 // reports zero violations on the tree as committed — the same gate
 // cmd/netpartlint enforces in CI, here kept under plain `go test`.
 func TestModuleLoadsAndIsLintClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks the whole module from source")
-	}
-	root, modPath, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := analysis.NewLoader(root, modPath)
-	pkgs, err := l.Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs, _ := loadModule(t)
 	if len(pkgs) < 25 {
 		t.Fatalf("loaded %d packages, expected the full module (>= 25)", len(pkgs))
 	}
@@ -51,25 +40,14 @@ func TestModuleLoadsAndIsLintClean(t *testing.T) {
 	}
 }
 
-// TestModuleIsAllocfreeClean is the interprocedural zero-alloc gate run
-// whole-tree under plain `go test`: every //netpart:hotpath function in
-// the module must prove allocation-free through its entire call tree, and
-// the wire/lockstep protocols must be symmetric. The hotpath-count floor
-// keeps the test honest — if the annotations were ever stripped, the
-// analyzers would pass vacuously and this fails instead.
+// TestModuleIsAllocfreeClean is the zero-alloc gate run whole-tree under
+// plain `go test`: every //netpart:hotpath function in the module must
+// prove allocation-free, in its own body and through its entire call tree,
+// and the wire codecs must be symmetric. The hotpath-count floor keeps the
+// test honest — if the annotations were ever stripped, the analyzers would
+// pass vacuously and this fails instead.
 func TestModuleIsAllocfreeClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks the whole module from source")
-	}
-	root, modPath, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := analysis.NewLoader(root, modPath)
-	pkgs, err := l.Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs, _ := loadModule(t)
 	subset := []*analysis.Analyzer{analysis.AllocFree, analysis.MsgProto}
 	hot := 0
 	for _, pkg := range pkgs {

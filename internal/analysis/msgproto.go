@@ -6,17 +6,16 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// MsgProto checks the module's wire protocols at two levels.
-//
-// Codec symmetry: every encoder/decoder pair over one wire format (a
-// "group") must touch the same field sequence with the same widths in the
-// same order — the repart migration codec, the stencil halo and FT
-// frames, and the mmps packet header are all hand-rolled byte layouts
-// whose asymmetry silently corrupts rows instead of failing loudly.
-// Functions join a group by name (Encode*/Decode*/Append*/Parse* with
+// MsgProto checks the symmetry of the module's wire codecs: every
+// encoder/decoder pair over one wire format (a "group") must touch the
+// same field sequence with the same widths in the same order — the repart
+// migration codec, the stencil halo and FT frames, and the mmps packet
+// header are all hand-rolled byte layouts whose asymmetry silently
+// corrupts rows instead of failing loudly. Functions join a group by name (Encode*/Decode*/Append*/Parse* with
 // Into/To/From suffixes stripped; a bare encode/decode method takes its
 // receiver type's name) or explicitly via //netpart:wire <group>
 // <encode|decode>. Each function's byte-level operations are abstracted
@@ -27,19 +26,12 @@ import (
 // only one side present are skipped (helpers are not a protocol), as are
 // shapes that merely delegate to another codec of the same group.
 //
-// Lockstep protocols: a function annotated //netpart:lockstep declares
-// that its transport sends and receives form one protocol round. If the
-// function splits on a rank test (if rank != 0 {...hub client...} and a
-// root path, as in repart's Engine.Round), the two branches must mirror
-// each other: every wire group sent on one side is received on the
-// other, no branch sends to the rank it itself holds, and the two
-// branches must not both start by receiving (a mutual-wait deadlock). A
-// function without a rank split is peer-symmetric SPMD code (the halo
-// exchange): every group it sends it must also receive, because all
-// ranks execute the same round.
+// The same codec index names the wire group of every send and receive in
+// a //netpart:lockstep round (protoextract.go); whether those rounds pair
+// up and terminate is netpartverify's to prove, not this analyzer's.
 var MsgProto = &Analyzer{
 	Name: "msgproto",
-	Doc:  "checks EncodeX/DecodeX wire-shape symmetry and lockstep send/recv matching",
+	Doc:  "checks that the EncodeX/DecodeX pair of every wire group touches the same field sequence",
 	Run:  runMsgProto,
 }
 
@@ -56,14 +48,6 @@ func runMsgProto(pass *Pass) error {
 		}
 		if wf := wi.fns[fn]; wf != nil {
 			checkWireShape(pass, wi, wf)
-		}
-		if funcHasDirective(fd, "netpart:lockstep") {
-			// model=<name> protocols opt out of syntactic pairing: their
-			// traffic is data-dependent and verified against a builtin
-			// model by netpartverify instead.
-			if lockstepArg(fd, "model") == "" {
-				checkLockstep(pass, ip, wi, fd)
-			}
 		}
 	}
 	return nil
@@ -145,8 +129,7 @@ func (ip *Interproc) wireIndexOf() *wireIndex {
 	}
 	// Pass 2: extract shapes; functions with no byte-level ops are name
 	// coincidences (parse/append helpers), not codecs.
-	for fn, wf := range wi.fns {
-		_ = fn
+	for _, wf := range wi.fns {
 		extractWireShape(ip, wi, wf)
 	}
 	for _, wf := range wi.fns {
@@ -446,7 +429,7 @@ func finishWireShape(wf *wireFn, ops []*wireOp) {
 			base = op.baseKey
 			first = op.k
 		}
-		op.Off = itoa(op.k - first)
+		op.Off = strconv.Itoa(op.k - first)
 	}
 	for len(ops) > 0 && ops[len(ops)-1].Kind == "blob" {
 		ops = ops[:len(ops)-1]
@@ -526,344 +509,4 @@ func wireOpsMatch(a, b *wireOp) bool {
 		return true
 	}
 	return a.Off == b.Off
-}
-
-// --- lockstep protocols ---
-
-// commOp is one transport operation in a //netpart:lockstep function.
-type commOp struct {
-	dir    string // "send" or "recv"
-	group  string // wire group of the payload, "?" unknown
-	target int64  // constant destination rank (sends), -1 otherwise
-	pos    token.Pos
-}
-
-// checkLockstep verifies a lockstep protocol function: rank-split hubs
-// must mirror sends/receives across the split, never send to their own
-// rank constant, and not begin with a mutual receive; peer-symmetric
-// bodies must receive every group they send.
-func checkLockstep(pass *Pass, ip *Interproc, wi *wireIndex, fd *ast.FuncDecl) {
-	info := pass.TypesInfo
-	ops := collectCommOps(info, wi, fd.Body)
-	if len(ops) == 0 {
-		pass.Reportf(fd.Pos(), "//netpart:lockstep function %s has no transport sends or receives", fd.Name.Name)
-		return
-	}
-	if split := rankSplit(info, fd.Body, ops); split != nil {
-		checkHubSplit(pass, fd, split)
-		return
-	}
-	// Peer-symmetric SPMD round: every group sent must also be received.
-	sent, recvd := groupSet(ops, "send"), groupSet(ops, "recv")
-	for _, g := range sortedKeys(sent) {
-		if _, ok := recvd[g]; !ok {
-			pass.Reportf(sent[g], "lockstep round sends wire group %q but never receives it; peer ranks run the same code, so the matching receive is missing", g)
-		}
-	}
-	for _, g := range sortedKeys(recvd) {
-		if _, ok := sent[g]; !ok {
-			pass.Reportf(recvd[g], "lockstep round receives wire group %q but never sends it; peer ranks run the same code, so the matching send is missing", g)
-		}
-	}
-}
-
-// groupSet collects the first op position per known group in one
-// direction.
-func groupSet(ops []*commOp, dir string) map[string]token.Pos {
-	out := map[string]token.Pos{}
-	for _, op := range ops {
-		if op.dir != dir || op.group == "?" {
-			continue
-		}
-		if _, ok := out[op.group]; !ok {
-			out[op.group] = op.pos
-		}
-	}
-	return out
-}
-
-func sortedKeys(m map[string]token.Pos) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// split is a rank-test hub: branch a runs when rank ==/!= the constant,
-// branch b is the complementary path.
-type split struct {
-	rankConst int64 // the constant the rank is compared against
-	aHasConst bool  // branch a holds rank == rankConst
-	a, b      []*commOp
-}
-
-// rankSplit finds a top-level `if <expr> ==/!= <const>` whose two sides
-// both perform transport operations — the hub shape of Engine.Round. The
-// false path is the else branch, or the rest of the function when the
-// true branch returns.
-func rankSplit(info *types.Info, body *ast.BlockStmt, ops []*commOp) *split {
-	for i, stmt := range body.List {
-		ifs, ok := stmt.(*ast.IfStmt)
-		if !ok {
-			continue
-		}
-		bin, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
-		if !ok || (bin.Op != token.EQL && bin.Op != token.NEQ) {
-			continue
-		}
-		c, ok := intConst(info, bin.Y)
-		if !ok {
-			if c, ok = intConst(info, bin.X); !ok {
-				continue
-			}
-		}
-		aOps := opsWithin(ops, ifs.Body.Pos(), ifs.Body.End())
-		var bOps []*commOp
-		if ifs.Else != nil {
-			bOps = opsWithin(ops, ifs.Else.Pos(), ifs.Else.End())
-		} else if endsInReturn(ifs.Body) {
-			for _, rest := range body.List[i+1:] {
-				bOps = append(bOps, opsWithin(ops, rest.Pos(), rest.End())...)
-			}
-		}
-		if len(aOps) == 0 || len(bOps) == 0 {
-			continue
-		}
-		return &split{rankConst: c, aHasConst: bin.Op == token.EQL, a: aOps, b: bOps}
-	}
-	return nil
-}
-
-func endsInReturn(body *ast.BlockStmt) bool {
-	for i := len(body.List) - 1; i >= 0; i-- {
-		switch body.List[i].(type) {
-		case *ast.EmptyStmt:
-			continue
-		case *ast.ReturnStmt:
-			return true
-		default:
-			return false
-		}
-	}
-	return false
-}
-
-func intConst(info *types.Info, e ast.Expr) (int64, bool) {
-	if tv, ok := info.Types[ast.Unparen(e)]; ok && tv.Value != nil && tv.Value.Kind() == constant.Int {
-		if v, exact := constant.Int64Val(tv.Value); exact {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-func opsWithin(ops []*commOp, lo, hi token.Pos) []*commOp {
-	var out []*commOp
-	for _, op := range ops {
-		if op.pos >= lo && op.pos < hi {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
-// checkHubSplit verifies the two sides of a rank-split protocol round.
-func checkHubSplit(pass *Pass, fd *ast.FuncDecl, sp *split) {
-	aSent, aRecvd := groupSet(sp.a, "send"), groupSet(sp.a, "recv")
-	bSent, bRecvd := groupSet(sp.b, "send"), groupSet(sp.b, "recv")
-	reportPair := func(from, to map[string]token.Pos, dir, other string) {
-		for _, g := range sortedKeys(from) {
-			if _, ok := to[g]; !ok {
-				pass.Reportf(from[g], "lockstep rank split in %s: wire group %q is %s on one side but never %s on the other; unmatched traffic deadlocks the round", fd.Name.Name, g, dir, other)
-			}
-		}
-	}
-	reportPair(aSent, bRecvd, "sent", "received")
-	reportPair(aRecvd, bSent, "received", "sent")
-	reportPair(bSent, aRecvd, "sent", "received")
-	reportPair(bRecvd, aSent, "received", "sent")
-
-	// Send-to-self: the branch that holds rank == rankConst must not send
-	// to that constant.
-	self := sp.b
-	if sp.aHasConst {
-		self = sp.a
-	}
-	for _, op := range self {
-		if op.dir == "send" && op.target == sp.rankConst {
-			pass.Reportf(op.pos, "lockstep rank split in %s: rank %d sends to itself; the self rank's data should be used in place, not routed through the transport", fd.Name.Name, sp.rankConst)
-		}
-	}
-
-	// Mutual wait: both sides must not begin the round by receiving.
-	if sp.a[0].dir == "recv" && sp.b[0].dir == "recv" {
-		pass.Reportf(sp.a[0].pos, "lockstep rank split in %s: both sides receive before sending, so every rank waits on the other — the round deadlocks", fd.Name.Name)
-	}
-}
-
-// collectCommOps finds the transport operations of one function body in
-// source order: method calls named Send(rank, payload) and
-// Recv(rank). The payload's wire group is resolved through the codec
-// index — directly for Send(x, EncodeY(...)), through the most recent
-// assignment for Send(x, msg), and through the later decode call for
-// buf := Recv(x).
-func collectCommOps(info *types.Info, wi *wireIndex, body *ast.BlockStmt) []*commOp {
-	var ops []*commOp
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		switch {
-		case sel.Sel.Name == "Send" && len(call.Args) == 2:
-			op := &commOp{dir: "send", pos: call.Pos(), target: -1}
-			if t, ok := intConst(info, call.Args[0]); ok {
-				op.target = t
-			}
-			op.group = payloadGroup(info, wi, body, call.Args[1], call.Pos())
-			ops = append(ops, op)
-		case sel.Sel.Name == "Recv" && len(call.Args) == 1:
-			op := &commOp{dir: "recv", pos: call.Pos(), target: -1}
-			op.group = recvGroup(info, wi, body, call)
-			ops = append(ops, op)
-		}
-		return true
-	})
-	sort.Slice(ops, func(i, j int) bool { return ops[i].pos < ops[j].pos })
-	return ops
-}
-
-// payloadGroup resolves the wire group of a send payload.
-func payloadGroup(info *types.Info, wi *wireIndex, body *ast.BlockStmt, arg ast.Expr, before token.Pos) string {
-	if g := exprGroup(info, wi, arg); g != "" {
-		return g
-	}
-	id, ok := ast.Unparen(arg).(*ast.Ident)
-	if !ok {
-		return "?"
-	}
-	obj := identObj(info, id)
-	if obj == nil {
-		return "?"
-	}
-	// The most recent assignment to the payload variable before the send.
-	group := "?"
-	var latest token.Pos
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || as.Pos() >= before || as.Pos() < latest {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			if identObj(info, lhs) != obj || i >= len(as.Rhs) {
-				continue
-			}
-			if g := deepExprGroup(info, wi, as.Rhs[i]); g != "" {
-				group = g
-				latest = as.Pos()
-			}
-		}
-		return true
-	})
-	return group
-}
-
-// recvGroup resolves the wire group a received buffer is decoded as: the
-// first later codec call taking the receive's result variable.
-func recvGroup(info *types.Info, wi *wireIndex, body *ast.BlockStmt, recv *ast.CallExpr) string {
-	var obj types.Object
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || obj != nil {
-			return obj == nil
-		}
-		for i, rhs := range as.Rhs {
-			if ast.Unparen(rhs) == recv && i < len(as.Lhs) {
-				obj = identObj(info, as.Lhs[i])
-			}
-		}
-		return true
-	})
-	if obj == nil {
-		return "?"
-	}
-	group := "?"
-	ast.Inspect(body, func(n ast.Node) bool {
-		if group != "?" {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() <= recv.Pos() {
-			return true
-		}
-		fn := calleeFunc(info, call)
-		if fn == nil {
-			return true
-		}
-		wf := wi.fns[fn]
-		if wf == nil {
-			return true
-		}
-		for _, a := range call.Args {
-			root := a
-			for {
-				switch x := ast.Unparen(root).(type) {
-				case *ast.SliceExpr:
-					root = x.X
-					continue
-				case *ast.IndexExpr:
-					root = x.X
-					continue
-				}
-				break
-			}
-			if identObj(info, root) == obj {
-				group = wf.Group
-				return false
-			}
-		}
-		return true
-	})
-	return group
-}
-
-// exprGroup returns the wire group of a direct codec call expression.
-func exprGroup(info *types.Info, wi *wireIndex, e ast.Expr) string {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return ""
-	}
-	if fn := calleeFunc(info, call); fn != nil {
-		if wf := wi.fns[fn]; wf != nil {
-			return wf.Group
-		}
-	}
-	return ""
-}
-
-// deepExprGroup finds a codec call anywhere inside an expression
-// (handles msg := append(hdr, EncodeX(...)...) style compositions).
-func deepExprGroup(info *types.Info, wi *wireIndex, e ast.Expr) string {
-	group := ""
-	ast.Inspect(e, func(n ast.Node) bool {
-		if group != "" {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if fn := calleeFunc(info, call); fn != nil {
-				if wf := wi.fns[fn]; wf != nil {
-					group = wf.Group
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return group
 }

@@ -4,18 +4,24 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// PoolFlow is the path-sensitive successor to poollifetime's syntactic
-// lifetime tracking: it runs the CFG + dataflow engine over each function
+// PoolFlow enforces the sync.Pool buffer rules the mmps transport
+// documents on its bufPool, in two halves.
+//
+// Accessor discipline: direct (*sync.Pool).Get/Put calls are allowed only
+// inside accessor functions (name starting with get/put), which is where
+// the box/length/zeroing conventions live. Everything else must go through
+// the accessor pair.
+//
+// Lifetime: the analyzer runs the CFG + dataflow engine over each function
 // body and reports a use-after-put or double-put exactly when some
-// execution path realizes it. That direction matters both ways relative to
-// the old analyzer:
+// execution path realizes it. Path sensitivity matters both ways:
 //
 //   - no false negatives at joins: a Put in every arm of an if poisons the
-//     code after the join (the old per-branch clone forgot the Put), and a
-//     Put at the bottom of a loop body poisons the next iteration through
-//     the back edge;
+//     code after the join, and a Put at the bottom of a loop body poisons
+//     the next iteration through the back edge;
 //
 //   - no false positives after re-get: reassigning the variable from the
 //     pool on one path revives it on that path only, and a Put in one arm
@@ -30,12 +36,9 @@ import (
 // start clean (delayed puts run at another time), and a deferred put is
 // modeled at function exit, where it double-puts if the buffer was
 // already recycled on some path.
-//
-// The accessor-discipline rule (direct sync.Pool.Get/Put only inside
-// get*/put* accessors) stays in poollifetime.
 var PoolFlow = &Analyzer{
 	Name: "poolflow",
-	Doc:  "path-sensitive sync.Pool lifetime: use-after-put and double-put on some reachable path",
+	Doc:  "sync.Pool discipline: direct Get/Put only in get*/put* accessors; no use-after-put or double-put on any reachable path",
 	Run:  runPoolFlow,
 }
 
@@ -47,11 +50,48 @@ const (
 )
 
 func runPoolFlow(pass *Pass) error {
-	putters := putAccessors(pass)
+	putters := checkPoolAccessors(pass)
 	for _, fb := range funcBodies(pass.Files) {
 		checkPoolFlowFunc(pass, putters, fb)
 	}
 	return nil
+}
+
+// checkPoolAccessors finds every direct (*sync.Pool).Get/Put call of the
+// package. It reports the ones outside a get*/put* function and returns
+// the package's put accessors: the functions whose bodies call Put
+// directly (mmps.putBuf). Matching those by behavior rather than by name
+// keeps unrelated Put* helpers (say, binary.BigEndian.PutUint32) out of
+// the lifetime tracking.
+func checkPoolAccessors(pass *Pass) map[types.Object]bool {
+	putters := map[types.Object]bool{}
+	for _, fd := range enclosingFuncDecls(pass.Files) {
+		name := strings.ToLower(fd.Name.Name)
+		accessor := strings.HasPrefix(name, "get") || strings.HasPrefix(name, "put")
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok || (sel.Sel.Name != "Get" && sel.Sel.Name != "Put") || !isSyncPool(pass.TypesInfo.TypeOf(sel.X)) {
+				return true
+			}
+			if obj := pass.TypesInfo.Defs[fd.Name]; obj != nil && sel.Sel.Name == "Put" {
+				putters[obj] = true
+			}
+			if !accessor {
+				pass.Reportf(call.Pos(), "direct sync.Pool.%s outside a get*/put* accessor; route through the accessor pair so lifetime conventions stay in one place", sel.Sel.Name)
+			}
+			return true
+		})
+	}
+	return putters
+}
+
+// isSyncPool reports whether t is sync.Pool or *sync.Pool.
+func isSyncPool(t types.Type) bool {
+	return isSyncNamed(t, "Pool")
 }
 
 func checkPoolFlowFunc(pass *Pass, putters map[types.Object]bool, fb funcBody) {

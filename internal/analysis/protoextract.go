@@ -28,8 +28,8 @@ import (
 //     any statement subtree that cannot reach a transport operation is
 //     skipped entirely;
 //   - wire groups resolve through msgproto's codec index: a send's payload
-//     through the encode call that produced it, a receive's buffer through
-//     the decode call that later consumes it;
+//     through the encode call that produced it (encodeGroup), a receive's
+//     buffer through the decode call that later consumes it (recvGroup);
 //   - loop bounds affine in (rank, P) unroll exactly at instantiation;
 //     loops and switch selectors depending on values the extractor cannot
 //     fold become *shared parameters* (protomc.Param) under the
@@ -159,10 +159,7 @@ func ExtractProto(pkg *Package, ip *Interproc, fd *ast.FuncDecl) (*protomc.Proto
 	} else {
 		wi = &wireIndex{fns: map[*types.Func]*wireFn{}, groups: map[string][]*wireFn{}}
 	}
-	ex := &extractor{
-		pkg: pkg, info: pkg.Info, fset: pkg.Fset, ip: ip, wi: wi,
-		commMemo: map[*types.Func]int{},
-	}
+	ex := &extractor{pkg: pkg, info: pkg.Info, fset: pkg.Fset, ip: ip, wi: wi}
 	env := newSymEnv(fd.Body)
 	ops, err := ex.stmts(fd.Body.List, env)
 	if err != nil {
@@ -211,8 +208,8 @@ type symEnv struct {
 	bools  map[types.Object]protomc.Guard
 	funcs  map[types.Object]*closureVal
 	groups map[types.Object]string
-	// body is the enclosing function or closure body, the scope msgproto's
-	// group resolution scans.
+	// body is the enclosing function or closure body, the scope recvGroup
+	// scans.
 	body *ast.BlockStmt
 }
 
@@ -257,8 +254,6 @@ type extractor struct {
 	unrolled []string
 	nvar     int
 	depth    int
-
-	commMemo map[*types.Func]int // 0 unknown, 1 visiting, 2 no, 3 yes
 }
 
 // maxInlineDepth bounds closure/helper inlining so mutual recursion cannot
@@ -275,12 +270,7 @@ func (ex *extractor) errf(pos token.Pos, format string, args ...any) error {
 }
 
 func (ex *extractor) src(pos token.Pos) string {
-	p := ex.fset.Position(pos)
-	name := p.Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return fmt.Sprintf("%s:%d", name, p.Line)
+	return shortPos(ex.fset.Position(pos))
 }
 
 func (ex *extractor) freshVar(prefix string) string {
@@ -486,8 +476,7 @@ func (ex *extractor) call(call *ast.CallExpr, env *symEnv) ([]protomc.Op, error)
 			return ex.inlineClosure(cv, call, env)
 		}
 	}
-	fn := calleeFunc(ex.info, call)
-	if fn != nil && ex.funcHasComm(fn) {
+	if fn := calleeFunc(ex.info, call); ex.calleeComm(fn) {
 		return ex.inlineFunc(fn, call, env)
 	}
 	if ex.hasComm(call, env) {
@@ -498,8 +487,9 @@ func (ex *extractor) call(call *ast.CallExpr, env *symEnv) ([]protomc.Op, error)
 }
 
 // transportCallKind classifies X.Send(dst, payload) / X.Recv(src) /
-// X.RecvAny(d) selector calls by name and arity, matching msgproto's
-// syntactic transport model.
+// X.RecvAny(d) selector calls by name and arity. It is the module's one
+// recogniser of a transport operation: the extractor and the summaries'
+// "reaches the transport" fact (summary.go) both read it.
 func transportCallKind(call *ast.CallExpr) (protomc.OpKind, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -539,7 +529,7 @@ func (ex *extractor) transportOp(kind protomc.OpKind, call *ast.CallExpr, env *s
 			return nil, ex.errf(call.Pos(), "receive source %s is not affine in rank and P", exprText(call.Args[0]))
 		}
 		op.Peer = peer
-		op.Group = recvGroup(ex.info, ex.wi, env.body, call)
+		op.Group = ex.recvGroup(env.body, call)
 	case protomc.OpRecvAny:
 		op.Group = "?"
 	}
@@ -574,6 +564,49 @@ func (ex *extractor) encodeGroup(e ast.Expr) string {
 					group = wf.Group
 					return false
 				}
+			}
+		}
+		return true
+	})
+	return group
+}
+
+// recvGroup resolves the wire group a received buffer is decoded as: the
+// first later codec call in body taking the receive's result variable.
+func (ex *extractor) recvGroup(body *ast.BlockStmt, recv *ast.CallExpr) string {
+	var obj types.Object
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || obj != nil {
+			return obj == nil
+		}
+		for i, rhs := range as.Rhs {
+			if ast.Unparen(rhs) == recv && i < len(as.Lhs) {
+				obj = identObj(ex.info, as.Lhs[i])
+			}
+		}
+		return true
+	})
+	if obj == nil {
+		return "?"
+	}
+	group := "?"
+	ast.Inspect(body, func(n ast.Node) bool {
+		if group != "?" {
+			return false
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok || call.Pos() <= recv.Pos() {
+			return true
+		}
+		wf := ex.wi.fns[calleeFunc(ex.info, call)]
+		if wf == nil {
+			return true
+		}
+		for _, a := range call.Args {
+			if identObj(ex.info, rootExpr(a)) == obj {
+				group = wf.Group
+				return false
 			}
 		}
 		return true
@@ -916,7 +949,33 @@ func containsFallthrough(body []ast.Stmt) bool {
 	return false
 }
 
+// endsInReturn reports whether the block's last statement is a return.
+func endsInReturn(body *ast.BlockStmt) bool {
+	for i := len(body.List) - 1; i >= 0; i-- {
+		switch body.List[i].(type) {
+		case *ast.EmptyStmt:
+			continue
+		case *ast.ReturnStmt:
+			return true
+		default:
+			return false
+		}
+	}
+	return false
+}
+
 // --- symbolic evaluation ---
+
+// intConst folds an expression the type checker evaluated to an integer
+// constant.
+func intConst(info *types.Info, e ast.Expr) (int64, bool) {
+	if tv, ok := info.Types[ast.Unparen(e)]; ok && tv.Value != nil && tv.Value.Kind() == constant.Int {
+		if v, exact := constant.Int64Val(tv.Value); exact {
+			return v, true
+		}
+	}
+	return 0, false
+}
 
 // evalInt folds an expression into an affine RankExpr over (rank, P, loop
 // variables, shared parameters).
@@ -1118,7 +1177,7 @@ func (ex *extractor) hasComm(n ast.Node, env *symEnv) bool {
 				return true
 			}
 		}
-		if fn := calleeFunc(ex.info, call); fn != nil && ex.funcHasComm(fn) {
+		if ex.calleeComm(calleeFunc(ex.info, call)) {
 			found = true
 			return false
 		}
@@ -1127,50 +1186,14 @@ func (ex *extractor) hasComm(n ast.Node, env *symEnv) bool {
 	return found
 }
 
-// funcHasComm reports whether a named function's body (transitively, over
-// same-module callees) contains a transport operation. Out-of-module
-// callees have no loaded bodies and are assumed communication-free.
-func (ex *extractor) funcHasComm(fn *types.Func) bool {
-	switch ex.commMemo[fn] {
-	case 1: // visiting: recursion breaks as "not via this edge"
+// calleeComm reads the callee's "reaches the transport" summary fact.
+// Functions without a summary — out-of-module callees, dynamic calls, and
+// everything when no interprocedural state is wired — are assumed
+// communication-free.
+func (ex *extractor) calleeComm(fn *types.Func) bool {
+	if ex.ip == nil || fn == nil {
 		return false
-	case 2:
-		return false
-	case 3:
-		return true
 	}
-	ex.commMemo[fn] = 1
-	result := false
-	var decl *ast.FuncDecl
-	if ex.ip != nil {
-		if node := ex.ip.Node(fn); node != nil {
-			decl = node.Decl
-		}
-	}
-	if decl != nil && decl.Body != nil {
-		ast.Inspect(decl.Body, func(node ast.Node) bool {
-			if result {
-				return false
-			}
-			call, ok := node.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if _, ok := transportCallKind(call); ok {
-				result = true
-				return false
-			}
-			if callee := calleeFunc(ex.info, call); callee != nil && callee != fn && ex.funcHasComm(callee) {
-				result = true
-				return false
-			}
-			return true
-		})
-	}
-	if result {
-		ex.commMemo[fn] = 3
-	} else {
-		ex.commMemo[fn] = 2
-	}
-	return result
+	sum := ex.ip.Summary(fn)
+	return sum != nil && sum.comm
 }

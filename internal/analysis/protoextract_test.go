@@ -8,21 +8,6 @@ import (
 	"netpart/internal/analysis/protomc"
 )
 
-// loadModule loads the whole module and its call graph once per test.
-func loadModule(t *testing.T) ([]*analysis.Package, *analysis.Interproc) {
-	t.Helper()
-	root, modPath, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := analysis.NewLoader(root, modPath)
-	pkgs, err := l.Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pkgs, l.Interproc()
-}
-
 // TestExtractRealProtocols extracts every //netpart:lockstep protocol of
 // the committed tree and pins the inventory: the cycle driver's halo
 // exchange, the converge reduction and the repartitioning round extract
@@ -30,9 +15,6 @@ func loadModule(t *testing.T) ([]*analysis.Package, *analysis.Interproc) {
 // models, nothing is unextractable, and only the halo exchange declares
 // sem=buffered.
 func TestExtractRealProtocols(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks the whole module from source")
-	}
 	pkgs, ip := loadModule(t)
 	protos, diags, err := analysis.ExtractProtos(pkgs, ip)
 	if err != nil {
@@ -101,9 +83,6 @@ func extractOne(t *testing.T, name string) *protomc.Proto {
 // transport semantics. The round has no data-dependent unknowns: its loop
 // bounds are affine in P and its only branch is the rank-0 hub split.
 func TestRepartRoundProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks the whole module from source")
-	}
 	proto := extractOne(t, "repart.Round")
 	if len(proto.Params) != 0 {
 		t.Fatalf("repart.Round extracted %d shared parameters, want 0: %+v", len(proto.Params), proto.Params)
@@ -134,9 +113,6 @@ func TestRepartRoundProtocol(t *testing.T) {
 // Under rendezvous it must deadlock as soon as one cycle runs — the
 // directive is a statement about the protocol, not a way to hide a result.
 func TestHaloExchangeProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("typechecks the whole module from source")
-	}
 	proto := extractOne(t, "stencil.cycles")
 	if len(proto.Params) != 2 {
 		t.Fatalf("cycles extracted %d shared parameters, want 2 (trip count, variant): %+v",

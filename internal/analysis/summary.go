@@ -8,34 +8,37 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 )
 
 // This file computes per-function summaries over the call graph in
 // callgraph.go: does the function allocate (and where), does it reach the
-// wall clock or the global rand source, and which parameters escape. The
-// summaries are solved bottom-up over the SCC condensation with a fixpoint
-// inside each component (recursion), so by the time a caller is
+// wall clock, the global rand source or the transport, and which parameters
+// escape. The summaries are solved bottom-up over the SCC condensation with
+// a fixpoint inside each component (recursion), so by the time a caller is
 // summarized every callee outside its own component is final.
 //
 // The summary lattice is a may-analysis over site sets: each fact is a
 // *Site chain whose head is a position inside the summarized function (an
 // allocation expression or a call) and whose Inner pointers descend
 // through callees to the originating site — the provenance chain allocfree
-// prints. Sets only grow during the fixpoint and are capped at maxSites
-// per category, so termination is structural.
+// prints. Sets only grow during the fixpoint, a function has finitely many
+// direct sites, and the facts that arrive through calls are capped at
+// maxSites per category, so termination is structural.
 //
 // Three filters keep the summaries aligned with the analyzers' contracts:
 //
-//   - guarded slow paths (nil-/cap-guard, isGuardedSlowPath) are excluded
-//     from allocation facts, exactly as in the intraprocedural hotpath
-//     analyzer — but not from wall-clock facts, because a guard sanctions
+//   - guarded slow paths — an if whose condition compares something to nil
+//     (lazy initialization, observer branches) or inspects cap/len
+//     (first-use buffer growth), isGuardedSlowPath — are excluded from
+//     allocation facts, but not from wall-clock facts: a guard sanctions
 //     allocation, not nondeterminism;
 //   - fmt.Errorf / errors.New directly inside a return statement is the
 //     failure path, never the steady state, and contributes nothing;
 //   - a site whose line carries a well-formed //nolint:netpart[/allocfree|
-//     /hotpath|/determinism] suppression is dropped at the origin, so one
-//     reasoned waiver stops the fact from resurfacing in every caller.
+//     /determinism] suppression is dropped at the origin, so one reasoned
+//     waiver stops the fact from resurfacing in every caller.
 //
 // Stdlib calls have no loaded bodies, so they are modeled: a small
 // whitelist of provably non-allocating packages and methods (math,
@@ -60,8 +63,10 @@ import (
 // summaries expose no wall-clock or rand facts to callers, because their
 // timing results are data, not hidden nondeterminism.
 
-// maxSites bounds each summary category (enough for useful diagnostics,
-// small enough to keep the fixpoint cheap).
+// maxSites bounds the call-derived facts of each summary category (enough
+// for useful diagnostics, small enough to keep the fixpoint cheap). A
+// function's own allocation expressions are not capped: allocfree reports
+// every one of them.
 const maxSites = 8
 
 // A Site is one link of a provenance chain.
@@ -75,9 +80,8 @@ type Site struct {
 	// Callee is the resolved target when the fact arrives through a call.
 	Callee *types.Func
 	// ViaCall marks facts introduced at a call site (resolved, indirect,
-	// or modeled stdlib) as opposed to direct allocation expressions; the
-	// intraprocedural hotpath analyzer owns the latter, allocfree the
-	// former.
+	// or modeled stdlib) as opposed to direct allocation expressions. Only
+	// the former count against maxSites.
 	ViaCall bool
 	// Inner is the callee-side site this call reaches (nil for leaves).
 	Inner *Site
@@ -94,6 +98,12 @@ type Summary struct {
 	// uses. Empty for //netpart:wallclock functions and packages.
 	Clock []*Site
 	Rand  []*Site
+	// comm reports that the function reaches a transport operation — a
+	// Send/Recv/RecvAny call (transportCallKind) in its own body or,
+	// through static calls, in a module function it calls. Interface
+	// dispatch is not followed: the protocol extractor that consumes the
+	// fact inlines bodies, and an interface call names none.
+	comm bool
 	// ParamEscapes mirrors FuncNode.ParamEscapes after the solve.
 	ParamEscapes []bool
 }
@@ -111,7 +121,7 @@ func (ip *Interproc) scanDirect(node *FuncNode) {
 	info := node.Pkg.Info
 	var walk func(root ast.Node, guarded bool)
 	walk = func(root ast.Node, guarded bool) {
-		walkStack(root, func(n ast.Node, stack []ast.Node) bool {
+		ast.Inspect(root, func(n ast.Node) bool {
 			if ifs, ok := n.(*ast.IfStmt); ok && !guarded && isGuardedSlowPath(ifs) {
 				if ifs.Init != nil {
 					walk(ifs.Init, guarded)
@@ -128,7 +138,7 @@ func (ip *Interproc) scanDirect(node *FuncNode) {
 			}
 			switch x := n.(type) {
 			case *ast.CallExpr:
-				ip.scanDirectCall(node, x, stack, info)
+				ip.scanDirectCall(node, x, info)
 			case *ast.UnaryExpr:
 				if x.Op == token.AND {
 					if _, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
@@ -136,8 +146,8 @@ func (ip *Interproc) scanDirect(node *FuncNode) {
 					}
 				}
 			case *ast.FuncLit:
-				if capt := capturedVarIn(info, node.Decl, x); capt != "" {
-					ip.addDirectAlloc(node, x.Pos(), "closure capturing "+strings.TrimSpace(capt)+" allocates")
+				if capt := capturedVar(info, node.Decl, x); capt != "" {
+					ip.addDirectAlloc(node, x.Pos(), "closure captures \""+capt+"\"; captured closures allocate")
 				}
 			}
 			return true
@@ -149,7 +159,7 @@ func (ip *Interproc) scanDirect(node *FuncNode) {
 
 // scanDirectCall records the allocation behavior of builtin calls and
 // explicit interface conversions (call edges are handled by the solve).
-func (ip *Interproc) scanDirectCall(node *FuncNode, call *ast.CallExpr, stack []ast.Node, info *types.Info) {
+func (ip *Interproc) scanDirectCall(node *FuncNode, call *ast.CallExpr, info *types.Info) {
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && isBuiltin(info, id) {
 		switch id.Name {
 		case "make":
@@ -158,7 +168,7 @@ func (ip *Interproc) scanDirectCall(node *FuncNode, call *ast.CallExpr, stack []
 			ip.addDirectAlloc(node, call.Pos(), "new allocates")
 		case "append":
 			if len(call.Args) > 0 {
-				ip.scanDirectAppend(node, call, stack, info)
+				ip.scanDirectAppend(node, call, info)
 			}
 		}
 		return
@@ -177,10 +187,11 @@ func (ip *Interproc) scanDirectCall(node *FuncNode, call *ast.CallExpr, stack []
 	}
 }
 
-// scanDirectAppend applies hotpath's unsized-local-append rule: appends
-// into caller-owned, field-held, or make-sized storage amortize; a local
-// declared without capacity does not.
-func (ip *Interproc) scanDirectAppend(node *FuncNode, call *ast.CallExpr, stack []ast.Node, info *types.Info) {
+// scanDirectAppend flags appends whose destination cannot amortize: a
+// local slice declared without capacity, or a fresh slice built in the
+// call itself. Reslice expressions (buf[:0]), parameters, fields, and
+// make-sized locals pass.
+func (ip *Interproc) scanDirectAppend(node *FuncNode, call *ast.CallExpr, info *types.Info) {
 	switch dst := ast.Unparen(call.Args[0]).(type) {
 	case *ast.SliceExpr:
 		return // reuse idiom: append(buf[:0], ...)
@@ -189,20 +200,22 @@ func (ip *Interproc) scanDirectAppend(node *FuncNode, call *ast.CallExpr, stack 
 		if obj == nil {
 			return
 		}
-		decl := localSliceDecl([]ast.Node{node.Decl}, obj)
+		decl := localSliceDecl(node.Decl, obj)
 		if decl == nil || declHasCapacity(info, decl, obj) {
 			return
 		}
-		ip.addDirectAlloc(node, call.Pos(), "append to unsized local slice "+dst.Name+" grows")
-	default:
-		if _, isLit := ast.Unparen(call.Args[0]).(*ast.CompositeLit); isLit {
-			ip.addDirectAlloc(node, call.Pos(), "append to a fresh slice literal allocates")
+		ip.addDirectAlloc(node, call.Pos(), "append to unsized local slice \""+dst.Name+"\" grows")
+	case *ast.CompositeLit:
+		ip.addDirectAlloc(node, call.Pos(), "append to a fresh slice literal allocates")
+	case *ast.CallExpr:
+		if tv, ok := info.Types[dst.Fun]; ok && tv.IsType() {
+			ip.addDirectAlloc(node, call.Pos(), "append to a fresh nil-converted slice allocates")
 		}
 	}
 }
 
 func (ip *Interproc) addDirectAlloc(node *FuncNode, pos token.Pos, desc string) {
-	if ip.suppressedAt(pos, "allocfree") || ip.suppressedAt(pos, "hotpath") {
+	if ip.suppressedAt(pos, "allocfree") {
 		return
 	}
 	node.DirectAllocs = appendSite(node.DirectAllocs, &Site{Pos: pos, Desc: desc})
@@ -256,11 +269,6 @@ func (ip *Interproc) scanParamEscapes(node *FuncNode) {
 	})
 }
 
-// capturedVarIn is capturedVar generalized to any enclosing declaration.
-func capturedVarIn(info *types.Info, fd *ast.FuncDecl, lit *ast.FuncLit) string {
-	return capturedVar(info, fd, lit)
-}
-
 // --- the bottom-up solve ---
 
 // solve seeds every node with its intraprocedural facts and then runs the
@@ -297,11 +305,12 @@ func (ip *Interproc) wallclockWaived(node *FuncNode) bool {
 // callee summaries; it reports whether the summary grew.
 func (ip *Interproc) resolveNode(node *FuncNode) bool {
 	s := ip.sums[node.Fn]
-	before := len(s.Allocs) + len(s.Clock) + len(s.Rand)
+	before, comm := len(s.Allocs)+len(s.Clock)+len(s.Rand), s.comm
 	waived := ip.wallclockWaived(node)
 	for _, cs := range node.Calls {
+		s.comm = s.comm || ip.reachesTransport(cs)
 		pos := cs.Call.Pos()
-		allocOK := !cs.Guarded && !ip.suppressedAt(pos, "allocfree") && !ip.suppressedAt(pos, "hotpath")
+		allocOK := !cs.Guarded && !ip.suppressedAt(pos, "allocfree")
 		detOK := !waived && !ip.suppressedAt(pos, "determinism")
 		if cs.PureCallback {
 			continue
@@ -345,7 +354,24 @@ func (ip *Interproc) resolveNode(node *FuncNode) bool {
 			ip.mergeStdlib(s, cs, target, allocOK, detOK)
 		}
 	}
-	return len(s.Allocs)+len(s.Clock)+len(s.Rand) != before
+	return len(s.Allocs)+len(s.Clock)+len(s.Rand) != before || s.comm != comm
+}
+
+// reachesTransport reports whether one call site is a transport operation
+// or a static call into a function whose summary already reaches one.
+func (ip *Interproc) reachesTransport(cs *Callsite) bool {
+	if _, ok := transportCallKind(cs.Call); ok {
+		return true
+	}
+	if cs.Interface {
+		return false
+	}
+	for _, target := range cs.Targets {
+		if ts := ip.sums[target]; ts != nil && ts.comm {
+			return true
+		}
+	}
+	return false
 }
 
 // mergeStdlib folds one modeled stdlib callee into the summary.
@@ -491,15 +517,19 @@ func nonallocStdlib(fn *types.Func) bool {
 	return false
 }
 
-// appendSite adds a site, deduplicating by position and respecting the
-// per-category cap.
+// appendSite adds a site, deduplicating by position. Call-derived sites
+// respect the per-category cap; direct sites are never dropped.
 func appendSite(sites []*Site, site *Site) []*Site {
+	viaCall := 0
 	for _, s := range sites {
 		if s.Pos == site.Pos {
 			return sites
 		}
+		if s.ViaCall {
+			viaCall++
+		}
 	}
-	if len(sites) >= maxSites {
+	if site.ViaCall && viaCall >= maxSites {
 		return sites
 	}
 	return append(sites, site)
@@ -529,31 +559,5 @@ func (ip *Interproc) RenderChain(site *Site) string {
 
 // shortPos trims a position to basename:line.
 func shortPos(p token.Position) string {
-	name := p.Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return name + ":" + itoa(p.Line)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return filepath.Base(p.Filename) + ":" + strconv.Itoa(p.Line)
 }

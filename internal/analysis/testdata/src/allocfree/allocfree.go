@@ -1,8 +1,8 @@
-// Package allocfree is the fixture for the interprocedural zero-allocation
-// prover. The division of labor under test: hotpath reports direct
-// allocation sites in the annotated body; allocfree reports allocations
-// that arrive THROUGH calls, with a provenance chain down to the
-// originating expression, and never re-reports hotpath's direct sites.
+// Package allocfree is the fixture for the zero-allocation prover's
+// interprocedural half: a direct allocation site in the annotated body is
+// reported once, for what it is, and an allocation that arrives THROUGH a
+// call is reported at the call with a provenance chain down to the
+// originating expression (the hotpath fixture covers the direct sites).
 package allocfree
 
 import (
@@ -32,8 +32,8 @@ func sumVia(n int) float64 {
 	return s
 }
 
-// hotDirect: a direct site in the hot body is hotpath's territory;
-// allocfree must stay silent here (no double report).
+// hotDirect: a direct site in the hot body is one finding, named for
+// what it is, not a chain.
 //
 //netpart:hotpath
 func (t *table) hotDirect(n int) []float64 {
@@ -82,13 +82,13 @@ func (t *table) hotWaived(n int) {
 	t.buf = chaosPath(n)
 }
 
-// hotScoped: a //nolint:netpart/allocfree on the hot body's own site
-// waives only the interprocedural analyzer — the intraprocedural hotpath
-// finding stays live.
+// hotScoped: direct sites and call-derived ones share one scope, so a
+// //nolint:netpart/allocfree on the hot body's own site is the whole
+// waiver: no finding.
 //
 //netpart:hotpath
 func (t *table) hotScoped(n int) []float64 {
-	return make([]float64, n) //nolint:netpart/allocfree reason=scoped waiver; hotpath still owns the direct site // want `make allocates on the hot path`
+	return make([]float64, n) //nolint:netpart/allocfree reason=scoped waiver; one scope covers the direct site too
 }
 
 // walk and descend are mutually recursive; the SCC fixpoint must converge

@@ -1,4 +1,4 @@
-// Package hotpath is the fixture for the zero-allocation hot-path analyzer.
+// Package hotpath is the fixture for allocfree's direct (in-body) sites.
 package hotpath
 
 import "fmt"
@@ -24,7 +24,7 @@ func (c *codec) hotSum(xs []float64) float64 {
 //
 //netpart:hotpath
 func (c *codec) hotLog(v float64) {
-	fmt.Println("value", v) // want `fmt\.Println allocates`
+	fmt.Println("value", v) // want `call to fmt\.Println \(stdlib, not modeled allocation-free\)`
 }
 
 // hotGrow appends through an unsized local.
@@ -132,4 +132,23 @@ func (c *codec) hotUnguardedBranch(n int) []float64 {
 		return make([]float64, n) // want `make allocates on the hot path`
 	}
 	return nil
+}
+
+// hotTen has more direct sites than the summary's cap on call-derived
+// facts (maxSites = 8): every one of them is reported.
+//
+//netpart:hotpath
+func (c *codec) hotTen(n int) [][]float64 {
+	return [][]float64{
+		make([]float64, n), // want `make allocates on the hot path`
+		make([]float64, n), // want `make allocates on the hot path`
+		make([]float64, n), // want `make allocates on the hot path`
+		make([]float64, n), // want `make allocates on the hot path`
+		make([]float64, n), // want `make allocates on the hot path`
+		make([]float64, n), // want `make allocates on the hot path`
+		make([]float64, n), // want `make allocates on the hot path`
+		make([]float64, n), // want `make allocates on the hot path`
+		make([]float64, n), // want `make allocates on the hot path`
+		make([]float64, n), // want `make allocates on the hot path`
+	}
 }

@@ -1,18 +1,10 @@
 // Package msgproto is the fixture for the wire-protocol analyzer: codec
-// encode/decode symmetry (field order and widths) and lockstep send/recv
-// matching in //netpart:lockstep exchange rounds.
+// encode/decode symmetry (field order and widths). The lockstep rounds
+// such codecs travel in are netpartverify's to check; their fixtures are
+// under cmd/netpartverify/testdata/protofix.
 package msgproto
 
 import "encoding/binary"
-
-// Transport mirrors the mmps transport surface the lockstep checker keys
-// on: Send(dst, frame) / Recv(src).
-type Transport interface {
-	Rank() int
-	Size() int
-	Send(dst int, b []byte) error
-	Recv(src int) ([]byte, error)
-}
 
 // --- group "stat": symmetric, the well-formed baseline ---
 
@@ -64,133 +56,4 @@ func decodePair(buf []byte) (uint32, uint32, byte) { // want `wire group "pair".
 	tag := buf[0]
 	a := binary.BigEndian.Uint32(buf[1:5])
 	return a, 0, tag
-}
-
-// --- lockstep rounds ---
-
-// goodRound is the Engine.Round shape done right: symmetric hub exchange,
-// no findings.
-//
-//netpart:lockstep
-func goodRound(tr Transport, ms, rows uint64) error {
-	rank, size := tr.Rank(), tr.Size()
-	if rank != 0 {
-		if err := tr.Send(0, encodeStat(ms, rows)); err != nil {
-			return err
-		}
-		buf, err := tr.Recv(0)
-		if err != nil {
-			return err
-		}
-		_, _ = decodeStat(buf)
-		return nil
-	}
-	for src := 1; src < size; src++ {
-		buf, err := tr.Recv(src)
-		if err != nil {
-			return err
-		}
-		_, _ = decodeStat(buf)
-	}
-	msg := encodeStat(ms, rows)
-	for dst := 1; dst < size; dst++ {
-		if err := tr.Send(dst, msg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// lostRound: the workers report upward but the hub never drains the
-// reports — an unmatched send on both sides of the rank split.
-//
-//netpart:lockstep
-func lostRound(tr Transport, ms, rows uint64) error {
-	rank, size := tr.Rank(), tr.Size()
-	if rank != 0 {
-		return tr.Send(0, encodeStat(ms, rows)) // want `sent on one side but never received`
-	}
-	msg := encodeStat(ms, rows)
-	for dst := 1; dst < size; dst++ {
-		if err := tr.Send(dst, msg); err != nil { // want `sent on one side but never received`
-			return err
-		}
-	}
-	return nil
-}
-
-// selfRound: the broadcast loop starts at rank 0 — the hub routes its own
-// share through the transport and deadlocks on itself.
-//
-//netpart:lockstep
-func selfRound(tr Transport, ms, rows uint64) error {
-	rank, size := tr.Rank(), tr.Size()
-	if rank != 0 {
-		if err := tr.Send(0, encodeStat(ms, rows)); err != nil {
-			return err
-		}
-		buf, err := tr.Recv(0)
-		if err != nil {
-			return err
-		}
-		_, _ = decodeStat(buf)
-		return nil
-	}
-	for src := 1; src < size; src++ {
-		buf, err := tr.Recv(src)
-		if err != nil {
-			return err
-		}
-		_, _ = decodeStat(buf)
-	}
-	msg := encodeStat(ms, rows)
-	if err := tr.Send(0, msg); err != nil { // want `sends to itself`
-		return err
-	}
-	for dst := 1; dst < size; dst++ {
-		if err := tr.Send(dst, msg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// deadlockRound: both sides of the split receive before sending, so every
-// rank waits on the other.
-//
-//netpart:lockstep
-func deadlockRound(tr Transport, ms, rows uint64) error {
-	rank := tr.Rank()
-	if rank != 0 {
-		buf, err := tr.Recv(0) // want `both sides receive before sending`
-		if err != nil {
-			return err
-		}
-		_, _ = decodeStat(buf)
-		return tr.Send(0, encodeStat(ms, rows))
-	}
-	buf, err := tr.Recv(1)
-	if err != nil {
-		return err
-	}
-	_, _ = decodeStat(buf)
-	return tr.Send(1, encodeStat(ms, rows))
-}
-
-// peerSkew: ranks run the same code against their neighbor, but what goes
-// out is group "stat" and what is expected back is group "meas" — the
-// matching receive/send for each group is missing.
-//
-//netpart:lockstep
-func peerSkew(tr Transport, ms, rows uint64) error {
-	peer := tr.Rank() ^ 1
-	if err := tr.Send(peer, encodeStat(ms, rows)); err != nil { // want `sends wire group "stat" but never receives it`
-		return err
-	}
-	buf, err := tr.Recv(peer) // want `receives wire group "meas" but never sends it`
-	if err != nil {
-		return err
-	}
-	_, _ = decodeMeas(buf)
-	return nil
 }

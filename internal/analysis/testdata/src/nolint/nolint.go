@@ -14,7 +14,11 @@ func scoped() time.Time {
 }
 
 func wrongScope() time.Time {
-	return time.Now() //nolint:netpart/hotpath reason=scoped to another analyzer so it must not apply // want `time\.Now reads the wall clock`
+	return time.Now() //nolint:netpart/allocfree reason=scoped to another analyzer so it must not apply // want `time\.Now reads the wall clock`
+}
+
+func unknownScope() time.Time {
+	return time.Now() //nolint:netpart/hotpath reason=names an analyzer that no longer exists // want `scoped to "hotpath", which is not an analyzer` `time\.Now reads the wall clock`
 }
 
 func noReason() time.Time {

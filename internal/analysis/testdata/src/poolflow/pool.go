@@ -1,8 +1,8 @@
 // Package poolflow is the fixture for the path-sensitive sync.Pool
-// lifetime analyzer. It includes the join case the old syntactic
-// poollifetime tracking got wrong (joinPoisons: a Put in every arm of an
-// if was forgotten at the join) and the loop back-edge case it could not
-// see at all (loopCarried).
+// lifetime analyzer. It includes the join case a per-branch syntactic
+// tracker gets wrong (joinPoisons: a Put in every arm of an if is
+// forgotten at the join) and the loop back-edge case it cannot see at all
+// (loopCarried).
 package poolflow
 
 import "sync"
