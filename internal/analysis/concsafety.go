@@ -32,8 +32,10 @@ import (
 //     exempt: their lifecycle belongs to the named callee's owner. So is a
 //     closure that signals through a captured channel or WaitGroup (one
 //     whose root is declared outside the launching body): the object's
-//     owner joins it in another method, beyond an intraprocedural view —
-//     the simnet scheduler's parked-process handshake is the archetype.
+//     owner joins it in another method, beyond an intraprocedural view.
+//     simnet's Run is the plain case: each task goroutine it launches
+//     calls Done on the simulation's WaitGroup, which Run Waits on before
+//     returning.
 //
 // Mutexes and WaitGroups are keyed by the source text of their receiver
 // expression (types.ExprString), so `c.mu` in two statements is one lock.

@@ -44,7 +44,7 @@ import (
 // whitelist of provably non-allocating packages and methods (math,
 // math/bits, sync/atomic, binary.PutUint*/Uint*, sync.Pool.Get/Put, lock
 // and WaitGroup operations, time.Duration arithmetic, the UDP AddrPort
-// datagram calls) passes; time.Now/
+// datagram calls, runtime.Goexit) passes; time.Now/
 // Since/Until and the auto-seeded math/rand globals contribute wall-clock
 // and rand facts; every other stdlib call is conservatively assumed to
 // allocate. Unresolved indirect calls are likewise conservative, except
@@ -499,6 +499,10 @@ func nonallocStdlib(fn *types.Func) bool {
 			strings.HasPrefix(name, "PutVarint") || strings.HasPrefix(name, "Varint")
 	case "sync":
 		return nonallocSyncMethods[name]
+	case "runtime":
+		// Goexit ends the calling goroutine: it runs once, on the way out,
+		// never in a steady state (simnet unwinds a deadlocked task with it).
+		return name == "Goexit"
 	case "net":
 		// The AddrPort datagram calls exist to be allocation-free: a
 		// netip.AddrPort value where ReadFromUDP/WriteToUDP take or return

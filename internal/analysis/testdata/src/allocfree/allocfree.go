@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"runtime"
 )
 
 type table struct {
@@ -132,4 +133,15 @@ func (t *table) hotIface(s sizer, n int) {
 func (t *table) hotDatagram(c *net.UDPConn, to netip.AddrPort, old *net.UDPAddr, b []byte) {
 	c.WriteToUDPAddrPort(b, to)
 	c.WriteToUDP(b, old) // want `hot path .*hotDatagram reaches an allocation: call to net.\(UDPConn\).WriteToUDP \(stdlib, not modeled allocation-free\)`
+}
+
+// hotExit: runtime.Goexit ends the goroutine, so it is never a steady
+// state and is modeled allocation-free; runtime.GC is not.
+//
+//netpart:hotpath
+func (t *table) hotExit(quit bool) {
+	if quit {
+		runtime.Goexit()
+	}
+	runtime.GC() // want `hot path .*hotExit reaches an allocation: call to runtime.GC \(stdlib, not modeled allocation-free\)`
 }

@@ -110,6 +110,46 @@ func TestRunRecoversCalibratedConstants(t *testing.T) {
 	}
 }
 
+// TestFitsBitIdentical pins the fitted table bit for bit: every constant
+// below was recorded before the simulator's event loop became baton
+// passing. A change to how simnet runs its events that moved any virtual
+// time would move a fit.
+func TestFitsBitIdentical(t *testing.T) {
+	res, err := Run(model.PaperTestbed(), []topo.Topology{topo.OneD{}, topo.Broadcast{}, topo.Mesh2D{}}, DefaultGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		cluster, topology string
+		c                 [4]uint64 // C1..C4 as math.Float64bits
+	}{
+		{"ipc", "1-D", [4]uint64{0xbffe3d70a3d70bc2, 0x3ffe6666666666d4, 0xbf72b7fe08aefb10, 0x3f72b7fe08aefb24}},
+		{"ipc", "2-D", [4]uint64{0xc00e51eb851eb882, 0x400547ae147ae166, 0xbf82b7fe08aefb17, 0x3f7a34ca0c282c5f}},
+		{"ipc", "broadcast", [4]uint64{0xbffe3d70a3d70bc2, 0x3ffe6666666666d4, 0xbf72b7fe08aefb10, 0x3f72b7fe08aefb24}},
+		{"sparc2", "1-D", [4]uint64{0xbff170a3d70a40c2, 0x3ff1999999999a6e, 0xbf672ef0ae536452, 0x3f672ef0ae5364d5}},
+		{"sparc2", "2-D", [4]uint64{0xc001851eb851eca8, 0x3ff8a3d70a3d7129, 0xbf772ef0ae5364c9, 0x3f703a7546d3f9d9}},
+		{"sparc2", "broadcast", [4]uint64{0xbff170a3d70a40c2, 0x3ff1999999999a6e, 0xbf672ef0ae536452, 0x3f672ef0ae5364d5}},
+	}
+	if len(res.Fits) != len(want) {
+		t.Fatalf("%d fits, want %d", len(res.Fits), len(want))
+	}
+	for i, f := range res.Fits {
+		w := want[i]
+		p := f.Params
+		got := [4]uint64{math.Float64bits(p.C1), math.Float64bits(p.C2), math.Float64bits(p.C3), math.Float64bits(p.C4)}
+		if f.Cluster != w.cluster || f.Topology != w.topology || got != w.c {
+			t.Errorf("fit %d: %s/%s %#x, want %s/%s %#x", i, f.Cluster, f.Topology, got, w.cluster, w.topology, w.c)
+		}
+	}
+	router := res.Router[[2]string{model.Sparc2Cluster, model.IPCCluster}]
+	if len(res.Router) != 1 || math.Float64bits(router.Ms) != 0x3f43a92a3055325f || router.FixedMs != 0 {
+		t.Errorf("router fits %+v, want sparc2-ipc slope bits 0x3f43a92a3055325f", res.Router)
+	}
+	if len(res.Coerce) != 0 {
+		t.Errorf("coercion fits %+v on a single-format testbed", res.Coerce)
+	}
+}
+
 func TestRunFitsCoercionWhenFormatsDiffer(t *testing.T) {
 	net := model.Figure1Network()
 	res, err := Run(net, []topo.Topology{topo.OneD{}}, Grid{Bytes: []int{240, 2400}, Cycles: 3})

@@ -2,11 +2,12 @@ package simnet
 
 import "netpart/internal/model"
 
-// Batch accumulates consecutive compute charges into a single scheduler
-// round-trip. The per-row Advance pattern costs two channel handoffs and
-// one scheduled event per charge; a task that charges many rows back to
-// back (the stencil's computeRows loop) pays that per cycle instead of per
-// row by accumulating the charges here and parking once in Flush.
+// Batch accumulates consecutive compute charges into a single park. The
+// per-row Advance pattern costs one scheduled event per charge, and a
+// baton hand-off whenever another task is due first; a task that charges
+// many rows back to back (the stencil's computeRows loop) pays that per
+// cycle instead of per row by accumulating the charges here and parking
+// once in Flush.
 //
 // Determinism: the batch accumulates exactly the float additions the
 // unbatched path performs, in the same order — at_k = at_{k-1} + ms_k with
@@ -58,7 +59,7 @@ func (b *Batch) Flush() {
 		return
 	}
 	p := b.p
-	p.sim.scheduleWake(b.at, p)
+	p.sim.schedule(b.at, evWake, p, nil)
 	p.park()
 	b.at = p.sim.now
 	b.dirty = false

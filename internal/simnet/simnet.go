@@ -5,11 +5,18 @@
 // joining segments with a per-byte delay, per-byte data coercion between
 // clusters of different formats, and host send/receive processing costs.
 //
-// Simulated tasks are goroutines coordinated by a cooperative scheduler:
-// exactly one task runs at a time, and tasks advance the virtual clock by
-// blocking in Advance, Send, and Recv. Runs are fully deterministic — the
-// event queue is ordered by (virtual time, sequence number) and the
-// simulation uses no wall-clock time or randomness.
+// Simulated tasks are goroutines that pass a baton: exactly one goroutine
+// — a running task, or Run before the first task starts — holds the event
+// queue and the simulation state at a time, and only the holder reads or
+// writes them. Tasks advance the virtual clock by blocking in Advance,
+// Send, and Recv; a blocking task keeps the baton and runs the event loop
+// itself, handling router hops and deliveries inline until an event wakes
+// a task. If that is the task itself it carries on without a goroutine
+// switch; otherwise it hands the baton to the woken task and waits for its
+// own wake. Runs are fully deterministic — the event queue is ordered by
+// (virtual time, sequence number) and the simulation uses no wall-clock
+// time or randomness — so which goroutine runs an event never changes what
+// the event does.
 //
 // Why this produces Eq. 1 costs: a message of b bytes from a cluster with
 // per-message channel occupancy σ (model.Cluster.MsgOverheadMs) and host
@@ -26,7 +33,9 @@ package simnet
 import (
 	"container/heap"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"netpart/internal/faults"
 	"netpart/internal/model"
@@ -41,18 +50,30 @@ const (
 	RecvCPUMs = 0.05
 )
 
-// event is one scheduled action: either a closure (fn) or a bare task
-// wake-up (wake). The wake fast path exists because the overwhelming
-// majority of events — every Advance, every post-delivery resume — only
-// step a parked task; representing them without a closure lets the
-// scheduler recycle event structs through a free list instead of
-// allocating one struct plus one closure per scheduled event.
+// event is one scheduled action. Every action the simulator itself takes
+// — a wake, a RecvWithin deadline, a router hop, a delivery — is typed,
+// with its operands in fields, so the loop recycles event structs through
+// a free list instead of allocating one struct plus one closure per event.
+// Only the fault injector's retry and delay paths carry a closure (fn).
 type event struct {
 	at   float64
 	seq  int64
-	fn   func()
-	wake *Proc
+	kind eventKind
+	p    *Proc    // the task woken, or the message's destination
+	msg  *Message // evHop, evDeliver
+	gen  uint64   // evDeadline: the wait it was armed for (Proc.waitGen)
+	fn   func()   // evFn
 }
+
+type eventKind uint8
+
+const (
+	evWake     eventKind = iota // resume p
+	evDeadline                  // resume p if it is still in wait gen
+	evHop                       // msg leaves the router onto p's segment
+	evDeliver                   // msg reaches p's mailbox
+	evFn                        // run fn
+)
 
 // maxFreeEvents bounds the event free list. The live set of events is
 // proportional to tasks plus in-flight messages, so the pool's high-water
@@ -113,8 +134,20 @@ type Sim struct {
 	events   eventHeap
 	free     []*event // recycled event structs (see event)
 	procs    []*Proc
-	parked   chan parkReason
 	running  bool
+	// launched counts the procs whose goroutines Run has started; tasks
+	// counts those goroutines still alive.
+	launched int
+	tasks    sync.WaitGroup
+	// idle carries the baton back to Run: from whichever goroutine empties
+	// the event queue, and from each blocked task Run unwinds.
+	idle chan struct{}
+	// releasing is set while Run unwinds the tasks a drained queue left
+	// blocked (see Run).
+	releasing bool
+	// handoffs counts baton passes between goroutines while countHandoffs
+	// is set.
+	handoffs int
 
 	// jitterFrac > 0 scales every channel hold by a deterministic
 	// pseudo-random factor in [1-f, 1+f], modeling the paper's observation
@@ -178,7 +211,7 @@ func WithJitter(frac float64, seed uint64) Option {
 // WithMessageObserver registers fn to be called at every message delivery
 // with the message's transit record. Observers let higher layers (spmd)
 // build latency histograms without the simulator depending on them; fn
-// runs on the scheduler goroutine and must not block.
+// runs on whichever goroutine holds the baton and must not block.
 func WithMessageObserver(fn func(Delivery)) Option {
 	return func(s *Sim) { s.onDeliver = fn }
 }
@@ -219,12 +252,10 @@ func (s *Sim) jitterMul() float64 {
 	return 1 + s.jitterFrac*(2*u-1)
 }
 
-type parkReason int
-
-const (
-	parkBlocked parkReason = iota
-	parkDone
-)
+// countHandoffs turns on the Sim.handoffs count. Only the tests set it and
+// read the count, to hold a task that wakes itself to zero goroutine
+// switches; like stencil's useAVX2 it is a plain package variable.
+var countHandoffs = false
 
 // New creates a simulation over the given validated network.
 func New(net *model.Network, opts ...Option) (*Sim, error) {
@@ -234,7 +265,7 @@ func New(net *model.Network, opts ...Option) (*Sim, error) {
 	s := &Sim{
 		net:        net,
 		segments:   make(map[string]*segment, len(net.Segments)),
-		parked:     make(chan parkReason),
+		idle:       make(chan struct{}),
 		injStreams: make(map[[2]int]*injStream),
 	}
 	for _, seg := range net.Segments {
@@ -270,30 +301,77 @@ func (s *Sim) alloc(at float64) *event {
 	return ev
 }
 
-// schedule queues fn at virtual time at (clamped to now).
-func (s *Sim) schedule(at float64, fn func()) {
-	ev := s.alloc(at)
-	ev.fn = fn
-	heap.Push(&s.events, ev)
-}
-
-// scheduleWake queues a bare resume of p at virtual time at (clamped to
-// now) — the closure-free fast path for Advance and delivery wake-ups.
+// schedule queues a typed event at virtual time at (clamped to now) and
+// returns it, for the caller to fill in gen or fn.
 //
 //netpart:hotpath
-func (s *Sim) scheduleWake(at float64, p *Proc) {
+func (s *Sim) schedule(at float64, kind eventKind, p *Proc, msg *Message) *event {
 	ev := s.alloc(at)
-	ev.wake = p
+	ev.kind, ev.p, ev.msg = kind, p, msg
 	heap.Push(&s.events, ev)
+	return ev
+}
+
+// run is the event loop, executed by whichever goroutine holds the baton.
+// It pops events in (at, seq) order, running hops, deliveries and injector
+// actions inline, until one wakes a task, and returns that task — or nil
+// once the queue is empty.
+func (s *Sim) run() *Proc {
+	for len(s.events) > 0 {
+		ev := heap.Pop(&s.events).(*event)
+		s.now = ev.at
+		// Recycle before dispatch: the action's fields are copied out, so
+		// anything the action schedules may reuse this struct immediately.
+		kind, p, msg, gen, fn := ev.kind, ev.p, ev.msg, ev.gen, ev.fn
+		ev.p, ev.msg, ev.fn = nil, nil, nil
+		if len(s.free) < maxFreeEvents {
+			s.free = append(s.free, ev)
+		}
+		switch kind {
+		case evWake:
+			return p
+		case evDeadline:
+			// Wake the task only if it is still in the wait the deadline was
+			// armed for: a delivery clears waitingOn, a later wait bumps
+			// waitGen, and a finished task is done.
+			if !p.done && p.waitGen == gen && p.waitingOn >= 0 {
+				p.waitingOn = -1
+				return p
+			}
+		case evHop:
+			s.hop(msg, p)
+		case evDeliver:
+			s.deliver(msg, p)
+		case evFn:
+			fn()
+		}
+	}
+	return nil
+}
+
+// pass hands the baton to next, or back to Run when the queue is empty
+// (next == nil). The caller must not touch the simulation afterwards until
+// the baton comes back to it.
+func (s *Sim) pass(next *Proc) {
+	if next == nil {
+		s.idle <- struct{}{}
+		return
+	}
+	if countHandoffs {
+		s.handoffs++
+	}
+	next.resume <- struct{}{}
 }
 
 // Proc is one simulated task: a goroutine that advances only in virtual
 // time. All Proc methods must be called from within the task body.
 type Proc struct {
-	sim      *Sim
-	name     string
-	cluster  *model.Cluster
-	rank     int
+	sim     *Sim
+	name    string
+	cluster *model.Cluster
+	rank    int
+	body    func(*Proc)
+	// resume hands p the baton.
 	resume   chan struct{}
 	done     bool
 	panicked error
@@ -343,39 +421,65 @@ func (s *Sim) Spawn(name, cluster string, body func(*Proc)) *Proc {
 		name:      name,
 		cluster:   c,
 		rank:      len(s.procs),
-		resume:    make(chan struct{}),
+		body:      body,
+		resume:    make(chan struct{}, 1),
 		waitingOn: -1,
 	}
 	s.procs = append(s.procs, p)
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				p.panicked = fmt.Errorf("simnet: task %s panicked: %v", p.name, r)
-			}
-			p.done = true
-			s.parked <- parkDone
-		}()
-		body(p)
-	}()
-	s.scheduleWake(0, p)
+	s.schedule(0, evWake, p, nil)
 	return p
 }
 
-// step resumes a parked task and waits for it to park again (or finish).
-func (s *Sim) step(p *Proc) {
-	p.resume <- struct{}{}
-	<-s.parked
+// live is the life of p's goroutine: wait for the baton, run the body, and
+// pass the baton on when the body returns or panics.
+func (p *Proc) live() {
+	s := p.sim
+	defer func() {
+		r := recover()
+		if s.releasing {
+			s.idle <- struct{}{} // unwound by Run: nothing to report
+			return
+		}
+		if r != nil {
+			p.panicked = fmt.Errorf("simnet: task %s panicked: %v", p.name, r)
+		}
+		p.done = true
+		s.pass(s.run())
+	}()
+	p.wait()
+	p.body(p)
 }
 
-// park suspends the calling task and hands control back to the scheduler.
+// park blocks p until its next wake. The parking goroutine keeps the baton
+// and runs the event loop itself: if the next wake is p's own, park returns
+// with no goroutine switch; otherwise it hands the baton to the woken task
+// (or, with the queue empty, back to Run) and waits for it to come back.
 func (p *Proc) park() {
-	p.sim.parked <- parkBlocked
+	s := p.sim
+	if s.releasing {
+		runtime.Goexit() // a deferred call of a task Run is unwinding
+	}
+	next := s.run()
+	if next == p {
+		return
+	}
+	s.pass(next)
+	p.wait()
+}
+
+// wait blocks until p holds the baton. When Run is unwinding a deadlock
+// instead, p's goroutine exits, running its deferred calls.
+func (p *Proc) wait() {
 	<-p.resume
+	if p.sim.releasing {
+		runtime.Goexit()
+	}
 }
 
 // Run executes the simulation until no events remain. It returns an error
-// if any task is still blocked (deadlock) when the event queue drains.
+// if a task panicked, or if any task is still blocked (deadlock) when the
+// event queue drains. No task goroutine outlives Run: it unwinds the
+// blocked tasks before returning, and a task it unwound counts as finished.
 func (s *Sim) Run() error {
 	if s.running {
 		return fmt.Errorf("simnet: Run reentered")
@@ -392,36 +496,48 @@ func (s *Sim) Run() error {
 			p.mailboxes = grown
 		}
 	}
-	for len(s.events) > 0 {
-		ev := heap.Pop(&s.events).(*event)
-		s.now = ev.at
-		// Recycle before dispatch: the action's fields are copied out, so
-		// anything the action schedules may reuse this struct immediately.
-		fn, wake := ev.fn, ev.wake
-		ev.fn, ev.wake = nil, nil
-		if len(s.free) < maxFreeEvents {
-			s.free = append(s.free, ev)
-		}
-		if wake != nil {
-			s.step(wake)
-		} else {
-			fn()
-		}
+	for _, p := range s.procs[s.launched:] {
+		s.tasks.Add(1)
+		go func() {
+			defer s.tasks.Done()
+			p.live()
+		}()
 	}
+	s.launched = len(s.procs)
+	// Run holds the baton until the first wake, and gets it back from
+	// whichever goroutine empties the queue.
+	if next := s.run(); next != nil {
+		s.pass(next)
+		<-s.idle
+	}
+	var err error
 	var stuck []string
 	for _, p := range s.procs {
-		if p.panicked != nil {
-			return p.panicked
+		if p.panicked != nil && err == nil {
+			err = p.panicked
 		}
 		if !p.done {
 			stuck = append(stuck, fmt.Sprintf("%s (recv from rank %d)", p.name, p.waitingOn))
 		}
 	}
-	if len(stuck) > 0 {
-		sort.Strings(stuck)
-		return fmt.Errorf("simnet: deadlock, %d tasks blocked: %v", len(stuck), stuck)
+	// Unwind the blocked tasks in rank order, one at a time, so that each
+	// runs its deferred calls with the simulation to itself; then join
+	// every task goroutine.
+	s.releasing = true
+	for _, p := range s.procs {
+		if !p.done {
+			p.done, p.waitingOn = true, -1
+			p.resume <- struct{}{}
+			<-s.idle
+		}
 	}
-	return nil
+	s.tasks.Wait()
+	s.releasing = false
+	if err == nil && len(stuck) > 0 {
+		sort.Strings(stuck)
+		err = fmt.Errorf("simnet: deadlock, %d tasks blocked: %v", len(stuck), stuck)
+	}
+	return err
 }
 
 // Advance spends ms milliseconds of virtual time computing.
@@ -433,7 +549,7 @@ func (p *Proc) Advance(ms float64) {
 	}
 	p.computeMs += ms
 	s := p.sim
-	s.scheduleWake(s.now+ms, p)
+	s.schedule(s.now+ms, evWake, p, nil)
 	p.park()
 }
 
@@ -515,12 +631,12 @@ func (s *Sim) injAttempt(st *injStream, p *injPending, attempt int) {
 		if attempt >= simMaxRetries {
 			return // lost: stream stalls, Run reports the blocked receiver
 		}
-		s.schedule(s.now+s.injRtoMs, func() { s.injAttempt(st, p, attempt+1) })
+		s.schedule(s.now+s.injRtoMs, evFn, nil, nil).fn = func() { s.injAttempt(st, p, attempt+1) }
 	case fate.DelayMs > 0:
-		s.schedule(s.now+fate.DelayMs, func() {
+		s.schedule(s.now+fate.DelayMs, evFn, nil, nil).fn = func() {
 			s.transmitClean(p.msg, p.from, p.dst)
 			s.injPump(st)
-		})
+		}
 	default:
 		s.transmitClean(p.msg, p.from, p.dst)
 		s.injPump(st)
@@ -528,7 +644,7 @@ func (s *Sim) injAttempt(st *injStream, p *injPending, attempt int) {
 }
 
 // transmitClean pushes msg through the sender's segment, then (if needed)
-// the router and the destination segment, and finally delivers it.
+// the router and the destination segment (hop), and finally delivers it.
 func (s *Sim) transmitClean(msg *Message, from *model.Cluster, dst *Proc) {
 	b := float64(msg.Bytes)
 	src := s.segments[from.Segment]
@@ -538,19 +654,23 @@ func (s *Sim) transmitClean(msg *Message, from *model.Cluster, dst *Proc) {
 	src.bytes += int64(msg.Bytes)
 
 	if from.Segment == dst.cluster.Segment {
-		s.schedule(doneSrc, func() { s.deliver(msg, dst) })
+		s.schedule(doneSrc, evDeliver, dst, msg)
 		return
 	}
 	// Store-and-forward through the router, then the destination segment.
 	routed := doneSrc + s.net.Router.PerMessageMs + s.net.Router.PerByteMs*b
-	s.schedule(routed, func() {
-		dseg := s.segments[dst.cluster.Segment]
-		dhold := (dst.cluster.MsgOverheadMs + b*(1/dseg.spec.BytesPerMs+dst.cluster.HostPerByteMs)) * s.jitterMul()
-		doneDst := dseg.acquire(s.now, dhold)
-		dseg.messages++
-		dseg.bytes += int64(msg.Bytes)
-		s.schedule(doneDst, func() { s.deliver(msg, dst) })
-	})
+	s.schedule(routed, evHop, dst, msg)
+}
+
+// hop carries msg from the router onto dst's segment.
+func (s *Sim) hop(msg *Message, dst *Proc) {
+	b := float64(msg.Bytes)
+	dseg := s.segments[dst.cluster.Segment]
+	dhold := (dst.cluster.MsgOverheadMs + b*(1/dseg.spec.BytesPerMs+dst.cluster.HostPerByteMs)) * s.jitterMul()
+	doneDst := dseg.acquire(s.now, dhold)
+	dseg.messages++
+	dseg.bytes += int64(msg.Bytes)
+	s.schedule(doneDst, evDeliver, dst, msg)
 }
 
 // acquire reserves the channel FIFO for hold ms starting no earlier than
@@ -580,7 +700,7 @@ func (s *Sim) deliver(msg *Message, dst *Proc) {
 	dst.mailboxes[from] = append(dst.mailboxes[from], msg)
 	if dst.waitingOn == from {
 		dst.waitingOn = -1
-		s.scheduleWake(s.now, dst)
+		s.schedule(s.now, evWake, dst, nil)
 	}
 }
 
@@ -613,14 +733,7 @@ func (p *Proc) RecvWithin(src *Proc, ms float64) (*Message, bool) {
 	s := p.sim
 	p.waitingOn = src.rank
 	p.waitGen++
-	gen := p.waitGen
-	s.schedule(s.now+ms, func() {
-		// Wake the task only if it is still in this exact wait.
-		if !p.done && p.waitGen == gen && p.waitingOn == src.rank {
-			p.waitingOn = -1
-			s.step(p)
-		}
-	})
+	s.schedule(s.now+ms, evDeadline, p, nil).gen = p.waitGen
 	p.park()
 	if len(p.mailboxes[src.rank]) == 0 {
 		return nil, false

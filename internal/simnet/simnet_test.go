@@ -2,9 +2,12 @@ package simnet
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"netpart/internal/model"
 )
@@ -238,10 +241,21 @@ func TestIPCCyclesSlowerThanSparc2(t *testing.T) {
 	}
 }
 
+// TestDeterminism runs one exchange twice at each of GOMAXPROCS 1, 2 and 4:
+// which goroutine holds the baton, and how many cores there are to run it,
+// must not change the end time, the channel statistics, the per-task
+// statistics or the order and timing of deliveries.
 func TestDeterminism(t *testing.T) {
-	run := func() (float64, []SegmentStats) {
+	type delivery struct {
+		from, to, bytes int
+		sent, at        float64
+	}
+	run := func() (float64, []SegmentStats, []ProcStats, []delivery) {
+		var seen []delivery
 		net := model.PaperTestbed()
-		s, _ := New(net)
+		s, _ := New(net, WithMessageObserver(func(d Delivery) {
+			seen = append(seen, delivery{d.From.Rank(), d.To.Rank(), d.Bytes, d.SentAtMs, d.DeliveredAtMs})
+		}))
 		procs := make([]*Proc, 6)
 		for i := 0; i < 6; i++ {
 			i := i
@@ -270,17 +284,242 @@ func TestDeterminism(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return s.Now(), s.Stats()
+		return s.Now(), s.Stats(), s.ProcStats(), seen
 	}
-	t1, st1 := run()
-	t2, st2 := run()
-	if t1 != t2 {
-		t.Errorf("nondeterministic end time: %v vs %v", t1, t2)
+	was := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(was)
+	t0, st0, ps0, d0 := run()
+	if len(d0) != 30 {
+		t.Fatalf("observer saw %d deliveries, want 30", len(d0))
 	}
-	for i := range st1 {
-		if st1[i] != st2[i] {
-			t.Errorf("nondeterministic stats: %+v vs %+v", st1[i], st2[i])
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for rep := 0; rep < 2; rep++ {
+			t1, st1, ps1, d1 := run()
+			if t1 != t0 {
+				t.Errorf("GOMAXPROCS %d: end time %v, want %v", procs, t1, t0)
+			}
+			if !reflect.DeepEqual(st1, st0) {
+				t.Errorf("GOMAXPROCS %d: segment stats %+v, want %+v", procs, st1, st0)
+			}
+			if !reflect.DeepEqual(ps1, ps0) {
+				t.Errorf("GOMAXPROCS %d: proc stats %+v, want %+v", procs, ps1, ps0)
+			}
+			if !reflect.DeepEqual(d1, d0) {
+				t.Errorf("GOMAXPROCS %d: delivery sequence differs", procs)
+			}
 		}
+	}
+}
+
+// runBounded runs s, failing the test instead of hanging if Run does not
+// return: a wake handed to a finished task would block forever.
+func runBounded(t *testing.T, s *Sim) error {
+	t.Helper()
+	errc := make(chan error, 1)
+	go func() { errc <- s.Run() }()
+	select {
+	case err := <-errc:
+		return err
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not return")
+		return nil
+	}
+}
+
+// settledGoroutines waits for the goroutine count to fall to want: a task
+// goroutine Run has joined may still be on its way out of the runtime.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000 && n > want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestNoGoroutineOutlivesRun: after a deadlocked run, a run in which a task
+// panicked while others waited on it, and a clean run, every task goroutine
+// is gone. The blocked tasks are unwound through their deferred calls.
+func TestNoGoroutineOutlivesRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+
+	s, _ := New(model.PaperTestbed())
+	var procs [3]*Proc
+	unwound := 0
+	procs[0] = s.Spawn("a", model.Sparc2Cluster, func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Recv(procs[1]) // never sent
+	})
+	procs[1] = s.Spawn("b", model.Sparc2Cluster, func(p *Proc) {
+		defer func() { unwound++ }()
+		defer p.Advance(1) // parking while Run unwinds must not hang Run
+		p.Recv(procs[0])
+	})
+	procs[2] = s.Spawn("c", model.Sparc2Cluster, func(p *Proc) { p.Advance(2) })
+	err := runBounded(t, s)
+	if err == nil || err.Error() != "simnet: deadlock, 2 tasks blocked: [a (recv from rank 1) b (recv from rank 0)]" {
+		t.Errorf("deadlocked Run() = %v", err)
+	}
+	if unwound != 2 {
+		t.Errorf("%d blocked tasks ran their deferred calls, want 2", unwound)
+	}
+	if n := settledGoroutines(base); n != base {
+		t.Errorf("after a deadlocked Run: %d goroutines, want %d", n, base)
+	}
+
+	s, _ = New(model.PaperTestbed())
+	boomer := s.Spawn("boomer", model.Sparc2Cluster, func(p *Proc) {
+		p.Advance(1)
+		panic("boom")
+	})
+	s.Spawn("waiter", model.IPCCluster, func(p *Proc) { p.Recv(boomer) })
+	if err := runBounded(t, s); err == nil || err.Error() != "simnet: task boomer panicked: boom" {
+		t.Errorf("panicked Run() = %v", err)
+	}
+	if n := settledGoroutines(base); n != base {
+		t.Errorf("after a panicked Run: %d goroutines, want %d", n, base)
+	}
+
+	oneDCycle(t, model.Sparc2Cluster, 4, 240)
+	if n := settledGoroutines(base); n != base {
+		t.Errorf("after a clean Run: %d goroutines, want %d", n, base)
+	}
+}
+
+// TestSelfWakeDoesNotSwitch: a task that is the next one due carries on
+// without a goroutine switch, so the hand-offs of a run do not grow with
+// the number of Advances a task makes while its peer waits.
+func TestSelfWakeDoesNotSwitch(t *testing.T) {
+	countHandoffs = true
+	t.Cleanup(func() { countHandoffs = false })
+	for _, n := range []int{10, 1000} {
+		s, _ := New(model.PaperTestbed())
+		var a, b *Proc
+		a = s.Spawn("a", model.Sparc2Cluster, func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Advance(1)
+			}
+			p.Send(b, 100, nil)
+		})
+		b = s.Spawn("b", model.Sparc2Cluster, func(p *Proc) { p.Recv(a) })
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		// Run → a; a's first Advance → b (still due at t=0); b's Recv → a;
+		// a's delivery → b. Every other wake is the parking task's own.
+		if s.handoffs != 4 {
+			t.Errorf("%d Advances: %d hand-offs, want 4", n, s.handoffs)
+		}
+	}
+}
+
+// TestStaleDeadlineIgnored: a RecvWithin whose message arrived first leaves
+// its deadline in the queue; the deadline falls inside a later wait on the
+// same sender and must not end that wait.
+func TestStaleDeadlineIgnored(t *testing.T) {
+	s, _ := New(model.PaperTestbed())
+	var procs [2]*Proc
+	var ok1, ok2 bool
+	var second *Message
+	var end float64
+	procs[0] = s.Spawn("sender", model.Sparc2Cluster, func(p *Proc) {
+		p.Send(procs[1], 100, 1)
+		p.Advance(500)
+		p.Send(procs[1], 100, 2)
+	})
+	procs[1] = s.Spawn("receiver", model.Sparc2Cluster, func(p *Proc) {
+		_, ok1 = p.RecvWithin(procs[0], 100) // delivered at ~0.6; deadline stays at 100
+		second, ok2 = p.RecvWithin(procs[0], 1000)
+		end = p.Now()
+	})
+	if err := runBounded(t, s); err != nil {
+		t.Fatal(err)
+	}
+	if !ok1 || !ok2 || second.Payload != 2 {
+		t.Fatalf("RecvWithin = %v, then (%+v, %v)", ok1, second, ok2)
+	}
+	if end < 500 {
+		t.Errorf("second wait ended at %v, before the second message was sent", end)
+	}
+}
+
+// TestDeadlineAndDeliveryAtOneInstant: when a RecvWithin deadline and the
+// awaited delivery fall at the same virtual time, whichever was scheduled
+// first (the lower seq) decides the outcome.
+func TestDeadlineAndDeliveryAtOneInstant(t *testing.T) {
+	// Time the delivery of a 100-byte message sent at t = 0.
+	s, _ := New(model.PaperTestbed())
+	var procs [2]*Proc
+	var at float64
+	procs[0] = s.Spawn("sender", model.Sparc2Cluster, func(p *Proc) { p.Send(procs[1], 100, nil) })
+	procs[1] = s.Spawn("receiver", model.Sparc2Cluster, func(p *Proc) { at = p.Recv(procs[0]).DeliveredAt })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	// arm is the receiver's time of arming; its deadline is at exactly at.
+	for _, arm := range []float64{0, 2 * SendCPUMs} {
+		ms := at - arm
+		for arm+ms > at {
+			ms = math.Nextafter(ms, 0)
+		}
+		for arm+ms < at {
+			ms = math.Nextafter(ms, at)
+		}
+		s, _ := New(model.PaperTestbed())
+		var ok, early bool
+		var got *Message
+		var woke float64
+		procs[0] = s.Spawn("sender", model.Sparc2Cluster, func(p *Proc) { p.Send(procs[1], 100, nil) })
+		procs[1] = s.Spawn("receiver", model.Sparc2Cluster, func(p *Proc) {
+			if arm > 0 {
+				p.Advance(arm)
+			}
+			if got, ok = p.RecvWithin(procs[0], ms); ok {
+				return
+			}
+			woke = p.Now()
+			// The delivery is due at this same instant but has not run yet.
+			early = p.TryRecv(procs[0]) != nil
+			got = p.Recv(procs[0])
+		})
+		if err := runBounded(t, s); err != nil {
+			t.Fatal(err)
+		}
+		if got == nil || got.DeliveredAt != at {
+			t.Fatalf("arm %v: received %+v, want a delivery at %v", arm, got, at)
+		}
+		switch arm {
+		case 0: // the deadline was scheduled before the send: it wins
+			if ok || woke != at || early {
+				t.Errorf("deadline first: ok %v at %v (want a timeout at %v), TryRecv found it %v", ok, woke, at, early)
+			}
+		default: // the delivery was scheduled before the deadline: it wins
+			if !ok {
+				t.Errorf("delivery first: RecvWithin timed out at %v", woke)
+			}
+		}
+	}
+}
+
+// TestFinishedTaskIgnoresDeadline: a task that returned while its
+// RecvWithin deadline was still queued is not woken by it; the run ends
+// cleanly with the clock at the last event.
+func TestFinishedTaskIgnoresDeadline(t *testing.T) {
+	s, _ := New(model.PaperTestbed())
+	var procs [2]*Proc
+	procs[0] = s.Spawn("sender", model.Sparc2Cluster, func(p *Proc) { p.Send(procs[1], 100, nil) })
+	procs[1] = s.Spawn("receiver", model.Sparc2Cluster, func(p *Proc) {
+		if _, ok := p.RecvWithin(procs[0], 50); !ok {
+			t.Error("RecvWithin timed out")
+		}
+	})
+	if err := runBounded(t, s); err != nil {
+		t.Fatal(err)
+	}
+	if s.Now() != 50 {
+		t.Errorf("run ended at %v, want the leftover deadline's 50", s.Now())
 	}
 }
 

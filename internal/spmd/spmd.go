@@ -125,8 +125,8 @@ func (t *Task) Compute(ops float64, class model.OpClass) {
 	t.proc.AdvanceOps(ops, class)
 }
 
-// ComputeBatch accumulates consecutive Compute charges into one scheduler
-// round-trip (see simnet.Batch). Virtual time is bit-for-bit identical to
+// ComputeBatch accumulates consecutive Compute charges into one park (see
+// simnet.Batch). Virtual time is bit-for-bit identical to
 // per-charge Compute calls; only the scheduling overhead changes. The
 // batch must be flushed (Done) before the task communicates.
 type ComputeBatch struct {

@@ -170,17 +170,17 @@ func (l simLink) nowMs() float64       { return l.t.NowMs() }
 // a goroutine hand-off; a smaller one runs on the rank's own goroutine.
 const overlapPoints = 4096
 
-// compute batches the span's per-row virtual-time charges into one
-// scheduler trip and overlaps the update with it: while the rank is parked
-// for the charged time the scheduler runs the ranks that compute at the same
-// virtual time, and their updates run beside this one on whatever cores
-// there are. Joining before the return keeps the flip and the next Send
-// behind the update, so no other goroutine sees a block mid-write and
-// virtual time does not see the update at all. A panic in the update is
-// carried over the join and raised again here, on the rank's goroutine,
-// where the simulator turns it into the run's error; the join is deferred
-// so that it also happens, and the worker is not left blocked on its send,
-// if the scheduler trip itself panics.
+// compute batches the span's per-row virtual-time charges into one park
+// and overlaps the update with it: while the rank is parked for the charged
+// time the simulator runs the ranks that compute at the same virtual time,
+// and their updates run beside this one on whatever cores there are.
+// Joining before the return keeps the flip and the next Send behind the
+// update, so no other goroutine sees a block mid-write and virtual time
+// does not see the update at all. A panic in the update is carried over the
+// join and raised again here, on the rank's goroutine, where the simulator
+// turns it into the run's error; the join is deferred so that it also
+// happens, and the worker is not left blocked on its send, if the park
+// itself panics or the simulator unwinds the rank.
 func (l simLink) compute(s *rankState, lo, hi int, factor float64) {
 	n := s.job.n
 	cb := l.t.BeginCompute()
