@@ -8,32 +8,29 @@ import (
 	"netpart/internal/topo"
 )
 
-// DeltaEval is the incremental estimate path for searches that vary one
-// cluster count of a base configuration at a time (the shape of every
-// Partition/PartitionLinear probe and of the Fig. 3 curve). BeginDelta
-// memoizes everything a probe re-derives from unchanged inputs — per-cluster
-// op times, the Eq. 3 denominator's partial sums, cost-table parameter
-// lookups, and pairwise segment/coercion facts — so Probe recomputes only
-// the O(K) arithmetic that actually depends on the varied count.
+// DeltaEval is the package's one implementation of Eq. 3–6: every
+// estimate — Estimator.Estimate, each search probe, the Fig. 3 curve — is
+// a probe of a DeltaEval bound to a cluster list. Binding memoizes what a
+// probe would otherwise re-derive from unchanged inputs — per-cluster op
+// times, the Eq. 3 denominator's partial sums at the base counts,
+// cost-table parameter lookups, and pairwise segment/coercion facts — so a
+// probe that varies one cluster's count recomputes only the O(K)
+// arithmetic that depends on it.
 //
-// Bit-for-bit identity with Estimate is a hard invariant, pinned by
-// TestDeltaProbeMatchesEstimate: the denominator is accumulated in exactly
-// the seed order (prefix through cluster k, then the probed term, then the
-// remaining terms left to right), and every multiply/divide uses the same
-// memoized operands the full path would recompute.
+// The denominator is accumulated left to right in cluster order with the
+// probed term substituted at its position (prefix through cluster k, the
+// probed division, then the remaining terms), so a probe is bit-identical
+// to an Estimate of its vector, which TestDeltaProbeMatchesEstimate pins.
 //
-// A DeltaEval is bound to its estimator and base Config (the Counts slice
-// is aliased, not copied): after mutating the base counts, call Rebase.
-// Like the estimator itself it is not safe for concurrent use, and the
-// returned Estimate's Shares and Config.Counts alias reusable buffers —
-// Detach before retaining. When the estimator has an Observer or the
-// dominant computation phase declares TotalOps, Probe transparently falls
-// back to the full EstimateFor path (observation and the non-linear
-// balance need it).
+// A DeltaEval aliases its base Config (Counts is not copied): after
+// mutating the base counts, call Rebase. It is not safe for concurrent
+// use, and a returned Estimate's Shares and Config.Counts alias reusable
+// buffers — Detach before retaining. With an Observer attached, each probe
+// emits its Candidate; a non-linear dominant phase (TotalOps) balances
+// through generalShares, which allocates.
 type DeltaEval struct {
 	e    *Estimator
 	base cost.Config
-	full bool
 
 	comp    *ComputationPhase
 	comm    *CommunicationPhase
@@ -45,10 +42,9 @@ type DeltaEval struct {
 	baseTotal int
 
 	//netpart:unit ms/ops
-	times []float64 // per-cluster op times (fixed per class)
+	times []float64 // per-cluster op times, re-read on every bind
 	terms []float64 // counts[i]/times[i] at the base counts
-	// prefix[i] is the Eq. 3 denominator accumulated through cluster i-1,
-	// with the seed's exact left-to-right rounding sequence.
+	// prefix[i] is the Eq. 3 denominator accumulated through cluster i-1.
 	prefix []float64
 	//netpart:unit pdus
 	shares []float64 // probe output buffer (Estimate.Shares aliases it)
@@ -74,51 +70,93 @@ type deltaPair struct {
 // cfg's Clusters and Counts are aliased: the caller may mutate the counts
 // between probes as its search settles clusters, calling Rebase after.
 func (e *Estimator) BeginDelta(cfg cost.Config) (*DeltaEval, error) {
-	d := &DeltaEval{e: e, base: cfg, comp: e.Ann.DominantCompute()}
-	d.numPDUs = e.Ann.NumPDUs()
-	if e.Observer != nil || d.comp.TotalOps != nil {
-		d.full = true
-		return d, nil
+	d := &DeltaEval{}
+	if err := d.bind(e, cfg); err != nil {
+		return nil, err
 	}
+	return d, nil
+}
+
+// bind points the evaluator at cfg, whose counts become the (aliased)
+// base. The dominant phases, the PDU count and the cluster speeds are
+// re-read on every bind, so annotations whose dominance shifts between
+// calls stay correct. The cost-table memo survives a rebind to the same
+// cluster names and communication phase; otherwise it is cleared, reusing
+// the buffers.
+//
+//netpart:hotpath
+func (d *DeltaEval) bind(e *Estimator, cfg cost.Config) error {
+	comp, comm := e.Ann.DominantCompute(), e.Ann.DominantComm()
 	k := len(cfg.Clusters)
-	d.times = make([]float64, k)
-	d.terms = make([]float64, k)
-	d.prefix = make([]float64, k)
-	d.shares = make([]float64, k)
-	d.probe = make([]int, k)
+	if d.e != e || d.comm != comm || len(d.times) < k || !sameNames(d.base.Clusters, cfg.Clusters) {
+		if err := d.reset(e, comm, k); err != nil {
+			return err
+		}
+	}
+	d.base, d.comp, d.numPDUs = cfg, comp, e.Ann.NumPDUs()
 	for i, name := range cfg.Clusters {
 		c := e.cluster(name)
 		if c == nil {
-			return nil, fmt.Errorf("core: unknown cluster %q", name)
+			return fmt.Errorf("core: unknown cluster %q", name)
 		}
-		d.times[i] = c.OpTime(d.comp.Class)
+		d.times[i] = c.OpTime(comp.Class)
 	}
-	d.comm = e.Ann.DominantComm()
-	if d.comm != nil {
-		tp, err := e.topologyOf(d.comm)
-		if err != nil {
-			return nil, err
-		}
-		d.tp = tp
-		d.tpName = tp.Name()
-		d.bwLimit = tp.BandwidthLimited()
-	}
-	d.commP = make([]cost.Params, k)
-	d.commOK = make([]bool, k)
-	d.startP = make([]cost.Params, k)
-	d.startSt = make([]int8, k)
-	d.pairs = make([]deltaPair, k*k)
-	d.pairOK = make([]bool, k*k)
 	d.Rebase()
-	return d, nil
+	return nil
+}
+
+// reset clears the cost-table memo for a new cluster list of length k,
+// growing the buffers (a few shared backing arrays) only when k exceeds
+// every list seen before.
+//
+//netpart:hotpath
+func (d *DeltaEval) reset(e *Estimator, comm *CommunicationPhase, k int) error {
+	d.e = nil // until the memo is consistent again
+	if len(d.times) < k {
+		f := make([]float64, 4*k)
+		d.times, d.terms, d.prefix, d.shares = f[:k], f[k:2*k], f[2*k:3*k], f[3*k:]
+		params := make([]cost.Params, 2*k)
+		d.commP, d.startP = params[:k], params[k:]
+		ok := make([]bool, k+k*k)
+		d.commOK, d.pairOK = ok[:k], ok[k:]
+		d.probe, d.startSt, d.pairs = make([]int, k), make([]int8, k), make([]deltaPair, k*k)
+	}
+	clear(d.commOK)
+	clear(d.startSt)
+	clear(d.pairOK)
+	d.tp = nil
+	if comm != nil {
+		tp, err := topo.ByName(comm.Topology)
+		if err != nil {
+			return err
+		}
+		d.tp, d.tpName, d.bwLimit = tp, tp.Name(), tp.BandwidthLimited()
+	}
+	d.e, d.comm = e, comm
+	return nil
+}
+
+// sameNames reports whether two cluster lists name the same clusters in
+// the same order.
+//
+//netpart:hotpath
+func sameNames(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Rebase recomputes the base-count partial sums after the caller mutated
 // the base configuration's counts.
+//
+//netpart:hotpath
 func (d *DeltaEval) Rebase() {
-	if d.full {
-		return
-	}
 	acc := 0.0
 	total := 0
 	for i := range d.base.Clusters {
@@ -131,18 +169,18 @@ func (d *DeltaEval) Rebase() {
 }
 
 // Probe estimates the base configuration with cluster k's count replaced
-// by p, bit-identical to EstimateFor on the equivalent probe vector. The
+// by p; an observed candidate is labeled with that cluster and p. The
 // returned Estimate aliases the evaluator's shares and probe buffers
-// (valid until the next Probe); Detach before retaining.
+// (valid until the next probe); Detach before retaining.
 //
 //netpart:hotpath
-func (d *DeltaEval) Probe(k, p int) (Estimate, error) {
+func (d *DeltaEval) Probe(k, p int) (Estimate, error) { return d.eval(k, p, true) }
+
+// eval is Eq. 3–6 for the base configuration with count k set to p.
+//
+//netpart:hotpath
+func (d *DeltaEval) eval(k, p int, labeled bool) (Estimate, error) {
 	e := d.e
-	if d.full || e.Observer != nil {
-		probe := d.base
-		probe.Counts = e.probeCounts(d.base.Counts, k, p)
-		return e.EstimateFor(probe, d.base.Clusters[k], p)
-	}
 	e.evaluations++
 	n := len(d.base.Clusters)
 	probe := d.probe[:n]
@@ -154,33 +192,42 @@ func (d *DeltaEval) Probe(k, p int) (Estimate, error) {
 		return est, ErrNoProcessors
 	}
 
-	// Eq. 3: replay the seed's denominator accumulation with the probed
-	// term substituted at position k — prefix through k, the probed
-	// division, then the memoized remaining terms in original order.
+	// Eq. 3: replay the denominator accumulation with the probed term
+	// substituted at position k.
 	denom := d.prefix[k]
 	denom += float64(p) / d.times[k]
 	for j := k + 1; j < n; j++ {
 		denom += d.terms[j]
 	}
 	shares := d.shares[:n]
+	first := -1 // the first active cluster: the startup root
 	for i := range shares {
 		shares[i] = 0
 		if probe[i] > 0 {
 			shares[i] = float64(d.numPDUs) / (d.times[i] * denom)
+			if first < 0 {
+				first = i
+			}
+		}
+	}
+	if d.comp.TotalOps != nil {
+		// Non-linear balance: recompute shares so S_i·ops(A_i) equalizes.
+		// This path allocates (nested bisection); the linear Eq. 3 form is
+		// the hot one.
+		var err error
+		if shares, err = generalShares(e.Net, est.Config, d.numPDUs, d.comp.Class, d.comp.TotalOps); err != nil {
+			return est, err
 		}
 	}
 	est.Shares = shares
 
-	// Eq. 4 at the first active cluster (equal for all by load balance).
-	for i := range probe {
-		if probe[i] == 0 {
-			continue
-		}
-		est.TcompMs = d.times[i] * d.comp.Ops(shares[i])
-		break
-	}
+	// Eq. 4: T_comp at the first active cluster (equal for all by load
+	// balance).
+	est.TcompMs = d.times[first] * d.comp.Ops(shares[first])
 
 	if d.comm != nil {
+		// b may depend on the assignment; use the largest message any task
+		// sends (the synchronous cost is set by the worst processor).
 		b := 0.0
 		for i := range probe {
 			if probe[i] == 0 {
@@ -191,22 +238,35 @@ func (d *DeltaEval) Probe(k, p int) (Estimate, error) {
 			}
 		}
 		est.BytesPerMsg = b
-		tcomm, err := d.commCost(b, probe, total)
-		if err != nil {
-			return est, err
+		if total > 1 { // a single task exchanges no messages
+			tcomm, err := d.commCost(b, probe, total)
+			if err != nil {
+				return est, err
+			}
+			est.TcommMs = tcomm
 		}
-		est.TcommMs = tcomm
 		if d.comm.Overlap != "" && d.comm.Overlap == d.comp.Name {
 			est.ToverlapMs = math.Min(est.TcompMs, est.TcommMs)
 		}
 	}
-	if e.Ann.StartupBytesPerPDU > 0 {
-		est.StartupMs = d.startupCost(probe, shares, total)
+	if e.Ann.StartupBytesPerPDU > 0 && total > 1 {
+		est.StartupMs = d.startupCost(probe, shares, first)
 	}
 	if est.ToverlapMs > 0 {
+		// Algebraically Tcomp + Tcomm - min(Tcomp, Tcomm) = max(Tcomp,
+		// Tcomm); computing the max directly keeps plateaus of the T_c
+		// curve exactly flat (the subtraction form differs by an ulp,
+		// which would mislead the bisection search).
 		est.TcMs = math.Max(est.TcompMs, est.TcommMs)
 	} else {
 		est.TcMs = est.TcompMs + est.TcommMs
+	}
+	if e.Observer != nil {
+		cluster, at := "", 0
+		if labeled {
+			cluster, at = d.base.Clusters[k], p
+		}
+		e.observe(cluster, at, est.Detach(), false)
 	}
 	return est, nil
 }
@@ -239,7 +299,7 @@ func (d *DeltaEval) pairFor(i, j int) *deltaPair {
 		return pr
 	}
 	from, to := d.base.Clusters[i], d.base.Clusters[j]
-	pr.sameSeg = d.e.Net.SameSegment(from, to)
+	*pr = deltaPair{sameSeg: d.e.Net.SameSegment(from, to)}
 	if !pr.sameSeg {
 		pr.router = d.e.Costs.Router(from, to)
 		pr.coerce = d.e.Net.NeedsCoercion(from, to)
@@ -251,23 +311,18 @@ func (d *DeltaEval) pairFor(i, j int) *deltaPair {
 	return pr
 }
 
-// commCost mirrors Estimator.commCost over the probe vector, with the
-// params and pair lookups served from the memo.
+// commCost applies the Eq. 2 composition over the probe vector (at least
+// two tasks), honoring the RouterStation flag on every call: with it set,
+// a cluster whose tasks communicate across the router is charged one
+// extra contending station (Section 3.0, matching cost.Table.CommCost bit
+// for bit); without it, Section 6.0's composition omits the extra station.
+// Border detection uses topo.SegmentCrosses on the contiguous placement's
+// rank ranges, so no placement is materialized.
 //
 //netpart:hotpath
+//netpart:unit b bytes
+//netpart:unit return ms
 func (d *DeltaEval) commCost(b float64, probe []int, total int) (float64, error) {
-	nActive, firstActive := 0, -1
-	for i, c := range probe {
-		if c > 0 {
-			nActive++
-			if firstActive < 0 {
-				firstActive = i
-			}
-		}
-	}
-	if nActive == 0 || (nActive == 1 && probe[firstActive] == 1) {
-		return 0, nil // a single task exchanges no messages
-	}
 	worst := 0.0
 	lo := 0
 	for i, cnt := range probe {
@@ -283,6 +338,8 @@ func (d *DeltaEval) commCost(b float64, probe []int, total int) (float64, error)
 		lo = hi
 		p := cnt
 		if d.bwLimit {
+			// Broadcast-like: offered load scales with the total number of
+			// participants regardless of segment locality.
 			p = total
 		}
 		if crosses && d.e.RouterStation {
@@ -299,9 +356,12 @@ func (d *DeltaEval) commCost(b float64, probe []int, total int) (float64, error)
 	return worst, nil
 }
 
-// crossPenalty mirrors Estimator.crossPenalty with memoized pair facts.
+// crossPenalty is the worst router (plus coercion) cost from cluster from
+// to any other active cluster on another segment.
 //
 //netpart:hotpath
+//netpart:unit b bytes
+//netpart:unit return ms
 func (d *DeltaEval) crossPenalty(probe []int, from int, b float64) float64 {
 	worst := 0.0
 	for j, cnt := range probe {
@@ -324,8 +384,11 @@ func (d *DeltaEval) crossPenalty(probe []int, from int, b float64) float64 {
 }
 
 // startupParamsFor resolves (and memoizes) the startup cost params when
-// cluster root scatters, honoring the full path's 1-D fallback; ok=false
-// means no model exists and startup reports zero.
+// cluster root scatters: the dominant topology's model, else any 1-D
+// model; ok=false means no model exists and startup reports zero
+// (startup is advisory).
+//
+//netpart:hotpath
 func (d *DeltaEval) startupParamsFor(root int) (cost.Params, bool) {
 	if d.startSt[root] != 0 {
 		return d.startP[root], d.startSt[root] > 0
@@ -347,42 +410,38 @@ func (d *DeltaEval) startupParamsFor(root int) (cost.Params, bool) {
 	return params, true
 }
 
-// startupCost mirrors Estimator.startupCost over the probe vector.
+// startupCost estimates T_startup (at least two tasks): the root, the
+// first active cluster, scatters each other task's PDU block in one
+// message. Each transmission occupies the source channel for roughly the
+// per-station increment of the fitted 1-D model (C2 + b·C4 of the root
+// cluster) and pays the router penalty when the destination is on another
+// segment; the transmissions serialize through the root's channel, so the
+// costs sum.
 //
 //netpart:hotpath
 //netpart:unit shares pdus
 //netpart:unit return ms
-func (d *DeltaEval) startupCost(probe []int, shares []float64, total int) float64 {
-	firstActive := -1
-	for i, c := range probe {
-		if c > 0 {
-			firstActive = i
-			break
-		}
-	}
-	if firstActive < 0 || total <= 1 {
-		return 0
-	}
-	params, ok := d.startupParamsFor(firstActive)
+func (d *DeltaEval) startupCost(probe []int, shares []float64, root int) float64 {
+	params, ok := d.startupParamsFor(root)
 	if !ok {
 		return 0
 	}
 	sum := 0.0
 	for i, cnt := range probe {
-		if cnt == 0 {
-			continue
-		}
 		tasks := cnt
-		if i == firstActive {
+		if i == root {
 			tasks-- // the root keeps its own block
 		}
 		if tasks <= 0 {
 			continue
 		}
 		b := shares[i] * d.e.Ann.StartupBytesPerPDU
+		// The fitted per-station increment (C2 + b·C4) covers one cycle's
+		// messages per station — two for the 1-D pattern the constants are
+		// fitted on — so one scatter message costs half of it.
 		per := (params.C2 + b*params.C4) / 2
-		if i != firstActive {
-			pr := d.pairFor(firstActive, i)
+		if i != root {
+			pr := d.pairFor(root, i)
 			if !pr.sameSeg {
 				per += pr.router.Eval(b)
 				if pr.coerce {

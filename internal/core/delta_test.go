@@ -32,8 +32,8 @@ func deltaEstimators(t *testing.T) map[string]*Estimator {
 
 // TestDeltaProbeMatchesEstimate pins the delta evaluator's hard invariant:
 // for every base configuration, varied cluster, and probed count, Probe is
-// bit-for-bit identical to the full EstimateFor on the equivalent probe
-// vector — including the error cases.
+// bit-for-bit identical to a freshly bound Estimate of the probe vector —
+// including the error cases.
 func TestDeltaProbeMatchesEstimate(t *testing.T) {
 	clusters := []string{model.Sparc2Cluster, model.IPCCluster}
 	for label, e := range deltaEstimators(t) {
@@ -48,9 +48,9 @@ func TestDeltaProbeMatchesEstimate(t *testing.T) {
 				for k := 0; k < 2; k++ {
 					for p := 0; p <= 6; p++ {
 						got, gotErr := d.Probe(k, p)
-						probe := base
-						probe.Counts = ref.probeCounts(base.Counts, k, p)
-						want, wantErr := ref.EstimateFor(probe, clusters[k], p)
+						probe := cost.Config{Clusters: clusters, Counts: append([]int(nil), base.Counts...)}
+						probe.Counts[k] = p
+						want, wantErr := ref.Clone().Estimate(probe)
 						if (gotErr == nil) != (wantErr == nil) || (wantErr != nil && !errors.Is(gotErr, wantErr)) {
 							t.Fatalf("%s base %v k=%d p=%d: error %v, want %v", label, base, k, p, gotErr, wantErr)
 						}
@@ -81,7 +81,8 @@ func TestDeltaProbeMatchesEstimate(t *testing.T) {
 
 // TestDeltaRebaseTracksMutations pins the Rebase contract: the base Counts
 // slice is aliased, so mutating it and calling Rebase must re-anchor the
-// partial sums exactly as a fresh BeginDelta would.
+// partial sums exactly as a fresh BeginDelta would, and a probe after
+// Rebase matches a freshly bound Estimate.
 func TestDeltaRebaseTracksMutations(t *testing.T) {
 	e := deltaEstimators(t)["startup"]
 	base := cost.Config{
@@ -110,6 +111,13 @@ func TestDeltaRebaseTracksMutations(t *testing.T) {
 		}
 		if got.TcMs != want.TcMs || got.StartupMs != want.StartupMs {
 			t.Fatalf("p=%d: rebased probe %+v, fresh probe %+v", p, got, want)
+		}
+		bound, err := e.Clone().Estimate(cost.Config{Clusters: base.Clusters, Counts: []int{6, p}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.TcMs != bound.TcMs || got.StartupMs != bound.StartupMs || got.TcommMs != bound.TcommMs {
+			t.Fatalf("p=%d: rebased probe %+v, bound Estimate %+v", p, got, bound)
 		}
 	}
 }
@@ -144,34 +152,53 @@ func TestDeltaProbeZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDeltaObserverFallback pins the fallback contract: with an Observer
-// attached the delta path delegates to the full EstimateFor, so candidates
-// are still observed with their search labels.
+// TestDeltaObserverFallback pins what an attached Observer sees from the
+// evaluator: each probe emits one candidate labeled with the varied
+// cluster and count, numbered by the evaluation counter, whose figures are
+// the unobserved probe's bit for bit.
 func TestDeltaObserverFallback(t *testing.T) {
-	e := deltaEstimators(t)["plain"]
-	trace := &SearchTrace{}
-	e.Observer = trace
-	defer func() { e.Observer = nil }()
-	base := cost.Config{
-		Clusters: []string{model.Sparc2Cluster, model.IPCCluster},
-		Counts:   []int{6, 0},
-	}
-	d, err := e.BeginDelta(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := d.Probe(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trace.Candidates) != 1 {
-		t.Fatalf("observed %d candidates, want 1", len(trace.Candidates))
-	}
-	c := trace.Candidates[0]
-	if c.Cluster != model.IPCCluster || c.P != 2 {
-		t.Errorf("candidate labeled (%q, %d), want (%q, 2)", c.Cluster, c.P, model.IPCCluster)
-	}
-	if c.TcMs != est.TcMs {
-		t.Errorf("candidate TcMs %v, want %v", c.TcMs, est.TcMs)
+	for label, e := range deltaEstimators(t) {
+		base := cost.Config{
+			Clusters: []string{model.Sparc2Cluster, model.IPCCluster},
+			Counts:   []int{6, 0},
+		}
+		plain, err := e.Clone().BeginDelta(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		observed := e.Clone()
+		trace := &SearchTrace{}
+		observed.Observer = trace
+		d, err := observed.BeginDelta(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p <= 6; p++ {
+			want, err := plain.Probe(1, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := d.Probe(1, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(trace.Candidates) != p+1 {
+				t.Fatalf("%s p=%d: observed %d candidates, want %d", label, p, len(trace.Candidates), p+1)
+			}
+			c := trace.Candidates[p]
+			if c.Cluster != model.IPCCluster || c.P != p || c.Cached || c.Evaluation != p+1 {
+				t.Errorf("%s: candidate labeled (%q, %d, cached=%v, eval %d), want (%q, %d, false, %d)",
+					label, c.Cluster, c.P, c.Cached, c.Evaluation, model.IPCCluster, p, p+1)
+			}
+			if got.TcMs != want.TcMs || c.TcMs != want.TcMs || c.TcompMs != want.TcompMs ||
+				c.TcommMs != want.TcommMs || c.ToverlapMs != want.ToverlapMs || c.StartupMs != want.StartupMs {
+				t.Errorf("%s p=%d: observed %+v / %+v, unobserved %+v", label, p, got, c, want)
+			}
+			for i := range want.Shares {
+				if c.Shares[i] != want.Shares[i] || c.Config.Counts[i] != want.Config.Counts[i] {
+					t.Errorf("%s p=%d: candidate %v %v, want %v %v", label, p, c.Config, c.Shares, want.Config, want.Shares)
+				}
+			}
+		}
 	}
 }

@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"netpart/internal/cost"
 	"netpart/internal/model"
-	"netpart/internal/topo"
 )
 
 // Estimator computes the per-cycle elapsed-time estimate T_c (Eq. 4–6) for
@@ -29,46 +27,26 @@ type Estimator struct {
 	// (ablation A6 in DESIGN.md). Default true.
 	RouterStation bool
 
-	// Observer, when non-nil, receives one Candidate per Estimate call plus
+	// Observer, when non-nil, receives one Candidate per evaluation (Estimate
+	// call or search probe) plus
 	// the control-flow events the Partition* searches emit. Nil (the
 	// default) adds no work and no allocations to the estimate hot path;
 	// a non-nil observer pays for an independent copy of each candidate's
 	// configuration and shares.
 	Observer Observer
 
-	// evaluations counts Estimate calls, the paper's measure of partitioning
-	// overhead (each call recomputes Eq. 3 and Eq. 6 once).
+	// evaluations counts Eq. 3/6 computations, the paper's measure of
+	// partitioning overhead.
 	evaluations int
-
-	// probeCluster/probeP label the next Estimate call with the search
-	// context (which cluster's count is being varied); set via EstimateFor.
-	probeCluster string
-	probeP       int
 
 	// clusterOf caches name → cluster resolution for the estimator's
 	// network (built lazily; Network.Cluster is a linear scan).
 	clusterOf map[string]*model.Cluster
 
-	// lastComm/lastTopo cache the topology dispatch for the dominant
-	// communication phase, hoisting the registry lookup out of the search's
-	// inner T_c(p) loop. Revalidated per call by phase identity, so
-	// annotations whose dominance shifts between calls stay correct.
-	lastComm *CommunicationPhase
-	lastTopo topo.Topology
-
-	// scratch holds the reusable buffers behind the zero-allocation
-	// estimate path. Estimate returns Shares aliased into scratch.shares;
-	// see the Estimate doc comment for the resulting ownership rule.
-	scratch struct {
-		//netpart:unit ms/ops
-		times []float64 // per-cluster op times (Eq. 3 denominator pass)
-		//netpart:unit pdus
-		shares []float64 // per-cluster real shares (Estimate.Shares)
-		names  []string  // active cluster names, placement order
-		counts []int     // active cluster counts
-		actIdx []int     // index of each active cluster in Config.Clusters
-		probe  []int     // search probe vector (probeCounts/scratchCounts)
-	}
+	// eval is the evaluator behind Estimate and the locality-first
+	// searches. Estimate returns Shares aliased into its buffers; see the
+	// Estimate doc comment for the resulting ownership rule.
+	eval DeltaEval
 }
 
 // NewEstimator returns an estimator with the paper's Section 3.0 semantics
@@ -167,8 +145,9 @@ func (e Estimate) AmortizesStartup(cycles int, fraction float64) bool {
 	return e.StartupMs <= fraction*e.ElapsedMs(cycles)
 }
 
-// Evaluations returns how many times Estimate has been invoked (the
-// O(K·log2 P) overhead quantity of Section 5.0).
+// Evaluations returns how many Eq. 3/6 computations (Estimate calls and
+// search probes) have run, the O(K·log2 P) overhead quantity of Section
+// 5.0.
 func (e *Estimator) Evaluations() int { return e.evaluations }
 
 // ResetEvaluations zeroes the evaluation counter.
@@ -194,218 +173,31 @@ func (e *Estimator) cluster(name string) *model.Cluster {
 // T_comp from Eq. 4 evaluated through the callbacks, T_comm from the
 // benchmarked cost function selected by the dominant communication phase's
 // topology, and T_overlap = min(T_comp, T_comm) if that phase is overlapped
-// with the dominant computation phase.
+// with the dominant computation phase. The estimator's evaluator is bound
+// to cfg.Clusters and probed at cfg's own counts.
 //
-// The returned Estimate's Shares alias the estimator's reusable scratch
-// buffer (the nil-Observer path performs no heap allocations); they are
-// valid until the next Estimate call on this estimator. Retain with Detach.
+// The returned Estimate's Shares alias the estimator's reusable buffer
+// (the nil-Observer path performs no heap allocations); they are valid
+// until the next Estimate call on this estimator. Retain with Detach.
 //
 //netpart:hotpath
 func (e *Estimator) Estimate(cfg cost.Config) (Estimate, error) {
-	e.evaluations++
-	est := Estimate{Config: cfg}
-	if cfg.Total() <= 0 {
-		return est, ErrNoProcessors
+	err := ErrNoProcessors
+	if cfg.Total() > 0 {
+		err = e.eval.bind(e, cfg)
 	}
-	comp := e.Ann.DominantCompute()
-	numPDUs := e.Ann.NumPDUs()
-
-	shares, err := e.realSharesInto(cfg, numPDUs, comp.Class)
 	if err != nil {
-		return est, err
+		e.evaluations++
+		return Estimate{Config: cfg}, err
 	}
-	if comp.TotalOps != nil {
-		// Non-linear balance: recompute shares so S_i·ops(A_i) equalizes.
-		// This path allocates (nested bisection); the linear Eq. 3 form is
-		// the hot one.
-		shares, err = generalShares(e.Net, cfg, numPDUs, comp.Class, comp.TotalOps)
-		if err != nil {
-			return est, err
-		}
-	}
-	est.Shares = shares
-
-	// Eq. 4: T_comp = S_i · complexity · A_i for any processor (equal for
-	// all by load balance); evaluate at the first active cluster.
-	for i, name := range cfg.Clusters {
-		if cfg.Counts[i] == 0 {
-			continue
-		}
-		c := e.cluster(name)
-		est.TcompMs = c.OpTime(comp.Class) * comp.Ops(shares[i])
-		break
-	}
-
-	comm := e.Ann.DominantComm()
-	if comm != nil {
-		tp, err := e.topologyOf(comm)
-		if err != nil {
-			return est, err
-		}
-		// b may depend on the assignment; use the largest message any task
-		// sends (the synchronous cost is set by the worst processor).
-		b := 0.0
-		for i := range cfg.Clusters {
-			if cfg.Counts[i] == 0 {
-				continue
-			}
-			if v := comm.BytesPerMessage(shares[i]); v > b {
-				b = v
-			}
-		}
-		est.BytesPerMsg = b
-		tcomm, err := e.commCost(tp, b, cfg)
-		if err != nil {
-			return est, err
-		}
-		est.TcommMs = tcomm
-		if comm.Overlap != "" && comm.Overlap == comp.Name {
-			est.ToverlapMs = math.Min(est.TcompMs, est.TcommMs)
-		}
-	}
-	if e.Ann.StartupBytesPerPDU > 0 {
-		est.StartupMs = e.startupCost(cfg, shares)
-	}
-	if est.ToverlapMs > 0 {
-		// Algebraically Tcomp + Tcomm - min(Tcomp, Tcomm) = max(Tcomp,
-		// Tcomm); computing the max directly keeps plateaus of the T_c
-		// curve exactly flat (the subtraction form differs by an ulp,
-		// which would mislead the bisection search).
-		est.TcMs = math.Max(est.TcompMs, est.TcommMs)
-	} else {
-		est.TcMs = est.TcompMs + est.TcommMs
-	}
-	if e.Observer != nil {
-		// Observed candidates are retained (e.g. SearchTrace), so they get
-		// copies of the scratch-aliased slices.
-		e.Observer.OnCandidate(Candidate{
-			Cluster: e.probeCluster,
-			P:       e.probeP,
-			Config: cost.Config{
-				Clusters: cfg.Clusters,
-				Counts:   append([]int(nil), cfg.Counts...),
-			},
-			Shares:     append([]float64(nil), est.Shares...),
-			TcompMs:    est.TcompMs,
-			TcommMs:    est.TcommMs,
-			ToverlapMs: est.ToverlapMs,
-			TcMs:       est.TcMs,
-			StartupMs:  est.StartupMs,
-			Evaluation: e.evaluations,
-		})
-	}
-	return est, nil
-}
-
-// realSharesInto computes Eq. 3 into the estimator's scratch buffer with
-// arithmetic identical to RealShares (same accumulation order, so results
-// are bit-for-bit equal), but without allocating.
-//
-//netpart:hotpath
-//netpart:unit numPDUs pdus
-//netpart:unit return pdus
-func (e *Estimator) realSharesInto(cfg cost.Config, numPDUs int, class model.OpClass) ([]float64, error) {
-	k := len(cfg.Clusters)
-	s := &e.scratch
-	if cap(s.times) < k {
-		s.times = make([]float64, k)
-		s.shares = make([]float64, k)
-	}
-	times := s.times[:k]
-	shares := s.shares[:k]
-	denom := 0.0
-	for i, name := range cfg.Clusters {
-		c := e.cluster(name)
-		if c == nil {
-			return nil, fmt.Errorf("core: unknown cluster %q", name)
-		}
-		times[i] = c.OpTime(class)
-		denom += float64(cfg.Counts[i]) / times[i]
-	}
-	for i := range shares {
-		shares[i] = 0
-		if cfg.Counts[i] > 0 {
-			shares[i] = float64(numPDUs) / (times[i] * denom)
-		}
-	}
-	return shares, nil
-}
-
-// activeInto fills the scratch active-cluster views: names and counts of
-// the clusters with nonzero counts in placement order, plus each one's
-// index into cfg.Clusters.
-//
-//netpart:hotpath
-func (e *Estimator) activeInto(cfg cost.Config) (names []string, counts, actIdx []int) {
-	s := &e.scratch
-	s.names = s.names[:0]
-	s.counts = s.counts[:0]
-	s.actIdx = s.actIdx[:0]
-	for i, n := range cfg.Counts {
-		if n > 0 {
-			s.names = append(s.names, cfg.Clusters[i])
-			s.counts = append(s.counts, n)
-			s.actIdx = append(s.actIdx, i)
-		}
-	}
-	return s.names, s.counts, s.actIdx
-}
-
-// topologyOf resolves the communication phase's topology, caching the
-// dispatch per phase identity so repeated probes skip the registry.
-//
-//netpart:hotpath
-func (e *Estimator) topologyOf(comm *CommunicationPhase) (topo.Topology, error) {
-	if comm == e.lastComm && e.lastTopo != nil {
-		return e.lastTopo, nil
-	}
-	tp, err := topo.ByName(comm.Topology)
-	if err != nil {
-		return nil, err
-	}
-	e.lastComm, e.lastTopo = comm, tp
-	return tp, nil
-}
-
-// EstimateFor is Estimate with search context attached: the emitted
-// Candidate is labeled with the cluster whose count the search is varying
-// and the probed count p. Cost semantics are identical to Estimate.
-func (e *Estimator) EstimateFor(cfg cost.Config, cluster string, p int) (Estimate, error) {
-	e.probeCluster, e.probeP = cluster, p
-	est, err := e.Estimate(cfg)
-	e.probeCluster, e.probeP = "", 0
+	est, err := e.eval.eval(0, cfg.Counts[0], false)
+	est.Config = cfg
 	return est, err
 }
 
-// probeCounts copies counts into the reusable probe buffer with entry k
-// replaced by p — the search's per-probe configuration vector, built
-// without allocating. The buffer is valid until the next probeCounts or
-// scratchCounts call.
-//
-//netpart:hotpath
-func (e *Estimator) probeCounts(counts []int, k, p int) []int {
-	probe := e.scratchCounts(counts)
-	probe[k] = p
-	return probe
-}
-
-// scratchCounts copies counts into the reusable probe buffer.
-//
-//netpart:hotpath
-func (e *Estimator) scratchCounts(counts []int) []int {
-	s := &e.scratch
-	if cap(s.probe) < len(counts) {
-		s.probe = make([]int, len(counts))
-	}
-	s.probe = s.probe[:len(counts)]
-	copy(s.probe, counts)
-	return s.probe
-}
-
-// observeCached re-emits a memoized candidate so the decision record shows
-// every probe the search consulted, including memo hits that skipped the
-// Eq. 3/6 recomputation. The estimate must already be detached.
-func (e *Estimator) observeCached(cluster string, p int, est Estimate) {
+// observe reports one candidate to the observer, if any; est must not
+// alias reusable buffers (Detach it first).
+func (e *Estimator) observe(cluster string, p int, est Estimate, cached bool) {
 	if e.Observer == nil {
 		return
 	}
@@ -420,7 +212,7 @@ func (e *Estimator) observeCached(cluster string, p int, est Estimate) {
 		TcMs:       est.TcMs,
 		StartupMs:  est.StartupMs,
 		Evaluation: e.evaluations,
-		Cached:     true,
+		Cached:     cached,
 	})
 }
 
@@ -429,129 +221,6 @@ func (e *Estimator) searchEvent(ev SearchEvent) {
 	if e.Observer != nil {
 		e.Observer.OnSearch(ev)
 	}
-}
-
-// startupCost estimates T_startup: the first processor scatters each other
-// task's PDU block in one message. Each transmission occupies the source
-// channel for roughly the per-station increment of the fitted 1-D model
-// (C2 + b·C4 of the source cluster) and pays the router penalty when the
-// destination is on another segment; the transmissions serialize through
-// the root's channel, so the costs sum.
-//
-//netpart:hotpath
-//netpart:unit shares pdus
-//netpart:unit return ms
-func (e *Estimator) startupCost(cfg cost.Config, shares []float64) float64 {
-	names, counts, actIdx := e.activeInto(cfg)
-	if len(names) == 0 || cfg.Total() <= 1 {
-		return 0
-	}
-	root := names[0]
-	topology := "1-D"
-	if comm := e.Ann.DominantComm(); comm != nil {
-		topology = comm.Topology
-	}
-	params, err := e.Costs.Comm(root, topology)
-	if err != nil {
-		// No model for the dominant topology on the root cluster: fall
-		// back to any 1-D model, else report zero (startup is advisory).
-		params, err = e.Costs.Comm(root, "1-D")
-		if err != nil {
-			return 0
-		}
-	}
-	total := 0.0
-	for i, name := range names {
-		tasks := counts[i]
-		if i == 0 {
-			tasks-- // the root keeps its own block
-		}
-		if tasks <= 0 {
-			continue
-		}
-		b := shares[actIdx[i]] * e.Ann.StartupBytesPerPDU
-		// The fitted per-station increment (C2 + b·C4) covers one cycle's
-		// messages per station — two for the 1-D pattern the constants are
-		// fitted on — so one scatter message costs half of it.
-		per := (params.C2 + b*params.C4) / 2
-		if name != root && !e.Net.SameSegment(root, name) {
-			per += e.Costs.Router(root, name).Eval(b)
-			if e.Net.NeedsCoercion(root, name) {
-				per += e.Costs.Coerce(root, name).Eval(b)
-			}
-		}
-		total += float64(tasks) * per
-	}
-	return total
-}
-
-// commCost applies the Eq. 2 composition, honoring the RouterStation flag:
-// with it set, a cluster whose tasks communicate across the router is
-// charged one extra contending station (Section 3.0, matching
-// cost.Table.CommCost bit for bit); without it, Section 6.0's composition
-// omits the extra station. Border detection uses topo.SegmentCrosses on the
-// contiguous placement's rank ranges, so no placement is materialized and
-// the path stays allocation-free.
-//
-//netpart:hotpath
-//netpart:unit b bytes
-//netpart:unit return ms
-func (e *Estimator) commCost(tp topo.Topology, b float64, cfg cost.Config) (float64, error) {
-	names, counts, _ := e.activeInto(cfg)
-	if len(names) == 0 || (len(names) == 1 && counts[0] == 1) {
-		return 0, nil // a single task exchanges no messages
-	}
-	tpName := tp.Name()
-	bandwidthLimited := tp.BandwidthLimited()
-	total := cfg.Total()
-	worst := 0.0
-	lo := 0
-	for i, name := range names {
-		params, err := e.Costs.Comm(name, tpName)
-		if err != nil {
-			return 0, err
-		}
-		hi := lo + counts[i]
-		crosses := topo.SegmentCrosses(tp, lo, hi, total)
-		lo = hi
-		p := counts[i]
-		if bandwidthLimited {
-			// Broadcast-like: offered load scales with the total number of
-			// participants regardless of segment locality.
-			p = total
-		}
-		if crosses && e.RouterStation {
-			p++ // the router is one more station on this segment
-		}
-		c := params.Eval(b, p)
-		if crosses {
-			c += e.crossPenalty(names, name, b)
-		}
-		if c > worst {
-			worst = c
-		}
-	}
-	return worst, nil
-}
-
-//netpart:hotpath
-//netpart:unit b bytes
-//netpart:unit return ms
-func (e *Estimator) crossPenalty(active []string, from string, b float64) float64 {
-	worst := 0.0
-	for _, other := range active {
-		if other == from || e.Net.SameSegment(from, other) {
-			continue
-		}
-		p := e.Costs.Router(from, other).Eval(b)
-		if e.Net.NeedsCoercion(from, other) {
-			p += e.Costs.Coerce(from, other).Eval(b)
-		}
-		if p > worst {
-			worst = p
-		}
-	}
-	return worst
 }
 
 // generalShares mirrors DecomposeGeneral but returns the per-cluster real

@@ -35,6 +35,23 @@ func TestEstimateNilObserverZeroAllocs(t *testing.T) {
 		t.Errorf("Estimate with nil observer allocates %.1f/op, want 0", allocs)
 	}
 
+	// Rebinding the evaluator to another cluster list (reordered, shorter)
+	// reuses its buffers.
+	cfgs := []cost.Config{cfg,
+		{Clusters: []string{model.IPCCluster, model.Sparc2Cluster}, Counts: []int{3, 1}},
+		{Clusters: []string{model.IPCCluster}, Counts: []int{2}},
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		for _, c := range cfgs {
+			if _, err := e.Estimate(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Estimate rebinding across cluster lists allocates %.1f/op, want 0", allocs)
+	}
+
 	// Startup modeling must not break the guarantee either.
 	ann := stencilAnnotations(600, false)
 	ann.StartupBytesPerPDU = 4 * 600
@@ -85,10 +102,10 @@ func TestEstimateSharesDetach(t *testing.T) {
 	}
 }
 
-// TestCommCostMatchesTable cross-checks the estimator's allocation-free
-// Eq. 2 composition against the reference cost.Table.CommCost over every
-// topology and a grid of configurations: the fast path must be bit-for-bit
-// identical (RouterStation semantics).
+// TestCommCostMatchesTable cross-checks the evaluator's allocation-free
+// Eq. 2 composition, read from Estimate's TcommMs, against the reference
+// cost.Table.CommCost over every topology and a grid of configurations:
+// the two must be bit-for-bit identical (RouterStation semantics).
 func TestCommCostMatchesTable(t *testing.T) {
 	net := model.PaperTestbed()
 	tbl := cost.PaperTable()
@@ -98,26 +115,29 @@ func TestCommCostMatchesTable(t *testing.T) {
 		tbl.SetComm(model.Sparc2Cluster, name, cost.Params{C1: 0.1, C2: 1.1, C3: -0.0055, C4: 0.00283})
 		tbl.SetComm(model.IPCCluster, name, cost.Params{C1: 0.2, C2: 1.9, C3: -0.0123, C4: 0.00457})
 	}
-	e, err := NewEstimator(net, tbl, stencilAnnotations(600, false))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, name := range topo.Names() {
 		tp, err := topo.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for p1 := 0; p1 <= 6; p1++ {
-			for p2 := 0; p2 <= 6; p2++ {
-				if p1+p2 == 0 {
-					continue
-				}
-				cfg := cost.Config{
-					Clusters: []string{model.Sparc2Cluster, model.IPCCluster},
-					Counts:   []int{p1, p2},
-				}
-				for _, b := range []float64{0, 240, 2400} {
-					got, err := e.commCost(tp, b, cfg)
+		for _, b := range []float64{0, 240, 2400} {
+			ann := stencilAnnotations(600, false)
+			ann.Comm[0].Topology = name
+			ann.Comm[0].BytesPerMessage = func(float64) float64 { return b }
+			e, err := NewEstimator(net, tbl, ann)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p1 := 0; p1 <= 6; p1++ {
+				for p2 := 0; p2 <= 6; p2++ {
+					if p1+p2 == 0 {
+						continue
+					}
+					cfg := cost.Config{
+						Clusters: []string{model.Sparc2Cluster, model.IPCCluster},
+						Counts:   []int{p1, p2},
+					}
+					got, err := e.Estimate(cfg)
 					if err != nil {
 						t.Fatalf("%s %v b=%v: %v", name, cfg, b, err)
 					}
@@ -125,8 +145,8 @@ func TestCommCostMatchesTable(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s %v b=%v reference: %v", name, cfg, b, err)
 					}
-					if got != want {
-						t.Errorf("%s %v b=%v: fast path %v, reference %v", name, cfg, b, got, want)
+					if got.TcommMs != want {
+						t.Errorf("%s %v b=%v: evaluator %v, reference %v", name, cfg, b, got.TcommMs, want)
 					}
 				}
 			}

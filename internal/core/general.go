@@ -1,6 +1,10 @@
 package core
 
-import "netpart/internal/cost"
+import (
+	"encoding/binary"
+
+	"netpart/internal/cost"
+)
 
 // PartitionGlobal addresses the general partitioning problem of Section
 // 5.0 that the paper leaves as future work: the locality-first heuristic
@@ -22,70 +26,58 @@ import "netpart/internal/cost"
 // points: the locality-first heuristic's choice, the full network, and
 // each cluster alone.
 func PartitionGlobal(e *Estimator) (Result, error) {
-	order := e.Net.BySpeed(e.Ann.DominantCompute().Class)
-	names := make([]string, len(order))
-	avail := make([]int, len(order))
-	for i, c := range order {
-		names[i] = c.Name
-		avail[i] = c.Available
-	}
-	numPDUs := e.Ann.NumPDUs()
-
 	heur, err := Partition(e)
 	if err != nil {
 		return Result{}, err
 	}
-	e.ResetEvaluations()
-	e.searchEvent(SearchEvent{Kind: EvSearchStart, Strategy: "global"})
+	s := e.begin("global")
+	avail := make([]int, len(s.order))
+	for i, c := range s.order {
+		avail[i] = c.Available
+	}
 
 	starts := [][]int{
 		append([]int(nil), heur.Config.Counts...),
-		capTotal(append([]int(nil), avail...), numPDUs),
+		capTotal(append([]int(nil), avail...), s.numPDUs),
 	}
-	for k := range order {
-		s := make([]int, len(order))
-		s[k] = minInt(avail[k], numPDUs)
-		if s[k] > 0 {
-			starts = append(starts, s)
+	for k := range avail {
+		st := make([]int, len(avail))
+		st[k] = min(avail[k], s.numPDUs)
+		if st[k] > 0 {
+			starts = append(starts, st)
 		}
 	}
 
-	// Memoize: different starts revisit the same configurations.
-	type key string
-	memo := make(map[key]float64)
-	keyOf := func(counts []int) key {
-		b := make([]byte, 0, 2*len(counts))
-		for _, c := range counts {
-			b = append(b, byte(c), ',')
-		}
-		return key(b)
-	}
+	// Memoize T_c per configuration, keyed on the full counts: different
+	// starts revisit the same configurations.
+	memo := make(map[string]float64)
+	var key []byte
 	best := heur.Estimate
-	bestTc := heur.TcMs
 	evalCfg := func(counts []int) (float64, bool, error) {
 		total := 0
+		key = key[:0]
 		for _, c := range counts {
 			total += c
+			key = binary.AppendUvarint(key, uint64(c))
 		}
-		if total == 0 || total > numPDUs {
+		if total == 0 || total > s.numPDUs {
 			return 0, false, nil
 		}
-		k := keyOf(counts)
-		if tc, ok := memo[k]; ok {
+		if tc, ok := memo[string(key)]; ok {
 			return tc, true, nil
 		}
-		est, err := e.Estimate(cost.Config{Clusters: names, Counts: e.scratchCounts(counts)})
+		est, err := e.Estimate(cost.Config{Clusters: s.cfg.Clusters, Counts: counts})
 		if err != nil {
 			return 0, false, err
 		}
-		memo[k] = est.TcMs
-		if est.TcMs < bestTc {
-			best, bestTc = est.Detach(), est.TcMs
+		memo[string(key)] = est.TcMs
+		if est.TcMs < best.TcMs {
+			best = est.Detach()
 		}
 		return est.TcMs, true, nil
 	}
 
-	probe := make([]int, len(order)) // reused per-probe vector (evalCfg copies)
+	probe := make([]int, len(avail)) // reused per-probe vector (Estimate does not retain it)
 	for _, start := range starts {
 		cur := append([]int(nil), start...)
 		curTc, ok, err := evalCfg(cur)
@@ -150,15 +142,7 @@ func PartitionGlobal(e *Estimator) (Result, error) {
 		}
 	}
 
-	vec, err := e.vector(best.Config)
-	if err != nil {
-		return Result{}, err
-	}
-	e.searchEvent(SearchEvent{
-		Kind: EvWinner, Strategy: "global", Config: best.Config,
-		P: best.Config.Total(), TcMs: best.TcMs, Evaluations: e.Evaluations(),
-	})
-	return Result{Estimate: best, Vector: vec, Evaluations: e.Evaluations()}, nil
+	return s.finish(best)
 }
 
 // capTotal shrinks counts (from the last cluster backward) until their sum
@@ -177,11 +161,4 @@ func capTotal(counts []int, limit int) []int {
 		total -= drop
 	}
 	return counts
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
