@@ -527,30 +527,6 @@ func BenchmarkSelectionCost(b *testing.B) {
 	}
 }
 
-// BenchmarkGaussCyclic measures the block-cyclic elimination against the
-// contiguous assignment at a compute-bound size.
-func BenchmarkGaussCyclic(b *testing.B) {
-	net := model.PaperTestbed()
-	cfg := experiments.PaperConfig(2, 0)
-	s := gauss.NewSystem(128, 7)
-	vec, err := core.Decompose(net, cfg, 128, model.OpFloat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name   string
-		blocks int
-	}{{"contiguous", 1}, {"cyclic8", 8}} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := gauss.RunSimCyclic(net, cfg, vec, tc.blocks, s); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkEstimateObserver guards the observer hook's hot-path cost: the
 // disabled case (nil Observer) must match the pre-observability baseline —
 // in particular, zero allocations attributable to the hook — while the

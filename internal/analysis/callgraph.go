@@ -124,12 +124,6 @@ func (ip *Interproc) Node(fn *types.Func) *FuncNode { return ip.nodes[fn] }
 // //netpart:deterministic directive.
 func (ip *Interproc) DeterministicPkg(path string) bool { return ip.detPkgs[path] }
 
-// NumFuncs returns the number of call-graph nodes (for benchmarks/tests).
-func (ip *Interproc) NumFuncs() int { return len(ip.nodes) }
-
-// NumSCCs returns the number of strongly connected components.
-func (ip *Interproc) NumSCCs() int { return len(ip.sccs) }
-
 // BuildInterproc constructs the call graph and solves the summaries over
 // the given packages (every package must come from one shared Loader, or
 // at least one shared FileSet and type-checker universe).

@@ -404,37 +404,21 @@ func labelName(id *ast.Ident) string {
 	return id.Name
 }
 
-// funcBody is one function-like unit of analysis: a declared function or a
-// closure, with the node that owns the body (for position reporting and
-// locality decisions).
-type funcBody struct {
-	decl *ast.FuncDecl // nil for closures
-	lit  *ast.FuncLit  // nil for declared functions
-	body *ast.BlockStmt
-}
-
-func (f funcBody) node() ast.Node {
-	if f.decl != nil {
-		return f.decl
-	}
-	return f.lit
-}
-
 // funcBodies returns every function-like body of the package — each
 // top-level FuncDecl with a body, and each FuncLit anywhere (including
 // inside other FuncLits), innermost last for each declaration.
-func funcBodies(files []*ast.File) []funcBody {
-	var out []funcBody
+func funcBodies(files []*ast.File) []*ast.BlockStmt {
+	var out []*ast.BlockStmt
 	for _, f := range files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if ok && fd.Body != nil {
-				out = append(out, funcBody{decl: fd, body: fd.Body})
+				out = append(out, fd.Body)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
-				out = append(out, funcBody{lit: lit, body: lit.Body})
+				out = append(out, lit.Body)
 			}
 			return true
 		})

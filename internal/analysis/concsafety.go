@@ -86,21 +86,21 @@ type concKey struct {
 }
 
 func runConcSafety(pass *Pass) error {
-	for _, fb := range funcBodies(pass.Files) {
-		checkConcFunc(pass, fb)
+	for _, body := range funcBodies(pass.Files) {
+		checkConcFunc(pass, body)
 	}
 	return nil
 }
 
-func checkConcFunc(pass *Pass, fb funcBody) {
+func checkConcFunc(pass *Pass, body *ast.BlockStmt) {
 	info := pass.TypesInfo
-	keys := concKeys(info, fb)
-	checkGoStmts(pass, fb)
+	keys := concKeys(info, body)
+	checkGoStmts(pass, body)
 	if len(keys) == 0 {
 		return
 	}
 
-	g := BuildCFG(fb.body)
+	g := BuildCFG(body)
 	entry := FlowState[string]{}
 	for k, ck := range keys {
 		switch {
@@ -162,9 +162,9 @@ func checkConcFunc(pass *Pass, fb funcBody) {
 
 // concKeys discovers the mutexes and WaitGroups a body touches, with their
 // locality. Closure bodies are pruned: each FuncLit is its own unit.
-func concKeys(info *types.Info, fb funcBody) map[string]*concKey {
+func concKeys(info *types.Info, body *ast.BlockStmt) map[string]*concKey {
 	keys := map[string]*concKey{}
-	inspectLeaf(fb.body, func(n ast.Node) bool {
+	inspectLeaf(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -187,7 +187,7 @@ func concKeys(info *types.Info, fb funcBody) map[string]*concKey {
 			}
 			ck := keys[key]
 			if ck == nil {
-				ck = &concKey{kind: kindMutex, local: rootDeclaredIn(info, sel.X, fb.body)}
+				ck = &concKey{kind: kindMutex, local: rootDeclaredIn(info, sel.X, body)}
 				keys[key] = ck
 			}
 			if (sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock") && ck.firstLock == 0 {
@@ -195,7 +195,7 @@ func concKeys(info *types.Info, fb funcBody) map[string]*concKey {
 			}
 		case isSyncNamed(recv, "WaitGroup"):
 			if keys[key] == nil {
-				keys[key] = &concKey{kind: kindWaitGroup, local: rootDeclaredIn(info, sel.X, fb.body)}
+				keys[key] = &concKey{kind: kindWaitGroup, local: rootDeclaredIn(info, sel.X, body)}
 			}
 		}
 		return true
@@ -338,10 +338,10 @@ func reportUnbalancedDone(pass *Pass, info *types.Info, keys map[string]*concKey
 // send/close on a channel this body receives from. Named-function and
 // method launches are exempt; their lifecycle belongs to the callee's
 // owner.
-func checkGoStmts(pass *Pass, fb funcBody) {
+func checkGoStmts(pass *Pass, body *ast.BlockStmt) {
 	info := pass.TypesInfo
 	var gos []*ast.GoStmt
-	inspectLeaf(fb.body, func(n ast.Node) bool {
+	inspectLeaf(body, func(n ast.Node) bool {
 		if gs, ok := n.(*ast.GoStmt); ok {
 			gos = append(gos, gs)
 			// Keep walking: the closure's own go statements belong to the
@@ -357,7 +357,7 @@ func checkGoStmts(pass *Pass, fb funcBody) {
 	// and channels it receives from (plain receive, range, select arm).
 	waits := map[string]bool{}
 	recvs := map[string]bool{}
-	ast.Inspect(fb.body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok &&
@@ -387,7 +387,7 @@ func checkGoStmts(pass *Pass, fb funcBody) {
 		// signals on body-local objects are decidable here, so the local
 		// ones must land in a Wait/receive of this body and the captured
 		// ones count as joined outright.
-		external := func(e ast.Expr) bool { return !rootDeclaredIn(info, e, fb.body) }
+		external := func(e ast.Expr) bool { return !rootDeclaredIn(info, e, body) }
 		ast.Inspect(lit.Body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:

@@ -84,9 +84,6 @@ func NewLoader(root, modulePath string) *Loader {
 	return l
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Packages returns every package loaded so far, in import-path order.
 func (l *Loader) Packages() []*Package {
 	paths := make([]string, 0, len(l.byPath))

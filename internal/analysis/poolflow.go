@@ -51,8 +51,8 @@ const (
 
 func runPoolFlow(pass *Pass) error {
 	putters := checkPoolAccessors(pass)
-	for _, fb := range funcBodies(pass.Files) {
-		checkPoolFlowFunc(pass, putters, fb)
+	for _, body := range funcBodies(pass.Files) {
+		checkPoolFlowFunc(pass, putters, body)
 	}
 	return nil
 }
@@ -94,11 +94,11 @@ func isSyncPool(t types.Type) bool {
 	return isSyncNamed(t, "Pool")
 }
 
-func checkPoolFlowFunc(pass *Pass, putters map[types.Object]bool, fb funcBody) {
+func checkPoolFlowFunc(pass *Pass, putters map[types.Object]bool, body *ast.BlockStmt) {
 	info := pass.TypesInfo
 	// Fast path: skip bodies that never recycle a buffer.
 	recycles := false
-	inspectLeaf(fb.body, func(n ast.Node) bool {
+	inspectLeaf(body, func(n ast.Node) bool {
 		if recycles {
 			return false
 		}
@@ -111,8 +111,8 @@ func checkPoolFlowFunc(pass *Pass, putters map[types.Object]bool, fb funcBody) {
 		return
 	}
 
-	g := BuildCFG(fb.body)
-	aliases := poolAliasClasses(info, fb.body)
+	g := BuildCFG(body)
+	aliases := poolAliasClasses(info, body)
 	transfer := func(b *Block, s FlowState[types.Object]) FlowState[types.Object] {
 		cleanRangeVars(info, g, b, s)
 		for _, n := range b.Nodes {

@@ -23,8 +23,6 @@ import (
 type Grid struct {
 	// Bytes are the message sizes to measure.
 	Bytes []int
-	// MaxProcs caps processors per cluster (0 = all available).
-	MaxProcs int
 	// Cycles is how many synchronous communication cycles each measurement
 	// averages over.
 	Cycles int
@@ -159,16 +157,12 @@ func Run(net *model.Network, topologies []topo.Topology, grid Grid) (*Result, er
 		Coerce: make(map[[2]string]cost.PerByte),
 	}
 	for _, c := range net.Clusters {
-		maxP := c.Procs
-		if grid.MaxProcs > 0 && grid.MaxProcs < maxP {
-			maxP = grid.MaxProcs
-		}
-		if maxP < 3 {
-			return nil, fmt.Errorf("commbench: cluster %q has only %d processors; need ≥ 3 to vary p", c.Name, maxP)
+		if c.Procs < 3 {
+			return nil, fmt.Errorf("commbench: cluster %q has only %d processors; need ≥ 3 to vary p", c.Name, c.Procs)
 		}
 		for _, tp := range topologies {
 			var obs []cost.Observation
-			for p := 2; p <= maxP; p++ {
+			for p := 2; p <= c.Procs; p++ {
 				for _, b := range grid.Bytes {
 					var opts []simnet.Option
 					if grid.Jitter > 0 {

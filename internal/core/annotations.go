@@ -114,6 +114,9 @@ func (a *Annotations) Validate() error {
 	if a.NumPDUs == nil {
 		return ErrNoNumPDUs
 	}
+	if n := a.NumPDUs(); n < 1 {
+		return fmt.Errorf("core: annotations %q describe %d PDUs; the problem needs at least one", a.Name, n)
+	}
 	if len(a.Compute) == 0 {
 		return ErrNoComputePhase
 	}

@@ -65,8 +65,8 @@ func NewEstimator(net *model.Network, costs *cost.Table, ann *Annotations) (*Est
 // and annotations (all treated as read-only), with its own scratch buffers
 // and a fresh evaluation counter. The Observer is deliberately not carried
 // over — observers are rarely goroutine-safe; attach one per clone if
-// needed. Clone is how per-worker estimators are derived when searches run
-// in parallel.
+// needed. No search runs in parallel; the tests take fresh estimators from
+// Clone to compare a search's answer against an independent evaluation.
 func (e *Estimator) Clone() *Estimator {
 	return &Estimator{
 		Net:           e.Net,
@@ -126,24 +126,6 @@ func (est Estimate) Detach() Estimate {
 //netpart:unit cycles 1
 //netpart:unit return ms
 func (e Estimate) ElapsedMs(cycles int) float64 { return float64(cycles) * e.TcMs }
-
-// ElapsedWithStartupMs is T_elapsed = I·T_c + T_startup.
-//
-//netpart:unit cycles 1
-//netpart:unit return ms
-func (e Estimate) ElapsedWithStartupMs(cycles int) float64 {
-	return float64(cycles)*e.TcMs + e.StartupMs
-}
-
-// AmortizesStartup reports whether the paper's amortization assumption
-// holds for this configuration: T_startup is at most the given fraction of
-// the extrapolated compute time I·T_c.
-//
-//netpart:unit cycles 1
-//netpart:unit fraction 1
-func (e Estimate) AmortizesStartup(cycles int, fraction float64) bool {
-	return e.StartupMs <= fraction*e.ElapsedMs(cycles)
-}
 
 // Evaluations returns how many Eq. 3/6 computations (Estimate calls and
 // search probes) have run, the O(K·log2 P) overhead quantity of Section

@@ -14,7 +14,6 @@ package cost
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"netpart/internal/model"
 	"netpart/internal/topo"
@@ -176,16 +175,6 @@ func (t *Table) SetCoerce(c1, c2 string, p PerByte) { t.coerce[makePair(c1, c2)]
 
 // Coerce returns the coercion penalty between two clusters, zero if none.
 func (t *Table) Coerce(c1, c2 string) PerByte { return t.coerce[makePair(c1, c2)] }
-
-// Clusters returns the clusters with at least one comm model, sorted.
-func (t *Table) Clusters() []string {
-	out := make([]string, 0, len(t.comm))
-	for c := range t.comm {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Config is a processor configuration: the number of processors used in
 // each cluster, in a fixed cluster order. It is the object the partitioning

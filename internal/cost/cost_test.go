@@ -74,10 +74,6 @@ func TestTableSetGet(t *testing.T) {
 	if tbl.Coerce("a", "b").Ms != 3 {
 		t.Error("coerce lookup must be order independent")
 	}
-	clusters := tbl.Clusters()
-	if len(clusters) != 1 || clusters[0] != "sparc2" {
-		t.Errorf("Clusters = %v", clusters)
-	}
 }
 
 func TestConfigHelpers(t *testing.T) {

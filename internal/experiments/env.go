@@ -8,7 +8,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strings"
 
 	"netpart/internal/commbench"
@@ -84,11 +83,6 @@ func (t *TextTable) Add(cells ...string) {
 	row := make([]string, len(t.headers))
 	copy(row, cells)
 	t.rows = append(t.rows, row)
-}
-
-// Addf appends a row of formatted cells.
-func (t *TextTable) Addf(format string, args ...interface{}) {
-	t.Add(strings.Fields(fmt.Sprintf(format, args...))...)
 }
 
 // String renders the table with right-padded columns.

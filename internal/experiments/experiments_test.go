@@ -296,7 +296,6 @@ func TestFigures(t *testing.T) {
 func TestTextTable(t *testing.T) {
 	tt := NewTextTable("a", "bb")
 	tt.Add("xxx")
-	tt.Addf("%d %d", 1, 2)
 	out := tt.String()
 	if !strings.Contains(out, "xxx") || !strings.Contains(out, "bb") {
 		t.Errorf("table output:\n%s", out)

@@ -303,7 +303,6 @@ func TestChaosDriftTriggeredAdaptive(t *testing.T) {
 	work[5] = 8 // rank 5 carries external load
 	res, err := stencil.RunLiveAdaptive(world, vec, stencil.STEN1, n, iters, stencil.LiveAdaptiveOptions{
 		Trigger:    trig,
-		CheckEvery: 4,
 		WorkFactor: work,
 		Cycles:     mon,
 	})

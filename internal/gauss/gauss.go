@@ -195,51 +195,12 @@ func ContiguousAssignment(vec core.Vector) [][]int {
 	return out
 }
 
-// CyclicAssignment interleaves each task's quota across the matrix in
-// `blocks` chunks — the classic remedy for elimination's shrinking active
-// window, which starves early-row owners under a contiguous assignment.
-// The paper's Section 4.0 anticipates exactly this freedom: "the
-// implementation is responsible for using the partition vector in a manner
-// appropriate to the implementation." blocks=1 degenerates to the
-// contiguous assignment; each task still receives exactly vec[r] rows.
-func CyclicAssignment(vec core.Vector, blocks int) [][]int {
-	if blocks < 1 {
-		blocks = 1
-	}
-	out := make([][]int, len(vec))
-	g := 0
-	for b := 0; b < blocks; b++ {
-		for r, a := range vec {
-			// Chunk b of rank r: its share of the quota.
-			chunk := a/blocks + boolToInt(b < a%blocks)
-			for i := 0; i < chunk; i++ {
-				out[r] = append(out[r], g)
-				g++
-			}
-		}
-	}
-	return out
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // RunSim solves the system on the simulated network with the given
 // configuration and partition vector, using the contiguous block
 // assignment. Rank 0 acts as the broadcast root (the paper's task
 // placement puts it on the fastest cluster).
 func RunSim(net *model.Network, cfg cost.Config, vec core.Vector, s System) (SimResult, error) {
 	return RunSimAssigned(net, cfg, vec, ContiguousAssignment(vec), s)
-}
-
-// RunSimCyclic solves with the block-cyclic row assignment, which keeps
-// every task busy through the late elimination stages.
-func RunSimCyclic(net *model.Network, cfg cost.Config, vec core.Vector, blocks int, s System) (SimResult, error) {
-	return RunSimAssigned(net, cfg, vec, CyclicAssignment(vec, blocks), s)
 }
 
 // RunSimAssigned solves with an explicit row-ownership assignment:

@@ -229,112 +229,6 @@ func TestDistributedCorrectProperty(t *testing.T) {
 	}
 }
 
-func TestCyclicAssignmentProperties(t *testing.T) {
-	vec := core.Vector{5, 3, 2}
-	for _, blocks := range []int{1, 2, 3, 5} {
-		a := CyclicAssignment(vec, blocks)
-		seen := make(map[int]bool)
-		for r, owned := range a {
-			if len(owned) != vec[r] {
-				t.Fatalf("blocks=%d rank %d owns %d rows, want %d", blocks, r, len(owned), vec[r])
-			}
-			for i, g := range owned {
-				if seen[g] {
-					t.Fatalf("row %d assigned twice", g)
-				}
-				seen[g] = true
-				if i > 0 && owned[i-1] >= g {
-					t.Fatalf("rank %d rows not ascending: %v", r, owned)
-				}
-			}
-		}
-		if len(seen) != 10 {
-			t.Fatalf("blocks=%d covered %d rows", blocks, len(seen))
-		}
-	}
-	// blocks=1 equals the contiguous assignment.
-	c1 := CyclicAssignment(vec, 1)
-	cont := ContiguousAssignment(vec)
-	for r := range cont {
-		for i := range cont[r] {
-			if c1[r][i] != cont[r][i] {
-				t.Fatal("blocks=1 differs from contiguous")
-			}
-		}
-	}
-	// With blocks > 1 every task owns at least one late row.
-	c3 := CyclicAssignment(core.Vector{4, 4, 4}, 4)
-	for r, owned := range c3 {
-		if owned[len(owned)-1] < 8 {
-			t.Errorf("rank %d owns no late rows: %v", r, owned)
-		}
-	}
-}
-
-func TestCyclicMatchesSequentialExactly(t *testing.T) {
-	net := model.PaperTestbed()
-	const n = 32
-	s := NewSystem(n, 77)
-	want, err := Sequential(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := paperConfig(4, 0)
-	vec, err := core.Decompose(net, cfg, n, model.OpFloat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, blocks := range []int{2, 4, 8} {
-		res, err := RunSimCyclic(net, cfg, vec, blocks, s)
-		if err != nil {
-			t.Fatalf("blocks=%d: %v", blocks, err)
-		}
-		for i := range want {
-			if res.X[i] != want[i] {
-				t.Fatalf("blocks=%d: x[%d] differs (must be bit-identical)", blocks, i)
-			}
-		}
-	}
-}
-
-func TestCyclicFasterThanContiguous(t *testing.T) {
-	// The shrinking active window starves early-row owners under the
-	// contiguous assignment; the cyclic assignment keeps everyone busy.
-	// The instance must be compute bound for the difference to surface
-	// (small-N elimination is entirely pivot-broadcast bound — the reason
-	// E8's partitioner picks so few processors), so use a larger matrix on
-	// two processors.
-	net := model.PaperTestbed()
-	const n = 192
-	s := NewSystem(n, 13)
-	cfg := paperConfig(2, 0)
-	vec, err := core.Decompose(net, cfg, n, model.OpFloat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cont, err := RunSim(net, cfg, vec, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cyc, err := RunSimCyclic(net, cfg, vec, 16, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cyc.ElapsedMs >= cont.ElapsedMs*0.95 {
-		t.Errorf("cyclic %v ms not clearly faster than contiguous %v ms", cyc.ElapsedMs, cont.ElapsedMs)
-	}
-	// And identical answers.
-	want, err := Sequential(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if cyc.X[i] != want[i] || cont.X[i] != want[i] {
-			t.Fatal("assignment changed the solution")
-		}
-	}
-}
-
 func TestRunSimAssignedValidation(t *testing.T) {
 	net := model.PaperTestbed()
 	s := NewSystem(6, 1)

@@ -75,13 +75,6 @@ func (m *Manager) SetLoad(index int, load float64) error {
 	return nil
 }
 
-// Loads returns a copy of the current load vector.
-func (m *Manager) Loads() []float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]float64(nil), m.loads...)
-}
-
 // Refresh applies the threshold policy, updates the cluster's Available
 // count, and returns it.
 func (m *Manager) Refresh() int {

@@ -55,16 +55,6 @@ func TestSetLoadValidation(t *testing.T) {
 	}
 }
 
-func TestLoadsReturnsCopy(t *testing.T) {
-	m := New(model.PaperTestbed().Cluster(model.Sparc2Cluster), DefaultPolicy)
-	m.SetLoad(0, 0.5)
-	loads := m.Loads()
-	loads[0] = 99
-	if m.Loads()[0] != 0.5 {
-		t.Error("Loads exposed internal state")
-	}
-}
-
 func TestMeanLoadOnlyCountsAvailable(t *testing.T) {
 	m := New(model.PaperTestbed().Cluster(model.Sparc2Cluster), Policy{Threshold: 0.25})
 	m.SetLoad(0, 0.1)

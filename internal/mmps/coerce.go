@@ -62,46 +62,3 @@ func DecodeFloat64sInto(dst []float64, buf []byte) ([]float64, error) {
 	}
 	return dst, nil
 }
-
-// EncodeFloat32s serializes values big-endian (the paper's 4-byte grid
-// points).
-func EncodeFloat32s(values []float32) []byte {
-	buf := make([]byte, 4*len(values))
-	for i, v := range values {
-		binary.BigEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-	}
-	return buf
-}
-
-// DecodeFloat32s parses a big-endian float32 slice.
-func DecodeFloat32s(buf []byte) ([]float32, error) {
-	if len(buf)%4 != 0 {
-		return nil, fmt.Errorf("mmps: float32 payload of %d bytes", len(buf))
-	}
-	out := make([]float32, len(buf)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.BigEndian.Uint32(buf[4*i:]))
-	}
-	return out, nil
-}
-
-// EncodeInt32s serializes values big-endian.
-func EncodeInt32s(values []int32) []byte {
-	buf := make([]byte, 4*len(values))
-	for i, v := range values {
-		binary.BigEndian.PutUint32(buf[4*i:], uint32(v))
-	}
-	return buf
-}
-
-// DecodeInt32s parses a big-endian int32 slice.
-func DecodeInt32s(buf []byte) ([]int32, error) {
-	if len(buf)%4 != 0 {
-		return nil, fmt.Errorf("mmps: int32 payload of %d bytes", len(buf))
-	}
-	out := make([]int32, len(buf)/4)
-	for i := range out {
-		out[i] = int32(binary.BigEndian.Uint32(buf[4*i:]))
-	}
-	return out, nil
-}

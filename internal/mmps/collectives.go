@@ -86,13 +86,3 @@ func AllGather(tr Transport, data []byte) ([][]byte, error) {
 	}
 	return out, nil
 }
-
-// Barrier blocks until every rank has entered it (gather of empty tokens,
-// then an empty broadcast).
-func Barrier(tr Transport) error {
-	if _, err := Gather(tr, nil); err != nil {
-		return err
-	}
-	_, err := Bcast(tr, nil)
-	return err
-}

@@ -116,38 +116,3 @@ func TestAllGatherEmptyPayloads(t *testing.T) {
 		return nil
 	})
 }
-
-func TestBarrier(t *testing.T) {
-	for name, eps := range worlds(t, 4, WithRecvTimeout(10*time.Second)) {
-		t.Run(name, func(t *testing.T) {
-			defer closeAll(eps)
-			var before, after sync.WaitGroup
-			before.Add(len(eps))
-			after.Add(len(eps))
-			entered := make([]bool, len(eps))
-			var mu sync.Mutex
-			for i := range eps {
-				i := i
-				go func() {
-					mu.Lock()
-					entered[i] = true
-					mu.Unlock()
-					before.Done()
-					if err := Barrier(eps[i]); err != nil {
-						t.Errorf("rank %d: %v", i, err)
-					}
-					// After the barrier every rank must have entered.
-					mu.Lock()
-					for r, e := range entered {
-						if !e {
-							t.Errorf("rank %d passed barrier before rank %d entered", i, r)
-						}
-					}
-					mu.Unlock()
-					after.Done()
-				}()
-			}
-			after.Wait()
-		})
-	}
-}

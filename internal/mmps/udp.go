@@ -149,9 +149,6 @@ func (c *Conn) Rank() int { return c.rank }
 // Size returns the world size.
 func (c *Conn) Size() int { return c.size }
 
-// LocalAddr returns the endpoint's UDP address.
-func (c *Conn) LocalAddr() *net.UDPAddr { return c.sock.LocalAddr().(*net.UDPAddr) }
-
 // now is the endpoint's clock: nanoseconds since the world's epoch.
 func (c *Conn) now() int64 { return int64(time.Since(c.epoch)) }
 

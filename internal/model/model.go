@@ -246,25 +246,6 @@ func (n *Network) Cluster(name string) *Cluster {
 	return nil
 }
 
-// Segment returns the named segment, or nil if absent.
-func (n *Network) Segment(name string) *Segment {
-	for _, s := range n.Segments {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
-// SegmentOf returns the segment hosting the named cluster, or nil.
-func (n *Network) SegmentOf(cluster string) *Segment {
-	c := n.Cluster(cluster)
-	if c == nil {
-		return nil
-	}
-	return n.Segment(c.Segment)
-}
-
 // SameSegment reports whether two clusters share a segment (and therefore
 // communicate without crossing the router).
 func (n *Network) SameSegment(a, b string) bool {
@@ -288,15 +269,6 @@ func (n *Network) TotalProcs() int {
 	return sum
 }
 
-// TotalAvailable reports the total number of available processors.
-func (n *Network) TotalAvailable() int {
-	sum := 0
-	for _, c := range n.Clusters {
-		sum += c.Available
-	}
-	return sum
-}
-
 // BySpeed returns the clusters ordered fastest-first by the instruction
 // rate for the given operation class (the ordering the partitioning
 // heuristic of Section 5.0 uses). Ties break by name for determinism.
@@ -311,23 +283,6 @@ func (n *Network) BySpeed(class OpClass) []*Cluster {
 		return out[i].Name < out[j].Name
 	})
 	return out
-}
-
-// EffectivePerByteMs is the per-byte time a message from the named cluster
-// occupies its segment: wire time plus host protocol processing. This is the
-// quantity the fitted Eq. 1 bandwidth constants capture.
-//
-//netpart:unit return ms/bytes
-func (n *Network) EffectivePerByteMs(cluster string) float64 {
-	c := n.Cluster(cluster)
-	if c == nil {
-		return 0
-	}
-	s := n.Segment(c.Segment)
-	if s == nil {
-		return c.HostPerByteMs
-	}
-	return 1/s.BytesPerMs + c.HostPerByteMs
 }
 
 // ProcID names one processor: a cluster and an index within it.

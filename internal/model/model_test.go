@@ -16,9 +16,6 @@ func TestPaperTestbedValidates(t *testing.T) {
 	if got := n.TotalProcs(); got != 12 {
 		t.Errorf("TotalProcs = %d, want 12", got)
 	}
-	if got := n.TotalAvailable(); got != 12 {
-		t.Errorf("TotalAvailable = %d, want 12", got)
-	}
 }
 
 func TestFigure1NetworkValidates(t *testing.T) {
@@ -157,27 +154,6 @@ func TestLookupHelpers(t *testing.T) {
 	}
 	if n.Cluster("nope") != nil {
 		t.Error("Cluster(nope) should be nil")
-	}
-	if s := n.SegmentOf(IPCCluster); s == nil || s.Name != "ether-2" {
-		t.Errorf("SegmentOf(ipc) = %+v", s)
-	}
-	if n.SegmentOf("nope") != nil {
-		t.Error("SegmentOf(nope) should be nil")
-	}
-	if n.Segment("nope") != nil {
-		t.Error("Segment(nope) should be nil")
-	}
-}
-
-func TestEffectivePerByteMs(t *testing.T) {
-	n := PaperTestbed()
-	got := n.EffectivePerByteMs(Sparc2Cluster)
-	want := 1.0/1250 + 0.000615
-	if diff := got - want; diff > 1e-12 || diff < -1e-12 {
-		t.Errorf("EffectivePerByteMs(sparc2) = %v, want %v", got, want)
-	}
-	if n.EffectivePerByteMs("nope") != 0 {
-		t.Error("unknown cluster should report 0")
 	}
 }
 

@@ -27,14 +27,20 @@ import (
 // Defaults for Config's zero fields.
 const (
 	DefaultThresholdPct = 25.0
-	DefaultAlpha        = 0.25
-	DefaultWindow       = 32
 	DefaultWarmup       = 3
 )
 
+// The smoothing every monitor uses: an EWMA with factor alpha (in (0, 1];
+// larger reacts faster) and a per-task sliding window of the last window
+// deviations for the quantiles reported in events.
+const (
+	alpha  = 0.25
+	window = 32
+)
+
 // Config parameterizes a Monitor. The zero value of every field but the
-// predictions is usable: zero ThresholdPct, Alpha, Window, and Warmup take
-// the defaults above. A prediction of 0 (or non-finite) disables deviation
+// predictions is usable: zero ThresholdPct and Warmup take the defaults
+// above. A prediction of 0 (or non-finite) disables deviation
 // tracking for that component, matching trace.DeviationPct.
 type Config struct {
 	// PredCycleMs is the estimator's predicted per-cycle total for one
@@ -45,11 +51,6 @@ type Config struct {
 	PredCommMs float64
 	// ThresholdPct fires an event when |EWMA deviation| crosses it.
 	ThresholdPct float64
-	// Alpha is the EWMA smoothing factor in (0, 1]; larger reacts faster.
-	Alpha float64
-	// Window is the per-task sliding window length for deviation
-	// quantiles (reported in events).
-	Window int
 	// Warmup is the number of cycles observed per task before events may
 	// fire, so start-of-run jitter does not alarm.
 	Warmup int
@@ -65,12 +66,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.ThresholdPct == 0 {
 		c.ThresholdPct = DefaultThresholdPct
-	}
-	if c.Alpha == 0 {
-		c.Alpha = DefaultAlpha
-	}
-	if c.Window == 0 {
-		c.Window = DefaultWindow
 	}
 	if c.Warmup == 0 {
 		c.Warmup = DefaultWarmup
@@ -103,7 +98,7 @@ type component struct {
 
 // observe folds one deviation in and reports whether the smoothed value
 // just crossed the threshold (armed edge, not level).
-func (s *component) observe(devPct, alpha, threshold float64, warmup int) (fired bool) {
+func (s *component) observe(devPct, threshold float64, warmup int) (fired bool) {
 	s.n++
 	if s.n == 1 {
 		s.ewma = devPct
@@ -178,11 +173,11 @@ func (m *Monitor) taskLocked(task int) *taskState {
 	if !ok {
 		ts = &taskState{
 			cycle: component{
-				window: make([]float64, 0, m.cfg.Window),
+				window: make([]float64, 0, window),
 				gauge:  m.reg.Gauge(fmt.Sprintf(`drift.pct{task="%d"}`, task)),
 			},
 			comm: component{
-				window: make([]float64, 0, m.cfg.Window),
+				window: make([]float64, 0, window),
 				gauge:  m.reg.Gauge(fmt.Sprintf(`drift.comm_pct{task="%d"}`, task)),
 			},
 		}
@@ -220,7 +215,7 @@ func (m *Monitor) observe(task, cycle int, comp string, measuredMs, predMs float
 	if comp == "comm" {
 		s = &ts.comm
 	}
-	fired := s.observe(dev, m.cfg.Alpha, m.cfg.ThresholdPct, m.cfg.Warmup)
+	fired := s.observe(dev, m.cfg.ThresholdPct, m.cfg.Warmup)
 	if a := math.Abs(s.ewma); a > m.worst {
 		m.worst = a
 		m.reg.Gauge("drift.worst_pct").Set(a)

@@ -7,8 +7,8 @@ import (
 )
 
 // Histogram bucket layout and reservoir sizing. Every histogram shares one
-// fixed exponential bucket layout, so histograms merge without resampling
-// and the Prometheus exposition ("le" bounds) is identical across metrics.
+// fixed exponential bucket layout, so the Prometheus exposition ("le"
+// bounds) is identical across metrics.
 // Bounds are in the unit observed — milliseconds everywhere in this
 // repository — starting at 1µs-resolution (0.001 ms) and doubling, which
 // spans sub-microsecond exchanges up to multi-day runs in histBuckets
@@ -67,7 +67,7 @@ type Histogram struct {
 	reservoir []float64
 	rng       uint64
 	// sorted caches the reservoir in ascending order for quantile reads;
-	// invalidated by Observe and Merge.
+	// invalidated by Observe.
 	sorted      []float64
 	sortedValid bool
 }
@@ -188,90 +188,6 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return h.sorted[lo]*(1-frac) + h.sorted[hi]*frac
-}
-
-// histSnapshot is a point-in-time copy of a histogram's state, taken under
-// the source's lock so Merge folds a consistent view.
-type histSnapshot struct {
-	count     uint64
-	sum       float64
-	min, max  float64
-	buckets   [histBuckets + 1]uint64
-	reservoir []float64
-}
-
-// Merge folds another histogram's observations into h: bucket counts add
-// exactly; the reservoirs combine weighted by observation counts, so
-// quantile estimates reflect both populations. The source is copied once
-// under its own lock (no aliasing, no double copy) and is not modified.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil || h == other {
-		return
-	}
-	other.mu.Lock()
-	if other.count == 0 {
-		other.mu.Unlock()
-		return
-	}
-	var src histSnapshot
-	src.count, src.sum, src.min, src.max = other.count, other.sum, other.min, other.max
-	copy(src.buckets[:], other.buckets)
-	src.reservoir = append(src.reservoir, other.reservoir...)
-	other.mu.Unlock()
-
-	h.mu.Lock()
-	h.initLocked()
-	before := h.count
-	h.count += src.count
-	h.sum += src.sum
-	if src.min < h.min {
-		h.min = src.min
-	}
-	if src.max > h.max {
-		h.max = src.max
-	}
-	for i := range h.buckets {
-		h.buckets[i] += src.buckets[i]
-	}
-	h.mergeReservoirLocked(before, src.count, src.reservoir)
-	h.sortedValid = false
-	h.mu.Unlock()
-}
-
-// mergeReservoirLocked combines the source reservoir into h's. When the
-// union fits, it is kept whole (quantiles stay exact for small merged
-// histograms, the experiment-aggregation case). Otherwise each side is
-// deterministically stride-downsampled to a share of the capacity
-// proportional to its observation count. Callers hold h.mu.
-func (h *Histogram) mergeReservoirLocked(nDst, nSrc uint64, src []float64) {
-	if len(h.reservoir)+len(src) <= reservoirCap {
-		h.reservoir = append(h.reservoir, src...)
-		return
-	}
-	kSrc := int(float64(reservoirCap) * float64(nSrc) / float64(nDst+nSrc))
-	if kSrc < 1 {
-		kSrc = 1
-	}
-	if kSrc > reservoirCap-1 && nDst > 0 {
-		kSrc = reservoirCap - 1
-	}
-	kDst := reservoirCap - kSrc
-	if kDst > len(h.reservoir) {
-		kDst = len(h.reservoir)
-	}
-	if kSrc > len(src) {
-		kSrc = len(src)
-	}
-	// In-place forward stride: source index i*len/k is >= destination
-	// index i, so no value is overwritten before it is read.
-	n := len(h.reservoir)
-	for i := 0; i < kDst; i++ {
-		h.reservoir[i] = h.reservoir[i*n/kDst]
-	}
-	h.reservoir = h.reservoir[:kDst]
-	for i := 0; i < kSrc; i++ {
-		h.reservoir = append(h.reservoir, src[i*len(src)/kSrc])
-	}
 }
 
 // Summary digests the histogram (zero summary for nil or empty). Count,

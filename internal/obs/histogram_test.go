@@ -61,80 +61,6 @@ func TestHistogramQuantileEstimateBeyondReservoir(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeExactWhenSmall(t *testing.T) {
-	a, b := &Histogram{}, &Histogram{}
-	for i := 1; i <= 50; i++ {
-		a.Observe(float64(i))
-	}
-	for i := 51; i <= 100; i++ {
-		b.Observe(float64(i))
-	}
-	a.Merge(b)
-	if got := a.N(); got != 100 {
-		t.Fatalf("merged N = %d, want 100", got)
-	}
-	// Union fits the reservoir, so quantiles are exact and match
-	// trace.Sample interpolation over 1..100.
-	if got := a.Quantile(0.5); got != 50.5 {
-		t.Errorf("merged p50 = %v, want 50.5", got)
-	}
-	s := a.Summary()
-	if s.Min != 1 || s.Max != 100 || s.Sum != 5050 {
-		t.Errorf("merged summary min/max/sum = %v/%v/%v", s.Min, s.Max, s.Sum)
-	}
-}
-
-func TestHistogramMergeDownsamples(t *testing.T) {
-	a, b := &Histogram{}, &Histogram{}
-	// Both reservoirs full: a holds low values, b high values, at a 3:1
-	// observation ratio. The merged reservoir must stay bounded and the
-	// median must reflect the dominant (low) population.
-	for i := 0; i < 3*reservoirCap; i++ {
-		a.Observe(10)
-	}
-	for i := 0; i < reservoirCap; i++ {
-		b.Observe(1000)
-	}
-	a.Merge(b)
-	if got := a.N(); got != 4*reservoirCap {
-		t.Fatalf("merged N = %d, want %d", got, 4*reservoirCap)
-	}
-	a.mu.Lock()
-	rn := len(a.reservoir)
-	a.mu.Unlock()
-	if rn > reservoirCap {
-		t.Fatalf("merged reservoir holds %d values, cap is %d", rn, reservoirCap)
-	}
-	if got := a.Quantile(0.5); got != 10 {
-		t.Errorf("merged p50 = %v, want 10 (3:1 low:high mix)", got)
-	}
-	if got := a.Quantile(0.99); got != 1000 {
-		t.Errorf("merged p99 = %v, want 1000", got)
-	}
-	// Bucket counts merge exactly regardless of downsampling.
-	e := a.export("x")
-	last := e.Cumulative[len(e.Cumulative)-1]
-	if last != uint64(4*reservoirCap) {
-		t.Errorf("cumulative last bucket = %d, want %d", last, 4*reservoirCap)
-	}
-}
-
-func TestHistogramMergeSelfAndNil(t *testing.T) {
-	h := &Histogram{}
-	h.Observe(1)
-	h.Merge(h) // must not deadlock or double-count
-	if got := h.N(); got != 1 {
-		t.Errorf("self-merge changed N to %d", got)
-	}
-	h.Merge(nil)
-	var np *Histogram
-	np.Merge(h)
-	np.Observe(3)
-	if np.N() != 0 || np.Sum() != 0 || np.Quantile(0.5) != 0 {
-		t.Error("nil histogram not inert")
-	}
-}
-
 func TestHistogramExport(t *testing.T) {
 	h := &Histogram{}
 	// One observation per decade: 0.5ms, 5ms, 50ms.

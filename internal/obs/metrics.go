@@ -71,16 +71,6 @@ func (g *Gauge) Set(v float64) {
 	g.mu.Unlock()
 }
 
-// Add shifts the current value by delta. No-op on a nil gauge.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	g.v += delta
-	g.mu.Unlock()
-}
-
 // Value reports the last value set (0 for a nil gauge).
 func (g *Gauge) Value() float64 {
 	if g == nil {

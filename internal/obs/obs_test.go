@@ -18,8 +18,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Errorf("counter = %d", got)
 	}
 	r.Gauge("temp").Set(2.5)
-	r.Gauge("temp").Add(0.5)
-	if got := r.Gauge("temp").Value(); got != 3 {
+	if got := r.Gauge("temp").Value(); got != 2.5 {
 		t.Errorf("gauge = %v", got)
 	}
 	h := r.Histogram("lat")
@@ -41,28 +40,16 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(1)
-	b.Observe(3)
-	a.Merge(&b)
-	if a.N() != 2 || b.N() != 1 {
-		t.Errorf("merge: a.N=%d b.N=%d", a.N(), b.N())
-	}
-	a.Merge(nil) // must not panic
-}
-
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Add(1)
 	r.Counter("x").Inc()
 	r.Gauge("x").Set(1)
-	r.Gauge("x").Add(1)
 	r.Histogram("x").Observe(1)
 	if r.Counter("x").Value() != 0 || r.Gauge("x").Value() != 0 {
 		t.Error("nil metrics should read zero")
 	}
-	if r.Histogram("x").N() != 0 || r.Histogram("x").Quantile(0.5) != 0 {
+	if r.Histogram("x").N() != 0 || r.Histogram("x").Sum() != 0 || r.Histogram("x").Quantile(0.5) != 0 {
 		t.Error("nil histogram should read zero")
 	}
 	if s := r.Histogram("x").Summary(); s.N != 0 {

@@ -21,9 +21,6 @@ func NewOwners(vec core.Vector) Owners {
 	return Owners{prefix: prefix}
 }
 
-// Ranks returns the number of ranks the vector covers.
-func (o Owners) Ranks() int { return len(o.prefix) - 1 }
-
 // First returns rank's first global row.
 func (o Owners) First(rank int) int { return o.prefix[rank] }
 

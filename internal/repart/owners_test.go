@@ -41,9 +41,6 @@ func shuffleVec(vec core.Vector, seed uint64) core.Vector {
 
 func TestOwnersBasics(t *testing.T) {
 	own := NewOwners(core.Vector{3, 0, 5})
-	if own.Ranks() != 3 {
-		t.Fatalf("ranks=%d", own.Ranks())
-	}
 	if own.First(0) != 0 || own.Count(0) != 3 {
 		t.Errorf("rank 0: first=%d count=%d", own.First(0), own.Count(0))
 	}

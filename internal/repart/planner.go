@@ -33,15 +33,20 @@ import (
 	"netpart/internal/cost"
 )
 
-// Defaults for PlannerConfig's zero fields.
+// DefaultHorizonCycles is the horizon a zero PlannerConfig.HorizonCycles
+// takes.
+const DefaultHorizonCycles = 32
+
+// The search's fixed bounds: at most maxPasses restreaming sweeps over the
+// boundaries, and a per-rank row floor of minRows (ranks at or below it
+// donate nothing).
 const (
-	DefaultHorizonCycles = 32
-	DefaultMaxPasses     = 8
+	maxPasses = 8
+	minRows   = 1
 )
 
 // PlannerConfig parameterizes the incremental search. The zero value is
-// usable: no migration cost (pure load balancing), default horizon and
-// pass bound, one-row-per-rank floor.
+// usable: no migration cost (pure load balancing) and the default horizon.
 type PlannerConfig struct {
 	// Mig prices a candidate's row movement (T_mig). The zero Migration
 	// costs nothing and reduces the objective to the bottleneck load.
@@ -50,15 +55,6 @@ type PlannerConfig struct {
 	// per-cycle gain times the horizon covers it. Zero takes
 	// DefaultHorizonCycles.
 	HorizonCycles int
-	// MaxPasses bounds the restreaming sweeps over the boundaries. Zero
-	// takes DefaultMaxPasses.
-	MaxPasses int
-	// MinGainPct keeps the current vector unless the objective improves by
-	// at least this percentage — hysteresis against chasing noise.
-	MinGainPct float64
-	// MinRows is the per-rank row floor (default 1). Ranks at or below the
-	// floor donate nothing.
-	MinRows int
 }
 
 func (c PlannerConfig) horizon() float64 {
@@ -66,20 +62,6 @@ func (c PlannerConfig) horizon() float64 {
 		return DefaultHorizonCycles
 	}
 	return float64(c.HorizonCycles)
-}
-
-func (c PlannerConfig) passes() int {
-	if c.MaxPasses <= 0 {
-		return DefaultMaxPasses
-	}
-	return c.MaxPasses
-}
-
-func (c PlannerConfig) minRows() int {
-	if c.MinRows <= 0 {
-		return 1
-	}
-	return c.MinRows
 }
 
 // Plan is one repartitioning decision. Old and New are equal (Changed
@@ -171,7 +153,7 @@ func (p *Planner) Plan(cycle int, reason string, cur core.Vector, measuredMs []f
 		return plan
 	}
 	for i := 0; i < ranks; i++ {
-		if cur[i] < p.cfg.minRows() || measuredMs[i] <= 0 ||
+		if cur[i] < minRows || measuredMs[i] <= 0 ||
 			math.IsNaN(measuredMs[i]) || math.IsInf(measuredMs[i], 0) {
 			return plan
 		}
@@ -200,7 +182,7 @@ func (p *Planner) Plan(cycle int, reason string, cur core.Vector, measuredMs []f
 	evals := 1
 	base := maxLoad(rate, v) + p.cfg.Mig.Cost(total-kept)/p.cfg.horizon()
 	best := base
-	for pass := 0; pass < p.cfg.passes(); pass++ {
+	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
 		for b := 0; b < ranks-1; b++ {
 			// Best single shift across this boundary: either direction,
@@ -220,7 +202,7 @@ func (p *Planner) Plan(cycle int, reason string, cur core.Vector, measuredMs []f
 			bestK, bestDonor, bestJ := 0, 0, best
 			for _, donor := range [2]int{b, b + 1} {
 				prev := math.Inf(1)
-				for k := 1; k <= v[donor]-p.cfg.minRows(); k *= 2 {
+				for k := 1; k <= v[donor]-minRows; k *= 2 {
 					evals++
 					var vb, vb1, mid int
 					if donor == b {
@@ -271,10 +253,6 @@ func (p *Planner) Plan(cycle int, reason string, cur core.Vector, measuredMs []f
 	}
 	plan.Evaluations = evals
 	plan.OldMaxMs = maxLoad(rate, cur)
-	plan.NewMaxMs = plan.OldMaxMs
-	if p.cfg.MinGainPct > 0 && base > 0 && (base-best)/base*100 < p.cfg.MinGainPct {
-		return plan
-	}
 	plan.New = v
 	plan.MovedRows = MovedRows(cur, v)
 	plan.NewMaxMs = maxLoad(rate, v)

@@ -70,17 +70,6 @@ func TestPlannerMigrationCostGates(t *testing.T) {
 	}
 }
 
-// TestPlannerHysteresis: MinGainPct keeps the vector under noise-level
-// imbalance.
-func TestPlannerHysteresis(t *testing.T) {
-	cur := core.Vector{100, 100}
-	measured := []float64{100, 101} // 1% imbalance
-	plan := NewPlanner(PlannerConfig{MinGainPct: 5}).Plan(0, "interval", cur, measured)
-	if plan.Changed() {
-		t.Fatalf("chased 1%% noise: %v -> %v", plan.Old, plan.New)
-	}
-}
-
 // TestPlannerDegenerateKeeps: bad measurements or vectors at the row floor
 // keep the current vector.
 func TestPlannerDegenerateKeeps(t *testing.T) {
@@ -97,7 +86,7 @@ func TestPlannerDegenerateKeeps(t *testing.T) {
 	for i, m := range cases {
 		v := cur
 		if i == 4 {
-			v = core.Vector{1, 15} // rank 0 at the MinRows floor
+			v = core.Vector{1, 15} // rank 0 at the row floor
 		}
 		plan := NewPlanner(PlannerConfig{}).Plan(0, "interval", v, m)
 		if plan.Changed() {

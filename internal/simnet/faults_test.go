@@ -7,65 +7,6 @@ import (
 	"netpart/internal/model"
 )
 
-// TestRecvWithinTimesOut checks the bounded receive returns after the
-// virtual-time deadline when the sender stays silent, and that the run
-// still terminates cleanly.
-func TestRecvWithinTimesOut(t *testing.T) {
-	s, err := New(model.PaperTestbed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs := make([]*Proc, 2)
-	var got *Message
-	var ok bool
-	procs[0] = s.Spawn("silent", model.Sparc2Cluster, func(p *Proc) {
-		p.Advance(100) // never sends
-	})
-	procs[1] = s.Spawn("detector", model.Sparc2Cluster, func(p *Proc) {
-		got, ok = p.RecvWithin(procs[0], 25)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if ok || got != nil {
-		t.Fatalf("RecvWithin = (%v, %v), want timeout", got, ok)
-	}
-}
-
-// TestRecvWithinDelivers checks a message beats a later deadline and a
-// stale deadline does not disturb subsequent receives.
-func TestRecvWithinDelivers(t *testing.T) {
-	s, err := New(model.PaperTestbed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs := make([]*Proc, 2)
-	var first, second interface{}
-	var ok1, ok2 bool
-	procs[0] = s.Spawn("sender", model.Sparc2Cluster, func(p *Proc) {
-		p.Send(procs[1], 100, "early")
-		p.Advance(50)
-		p.Send(procs[1], 100, "late")
-	})
-	procs[1] = s.Spawn("receiver", model.Sparc2Cluster, func(p *Proc) {
-		var m *Message
-		m, ok1 = p.RecvWithin(procs[0], 1000)
-		if ok1 {
-			first = m.Payload
-		}
-		m, ok2 = p.RecvWithin(procs[0], 1000)
-		if ok2 {
-			second = m.Payload
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !ok1 || first != "early" || !ok2 || second != "late" {
-		t.Fatalf("RecvWithin saw (%v,%v) then (%v,%v)", first, ok1, second, ok2)
-	}
-}
-
 // TestFaultInjectorDropDelaysDelivery verifies injected drops cost
 // retransmission latency but never lose the message, and the run is
 // deterministic for a fixed seed.

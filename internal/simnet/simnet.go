@@ -51,7 +51,7 @@ const (
 )
 
 // event is one scheduled action. Every action the simulator itself takes
-// — a wake, a RecvWithin deadline, a router hop, a delivery — is typed,
+// — a wake, a router hop, a delivery — is typed,
 // with its operands in fields, so the loop recycles event structs through
 // a free list instead of allocating one struct plus one closure per event.
 // Only the fault injector's retry and delay paths carry a closure (fn).
@@ -61,18 +61,16 @@ type event struct {
 	kind eventKind
 	p    *Proc    // the task woken, or the message's destination
 	msg  *Message // evHop, evDeliver
-	gen  uint64   // evDeadline: the wait it was armed for (Proc.waitGen)
 	fn   func()   // evFn
 }
 
 type eventKind uint8
 
 const (
-	evWake     eventKind = iota // resume p
-	evDeadline                  // resume p if it is still in wait gen
-	evHop                       // msg leaves the router onto p's segment
-	evDeliver                   // msg reaches p's mailbox
-	evFn                        // run fn
+	evWake    eventKind = iota // resume p
+	evHop                      // msg leaves the router onto p's segment
+	evDeliver                  // msg reaches p's mailbox
+	evFn                       // run fn
 )
 
 // maxFreeEvents bounds the event free list. The live set of events is
@@ -302,7 +300,7 @@ func (s *Sim) alloc(at float64) *event {
 }
 
 // schedule queues a typed event at virtual time at (clamped to now) and
-// returns it, for the caller to fill in gen or fn.
+// returns it, for the caller to fill in fn.
 //
 //netpart:hotpath
 func (s *Sim) schedule(at float64, kind eventKind, p *Proc, msg *Message) *event {
@@ -322,7 +320,7 @@ func (s *Sim) run() *Proc {
 		s.now = ev.at
 		// Recycle before dispatch: the action's fields are copied out, so
 		// anything the action schedules may reuse this struct immediately.
-		kind, p, msg, gen, fn := ev.kind, ev.p, ev.msg, ev.gen, ev.fn
+		kind, p, msg, fn := ev.kind, ev.p, ev.msg, ev.fn
 		ev.p, ev.msg, ev.fn = nil, nil, nil
 		if len(s.free) < maxFreeEvents {
 			s.free = append(s.free, ev)
@@ -330,14 +328,6 @@ func (s *Sim) run() *Proc {
 		switch kind {
 		case evWake:
 			return p
-		case evDeadline:
-			// Wake the task only if it is still in the wait the deadline was
-			// armed for: a delivery clears waitingOn, a later wait bumps
-			// waitGen, and a finished task is done.
-			if !p.done && p.waitGen == gen && p.waitingOn >= 0 {
-				p.waitingOn = -1
-				return p
-			}
 		case evHop:
 			s.hop(msg, p)
 		case evDeliver:
@@ -381,10 +371,6 @@ type Proc struct {
 	mailboxes [][]*Message
 	// waitingOn is the sender rank a blocked Recv is waiting for, or -1.
 	waitingOn int
-	// waitGen increments at every blocking wait, so a RecvWithin deadline
-	// event can tell whether the wait it armed for is still the current
-	// one (and not a later wait on the same sender).
-	waitGen uint64
 
 	// Stats.
 	computeMs     float64
@@ -710,44 +696,9 @@ func (s *Sim) deliver(msg *Message, dst *Proc) {
 func (p *Proc) Recv(src *Proc) *Message {
 	for len(p.mailboxes[src.rank]) == 0 {
 		p.waitingOn = src.rank
-		p.waitGen++
 		p.park()
 	}
 	q := p.mailboxes[src.rank]
-	msg := q[0]
-	p.mailboxes[src.rank] = q[1:]
-	p.received++
-	p.Advance(RecvCPUMs)
-	return msg
-}
-
-// RecvWithin is Recv bounded by a virtual-time deadline: it blocks until
-// a message from src is available or ms milliseconds of virtual time
-// elapse, returning (nil, false) on timeout. Failure detectors build on
-// it: unlike Recv, a dead sender costs bounded virtual time instead of a
-// deadlock.
-func (p *Proc) RecvWithin(src *Proc, ms float64) (*Message, bool) {
-	if len(p.mailboxes[src.rank]) > 0 {
-		return p.Recv(src), true
-	}
-	s := p.sim
-	p.waitingOn = src.rank
-	p.waitGen++
-	s.schedule(s.now+ms, evDeadline, p, nil).gen = p.waitGen
-	p.park()
-	if len(p.mailboxes[src.rank]) == 0 {
-		return nil, false
-	}
-	return p.Recv(src), true
-}
-
-// TryRecv consumes a pending message from src without blocking, returning
-// nil if none is queued.
-func (p *Proc) TryRecv(src *Proc) *Message {
-	q := p.mailboxes[src.rank]
-	if len(q) == 0 {
-		return nil
-	}
 	msg := q[0]
 	p.mailboxes[src.rank] = q[1:]
 	p.received++

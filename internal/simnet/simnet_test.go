@@ -414,115 +414,6 @@ func TestSelfWakeDoesNotSwitch(t *testing.T) {
 	}
 }
 
-// TestStaleDeadlineIgnored: a RecvWithin whose message arrived first leaves
-// its deadline in the queue; the deadline falls inside a later wait on the
-// same sender and must not end that wait.
-func TestStaleDeadlineIgnored(t *testing.T) {
-	s, _ := New(model.PaperTestbed())
-	var procs [2]*Proc
-	var ok1, ok2 bool
-	var second *Message
-	var end float64
-	procs[0] = s.Spawn("sender", model.Sparc2Cluster, func(p *Proc) {
-		p.Send(procs[1], 100, 1)
-		p.Advance(500)
-		p.Send(procs[1], 100, 2)
-	})
-	procs[1] = s.Spawn("receiver", model.Sparc2Cluster, func(p *Proc) {
-		_, ok1 = p.RecvWithin(procs[0], 100) // delivered at ~0.6; deadline stays at 100
-		second, ok2 = p.RecvWithin(procs[0], 1000)
-		end = p.Now()
-	})
-	if err := runBounded(t, s); err != nil {
-		t.Fatal(err)
-	}
-	if !ok1 || !ok2 || second.Payload != 2 {
-		t.Fatalf("RecvWithin = %v, then (%+v, %v)", ok1, second, ok2)
-	}
-	if end < 500 {
-		t.Errorf("second wait ended at %v, before the second message was sent", end)
-	}
-}
-
-// TestDeadlineAndDeliveryAtOneInstant: when a RecvWithin deadline and the
-// awaited delivery fall at the same virtual time, whichever was scheduled
-// first (the lower seq) decides the outcome.
-func TestDeadlineAndDeliveryAtOneInstant(t *testing.T) {
-	// Time the delivery of a 100-byte message sent at t = 0.
-	s, _ := New(model.PaperTestbed())
-	var procs [2]*Proc
-	var at float64
-	procs[0] = s.Spawn("sender", model.Sparc2Cluster, func(p *Proc) { p.Send(procs[1], 100, nil) })
-	procs[1] = s.Spawn("receiver", model.Sparc2Cluster, func(p *Proc) { at = p.Recv(procs[0]).DeliveredAt })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	// arm is the receiver's time of arming; its deadline is at exactly at.
-	for _, arm := range []float64{0, 2 * SendCPUMs} {
-		ms := at - arm
-		for arm+ms > at {
-			ms = math.Nextafter(ms, 0)
-		}
-		for arm+ms < at {
-			ms = math.Nextafter(ms, at)
-		}
-		s, _ := New(model.PaperTestbed())
-		var ok, early bool
-		var got *Message
-		var woke float64
-		procs[0] = s.Spawn("sender", model.Sparc2Cluster, func(p *Proc) { p.Send(procs[1], 100, nil) })
-		procs[1] = s.Spawn("receiver", model.Sparc2Cluster, func(p *Proc) {
-			if arm > 0 {
-				p.Advance(arm)
-			}
-			if got, ok = p.RecvWithin(procs[0], ms); ok {
-				return
-			}
-			woke = p.Now()
-			// The delivery is due at this same instant but has not run yet.
-			early = p.TryRecv(procs[0]) != nil
-			got = p.Recv(procs[0])
-		})
-		if err := runBounded(t, s); err != nil {
-			t.Fatal(err)
-		}
-		if got == nil || got.DeliveredAt != at {
-			t.Fatalf("arm %v: received %+v, want a delivery at %v", arm, got, at)
-		}
-		switch arm {
-		case 0: // the deadline was scheduled before the send: it wins
-			if ok || woke != at || early {
-				t.Errorf("deadline first: ok %v at %v (want a timeout at %v), TryRecv found it %v", ok, woke, at, early)
-			}
-		default: // the delivery was scheduled before the deadline: it wins
-			if !ok {
-				t.Errorf("delivery first: RecvWithin timed out at %v", woke)
-			}
-		}
-	}
-}
-
-// TestFinishedTaskIgnoresDeadline: a task that returned while its
-// RecvWithin deadline was still queued is not woken by it; the run ends
-// cleanly with the clock at the last event.
-func TestFinishedTaskIgnoresDeadline(t *testing.T) {
-	s, _ := New(model.PaperTestbed())
-	var procs [2]*Proc
-	procs[0] = s.Spawn("sender", model.Sparc2Cluster, func(p *Proc) { p.Send(procs[1], 100, nil) })
-	procs[1] = s.Spawn("receiver", model.Sparc2Cluster, func(p *Proc) {
-		if _, ok := p.RecvWithin(procs[0], 50); !ok {
-			t.Error("RecvWithin timed out")
-		}
-	})
-	if err := runBounded(t, s); err != nil {
-		t.Fatal(err)
-	}
-	if s.Now() != 50 {
-		t.Errorf("run ended at %v, want the leftover deadline's 50", s.Now())
-	}
-}
-
 func TestDeadlockDetected(t *testing.T) {
 	s, _ := New(model.PaperTestbed())
 	var procs [2]*Proc
@@ -535,29 +426,6 @@ func TestDeadlockDetected(t *testing.T) {
 	err := s.Run()
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Errorf("Run() = %v, want deadlock error", err)
-	}
-}
-
-func TestTryRecv(t *testing.T) {
-	s, _ := New(model.PaperTestbed())
-	var procs [2]*Proc
-	var first, second *Message
-	procs[0] = s.Spawn("sender", model.Sparc2Cluster, func(p *Proc) {
-		p.Send(procs[1], 100, 1)
-	})
-	procs[1] = s.Spawn("receiver", model.Sparc2Cluster, func(p *Proc) {
-		first = p.TryRecv(procs[0]) // nothing delivered yet at t=0
-		p.Advance(100)              // by now the message has arrived
-		second = p.TryRecv(procs[0])
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if first != nil {
-		t.Error("TryRecv before delivery should return nil")
-	}
-	if second == nil || second.Payload != 1 {
-		t.Errorf("TryRecv after delivery = %+v", second)
 	}
 }
 

@@ -33,51 +33,33 @@ const (
 	MetricExchangeMs = "spmd.exchange_ms" // border-exchange latency per task per cycle
 	MetricDeliveryMs = "spmd.delivery_ms" // per-message transit time (send to mailbox)
 	MetricElapsedMs  = "spmd.elapsed_ms"  // gauge: job elapsed virtual time
-
-	MetricRecvTimeouts = "spmd.recv_timeouts" // bounded receives that timed out
-	MetricNodeVerdicts = "spmd.node_verdicts" // RecvDetect escalations to NodeFailed
 )
 
 // jobMetrics holds the pre-resolved instruments one job records into.
 // With a nil registry every instrument is nil, and obs instruments are
 // nil-safe, so instrumented paths cost only nil checks when disabled.
 type jobMetrics struct {
-	msgsSent     *obs.Counter
-	msgsRecv     *obs.Counter
-	bytesSent    *obs.Counter
-	bytesRecv    *obs.Counter
-	cycles       *obs.Counter
-	cycleMs      *obs.Histogram
-	exchangeMs   *obs.Histogram
-	deliveryMs   *obs.Histogram
-	recvTimeouts *obs.Counter
-	nodeVerdicts *obs.Counter
+	msgsSent   *obs.Counter
+	msgsRecv   *obs.Counter
+	bytesSent  *obs.Counter
+	bytesRecv  *obs.Counter
+	cycles     *obs.Counter
+	cycleMs    *obs.Histogram
+	exchangeMs *obs.Histogram
+	deliveryMs *obs.Histogram
 }
 
 func resolveMetrics(r *obs.Registry) jobMetrics {
 	return jobMetrics{
-		msgsSent:     r.Counter(MetricMsgsSent),
-		msgsRecv:     r.Counter(MetricMsgsRecv),
-		bytesSent:    r.Counter(MetricBytesSent),
-		bytesRecv:    r.Counter(MetricBytesRecv),
-		cycles:       r.Counter(MetricCycles),
-		cycleMs:      r.Histogram(MetricCycleMs),
-		exchangeMs:   r.Histogram(MetricExchangeMs),
-		deliveryMs:   r.Histogram(MetricDeliveryMs),
-		recvTimeouts: r.Counter(MetricRecvTimeouts),
-		nodeVerdicts: r.Counter(MetricNodeVerdicts),
+		msgsSent:   r.Counter(MetricMsgsSent),
+		msgsRecv:   r.Counter(MetricMsgsRecv),
+		bytesSent:  r.Counter(MetricBytesSent),
+		bytesRecv:  r.Counter(MetricBytesRecv),
+		cycles:     r.Counter(MetricCycles),
+		cycleMs:    r.Histogram(MetricCycleMs),
+		exchangeMs: r.Histogram(MetricExchangeMs),
+		deliveryMs: r.Histogram(MetricDeliveryMs),
 	}
-}
-
-// NodeFailedError is the verdict a bounded receive escalates to when a
-// peer stays silent through every retry: the runtime should treat the
-// rank as dead and recover rather than hang.
-type NodeFailedError struct {
-	Rank int
-}
-
-func (e NodeFailedError) Error() string {
-	return fmt.Sprintf("spmd: node %d failed (no response within retry budget)", e.Rank)
 }
 
 // Task is the per-rank context handed to the program body. It wraps the
@@ -171,37 +153,6 @@ func (t *Task) Recv(src int) interface{} {
 	t.m.msgsRecv.Inc()
 	t.m.bytesRecv.Add(int64(msg.Bytes))
 	return msg.Payload
-}
-
-// RecvWithin blocks for the next message from src for at most ms
-// milliseconds of virtual time, returning (payload, true) on delivery or
-// (nil, false) on timeout.
-func (t *Task) RecvWithin(src int, ms float64) (interface{}, bool) {
-	msg, ok := t.proc.RecvWithin(t.peers[src].proc, ms)
-	if !ok {
-		t.m.recvTimeouts.Inc()
-		return nil, false
-	}
-	t.m.msgsRecv.Inc()
-	t.m.bytesRecv.Add(int64(msg.Bytes))
-	return msg.Payload, true
-}
-
-// RecvDetect receives from src under a failure detector: bounded waits
-// with exponential backoff (timeoutMs, 2·timeoutMs, ...), escalating to a
-// NodeFailedError verdict after retries+1 silent windows instead of
-// blocking forever. This is the paper runtime's answer to a processor
-// disappearing mid-computation.
-func (t *Task) RecvDetect(src int, timeoutMs float64, retries int) (interface{}, error) {
-	wait := timeoutMs
-	for attempt := 0; attempt <= retries; attempt++ {
-		if v, ok := t.RecvWithin(src, wait); ok {
-			return v, nil
-		}
-		wait *= 2
-	}
-	t.m.nodeVerdicts.Inc()
-	return nil, NodeFailedError{Rank: src}
 }
 
 // EndCycle marks the end of one SPMD cycle for this task: it folds the
@@ -316,6 +267,9 @@ func Run(job Job) (Report, error) {
 	if job.Body == nil {
 		return Report{}, errors.New("spmd: job has no body")
 	}
+	if err := checkCapacity(job.Net, job.Placement); err != nil {
+		return Report{}, err
+	}
 	m := resolveMetrics(job.Metrics)
 	opts := job.SimOptions
 	if job.Metrics != nil {
@@ -358,4 +312,21 @@ func Run(job Job) (Report, error) {
 		Segments:  sim.Stats(),
 		Procs:     sim.ProcStats(),
 	}, nil
+}
+
+// checkCapacity refuses a placement that puts more tasks on a cluster than
+// the cluster has processors: one task per processor is the paper's model,
+// and the simulator would otherwise run the extra tasks on phantom hardware.
+func checkCapacity(net *model.Network, pl topo.Placement) error {
+	tasks := make(map[string]int)
+	for _, p := range pl.Procs {
+		tasks[p.Cluster]++
+	}
+	for _, c := range net.Clusters {
+		if tasks[c.Name] > c.Procs {
+			return fmt.Errorf("spmd: placement puts %d tasks on cluster %q, which has %d processors",
+				tasks[c.Name], c.Name, c.Procs)
+		}
+	}
+	return nil
 }

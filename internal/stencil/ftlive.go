@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -80,9 +79,9 @@ type FTOptions struct {
 	Metrics *obs.Registry
 	// Trace, when non-nil, receives per-cycle spans for Chrome export.
 	Trace *obs.Recorder
-	// Cycles, when non-nil, receives each rank's wall-clock per-cycle
-	// duration as it completes — the drift-monitor subscription. Calls
-	// arrive from one goroutine per rank.
+	// Cycles, when non-nil, receives each rank's wall-clock per-cycle and
+	// per-exchange durations as they complete — the drift-monitor
+	// subscription. Calls arrive from one goroutine per rank.
 	Cycles obs.CycleSink
 }
 
@@ -161,10 +160,7 @@ func RunLiveFT(world []mmps.Transport, vec core.Vector, v Variant, n, iters int,
 		vec:    append(core.Vector(nil), vec...),
 	}
 	errs, elapsed := runRanks(len(world), opts.Metrics, func(rank int, start time.Time) error {
-		t := newFTTask(world[rank], vec, v, n, iters, opts, sh, start)
-		err := t.run()
-		ftdebugf("rank %d EXIT err=%v iter=%d epoch=%d dead=%v", rank, err, t.iter, t.epoch, t.deadList())
-		return err
+		return newFTTask(world[rank], vec, v, n, iters, opts, sh, start).run()
 	})
 
 	out := FTResult{Elapsed: elapsed}
@@ -281,11 +277,12 @@ type ftTask struct {
 	lastHeard    map[int]time.Time // rank -> when a frame last arrived from it
 	lastPing     time.Time
 
-	mFail    *obs.Counter
-	mRecov   *obs.Counter
-	mRecovMs *obs.Histogram
-	mReplay  *obs.Counter
-	cycleMs  *obs.Histogram
+	mFail      *obs.Counter
+	mRecov     *obs.Counter
+	mRecovMs   *obs.Histogram
+	mReplay    *obs.Counter
+	cycleMs    *obs.Histogram
+	exchangeMs *obs.Histogram
 }
 
 func newFTTask(tr mmps.Transport, vec core.Vector, v Variant, n, iters int, opts FTOptions, sh *ftShared, t0 time.Time) *ftTask {
@@ -294,19 +291,20 @@ func newFTTask(tr mmps.Transport, vec core.Vector, v Variant, n, iters int, opts
 		tr: tr, rank: tr.Rank(), size: tr.Size(), n: n, iters: iters, v: v,
 		opts: opts, sh: sh, epochT0: t0,
 		vec: append(core.Vector(nil), vec...), own: repart.NewOwners(vec),
-		dead:      map[int]bool{},
-		ownCkpt:   map[int][][]float64{},
-		ckptIn:    map[int]map[int]ckptBlob{},
-		borders:   map[borderKey][]float64{},
-		syncs:     map[int]syncInfo{},
-		finished:  map[int]bool{},
-		lastHeard: map[int]time.Time{},
-		scratch:   make([]float64, n),
-		mFail:     m.Counter(MetricFTFailures),
-		mRecov:    m.Counter(MetricFTRecoveries),
-		mRecovMs:  m.Histogram(MetricFTRecoveryMs),
-		mReplay:   m.Counter(MetricFTReplayedC),
-		cycleMs:   m.Histogram(MetricLiveCycleMs),
+		dead:       map[int]bool{},
+		ownCkpt:    map[int][][]float64{},
+		ckptIn:     map[int]map[int]ckptBlob{},
+		borders:    map[borderKey][]float64{},
+		syncs:      map[int]syncInfo{},
+		finished:   map[int]bool{},
+		lastHeard:  map[int]time.Time{},
+		scratch:    make([]float64, n),
+		mFail:      m.Counter(MetricFTFailures),
+		mRecov:     m.Counter(MetricFTRecoveries),
+		mRecovMs:   m.Histogram(MetricFTRecoveryMs),
+		mReplay:    m.Counter(MetricFTReplayedC),
+		cycleMs:    m.Histogram(MetricLiveCycleMs),
+		exchangeMs: m.Histogram(MetricLiveExchangeMs),
 	}
 }
 
@@ -509,25 +507,12 @@ func (t *ftTask) dispatch(src int, buf []byte) error {
 	return nil
 }
 
-// ftdebugf prints protocol events when NETPART_FT_DEBUG is set.
-var ftDebug = os.Getenv("NETPART_FT_DEBUG") != ""
-
-func ftdebugf(format string, args ...any) {
-	if ftDebug {
-		fmt.Printf("[ftdebug %8.3fms] "+format+"\n",
-			append([]any{float64(time.Since(ftDebugT0)) / float64(time.Millisecond)}, args...)...)
-	}
-}
-
-var ftDebugT0 = time.Now()
-
 // verdict declares src dead after a silent detection budget and floods the
 // verdict to the other participants.
 func (t *ftTask) verdict(src int) {
 	if t.dead[src] {
 		return
 	}
-	ftdebugf("rank %d VERDICTS %d (iter=%d epoch=%d dead=%v)", t.rank, src, t.iter, t.epoch, t.deadList())
 	t.dead[src] = true
 	t.needRecovery = true
 	t.mFail.Inc()
@@ -674,7 +659,11 @@ func (t *ftTask) computeLoop() error {
 		if hasS {
 			t.sendBorder(south, t.off+t.rows-1, t.cur.row(t.rows))
 		}
+		// The exchange time covers the sends and the border waits, not
+		// STEN-2's interior update between them, as in the driver.
+		exchange := time.Since(cycleStart)
 		await := func() error {
+			start := time.Now()
 			if hasN {
 				if err := t.awaitBorder(north, t.off-1, t.iter, t.cur.row(0)); err != nil {
 					return err
@@ -685,6 +674,7 @@ func (t *ftTask) computeLoop() error {
 					return err
 				}
 			}
+			exchange += time.Since(start)
 			return nil
 		}
 		switch t.v {
@@ -707,8 +697,11 @@ func (t *ftTask) computeLoop() error {
 		}
 		t.cur.flip()
 		cycleMs := float64(time.Since(cycleStart)) / float64(time.Millisecond)
+		exchangeMs := float64(exchange) / float64(time.Millisecond)
 		t.cycleMs.Observe(cycleMs)
+		t.exchangeMs.Observe(exchangeMs)
 		if t.opts.Cycles != nil {
+			t.opts.Cycles.OnExchange(t.rank, t.iter, exchangeMs)
 			t.opts.Cycles.OnCycle(t.rank, t.iter, cycleMs)
 		}
 		if t.opts.Trace != nil {
@@ -858,7 +851,6 @@ func (t *ftTask) recover() error {
 		// crossed this barrier, however many times its own barrier loop
 		// restarted along the way.
 		t.epoch = len(dl)
-		ftdebugf("rank %d BARRIER ok dl=%v parts=%v epoch=%d", t.rank, dl, parts, t.epoch)
 		if err := t.applyRecovery(dl, parts); err != nil {
 			if errors.Is(err, errNeedRecovery) {
 				continue // a further failure surfaced mid-migration

@@ -102,6 +102,36 @@ func TestRunLiveFTFaultFree(t *testing.T) {
 	gridsMatch(t, res.Grid, Sequential(NewGrid(n), iters))
 }
 
+// TestRunLiveFTReportsExchangeTime: like RunLive, the FT runtime reports one
+// exchange observation per rank per cycle, to the cycle sink and to
+// live.exchange_ms, and no exchange is longer than the cycle it belongs to.
+func TestRunLiveFTReportsExchangeTime(t *testing.T) {
+	const n, iters, ranks = 32, 10, 4
+	world := ftWorld(t, ranks)
+	dt, dr := fastDetect()
+	log := newCycleLog()
+	reg := obs.NewRegistry()
+	res, err := RunLiveFT(world, core.Vector{8, 8, 8, 8}, STEN2, n, iters, FTOptions{
+		DetectTimeout: dt, DetectRetries: dr, Metrics: reg, Cycles: log,
+	})
+	if err != nil {
+		t.Fatalf("RunLiveFT: %v", err)
+	}
+	gridsMatch(t, res.Grid, Sequential(NewGrid(n), iters))
+	if log.exchangeCalls != ranks*iters || len(log.exchange) != ranks*iters || len(log.cycle) != ranks*iters {
+		t.Errorf("%d OnExchange calls over %d (rank, cycle) keys and %d OnCycle keys, want %d each",
+			log.exchangeCalls, len(log.exchange), len(log.cycle), ranks*iters)
+	}
+	for key, ex := range log.exchange {
+		if cyc, ok := log.cycle[key]; !ok || ex < 0 || ex > cyc {
+			t.Errorf("rank %d cycle %d: exchange %v ms against cycle %v ms (reported %v)", key[0], key[1], ex, cyc, ok)
+		}
+	}
+	if got := reg.Histogram(MetricLiveExchangeMs).N(); got != ranks*iters {
+		t.Errorf("%s holds %d observations, want %d", MetricLiveExchangeMs, got, ranks*iters)
+	}
+}
+
 // TestRunLiveFTCrashRecovery is the acceptance scenario: a STEN-2 run on
 // the paper testbed (12 ranks) with one node crashed mid-run detects the
 // failure, re-partitions over the surviving 11 via the paper's algorithm,

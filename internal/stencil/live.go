@@ -60,9 +60,10 @@ func RunLiveMonitored(world []mmps.Transport, vec core.Vector, v Variant, n, ite
 	return res.LiveResult, err
 }
 
-// DefaultCheckEvery is the trigger-polling cadence (in iterations) when a
-// repart trigger is configured without an explicit CheckEvery.
-const DefaultCheckEvery = 4
+// checkEvery is the round cadence (in iterations) when a repart trigger is
+// configured. Each round costs one gather/broadcast exchange, so it stays
+// coarse relative to the cycle time.
+const checkEvery = 4
 
 // LiveAdaptiveOptions configures RunLiveAdaptive. The zero value is
 // RunLive with uniform work factors.
@@ -73,17 +74,13 @@ type LiveAdaptiveOptions struct {
 	// interval even if no drift event fired.
 	RebalanceEvery int
 	// Trigger, when non-nil, switches to drift-triggered repartitioning:
-	// the tasks enter a protocol round every CheckEvery iterations but
+	// the tasks enter a protocol round every checkEvery (4) iterations but
 	// rank 0 only plans when the trigger has fired since the last check
 	// (or the RebalanceEvery fallback is due). Wire a repart.DriftTrigger
 	// into drift.Config.Notify and pass the same trigger here.
 	Trigger repart.Trigger
-	// CheckEvery is the round cadence when Trigger is set; 0 means
-	// DefaultCheckEvery. Each round costs one gather/broadcast exchange,
-	// so keep it coarse relative to the cycle time.
-	CheckEvery int
-	// Planner parameterizes the repartitioning search (migration cost,
-	// amortization horizon, hysteresis).
+	// Planner parameterizes the repartitioning search (migration cost and
+	// amortization horizon).
 	Planner repart.PlannerConfig
 	// WorkFactor emulates heterogeneity/load: per-rank extra repetitions
 	// of the row update (1 = nominal). Nil means uniform.
@@ -100,17 +97,6 @@ type LiveAdaptiveOptions struct {
 	// measurements — hand it the drift.Monitor that feeds the Trigger to
 	// close the detect → plan → migrate loop.
 	Cycles obs.CycleSink
-}
-
-// checkEvery is the effective round cadence.
-func (o LiveAdaptiveOptions) checkEvery() int {
-	if o.Trigger == nil {
-		return o.RebalanceEvery
-	}
-	if o.CheckEvery > 0 {
-		return o.CheckEvery
-	}
-	return DefaultCheckEvery
 }
 
 // LiveAdaptiveResult extends LiveResult with what the run's policies did.
@@ -142,7 +128,10 @@ func RunLiveAdaptive(world []mmps.Transport, vec core.Vector, v Variant, n, iter
 	if wf := opts.WorkFactor; wf != nil {
 		j.load = func(rank, _ int) float64 { return float64(wf[rank]) }
 	}
-	j.every, j.trigger, j.fallback = opts.checkEvery(), opts.Trigger, opts.RebalanceEvery
+	j.every, j.trigger, j.fallback = opts.RebalanceEvery, opts.Trigger, opts.RebalanceEvery
+	if opts.Trigger != nil {
+		j.every = checkEvery
+	}
 	errs, elapsed := runRanks(len(world), opts.Metrics, func(rank int, start time.Time) error {
 		return j.runRank(&liveLink{
 			tr:         world[rank],

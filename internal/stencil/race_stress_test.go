@@ -110,7 +110,6 @@ func TestRaceStressDriftTriggeredAdaptive(t *testing.T) {
 	}, nil, nil)
 	res, err := RunLiveAdaptive(world, core.Vector{8, 8, 8, 8, 8, 8}, STEN1, n, iters, LiveAdaptiveOptions{
 		Trigger:    trig,
-		CheckEvery: 4,
 		WorkFactor: []int{1, 1, 6, 1, 1, 1},
 		Cycles:     mon,
 	})

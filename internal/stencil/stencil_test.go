@@ -2,6 +2,7 @@ package stencil
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -191,6 +192,27 @@ func TestRunSimValidatesInputs(t *testing.T) {
 	}
 	if _, err := RunSim(net, paperConfig(2, 0), core.Vector{5, 5, 2}, STEN1, 12, 1); err == nil {
 		t.Error("vector/config mismatch should error")
+	}
+}
+
+// TestRunSimRejectsOversubscription: seven tasks on the six-Sparc2 cluster
+// is a placement the testbed cannot host, so the run is refused by name
+// rather than simulated on a processor that does not exist.
+func TestRunSimRejectsOversubscription(t *testing.T) {
+	net := model.PaperTestbed()
+	cfg := paperConfig(7, 0)
+	vec, err := core.Decompose(net, cfg, 60, model.OpFloat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunSim(net, cfg, vec, STEN1, 60, 2)
+	if err == nil {
+		t.Fatal("7 tasks on a 6-processor cluster accepted")
+	}
+	for _, want := range []string{`"sparc2"`, "7 tasks", "6 processors"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
 }
 

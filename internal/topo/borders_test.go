@@ -108,12 +108,6 @@ func (customRing) Neighbors(rank, p int) []int {
 	}
 	return []int{(rank + 1) % p}
 }
-func (customRing) MaxDegree(p int) int {
-	if p > 1 {
-		return 1
-	}
-	return 0
-}
 func (customRing) BandwidthLimited() bool { return false }
 
 func ExampleSegmentCrosses() {

@@ -35,17 +35,6 @@ func (Torus2D) Neighbors(rank, p int) []int {
 	return out
 }
 
-// MaxDegree returns the largest neighbor count over all ranks.
-func (t Torus2D) MaxDegree(p int) int {
-	max := 0
-	for rank := 0; rank < p; rank++ {
-		if d := len(t.Neighbors(rank, p)); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // BandwidthLimited reports false.
 func (Torus2D) BandwidthLimited() bool { return false }
 
@@ -70,15 +59,6 @@ func (Hypercube) Neighbors(rank, p int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// MaxDegree returns ceil(log2 p).
-func (Hypercube) MaxDegree(p int) int {
-	d := 0
-	for bit := 1; bit < p; bit <<= 1 {
-		d++
-	}
-	return d
 }
 
 // BandwidthLimited reports false.

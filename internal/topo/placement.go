@@ -17,15 +17,6 @@ func (pl Placement) NumTasks() int { return len(pl.Procs) }
 // ClusterOf returns the cluster hosting the given rank.
 func (pl Placement) ClusterOf(rank int) string { return pl.Procs[rank].Cluster }
 
-// ClusterCounts returns how many tasks each cluster hosts.
-func (pl Placement) ClusterCounts() map[string]int {
-	counts := make(map[string]int)
-	for _, p := range pl.Procs {
-		counts[p.Cluster]++
-	}
-	return counts
-}
-
 // Contiguous places tasks on clusters in the given order: ranks 0..n1-1 on
 // the first cluster, the next n2 on the second, and so on. For the 1-D
 // topology this is the placement the paper uses — only one processor per
@@ -79,36 +70,4 @@ func BorderTasks(t Topology, pl Placement) map[string]int {
 		}
 	}
 	return out
-}
-
-// RoundRobin places tasks by cycling through the clusters — the contrast
-// placement to Contiguous among the strategies of [11]. For locality-
-// exploiting topologies it maximizes router crossings, which is exactly
-// why the paper's 1-D placement is contiguous; it exists so the placement
-// choice can be measured (see CrossClusterMessages).
-func RoundRobin(clusters []string, counts []int) (Placement, error) {
-	if len(clusters) != len(counts) {
-		return Placement{}, fmt.Errorf("topo: %d clusters but %d counts", len(clusters), len(counts))
-	}
-	remaining := append([]int(nil), counts...)
-	next := make([]int, len(clusters))
-	var pl Placement
-	for {
-		placed := false
-		for i, name := range clusters {
-			if remaining[i] < 0 {
-				return Placement{}, fmt.Errorf("topo: negative count %d for cluster %q", counts[i], name)
-			}
-			if remaining[i] == 0 {
-				continue
-			}
-			pl.Procs = append(pl.Procs, model.ProcID{Cluster: name, Index: next[i]})
-			next[i]++
-			remaining[i]--
-			placed = true
-		}
-		if !placed {
-			return pl, nil
-		}
-	}
 }

@@ -27,9 +27,6 @@ type Topology interface {
 	// cycle of p tasks, in increasing rank order. It panics if rank is out
 	// of [0, p).
 	Neighbors(rank, p int) []int
-	// MaxDegree returns the largest neighbor count over all ranks for p
-	// tasks. It bounds the per-task messages per cycle.
-	MaxDegree(p int) int
 	// BandwidthLimited reports whether the pattern consumes channel
 	// bandwidth proportional to the total number of participants rather
 	// than benefiting from segment locality (Section 3.0: broadcast-like
@@ -66,14 +63,6 @@ func (OneD) Neighbors(rank, p int) []int {
 	return ns
 }
 
-// MaxDegree returns 2 for p ≥ 3, else p-1.
-func (OneD) MaxDegree(p int) int {
-	if p >= 3 {
-		return 2
-	}
-	return p - 1
-}
-
 // BandwidthLimited reports false: a line exploits segment locality.
 func (OneD) BandwidthLimited() bool { return false }
 
@@ -97,14 +86,6 @@ func (Ring) Neighbors(rank, p int) []int {
 		a, b = b, a
 	}
 	return []int{a, b}
-}
-
-// MaxDegree returns 2 for p ≥ 3, else p-1.
-func (Ring) MaxDegree(p int) int {
-	if p >= 3 {
-		return 2
-	}
-	return p - 1
 }
 
 // BandwidthLimited reports false.
@@ -156,17 +137,6 @@ func (m Mesh2D) Neighbors(rank, p int) []int {
 	return ns
 }
 
-// MaxDegree returns the largest neighbor count in the Dims(p) grid.
-func (m Mesh2D) MaxDegree(p int) int {
-	max := 0
-	for rank := 0; rank < p; rank++ {
-		if d := len(m.Neighbors(rank, p)); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // BandwidthLimited reports false.
 func (Mesh2D) BandwidthLimited() bool { return false }
 
@@ -195,15 +165,6 @@ func (Tree) Neighbors(rank, p int) []int {
 	return ns
 }
 
-// MaxDegree returns 3 for p ≥ 4 (an internal node with parent and two
-// children), else p-1.
-func (Tree) MaxDegree(p int) int {
-	if p >= 4 {
-		return 3
-	}
-	return p - 1
-}
-
 // BandwidthLimited reports false.
 func (Tree) BandwidthLimited() bool { return false }
 
@@ -229,9 +190,6 @@ func (Broadcast) Neighbors(rank, p int) []int {
 	return ns
 }
 
-// MaxDegree returns p-1 (the root).
-func (Broadcast) MaxDegree(p int) int { return p - 1 }
-
 // BandwidthLimited reports true.
 func (Broadcast) BandwidthLimited() bool { return true }
 
@@ -252,9 +210,6 @@ func (AllToAll) Neighbors(rank, p int) []int {
 	}
 	return ns
 }
-
-// MaxDegree returns p-1.
-func (AllToAll) MaxDegree(p int) int { return p - 1 }
 
 // BandwidthLimited reports true.
 func (AllToAll) BandwidthLimited() bool { return true }

@@ -3,6 +3,8 @@ package topo
 import (
 	"testing"
 	"testing/quick"
+
+	"netpart/internal/model"
 )
 
 func allTopologies() []Topology {
@@ -69,12 +71,6 @@ func TestMesh2DNeighbors(t *testing.T) {
 	if got := m.Neighbors(0, 12); !equalInts(got, []int{1, 4}) {
 		t.Errorf("Mesh2D.Neighbors(0,12) = %v", got)
 	}
-	if m.MaxDegree(12) != 4 {
-		t.Errorf("Mesh2D.MaxDegree(12) = %d, want 4", m.MaxDegree(12))
-	}
-	if m.MaxDegree(1) != 0 {
-		t.Errorf("Mesh2D.MaxDegree(1) = %d, want 0", m.MaxDegree(1))
-	}
 }
 
 func TestTreeNeighbors(t *testing.T) {
@@ -87,9 +83,6 @@ func TestTreeNeighbors(t *testing.T) {
 	}
 	if got := tr.Neighbors(6, 7); !equalInts(got, []int{2}) {
 		t.Errorf("Tree.Neighbors(6,7) = %v", got)
-	}
-	if tr.MaxDegree(7) != 3 || tr.MaxDegree(2) != 1 {
-		t.Errorf("Tree.MaxDegree: got (%d,%d)", tr.MaxDegree(7), tr.MaxDegree(2))
 	}
 }
 
@@ -153,7 +146,7 @@ func TestNeighborsPanicsOnBadRank(t *testing.T) {
 // Property: the neighbor relation is symmetric for every topology (if a
 // sends to b, b sends to a — required by the synchronous cycle of
 // async-sends-then-blocking-receives), neighbor lists are sorted, contain no
-// self-loops or duplicates, and respect MaxDegree.
+// self-loops or duplicates.
 func TestNeighborSymmetryProperty(t *testing.T) {
 	for _, tp := range allTopologies() {
 		tp := tp
@@ -162,9 +155,6 @@ func TestNeighborSymmetryProperty(t *testing.T) {
 			adj := make([]map[int]bool, p)
 			for rank := 0; rank < p; rank++ {
 				ns := tp.Neighbors(rank, p)
-				if len(ns) > tp.MaxDegree(p) {
-					return false
-				}
 				adj[rank] = make(map[int]bool, len(ns))
 				for i, nb := range ns {
 					if nb == rank || nb < 0 || nb >= p {
@@ -228,10 +218,6 @@ func TestContiguousPlacement(t *testing.T) {
 	}
 	if pl.ClusterOf(0) != "sparc2" || pl.ClusterOf(5) != "sparc2" || pl.ClusterOf(6) != "ipc" {
 		t.Errorf("placement order wrong: %v", pl.Procs)
-	}
-	counts := pl.ClusterCounts()
-	if counts["sparc2"] != 6 || counts["ipc"] != 4 {
-		t.Errorf("ClusterCounts = %v", counts)
 	}
 	// Indices within each cluster restart from zero.
 	if pl.Procs[6].Index != 0 {
@@ -311,9 +297,6 @@ func TestTorusNeighbors(t *testing.T) {
 	if got := tor.Neighbors(0, 4); !equalInts(got, []int{1, 2}) {
 		t.Errorf("Torus2D.Neighbors(0,4) = %v", got)
 	}
-	if tor.MaxDegree(12) != 4 {
-		t.Errorf("MaxDegree(12) = %d", tor.MaxDegree(12))
-	}
 	if got := tor.Neighbors(0, 1); len(got) != 0 {
 		t.Errorf("single-task torus has neighbors: %v", got)
 	}
@@ -334,50 +317,25 @@ func TestHypercubeNeighbors(t *testing.T) {
 	if got := h.Neighbors(5, 8); !equalInts(got, []int{1, 4, 7}) {
 		t.Errorf("Hypercube.Neighbors(5,8) = %v", got)
 	}
-	if h.MaxDegree(8) != 3 || h.MaxDegree(16) != 4 {
-		t.Errorf("MaxDegree: %d, %d", h.MaxDegree(8), h.MaxDegree(16))
-	}
 	// Incomplete hypercube (p=6): edges to ranks ≥ 6 dropped.
 	if got := h.Neighbors(5, 6); !equalInts(got, []int{1, 4}) {
 		t.Errorf("incomplete Hypercube.Neighbors(5,6) = %v", got)
 	}
 }
 
-func TestRoundRobinPlacement(t *testing.T) {
-	pl, err := RoundRobin([]string{"a", "b"}, []int{3, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"a", "b", "a", "b", "a"}
-	if pl.NumTasks() != 5 {
-		t.Fatalf("NumTasks = %d", pl.NumTasks())
-	}
-	for r, w := range want {
-		if pl.ClusterOf(r) != w {
-			t.Errorf("rank %d on %q, want %q", r, pl.ClusterOf(r), w)
-		}
-	}
-	if _, err := RoundRobin([]string{"a"}, []int{1, 2}); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-	if _, err := RoundRobin([]string{"a"}, []int{-1}); err == nil {
-		t.Error("negative count accepted")
-	}
-}
-
 func TestContiguousMinimizesRouterCrossings(t *testing.T) {
 	// The paper's §6 placement argument: contiguous 1-D placement needs
-	// one router crossing per cluster boundary; round-robin crosses at
-	// almost every edge.
+	// one router crossing per cluster boundary; an interleaved placement
+	// crosses at every edge.
 	clusters := []string{"sparc2", "ipc"}
 	counts := []int{6, 6}
 	cont, err := Contiguous(clusters, counts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := RoundRobin(clusters, counts)
-	if err != nil {
-		t.Fatal(err)
+	var rr Placement
+	for i := 0; i < 6; i++ {
+		rr.Procs = append(rr.Procs, model.ProcID{Cluster: "sparc2", Index: i}, model.ProcID{Cluster: "ipc", Index: i})
 	}
 	cCont := CrossClusterMessages(OneD{}, cont)
 	cRR := CrossClusterMessages(OneD{}, rr)
@@ -385,6 +343,6 @@ func TestContiguousMinimizesRouterCrossings(t *testing.T) {
 		t.Errorf("contiguous crossings = %d, want 2", cCont)
 	}
 	if cRR != 22 { // every one of the 11 edges crosses, both directions
-		t.Errorf("round-robin crossings = %d, want 22", cRR)
+		t.Errorf("interleaved crossings = %d, want 22", cRR)
 	}
 }

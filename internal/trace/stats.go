@@ -1,89 +1,26 @@
-// Package trace provides small statistics and timing utilities used by the
-// benchmarking and experiment harnesses: streaming sample accumulation,
-// summary statistics, and repeated-run aggregation.
+// Package trace provides the small statistics the experiment harness and
+// the drift monitor use: sample percentiles, deviation percentages and a
+// running minimum.
 //
 //netpart:deterministic
 package trace
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
 
-// Sample accumulates scalar observations and reports summary statistics.
+// Sample accumulates scalar observations and reports their percentiles.
 // The zero value is ready to use.
 type Sample struct {
 	values []float64
 	sorted bool
 }
 
-// Add appends one observation.
-func (s *Sample) Add(v float64) {
-	s.values = append(s.values, v)
-	s.sorted = false
-}
-
 // AddAll appends every observation in vs.
 func (s *Sample) AddAll(vs ...float64) {
 	s.values = append(s.values, vs...)
 	s.sorted = false
-}
-
-// N reports the number of observations.
-func (s *Sample) N() int { return len(s.values) }
-
-// Mean reports the arithmetic mean, or 0 if the sample is empty.
-func (s *Sample) Mean() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.values {
-		sum += v
-	}
-	return sum / float64(len(s.values))
-}
-
-// Variance reports the unbiased sample variance, or 0 for fewer than two
-// observations.
-func (s *Sample) Variance() float64 {
-	n := len(s.values)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	ss := 0.0
-	for _, v := range s.values {
-		d := v - m
-		ss += d * d
-	}
-	return ss / float64(n-1)
-}
-
-// Stddev reports the sample standard deviation.
-func (s *Sample) Stddev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min reports the smallest observation, or +Inf if the sample is empty.
-func (s *Sample) Min() float64 {
-	min := math.Inf(1)
-	for _, v := range s.values {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// Max reports the largest observation, or -Inf if the sample is empty.
-func (s *Sample) Max() float64 {
-	max := math.Inf(-1)
-	for _, v := range s.values {
-		if v > max {
-			max = v
-		}
-	}
-	return max
 }
 
 // Percentile reports the q-th percentile (0 ≤ q ≤ 100) using linear
@@ -111,51 +48,4 @@ func (s *Sample) Percentile(q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s.values[lo]*(1-frac) + s.values[hi]*frac
-}
-
-// Quantile reports the q-th quantile (0 ≤ q ≤ 1) using linear
-// interpolation between order statistics — Percentile on the [0,1] scale,
-// the form the obs histograms consume. It returns 0 for an empty sample.
-func (s *Sample) Quantile(q float64) float64 { return s.Percentile(q * 100) }
-
-// Merge folds every observation of other into s. Merging nil or an empty
-// sample is a no-op; other is not modified.
-func (s *Sample) Merge(other *Sample) {
-	if other == nil || len(other.values) == 0 {
-		return
-	}
-	s.values = append(s.values, other.values...)
-	s.sorted = false
-}
-
-// CopyFrom replaces s's observations with a single copy of other's —
-// the one-allocation alternative to AddAll(other.Values()...), which
-// copies twice. Copying from nil or an empty sample empties s; other is
-// not modified and shares no storage with s afterwards.
-func (s *Sample) CopyFrom(other *Sample) {
-	if other == nil {
-		s.values = s.values[:0]
-		s.sorted = false
-		return
-	}
-	s.values = append(s.values[:0], other.values...)
-	s.sorted = other.sorted
-}
-
-// Median reports the 50th percentile.
-func (s *Sample) Median() float64 { return s.Percentile(50) }
-
-// Values returns a copy of the observations in insertion order is not
-// guaranteed once a percentile has been computed (the sample may have been
-// sorted in place).
-func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.values))
-	copy(out, s.values)
-	return out
-}
-
-// String summarizes the sample as "n=.. mean=.. sd=.. min=.. max=..".
-func (s *Sample) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
-		s.N(), s.Mean(), s.Stddev(), s.Min(), s.Max())
 }

@@ -2,54 +2,29 @@ package trace
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestSampleSummary(t *testing.T) {
-	var s Sample
-	s.AddAll(2, 4, 4, 4, 5, 5, 7, 9)
-	if s.N() != 8 {
-		t.Errorf("N = %d", s.N())
-	}
-	if got := s.Mean(); got != 5 {
-		t.Errorf("Mean = %v", got)
-	}
-	// Known dataset: population sd = 2, sample variance = 32/7.
-	if got := s.Variance(); math.Abs(got-32.0/7) > 1e-12 {
-		t.Errorf("Variance = %v", got)
-	}
-	if got := s.Stddev(); math.Abs(got-math.Sqrt(32.0/7)) > 1e-12 {
-		t.Errorf("Stddev = %v", got)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
-	}
-}
-
 func TestEmptySample(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.Variance() != 0 || s.Percentile(50) != 0 {
-		t.Error("empty sample should report zeros")
-	}
-	if !math.IsInf(s.Min(), 1) || !math.IsInf(s.Max(), -1) {
-		t.Error("empty Min/Max should be infinities")
+	if s.Percentile(50) != 0 {
+		t.Error("empty sample should report zero")
 	}
 }
 
 func TestSingleObservation(t *testing.T) {
 	var s Sample
-	s.Add(3)
-	if s.Mean() != 3 || s.Variance() != 0 || s.Median() != 3 {
-		t.Errorf("single observation: mean=%v var=%v med=%v", s.Mean(), s.Variance(), s.Median())
+	s.AddAll(3)
+	if got := s.Percentile(50); got != 3 {
+		t.Errorf("single observation: median=%v", got)
 	}
 }
 
 func TestPercentiles(t *testing.T) {
 	var s Sample
 	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
+		s.AddAll(float64(i))
 	}
 	if got := s.Percentile(0); got != 1 {
 		t.Errorf("P0 = %v", got)
@@ -57,7 +32,7 @@ func TestPercentiles(t *testing.T) {
 	if got := s.Percentile(100); got != 100 {
 		t.Errorf("P100 = %v", got)
 	}
-	if got := s.Median(); math.Abs(got-50.5) > 1e-9 {
+	if got := s.Percentile(50); math.Abs(got-50.5) > 1e-9 {
 		t.Errorf("median = %v", got)
 	}
 	if got := s.Percentile(150); got != 100 {
@@ -66,8 +41,16 @@ func TestPercentiles(t *testing.T) {
 	if got := s.Percentile(-5); got != 1 {
 		t.Errorf("clamped P-5 = %v", got)
 	}
+	// Observations added after a percentile (which sorts in place) are
+	// sorted in before the next one.
+	s.AddAll(0)
+	if got := s.Percentile(0); got != 0 {
+		t.Errorf("P0 after a later AddAll = %v, want 0", got)
+	}
 }
 
+// TestQuantile checks Percentile's interpolation between order statistics
+// at the fraction q of the sample.
 func TestQuantile(t *testing.T) {
 	tests := []struct {
 		name   string
@@ -91,63 +74,10 @@ func TestQuantile(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var s Sample
 			s.AddAll(tc.values...)
-			if got := s.Quantile(tc.q); math.Abs(got-tc.want) > 1e-12 {
-				t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
+			if got := s.Percentile(100 * tc.q); math.Abs(got-tc.want) > 1e-12 {
+				t.Errorf("Percentile(%v) = %v, want %v", 100*tc.q, got, tc.want)
 			}
 		})
-	}
-}
-
-func TestMerge(t *testing.T) {
-	tests := []struct {
-		name       string
-		a, b       []float64
-		wantN      int
-		wantMedian float64
-	}{
-		{"both-empty", nil, nil, 0, 0},
-		{"empty-into-full", []float64{1, 2, 3}, nil, 3, 2},
-		{"full-into-empty", nil, []float64{1, 2, 3}, 3, 2},
-		{"single-into-single", []float64{1}, []float64{9}, 2, 5},
-		{"duplicate-heavy", []float64{4, 4, 4}, []float64{4, 4, 4, 4}, 7, 4},
-		{"interleaved", []float64{1, 5, 9}, []float64{2, 6}, 5, 5},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			var a, b Sample
-			a.AddAll(tc.a...)
-			b.AddAll(tc.b...)
-			bBefore := b.N()
-			a.Merge(&b)
-			if a.N() != tc.wantN {
-				t.Errorf("merged N = %d, want %d", a.N(), tc.wantN)
-			}
-			if got := a.Median(); math.Abs(got-tc.wantMedian) > 1e-12 {
-				t.Errorf("merged median = %v, want %v", got, tc.wantMedian)
-			}
-			if b.N() != bBefore {
-				t.Errorf("Merge modified the source sample: n=%d", b.N())
-			}
-		})
-	}
-	// Merging nil must not panic.
-	var s Sample
-	s.Add(1)
-	s.Merge(nil)
-	if s.N() != 1 {
-		t.Errorf("Merge(nil) changed the sample: n=%d", s.N())
-	}
-	// Merge after a sort (Percentile) must re-sort lazily.
-	var sorted, extra Sample
-	sorted.AddAll(3, 1, 2)
-	_ = sorted.Median()
-	extra.Add(0)
-	sorted.Merge(&extra)
-	if got := sorted.Min(); got != 0 {
-		t.Errorf("post-sort merge Min = %v, want 0", got)
-	}
-	if got := sorted.Quantile(0); got != 0 {
-		t.Errorf("post-sort merge Quantile(0) = %v, want 0", got)
 	}
 }
 
@@ -183,109 +113,23 @@ func TestMinTracker(t *testing.T) {
 	}
 }
 
-func TestValuesReturnsCopy(t *testing.T) {
-	var s Sample
-	s.AddAll(1, 2, 3)
-	v := s.Values()
-	v[0] = 99
-	if s.Values()[0] == 99 {
-		t.Error("Values exposed internal state")
-	}
-}
-
-func TestString(t *testing.T) {
-	var s Sample
-	s.AddAll(1, 2)
-	if out := s.String(); !strings.Contains(out, "n=2") {
-		t.Errorf("String = %q", out)
-	}
-}
-
-// Property: min ≤ every percentile ≤ max and the median is order-stable.
+// Property: min ≤ every percentile ≤ max.
 func TestPercentileBoundsProperty(t *testing.T) {
 	f := func(raw []int16, qRaw uint8) bool {
 		if len(raw) == 0 {
 			return true
 		}
 		var s Sample
+		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, v := range raw {
-			s.Add(float64(v))
+			s.AddAll(float64(v))
+			lo, hi = math.Min(lo, float64(v)), math.Max(hi, float64(v))
 		}
 		q := float64(qRaw) / 255 * 100
 		p := s.Percentile(q)
-		return p >= s.Min()-1e-9 && p <= s.Max()+1e-9
+		return p >= lo-1e-9 && p <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: mean lies within [min, max].
-func TestMeanBoundsProperty(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		var s Sample
-		for _, v := range raw {
-			s.Add(float64(v))
-		}
-		m := s.Mean()
-		return m >= s.Min()-1e-9 && m <= s.Max()+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSampleCopyFrom(t *testing.T) {
-	var src Sample
-	src.AddAll(3, 1, 2)
-
-	var dst Sample
-	dst.AddAll(9, 9, 9, 9) // CopyFrom must replace, not append
-	dst.CopyFrom(&src)
-	if dst.N() != 3 || dst.Median() != 2 {
-		t.Errorf("after CopyFrom: n=%d median=%v", dst.N(), dst.Median())
-	}
-	// No shared storage: mutating dst leaves src intact.
-	dst.Add(100)
-	if src.N() != 3 || src.Max() != 3 {
-		t.Errorf("src mutated through copy: %v", src.String())
-	}
-
-	// Copying a sorted source preserves the sorted fast path.
-	src.Percentile(50)
-	var dst2 Sample
-	dst2.CopyFrom(&src)
-	if got := dst2.Percentile(0); got != 1 {
-		t.Errorf("sorted copy p0 = %v, want 1", got)
-	}
-
-	// Copying nil or empty empties the destination.
-	dst.CopyFrom(nil)
-	if dst.N() != 0 {
-		t.Errorf("CopyFrom(nil) left n=%d", dst.N())
-	}
-	var empty Sample
-	dst2.CopyFrom(&empty)
-	if dst2.N() != 0 {
-		t.Errorf("CopyFrom(empty) left n=%d", dst2.N())
-	}
-}
-
-// CopyFrom is the single-allocation path: one append into reused storage.
-func TestSampleCopyFromAllocs(t *testing.T) {
-	var src Sample
-	for i := 0; i < 1000; i++ {
-		src.Add(float64(i))
-	}
-	var dst Sample
-	dst.CopyFrom(&src) // warm: dst's backing array reaches capacity
-	allocs := testing.AllocsPerRun(100, func() {
-		dst.CopyFrom(&src)
-	})
-	if allocs > 0 {
-		t.Errorf("CopyFrom allocated %.1f times into warm storage; want 0", allocs)
 	}
 }

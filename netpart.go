@@ -56,7 +56,6 @@ import (
 	"netpart/internal/particles"
 	"netpart/internal/repart"
 	"netpart/internal/stencil"
-	"netpart/internal/stencil2d"
 	"netpart/internal/topo"
 )
 
@@ -334,30 +333,6 @@ func WeightedDecompose(net *Network, cfg Config, weights []int, class OpClass) (
 	return particles.WeightedVector(net, cfg, weights, class)
 }
 
-// Stencil2DAnnotations returns the callbacks for the 2-D block
-// implementation of the stencil (mesh topology, √A-sized borders).
-func Stencil2DAnnotations(n, iters int) *Annotations {
-	return stencil2d.Annotations(n, iters)
-}
-
-// RunStencil2DSim executes the 2-D block-decomposed stencil on the
-// simulated network.
-func RunStencil2DSim(net *Network, cfg Config, n, iters int) (stencil2d.SimResult, error) {
-	return stencil2d.RunSim(net, cfg, n, iters)
-}
-
-// RunGaussSim solves a linear system by distributed Gaussian elimination
-// with partial pivoting (contiguous row blocks).
-func RunGaussSim(net *Network, cfg Config, vec Vector, s gauss.System) (gauss.SimResult, error) {
-	return gauss.RunSim(net, cfg, vec, s)
-}
-
-// RunGaussSimCyclic solves with the block-cyclic row assignment, which
-// balances elimination's shrinking active window.
-func RunGaussSimCyclic(net *Network, cfg Config, vec Vector, blocks int, s gauss.System) (gauss.SimResult, error) {
-	return gauss.RunSimCyclic(net, cfg, vec, blocks, s)
-}
-
 // Collective operations over transports (each rank calls with its own
 // endpoint; rank 0 is the root where one applies).
 var (
@@ -367,18 +342,7 @@ var (
 	Gather = mmps.Gather
 	// AllGather gives every rank all payloads.
 	AllGather = mmps.AllGather
-	// Barrier blocks until every rank has entered.
-	Barrier = mmps.Barrier
 )
-
-// StencilLiveAdaptiveOptions configures live adaptive execution.
-type StencilLiveAdaptiveOptions = stencil.LiveAdaptiveOptions
-
-// RunStencilLiveAdaptive runs the dynamic-repartitioning strategy on real
-// concurrent tasks over mmps transports, migrating actual grid rows.
-func RunStencilLiveAdaptive(world []Transport, vec Vector, v StencilVariant, n, iters int, opts StencilLiveAdaptiveOptions) (stencil.LiveAdaptiveResult, error) {
-	return stencil.RunLiveAdaptive(world, vec, v, n, iters, opts)
-}
 
 // Observability types: search tracing for the partitioner and runtime
 // metrics for the SPMD executions.
@@ -436,10 +400,6 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent) error {
 	return obs.WriteChromeTrace(w, events)
 }
 
-// WithTransportMetrics counts messages, bytes, packets, and retransmissions
-// of an mmps world into a metrics registry.
-func WithTransportMetrics(m *Metrics) mmps.Option { return mmps.WithMetrics(m) }
-
 // Fault injection and tolerance types.
 type (
 	// FaultSchedule is a parsed fault scenario: crashes, packet drops,
@@ -491,13 +451,6 @@ func RunStencilLiveFT(world []Transport, vec Vector, v StencilVariant, n, iters 
 	return stencil.RunLiveFT(world, vec, v, n, iters, opts)
 }
 
-// StencilRepartitioner builds the FTOptions.Repartition policy that re-runs
-// the paper's partitioning method over the surviving processors (placement
-// maps each rank to its cluster name).
-func StencilRepartitioner(net *Network, costs *CostTable, v StencilVariant, n, iters int, placement []string) func(alive []int) (Vector, error) {
-	return stencil.Repartitioner(net, costs, v, n, iters, placement)
-}
-
 // Live telemetry and drift monitoring types. TelemetryServer exposes a
 // Metrics registry over HTTP (Prometheus text on /metrics, JSON on
 // /metrics.json, /healthz, /debug/pprof/); DriftMonitor subscribes to a
@@ -517,35 +470,6 @@ type (
 	// Metrics registry.
 	MetricsExport = obs.Export
 )
-
-// ServeTelemetry starts serving m's metrics on addr (":0" picks a free
-// port; the resolved address is Server.Addr). Close the returned server
-// when done, or Wait on it to block until SIGINT/SIGTERM.
-func ServeTelemetry(addr string, m *Metrics) (*TelemetryServer, error) {
-	return serve.Start(addr, m)
-}
-
-// WritePrometheus writes a registry snapshot in the Prometheus text
-// exposition format (the same bytes /metrics serves).
-func WritePrometheus(w io.Writer, m *Metrics) error {
-	return serve.WriteProm(w, m.Export())
-}
-
-// NewDriftMonitor builds a drift monitor writing gauges and counters to m
-// and structured "drift" events to rec (either may be nil). Wire it into
-// a runtime via StencilAdaptiveOptions.Cycles, RunStencilLiveMonitored, or
-// FTOptions.Cycles.
-func NewDriftMonitor(cfg DriftConfig, m *Metrics, rec *TraceRecorder) *DriftMonitor {
-	return drift.New(cfg, m, rec)
-}
-
-// RunStencilLiveMonitored is RunStencilLive with observability attached:
-// wall-clock cycle/exchange histograms into m, per-task-cycle spans into
-// rec, and a per-cycle subscription for sink — the drift-monitor hookup
-// (any of the three may be nil).
-func RunStencilLiveMonitored(world []Transport, vec Vector, v StencilVariant, n, iters int, workFactor []int, m *Metrics, rec *TraceRecorder, sink CycleSink) (stencil.LiveResult, error) {
-	return stencil.RunLiveMonitored(world, vec, v, n, iters, workFactor, m, rec, sink)
-}
 
 // Continuous repartitioning (internal/repart): the drift-triggered
 // trigger → plan → migrate pipeline shared by the adaptive runtimes and
