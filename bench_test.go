@@ -151,6 +151,26 @@ func BenchmarkPartitionOverhead(b *testing.B) {
 	}
 }
 
+// BenchmarkDecision is one whole decision as a caller pays for it — a
+// fresh core.NewEstimator plus core.Partition, the decide-sweep workload's
+// unit. Its allocations are the estimator, the evaluator's state and the
+// Result (BENCH_policy.json holds the ceiling).
+func BenchmarkDecision(b *testing.B) {
+	e := benchEnv(b)
+	ann := stencil.Annotations(1200, stencil.STEN1, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		est, err := core.NewEstimator(e.Net, e.Fitted, ann)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := core.Partition(est); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGaussSolve regenerates E8: partitioning plus distributed
 // Gaussian elimination with partial pivoting at N=64.
 func BenchmarkGaussSolve(b *testing.B) {

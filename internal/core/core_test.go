@@ -208,6 +208,49 @@ func TestDecomposeErrors(t *testing.T) {
 	}
 }
 
+// TestMalformedConfigRefused pins that every entry point reading a
+// configuration refuses counts that do not pair with its clusters, or a
+// negative count, with ErrBadConfig naming the configuration — instead of
+// panicking or estimating nonsense.
+func TestMalformedConfigRefused(t *testing.T) {
+	net := model.PaperTestbed()
+	two := []string{model.Sparc2Cluster, model.IPCCluster}
+	ops := func(x float64) float64 { return x * x }
+	entries := map[string]func(cost.Config) error{
+		"Estimate": func(cfg cost.Config) error {
+			_, err := paperEstimator(t, 600, false).Estimate(cfg)
+			return err
+		},
+		"BeginDelta": func(cfg cost.Config) error {
+			_, err := paperEstimator(t, 600, false).BeginDelta(cfg)
+			return err
+		},
+		"RealShares": func(cfg cost.Config) error { _, err := RealShares(net, cfg, 600, model.OpFloat); return err },
+		"Decompose":  func(cfg cost.Config) error { _, err := Decompose(net, cfg, 600, model.OpFloat); return err },
+		"DecomposeGeneral": func(cfg cost.Config) error {
+			_, err := DecomposeGeneral(net, cfg, 600, model.OpFloat, ops)
+			return err
+		},
+	}
+	for _, cfg := range []cost.Config{
+		{Clusters: two, Counts: []int{3}},
+		{Clusters: two[:1], Counts: []int{3, 1}},
+		{Clusters: two, Counts: []int{3, -1}},
+		{Clusters: two, Counts: []int{-2, 0}},
+	} {
+		for name, run := range entries {
+			err := run(cfg)
+			if !errors.Is(err, ErrBadConfig) {
+				t.Errorf("%s(%v %v): %v, want ErrBadConfig", name, cfg.Clusters, cfg.Counts, err)
+				continue
+			}
+			if want := fmt.Sprint(cfg.Counts); !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), cfg.Clusters[0]) {
+				t.Errorf("%s: %q does not name the configuration %v %v", name, err, cfg.Clusters, cfg.Counts)
+			}
+		}
+	}
+}
+
 // Property: for any valid configuration the partition vector sums exactly
 // to numPDUs, gives every task at least one PDU, and tasks on faster
 // clusters never get fewer PDUs than tasks on slower ones.

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"netpart/internal/cost"
 	"netpart/internal/model"
@@ -29,7 +30,24 @@ func (v Vector) Sum() int {
 var (
 	ErrNoProcessors = errors.New("core: configuration has no processors")
 	ErrTooFewPDUs   = errors.New("core: fewer PDUs than processors")
+	// ErrBadConfig marks a configuration whose counts do not pair one for
+	// one with its clusters, or that holds a negative count.
+	ErrBadConfig = errors.New("core: malformed configuration")
 )
+
+// checkConfig refuses a configuration the equations cannot read.
+//
+//netpart:hotpath
+func checkConfig(cfg cost.Config) error {
+	bad := len(cfg.Counts) != len(cfg.Clusters)
+	for _, c := range cfg.Counts {
+		bad = bad || c < 0
+	}
+	if bad {
+		return fmt.Errorf("%w: clusters %q with counts %v", ErrBadConfig, cfg.Clusters, cfg.Counts)
+	}
+	return nil
+}
 
 // RealShares computes Eq. 3: the (real-valued) number of PDUs per processor
 // in each cluster of the configuration such that processors finish
@@ -41,7 +59,10 @@ var (
 // The returned slice is indexed like cfg.Clusters; entries for zero-count
 // clusters are zero.
 func RealShares(net *model.Network, cfg cost.Config, numPDUs int, class model.OpClass) ([]float64, error) {
-	if cfg.Total() <= 0 {
+	if err := checkConfig(cfg); err != nil {
+		return nil, err
+	}
+	if cfg.Total() == 0 {
 		return nil, ErrNoProcessors
 	}
 	denom := 0.0
@@ -73,16 +94,7 @@ func Decompose(net *model.Network, cfg cost.Config, numPDUs int, class model.OpC
 	if err != nil {
 		return nil, err
 	}
-	if numPDUs < cfg.Total() {
-		return nil, fmt.Errorf("%w: %d PDUs over %d processors", ErrTooFewPDUs, numPDUs, cfg.Total())
-	}
-	perTask := make([]float64, 0, cfg.Total())
-	for i := range cfg.Clusters {
-		for j := 0; j < cfg.Counts[i]; j++ {
-			perTask = append(perTask, shares[i])
-		}
-	}
-	return roundLargestRemainder(perTask, numPDUs)
+	return roundLargestRemainder(nil, shares, cfg.Counts, numPDUs)
 }
 
 // DecomposeGeneral computes a load-balanced partition vector when per-task
@@ -95,11 +107,11 @@ func DecomposeGeneral(net *model.Network, cfg cost.Config, numPDUs int, class mo
 	if ops == nil {
 		return Decompose(net, cfg, numPDUs, class)
 	}
-	if cfg.Total() <= 0 {
-		return nil, ErrNoProcessors
+	if err := checkConfig(cfg); err != nil {
+		return nil, err
 	}
-	if numPDUs < cfg.Total() {
-		return nil, fmt.Errorf("%w: %d PDUs over %d processors", ErrTooFewPDUs, numPDUs, cfg.Total())
+	if cfg.Total() == 0 {
+		return nil, ErrNoProcessors
 	}
 	times := make([]float64, len(cfg.Clusters))
 	for i, name := range cfg.Clusters {
@@ -155,44 +167,44 @@ func DecomposeGeneral(net *model.Network, cfg cost.Config, numPDUs int, class mo
 			tHi = mid
 		}
 	}
-	shares := shareAt((tLo + tHi) / 2)
-	perTask := make([]float64, 0, cfg.Total())
-	for i := range cfg.Clusters {
-		for j := 0; j < cfg.Counts[i]; j++ {
-			perTask = append(perTask, shares[i])
-		}
-	}
-	return roundLargestRemainder(perTask, numPDUs)
+	return roundLargestRemainder(nil, shareAt((tLo+tHi)/2), cfg.Counts, numPDUs)
 }
 
-// roundLargestRemainder converts real-valued shares to integers summing to
-// want, assigning the leftover units to the largest fractional remainders
-// (ties broken by lower rank, deterministically). Every entry is forced to
-// at least 1.
-func roundLargestRemainder(perTask []float64, want int) (Vector, error) {
-	n := len(perTask)
-	v := make(Vector, n)
+// roundLargestRemainder converts per-cluster real shares to the integer
+// vector over the configuration's tasks (counts[i] tasks of cluster i, in
+// cluster order), appended to v[:0] and summing to want: each task gets
+// its share's floor, and the leftover units go to the largest fractional
+// remainders, ties to the lower rank. Every entry is forced to at least 1.
+func roundLargestRemainder(v Vector, shares []float64, counts []int, want int) (Vector, error) {
+	v = v[:0]
 	sum := 0
-	type rem struct {
-		frac float64
-		rank int
-	}
-	rems := make([]rem, n)
-	for i, r := range perTask {
-		fl := int(r)
-		v[i] = fl
-		sum += fl
-		rems[i] = rem{frac: r - float64(fl), rank: i}
-	}
-	sort.SliceStable(rems, func(a, b int) bool {
-		if rems[a].frac != rems[b].frac {
-			return rems[a].frac > rems[b].frac
+	var buf [8][2]int
+	order := buf[:0] // (cluster, first rank) of the clusters with tasks
+	for i, c := range counts {
+		if c > 0 {
+			order = append(order, [2]int{i, len(v)})
 		}
-		return rems[a].rank < rems[b].rank
-	})
-	for i := 0; sum < want; i = (i + 1) % n {
-		v[rems[i].rank]++
-		sum++
+		fl := int(shares[i])
+		for range c {
+			v = append(v, fl)
+		}
+		sum += c * fl
+	}
+	if want < len(v) {
+		return nil, fmt.Errorf("%w: %d PDUs over %d processors", ErrTooFewPDUs, want, len(v))
+	}
+	// A cluster's tasks share one remainder and hold consecutive ranks, so
+	// a stable sort of the clusters, largest remainder first, orders the
+	// tasks as sorting them would.
+	frac := func(o [2]int) float64 { return shares[o[0]] - float64(int(shares[o[0]])) }
+	slices.SortStableFunc(order, func(a, b [2]int) int { return cmp.Compare(frac(b), frac(a)) })
+	for len(order) > 0 && sum < want {
+		for _, o := range order {
+			for r := o[1]; r < o[1]+counts[o[0]] && sum < want; r++ {
+				v[r]++
+				sum++
+			}
+		}
 	}
 	// Guarantee a nonempty assignment per task by stealing from the largest.
 	for i := range v {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"netpart/internal/cost"
+	"netpart/internal/model"
 	"netpart/internal/topo"
 )
 
@@ -12,15 +13,14 @@ import (
 // estimate — Estimator.Estimate, each search probe, the Fig. 3 curve — is
 // a probe of a DeltaEval bound to a cluster list. Binding memoizes what a
 // probe would otherwise re-derive from unchanged inputs — per-cluster op
-// times, the Eq. 3 denominator's partial sums at the base counts,
-// cost-table parameter lookups, and pairwise segment/coercion facts — so a
-// probe that varies one cluster's count recomputes only the O(K)
-// arithmetic that depends on it.
+// times, the Eq. 3 denominator's terms at the base counts, cost-table
+// parameter lookups, and pairwise segment/coercion facts — so a probe that
+// varies one cluster's count recomputes only the O(K) arithmetic that
+// depends on it.
 //
 // The denominator is accumulated left to right in cluster order with the
-// probed term substituted at its position (prefix through cluster k, the
-// probed division, then the remaining terms), so a probe is bit-identical
-// to an Estimate of its vector, which TestDeltaProbeMatchesEstimate pins.
+// probed term substituted at its position, so a probe is bit-identical to
+// an Estimate of its vector, which TestDeltaProbeMatchesEstimate pins.
 //
 // A DeltaEval aliases its base Config (Counts is not copied): after
 // mutating the base counts, call Rebase. It is not safe for concurrent
@@ -35,102 +35,110 @@ type DeltaEval struct {
 	comp    *ComputationPhase
 	comm    *CommunicationPhase
 	tp      topo.Topology
-	tpName  string
 	bwLimit bool
 	//netpart:unit pdus
-	numPDUs   int
-	baseTotal int
+	numPDUs int
 
-	//netpart:unit ms/ops
-	times []float64 // per-cluster op times, re-read on every bind
-	terms []float64 // counts[i]/times[i] at the base counts
-	// prefix[i] is the Eq. 3 denominator accumulated through cluster i-1.
-	prefix []float64
+	cl    []deltaCluster // one per cluster of the base, in its order
+	pairs []deltaPair    // one per unordered cluster pair (pairFor)
 	//netpart:unit pdus
 	shares []float64 // probe output buffer (Estimate.Shares aliases it)
-	probe  []int     // probe counts buffer (Estimate.Config.Counts aliases it)
-
-	commP   []cost.Params // per-cluster comm params for the dominant topology
-	commOK  []bool
-	startP  []cost.Params // per-root startup params (with the 1-D fallback)
-	startSt []int8        // 0 unresolved, 1 resolved, -1 no model
-	pairs   []deltaPair   // pairwise router/coercion facts, row-major K×K
-	pairOK  []bool
+	probe  []int     // Probe's counts (Estimate.Config.Counts aliases it)
 }
 
-// deltaPair memoizes the cross-segment facts of one ordered cluster pair.
+// deltaCluster is what a probe reads and writes of one cluster.
+type deltaCluster struct {
+	//netpart:unit ms/ops
+	time float64 // op time of the dominant class, re-read on every bind
+	//netpart:unit ops/ms
+	term  float64 // base count / time: the Eq. 3 denominator's term
+	count int     // the count under evaluation
+	// params are the Eq. 1 constants for the dominant topology (1-D
+	// without a communication phase), resolved on first use.
+	params   cost.Params
+	paramsOK bool
+}
+
+// deltaPair memoizes the cross-segment facts of one cluster pair.
 type deltaPair struct {
-	sameSeg bool
-	coerce  bool
-	router  cost.PerByte
-	coerceC cost.PerByte
+	ok, sameSeg, coerce bool
+	router, coerceC     cost.PerByte
 }
+
+// evalMode says how an evaluation reports itself.
+type evalMode uint8
+
+const (
+	probed  evalMode = iota // a search probe: counted, observed with its cluster and count
+	whole                   // an Estimate: counted, observed unlabeled
+	rebuilt                 // a configuration already counted, evaluated again for its figures
+)
 
 // BeginDelta prepares an incremental evaluator for probes against cfg.
 // cfg's Clusters and Counts are aliased: the caller may mutate the counts
 // between probes as its search settles clusters, calling Rebase after.
 func (e *Estimator) BeginDelta(cfg cost.Config) (*DeltaEval, error) {
 	d := &DeltaEval{}
-	if err := d.bind(e, cfg); err != nil {
+	if err := d.bind(e, cfg, nil); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// bind points the evaluator at cfg, whose counts become the (aliased)
-// base. The dominant phases, the PDU count and the cluster speeds are
-// re-read on every bind, so annotations whose dominance shifts between
-// calls stay correct. The cost-table memo survives a rebind to the same
-// cluster names and communication phase; otherwise it is cleared, reusing
-// the buffers.
+// bind points the evaluator at cfg, a well-formed configuration whose
+// counts become the (aliased) base. order, when non-nil, is cfg's clusters
+// resolved (a search's fastest-first order); otherwise the names resolve
+// through the network. The dominant phases, the PDU count and the cluster
+// speeds are re-read on every bind, so annotations whose dominance shifts
+// between calls stay correct. The cost-table memo survives a rebind to the
+// same cluster names and communication phase; otherwise it is cleared,
+// reusing the buffers.
 //
 //netpart:hotpath
-func (d *DeltaEval) bind(e *Estimator, cfg cost.Config) error {
+func (d *DeltaEval) bind(e *Estimator, cfg cost.Config, order []*model.Cluster) error {
+	if err := checkConfig(cfg); err != nil {
+		return err
+	}
 	comp, comm := e.Ann.DominantCompute(), e.Ann.DominantComm()
 	k := len(cfg.Clusters)
-	if d.e != e || d.comm != comm || len(d.times) < k || !sameNames(d.base.Clusters, cfg.Clusters) {
+	if d.e != e || d.comm != comm || !sameNames(d.base.Clusters, cfg.Clusters) {
 		if err := d.reset(e, comm, k); err != nil {
 			return err
 		}
 	}
 	d.base, d.comp, d.numPDUs = cfg, comp, e.Ann.NumPDUs()
 	for i, name := range cfg.Clusters {
-		c := e.cluster(name)
-		if c == nil {
+		var c *model.Cluster
+		if order != nil {
+			c = order[i]
+		} else if c = e.Net.Cluster(name); c == nil {
 			return fmt.Errorf("core: unknown cluster %q", name)
 		}
-		d.times[i] = c.OpTime(comp.Class)
+		d.cl[i].time = c.OpTime(comp.Class)
 	}
 	d.Rebase()
 	return nil
 }
 
-// reset clears the cost-table memo for a new cluster list of length k,
-// growing the buffers (a few shared backing arrays) only when k exceeds
-// every list seen before.
+// reset clears the memos for a new cluster list of length k, growing the
+// buffers only when k exceeds every list seen before.
 //
 //netpart:hotpath
 func (d *DeltaEval) reset(e *Estimator, comm *CommunicationPhase, k int) error {
 	d.e = nil // until the memo is consistent again
-	if len(d.times) < k {
-		f := make([]float64, 4*k)
-		d.times, d.terms, d.prefix, d.shares = f[:k], f[k:2*k], f[2*k:3*k], f[3*k:]
-		params := make([]cost.Params, 2*k)
-		d.commP, d.startP = params[:k], params[k:]
-		ok := make([]bool, k+k*k)
-		d.commOK, d.pairOK = ok[:k], ok[k:]
-		d.probe, d.startSt, d.pairs = make([]int, k), make([]int8, k), make([]deltaPair, k*k)
+	if cap(d.cl) < k {
+		d.cl, d.pairs, d.shares = make([]deltaCluster, k), make([]deltaPair, k*(k-1)/2), make([]float64, k)
 	}
-	clear(d.commOK)
-	clear(d.startSt)
-	clear(d.pairOK)
+	d.cl, d.shares = d.cl[:k], d.shares[:k]
+	clear(d.cl)
+	clear(d.pairs)
 	d.tp = nil
 	if comm != nil {
 		tp, err := topo.ByName(comm.Topology)
 		if err != nil {
 			return err
 		}
-		d.tp, d.tpName, d.bwLimit = tp, tp.Name(), tp.BandwidthLimited()
+		d.tp, d.bwLimit = tp, tp.BandwidthLimited()
 	}
 	d.e, d.comm = e, comm
 	return nil
@@ -152,20 +160,14 @@ func sameNames(a, b []string) bool {
 	return true
 }
 
-// Rebase recomputes the base-count partial sums after the caller mutated
-// the base configuration's counts.
+// Rebase recomputes the base-count terms after the caller mutated the
+// base configuration's counts.
 //
 //netpart:hotpath
 func (d *DeltaEval) Rebase() {
-	acc := 0.0
-	total := 0
-	for i := range d.base.Clusters {
-		d.prefix[i] = acc
-		d.terms[i] = float64(d.base.Counts[i]) / d.times[i]
-		acc += d.terms[i]
-		total += d.base.Counts[i]
+	for i, c := range d.base.Counts {
+		d.cl[i].term = float64(c) / d.cl[i].time
 	}
-	d.baseTotal = total
 }
 
 // Probe estimates the base configuration with cluster k's count replaced
@@ -174,37 +176,63 @@ func (d *DeltaEval) Rebase() {
 // (valid until the next probe); Detach before retaining.
 //
 //netpart:hotpath
-func (d *DeltaEval) Probe(k, p int) (Estimate, error) { return d.eval(k, p, true) }
+func (d *DeltaEval) Probe(k, p int) (est Estimate, err error) {
+	err = d.eval(&est, k, p, probed)
+	d.probe = append(d.probe[:0], d.base.Counts...)
+	d.probe[k] = p
+	est.Config.Counts = d.probe
+	return est, err
+}
 
-// eval is Eq. 3–6 for the base configuration with count k set to p.
+// detached is est, the evaluation with count k at p, with its own copies
+// of the counts and shares: what an observer may keep.
+func (d *DeltaEval) detached(est Estimate, k, p int) Estimate {
+	est.Config.Counts = append([]int(nil), d.base.Counts...)
+	est.Config.Counts[k] = p
+	est.Shares = append([]float64(nil), est.Shares...)
+	return est
+}
+
+// eval is Eq. 3–6 for the base configuration with count k set to p,
+// written into est.
 //
 //netpart:hotpath
-func (d *DeltaEval) eval(k, p int, labeled bool) (Estimate, error) {
+func (d *DeltaEval) eval(est *Estimate, k, p int, mode evalMode) error {
 	e := d.e
-	e.evaluations++
-	n := len(d.base.Clusters)
-	probe := d.probe[:n]
-	copy(probe, d.base.Counts)
-	probe[k] = p
-	est := Estimate{Config: cost.Config{Clusters: d.base.Clusters, Counts: probe}}
-	total := d.baseTotal - d.base.Counts[k] + p
+	if mode != rebuilt {
+		e.evaluations++
+	}
+	cl := d.cl
+	total := p - d.base.Counts[k]
+	for i := range cl {
+		cl[i].count = d.base.Counts[i]
+		total += cl[i].count
+	}
+	cl[k].count = p
+	// Field by field: measured cheaper than assigning a whole Estimate
+	// through the pointer (BenchmarkEstimateDelta).
+	est.Config, est.Shares = cost.Config{Clusters: d.base.Clusters}, nil
+	est.TcompMs, est.TcommMs, est.ToverlapMs, est.TcMs, est.BytesPerMsg, est.StartupMs = 0, 0, 0, 0, 0, 0
 	if total <= 0 {
-		return est, ErrNoProcessors
+		return ErrNoProcessors
 	}
 
-	// Eq. 3: replay the denominator accumulation with the probed term
-	// substituted at position k.
-	denom := d.prefix[k]
-	denom += float64(p) / d.times[k]
-	for j := k + 1; j < n; j++ {
-		denom += d.terms[j]
+	// Eq. 3: the denominator accumulated left to right, with the probed
+	// term substituted at position k.
+	denom := 0.0
+	for i := range cl {
+		if i == k {
+			denom += float64(p) / cl[i].time
+		} else {
+			denom += cl[i].term
+		}
 	}
-	shares := d.shares[:n]
+	shares := d.shares
 	first := -1 // the first active cluster: the startup root
 	for i := range shares {
 		shares[i] = 0
-		if probe[i] > 0 {
-			shares[i] = float64(d.numPDUs) / (d.times[i] * denom)
+		if cl[i].count > 0 {
+			shares[i] = float64(d.numPDUs) / (cl[i].time * denom)
 			if first < 0 {
 				first = i
 			}
@@ -214,23 +242,24 @@ func (d *DeltaEval) eval(k, p int, labeled bool) (Estimate, error) {
 		// Non-linear balance: recompute shares so S_i·ops(A_i) equalizes.
 		// This path allocates (nested bisection); the linear Eq. 3 form is
 		// the hot one.
+		cfg := d.detached(*est, k, p).Config
 		var err error
-		if shares, err = generalShares(e.Net, est.Config, d.numPDUs, d.comp.Class, d.comp.TotalOps); err != nil {
-			return est, err
+		if shares, err = generalShares(e.Net, cfg, d.numPDUs, d.comp.Class, d.comp.TotalOps); err != nil {
+			return err
 		}
 	}
 	est.Shares = shares
 
 	// Eq. 4: T_comp at the first active cluster (equal for all by load
 	// balance).
-	est.TcompMs = d.times[first] * d.comp.Ops(shares[first])
+	est.TcompMs = cl[first].time * d.comp.Ops(shares[first])
 
 	if d.comm != nil {
 		// b may depend on the assignment; use the largest message any task
 		// sends (the synchronous cost is set by the worst processor).
 		b := 0.0
-		for i := range probe {
-			if probe[i] == 0 {
+		for i := range cl {
+			if cl[i].count == 0 {
 				continue
 			}
 			if v := d.comm.BytesPerMessage(shares[i]); v > b {
@@ -239,9 +268,9 @@ func (d *DeltaEval) eval(k, p int, labeled bool) (Estimate, error) {
 		}
 		est.BytesPerMsg = b
 		if total > 1 { // a single task exchanges no messages
-			tcomm, err := d.commCost(b, probe, total)
+			tcomm, err := d.commCost(b, total)
 			if err != nil {
-				return est, err
+				return err
 			}
 			est.TcommMs = tcomm
 		}
@@ -250,7 +279,7 @@ func (d *DeltaEval) eval(k, p int, labeled bool) (Estimate, error) {
 		}
 	}
 	if e.Ann.StartupBytesPerPDU > 0 && total > 1 {
-		est.StartupMs = d.startupCost(probe, shares, first)
+		est.StartupMs = d.startupCost(shares, first)
 	}
 	if est.ToverlapMs > 0 {
 		// Algebraically Tcomp + Tcomm - min(Tcomp, Tcomm) = max(Tcomp,
@@ -261,45 +290,54 @@ func (d *DeltaEval) eval(k, p int, labeled bool) (Estimate, error) {
 	} else {
 		est.TcMs = est.TcompMs + est.TcommMs
 	}
-	if e.Observer != nil {
+	if e.Observer != nil && mode != rebuilt {
 		cluster, at := "", 0
-		if labeled {
+		if mode == probed {
 			cluster, at = d.base.Clusters[k], p
 		}
-		e.observe(cluster, at, est.Detach(), false)
+		e.observe(cluster, at, d.detached(*est, k, p), false)
 	}
-	return est, nil
+	return nil
 }
 
-// commParamsFor resolves (and memoizes) cluster i's communication params
-// for the dominant topology.
+// paramsFor resolves (and memoizes) cluster i's Eq. 1 constants for the
+// dominant topology. Without a communication phase they are the 1-D
+// model's, which only the startup estimate reads; with one, commCost has
+// resolved every active cluster before startupCost reads the root's.
 //
 //netpart:hotpath
-func (d *DeltaEval) commParamsFor(i int) (cost.Params, error) {
-	if d.commOK[i] {
-		return d.commP[i], nil
+func (d *DeltaEval) paramsFor(i int) (cost.Params, error) {
+	c := &d.cl[i]
+	if c.paramsOK {
+		return c.params, nil
 	}
-	params, err := d.e.Costs.Comm(d.base.Clusters[i], d.tpName)
+	topology := "1-D"
+	if d.comm != nil {
+		topology = d.comm.Topology
+	}
+	params, err := d.e.Costs.Comm(d.base.Clusters[i], topology)
 	if err != nil {
 		return cost.Params{}, err
 	}
-	d.commP[i] = params
-	d.commOK[i] = true
+	c.params, c.paramsOK = params, true
 	return params, nil
 }
 
-// pairFor resolves (and memoizes) the cross-segment facts of the ordered
-// cluster pair (i, j).
+// pairFor resolves (and memoizes) the cross-segment facts of the cluster
+// pair {i, j}, i ≠ j. Every fact is symmetric, so the pairs are stored as
+// a lower triangle: row i holds the i pairs with the clusters before it.
 //
 //netpart:hotpath
 func (d *DeltaEval) pairFor(i, j int) *deltaPair {
-	idx := i*len(d.base.Clusters) + j
-	pr := &d.pairs[idx]
-	if d.pairOK[idx] {
+	if i < j {
+		i, j = j, i
+	}
+	pr := &d.pairs[i*(i-1)/2+j]
+	if pr.ok {
 		return pr
 	}
 	from, to := d.base.Clusters[i], d.base.Clusters[j]
-	*pr = deltaPair{sameSeg: d.e.Net.SameSegment(from, to)}
+	*pr = deltaPair{ok: true, sameSeg: d.e.Net.SameSegment(from, to)}
 	if !pr.sameSeg {
 		pr.router = d.e.Costs.Router(from, to)
 		pr.coerce = d.e.Net.NeedsCoercion(from, to)
@@ -307,12 +345,11 @@ func (d *DeltaEval) pairFor(i, j int) *deltaPair {
 			pr.coerceC = d.e.Costs.Coerce(from, to)
 		}
 	}
-	d.pairOK[idx] = true
 	return pr
 }
 
-// commCost applies the Eq. 2 composition over the probe vector (at least
-// two tasks), honoring the RouterStation flag on every call: with it set,
+// commCost applies the Eq. 2 composition over the counts under evaluation
+// (at least two tasks), honoring the RouterStation flag on every call: with it set,
 // a cluster whose tasks communicate across the router is charged one
 // extra contending station (Section 3.0, matching cost.Table.CommCost bit
 // for bit); without it, Section 6.0's composition omits the extra station.
@@ -322,14 +359,16 @@ func (d *DeltaEval) pairFor(i, j int) *deltaPair {
 //netpart:hotpath
 //netpart:unit b bytes
 //netpart:unit return ms
-func (d *DeltaEval) commCost(b float64, probe []int, total int) (float64, error) {
+func (d *DeltaEval) commCost(b float64, total int) (float64, error) {
 	worst := 0.0
 	lo := 0
-	for i, cnt := range probe {
+	cl := d.cl
+	for i := range cl {
+		cnt := cl[i].count
 		if cnt == 0 {
 			continue
 		}
-		params, err := d.commParamsFor(i)
+		params, err := d.paramsFor(i)
 		if err != nil {
 			return 0, err
 		}
@@ -347,7 +386,7 @@ func (d *DeltaEval) commCost(b float64, probe []int, total int) (float64, error)
 		}
 		c := params.Eval(b, p)
 		if crosses {
-			c += d.crossPenalty(probe, i, b)
+			c += d.crossPenalty(i, b)
 		}
 		if c > worst {
 			worst = c
@@ -362,10 +401,11 @@ func (d *DeltaEval) commCost(b float64, probe []int, total int) (float64, error)
 //netpart:hotpath
 //netpart:unit b bytes
 //netpart:unit return ms
-func (d *DeltaEval) crossPenalty(probe []int, from int, b float64) float64 {
+func (d *DeltaEval) crossPenalty(from int, b float64) float64 {
 	worst := 0.0
-	for j, cnt := range probe {
-		if cnt == 0 || j == from {
+	cl := d.cl
+	for j := range cl {
+		if cl[j].count == 0 || j == from {
 			continue
 		}
 		pr := d.pairFor(from, j)
@@ -383,33 +423,6 @@ func (d *DeltaEval) crossPenalty(probe []int, from int, b float64) float64 {
 	return worst
 }
 
-// startupParamsFor resolves (and memoizes) the startup cost params when
-// cluster root scatters: the dominant topology's model, else any 1-D
-// model; ok=false means no model exists and startup reports zero
-// (startup is advisory).
-//
-//netpart:hotpath
-func (d *DeltaEval) startupParamsFor(root int) (cost.Params, bool) {
-	if d.startSt[root] != 0 {
-		return d.startP[root], d.startSt[root] > 0
-	}
-	topology := "1-D"
-	if d.comm != nil {
-		topology = d.comm.Topology
-	}
-	params, err := d.e.Costs.Comm(d.base.Clusters[root], topology)
-	if err != nil {
-		params, err = d.e.Costs.Comm(d.base.Clusters[root], "1-D")
-		if err != nil {
-			d.startSt[root] = -1
-			return cost.Params{}, false
-		}
-	}
-	d.startP[root] = params
-	d.startSt[root] = 1
-	return params, true
-}
-
 // startupCost estimates T_startup (at least two tasks): the root, the
 // first active cluster, scatters each other task's PDU block in one
 // message. Each transmission occupies the source channel for roughly the
@@ -421,14 +434,14 @@ func (d *DeltaEval) startupParamsFor(root int) (cost.Params, bool) {
 //netpart:hotpath
 //netpart:unit shares pdus
 //netpart:unit return ms
-func (d *DeltaEval) startupCost(probe []int, shares []float64, root int) float64 {
-	params, ok := d.startupParamsFor(root)
-	if !ok {
-		return 0
+func (d *DeltaEval) startupCost(shares []float64, root int) float64 {
+	params, err := d.paramsFor(root)
+	if err != nil {
+		return 0 // no model: startup is advisory
 	}
 	sum := 0.0
-	for i, cnt := range probe {
-		tasks := cnt
+	for i := range d.cl {
+		tasks := d.cl[i].count
 		if i == root {
 			tasks-- // the root keeps its own block
 		}

@@ -39,10 +39,6 @@ type Estimator struct {
 	// partitioning overhead.
 	evaluations int
 
-	// clusterOf caches name → cluster resolution for the estimator's
-	// network (built lazily; Network.Cluster is a linear scan).
-	clusterOf map[string]*model.Cluster
-
 	// eval is the evaluator behind Estimate and the locality-first
 	// searches. Estimate returns Shares aliased into its buffers; see the
 	// Estimate doc comment for the resulting ownership rule.
@@ -135,19 +131,6 @@ func (e *Estimator) Evaluations() int { return e.evaluations }
 // ResetEvaluations zeroes the evaluation counter.
 func (e *Estimator) ResetEvaluations() { e.evaluations = 0 }
 
-// cluster resolves a cluster by name through the lazily built cache.
-//
-//netpart:hotpath
-func (e *Estimator) cluster(name string) *model.Cluster {
-	if e.clusterOf == nil {
-		e.clusterOf = make(map[string]*model.Cluster, len(e.Net.Clusters))
-		for _, c := range e.Net.Clusters {
-			e.clusterOf[c.Name] = c
-		}
-	}
-	return e.clusterOf[name]
-}
-
 // Estimate computes T_c for the given configuration.
 //
 // Per Section 5.0: the partition vector follows from Eq. 3 (or the general
@@ -163,16 +146,16 @@ func (e *Estimator) cluster(name string) *model.Cluster {
 // until the next Estimate call on this estimator. Retain with Detach.
 //
 //netpart:hotpath
-func (e *Estimator) Estimate(cfg cost.Config) (Estimate, error) {
-	err := ErrNoProcessors
-	if cfg.Total() > 0 {
-		err = e.eval.bind(e, cfg)
+func (e *Estimator) Estimate(cfg cost.Config) (est Estimate, err error) {
+	err = e.eval.bind(e, cfg, nil)
+	if err == nil && cfg.Total() == 0 {
+		err = ErrNoProcessors
 	}
 	if err != nil {
 		e.evaluations++
 		return Estimate{Config: cfg}, err
 	}
-	est, err := e.eval.eval(0, cfg.Counts[0], false)
+	err = e.eval.eval(&est, 0, cfg.Counts[0], whole)
 	est.Config = cfg
 	return est, err
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 
@@ -208,5 +210,128 @@ func TestCloneConcurrentPartitions(t *testing.T) {
 	// The original estimator was never used by the workers: still zero.
 	if e.Evaluations() != 0 {
 		t.Errorf("parent estimator counter moved to %d; clones must not share it", e.Evaluations())
+	}
+}
+
+// raceDetector reports whether this test binary was built with -race.
+func raceDetector() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// fiveClusterEstimator is an estimator over five clusters on five router-
+// joined segments, alternating data formats, and the paper's stencil.
+func fiveClusterEstimator(t *testing.T, n int) *Estimator {
+	t.Helper()
+	net := &model.Network{
+		Router: model.Router{Name: "r", PerByteMs: 0.0006},
+		Coerce: model.CoercePolicy{PerByteMs: 0.0004},
+	}
+	tbl := cost.NewTable()
+	for i := 0; i < 5; i++ {
+		name, seg := fmt.Sprintf("c%d", i), fmt.Sprintf("s%d", i)
+		format := model.FormatBigEndian
+		if i%2 == 1 {
+			format = model.FormatLittleEndian
+		}
+		flop := 0.0002 * float64(i+1)
+		net.Clusters = append(net.Clusters, &model.Cluster{
+			Name: name, Procs: 4, Available: 4, FloatOpTime: flop, IntOpTime: flop,
+			Format: format, Segment: seg, MsgOverheadMs: 0.5, HostPerByteMs: 0.001,
+		})
+		net.Segments = append(net.Segments, &model.Segment{Name: seg, BytesPerMs: 1250})
+		net.Router.Segments = append(net.Router.Segments, seg)
+		tbl.SetComm(name, "1-D", cost.Params{C1: 0.1, C2: 1 + 0.1*float64(i), C3: -0.005, C4: 0.003})
+		for j := 0; j < i; j++ {
+			tbl.SetRouter(name, fmt.Sprintf("c%d", j), cost.PerByte{FixedMs: 0.2, Ms: 0.0005})
+			tbl.SetCoerce(name, fmt.Sprintf("c%d", j), cost.PerByte{Ms: 0.0003})
+		}
+	}
+	e, err := NewEstimator(net, tbl, stencilAnnotations(n, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestResultOwnsItsSlices pins the ownership contract of Result: each
+// further search or estimate on the same estimator leaves an earlier
+// Result's configuration, shares and vector untouched.
+func TestResultOwnsItsSlices(t *testing.T) {
+	e := paperEstimator(t, 1200, false)
+	first, err := Partition(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusters, counts := slices.Clone(first.Config.Clusters), slices.Clone(first.Config.Counts)
+	shares, vec := slices.Clone(first.Shares), slices.Clone(first.Vector)
+	for _, step := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Partition", func() error { _, err := Partition(e); return err }},
+		{"Estimate", func() error {
+			_, err := e.Estimate(cost.Config{Clusters: []string{model.IPCCluster, model.Sparc2Cluster}, Counts: []int{3, 2}})
+			return err
+		}},
+		{"PartitionLinear", func() error { _, err := PartitionLinear(e); return err }},
+	} {
+		if err := step.run(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(first.Config.Clusters, clusters) || !slices.Equal(first.Config.Counts, counts) ||
+			!slices.Equal(first.Shares, shares) || !slices.Equal(first.Vector, vec) {
+			t.Errorf("after %s the first Result reads %v %v %v, want %v %v %v", step.name,
+				first.Config, first.Shares, first.Vector, cost.Config{Clusters: clusters, Counts: counts}, shares, vec)
+		}
+	}
+}
+
+// TestDecisionAllocations pins what one decision allocates: a fresh
+// NewEstimator + Partition allocates the estimator, the evaluator's
+// per-cluster and per-pair state, its shares buffer, the fastest-first
+// order and the Result's slices; Partition on a reused estimator only the
+// order and the Result's slices.
+func TestDecisionAllocations(t *testing.T) {
+	if raceDetector() {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for _, tc := range []struct {
+		name string
+		mk   func(t *testing.T) *Estimator
+	}{
+		{"paper", func(t *testing.T) *Estimator { return paperEstimator(t, 1200, false) }},
+		{"five-cluster", func(t *testing.T) *Estimator { return fiveClusterEstimator(t, 1200) }},
+	} {
+		e := tc.mk(t)
+		res, err := Partition(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.name == "five-cluster" && res.Config.Counts[4] == 0 {
+			t.Fatalf("five-cluster decision %v leaves the slowest cluster closed", res.Config)
+		}
+		fresh := testing.AllocsPerRun(100, func() {
+			e, err := NewEstimator(e.Net, e.Costs, e.Ann)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Partition(e); err != nil {
+				t.Fatal(err)
+			}
+		})
+		reused := testing.AllocsPerRun(100, func() {
+			if _, err := Partition(e); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if fresh > 8 || reused > 4 {
+			t.Errorf("%s: %.0f allocations fresh (want <= 8), %.0f reused (want <= 4)", tc.name, fresh, reused)
+		}
 	}
 }

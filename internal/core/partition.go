@@ -1,13 +1,17 @@
 package core
 
 import (
+	"math"
+
 	"netpart/internal/cost"
 	"netpart/internal/model"
 )
 
 // Result is the output of the partitioning algorithm: the chosen processor
 // configuration with its cost estimate, the integer partition vector, and
-// the number of Eq. 3/Eq. 6 recomputations the search performed.
+// the number of Eq. 3/Eq. 6 recomputations the search performed. A Result
+// owns its slices — Config.Clusters, Config.Counts, Shares and Vector —
+// and nothing the estimator does later writes to them.
 type Result struct {
 	Estimate
 	// Vector is the integer PDU assignment per task rank (contiguous
@@ -19,28 +23,31 @@ type Result struct {
 }
 
 // search is what the four Partition* strategies share: the clusters in
-// fastest-first order, a configuration over them (all counts zero), and
-// the program's PDU count.
+// fastest-first order, a configuration over them (all counts zero), the
+// program's PDU count, and the best T_c the walk has settled on.
 type search struct {
 	e        *Estimator
 	strategy string
 	order    []*model.Cluster
 	cfg      cost.Config
+	vec      Vector // room for the partition vector, behind cfg.Counts
 	//netpart:unit pdus
 	numPDUs int
+	tc      float64 // the best T_c so far
 }
 
 // begin opens a search: clusters fastest-first, the evaluation counter
-// reset, and the search-start event.
+// reset, and the search-start event. The names and counts are the
+// Result's, with room behind the counts for the vector.
 func (e *Estimator) begin(strategy string) search {
 	order := e.Net.BySpeed(e.Ann.DominantCompute().Class)
-	s := search{e: e, strategy: strategy, order: order, numPDUs: e.Ann.NumPDUs(), cfg: cost.Config{
-		Clusters: make([]string, len(order)),
-		Counts:   make([]int, len(order)),
-	}}
+	k, procs, names := len(order), 0, make([]string, len(order))
 	for i, c := range order {
-		s.cfg.Clusters[i] = c.Name
+		names[i], procs = c.Name, procs+c.Available
 	}
+	s := search{e: e, strategy: strategy, order: order, numPDUs: e.Ann.NumPDUs()}
+	counts := make([]int, k+min(procs, s.numPDUs))
+	s.cfg, s.vec = cost.Config{Clusters: names, Counts: counts[:k:k]}, counts[k:k]
 	e.ResetEvaluations()
 	s.event(SearchEvent{Kind: EvSearchStart})
 	return s
@@ -52,29 +59,25 @@ func (s *search) event(ev SearchEvent) {
 	s.e.searchEvent(ev)
 }
 
-// finish commits to best: its partition vector, the winner event, and the
-// Result. A search that found no configuration has no processors.
+// finish commits to best, whose slices the Result keeps: its partition
+// vector (the largest-remainder rounding of the Eq. 3 shares best carries,
+// or DecomposeGeneral's balance for a non-linear dominant phase), the
+// winner event, and the Result. A search that found no configuration has
+// no processors.
 func (s *search) finish(best Estimate) (Result, error) {
 	if best.Config.Total() == 0 {
 		return Result{}, ErrNoProcessors
 	}
-	vec, err := s.e.vector(best.Config)
+	vec, err := roundLargestRemainder(s.vec, best.Shares, best.Config.Counts, s.numPDUs)
+	if comp := s.e.Ann.DominantCompute(); comp.TotalOps != nil {
+		vec, err = DecomposeGeneral(s.e.Net, best.Config, s.numPDUs, comp.Class, comp.TotalOps)
+	}
 	if err != nil {
 		return Result{}, err
 	}
 	n := s.e.Evaluations()
 	s.event(SearchEvent{Kind: EvWinner, Config: best.Config, P: best.Config.Total(), TcMs: best.TcMs, Evaluations: n})
 	return Result{Estimate: best, Vector: vec, Evaluations: n}, nil
-}
-
-// vector computes the integer partition vector for a chosen configuration,
-// honoring a non-linear dominant computation phase.
-func (e *Estimator) vector(cfg cost.Config) (Vector, error) {
-	comp := e.Ann.DominantCompute()
-	if comp.TotalOps != nil {
-		return DecomposeGeneral(e.Net, cfg, e.Ann.NumPDUs(), comp.Class, comp.TotalOps)
-	}
-	return Decompose(e.Net, cfg, e.Ann.NumPDUs(), comp.Class)
 }
 
 // Partition runs the Section 5.0 heuristic: clusters are ordered
@@ -91,10 +94,10 @@ func Partition(e *Estimator) (Result, error) { return localityFirst(e, "bisect",
 func PartitionLinear(e *Estimator) (Result, error) { return localityFirst(e, "scan", scanCluster) }
 
 // minimiser chooses cluster k's count in [lo, hi] with the faster clusters
-// fixed at the evaluator's base counts, given the best configuration so
-// far (the zero Estimate before the first cluster). It returns the count
-// and its detached estimate.
-type minimiser func(s *search, d *DeltaEval, k, lo, hi int, incumbent Estimate) (int, Estimate, error)
+// fixed at the evaluator's base counts, given the search's best T_c so far
+// (none while every count is zero). It returns the count and its T_c. (By
+// value: a pointer through a function value would move s to the heap.)
+type minimiser func(s search, d *DeltaEval, k, lo, hi int) (int, float64, error)
 
 // localityFirst is the Section 5.0 walk the bisect and scan searches
 // share: clusters fastest-first, each cluster's count chosen by minimise
@@ -102,14 +105,14 @@ type minimiser func(s *search, d *DeltaEval, k, lo, hi int, incumbent Estimate) 
 // when the faster one is used in full. A cluster with nothing available
 // is skipped. Every probe varies a single count of the walk's
 // configuration, so the whole search runs on the estimator's evaluator;
-// Rebase folds each settled cluster into its partial sums.
+// Rebase folds each settled cluster into its terms. Probes keep only T_c:
+// the winner is evaluated once more at the end, uncounted, for the Result.
 func localityFirst(e *Estimator, strategy string, minimise minimiser) (Result, error) {
 	s := e.begin(strategy)
 	d := &e.eval
-	if err := d.bind(e, s.cfg); err != nil {
+	if err := d.bind(e, s.cfg, s.order); err != nil {
 		return Result{}, err
 	}
-	var best Estimate
 	for k, c := range s.order {
 		if c.Available == 0 {
 			continue
@@ -125,78 +128,96 @@ func localityFirst(e *Estimator, strategy string, minimise minimiser) (Result, e
 		}
 		s.event(SearchEvent{Kind: EvClusterOpen, Cluster: c.Name, Lo: lo, Hi: hi})
 		d.Rebase()
-		p, est, err := minimise(&s, d, k, lo, hi, best)
+		p, tc, err := minimise(s, d, k, lo, hi)
 		if err != nil {
 			return Result{}, err
 		}
-		s.cfg.Counts[k], best = p, est
+		s.cfg.Counts[k], s.tc = p, tc
 		if p < c.Available {
 			// The cluster was not exhausted: by the locality-first
 			// heuristic, opening a slower cluster cannot help.
-			s.event(SearchEvent{Kind: EvClusterSettle, Cluster: c.Name, P: p, TcMs: est.TcMs})
+			s.event(SearchEvent{Kind: EvClusterSettle, Cluster: c.Name, P: p, TcMs: tc})
 			break
 		}
-		s.event(SearchEvent{Kind: EvClusterExhaust, Cluster: c.Name, P: p, TcMs: est.TcMs})
+		s.event(SearchEvent{Kind: EvClusterExhaust, Cluster: c.Name, P: p, TcMs: tc})
 	}
+	d.Rebase()
+	var best Estimate
+	if err := d.eval(&best, 0, s.cfg.Counts[0], rebuilt); err != nil {
+		return Result{}, err
+	}
+	best.Config, best.Shares = s.cfg, append([]float64(nil), best.Shares...)
 	return s.finish(best)
 }
 
 // bisectCluster is Partition's minimiser. It assumes T_c(p) is unimodal
 // (Fig. 3: decreasing, then increasing) and bisects on the discrete slope
 // sign — T_c(m) vs T_c(m+1) — so each step halves the range with at most
-// two new evaluations, the paper's log2 P behavior. Probes are memoized
-// per cluster; a memo hit is re-emitted as a cached candidate so the
-// decision record shows every probe the search consulted.
-func bisectCluster(s *search, d *DeltaEval, k, lo, hi int, _ Estimate) (int, Estimate, error) {
+// two new evaluations, the paper's log2 P behavior. A step keeps the end
+// it probed and drops the rest, so only the current ends can recur and
+// the memo is T_c at lo and at hi. A memo hit is re-emitted as a cached
+// candidate (evaluated again, uncounted, for its figures) so the decision
+// record shows every probe the search consulted.
+func bisectCluster(s search, d *DeltaEval, k, lo, hi int) (int, float64, error) {
 	name := s.cfg.Clusters[k]
-	memo := make(map[int]Estimate, hi-lo+1)
-	f := func(p int) (Estimate, error) {
-		if est, ok := memo[p]; ok {
-			s.e.observe(name, p, est, true)
-			return est, nil
+	tLo, tHi := math.NaN(), math.NaN() // NaN until a step probes that end
+	f := func(p int) (float64, error) {
+		tc := math.NaN()
+		switch {
+		case p == lo && !math.IsNaN(tLo):
+			tc = tLo
+		case p == hi:
+			tc = tHi
 		}
-		est, err := d.Probe(k, p)
-		if err != nil {
-			return est, err
+		if !math.IsNaN(tc) {
+			if s.e.Observer != nil {
+				var est Estimate
+				if err := d.eval(&est, k, p, rebuilt); err != nil {
+					return 0, err
+				}
+				s.e.observe(name, p, d.detached(est, k, p), true)
+			}
+			return tc, nil
 		}
-		// Detach before memoizing: est aliases the evaluator's buffers.
-		est = est.Detach()
-		memo[p] = est
-		return est, nil
+		var est Estimate
+		if err := d.eval(&est, k, p, probed); err != nil {
+			return 0, err
+		}
+		return est.TcMs, nil
 	}
 	for lo < hi {
 		m := (lo + hi) / 2
 		s.event(SearchEvent{Kind: EvBisectStep, Cluster: name, Lo: lo, Hi: hi, P: m})
-		em, err := f(m)
+		tm, err := f(m)
 		if err != nil {
-			return 0, Estimate{}, err
+			return 0, 0, err
 		}
-		em1, err := f(m + 1)
+		tm1, err := f(m + 1)
 		if err != nil {
-			return 0, Estimate{}, err
+			return 0, 0, err
 		}
-		if em.TcMs <= em1.TcMs {
-			hi = m
+		if tm <= tm1 {
+			hi, tHi = m, tm
 		} else {
-			lo = m + 1
+			lo, tLo = m+1, tm1
 		}
 	}
-	est, err := f(lo)
-	return lo, est, err
+	tc, err := f(lo)
+	return lo, tc, err
 }
 
 // scanCluster is PartitionLinear's minimiser: it probes every count and
-// keeps the smallest one that strictly improves on the incumbent; when
-// none does, the cluster stays closed at count 0 with the incumbent.
-func scanCluster(_ *search, d *DeltaEval, k, lo, hi int, incumbent Estimate) (int, Estimate, error) {
-	bestP, best := 0, incumbent
+// keeps the smallest one that strictly improves on the best so far; when
+// none does, the cluster stays closed at count 0.
+func scanCluster(s search, d *DeltaEval, k, lo, hi int) (int, float64, error) {
+	bestP, best, have := 0, s.tc, s.cfg.Total() > 0
 	for p := lo; p <= hi; p++ {
-		est, err := d.Probe(k, p)
-		if err != nil {
-			return 0, Estimate{}, err
+		var est Estimate
+		if err := d.eval(&est, k, p, probed); err != nil {
+			return 0, 0, err
 		}
-		if best.Config.Counts == nil || est.TcMs < best.TcMs {
-			bestP, best = p, est.Detach()
+		if !have || est.TcMs < best {
+			bestP, best, have = p, est.TcMs, true
 		}
 	}
 	return bestP, best, nil

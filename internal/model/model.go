@@ -12,9 +12,11 @@
 package model
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Format identifies a machine data format. Messages between clusters with
@@ -275,12 +277,9 @@ func (n *Network) TotalProcs() int {
 func (n *Network) BySpeed(class OpClass) []*Cluster {
 	out := make([]*Cluster, len(n.Clusters))
 	copy(out, n.Clusters)
-	sort.SliceStable(out, func(i, j int) bool {
-		ti, tj := out[i].OpTime(class), out[j].OpTime(class)
-		if ti != tj {
-			return ti < tj // smaller op time = faster
-		}
-		return out[i].Name < out[j].Name
+	slices.SortStableFunc(out, func(a, b *Cluster) int {
+		// Smaller op time = faster.
+		return cmp.Or(cmp.Compare(a.OpTime(class), b.OpTime(class)), strings.Compare(a.Name, b.Name))
 	})
 	return out
 }

@@ -51,13 +51,15 @@ func DecodeVectorPair(buf []byte) (core.Vector, core.Vector, error) {
 	if len(buf) < 8 {
 		return nil, nil, fmt.Errorf("repart: short vector pair")
 	}
-	n := int(binary.BigEndian.Uint64(buf))
-	if len(buf) != 8+16*n {
+	// Bound the declared rank count by the frame before multiplying: a
+	// hostile count would overflow 8+16*n.
+	n := binary.BigEndian.Uint64(buf)
+	if n > uint64(len(buf)-8)/16 || len(buf) != 8+16*int(n) {
 		return nil, nil, fmt.Errorf("repart: vector pair of %d bytes for %d ranks", len(buf), n)
 	}
 	old := make(core.Vector, n)
 	new := make(core.Vector, n)
-	for i := 0; i < n; i++ {
+	for i := range old {
 		old[i] = int(binary.BigEndian.Uint64(buf[8+16*i:]))
 		new[i] = int(binary.BigEndian.Uint64(buf[16+16*i:]))
 	}
@@ -86,12 +88,14 @@ func DecodeRows(buf []byte, width int) (first int, rows [][]float64, err error) 
 		return 0, nil, fmt.Errorf("repart: short row batch")
 	}
 	first = int(binary.BigEndian.Uint64(buf))
-	count := int(binary.BigEndian.Uint64(buf[8:]))
+	count := binary.BigEndian.Uint64(buf[8:])
 	body := buf[16:]
-	if count < 0 || len(body) != 8*count*width {
-		return 0, nil, fmt.Errorf("repart: row batch of %d bytes for %d rows", len(body), count)
+	// Every row holds at least one float, so the body bounds the count
+	// before 8*count*width is formed.
+	if count > 0 && (width < 1 || count > uint64(len(body)/8/width)) || len(body) != 8*int(count)*width {
+		return 0, nil, fmt.Errorf("repart: row batch of %d bytes for %d rows of %d", len(body), count, width)
 	}
-	for i := 0; i < count; i++ {
+	for i := range int(count) {
 		row, err := mmps.DecodeFloat64s(body[8*i*width : 8*(i+1)*width])
 		if err != nil {
 			return 0, nil, err

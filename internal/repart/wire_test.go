@@ -1,6 +1,7 @@
 package repart
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -79,4 +80,30 @@ func TestWireCodecErrors(t *testing.T) {
 	if err != nil || first != 9 || len(rows) != 0 {
 		t.Errorf("empty batch: first=%d rows=%d err=%v", first, len(rows), err)
 	}
+}
+
+// FuzzRepartWire feeds arbitrary frames to every decoder: none may panic,
+// and a frame a decoder accepts must re-encode to the same bytes.
+func FuzzRepartWire(f *testing.F) {
+	f.Add(EncodeVectorPair(core.Vector{3, 5}, core.Vector{4, 4}), 2)
+	f.Add(EncodeRows(7, [][]float64{{1, 2, 3}, {4, 5, 6}}), 3)
+	f.Add(EncodeMeasurement(1.5, 4), 1)
+	// Headers declaring 2^60 ranks and 2^61 rows in short frames.
+	f.Add([]byte{0x10, 0, 0, 0, 0, 0, 0, 0}, 1)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0x20, 0, 0, 0, 0, 0, 0, 0}, 1)
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0x20, 0, 0, 0, 0, 0, 0, 0}, 0)
+	f.Fuzz(func(t *testing.T, buf []byte, width int) {
+		if ms, rows, err := DecodeMeasurement(buf); err == nil && !bytes.Equal(EncodeMeasurement(ms, rows), buf) {
+			t.Errorf("measurement %x re-encodes differently", buf)
+		}
+		if old, new_, err := DecodeVectorPair(buf); err == nil && !bytes.Equal(EncodeVectorPair(old, new_), buf) {
+			t.Errorf("vector pair %x re-encodes differently", buf)
+		}
+		width %= 64 // a row batch's width is the caller's, never the frame's
+		if first, rows, err := DecodeRows(buf, width); err == nil {
+			if got := EncodeRows(first, rows); !bytes.Equal(got, buf) {
+				t.Errorf("row batch %x (width %d) re-encodes as %x", buf, width, got)
+			}
+		}
+	})
 }
