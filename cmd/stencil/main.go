@@ -17,8 +17,8 @@
 // mode (instrumentation, -mode converge as Tol, -mode adaptive as
 // RebalanceEvery + Slowdown, -faults as Injector); the live runtime is
 // stencil.RunLiveMonitored, RunLiveAdaptive with -repart, or RunLiveFT with
-// -faults. All but RunLiveFT execute one cycle driver, so sim and live run
-// the same exchange protocol.
+// -faults. All of them execute one cycle driver, so sim and live run the
+// same exchange protocol.
 //
 // With -faults, the sim runtime injects packet faults below the simulated
 // reliability layer, and the live runtime switches to the fault-tolerant

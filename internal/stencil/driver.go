@@ -8,11 +8,12 @@ import (
 	"netpart/internal/repart"
 )
 
-// The cycle driver. Every stencil runtime except the fault-tolerant one
-// (ftlive.go) executes this one per-rank loop; what differs between the
-// simulated and the live runtimes sits behind the link interface, and what
-// differs between the entry points (load, converge-until, repartitioning)
-// is a field of job, not a copy of the loop.
+// The cycle driver. Every stencil runtime executes this one per-rank cycle
+// loop (the fault-tolerant one, ftlive.go, calls cycles from its own
+// recovery loop); what differs between the simulated and the live runtimes
+// sits behind the link interface, and what differs between the entry points
+// (load, converge-until, repartitioning) is a field of job, not a copy of
+// the loop.
 
 // halo is one border row in flight: the global row index, the cycle it
 // belongs to, and its values.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -142,18 +143,7 @@ func RunLiveFT(world []mmps.Transport, vec core.Vector, v Variant, n, iters int,
 	if err := checkVector(vec, len(world), n, opts.WorkFactor); err != nil {
 		return FTResult{}, err
 	}
-	if opts.CheckpointEvery <= 0 {
-		opts.CheckpointEvery = 8
-	}
-	if opts.DetectTimeout <= 0 {
-		opts.DetectTimeout = 200 * time.Millisecond
-	}
-	if opts.DetectRetries < 0 {
-		opts.DetectRetries = 3
-	}
-	if opts.Repartition == nil {
-		opts.Repartition = evenRepartition(len(world), n)
-	}
+	opts = opts.withDefaults(len(world), n)
 	sh := &ftShared{
 		result: make([][]float64, n),
 		failed: map[int]bool{},
@@ -191,6 +181,24 @@ func RunLiveFT(world []mmps.Transport, vec core.Vector, v Variant, n, iters int,
 	}
 	sort.Ints(out.Failed)
 	return out, nil
+}
+
+// withDefaults fills in the documented default of every option left at its
+// zero value, for a run of size ranks over n rows.
+func (o FTOptions) withDefaults(size, n int) FTOptions {
+	if o.CheckpointEvery <= 0 {
+		o.CheckpointEvery = 8
+	}
+	if o.DetectTimeout <= 0 {
+		o.DetectTimeout = 200 * time.Millisecond
+	}
+	if o.DetectRetries <= 0 {
+		o.DetectRetries = 3
+	}
+	if o.Repartition == nil {
+		o.Repartition = evenRepartition(size, n)
+	}
+	return o
 }
 
 // evenRepartition is the fallback repartitioning policy: rows split as
@@ -242,15 +250,13 @@ type rowsBatch struct {
 // ftTask is the per-rank state of the fault-tolerant runtime. One
 // goroutine owns it; all communication flows through pump().
 type ftTask struct {
-	tr      mmps.Transport
-	rank    int
-	size    int
-	n       int
-	iters   int
-	v       Variant
-	opts    FTOptions
-	sh      *ftShared
-	epochT0 time.Time
+	tr    mmps.Transport
+	rank  int
+	size  int
+	n     int
+	iters int
+	opts  FTOptions
+	sh    *ftShared
 
 	epoch    int
 	vec      core.Vector
@@ -259,10 +265,10 @@ type ftTask struct {
 	iter     int
 	executed int // monotonic executed-cycle count (crash injection key)
 
-	rows, off int
-	cur       block
-	scratch   []float64
-	sendBuf   []byte // reused border-frame buffer (one goroutine owns the task)
+	// s is the rank's share of the grid under the current vector, swept by
+	// the driver's cycles (driver.go) through link.
+	s    *rankState
+	link *ftLink
 
 	lastCkpt int                      // newest own checkpoint cycle (0 = implicit)
 	ownCkpt  map[int][][]float64      // cycle -> snapshot of my rows
@@ -271,41 +277,83 @@ type ftTask struct {
 	borders      map[borderKey][]float64
 	syncs        map[int]syncInfo
 	rowsIn       []rowsBatch // buffered migration batches, all rounds
-	rowsRound    uint32
 	finished     map[int]bool
 	needRecovery bool
 	lastHeard    map[int]time.Time // rank -> when a frame last arrived from it
 	lastPing     time.Time
+	waiting      []int // wait's reused list of the peers it hangs on
 
-	mFail      *obs.Counter
-	mRecov     *obs.Counter
-	mRecovMs   *obs.Histogram
-	mReplay    *obs.Counter
-	cycleMs    *obs.Histogram
-	exchangeMs *obs.Histogram
+	mFail    *obs.Counter
+	mRecov   *obs.Counter
+	mRecovMs *obs.Histogram
+	mReplay  *obs.Counter
 }
 
 func newFTTask(tr mmps.Transport, vec core.Vector, v Variant, n, iters int, opts FTOptions, sh *ftShared, t0 time.Time) *ftTask {
 	m := opts.Metrics
-	return &ftTask{
-		tr: tr, rank: tr.Rank(), size: tr.Size(), n: n, iters: iters, v: v,
-		opts: opts, sh: sh, epochT0: t0,
-		vec: append(core.Vector(nil), vec...), own: repart.NewOwners(vec),
-		dead:       map[int]bool{},
-		ownCkpt:    map[int][][]float64{},
-		ckptIn:     map[int]map[int]ckptBlob{},
-		borders:    map[borderKey][]float64{},
-		syncs:      map[int]syncInfo{},
-		finished:   map[int]bool{},
-		lastHeard:  map[int]time.Time{},
-		scratch:    make([]float64, n),
-		mFail:      m.Counter(MetricFTFailures),
-		mRecov:     m.Counter(MetricFTRecoveries),
-		mRecovMs:   m.Histogram(MetricFTRecoveryMs),
-		mReplay:    m.Counter(MetricFTReplayedC),
+	t := &ftTask{
+		tr: tr, rank: tr.Rank(), size: tr.Size(), n: n, iters: iters,
+		opts: opts, sh: sh,
+		dead:      map[int]bool{},
+		ownCkpt:   map[int][][]float64{},
+		ckptIn:    map[int]map[int]ckptBlob{},
+		borders:   map[borderKey][]float64{},
+		syncs:     map[int]syncInfo{},
+		finished:  map[int]bool{},
+		lastHeard: map[int]time.Time{},
+		mFail:     m.Counter(MetricFTFailures),
+		mRecov:    m.Counter(MetricFTRecoveries),
+		mRecovMs:  m.Histogram(MetricFTRecoveryMs),
+		mReplay:   m.Counter(MetricFTReplayedC),
+	}
+	t.link = &ftLink{t: t, liveLink: liveLink{
+		tr:         tr,
+		epoch:      t0,
+		rec:        opts.Trace,
 		cycleMs:    m.Histogram(MetricLiveCycleMs),
 		exchangeMs: m.Histogram(MetricLiveExchangeMs),
+		cycles:     opts.Cycles,
+		sendBuf:    make([]byte, 0, ftHeaderLen+haloHeaderLen+8*n),
+		ftEpoch:    &t.epoch,
+	}}
+	t.s = &rankState{job: &job{v: v, n: n, load: t.load}, lk: t.link}
+	own := repart.NewOwners(vec)
+	cur := newBlock(own.Count(t.rank), n)
+	if own.First(t.rank) == 0 {
+		initialRow(cur.row(1), 0)
 	}
+	t.view(append(core.Vector(nil), vec...), own, cur)
+	return t
+}
+
+// view makes vec the task's partition: its owner map, the link's rank
+// space and the rank's block cur, which holds this rank's rows under vec.
+func (t *ftTask) view(vec core.Vector, own repart.Owners, cur block) {
+	t.vec, t.own = vec, own
+	t.s.rows, t.s.off, t.s.cur = own.Count(t.rank), own.First(t.rank), cur
+	l := t.link
+	l.owners = l.owners[:0]
+	for r, rows := range vec {
+		if r == t.rank {
+			l.pos = len(l.owners)
+		}
+		if rows > 0 {
+			l.owners = append(l.owners, r)
+		}
+	}
+}
+
+// load is the job's load for the driver: the injected slowdown times the
+// work factor of this rank, whatever position the link gives it.
+func (t *ftTask) load(_, iter int) float64 {
+	factor := 1.0
+	if t.opts.Injector != nil {
+		factor = t.opts.Injector.Slowdown(t.rank, iter)
+	}
+	if t.opts.WorkFactor != nil {
+		factor *= float64(t.opts.WorkFactor[t.rank])
+	}
+	return factor
 }
 
 // participants are the ranks still computing: row-owners not declared dead.
@@ -363,7 +411,7 @@ func (t *ftTask) pingInterval() time.Duration {
 }
 
 // keepalive broadcasts a liveness ping to the other participants, rate
-// limited to the ping interval. Every blocking wait loop calls it: a rank
+// limited to the ping interval. Every round of a blocking wait calls it: a rank
 // stalled on its own silent neighbor must still prove it is alive, or the
 // whole chain of waiters behind it would expire together and verdict each
 // other in a cascade.
@@ -372,11 +420,7 @@ func (t *ftTask) keepalive() {
 		return
 	}
 	t.lastPing = time.Now()
-	for _, r := range t.participants() {
-		if r != t.rank {
-			t.send(r, ftPing, 0, nil)
-		}
-	}
+	t.broadcast(ftPing, nil)
 }
 
 // silentFor reports how long rank r has been silent, counting from `since`
@@ -397,6 +441,15 @@ func (t *ftTask) send(dst int, typ byte, cycle int, payload []byte) {
 	_ = t.tr.Send(dst, ftFrame(typ, t.epoch, cycle, payload))
 }
 
+// broadcast sends one frame to every other participant.
+func (t *ftTask) broadcast(typ byte, payload []byte) {
+	for _, r := range t.participants() {
+		if r != t.rank {
+			t.send(r, typ, 0, payload)
+		}
+	}
+}
+
 // roundKey identifies one migration round: recoveries with different
 // deadsets must not mix their row batches even within an epoch (the
 // barrier can restart after migration began).
@@ -411,7 +464,6 @@ func roundKey(dead []int) uint32 {
 }
 
 // pump receives and dispatches at most one frame, waiting up to d.
-// Returns false on timeout.
 //
 // Dispatch is deliberately lenient: ranks cross the recovery barrier at
 // different moments, so frames for the *next* view (migration rows, fresh
@@ -423,19 +475,19 @@ func roundKey(dead []int) uint32 {
 // — both timeline-independent thanks to the deterministic update — and
 // migration batches carry their round key. Deadset-bearing frames
 // (FAIL/SYNC) are monotone and always merged.
-func (t *ftTask) pump(d time.Duration) (bool, error) {
+func (t *ftTask) pump(d time.Duration) error {
 	src, buf, err := t.tr.RecvAny(d)
+	if errors.Is(err, mmps.ErrTimeout) {
+		return nil
+	}
 	if err != nil {
-		if errors.Is(err, mmps.ErrTimeout) {
-			return false, nil
-		}
-		return false, err
+		return err
 	}
 	err = t.dispatch(src, buf)
 	// Every dispatch path copies what it keeps out of the frame, so the
 	// delivered buffer can rejoin the transport's free list here.
 	mmps.Recycle(t.tr, buf)
-	return true, err
+	return err
 }
 
 // dispatch routes one received frame; see pump for the buffering rules.
@@ -476,16 +528,15 @@ func (t *ftTask) dispatch(src int, buf []byte) error {
 			}
 		}
 		for _, r := range si.dead {
-			if r >= 0 && r < t.size && !t.dead[r] {
-				t.dead[r] = true
+			if r < 0 || r >= t.size {
+				continue // no such rank: a corrupt or foreign frame
 			}
-		}
-		// Recovery is needed only when a dead rank still owns rows under
-		// our vector. A SYNC whose deadset we already fully retired is a
-		// straggler from a barrier we completed — its sender converges on
-		// the syncs everyone flooded back then; rejoining here would run a
-		// gratuitous second recovery.
-		for _, r := range si.dead {
+			t.dead[r] = true
+			// Recovery is needed only when a dead rank still owns rows under
+			// our vector. A SYNC whose deadset we already fully retired is a
+			// straggler from a barrier we completed — its sender converges on
+			// the syncs everyone flooded back then; rejoining here would run a
+			// gratuitous second recovery.
 			if t.vec[r] > 0 {
 				t.needRecovery = true
 			}
@@ -516,28 +567,113 @@ func (t *ftTask) verdict(src int) {
 	t.dead[src] = true
 	t.needRecovery = true
 	t.mFail.Inc()
-	payload := encodeDeadset(t.deadList())
-	for _, r := range t.participants() {
-		if r != t.rank {
-			t.send(r, ftFail, 0, payload)
-		}
-	}
+	t.broadcast(ftFail, encodeDeadset(t.deadList()))
 }
 
 // errNeedRecovery is an internal control-flow signal: unwind to the main
 // loop and run recovery.
 var errNeedRecovery = errors.New("stencil: recovery required")
 
-// sendBorder ships one ghost row: the halo frame (halo.go) nested in the
-// epoch/cycle envelope, built in the task's reused send buffer so the
+// wait is the runtime's one blocking loop. Each round it gives up with
+// errNeedRecovery once stale reports that the view it serves is gone, and
+// returns once ready reports done. Otherwise ready lists the peers the wait
+// still hangs on, and the first of them silent through budget since the
+// wait began is verdicted (errNeedRecovery again). Until then the rank
+// keeps its keepalives flowing and receives one frame per round.
+func (t *ftTask) wait(budget time.Duration, stale func() bool, ready func(waiting []int) (bool, []int)) error {
+	start := time.Now()
+	for {
+		if stale() {
+			return errNeedRecovery
+		}
+		done, waiting := ready(t.waiting[:0])
+		if done {
+			return nil
+		}
+		t.waiting = waiting
+		for _, r := range waiting {
+			if t.silentFor(r, start) > budget {
+				t.verdict(r)
+				return errNeedRecovery
+			}
+		}
+		t.keepalive()
+		if err := t.pump(t.pingInterval()); err != nil {
+			return err
+		}
+	}
+}
+
+// recoveryDue is the staleness of a wait outside recovery: a verdict or a
+// flooded failure has made the current view unusable.
+func (t *ftTask) recoveryDue() bool { return t.needRecovery }
+
+// deadsetGrew is the staleness of a wait inside the recovery round agreed
+// on deadset dl: a further failure restarts the barrier.
+func (t *ftTask) deadsetGrew(dl []int) func() bool {
+	return func() bool { return !slices.Equal(t.deadList(), dl) }
+}
+
+// ftLink is the driver's link for the fault-tolerant runtime: the live
+// link's clock, load emulation and cycle observation, over the task's
+// transport, with every border in the FT envelope and every receive a
+// bounded wait. Its ranks are positions among the row owners of the task's
+// current view, which keeps the driver's neighbours at rank±1 when a
+// retired rank (no rows) sits between two owners; callbacks that name a
+// rank (the job's load, the observation in endCycle) see the physical one.
+type ftLink struct {
+	liveLink
+	t      *ftTask
+	owners []int // physical ranks that own rows under the current vector, in row order
+	pos    int   // this rank's index in owners
+}
+
+func (l *ftLink) Rank() int { return l.pos }
+func (l *ftLink) Size() int { return len(l.owners) }
+
+// Send ships one ghost row: the halo frame (halo.go) nested in the
+// epoch/cycle envelope, built in the link's reused send buffer so the
 // per-cycle exchange allocates nothing. Transport errors are swallowed
-// like t.send's: an undeliverable peer surfaces through detection.
+// like ftTask.send's: an undeliverable peer surfaces through detection.
 //
 //netpart:hotpath
-func (t *ftTask) sendBorder(dst, g int, row []float64) {
-	t.sendBuf = appendFTFrame(t.sendBuf[:0], ftBorder, t.epoch, t.iter)
-	t.sendBuf = appendHaloFrame(t.sendBuf, g, t.iter, row)
-	_ = t.tr.Send(dst, t.sendBuf)
+func (l *ftLink) Send(dst int, h halo) error {
+	l.sendBuf = appendFTFrame(l.sendBuf[:0], ftBorder, l.t.epoch, h.cycle)
+	l.sendBuf = appendHaloFrame(l.sendBuf, h.row, h.cycle, h.vals)
+	_ = l.tr.Send(l.owners[dst], l.sendBuf)
+	return nil
+}
+
+// Recv waits for the ghost row the owner at position src owes this cycle,
+// which pump buffers under its (global row, cycle) key in whatever order
+// frames arrive. The owner is verdicted dead only after a full detection
+// budget of *silence* — iteration skew means a live owner can lag many
+// cycles behind (blocked on its own neighbour), but its keepalives keep
+// arriving. A verdict, or a recovery another rank started, returns
+// errNeedRecovery out through the driver.
+func (l *ftLink) Recv(src int) (halo, error) {
+	t, s := l.t, l.t.s
+	key := borderKey{s.off + s.rows, t.iter}
+	if src < l.pos {
+		key.row = s.off - 1
+	}
+	owner := l.owners[src]
+	var vals []float64
+	err := t.wait(t.detectBudget(), t.recoveryDue, func(waiting []int) (bool, []int) {
+		row, ok := t.borders[key]
+		vals = row
+		delete(t.borders, key)
+		return ok, append(waiting, owner)
+	})
+	return halo{key.row, key.cycle, vals}, err
+}
+
+// endCycle observes the cycle through the live link and counts it as
+// executed: the task's iteration is the next cycle's from here on.
+func (l *ftLink) endCycle(iter int, startMs, exchangeMs float64) {
+	l.liveLink.endCycle(iter, startMs, exchangeMs)
+	l.t.iter = iter + 1
+	l.t.executed++
 }
 
 // validCkpt returns src's replicated block at cycle, if one is buffered
@@ -551,46 +687,14 @@ func (t *ftTask) validCkpt(src, cycle int) (ckptBlob, bool) {
 	return blk, true
 }
 
-// awaitBorder blocks until the ghost row (g, cycle) arrives from its
-// owner, pumping all other traffic. The owner is verdicted dead only after
-// a full detection budget of *silence* — iteration skew means a live owner
-// can lag many cycles behind (blocked on its own neighbor), but its
-// keepalives keep arriving.
-func (t *ftTask) awaitBorder(owner, g, cycle int, into []float64) error {
-	start := time.Now()
-	for {
-		if t.needRecovery {
-			return errNeedRecovery
-		}
-		key := borderKey{g, cycle}
-		if row, ok := t.borders[key]; ok {
-			copy(into, row)
-			delete(t.borders, key)
-			return nil
-		}
-		if t.silentFor(owner, start) > t.detectBudget() {
-			t.verdict(owner)
-			return errNeedRecovery
-		}
-		t.keepalive()
-		if _, err := t.pump(t.pingInterval()); err != nil {
-			return err
-		}
-	}
-}
-
 // run is the rank's whole life: compute, detect, recover, finish.
 func (t *ftTask) run() error {
-	t.rows, t.off = t.own.Count(t.rank), t.own.First(t.rank)
-	t.cur = newBlock(t.rows, t.n)
-	if t.off == 0 {
-		initialRow(t.cur.row(1), 0)
-	}
 	for {
-		err := t.computeLoop()
-		done := false
+		err := t.advance()
 		if err == nil {
-			done, err = t.linger()
+			if err = t.linger(); err == nil {
+				break
+			}
 		}
 		if errors.Is(err, errNeedRecovery) {
 			err = t.recover()
@@ -598,182 +702,88 @@ func (t *ftTask) run() error {
 		if err != nil {
 			return err
 		}
-		if done {
-			break
-		}
 	}
+	s := t.s
 	t.sh.mu.Lock()
-	for i := 0; i < t.rows; i++ {
-		t.sh.result[t.off+i] = append([]float64(nil), t.cur.row(i+1)...)
+	for i := 0; i < s.rows; i++ {
+		t.sh.result[s.off+i] = s.cur.row(i + 1)
 	}
 	t.sh.mu.Unlock()
 	return nil
 }
 
-// neighbors under the current vector: adjacent row-owners, not adjacent
-// ranks (retired ranks own nothing and are skipped).
-func (t *ftTask) northSouth() (north, south int, hasN, hasS bool) {
-	if t.off > 0 {
-		north, hasN = t.own.OwnerOf(t.off-1), true
+// advance runs the driver's cycles until the last iteration or a recovery
+// signal. It breaks them at every checkpoint cycle and at the injected crash
+// cycle, so that both fire where a cycle begins. A cycle abandoned between
+// its spans leaves the block half updated; recovery never reads it — it
+// rebuilds from checkpoints.
+func (t *ftTask) advance() error {
+	crash := -1
+	if inj := t.opts.Injector; inj != nil {
+		crash = inj.CrashCycle(t.rank)
 	}
-	if t.off+t.rows < t.n {
-		south, hasS = t.own.OwnerOf(t.off+t.rows), true
-	}
-	return
-}
-
-func (t *ftTask) computeRows(lo, hi int) {
-	factor := 1.0
-	if t.opts.Injector != nil {
-		factor = t.opts.Injector.Slowdown(t.rank, t.iter)
-	}
-	if t.opts.WorkFactor != nil {
-		factor *= float64(t.opts.WorkFactor[t.rank])
-	}
-	t.cur.sweep(t.off, t.n, lo, hi, loadReps(factor), t.scratch, nil)
-}
-
-// computeLoop runs iterations until completion or a recovery signal. It is
-// the one cycle loop outside the driver (driver.go): every receive here is a
-// bounded, pump-driven wait that can end in a failure verdict and a rollback,
-// which the driver's blocking link cannot express. The exchange order and
-// the in-place row update (block.sweep) are the driver's; a cycle abandoned
-// between its spans leaves the block half updated, and recovery never reads
-// it — it rebuilds from checkpoints.
-func (t *ftTask) computeLoop() error {
+	every := t.opts.CheckpointEvery
 	for t.iter < t.iters {
 		if t.needRecovery {
 			return errNeedRecovery
 		}
-		if inj := t.opts.Injector; inj != nil && inj.CrashCycle(t.rank) == t.executed {
+		if crash == t.executed {
 			return errCrashed
 		}
-		if t.iter > 0 && t.iter%t.opts.CheckpointEvery == 0 && t.iter != t.lastCkpt {
+		if t.iter > 0 && t.iter%every == 0 && t.iter != t.lastCkpt {
 			t.checkpoint(t.iter)
 		}
-		cycleStart := time.Now()
-		north, south, hasN, hasS := t.northSouth()
-		if hasN {
-			t.sendBorder(north, t.off, t.cur.row(1))
+		to := min(t.iters, (t.iter/every+1)*every)
+		if crash > t.executed {
+			to = min(to, t.iter+crash-t.executed)
 		}
-		if hasS {
-			t.sendBorder(south, t.off+t.rows-1, t.cur.row(t.rows))
+		if err := t.s.cycles(t.iter, to); err != nil {
+			return err
 		}
-		// The exchange time covers the sends and the border waits, not
-		// STEN-2's interior update between them, as in the driver.
-		exchange := time.Since(cycleStart)
-		await := func() error {
-			start := time.Now()
-			if hasN {
-				if err := t.awaitBorder(north, t.off-1, t.iter, t.cur.row(0)); err != nil {
-					return err
-				}
-			}
-			if hasS {
-				if err := t.awaitBorder(south, t.off+t.rows, t.iter, t.cur.row(t.rows+1)); err != nil {
-					return err
-				}
-			}
-			exchange += time.Since(start)
-			return nil
-		}
-		switch t.v {
-		case STEN1:
-			if err := await(); err != nil {
-				return err
-			}
-			t.computeRows(1, t.rows)
-		case STEN2:
-			if t.rows > 2 {
-				t.computeRows(2, t.rows-1)
-			}
-			if err := await(); err != nil {
-				return err
-			}
-			t.computeRows(1, 1)
-			if t.rows > 1 {
-				t.computeRows(t.rows, t.rows)
-			}
-		}
-		t.cur.flip()
-		cycleMs := float64(time.Since(cycleStart)) / float64(time.Millisecond)
-		exchangeMs := float64(exchange) / float64(time.Millisecond)
-		t.cycleMs.Observe(cycleMs)
-		t.exchangeMs.Observe(exchangeMs)
-		if t.opts.Cycles != nil {
-			t.opts.Cycles.OnExchange(t.rank, t.iter, exchangeMs)
-			t.opts.Cycles.OnCycle(t.rank, t.iter, cycleMs)
-		}
-		if t.opts.Trace != nil {
-			startMs := float64(cycleStart.Sub(t.epochT0)) / float64(time.Millisecond)
-			t.opts.Trace.Span("cycle", t.rank, startMs, cycleMs, map[string]any{"iter": t.iter, "epoch": t.epoch})
-		}
-		t.iter++
-		t.executed++
 	}
 	return nil
 }
 
 // checkpoint snapshots the local block and ships the replica to the buddy.
 func (t *ftTask) checkpoint(cycle int) {
-	snap := make([][]float64, t.rows)
-	for i := 0; i < t.rows; i++ {
-		snap[i] = append([]float64(nil), t.cur.row(i+1)...)
+	s := t.s
+	snap := make([][]float64, s.rows)
+	for i := 0; i < s.rows; i++ {
+		snap[i] = append([]float64(nil), s.cur.row(i+1)...)
 	}
 	t.ownCkpt[cycle] = snap
 	t.lastCkpt = cycle
 	if b := t.buddyOf(t.rank); b != t.rank {
-		t.send(b, ftCkpt, cycle, repart.EncodeRows(t.off, snap))
+		t.send(b, ftCkpt, cycle, repart.EncodeRows(s.off, snap))
 	}
 }
 
 // linger is the completion protocol: announce FINISH, then stay responsive
 // (serving checkpoints and joining recoveries) until every participant has
-// finished. Returns done=false when a recovery rolled the rank back into
-// the compute loop.
-func (t *ftTask) linger() (bool, error) {
-	payload := []byte{}
-	for _, r := range t.participants() {
-		if r != t.rank {
-			t.send(r, ftFinish, 0, payload)
-		}
-	}
+// finished. Returns errNeedRecovery when a recovery is to roll the rank
+// back into the compute loop.
+func (t *ftTask) linger() error {
+	t.broadcast(ftFinish, nil)
 	t.finished[t.rank] = true
-	start := time.Now()
 	announced := time.Now()
-	for {
-		if t.needRecovery {
-			return false, errNeedRecovery
-		}
-		waiting := -1
-		for _, r := range t.participants() {
-			if !t.finished[r] {
-				waiting = r
-				break
-			}
-		}
-		if waiting < 0 {
-			return true, nil
-		}
-		if t.silentFor(waiting, start) > t.detectBudget()*2 {
-			t.verdict(waiting)
-			return false, errNeedRecovery
-		}
+	return t.wait(t.detectBudget()*2, t.recoveryDue, func(waiting []int) (bool, []int) {
 		// Re-announce periodically: a FINISH sent while a peer was still
 		// inside its recovery commit was epoch-gated away on its side.
 		if time.Since(announced) > t.detectBudget() {
 			announced = time.Now()
 			for _, r := range t.participants() {
 				if r != t.rank && !t.finished[r] {
-					t.send(r, ftFinish, 0, payload)
+					t.send(r, ftFinish, 0, nil)
 				}
 			}
 		}
-		t.keepalive()
-		if _, err := t.pump(t.pingInterval()); err != nil {
-			return false, err
+		for _, r := range t.participants() {
+			if !t.finished[r] {
+				return false, append(waiting, r) // the first one still computing
+			}
 		}
-	}
+		return true, waiting
+	})
 }
 
 // latestWard returns the ward whose replicas this rank holds and the
@@ -833,31 +843,24 @@ func (t *ftTask) recover() error {
 		ward, wardLatest := t.latestWard()
 		si := syncInfo{dead: dl, ownLatest: t.lastCkpt, ward: ward, wardLatest: wardLatest}
 		t.syncs[t.rank] = si
-		payload := encodeSyncInfo(si)
-		for _, r := range parts {
-			if r != t.rank {
-				t.send(r, ftSync, 0, payload)
-			}
+		t.broadcast(ftSync, encodeSyncInfo(si))
+		err := t.collectSyncs(dl, parts)
+		if err == nil {
+			// The epoch of the new view is the agreed deadset size: monotone,
+			// and — unlike a local counter — identical on every rank that
+			// crossed this barrier, however many times its own barrier loop
+			// restarted along the way.
+			t.epoch = len(dl)
+			err = t.applyRecovery(dl, parts)
 		}
-		ok, err := t.collectSyncs(dl, parts)
-		if err != nil {
+		if err == nil {
+			break
+		}
+		// errNeedRecovery: the deadset grew during the barrier or a further
+		// failure surfaced mid-migration, so the barrier restarts.
+		if !errors.Is(err, errNeedRecovery) {
 			return err
 		}
-		if !ok {
-			continue // deadset grew: restart the barrier
-		}
-		// The epoch of the new view is the agreed deadset size: monotone,
-		// and — unlike a local counter — identical on every rank that
-		// crossed this barrier, however many times its own barrier loop
-		// restarted along the way.
-		t.epoch = len(dl)
-		if err := t.applyRecovery(dl, parts); err != nil {
-			if errors.Is(err, errNeedRecovery) {
-				continue // a further failure surfaced mid-migration
-			}
-			return err
-		}
-		break
 	}
 	// Re-derive rather than blindly clear: a FAIL merged during the last
 	// migration pumps must put us straight back into recovery.
@@ -891,48 +894,20 @@ func (t *ftTask) recover() error {
 }
 
 // collectSyncs waits until every participant contributed a sync whose
-// deadset matches dl. Returns ok=false when the deadset grew (restart).
-// A participant that has not matched yet is verdicted only once it has
-// been silent for a doubled detection budget — one that is merely behind
-// (still computing, or flooding a smaller deadset) keeps itself alive with
-// pings and converges via the monotone FAIL/SYNC merges.
-func (t *ftTask) collectSyncs(dl []int, parts []int) (bool, error) {
-	start := time.Now()
-	budget := t.detectBudget() * 2
-	for {
-		if !sameInts(t.deadList(), dl) {
-			return false, nil
-		}
-		matched := true
+// deadset matches dl. Returns errNeedRecovery when the deadset grew
+// (restart). A participant that has not matched yet is verdicted only once
+// it has been silent for a doubled detection budget — one that is merely
+// behind (still computing, or flooding a smaller deadset) keeps itself alive
+// with pings and converges via the monotone FAIL/SYNC merges.
+func (t *ftTask) collectSyncs(dl []int, parts []int) error {
+	return t.wait(t.detectBudget()*2, t.deadsetGrew(dl), func(waiting []int) (bool, []int) {
 		for _, r := range parts {
-			if si, ok := t.syncs[r]; !ok || !sameInts(si.dead, dl) {
-				matched = false
-				if t.silentFor(r, start) > budget {
-					t.verdict(r)
-					return false, nil
-				}
+			if si, ok := t.syncs[r]; !ok || !slices.Equal(si.dead, dl) {
+				waiting = append(waiting, r)
 			}
 		}
-		if matched {
-			return true, nil
-		}
-		t.keepalive()
-		if _, err := t.pump(t.pingInterval()); err != nil {
-			return false, err
-		}
-	}
-}
-
-func sameInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+		return len(waiting) == 0, waiting
+	})
 }
 
 // applyRecovery performs rollback + repartition + migration + fresh
@@ -978,7 +953,7 @@ func (t *ftTask) applyRecovery(dl []int, parts []int) error {
 	}
 
 	oldOwn := t.own
-	oldOff, oldRows := t.off, t.rows
+	oldOff, oldRows := t.s.off, t.s.rows
 	newOwn := repart.NewOwners(newVec)
 	newRows, newOff := newOwn.Count(t.rank), newOwn.First(t.rank)
 	round := roundKey(dl)
@@ -1054,8 +1029,7 @@ func (t *ftTask) applyRecovery(dl []int, parts []int) error {
 			pending++
 		}
 	}
-	t.rowsRound = round
-	absorb := func() {
+	err = t.wait(t.detectBudget()*2, t.deadsetGrew(dl), func(waiting []int) (bool, []int) {
 		kept := t.rowsIn[:0]
 		for _, b := range t.rowsIn {
 			if b.round != round {
@@ -1072,46 +1046,24 @@ func (t *ftTask) applyRecovery(dl []int, parts []int) error {
 			}
 		}
 		t.rowsIn = kept
-	}
-	start := time.Now()
-	for {
-		absorb()
-		if pending == 0 {
-			break
-		}
-		if !sameInts(t.deadList(), dl) {
-			t.rowsRound = 0
-			return errNeedRecovery
-		}
 		// A holder that went silent mid-migration draws a verdict; one that
 		// is alive but still in its own barrier keeps pinging.
-		stalled := -1
 		for g := newOff; g < newOff+newRows; g++ {
-			if h := holder(g); !have[g-newOff] && t.silentFor(h, start) > t.detectBudget()*2 {
-				stalled = h
-				break
+			if !have[g-newOff] {
+				waiting = append(waiting, holder(g))
 			}
 		}
-		if stalled >= 0 {
-			t.verdict(stalled)
-			t.rowsRound = 0
-			return errNeedRecovery
-		}
-		t.keepalive()
-		if _, err := t.pump(t.pingInterval()); err != nil {
-			return err
-		}
+		return pending == 0, waiting
+	})
+	if err != nil {
+		return err
 	}
-	t.rowsRound = 0
 
 	// Commit the new view. Buffered checkpoints (ckptIn) deliberately
 	// survive the commit: a ward that crossed the barrier first may already
 	// have sent its fresh cycle-c* replica, and stale blobs are inert —
 	// validCkpt re-checks their shape against the new vector at every read.
-	t.vec = newVec
-	t.own = newOwn
-	t.rows, t.off = newRows, newOff
-	t.cur = ncur
+	t.view(newVec, newOwn, ncur)
 	t.iter = cstar
 	// t.borders intentionally survives too: a neighbor that committed
 	// first may already have sent post-rollback ghost rows, and border
@@ -1121,34 +1073,22 @@ func (t *ftTask) applyRecovery(dl []int, parts []int) error {
 	t.ownCkpt = map[int][][]float64{}
 	t.lastCkpt = 0
 
-	if t.rows == 0 {
+	if newRows == 0 {
 		return errRetired
 	}
 	// Re-establish buddy replicas at c* under the new vector before
 	// resuming, so a later failure can roll back to c* again. Cycle 0
 	// stays implicit.
-	if cstar > 0 {
-		t.checkpoint(cstar)
-		ward := t.wardOf(t.rank)
-		if ward != t.rank {
-			start := time.Now()
-			for {
-				if _, ok := t.validCkpt(ward, cstar); ok {
-					break
-				}
-				if !sameInts(t.deadList(), dl) {
-					return errNeedRecovery
-				}
-				if t.silentFor(ward, start) > t.detectBudget()*2 {
-					t.verdict(ward)
-					return errNeedRecovery
-				}
-				t.keepalive()
-				if _, err := t.pump(t.pingInterval()); err != nil {
-					return err
-				}
-			}
-		}
+	if cstar == 0 {
+		return nil
 	}
-	return nil
+	t.checkpoint(cstar)
+	ward := t.wardOf(t.rank)
+	if ward == t.rank {
+		return nil
+	}
+	return t.wait(t.detectBudget()*2, t.deadsetGrew(dl), func(waiting []int) (bool, []int) {
+		_, ok := t.validCkpt(ward, cstar)
+		return ok, append(waiting, ward)
+	})
 }

@@ -1,6 +1,8 @@
 package stencil
 
 import (
+	"fmt"
+	"reflect"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"netpart/internal/mmps"
 	"netpart/internal/model"
 	"netpart/internal/obs"
+	"netpart/internal/repart"
 )
 
 // raceDetector reports whether this test binary was built with -race.
@@ -25,7 +28,7 @@ func raceDetector() bool {
 }
 
 // ftWorld builds a local transport world as []mmps.Transport.
-func ftWorld(t *testing.T, n int) []mmps.Transport {
+func ftWorld(t testing.TB, n int) []mmps.Transport {
 	t.Helper()
 	locals, err := mmps.NewLocalWorld(n)
 	if err != nil {
@@ -100,6 +103,106 @@ func TestRunLiveFTFaultFree(t *testing.T) {
 		t.Fatalf("fault-free run reported %d recoveries, failed=%v", res.Recoveries, res.Failed)
 	}
 	gridsMatch(t, res.Grid, Sequential(NewGrid(n), iters))
+}
+
+// TestRunLiveFTRetiredMiddleRank: a repartition that gives a live middle
+// rank no rows retires it, and the owners on either side of it become
+// neighbours in the FT link's rank space. The run stays bit-exact, and the
+// retired rank is neither reported failed nor waited on: a wait on it would
+// end in a verdict, a second recovery and a deadset naming it.
+func TestRunLiveFTRetiredMiddleRank(t *testing.T) {
+	const n, iters, crashed = 30, 16, 4
+	retire := core.Vector{10, 10, 0, 10, 0}
+	dt, dr := fastDetect()
+	for _, v := range []Variant{STEN1, STEN2} {
+		res, err := RunLiveFT(ftWorld(t, 5), core.Vector{6, 6, 6, 6, 6}, v, n, iters, FTOptions{
+			Injector: faults.NewEngine(faults.Schedule{Crashes: []faults.Crash{{Rank: crashed, Cycle: 6}}}, 1, nil),
+			Repartition: func(alive []int) (core.Vector, error) {
+				if !reflect.DeepEqual(alive, []int{0, 1, 2, 3}) {
+					return nil, fmt.Errorf("repartition over %v, want the four survivors", alive)
+				}
+				return retire, nil
+			},
+			CheckpointEvery: 4, DetectTimeout: dt, DetectRetries: dr,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", v, err)
+		}
+		if !reflect.DeepEqual(res.Failed, []int{crashed}) {
+			t.Errorf("%s: failed = %v, want [%d]", v, res.Failed, crashed)
+		}
+		if len(res.Events) != 1 || !reflect.DeepEqual(res.Events[0].Dead, []int{crashed}) {
+			t.Errorf("%s: recovery events %v, want one with dead [%d]", v, res.Events, crashed)
+		}
+		if !reflect.DeepEqual(res.FinalVector, retire) {
+			t.Errorf("%s: final vector %v, want %v", v, res.FinalVector, retire)
+		}
+		gridsMatch(t, res.Grid, Sequential(NewGrid(n), iters))
+	}
+}
+
+// TestFTDetectBudgetDefault: the zero FTOptions grants a silent peer the
+// documented three extra windows of 200 ms before the verdict, and explicit
+// values are kept.
+func TestFTDetectBudgetDefault(t *testing.T) {
+	for _, tc := range []struct {
+		opts FTOptions
+		want time.Duration
+	}{
+		{FTOptions{}, 800 * time.Millisecond},
+		{FTOptions{DetectTimeout: 60 * time.Millisecond, DetectRetries: 2}, 180 * time.Millisecond},
+	} {
+		task := &ftTask{opts: tc.opts.withDefaults(4, 32)}
+		if got := task.detectBudget(); got != tc.want {
+			t.Errorf("%+v: detection budget %v, want %v", tc.opts, got, tc.want)
+		}
+	}
+}
+
+// TestFTDispatchIgnoresRanksOutsideWorld: a FAIL or SYNC frame naming a rank
+// the world does not have declares nobody dead and starts no recovery.
+// Indexing the partition vector with that rank would panic the receiving
+// rank's goroutine, which ends the whole process.
+func TestFTDispatchIgnoresRanksOutsideWorld(t *testing.T) {
+	world := ftWorld(t, 2)
+	for _, frame := range [][]byte{
+		ftFrame(ftFail, 0, 0, encodeDeadset([]int{2})),
+		ftFrame(ftSync, 0, 0, encodeSyncInfo(syncInfo{dead: []int{-1, 7}, ward: -1})),
+	} {
+		task := newFTTask(world[0], core.Vector{2, 2}, STEN1, 4, 1, FTOptions{}, &ftShared{}, time.Now())
+		if err := task.dispatch(1, frame); err != nil {
+			t.Fatal(err)
+		}
+		if task.needRecovery || len(task.dead) != 0 {
+			t.Errorf("frame %x: needRecovery %v, dead %v", frame, task.needRecovery, task.dead)
+		}
+	}
+}
+
+// FuzzFTFrame: no byte string panics the FT wire decoders — the frame
+// envelope, the deadset, the sync info and the row blocks — or a fresh
+// task's dispatch of it as a frame from its peer.
+func FuzzFTFrame(f *testing.F) {
+	const n = 4
+	row := make([]float64, n)
+	f.Add([]byte{})
+	f.Add(ftFrame(ftBorder, 0, 3, appendHaloFrame(nil, 1, 3, row)))
+	f.Add(ftFrame(ftCkpt, 0, 8, repart.EncodeRows(2, [][]float64{row, row})))
+	f.Add(ftFrame(ftFail, 0, 0, encodeDeadset([]int{2}))) // a rank past the world
+	f.Add(ftFrame(ftSync, 1, 0, encodeSyncInfo(syncInfo{dead: []int{1}, ownLatest: 8, ward: 1, wardLatest: 8})))
+	f.Add(ftFrame(ftRows, 1, 77, repart.EncodeRows(0, [][]float64{row})))
+	f.Add(ftFrame(ftFinish, 0, 0, nil))
+	f.Add([]byte{ftFail, 0, 0, 0, 0, 0, 0, 0, 0, 0x40, 0, 0, 0}) // 2^30 ranks: 4+4n wraps a 32-bit int
+	f.Add([]byte{ftSync, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	world := ftWorld(f, 2)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ftParse(data)
+		decodeDeadset(data)
+		decodeSyncInfo(data)
+		repart.DecodeRows(data, n)
+		task := newFTTask(world[0], core.Vector{2, 2}, STEN2, n, 1, FTOptions{}, &ftShared{}, time.Now())
+		_ = task.dispatch(1, data)
+	})
 }
 
 // TestRunLiveFTReportsExchangeTime: like RunLive, the FT runtime reports one

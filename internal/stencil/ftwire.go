@@ -87,10 +87,13 @@ func decodeDeadset(buf []byte) ([]int, []byte, error) {
 	if len(buf) < 4 {
 		return nil, nil, fmt.Errorf("stencil: short deadset")
 	}
-	n := int(binary.BigEndian.Uint32(buf))
-	if len(buf) < 4+4*n {
-		return nil, nil, fmt.Errorf("stencil: deadset of %d bytes for %d ranks", len(buf), n)
+	// The count is bounded by the bytes that follow it before it is
+	// multiplied: 4+4n overflows a 32-bit int.
+	count := binary.BigEndian.Uint32(buf)
+	if uint64(count) > uint64(len(buf)-4)/4 {
+		return nil, nil, fmt.Errorf("stencil: deadset of %d bytes for %d ranks", len(buf), count)
 	}
+	n := int(count)
 	dead := make([]int, n)
 	for i := 0; i < n; i++ {
 		dead[i] = int(binary.BigEndian.Uint32(buf[4+4*i:]))

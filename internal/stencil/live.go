@@ -192,6 +192,10 @@ type liveLink struct {
 	// because every block is n columns wide.
 	sendBuf   []byte
 	ghostVals []float64
+
+	// ftEpoch, when non-nil, is the fault-tolerant runtime's recovery epoch
+	// (ftlive.go), tagged on every cycle span beside the iteration.
+	ftEpoch *int
 }
 
 func (l *liveLink) Rank() int { return l.tr.Rank() }
@@ -250,6 +254,10 @@ func (l *liveLink) endCycle(iter int, startMs, exchangeMs float64) {
 		l.cycles.OnCycle(rank, iter, cycle)
 	}
 	if l.rec != nil {
-		l.rec.Span("cycle", rank, startMs, cycle, map[string]any{"iter": iter})
+		args := map[string]any{"iter": iter}
+		if l.ftEpoch != nil {
+			args["epoch"] = *l.ftEpoch
+		}
+		l.rec.Span("cycle", rank, startMs, cycle, args)
 	}
 }
