@@ -7,6 +7,8 @@
 //	experiments [-experiment all|table1|table2|fig1|fig2|fig3|costfit|overhead|gauss|ablations|faulttol]
 //	            [-constants paper|fitted] [-n 600]
 //
+// table2 is followed by its residual table (E29), which "all" prints last.
+//
 //netpart:deterministic
 package main
 
@@ -235,6 +237,18 @@ func run(which, constants string, n, jobs int, showMetrics bool, serveAddr strin
 			return err
 		}
 		fmt.Print(experiments.RenderStartup(rows))
+	}
+	if all || which == "table2" {
+		section("E29: Table 2 residuals — predicted vs simulated T_comp, T_comm, T_c per cell")
+		rows, err := residuals(env)
+		if err != nil {
+			return err
+		}
+		p, err := picks(env, rows)
+		if err != nil {
+			return err
+		}
+		fmt.Print(renderResiduals(rows, p))
 	}
 	if !did {
 		return fmt.Errorf("unknown experiment %q", which)

@@ -11,8 +11,10 @@ import (
 	"strings"
 
 	"netpart/internal/commbench"
+	"netpart/internal/core"
 	"netpart/internal/cost"
 	"netpart/internal/model"
+	"netpart/internal/stencil"
 	"netpart/internal/topo"
 )
 
@@ -65,6 +67,13 @@ var ProblemSizes = []int{60, 300, 600, 1200}
 
 // Iterations matches the paper's Table 2 (10 iterations).
 const Iterations = 10
+
+// simMs is the simulated elapsed time of a stencil run whose grid nobody
+// reads: a time-only run, with the virtual time of a computing one.
+func simMs(net *model.Network, cfg cost.Config, vec core.Vector, v stencil.Variant, n, iters int) (float64, error) {
+	res, err := stencil.RunSimAdaptive(net, cfg, vec, v, n, iters, stencil.AdaptiveOptions{TimeOnly: true})
+	return res.ElapsedMs, err
+}
 
 // TextTable renders aligned columns for experiment output.
 type TextTable struct {

@@ -326,7 +326,7 @@ func ImplSelect(e *Env) ([]ImplSelectRow, error) {
 		if err != nil {
 			return err
 		}
-		r1, err := stencil.RunSim(env.Net, oneD.Config, vec, stencil.STEN1, n, Iterations)
+		oneDMs, err := simMs(env.Net, oneD.Config, vec, stencil.STEN1, n, Iterations)
 		if err != nil {
 			return err
 		}
@@ -334,7 +334,7 @@ func ImplSelect(e *Env) ([]ImplSelectRow, error) {
 		if err != nil {
 			return err
 		}
-		row.OneDSimMs, row.TwoDSimMs = r1.ElapsedMs, r2.ElapsedMs
+		row.OneDSimMs, row.TwoDSimMs = oneDMs, r2.ElapsedMs
 		row.Winner = "1-D"
 		if row.TwoDTcMs < row.OneDTcMs {
 			row.Winner = "2-D"
@@ -471,11 +471,7 @@ func SelectionCost(e *Env, n int) (*SelectionCostResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		res, err := stencil.RunSim(env.Net, cfg, vec, stencil.STEN2, n, iters)
-		if err != nil {
-			return 0, err
-		}
-		return res.ElapsedMs, nil
+		return simMs(env.Net, cfg, vec, stencil.STEN2, n, iters)
 	}
 	var candidates []cost.Config
 	for _, c := range Table2Configs {
@@ -628,7 +624,7 @@ func runStencilNoisy(net *model.Network, cfg cost.Config, vec core.Vector, n int
 	if jitter > 0 {
 		opts = append(opts, simnet.WithJitter(jitter, seed))
 	}
-	res, err := stencil.RunSimAdaptive(net, cfg, vec, stencil.STEN2, n, Iterations, stencil.AdaptiveOptions{SimOptions: opts})
+	res, err := stencil.RunSimAdaptive(net, cfg, vec, stencil.STEN2, n, Iterations, stencil.AdaptiveOptions{SimOptions: opts, TimeOnly: true})
 	return res.ElapsedMs, err
 }
 

@@ -65,11 +65,11 @@ func Fig3(e *Env, n int, v stencil.Variant) ([]Fig3Point, error) {
 		if err != nil {
 			return err
 		}
-		res, err := stencil.RunSim(env.Net, cfg, vec, v, n, Iterations)
+		ms, err := simMs(env.Net, cfg, vec, v, n, Iterations)
 		if err != nil {
 			return err
 		}
-		simTc := res.ElapsedMs / Iterations
+		simTc := ms / Iterations
 		pts[i] = Fig3Point{
 			Procs: p, P1: p1, P2: p2,
 			EstimatedTcMs:  pe.TcMs,

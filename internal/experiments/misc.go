@@ -292,18 +292,18 @@ func ablationDecomp(e *Env) (AblationRow, error) {
 	if err != nil {
 		return AblationRow{}, err
 	}
-	rBal, err := stencil.RunSim(e.Net, cfg, bal, stencil.STEN1, n, Iterations)
+	balMs, err := simMs(e.Net, cfg, bal, stencil.STEN1, n, Iterations)
 	if err != nil {
 		return AblationRow{}, err
 	}
-	rEq, err := stencil.RunSim(e.Net, cfg, eq, stencil.STEN1, n, Iterations)
+	eqMs, err := simMs(e.Net, cfg, eq, stencil.STEN1, n, Iterations)
 	if err != nil {
 		return AblationRow{}, err
 	}
 	return AblationRow{
 		Name:   "A3 eq3-vs-equal",
 		Detail: "STEN-1 on 6+6: Eq. 3 decomposition vs equal rows",
-		BaseMs: rEq.ElapsedMs, AltMs: rBal.ElapsedMs, Speedup: rEq.ElapsedMs / rBal.ElapsedMs,
+		BaseMs: eqMs, AltMs: balMs, Speedup: eqMs / balMs,
 	}, nil
 }
 
@@ -316,18 +316,18 @@ func ablationOverlap(e *Env) (AblationRow, error) {
 	if err != nil {
 		return AblationRow{}, err
 	}
-	r1, err := stencil.RunSim(e.Net, cfg, bal, stencil.STEN1, n, Iterations)
+	ms1, err := simMs(e.Net, cfg, bal, stencil.STEN1, n, Iterations)
 	if err != nil {
 		return AblationRow{}, err
 	}
-	r2, err := stencil.RunSim(e.Net, cfg, bal, stencil.STEN2, n, Iterations)
+	ms2, err := simMs(e.Net, cfg, bal, stencil.STEN2, n, Iterations)
 	if err != nil {
 		return AblationRow{}, err
 	}
 	return AblationRow{
 		Name:   "A4 overlap",
 		Detail: "6+6: STEN-1 vs STEN-2 (border sends overlapped)",
-		BaseMs: r1.ElapsedMs, AltMs: r2.ElapsedMs, Speedup: r1.ElapsedMs / r2.ElapsedMs,
+		BaseMs: ms1, AltMs: ms2, Speedup: ms1 / ms2,
 	}, nil
 }
 

@@ -127,22 +127,22 @@ func Table2(e *Env) ([]Table2Row, error) {
 			if err != nil {
 				return err
 			}
-			res, err := stencil.RunSim(env.Net, cfg, eq, s.v, s.n, Iterations)
+			ms, err := simMs(env.Net, cfg, eq, s.v, s.n, Iterations)
 			if err != nil {
 				return err
 			}
-			eqMs[u.row] = res.ElapsedMs
+			eqMs[u.row] = ms
 		case unitPredRun:
 			cfg := preds[u.row].Config
 			vec, err := core.Decompose(env.Net, cfg, s.n, model.OpFloat)
 			if err != nil {
 				return err
 			}
-			res, err := stencil.RunSim(env.Net, cfg, vec, s.v, s.n, Iterations)
+			ms, err := simMs(env.Net, cfg, vec, s.v, s.n, Iterations)
 			if err != nil {
 				return err
 			}
-			predRunMs[u.row] = res.ElapsedMs
+			predRunMs[u.row] = ms
 		default:
 			c := Table2Configs[u.cell]
 			cfg := PaperConfig(c.P1, c.P2)
@@ -150,11 +150,11 @@ func Table2(e *Env) ([]Table2Row, error) {
 			if err != nil {
 				return err
 			}
-			res, err := stencil.RunSim(env.Net, cfg, vec, s.v, s.n, Iterations)
+			ms, err := simMs(env.Net, cfg, vec, s.v, s.n, Iterations)
 			if err != nil {
 				return fmt.Errorf("experiments: N=%d %s (%d,%d): %w", s.n, s.v, c.P1, c.P2, err)
 			}
-			cellMs[u.row][u.cell] = res.ElapsedMs
+			cellMs[u.row][u.cell] = ms
 		}
 		return nil
 	})

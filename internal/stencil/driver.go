@@ -60,8 +60,12 @@ type job struct {
 	n, iters int
 	vec      core.Vector
 	// rows is the result: row g is a view of the block of the rank that owns
-	// it, nil until that rank finishes.
+	// it, nil until that rank finishes. A time-only job has none.
 	rows [][]float64
+	// timeOnly skips every update (the simulator's link only): ranks take
+	// dirty blocks from getBlock, return them with putBlock and publish no
+	// rows.
+	timeOnly bool
 
 	// load multiplies the cost of rank's row updates at iter; nil means 1.
 	load func(rank, iter int) float64
@@ -144,7 +148,7 @@ func (j *job) finish(errs []error, runErr error) ([][]float64, error) {
 			return nil, fmt.Errorf("stencil: rank %d: %w", rank, err)
 		}
 	}
-	if runErr != nil {
+	if runErr != nil || j.timeOnly {
 		return nil, runErr
 	}
 	for i, row := range j.rows {
@@ -158,12 +162,14 @@ func (j *job) finish(errs []error, runErr error) ([][]float64, error) {
 // rankState is one rank's share of a job: it owns global rows
 // [off, off+rows), held in cur as one flat block with a ghost row on each
 // side at local indices 0 and rows+1. cur is the run's one zeroed allocation,
-// is swept in place every cycle and ends as the caller's result rows.
+// is swept in place every cycle and ends as the caller's result rows; in a
+// time-only run it is a dirty pooled block whose box is kept in box.
 type rankState struct {
 	job       *job
 	lk        link
 	rows, off int
 	cur       block
+	box       *[]float64
 	scratch   []float64 // target of the repeated updates that emulate load
 	windowMs  float64   // compute time since the last repartitioning round
 	delta     float64   // this cycle's local maximum point change
@@ -177,7 +183,7 @@ func (j *job) runRank(lk link) error {
 	rank, size := lk.Rank(), lk.Size()
 	own := repart.NewOwners(j.vec)
 	s := &rankState{job: j, lk: lk, rows: own.Count(rank), off: own.First(rank)}
-	s.cur = newBlock(s.rows, j.n)
+	s.cur, s.box = j.block(s.rows)
 	if s.off == 0 {
 		initialRow(s.cur.row(1), 0)
 	}
@@ -216,10 +222,24 @@ func (j *job) runRank(lk link) error {
 	if rank == 0 {
 		j.out.Iterations = iter
 	}
+	if j.timeOnly {
+		putBlock(s.box)
+		return nil
+	}
 	for i := 0; i < s.rows; i++ {
 		j.rows[s.off+i] = s.cur.row(i + 1)
 	}
 	return nil
+}
+
+// block returns a block of rows data rows: a zeroed one that the caller
+// keeps, or, in a time-only job, a dirty pooled one with the box putBlock
+// takes back.
+func (j *job) block(rows int) (block, *[]float64) {
+	if j.timeOnly {
+		return getBlock(rows, j.n)
+	}
+	return newBlock(rows, j.n), nil
 }
 
 // cycles runs iterations [from, to) of the paper's communication cycle:
@@ -428,13 +448,16 @@ func (s *rankState) rebalance(iter int) error {
 	}
 	newOwn := repart.NewOwners(plan.New)
 	newRows, newOff := newOwn.Count(rank), newOwn.First(rank)
-	ncur := newBlock(newRows, j.n)
+	ncur, nbox := j.block(newRows)
 	_, _, err = repart.Migrator{Width: j.n}.Migrate(ctl, plan.Old, plan.New,
 		func(g int) []float64 { return s.cur.row(g - s.off + 1) },
 		func(g int, row []float64) { copy(ncur.row(g-newOff+1), row) })
 	if err != nil {
 		return err
 	}
-	s.rows, s.off, s.cur = newRows, newOff, ncur
+	if j.timeOnly {
+		putBlock(s.box)
+	}
+	s.rows, s.off, s.cur, s.box = newRows, newOff, ncur, nbox
 	return nil
 }

@@ -1,6 +1,9 @@
 package stencil
 
 import (
+	"fmt"
+	"sync"
+
 	"netpart/internal/core"
 	"netpart/internal/cost"
 	"netpart/internal/faults"
@@ -77,6 +80,12 @@ type AdaptiveOptions struct {
 	// SimOptions configure the underlying simulator (jitter, message
 	// observers).
 	SimOptions []simnet.Option
+	// TimeOnly runs the same protocol — the same sends, bytes, compute
+	// charges and virtual time — without computing a grid value: for a
+	// caller that reads times, messages and plans and discards the grid.
+	// Result.Grid is nil. Tol is refused with it, because convergence reads
+	// values.
+	TimeOnly bool
 }
 
 // AdaptiveResult extends SimResult with what the run's policies did.
@@ -93,6 +102,9 @@ type AdaptiveResult struct {
 // their new owners before continuing. The final grid remains bit-exact with
 // the sequential reference regardless of how rows move.
 func RunSimAdaptive(net *model.Network, cfg cost.Config, vec core.Vector, v Variant, n, iters int, opts AdaptiveOptions) (AdaptiveResult, error) {
+	if opts.TimeOnly && opts.Tol > 0 {
+		return AdaptiveResult{}, fmt.Errorf("stencil: TimeOnly cannot run with Tol %g: a time-only run computes no point change to converge on", opts.Tol)
+	}
 	names, counts := cfg.Active()
 	pl, err := topo.Contiguous(names, counts)
 	if err != nil {
@@ -108,6 +120,9 @@ func RunSimAdaptive(net *model.Network, cfg cost.Config, vec core.Vector, v Vari
 		return AdaptiveResult{}, err
 	}
 	j.load, j.tol, j.every = opts.Slowdown, opts.Tol, opts.RebalanceEvery
+	if opts.TimeOnly {
+		j.timeOnly, j.rows = true, nil
+	}
 	simOpts := opts.SimOptions
 	if inj := opts.Injector; inj != nil {
 		simOpts = append(append([]simnet.Option(nil), simOpts...),
@@ -180,12 +195,17 @@ const overlapPoints = 4096
 // join and raised again here, on the rank's goroutine, where the simulator
 // turns it into the run's error; the join is deferred so that it also
 // happens, and the worker is not left blocked on its send, if the park
-// itself panics or the simulator unwinds the rank.
+// itself panics or the simulator unwinds the rank. A time-only run charges
+// and parks the same, and has no update to run or join.
 func (l simLink) compute(s *rankState, lo, hi int, factor float64) {
 	n := s.job.n
 	cb := l.t.BeginCompute()
 	for g := s.off + lo - 1; g < s.off+hi; g++ {
 		cb.Ops(rowOps(g, n)*factor, model.OpFloat)
+	}
+	if s.job.timeOnly {
+		cb.Done()
+		return
 	}
 	if (hi-lo+1)*n < overlapPoints {
 		s.update(lo, hi, 1)
@@ -204,6 +224,32 @@ func (l simLink) compute(s *rankState, lo, hi int, factor float64) {
 	}()
 	cb.Done()
 }
+
+// dirtyCells recycles the backing arrays of time-only blocks across runs.
+// They are handed out as the last run left them, not zeroed: no value of a
+// time-only block reaches a result, a branch or virtual time. The update
+// that would read them never runs, a border's charge and the halo check read
+// its row, cycle and length only, and a migrated row is a fixed 8 bytes a
+// value whatever the value. Boxes keep Get and Put free of allocation once
+// the pool is warm.
+var dirtyCells = sync.Pool{New: func() any { return new([]float64) }}
+
+// getBlock returns a block of rows data rows and width columns over a pooled
+// backing array with whatever values it holds, and the box to hand back with
+// putBlock once the block is dead.
+func getBlock(rows, width int) (block, *[]float64) {
+	p := dirtyCells.Get().(*[]float64)
+	n := (rows + 3) * width
+	if cap(*p) < n+2*width {
+		*p = make([]float64, n+2*width)
+	}
+	*p = (*p)[:n+2*width]
+	return block{width: width, rows: rows, shift: 1, cells: (*p)[:n:n], stash: (*p)[n:]}, p
+}
+
+// putBlock recycles a box obtained from getBlock. Nothing may touch the
+// block afterwards: the next getBlock may hand its cells to another run.
+func putBlock(p *[]float64) { dirtyCells.Put(p) }
 
 func (l simLink) endCycle(_ int, _, exchangeMs float64) {
 	l.t.ObserveExchange(exchangeMs)

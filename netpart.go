@@ -273,8 +273,9 @@ func MetasystemTestbed() *Network { return model.MetasystemTestbed() }
 // StencilAdaptiveOptions selects the policies of a simulated stencil run:
 // instrumentation (Metrics, Trace, the Cycles drift-monitor hookup),
 // periodic dynamic repartitioning (RebalanceEvery), injected load
-// (Slowdown), packet and slowdown faults (Injector, RetransmitMs) and
-// run-to-convergence (Tol). The zero value is RunStencilSim.
+// (Slowdown), packet and slowdown faults (Injector, RetransmitMs),
+// run-to-convergence (Tol) and timing without a grid (TimeOnly). The zero
+// value is RunStencilSim.
 type StencilAdaptiveOptions = stencil.AdaptiveOptions
 
 // RunStencilAdaptive is the general simulated entry point: RunStencilSim
