@@ -270,15 +270,21 @@ func BenchmarkStencilLiveLocal(b *testing.B) {
 // BenchmarkMMPSRoundTripUDP measures the reliable-UDP substrate's
 // request/response latency on a single-datagram message. Neither side
 // recycles, so the two delivered buffers are the two allocations left.
-func BenchmarkMMPSRoundTripUDP(b *testing.B) { benchPingPongUDP(b, 1024, false) }
+func BenchmarkMMPSRoundTripUDP(b *testing.B) { benchPingPong(b, netpart.NewUDPWorld, 1024, false) }
 
 // BenchmarkMMPSHaloUDP is the same exchange at the live stencil's size and
 // habits: a 4 KB halo row is three fragments and one range ack, and both
 // sides hand delivered buffers back, so the steady state allocates nothing.
-func BenchmarkMMPSHaloUDP(b *testing.B) { benchPingPongUDP(b, 4096, true) }
+func BenchmarkMMPSHaloUDP(b *testing.B) { benchPingPong(b, netpart.NewUDPWorld, 4096, true) }
 
-func benchPingPongUDP(b *testing.B, size int, recycle bool) {
-	world, err := netpart.NewUDPWorld(2)
+// BenchmarkMMPSHaloLocal is the 4 KB recycled ping-pong over the in-memory
+// transport. Each side's receive blocks until the other has sent, as a live
+// run's mostly do, so this is the traffic whose waits the endpoint's timer
+// serves; it allocates nothing.
+func BenchmarkMMPSHaloLocal(b *testing.B) { benchPingPong(b, netpart.NewLocalWorld, 4096, true) }
+
+func benchPingPong(b *testing.B, newWorld func(int, ...mmps.Option) ([]netpart.Transport, error), size int, recycle bool) {
+	world, err := newWorld(2)
 	if err != nil {
 		b.Fatal(err)
 	}

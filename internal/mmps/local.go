@@ -2,10 +2,10 @@ package mmps
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"netpart/internal/faults"
 )
 
 // Local is the in-memory transport: reliable and ordered by construction,
@@ -16,30 +16,37 @@ import (
 // partition stalls the stream, and a healed one resumes it), a delayed
 // packet arrives late, and a duplicated packet is suppressed — while still
 // guaranteeing reliable in-order per-sender delivery.
+//
+// Like Conn, each endpoint owns its state: a lock, the per-source inboxes
+// its peers deliver into, the free list those deliveries are copied into,
+// and one timer for its blocked receivers. Send locks only the destination,
+// so ranks exchanging with different peers never contend, and a receive
+// whose message is already queued reads no clock.
 type Local struct {
-	rank  int
-	world *localWorld
+	rank   int
+	world  *localWorld
+	closed atomic.Bool // written under mu; senders read it without
+
+	mu        sync.Mutex
+	delivered *sync.Cond // receivers: delivery, deadline, close
+	in        []fifo     // per source
+	free      freeList   // delivered buffers handed back through Recycle
+	// streams[src] sequences faulted deliveries from src so per-sender order
+	// survives drops and delays. Nil without an injector.
+	streams []localStream
+	// The timer wakes the blocked receivers by the earliest deadline among
+	// them: timerAt is when it is armed to fire, in nanoseconds since the
+	// world's epoch (0 = unarmed), and the last waiter to leave disarms it.
+	timer   *time.Timer
+	timerAt int64
+	waiting int
 }
 
+// localWorld is what a world's endpoints share, fixed at NewLocalWorld.
 type localWorld struct {
-	size        int
-	recvTimeout time.Duration
-	rto         time.Duration
-	inj         faults.Injector
-	epoch       time.Time
-	metrics     transportMetrics
-	mu          sync.Mutex
-	closed      []bool
-	// free holds delivered buffers handed back through Recycle, reused by
-	// Send for its delivery copies.
-	free freeList
-	// queues[dst][src] holds pending messages with a condition variable
-	// per destination for blocking receives.
-	queues []map[int][][]byte
-	conds  []*sync.Cond
-	// streams[src][dst] sequences faulted deliveries so per-sender order
-	// survives drops and delays. Nil without an injector.
-	streams [][]*localStream
+	eps   []*Local
+	opts  options
+	epoch time.Time
 }
 
 // localStream orders one (src,dst) message stream under injected faults.
@@ -58,69 +65,70 @@ func NewLocalWorld(n int, opts ...Option) ([]*Local, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	w := &localWorld{
-		size:        n,
-		recvTimeout: o.recvTimeout,
-		rto:         o.rto,
-		inj:         o.injector,
-		epoch:       time.Now(),
-		metrics:     o.metrics,
-		closed:      make([]bool, n),
-		queues:      make([]map[int][][]byte, n),
-		conds:       make([]*sync.Cond, n),
-	}
-	eps := make([]*Local, n)
-	for i := 0; i < n; i++ {
-		w.queues[i] = make(map[int][][]byte)
-		w.conds[i] = sync.NewCond(&w.mu)
-		eps[i] = &Local{rank: i, world: w}
-	}
-	if w.inj != nil {
-		w.streams = make([][]*localStream, n)
-		for i := 0; i < n; i++ {
-			w.streams[i] = make([]*localStream, n)
-			for j := 0; j < n; j++ {
-				w.streams[i][j] = &localStream{held: make(map[uint64][]byte)}
+	w := &localWorld{eps: make([]*Local, n), opts: o, epoch: time.Now()}
+	for i := range w.eps {
+		l := &Local{rank: i, world: w, in: make([]fifo, n)}
+		l.delivered = sync.NewCond(&l.mu)
+		l.timer = time.AfterFunc(time.Hour, l.tick)
+		l.timer.Stop()
+		if o.injector != nil {
+			l.streams = make([]localStream, n)
+			for j := range l.streams {
+				l.streams[j].held = make(map[uint64][]byte)
 			}
 		}
+		w.eps[i] = l
 	}
-	return eps, nil
+	return slices.Clone(w.eps), nil
 }
 
 // Rank returns the endpoint's rank.
 func (l *Local) Rank() int { return l.rank }
 
 // Size returns the world size.
-func (l *Local) Size() int { return l.world.size }
+func (l *Local) Size() int { return len(l.world.eps) }
 
-// Send copies data into dst's queue (immediately, or through the fault
-// injector's emulated network when the world has one).
+// now is the world's clock: nanoseconds since its epoch.
+func (w *localWorld) now() int64 { return int64(time.Since(w.epoch)) }
+
+// Send copies data into dst's inbox from this endpoint (immediately, or
+// through the fault injector's emulated network when the world has one).
+// The copy comes from dst's free list, which dst's Recycle refills.
 func (l *Local) Send(dst int, data []byte) error {
-	if err := rankCheck(dst, l.world.size); err != nil {
+	w := l.world
+	if err := rankCheck(dst, len(w.eps)); err != nil {
 		return err
 	}
-	w := l.world
-	w.mu.Lock()
-	if w.closed[l.rank] || w.closed[dst] {
-		w.mu.Unlock()
+	d := w.eps[dst]
+	d.mu.Lock()
+	if l.closed.Load() || d.closed.Load() {
+		d.mu.Unlock()
 		return ErrClosed
 	}
-	cp := w.free.take(len(data))
+	cp := d.free.take(len(data))
 	copy(cp, data)
-	w.metrics.msgsSent.Inc()
-	w.metrics.bytesSent.Add(int64(len(data)))
-	if w.inj == nil {
-		w.queues[dst][l.rank] = append(w.queues[dst][l.rank], cp)
-		w.conds[dst].Broadcast()
-		w.mu.Unlock()
+	w.opts.metrics.msgsSent.Inc()
+	w.opts.metrics.bytesSent.Add(int64(len(data)))
+	if w.opts.injector == nil {
+		d.deliverLocked(l.rank, cp)
+		d.mu.Unlock()
 		return nil
 	}
-	st := w.streams[l.rank][dst]
+	st := &d.streams[l.rank]
 	seq := st.nextSeq
 	st.nextSeq++
-	w.mu.Unlock()
+	d.mu.Unlock()
 	w.route(l.rank, dst, seq, cp) //nolint:netpart/allocfree reason=fault-injection path only; the steady state returns through the inj==nil fast path above, and chaos-mode retry timers may allocate
 	return nil
+}
+
+// deliverLocked files msg in src's inbox and wakes the blocked receivers,
+// if any. Caller holds mu.
+func (l *Local) deliverLocked(src int, msg []byte) {
+	l.in[src].push(msg)
+	if l.waiting > 0 {
+		l.delivered.Broadcast()
+	}
 }
 
 // route consults the injector for one message and schedules its delivery:
@@ -128,15 +136,11 @@ func (l *Local) Send(dst int, data []byte) error {
 // partition lets the retry through), delays deliver late, duplicates are
 // suppressed (this transport is reliable; the engine still counts them).
 func (w *localWorld) route(src, dst int, seq uint64, data []byte) {
-	nowMs := float64(time.Since(w.epoch)) / float64(time.Millisecond)
-	fate := w.inj.Packet(src, dst, nowMs)
+	fate := w.opts.injector.Packet(src, dst, float64(w.now())/float64(time.Millisecond))
 	switch {
 	case fate.Drop:
-		time.AfterFunc(w.rto, func() {
-			w.mu.Lock()
-			dead := w.closed[src] || w.closed[dst]
-			w.mu.Unlock()
-			if dead {
+		time.AfterFunc(w.opts.rto, func() {
+			if w.eps[src].closed.Load() || w.eps[dst].closed.Load() {
 				w.deliverSeq(src, dst, seq, nil) // tombstone: unblock the stream
 				return
 			}
@@ -152,159 +156,116 @@ func (w *localWorld) route(src, dst int, seq uint64, data []byte) {
 }
 
 // deliverSeq hands one sequenced message to the (src,dst) stream and
-// drains every in-order message into dst's queue. A nil data tombstones
+// drains every in-order message into dst's inbox. A nil data tombstones
 // the sequence number (abandoned delivery) so later messages still flow.
 func (w *localWorld) deliverSeq(src, dst int, seq uint64, data []byte) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	st := w.streams[src][dst]
+	d := w.eps[dst]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	st := &d.streams[src]
 	if seq < st.nextDeliver {
 		return
 	}
 	st.held[seq] = data
-	delivered := false
 	for {
-		d, ok := st.held[st.nextDeliver]
+		msg, ok := st.held[st.nextDeliver]
 		if !ok {
-			break
+			return
 		}
 		delete(st.held, st.nextDeliver)
 		st.nextDeliver++
-		if d != nil && !w.closed[dst] {
-			w.queues[dst][src] = append(w.queues[dst][src], d)
-			delivered = true
+		if msg != nil && !d.closed.Load() {
+			d.deliverLocked(src, msg)
 		}
-	}
-	if delivered {
-		w.conds[dst].Broadcast()
 	}
 }
 
-// popLocked removes and returns the head of dst's queue from src, which
-// must be non-empty. When the pop empties the queue, the slice is reset to
-// its backing array's start so the window stops sliding and steady-state
-// appends stay allocation-free. The caller must hold w.mu.
+// popLocked removes and returns the head of src's inbox, which must be
+// non-empty. Caller holds mu.
 //
 //netpart:hotpath
-func (w *localWorld) popLocked(dst, src int) []byte {
-	q := w.queues[dst][src]
-	msg := q[0]
-	if len(q) == 1 {
-		w.queues[dst][src] = q[:0]
-	} else {
-		w.queues[dst][src] = q[1:]
-	}
-	w.metrics.msgsRecv.Inc()
-	w.metrics.bytesRecv.Add(int64(len(msg)))
+func (l *Local) popLocked(src int) []byte {
+	msg := l.in[src].pop()
+	l.world.opts.metrics.msgsRecv.Inc()
+	l.world.opts.metrics.bytesRecv.Add(int64(len(msg)))
 	return msg
 }
 
-// Recv blocks for the next message from src.
-func (l *Local) Recv(src int) ([]byte, error) {
-	if err := rankCheck(src, l.world.size); err != nil {
-		return nil, err
-	}
-	w := l.world
-	// Fast path: a queued message returns without arming the timeout
-	// watchdog (a timer allocation per call on the exchange hot path).
-	w.mu.Lock()
-	if w.closed[l.rank] {
-		w.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if len(w.queues[l.rank][src]) > 0 {
-		msg := w.popLocked(l.rank, src)
-		w.mu.Unlock()
-		return msg, nil
-	}
-	w.mu.Unlock()
-	deadline := time.Now().Add(w.recvTimeout)
-	// A watchdog wakes the condition variable at the deadline so a blocked
-	// receiver can observe the timeout.
-	timer := time.AfterFunc(w.recvTimeout, func() {
-		w.mu.Lock()
-		w.conds[l.rank].Broadcast()
-		w.mu.Unlock()
-	})
-	defer timer.Stop()
-
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// recv blocks for the next message from a source in [lo, hi), scanning
+// inboxes in ascending rank order, for at most d. A blocked receiver arms
+// the endpoint's timer for its deadline unless it is already due sooner;
+// the last one to leave disarms it.
+func (l *Local) recv(lo, hi int, d time.Duration) (int, []byte, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var deadline int64
 	for {
-		if w.closed[l.rank] {
-			return nil, ErrClosed
+		if l.closed.Load() {
+			return -1, nil, ErrClosed
 		}
-		if len(w.queues[l.rank][src]) > 0 {
-			return w.popLocked(l.rank, src), nil
+		for src := lo; src < hi; src++ {
+			if l.in[src].n > 0 {
+				return src, l.popLocked(src), nil
+			}
 		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("%w: from rank %d", ErrTimeout, src)
+		now := l.world.now()
+		if deadline == 0 {
+			deadline = now + int64(d)
 		}
-		w.conds[l.rank].Wait()
+		if now >= deadline {
+			return -1, nil, ErrTimeout
+		}
+		if l.timerAt == 0 || deadline < l.timerAt {
+			l.timerAt = deadline
+			l.timer.Reset(time.Duration(deadline - now))
+		}
+		l.waiting++
+		l.delivered.Wait()
+		if l.waiting--; l.waiting == 0 {
+			l.timer.Stop()
+			l.timerAt = 0
+		}
 	}
 }
 
-// RecvAny blocks for the next message from any peer, scanning queues in
+// tick is the endpoint's timer. It wakes every blocked receiver: the one
+// whose deadline came returns ErrTimeout, the others arm the timer again.
+func (l *Local) tick() {
+	l.mu.Lock()
+	l.timerAt = 0
+	l.delivered.Broadcast()
+	l.mu.Unlock()
+}
+
+// Recv blocks for the next message from src, up to the receive timeout.
+func (l *Local) Recv(src int) ([]byte, error) {
+	return recvFrom(l, src, l.Size(), l.world.opts.recvTimeout)
+}
+
+// RecvAny blocks for the next message from any peer, scanning inboxes in
 // ascending rank order. d <= 0 means the world's receive timeout.
 func (l *Local) RecvAny(d time.Duration) (int, []byte, error) {
 	if d <= 0 {
-		d = l.world.recvTimeout
+		d = l.world.opts.recvTimeout
 	}
-	w := l.world
-	w.mu.Lock()
-	if w.closed[l.rank] {
-		w.mu.Unlock()
-		return -1, nil, ErrClosed
-	}
-	for src := 0; src < w.size; src++ {
-		if len(w.queues[l.rank][src]) > 0 {
-			msg := w.popLocked(l.rank, src)
-			w.mu.Unlock()
-			return src, msg, nil
-		}
-	}
-	w.mu.Unlock()
-	deadline := time.Now().Add(d)
-	timer := time.AfterFunc(d, func() {
-		w.mu.Lock()
-		w.conds[l.rank].Broadcast()
-		w.mu.Unlock()
-	})
-	defer timer.Stop()
-
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for {
-		if w.closed[l.rank] {
-			return -1, nil, ErrClosed
-		}
-		for src := 0; src < w.size; src++ {
-			if len(w.queues[l.rank][src]) > 0 {
-				return src, w.popLocked(l.rank, src), nil
-			}
-		}
-		if time.Now().After(deadline) {
-			return -1, nil, ErrTimeout
-		}
-		w.conds[l.rank].Wait()
-	}
+	return l.recv(0, len(l.world.eps), d)
 }
 
-// Recycle implements Recycler: a delivered buffer rejoins the world's free
-// list for a later Send to reuse. The caller must not touch buf afterwards.
+// Recycle implements Recycler: a delivered buffer rejoins this endpoint's
+// free list, from which a later Send to it takes its copy. The caller must
+// not touch buf afterwards.
 func (l *Local) Recycle(buf []byte) {
-	w := l.world
-	w.mu.Lock()
-	w.free.put(buf)
-	w.mu.Unlock()
+	l.mu.Lock()
+	l.free.put(buf)
+	l.mu.Unlock()
 }
 
-// Close marks the endpoint closed and wakes blocked receivers.
+// Close marks the endpoint closed and wakes its blocked receivers, which
+// return ErrClosed; the last of them disarms the timer.
 func (l *Local) Close() error {
-	w := l.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.closed[l.rank] = true
-	w.conds[l.rank].Broadcast()
+	l.mu.Lock()
+	l.closed.Store(true)
+	l.delivered.Broadcast()
+	l.mu.Unlock()
 	return nil
 }

@@ -172,6 +172,21 @@ func WithMetrics(r *obs.Registry) Option {
 	}
 }
 
+// recvFrom is Recv on either transport: a receive from src alone, whose
+// timeout error names it.
+func recvFrom(r interface {
+	recv(lo, hi int, d time.Duration) (int, []byte, error)
+}, src, size int, d time.Duration) ([]byte, error) {
+	if err := rankCheck(src, size); err != nil {
+		return nil, err
+	}
+	_, msg, err := r.recv(src, src+1, d)
+	if err == ErrTimeout {
+		err = fmt.Errorf("%w: from rank %d", ErrTimeout, src)
+	}
+	return msg, err
+}
+
 // rankCheck validates a peer rank.
 func rankCheck(rank, size int) error {
 	if rank < 0 || rank >= size {

@@ -336,8 +336,8 @@ func TestInconsistentFragmentsDropped(t *testing.T) {
 	if acks := c.storeLocked(in, frag(2, 3, "i"), nil); len(acks) != 1 || acks[0] != (ackRun{0, 0, 3}) {
 		t.Fatalf("completing fragment: acks %v", acks)
 	}
-	if len(in.inbox) != 1 || string(in.inbox[0]) != "abcdefghi" {
-		t.Fatalf("delivered %q", in.inbox)
+	if in.inbox.n != 1 || string(in.inbox.pop()) != "abcdefghi" {
+		t.Fatalf("delivered %d messages", in.inbox.n)
 	}
 }
 

@@ -54,3 +54,34 @@ func (f *freeList) put(buf []byte) {
 		*f = append(*f, buf)
 	}
 }
+
+// fifo is one source's inbox on either transport: delivered messages in
+// arrival order, n of them from ring[head] on. The ring doubles when full
+// and otherwise stays put, so an inbox that has been as deep before takes
+// and gives up messages without allocating. The caller must hold the
+// owner's lock.
+type fifo struct {
+	ring    [][]byte // len is 0 or a power of two
+	head, n int
+}
+
+func (q *fifo) push(msg []byte) {
+	if q.n == len(q.ring) {
+		grown := make([][]byte, max(4, 2*len(q.ring)))
+		copy(grown[copy(grown, q.ring[q.head:]):], q.ring[:q.head])
+		q.ring, q.head = grown, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = msg
+	q.n++
+}
+
+// pop removes and returns the oldest message; the fifo must not be empty.
+//
+//netpart:hotpath
+func (q *fifo) pop() []byte {
+	msg := q.ring[q.head]
+	q.ring[q.head] = nil
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+	return msg
+}

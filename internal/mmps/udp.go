@@ -91,11 +91,11 @@ type outStream struct {
 // with the one before, so the first fragment of a later message means the
 // partial one was given up (retries exhausted) and takes over the slot.
 type inStream struct {
-	expected  uint32   // the message being reassembled, the next to deliver
-	inbox     [][]byte // delivered messages
-	fragCount uint32   // of message expected; 0 until its first fragment
-	low       uint32   // lowest fragment still missing
-	have      []bool   // per fragment: stored
+	expected  uint32 // the message being reassembled, the next to deliver
+	inbox     fifo   // delivered messages
+	fragCount uint32 // of message expected; 0 until its first fragment
+	low       uint32 // lowest fragment still missing
+	have      []bool // per fragment: stored
 	buf       []byte
 	size      int // message length, known once the last fragment is in
 	// The ack being coalesced: fragments [ackLo, ackLo+ackN) of message
@@ -520,7 +520,7 @@ func (c *Conn) storeLocked(in *inStream, p packet, acks []ackRun) []ackRun {
 		acks = append(acks, ackRun{p.seq, in.ackLo, in.ackN})
 		in.ackN = 0
 		if complete {
-			in.inbox = append(in.inbox, in.buf[:in.size])
+			in.inbox.push(in.buf[:in.size])
 			in.expected, in.fragCount, in.buf = in.expected+1, 0, nil
 			c.delivered.Broadcast()
 		}
@@ -529,16 +529,9 @@ func (c *Conn) storeLocked(in *inStream, p packet, acks []ackRun) []ackRun {
 }
 
 // popLocked removes and returns the head of src's inbox, which must be
-// non-empty; emptying it rewinds the slice to its backing array's start so
-// steady-state appends stay allocation-free. Caller holds mu.
+// non-empty. Caller holds mu.
 func (c *Conn) popLocked(src int) []byte {
-	in := &c.in[src]
-	msg := in.inbox[0]
-	if len(in.inbox) == 1 {
-		in.inbox = in.inbox[:0]
-	} else {
-		in.inbox = in.inbox[1:]
-	}
+	msg := c.in[src].inbox.pop()
 	c.opts.metrics.msgsRecv.Inc()
 	c.opts.metrics.bytesRecv.Add(int64(len(msg)))
 	return msg
@@ -557,7 +550,7 @@ func (c *Conn) recv(lo, hi int, d time.Duration) (int, []byte, error) {
 			return -1, nil, ErrClosed
 		}
 		for src := lo; src < hi; src++ {
-			if len(c.in[src].inbox) > 0 {
+			if c.in[src].inbox.n > 0 {
 				return src, c.popLocked(src), nil
 			}
 		}
@@ -585,16 +578,7 @@ func (c *Conn) recv(lo, hi int, d time.Duration) (int, []byte, error) {
 }
 
 // Recv blocks for the next message from src, up to the receive timeout.
-func (c *Conn) Recv(src int) ([]byte, error) {
-	if err := rankCheck(src, c.size); err != nil {
-		return nil, err
-	}
-	_, msg, err := c.recv(src, src+1, c.opts.recvTimeout)
-	if err == ErrTimeout {
-		err = fmt.Errorf("%w: from rank %d", ErrTimeout, src)
-	}
-	return msg, err
-}
+func (c *Conn) Recv(src int) ([]byte, error) { return recvFrom(c, src, c.size, c.opts.recvTimeout) }
 
 // RecvAny blocks for the next message from any peer, scanning inboxes in
 // ascending rank order. d <= 0 means the world's receive timeout.

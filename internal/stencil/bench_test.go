@@ -50,12 +50,14 @@ func BenchmarkBlockSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkHaloExchange measures one full border exchange between two ranks
-// over the in-memory transport through the cycle driver's live link: encode
-// both ghost rows as halo frames, send, receive, decode, and recycle the
-// delivered buffers — the per-cycle communication work of the live
-// runtimes. CI hard-gates this at zero allocations per op once the
-// transport free lists are warm.
+// BenchmarkHaloExchange measures the live link's share of one border
+// exchange between two ranks over the in-memory transport: encode both
+// ghost rows as halo frames, send, receive, decode, and recycle the
+// delivered buffers. Both ranks run on one goroutine, so every Recv finds
+// its message already queued and never blocks: this is the codec and the
+// transport's copy, not the wait (BenchmarkMMPSHaloLocal, at the root, has
+// blocking receives). CI hard-gates this at zero allocations per op once
+// the transport free lists are warm.
 func BenchmarkHaloExchange(b *testing.B) {
 	const n = 240
 	world, err := mmps.NewLocalWorld(2)

@@ -47,9 +47,9 @@ type link interface {
 	// operations to virtual time, and lets the update run beside the
 	// other ranks' while this rank is parked in that time.
 	compute(s *rankState, lo, hi int, factor float64)
-	// endCycle reports one finished cycle that began at startMs and spent
-	// exchangeMs sending and waiting on receives.
-	endCycle(iter int, startMs, exchangeMs float64)
+	// endCycle reports one finished cycle that ran from startMs to endMs and
+	// spent exchangeMs sending and waiting on receives.
+	endCycle(iter int, startMs, endMs, exchangeMs float64)
 }
 
 // job is one distributed run: the problem, the policies the entry point
@@ -248,6 +248,12 @@ func (j *job) block(rows int) (block, *[]float64) {
 // interior rows, which need no ghost data (Eq. 4–6). The exchange time
 // reported per cycle covers the sends and the receive waits only.
 //
+// The clock is read only where a reading is used: a cycle starts at the
+// previous cycle's end reading, and on STEN-1 the reading after the sends
+// also starts the receives, so a STEN-1 cycle takes three readings and a
+// STEN-2 cycle four (plus one when the call opens); computeRows takes its
+// own two only when a repartitioning round will read them.
+//
 // Sending both borders before receiving is a send-send cycle between
 // neighbours, so the order is only live on a transport whose Send queues
 // the message and returns. That is the contract of mmps.Transport.Send and
@@ -274,8 +280,7 @@ func (s *rankState) cycles(from, to int) error {
 		copy(into, h.vals)
 		return nil
 	}
-	recvGhosts := func(iter int) error {
-		start := lk.nowMs()
+	recvGhosts := func(iter int, start float64) error {
 		if hasNorth {
 			if err := recvGhost(north, s.off-1, iter, s.cur.row(0)); err != nil {
 				return err
@@ -290,8 +295,8 @@ func (s *rankState) cycles(from, to int) error {
 		return nil
 	}
 
+	start := lk.nowMs()
 	for iter := from; iter < to; iter++ {
-		start := lk.nowMs()
 		s.delta = 0
 		if hasNorth {
 			if err := lk.Send(north, halo{s.off, iter, s.cur.row(1)}); err != nil {
@@ -303,10 +308,11 @@ func (s *rankState) cycles(from, to int) error {
 				return err
 			}
 		}
-		exchangeMs = lk.nowMs() - start
+		sent := lk.nowMs()
+		exchangeMs = sent - start
 		switch s.job.v {
 		case STEN1:
-			if err := recvGhosts(iter); err != nil {
+			if err := recvGhosts(iter, sent); err != nil {
 				return err
 			}
 			s.computeRows(1, s.rows, iter)
@@ -314,7 +320,7 @@ func (s *rankState) cycles(from, to int) error {
 			if s.rows > 2 {
 				s.computeRows(2, s.rows-1, iter)
 			}
-			if err := recvGhosts(iter); err != nil {
+			if err := recvGhosts(iter, lk.nowMs()); err != nil {
 				return err
 			}
 			s.computeRows(1, 1, iter)
@@ -323,18 +329,25 @@ func (s *rankState) cycles(from, to int) error {
 			}
 		}
 		s.cur.flip()
-		lk.endCycle(iter, start, exchangeMs)
+		end := lk.nowMs()
+		lk.endCycle(iter, start, end, exchangeMs)
+		start = end
 	}
 	return nil
 }
 
-// computeRows updates local rows [lo, hi] under the job's load and adds
-// the time it took, on the link's clock, to the measurement window the
-// next repartitioning round reports. One link call covers the whole span.
+// computeRows updates local rows [lo, hi] under the job's load and, in a
+// job that repartitions, adds the time it took, on the link's clock, to the
+// measurement window the next repartitioning round reports. One link call
+// covers the whole span.
 func (s *rankState) computeRows(lo, hi, iter int) {
 	factor := 1.0
 	if s.job.load != nil {
 		factor = s.job.load(s.lk.Rank(), iter)
+	}
+	if s.job.every == 0 {
+		s.lk.compute(s, lo, hi, factor)
+		return
 	}
 	start := s.lk.nowMs()
 	s.lk.compute(s, lo, hi, factor)

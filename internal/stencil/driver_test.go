@@ -409,6 +409,52 @@ func TestOverlappedUpdatePanicIsAnError(t *testing.T) {
 	}
 }
 
+// countingLink is a simLink that counts its clock readings.
+type countingLink struct {
+	simLink
+	reads *int
+}
+
+func (l countingLink) nowMs() float64 {
+	*l.reads++
+	return l.simLink.nowMs()
+}
+
+// TestDriverClockReads: the cycle driver reads the clock once on entry and
+// then at most 3 times per STEN-1 cycle (after the sends, after the
+// receives, at the end) and 4 per STEN-2 cycle (the receives get a start of
+// their own) in a run that does not repartition, on edge and middle ranks,
+// with one rank loaded. The reads it leaves out are the ones nothing used.
+func TestDriverClockReads(t *testing.T) {
+	const n, iters = 64, 7
+	vec := core.Vector{16, 16, 16, 16}
+	names, counts := paperConfig(2, 2).Active()
+	pl, err := topo.Contiguous(names, counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, perCycle := range map[Variant]int{STEN1: 3, STEN2: 4} {
+		j, err := newJob(vec, pl.NumTasks(), v, n, iters, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.load = func(rank, _ int) float64 { return float64(1 + rank%2) }
+		errs, reads := make([]error, len(vec)), make([]int, len(vec))
+		_, err = spmd.Run(spmd.Job{
+			Net: model.PaperTestbed(), Placement: pl, Vector: vec, Topology: topo.OneD{},
+			Body: func(t *spmd.Task) { errs[t.Rank()] = j.runRank(countingLink{simLink{t}, &reads[t.Rank()]}) },
+		})
+		if _, err = j.finish(errs, err); err != nil {
+			t.Fatal(err)
+		}
+		for rank, got := range reads {
+			if want := 1 + perCycle*iters; got > want {
+				t.Errorf("%s rank %d: %d clock reads over %d cycles, want at most %d", v, rank, got, iters, want)
+			}
+		}
+	}
+}
+
 // TestDriverDegenerateRuns: no iterations returns the initial condition
 // straight from the ranks' blocks, and a single rank has no ghost row that
 // is ever received — its never-written ghost storage must not reach the

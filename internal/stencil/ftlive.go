@@ -670,8 +670,8 @@ func (l *ftLink) Recv(src int) (halo, error) {
 
 // endCycle observes the cycle through the live link and counts it as
 // executed: the task's iteration is the next cycle's from here on.
-func (l *ftLink) endCycle(iter int, startMs, exchangeMs float64) {
-	l.liveLink.endCycle(iter, startMs, exchangeMs)
+func (l *ftLink) endCycle(iter int, startMs, endMs, exchangeMs float64) {
+	l.liveLink.endCycle(iter, startMs, endMs, exchangeMs)
 	l.t.iter = iter + 1
 	l.t.executed++
 }

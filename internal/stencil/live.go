@@ -244,8 +244,8 @@ func loadReps(factor float64) int {
 }
 
 //netpart:wallclock
-func (l *liveLink) endCycle(iter int, startMs, exchangeMs float64) {
-	cycle := l.nowMs() - startMs
+func (l *liveLink) endCycle(iter int, startMs, endMs, exchangeMs float64) {
+	cycle := endMs - startMs
 	rank := l.tr.Rank()
 	l.cycleMs.Observe(cycle)
 	l.exchangeMs.Observe(exchangeMs)

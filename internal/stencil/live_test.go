@@ -1,6 +1,7 @@
 package stencil
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -37,6 +38,31 @@ func udpWorld(t *testing.T, n int) []mmps.Transport {
 func closeWorld(world []mmps.Transport) {
 	for _, tr := range world {
 		tr.Close()
+	}
+}
+
+// TestLiveOnOneProcLosesNoWakeup: with every rank on one processor, nearly
+// every receive blocks before its neighbour has sent, so a delivery that
+// failed to wake its receiver would stall the run into the receive timeout.
+// It finishes, bit-exact, on both variants.
+func TestLiveOnOneProcLosesNoWakeup(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n, iters = 48, 2000
+	want := Sequential(NewGrid(n), iters)
+	for _, v := range []Variant{STEN1, STEN2} {
+		eps, err := mmps.NewLocalWorld(4, mmps.WithRecvTimeout(5*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		world := []mmps.Transport{eps[0], eps[1], eps[2], eps[3]}
+		res, err := RunLive(world, core.Vector{12, 12, 12, 12}, v, n, iters, nil)
+		closeWorld(world)
+		if err != nil {
+			t.Fatalf("%s: %v", v, err)
+		}
+		if !gridsEqual(res.Grid, want) {
+			t.Errorf("%s: live grid differs from sequential", v)
+		}
 	}
 }
 

@@ -251,7 +251,7 @@ func getBlock(rows, width int) (block, *[]float64) {
 // block afterwards: the next getBlock may hand its cells to another run.
 func putBlock(p *[]float64) { dirtyCells.Put(p) }
 
-func (l simLink) endCycle(_ int, _, exchangeMs float64) {
+func (l simLink) endCycle(_ int, _, _, exchangeMs float64) {
 	l.t.ObserveExchange(exchangeMs)
 	l.t.EndCycle()
 }
