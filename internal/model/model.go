@@ -15,6 +15,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 )
@@ -164,7 +165,10 @@ var (
 // Validate checks the model against the paper's three structural
 // assumptions: equal segment bandwidth, one cluster per segment, and a
 // single router joining every pair of segments. It also checks basic
-// parameter sanity (positive speeds and counts).
+// parameter sanity: positive counts, speeds and bandwidths, and finite,
+// non-negative costs (zero is a legal cost). A NaN would break the
+// simulator's event order and an infinity would turn every time into one,
+// so both are refused by field name.
 func (n *Network) Validate() error {
 	if len(n.Clusters) == 0 {
 		return ErrNoClusters
@@ -177,8 +181,8 @@ func (n *Network) Validate() error {
 		if _, dup := segByName[s.Name]; dup {
 			return fmt.Errorf("%w: segment %q", ErrDuplicateName, s.Name)
 		}
-		if s.BytesPerMs <= 0 {
-			return fmt.Errorf("%w: segment %q bandwidth %v", ErrBadParameter, s.Name, s.BytesPerMs)
+		if !isPositive(s.BytesPerMs) {
+			return paramError("segment", s.Name, "BytesPerMs", s.BytesPerMs)
 		}
 		segByName[s.Name] = s
 	}
@@ -214,12 +218,24 @@ func (n *Network) Validate() error {
 		if c.Available < 0 || c.Available > c.Procs {
 			return fmt.Errorf("%w: cluster %q available=%d of %d", ErrBadParameter, c.Name, c.Available, c.Procs)
 		}
-		if c.FloatOpTime <= 0 || c.IntOpTime <= 0 {
-			return fmt.Errorf("%w: cluster %q op times (%v, %v)", ErrBadParameter, c.Name, c.FloatOpTime, c.IntOpTime)
+		switch {
+		case !isPositive(c.FloatOpTime):
+			return paramError("cluster", c.Name, "FloatOpTime", c.FloatOpTime)
+		case !isPositive(c.IntOpTime):
+			return paramError("cluster", c.Name, "IntOpTime", c.IntOpTime)
+		case !isCost(c.MsgOverheadMs):
+			return paramError("cluster", c.Name, "MsgOverheadMs", c.MsgOverheadMs)
+		case !isCost(c.HostPerByteMs):
+			return paramError("cluster", c.Name, "HostPerByteMs", c.HostPerByteMs)
 		}
-		if c.MsgOverheadMs < 0 || c.HostPerByteMs < 0 {
-			return fmt.Errorf("%w: cluster %q comm costs (%v, %v)", ErrBadParameter, c.Name, c.MsgOverheadMs, c.HostPerByteMs)
-		}
+	}
+	switch {
+	case !isCost(n.Router.PerByteMs):
+		return paramError("router", n.Router.Name, "PerByteMs", n.Router.PerByteMs)
+	case !isCost(n.Router.PerMessageMs):
+		return paramError("router", n.Router.Name, "PerMessageMs", n.Router.PerMessageMs)
+	case !isCost(n.Coerce.PerByteMs):
+		return paramError("coercion", "", "PerByteMs", n.Coerce.PerByteMs)
 	}
 	if len(n.Segments) > 1 {
 		joined := make(map[string]bool, len(n.Router.Segments))
@@ -269,6 +285,20 @@ func (n *Network) TotalProcs() int {
 		sum += c.Procs
 	}
 	return sum
+}
+
+// isCost reports whether v is a finite, non-negative cost, and isPositive
+// whether it is finite and above zero (a speed or a bandwidth). Both refuse
+// NaN, whose comparisons are all false.
+func isCost(v float64) bool     { return v >= 0 && v <= math.MaxFloat64 }
+func isPositive(v float64) bool { return v > 0 && v <= math.MaxFloat64 }
+
+// paramError names the refused field and its owner.
+func paramError(owner, name, field string, v float64) error {
+	if name != "" {
+		owner = fmt.Sprintf("%s %q", owner, name)
+	}
+	return fmt.Errorf("%w: %s %s = %v", ErrBadParameter, owner, field, v)
 }
 
 // BySpeed returns the clusters ordered fastest-first by the instruction

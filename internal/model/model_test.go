@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -98,6 +99,42 @@ func TestValidateRejectsBadParameters(t *testing.T) {
 				t.Errorf("Validate() = %v, want ErrBadParameter", err)
 			}
 		})
+	}
+}
+
+// TestValidateRefusesNonFiniteCosts covers every float field of the model:
+// NaN and ±Inf are refused everywhere, negatives wherever a cost is read,
+// and the error names the field. A zero cost stays legal.
+func TestValidateRefusesNonFiniteCosts(t *testing.T) {
+	fields := []struct {
+		field string
+		at    func(*Network) *float64
+	}{
+		{"BytesPerMs", func(n *Network) *float64 { return &n.Segments[0].BytesPerMs }},
+		{"FloatOpTime", func(n *Network) *float64 { return &n.Clusters[0].FloatOpTime }},
+		{"IntOpTime", func(n *Network) *float64 { return &n.Clusters[1].IntOpTime }},
+		{"MsgOverheadMs", func(n *Network) *float64 { return &n.Clusters[0].MsgOverheadMs }},
+		{"HostPerByteMs", func(n *Network) *float64 { return &n.Clusters[1].HostPerByteMs }},
+		{"PerByteMs", func(n *Network) *float64 { return &n.Router.PerByteMs }},
+		{"PerMessageMs", func(n *Network) *float64 { return &n.Router.PerMessageMs }},
+		{"PerByteMs", func(n *Network) *float64 { return &n.Coerce.PerByteMs }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -5} {
+			n := PaperTestbed()
+			n.Metasystem = true // judge the one segment alone, not the equal-bandwidth rule
+			*f.at(n) = v
+			err := n.Validate()
+			if !errors.Is(err, ErrBadParameter) || !strings.Contains(err.Error(), f.field) {
+				t.Errorf("%s = %v: Validate() = %v, want ErrBadParameter naming %s", f.field, v, err, f.field)
+			}
+		}
+	}
+	n := PaperTestbed()
+	n.Clusters[0].MsgOverheadMs, n.Clusters[0].HostPerByteMs = 0, 0
+	n.Router.PerByteMs, n.Router.PerMessageMs, n.Coerce.PerByteMs = 0, 0, 0
+	if err := n.Validate(); err != nil {
+		t.Errorf("zero costs: Validate() = %v, want nil", err)
 	}
 }
 

@@ -31,7 +31,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"runtime"
 	"sort"
@@ -73,30 +72,92 @@ const (
 	evFn                       // run fn
 )
 
-// maxFreeEvents bounds the event free list. The live set of events is
-// proportional to tasks plus in-flight messages, so the pool's high-water
-// mark is small; the cap only guards against a pathological burst pinning
-// memory forever.
-const maxFreeEvents = 4096
+// maxFree bounds the event and message free lists. The live set of events
+// and messages is proportional to tasks plus in-flight messages, so a pool's
+// high-water mark is small; the cap only guards against a pathological
+// burst pinning memory forever.
+const maxFree = 4096
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// before is the event order: virtual time, then sequence number. Sequence
+// numbers are unique, so the order is total and pop order does not depend
+// on the heap's layout.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// eventQueue is a binary min-heap of events under before, typed so that no
+// push or pop boxes an event in an interface.
+type eventQueue []*event
+
+//netpart:hotpath
+func (q *eventQueue) push(ev *event) {
+	h := append(*q, ev)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h[i].before(h[up]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
+	*q = h
+}
+
+//netpart:hotpath
+func (q *eventQueue) pop() *event {
+	h := *q
+	n := len(h) - 1
+	top := h[0]
+	h[0], h[n] = h[n], nil
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h
+	return top
+}
+
+// msgQueue is a FIFO of messages that keeps its backing array: pop
+// advances a head index instead of reslicing (which leaves the next append
+// no room), and push slides the live messages to the front only when the
+// array is full. A queue that drains now and then never reallocates.
+type msgQueue struct {
+	items []*Message
+	head  int
+}
+
+func (q *msgQueue) len() int { return len(q.items) - q.head }
+
+//netpart:hotpath
+func (q *msgQueue) push(msg *Message) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, msg)
+}
+
+//netpart:hotpath
+func (q *msgQueue) pop() *Message {
+	msg := q.items[q.head]
+	q.items[q.head] = nil
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return msg
 }
 
 // segment tracks the shared channel of one network segment as a FIFO
@@ -129,8 +190,9 @@ type Sim struct {
 	segments map[string]*segment
 	now      float64
 	seq      int64
-	events   eventHeap
-	free     []*event // recycled event structs (see event)
+	events   eventQueue
+	free     []*event   // recycled event structs (see event)
+	freeMsgs []*Message // recycled message structs (see Proc.Recv)
 	procs    []*Proc
 	running  bool
 	// launched counts the procs whose goroutines Run has started; tasks
@@ -170,14 +232,9 @@ type Sim struct {
 // head therefore delays everything after it (head-of-line blocking), so
 // injected loss costs latency without ever reordering delivery.
 type injStream struct {
-	queue []*injPending
+	dst   *Proc
+	queue msgQueue
 	busy  bool
-}
-
-type injPending struct {
-	msg  *Message
-	from *model.Cluster
-	dst  *Proc
 }
 
 // Delivery describes one delivered message for observers: who sent it,
@@ -306,7 +363,7 @@ func (s *Sim) alloc(at float64) *event {
 func (s *Sim) schedule(at float64, kind eventKind, p *Proc, msg *Message) *event {
 	ev := s.alloc(at)
 	ev.kind, ev.p, ev.msg = kind, p, msg
-	heap.Push(&s.events, ev)
+	s.events.push(ev)
 	return ev
 }
 
@@ -316,13 +373,13 @@ func (s *Sim) schedule(at float64, kind eventKind, p *Proc, msg *Message) *event
 // once the queue is empty.
 func (s *Sim) run() *Proc {
 	for len(s.events) > 0 {
-		ev := heap.Pop(&s.events).(*event)
+		ev := s.events.pop()
 		s.now = ev.at
 		// Recycle before dispatch: the action's fields are copied out, so
 		// anything the action schedules may reuse this struct immediately.
 		kind, p, msg, fn := ev.kind, ev.p, ev.msg, ev.fn
 		ev.p, ev.msg, ev.fn = nil, nil, nil
-		if len(s.free) < maxFreeEvents {
+		if len(s.free) < maxFree {
 			s.free = append(s.free, ev)
 		}
 		switch kind {
@@ -368,7 +425,7 @@ type Proc struct {
 
 	// mailboxes holds queued messages per sender rank (indexed by rank;
 	// sized once in Run, when the rank count is final).
-	mailboxes [][]*Message
+	mailboxes []msgQueue
 	// waitingOn is the sender rank a blocked Recv is waiting for, or -1.
 	waitingOn int
 
@@ -477,7 +534,7 @@ func (s *Sim) Run() error {
 	// slice directly with no map hashing and no growth.
 	for _, p := range s.procs {
 		if len(p.mailboxes) < len(s.procs) {
-			grown := make([][]*Message, len(s.procs))
+			grown := make([]msgQueue, len(s.procs))
 			copy(grown, p.mailboxes)
 			p.mailboxes = grown
 		}
@@ -561,27 +618,33 @@ func (p *Proc) Send(dst *Proc, bytes int, payload interface{}) {
 	}
 	p.sent++
 	p.bytesSent += int64(bytes)
-	msg := &Message{From: p, Bytes: bytes, Payload: payload, SentAt: s.now + cpu}
+	var msg *Message
+	if n := len(s.freeMsgs); n > 0 {
+		msg, s.freeMsgs = s.freeMsgs[n-1], s.freeMsgs[:n-1]
+	} else {
+		msg = new(Message)
+	}
+	*msg = Message{From: p, Bytes: bytes, Payload: payload, SentAt: s.now + cpu}
 	// CPU initiation happens inline; the transmission is scheduled at its
 	// completion.
 	p.Advance(cpu)
-	s.transmit(msg, p.cluster, dst)
+	s.transmit(msg, dst)
 }
 
 // transmit routes one message: straight through the substrate, or through
 // the fault injector's reliable-stream emulation when one is configured.
-func (s *Sim) transmit(msg *Message, from *model.Cluster, dst *Proc) {
+func (s *Sim) transmit(msg *Message, dst *Proc) {
 	if s.inj == nil {
-		s.transmitClean(msg, from, dst)
+		s.transmitClean(msg, dst)
 		return
 	}
 	key := [2]int{msg.From.rank, dst.rank}
 	st := s.injStreams[key]
 	if st == nil {
-		st = &injStream{}
+		st = &injStream{dst: dst}
 		s.injStreams[key] = st
 	}
-	st.queue = append(st.queue, &injPending{msg: msg, from: from, dst: dst})
+	st.queue.push(msg)
 	if !st.busy {
 		s.injPump(st)
 	}
@@ -593,14 +656,12 @@ func (s *Sim) transmit(msg *Message, from *model.Cluster, dst *Proc) {
 // back the head's entry into the channel and, transitively, every
 // successor's.
 func (s *Sim) injPump(st *injStream) {
-	if len(st.queue) == 0 {
+	if st.queue.len() == 0 {
 		st.busy = false
 		return
 	}
 	st.busy = true
-	p := st.queue[0]
-	st.queue = st.queue[1:]
-	s.injAttempt(st, p, 0)
+	s.injAttempt(st, st.queue.pop(), 0)
 }
 
 // injAttempt consults the injector for one transmission attempt of the
@@ -610,28 +671,29 @@ func (s *Sim) injPump(st *injStream) {
 // delivery semantics). A message dropped past simMaxRetries is lost and
 // stalls its stream, surfacing as a blocked receiver in Run's deadlock
 // report — the behavior of a reliable transport over a dead link.
-func (s *Sim) injAttempt(st *injStream, p *injPending, attempt int) {
-	fate := s.inj.Packet(p.msg.From.rank, p.dst.rank, s.now)
+func (s *Sim) injAttempt(st *injStream, msg *Message, attempt int) {
+	fate := s.inj.Packet(msg.From.rank, st.dst.rank, s.now)
 	switch {
 	case fate.Drop:
 		if attempt >= simMaxRetries {
 			return // lost: stream stalls, Run reports the blocked receiver
 		}
-		s.schedule(s.now+s.injRtoMs, evFn, nil, nil).fn = func() { s.injAttempt(st, p, attempt+1) }
+		s.schedule(s.now+s.injRtoMs, evFn, nil, nil).fn = func() { s.injAttempt(st, msg, attempt+1) }
 	case fate.DelayMs > 0:
 		s.schedule(s.now+fate.DelayMs, evFn, nil, nil).fn = func() {
-			s.transmitClean(p.msg, p.from, p.dst)
+			s.transmitClean(msg, st.dst)
 			s.injPump(st)
 		}
 	default:
-		s.transmitClean(p.msg, p.from, p.dst)
+		s.transmitClean(msg, st.dst)
 		s.injPump(st)
 	}
 }
 
 // transmitClean pushes msg through the sender's segment, then (if needed)
 // the router and the destination segment (hop), and finally delivers it.
-func (s *Sim) transmitClean(msg *Message, from *model.Cluster, dst *Proc) {
+func (s *Sim) transmitClean(msg *Message, dst *Proc) {
+	from := msg.From.cluster
 	b := float64(msg.Bytes)
 	src := s.segments[from.Segment]
 	hold := (from.MsgOverheadMs + b*(1/src.spec.BytesPerMs+from.HostPerByteMs)) * s.jitterMul()
@@ -683,7 +745,7 @@ func (s *Sim) deliver(msg *Message, dst *Proc) {
 		})
 	}
 	from := msg.From.rank
-	dst.mailboxes[from] = append(dst.mailboxes[from], msg)
+	dst.mailboxes[from].push(msg)
 	if dst.waitingOn == from {
 		dst.waitingOn = -1
 		s.schedule(s.now, evWake, dst, nil)
@@ -692,15 +754,21 @@ func (s *Sim) deliver(msg *Message, dst *Proc) {
 
 // Recv blocks until a message from src is available, consumes it (charging
 // the receive CPU cost), and returns it. Messages from the same sender are
-// received in transmission order.
-func (p *Proc) Recv(src *Proc) *Message {
-	for len(p.mailboxes[src.rank]) == 0 {
+// received in transmission order. The message is returned by value: its
+// struct goes back to the simulator's free list for the next Send.
+func (p *Proc) Recv(src *Proc) Message {
+	box := &p.mailboxes[src.rank]
+	for box.len() == 0 {
 		p.waitingOn = src.rank
 		p.park()
 	}
-	q := p.mailboxes[src.rank]
-	msg := q[0]
-	p.mailboxes[src.rank] = q[1:]
+	s := p.sim
+	ptr := box.pop()
+	msg := *ptr
+	*ptr = Message{}
+	if len(s.freeMsgs) < maxFree {
+		s.freeMsgs = append(s.freeMsgs, ptr)
+	}
 	p.received++
 	p.Advance(RecvCPUMs)
 	return msg

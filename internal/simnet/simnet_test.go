@@ -2,8 +2,10 @@ package simnet
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -60,7 +62,7 @@ func TestSendRecvSameSegment(t *testing.T) {
 	net := model.PaperTestbed()
 	s, _ := New(net)
 	var procs [2]*Proc
-	var delivered *Message
+	var delivered Message
 	procs[0] = s.Spawn("sender", model.Sparc2Cluster, func(p *Proc) {
 		p.Send(procs[1], 1000, "hello")
 	})
@@ -70,7 +72,7 @@ func TestSendRecvSameSegment(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if delivered == nil || delivered.Payload != "hello" {
+	if delivered.From != procs[0] || delivered.Payload != "hello" {
 		t.Fatalf("message not delivered: %+v", delivered)
 	}
 	// Expected delivery time: send CPU + channel hold.
@@ -88,7 +90,7 @@ func TestSendRecvCrossSegment(t *testing.T) {
 	net := model.PaperTestbed()
 	s, _ := New(net)
 	var procs [2]*Proc
-	var delivered *Message
+	var delivered Message
 	procs[0] = s.Spawn("sender", model.Sparc2Cluster, func(p *Proc) {
 		p.Send(procs[1], 1000, nil)
 	})
@@ -609,5 +611,69 @@ func TestJitterReproducibleAndBounded(t *testing.T) {
 	}()
 	if a1 < clean*0.5 || a1 > clean*1.5 {
 		t.Errorf("jittered elapsed %v far from nominal %v", a1, clean)
+	}
+}
+
+// TestEventQueueOrder: the typed heap pops in the order of a stable sort on
+// time, which, with sequence numbers handed out in push order, is the
+// (at, seq) order the simulator relies on. Times come from a handful of
+// values, so most pops break a tie, and pops are interleaved with pushes
+// at random, including runs that drain the queue.
+func TestEventQueueOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1994))
+	var q eventQueue
+	var pending []*event // in push order
+	var seq int64
+	for step := 0; step < 20000; step++ {
+		if len(pending) == 0 || rng.Intn(3) != 0 {
+			seq++
+			ev := &event{at: float64(rng.Intn(8)) / 4, seq: seq}
+			q.push(ev)
+			pending = append(pending, ev)
+			continue
+		}
+		sort.SliceStable(pending, func(i, j int) bool { return pending[i].at < pending[j].at })
+		want := pending[0]
+		pending = pending[1:]
+		if got := q.pop(); got != want {
+			t.Fatalf("step %d: popped (%v, %d), want (%v, %d)", step, got.at, got.seq, want.at, want.seq)
+		}
+		if len(q) != len(pending) {
+			t.Fatalf("step %d: queue holds %d events, want %d", step, len(q), len(pending))
+		}
+	}
+}
+
+// TestMsgQueueOrder: the mailbox queue is FIFO across its head advancing,
+// its slide to the front when full and its growth, under random pushes
+// and pops; and a queue that drains between pushes keeps its array.
+func TestMsgQueueOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(2741))
+	var q msgQueue
+	var want []*Message
+	for step := 0; step < 20000; step++ {
+		if len(want) == 0 || rng.Intn(2) == 0 {
+			m := &Message{Bytes: step}
+			q.push(m)
+			want = append(want, m)
+		} else if got := q.pop(); got != want[0] {
+			t.Fatalf("step %d: popped message %d, want %d", step, got.Bytes, want[0].Bytes)
+		} else {
+			want = want[1:]
+		}
+		if q.len() != len(want) {
+			t.Fatalf("step %d: queue holds %d messages, want %d", step, q.len(), len(want))
+		}
+	}
+	var drained msgQueue
+	drained.push(&Message{})
+	drained.push(&Message{})
+	before := &drained.items[:1][0]
+	for i := 0; i < 100; i++ {
+		drained.pop()
+		drained.push(&Message{})
+	}
+	if &drained.items[:1][0] != before {
+		t.Error("a queue held at two messages reallocated its array")
 	}
 }

@@ -277,7 +277,9 @@ func (s *rankState) cycles(from, to int) error {
 			return fmt.Errorf("ghost row %d at cycle %d with %d values, want row %d cycle %d (%d values)",
 				h.row, h.cycle, len(h.vals), row, iter, n)
 		}
-		copy(into, h.vals)
+		if !s.job.timeOnly { // a time-only ghost row stays dirty: no update reads it
+			copy(into, h.vals)
+		}
 		return nil
 	}
 	recvGhosts := func(iter int, start float64) error {

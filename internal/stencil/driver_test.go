@@ -374,7 +374,7 @@ func TestRunSimAllocationCeiling(t *testing.T) {
 
 // brokenLink is a simLink whose rank 1 loses its block's storage just before
 // an update, so the update indexes past it.
-type brokenLink struct{ simLink }
+type brokenLink struct{ *simLink }
 
 func (l brokenLink) compute(s *rankState, lo, hi int, factor float64) {
 	if l.Rank() == 1 {
@@ -402,7 +402,7 @@ func TestOverlappedUpdatePanicIsAnError(t *testing.T) {
 	errs := make([]error, len(vec))
 	_, err = spmd.Run(spmd.Job{
 		Net: model.PaperTestbed(), Placement: pl, Vector: vec, Topology: topo.OneD{},
-		Body: func(t *spmd.Task) { errs[t.Rank()] = j.runRank(brokenLink{simLink{t}}) },
+		Body: func(t *spmd.Task) { errs[t.Rank()] = j.runRank(brokenLink{&simLink{t: t}}) },
 	})
 	if _, err = j.finish(errs, err); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("run returned %v, want the simulator's task-panicked error", err)
@@ -411,7 +411,7 @@ func TestOverlappedUpdatePanicIsAnError(t *testing.T) {
 
 // countingLink is a simLink that counts its clock readings.
 type countingLink struct {
-	simLink
+	*simLink
 	reads *int
 }
 
@@ -442,7 +442,7 @@ func TestDriverClockReads(t *testing.T) {
 		errs, reads := make([]error, len(vec)), make([]int, len(vec))
 		_, err = spmd.Run(spmd.Job{
 			Net: model.PaperTestbed(), Placement: pl, Vector: vec, Topology: topo.OneD{},
-			Body: func(t *spmd.Task) { errs[t.Rank()] = j.runRank(countingLink{simLink{t}, &reads[t.Rank()]}) },
+			Body: func(t *spmd.Task) { errs[t.Rank()] = j.runRank(countingLink{&simLink{t: t}, &reads[t.Rank()]}) },
 		})
 		if _, err = j.finish(errs, err); err != nil {
 			t.Fatal(err)

@@ -144,7 +144,7 @@ func RunSimAdaptive(net *model.Network, cfg cost.Config, vec core.Vector, v Vari
 		Trace:      opts.Trace,
 		Cycles:     opts.Cycles,
 		SimOptions: simOpts,
-		Body:       func(t *spmd.Task) { errs[t.Rank()] = j.runRank(simLink{t}) },
+		Body:       func(t *spmd.Task) { errs[t.Rank()] = j.runRank(&simLink{t: t, timeOnly: j.timeOnly}) },
 	})
 	grid, err := j.finish(errs, err)
 	if err != nil {
@@ -155,31 +155,54 @@ func RunSimAdaptive(net *model.Network, cfg cost.Config, vec core.Vector, v Vari
 	return AdaptiveResult{SimResult{ElapsedMs: rep.ElapsedMs, Grid: grid, Report: rep}, j.out}, nil
 }
 
-// simLink is the driver's link over a virtual-time task handle.
-type simLink struct{ t *spmd.Task }
+// simLink is the driver's link over a virtual-time task handle. It keeps
+// the rank's outgoing borders in a two-slot ring per side, ring[side][k&1]
+// for cycle k (side 0 north, 1 south), and sends a pointer to the slot, so
+// a border costs one message and no allocation. A slot is free again when
+// it is rewritten: rank A writes border k+2 for B only after receiving B's
+// border k+1, which B sent only after its cycle-k receives, A's border k
+// among them.
+type simLink struct {
+	t        *spmd.Task
+	timeOnly bool
+	ring     [2][2]halo
+}
 
-func (l simLink) Rank() int { return l.t.Rank() }
-func (l simLink) Size() int { return l.t.NumTasks() }
+func (l *simLink) Rank() int { return l.t.Rank() }
+func (l *simLink) Size() int { return l.t.NumTasks() }
 
-// Send charges the paper's 4N bytes for the border. The values are copied:
-// the sim delivers them at a later virtual time, after this task has begun
-// overwriting the row in place.
-func (l simLink) Send(dst int, h halo) error {
-	h.vals = append([]float64(nil), h.vals...)
-	l.t.Send(dst, BytesPerPoint*len(h.vals), h)
+// Send charges the paper's 4N bytes for the border. A full run copies the
+// values into the slot, because the sim delivers them after this task has
+// begun overwriting the row in place. A time-only slot aliases the row:
+// the receiver checks only row, cycle and length, and copies no values.
+func (l *simLink) Send(dst int, h halo) error {
+	side := 0
+	if dst > l.t.Rank() {
+		side = 1
+	}
+	slot := &l.ring[side][h.cycle&1]
+	slot.row, slot.cycle = h.row, h.cycle
+	if l.timeOnly {
+		slot.vals = h.vals
+	} else {
+		slot.vals = append(slot.vals[:0], h.vals...)
+	}
+	l.t.Send(dst, BytesPerPoint*len(h.vals), slot)
 	return nil
 }
 
 // Recv leaves a payload of the wrong kind (a control frame where a border
 // is due, or the reverse in simControl.Recv) as the zero value, which the
 // driver's row and cycle check, or the frame's decoder, rejects.
-func (l simLink) Recv(src int) (halo, error) {
-	h, _ := l.t.Recv(src).(halo)
-	return h, nil
+func (l *simLink) Recv(src int) (halo, error) {
+	if h, ok := l.t.Recv(src).(*halo); ok {
+		return *h, nil
+	}
+	return halo{}, nil
 }
 
-func (l simLink) control() repart.Link { return simControl(l) }
-func (l simLink) nowMs() float64       { return l.t.NowMs() }
+func (l *simLink) control() repart.Link { return simControl{l.t} }
+func (l *simLink) nowMs() float64       { return l.t.NowMs() }
 
 // overlapPoints is the smallest span, in grid points, whose update is worth
 // a goroutine hand-off; a smaller one runs on the rank's own goroutine.
@@ -197,7 +220,7 @@ const overlapPoints = 4096
 // happens, and the worker is not left blocked on its send, if the park
 // itself panics or the simulator unwinds the rank. A time-only run charges
 // and parks the same, and has no update to run or join.
-func (l simLink) compute(s *rankState, lo, hi int, factor float64) {
+func (l *simLink) compute(s *rankState, lo, hi int, factor float64) {
 	n := s.job.n
 	cb := l.t.BeginCompute()
 	for g := s.off + lo - 1; g < s.off+hi; g++ {
@@ -251,7 +274,7 @@ func getBlock(rows, width int) (block, *[]float64) {
 // block afterwards: the next getBlock may hand its cells to another run.
 func putBlock(p *[]float64) { dirtyCells.Put(p) }
 
-func (l simLink) endCycle(_ int, _, _, exchangeMs float64) {
+func (l *simLink) endCycle(_ int, _, _, exchangeMs float64) {
 	l.t.ObserveExchange(exchangeMs)
 	l.t.EndCycle()
 }

@@ -153,17 +153,10 @@ func TestTimeOnlyRefusesTol(t *testing.T) {
 }
 
 // TestTimeOnlyAllocatesLessThanAGrid: once the pool holds the blocks of a
-// first run, a time-only 6+6 run at N = 600 allocates the simulator's border
-// copies and its own state, less than one N×N grid. The race detector drops
-// pooled items at random, so the test skips itself under it.
+// first run, a time-only 6+6 run at N = 600 allocates only the simulator's
+// own state, less than one N×N grid.
 func TestTimeOnlyAllocatesLessThanAGrid(t *testing.T) {
-	if bi, _ := debug.ReadBuildInfo(); bi != nil {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("the race detector drops pooled blocks")
-			}
-		}
-	}
+	skipUnderRace(t)
 	const n, iters = 600, 10
 	net := model.PaperTestbed()
 	cfg := paperConfig(6, 6)
