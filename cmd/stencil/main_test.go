@@ -102,3 +102,29 @@ func TestRunErrors(t *testing.T) {
 		t.Error("unknown mode accepted")
 	}
 }
+
+// TestRunLiveFaultTolerant drives the live runtime's fault-tolerant branch:
+// a crash schedule switches it to checkpointing and recovery, and the
+// recovered grid must still verify against the sequential reference.
+func TestRunLiveFaultTolerant(t *testing.T) {
+	err := run(runOptions{
+		N: 48, Variant: "sten1", Iters: 12, P1: 2, P2: 2, Runtime: "live", Verify: true,
+		Mode: "fixed", SlowFactor: 1, Faults: "crash:1@5", FaultSeed: 1, Ckpt: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunLiveRepart drives the live runtime's continuous repartitioning
+// branch. With explicit counts there is no drift monitor, so the interval
+// fallback drives the rounds; the grid must verify however rows migrate.
+func TestRunLiveRepart(t *testing.T) {
+	err := run(runOptions{
+		N: 48, Variant: "sten2", Iters: 12, P1: 2, P2: 1, Runtime: "live", Verify: true,
+		Mode: "fixed", SlowFactor: 1, Repart: true, RepartEvery: 4, RepartHorizon: 32,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
