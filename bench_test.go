@@ -237,7 +237,7 @@ func BenchmarkStencilSim(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := stencil.RunSim(e.Net, res.Config, res.Vector, stencil.STEN2, 600, 10); err != nil {
+		if _, err := stencil.Sim(e.Net, res.Config, res.Vector, stencil.STEN2, 600, 10, stencil.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -258,7 +258,7 @@ func BenchmarkStencilLiveLocal(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := stencil.RunLive(world, vec, stencil.STEN2, 240, 10, nil); err != nil {
+		if _, err := stencil.Live(world, vec, stencil.STEN2, 240, 10, stencil.Options{}); err != nil {
 			b.Fatal(err)
 		}
 		for _, tr := range world {
@@ -434,7 +434,7 @@ func BenchmarkStencilLiveAdaptiveCycle(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := stencil.RunLiveAdaptive(world, vec, stencil.STEN1, n, iters, stencil.LiveAdaptiveOptions{
+		res, err := stencil.Live(world, vec, stencil.STEN1, n, iters, stencil.Options{
 			RebalanceEvery: 2,
 			WorkFactor:     []int{1, 1, 4, 1, 1, 1},
 		})

@@ -119,8 +119,8 @@ func residual(env *experiments.Env, u residualUnit) (residualRow, error) {
 		return residualRow{}, err
 	}
 	sink := &exchangeSum{ms: make([]float64, len(vec))}
-	res, err := stencil.RunSimAdaptive(env.Net, cfg, vec, u.v, u.n, experiments.Iterations,
-		stencil.AdaptiveOptions{TimeOnly: true, Cycles: sink})
+	res, err := stencil.Sim(env.Net, cfg, vec, u.v, u.n, experiments.Iterations,
+		stencil.Options{TimeOnly: true, Cycles: sink})
 	if err != nil {
 		return residualRow{}, err
 	}

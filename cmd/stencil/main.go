@@ -13,16 +13,16 @@
 //	        [-faults "crash:3@12;drop:0.05"] [-faultseed 1] [-ckpt 8]
 //	        [-repart] [-repart-every 4] [-repart-horizon 32]
 //
-// The sim runtime is stencil.RunSimAdaptive, whose options carry every sim
-// mode (instrumentation, -mode converge as Tol, -mode adaptive as
-// RebalanceEvery + Slowdown, -faults as Injector); the live runtime is
-// stencil.RunLiveMonitored, RunLiveAdaptive with -repart, or RunLiveFT with
-// -faults. All of them execute one cycle driver, so sim and live run the
-// same exchange protocol.
+// The sim runtime is stencil.Sim and the live runtime stencil.Live; one
+// stencil.Options carries every mode (instrumentation, -mode converge as
+// Tol, -mode adaptive as RebalanceEvery + Slowdown, -repart as
+// RebalanceEvery + Trigger + Planner, -faults as Injector, and on live as
+// FT too). Both execute one cycle driver, so sim and live run the same
+// exchange protocol.
 //
 // With -faults, the sim runtime injects packet faults below the simulated
 // reliability layer, and the live runtime switches to the fault-tolerant
-// protocol (RunLiveFT): buddy checkpointing every -ckpt cycles, failure
+// protocol (Options.FT): buddy checkpointing every -ckpt cycles, failure
 // detection, and recovery by re-running the paper's partitioning algorithm
 // over the survivors.
 //
@@ -236,20 +236,17 @@ func run(o runOptions) error {
 		var rep spmdReport
 		switch o.Mode {
 		case "fixed":
-			sopts := stencil.AdaptiveOptions{Metrics: metrics, Trace: rec, Cycles: cycleSink}
+			sopts := stencil.Options{Metrics: metrics, Trace: rec, Cycles: cycleSink}
 			if o.Faults != "" {
 				sched, err := faults.Parse(o.Faults)
 				if err != nil {
 					return err
 				}
 				sched = sched.Sanitize(chosen.p1+chosen.p2, iters)
-				if len(sched.Crashes) > 0 {
-					return fmt.Errorf("crash faults need the fault-tolerant live runtime (-runtime live)")
-				}
 				fmt.Printf("fault schedule : %s (seed %d)\n", sched.String(), o.FaultSeed)
 				sopts.Injector, sopts.RetransmitMs = faults.NewEngine(sched, o.FaultSeed, metrics), 10
 			}
-			res, err := stencil.RunSimAdaptive(net, cfgCost, vec, variant, n, iters, sopts)
+			res, err := stencil.Sim(net, cfgCost, vec, variant, n, iters, sopts)
 			if err != nil {
 				return err
 			}
@@ -266,8 +263,7 @@ func run(o runOptions) error {
 					predictedTcMs, measured, drift)
 			}
 		case "converge":
-			res, err := stencil.RunSimAdaptive(net, cfgCost, vec, variant, n, iters*100,
-				stencil.AdaptiveOptions{Tol: o.Tol})
+			res, err := stencil.Sim(net, cfgCost, vec, variant, n, iters*100, stencil.Options{Tol: o.Tol})
 			if err != nil {
 				return err
 			}
@@ -295,14 +291,12 @@ func run(o runOptions) error {
 				}
 				return 1
 			}
-			static, err := stencil.RunSimAdaptive(net, cfgCost, vec, variant, n, iters,
-				stencil.AdaptiveOptions{Slowdown: slow})
+			static, err := stencil.Sim(net, cfgCost, vec, variant, n, iters, stencil.Options{Slowdown: slow})
 			if err != nil {
 				return err
 			}
-			res, err := stencil.RunSimAdaptive(net, cfgCost, vec, variant, n, iters,
-				stencil.AdaptiveOptions{Slowdown: slow, RebalanceEvery: iters / 8,
-					Metrics: metrics, Trace: rec})
+			res, err := stencil.Sim(net, cfgCost, vec, variant, n, iters,
+				stencil.Options{Slowdown: slow, RebalanceEvery: iters / 8, Metrics: metrics, Trace: rec})
 			if err != nil {
 				return err
 			}
@@ -352,7 +346,10 @@ func run(o runOptions) error {
 				factors[i] = 2
 			}
 		}
-		if eng != nil {
+		opts := stencil.Options{WorkFactor: factors, Metrics: metrics, Trace: rec, Cycles: cycleSink}
+		mode := ""
+		switch {
+		case eng != nil:
 			// Fault-tolerant runtime: buddy checkpoints, detection, and
 			// recovery by re-partitioning over the survivors.
 			placement := make([]string, 0, tasks)
@@ -362,27 +359,13 @@ func run(o runOptions) error {
 			for i := 0; i < chosen.p2; i++ {
 				placement = append(placement, model.IPCCluster)
 			}
-			res, err := stencil.RunLiveFT(world, vec, variant, n, iters, stencil.FTOptions{
-				Injector:        eng,
+			opts.Injector = eng
+			opts.FT = &stencil.FT{
 				Repartition:     stencil.Repartitioner(net, cost.PaperTable(), variant, n, iters, placement),
 				CheckpointEvery: o.Ckpt,
-				WorkFactor:      factors,
-				Metrics:         metrics,
-				Trace:           rec,
-				Cycles:          cycleSink,
-			})
-			if err != nil {
-				return err
 			}
-			grid = res.Grid
-			fmt.Printf("wall-clock time: %v (%d iterations, %s, %d tasks over UDP, fault-tolerant)\n",
-				res.Elapsed, iters, variant, tasks)
-			fmt.Printf("fault tolerance: %d recoveries, failed ranks %v\n", res.Recoveries, res.Failed)
-			for _, ev := range res.Events {
-				fmt.Printf("  epoch %d: dead %v, rolled back to cycle %d, recovery latency %.1f ms, vector %v\n",
-					ev.Epoch, ev.Dead, ev.RollbackCycle, ev.LatencyMs, ev.Vector)
-			}
-		} else if o.Repart {
+			mode = ", fault-tolerant"
+		case o.Repart:
 			// Continuous repartitioning: drift events (when the monitor is
 			// on) or the interval fallback trigger an incremental re-plan
 			// whose objective prices row migration with the paper's Eq. 1
@@ -391,27 +374,31 @@ func run(o runOptions) error {
 			if err != nil {
 				return err
 			}
-			lopts := stencil.LiveAdaptiveOptions{
-				RebalanceEvery: o.RepartEvery,
-				Planner: repart.PlannerConfig{
-					Mig:           cost.MigrationFromParams(migParams, float64(stencil.BytesPerPoint*n)),
-					HorizonCycles: o.RepartHorizon,
-				},
-				WorkFactor: factors,
-				Metrics:    metrics,
-				Trace:      rec,
-				Cycles:     cycleSink,
+			opts.RebalanceEvery = o.RepartEvery
+			opts.Planner = repart.PlannerConfig{
+				Mig:           cost.MigrationFromParams(migParams, float64(stencil.BytesPerPoint*n)),
+				HorizonCycles: o.RepartHorizon,
 			}
 			if repartTrig != nil {
-				lopts.Trigger = repartTrig
+				opts.Trigger = repartTrig
 			}
-			res, err := stencil.RunLiveAdaptive(world, vec, variant, n, iters, lopts)
-			if err != nil {
-				return err
+			mode = ", continuous repartitioning"
+		}
+		res, err := stencil.Live(world, vec, variant, n, iters, opts)
+		if err != nil {
+			return err
+		}
+		grid = res.Grid
+		fmt.Printf("wall-clock time: %v (%d iterations, %s, %d tasks over UDP%s)\n",
+			res.Elapsed, iters, variant, tasks, mode)
+		switch {
+		case opts.FT != nil:
+			fmt.Printf("fault tolerance: %d recoveries, failed ranks %v\n", len(res.Events), res.Failed)
+			for _, ev := range res.Events {
+				fmt.Printf("  epoch %d: dead %v, rolled back to cycle %d, recovery latency %.1f ms, vector %v\n",
+					ev.Epoch, ev.Dead, ev.RollbackCycle, ev.LatencyMs, ev.Vector)
 			}
-			grid = res.Grid
-			fmt.Printf("wall-clock time: %v (%d iterations, %s, %d tasks over UDP, continuous repartitioning)\n",
-				res.Elapsed, iters, variant, tasks)
+		case o.Repart:
 			fmt.Printf("repartitioning : %d rounds, %d plans applied, %d rows migrated, final vector %v\n",
 				len(res.Plans), res.Rebalances, res.MigratedRows, res.FinalVector)
 			for _, p := range res.Plans {
@@ -419,14 +406,6 @@ func run(o runOptions) error {
 					fmt.Printf("  %s\n", p)
 				}
 			}
-		} else {
-			res, err := stencil.RunLiveMonitored(world, vec, variant, n, iters, factors, metrics, rec, cycleSink)
-			if err != nil {
-				return err
-			}
-			grid = res.Grid
-			fmt.Printf("wall-clock time: %v (%d iterations, %s, %d tasks over UDP)\n",
-				res.Elapsed, iters, variant, tasks)
 		}
 	default:
 		return fmt.Errorf("unknown runtime %q", o.Runtime)

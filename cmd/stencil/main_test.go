@@ -101,6 +101,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run(o); err == nil {
 		t.Error("unknown mode accepted")
 	}
+	o = base
+	o.Faults = "crash:0@1"
+	if err := run(o); err == nil {
+		t.Error("a crash on the sim runtime accepted")
+	}
 }
 
 // TestRunLiveFaultTolerant drives the live runtime's fault-tolerant branch:

@@ -55,7 +55,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := netpart.RunStencilLive(world, tc.vec, netpart.STEN2, n, iters, workFactors)
+			res, err := netpart.RunStencilLive(world, tc.vec, netpart.STEN2, n, iters, netpart.StencilOptions{WorkFactor: workFactors})
 			for _, tr := range world {
 				_ = tr.Close() // best-effort teardown between repetitions
 			}

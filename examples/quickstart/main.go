@@ -43,7 +43,7 @@ func main() {
 	fmt.Printf("search cost:          %d cost-model evaluations\n", res.Evaluations)
 
 	// 4. Execute on the simulated network and verify.
-	run, err := netpart.RunStencilSim(net, res.Config, res.Vector, netpart.STEN2, n, iters)
+	run, err := netpart.RunStencilSim(net, res.Config, res.Vector, netpart.STEN2, n, iters, netpart.StencilOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

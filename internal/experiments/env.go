@@ -71,7 +71,7 @@ const Iterations = 10
 // simMs is the simulated elapsed time of a stencil run whose grid nobody
 // reads: a time-only run, with the virtual time of a computing one.
 func simMs(net *model.Network, cfg cost.Config, vec core.Vector, v stencil.Variant, n, iters int) (float64, error) {
-	res, err := stencil.RunSimAdaptive(net, cfg, vec, v, n, iters, stencil.AdaptiveOptions{TimeOnly: true})
+	res, err := stencil.Sim(net, cfg, vec, v, n, iters, stencil.Options{TimeOnly: true})
 	return res.ElapsedMs, err
 }
 

@@ -16,9 +16,9 @@ import (
 	"netpart/internal/trace"
 )
 
-// AdaptiveResult is E9: the §7 future-work dynamic repartitioning,
+// RebalanceResult is E9: the §7 future-work dynamic repartitioning,
 // executed with real row migration on the simulator.
-type AdaptiveResult struct {
+type RebalanceResult struct {
 	N, Iters     int
 	StaticMs     float64
 	AdaptiveMs   float64
@@ -30,7 +30,7 @@ type AdaptiveResult struct {
 
 // Adaptive compares a static Eq. 3 partition against periodic dynamic
 // repartitioning when one processor picks up external load mid-run.
-func Adaptive(e *Env, n, iters int) (*AdaptiveResult, error) {
+func Adaptive(e *Env, n, iters int) (*RebalanceResult, error) {
 	cfg := PaperConfig(4, 0)
 	vec, err := core.Decompose(e.Net, cfg, n, model.OpFloat)
 	if err != nil {
@@ -42,19 +42,19 @@ func Adaptive(e *Env, n, iters int) (*AdaptiveResult, error) {
 		}
 		return 1
 	}
-	static, err := stencil.RunSimAdaptive(e.Net, cfg, vec, stencil.STEN1, n, iters,
-		stencil.AdaptiveOptions{Slowdown: slowdown})
+	static, err := stencil.Sim(e.Net, cfg, vec, stencil.STEN1, n, iters,
+		stencil.Options{Slowdown: slowdown})
 	if err != nil {
 		return nil, err
 	}
-	adaptive, err := stencil.RunSimAdaptive(e.Net, cfg, vec, stencil.STEN1, n, iters,
-		stencil.AdaptiveOptions{Slowdown: slowdown, RebalanceEvery: iters / 8})
+	adaptive, err := stencil.Sim(e.Net, cfg, vec, stencil.STEN1, n, iters,
+		stencil.Options{Slowdown: slowdown, RebalanceEvery: iters / 8})
 	if err != nil {
 		return nil, err
 	}
 	want := stencil.Sequential(stencil.NewGrid(n), iters)
 	exact := gridsMatch(static.Grid, want) && gridsMatch(adaptive.Grid, want)
-	return &AdaptiveResult{
+	return &RebalanceResult{
 		N: n, Iters: iters,
 		StaticMs:     static.ElapsedMs,
 		AdaptiveMs:   adaptive.ElapsedMs,
@@ -80,7 +80,7 @@ func gridsMatch(a, b [][]float64) bool {
 }
 
 // RenderAdaptive prints the E9 summary.
-func RenderAdaptive(r *AdaptiveResult) string {
+func RenderAdaptive(r *RebalanceResult) string {
 	return fmt.Sprintf(`Dynamic repartitioning under load (N=%d, %d iterations, rank 2 slowed 4x)
   static partition : %.1f ms
   adaptive         : %.1f ms  (%.2fx; %d rebalances, %d rows migrated)
@@ -624,7 +624,7 @@ func runStencilNoisy(net *model.Network, cfg cost.Config, vec core.Vector, n int
 	if jitter > 0 {
 		opts = append(opts, simnet.WithJitter(jitter, seed))
 	}
-	res, err := stencil.RunSimAdaptive(net, cfg, vec, stencil.STEN2, n, Iterations, stencil.AdaptiveOptions{SimOptions: opts, TimeOnly: true})
+	res, err := stencil.Sim(net, cfg, vec, stencil.STEN2, n, Iterations, stencil.Options{SimOptions: opts, TimeOnly: true})
 	return res.ElapsedMs, err
 }
 

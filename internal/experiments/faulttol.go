@@ -68,10 +68,10 @@ func FaultTol(e *Env, n, iters int) (*FaultTolResult, error) {
 	}
 	want := stencil.Sequential(stencil.NewGrid(n), iters)
 
-	run := func(inj faults.Injector) (stencil.FTResult, *obs.Registry, error) {
+	run := func(inj faults.Injector) (stencil.Result, *obs.Registry, error) {
 		locals, err := mmps.NewLocalWorld(ranks)
 		if err != nil {
-			return stencil.FTResult{}, nil, err
+			return stencil.Result{}, nil, err
 		}
 		defer func() {
 			for _, l := range locals {
@@ -83,13 +83,15 @@ func FaultTol(e *Env, n, iters int) (*FaultTolResult, error) {
 			world[i] = l
 		}
 		reg := obs.NewRegistry()
-		res, err := stencil.RunLiveFT(world, vec, stencil.STEN2, n, iters, stencil.FTOptions{
-			Injector:        inj,
-			Repartition:     stencil.Repartitioner(e.Net, cost.PaperTable(), stencil.STEN2, n, iters, placement),
-			CheckpointEvery: ckptEvery,
-			DetectTimeout:   detectTimeout,
-			DetectRetries:   detectRetries,
-			Metrics:         reg,
+		res, err := stencil.Live(world, vec, stencil.STEN2, n, iters, stencil.Options{
+			Injector: inj,
+			Metrics:  reg,
+			FT: &stencil.FT{
+				Repartition:     stencil.Repartitioner(e.Net, cost.PaperTable(), stencil.STEN2, n, iters, placement),
+				CheckpointEvery: ckptEvery,
+				DetectTimeout:   detectTimeout,
+				DetectRetries:   detectRetries,
+			},
 		})
 		return res, reg, err
 	}

@@ -12,13 +12,13 @@ import (
 )
 
 // TestAdaptivePlanGolden is the repartitioning engine's determinism
-// guarantee: RunSimAdaptive under a fixed slowdown schedule produces a
-// byte-identical sequence of repart plans — rendered through Plan.String,
-// which excludes wall-clock fields — across repeated runs and at any
-// worker-pool width, and every run's grid stays bit-exact with the
-// sequential kernel. The simulator runs in virtual time, the planner is a
-// pure function, and rank 0 alone decides, so scheduling cannot leak into
-// the decision stream.
+// guarantee: stencil.Sim with RebalanceEvery under a fixed slowdown
+// schedule produces a byte-identical sequence of repart plans — rendered
+// through Plan.String, which excludes wall-clock fields — across repeated
+// runs and at any worker-pool width, and every run's grid stays bit-exact
+// with the sequential kernel. The simulator runs in virtual time, the
+// planner is a pure function, and rank 0 alone decides, so scheduling
+// cannot leak into the decision stream.
 func TestAdaptivePlanGolden(t *testing.T) {
 	e := env(t)
 	const n, iters = 256, 24
@@ -37,8 +37,8 @@ func TestAdaptivePlanGolden(t *testing.T) {
 	}
 	want := stencil.Sequential(stencil.NewGrid(n), iters)
 	run := func() string {
-		res, err := stencil.RunSimAdaptive(e.Net, cfg, vec, stencil.STEN1, n, iters,
-			stencil.AdaptiveOptions{
+		res, err := stencil.Sim(e.Net, cfg, vec, stencil.STEN1, n, iters,
+			stencil.Options{
 				RebalanceEvery: 4,
 				Slowdown:       slowdown,
 				Planner: repart.PlannerConfig{

@@ -150,19 +150,21 @@ func TestChaosMatrix(t *testing.T) {
 				sched := faults.MustParse(tc.schedule).Sanitize(12, iters)
 				eng := faults.NewEngine(sched, seed, nil)
 				world := chaosWorld(t, 12, eng)
-				res, err := stencil.RunLiveFT(world, vec, vt.v, n, iters, stencil.FTOptions{
-					Injector:        eng,
-					Repartition:     stencil.Repartitioner(net, cost.PaperTable(), vt.v, n, iters, placement),
-					CheckpointEvery: ckptEvery,
-					DetectTimeout:   60 * time.Millisecond,
-					DetectRetries:   2,
+				res, err := stencil.Live(world, vec, vt.v, n, iters, stencil.Options{
+					Injector: eng,
+					FT: &stencil.FT{
+						Repartition:     stencil.Repartitioner(net, cost.PaperTable(), vt.v, n, iters, placement),
+						CheckpointEvery: ckptEvery,
+						DetectTimeout:   60 * time.Millisecond,
+						DetectRetries:   2,
+					},
 				})
 				if err != nil {
-					t.Fatalf("RunLiveFT under %q: %v", tc.schedule, err)
+					t.Fatalf("Live with FT under %q: %v", tc.schedule, err)
 				}
 				if tc.crashes {
-					if res.Recoveries < 1 {
-						t.Fatalf("recoveries = %d, want at least 1", res.Recoveries)
+					if len(res.Events) < 1 {
+						t.Fatalf("recoveries = %d, want at least 1", len(res.Events))
 					}
 					if len(res.Failed) != 1 || res.Failed[0] != crashRank {
 						t.Fatalf("failed = %v, want [%d]", res.Failed, crashRank)
@@ -174,9 +176,9 @@ func TestChaosMatrix(t *testing.T) {
 						t.Fatalf("final vector sums to %d, want %d", res.FinalVector.Sum(), n)
 					}
 				} else {
-					if res.Recoveries != 0 || len(res.Failed) != 0 {
+					if len(res.Events) != 0 || len(res.Failed) != 0 {
 						t.Fatalf("fault class %q triggered recovery (recoveries=%d failed=%v): live rank wrongly excommunicated",
-							tc.name, res.Recoveries, res.Failed)
+							tc.name, len(res.Events), res.Failed)
 					}
 				}
 				requireGridsEqual(t, res.Grid, want)
@@ -194,19 +196,21 @@ func TestChaosCrashDeterminism(t *testing.T) {
 	net, vec, placement := paperSetup(t, n)
 	want := stencil.Sequential(stencil.NewGrid(n), iters)
 
-	run := func() stencil.FTResult {
+	run := func() stencil.Result {
 		sched := faults.MustParse("crash:3@12").Sanitize(12, iters)
 		eng := faults.NewEngine(sched, seed, nil)
 		world := chaosWorld(t, 12, eng)
-		res, err := stencil.RunLiveFT(world, vec, stencil.STEN2, n, iters, stencil.FTOptions{
-			Injector:        eng,
-			Repartition:     stencil.Repartitioner(net, cost.PaperTable(), stencil.STEN2, n, iters, placement),
-			CheckpointEvery: 8,
-			DetectTimeout:   60 * time.Millisecond,
-			DetectRetries:   2,
+		res, err := stencil.Live(world, vec, stencil.STEN2, n, iters, stencil.Options{
+			Injector: eng,
+			FT: &stencil.FT{
+				Repartition:     stencil.Repartitioner(net, cost.PaperTable(), stencil.STEN2, n, iters, placement),
+				CheckpointEvery: 8,
+				DetectTimeout:   60 * time.Millisecond,
+				DetectRetries:   2,
+			},
 		})
 		if err != nil {
-			t.Fatalf("RunLiveFT: %v", err)
+			t.Fatalf("Live with FT: %v", err)
 		}
 		return res
 	}
@@ -249,17 +253,19 @@ func TestChaosCrashMidMigration(t *testing.T) {
 	sched := faults.MustParse("crash:3@12;crash:1@14")
 	eng := faults.NewEngine(sched, seed, nil)
 	world := chaosWorld(t, 12, eng)
-	res, err := stencil.RunLiveFT(world, vec, stencil.STEN2, n, iters, stencil.FTOptions{
-		Injector:        eng,
-		CheckpointEvery: 8,
-		DetectTimeout:   60 * time.Millisecond,
-		DetectRetries:   2,
+	res, err := stencil.Live(world, vec, stencil.STEN2, n, iters, stencil.Options{
+		Injector: eng,
+		FT: &stencil.FT{
+			CheckpointEvery: 8,
+			DetectTimeout:   60 * time.Millisecond,
+			DetectRetries:   2,
+		},
 	})
 	if err != nil {
-		t.Fatalf("RunLiveFT under double crash: %v", err)
+		t.Fatalf("Live with FT under double crash: %v", err)
 	}
-	if res.Recoveries < 1 {
-		t.Fatalf("recoveries = %d, want at least 1", res.Recoveries)
+	if len(res.Events) < 1 {
+		t.Fatalf("recoveries = %d, want at least 1", len(res.Events))
 	}
 	if len(res.Failed) != 2 {
 		t.Fatalf("failed = %v, want both crashed ranks", res.Failed)
@@ -301,13 +307,13 @@ func TestChaosDriftTriggeredAdaptive(t *testing.T) {
 		work[i] = 1
 	}
 	work[5] = 8 // rank 5 carries external load
-	res, err := stencil.RunLiveAdaptive(world, vec, stencil.STEN1, n, iters, stencil.LiveAdaptiveOptions{
+	res, err := stencil.Live(world, vec, stencil.STEN1, n, iters, stencil.Options{
 		Trigger:    trig,
 		WorkFactor: work,
 		Cycles:     mon,
 	})
 	if err != nil {
-		t.Fatalf("RunLiveAdaptive under packet chaos: %v", err)
+		t.Fatalf("Live under packet chaos: %v", err)
 	}
 	if len(res.Plans) == 0 {
 		t.Fatal("no repart rounds despite the drift trigger")

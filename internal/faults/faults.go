@@ -177,12 +177,3 @@ func (e *Engine) Slowdown(rank, cycle int) float64 {
 	}
 	return factor
 }
-
-// SlowdownFunc adapts an Injector to the (rank, iter) slowdown signature
-// the adaptive stencil options use. Nil inj yields nil.
-func SlowdownFunc(inj Injector) func(rank, iter int) float64 {
-	if inj == nil {
-		return nil
-	}
-	return func(rank, iter int) float64 { return inj.Slowdown(rank, iter) }
-}

@@ -74,14 +74,16 @@ func FuzzFaultSchedule(f *testing.F) {
 		for i, l := range locals {
 			world[i] = l
 		}
-		res, err := stencil.RunLiveFT(world, core.Vector{4, 4, 4, 4, 4, 4}, stencil.STEN1, n, iters, stencil.FTOptions{
-			Injector:        eng,
-			CheckpointEvery: 4,
-			DetectTimeout:   60 * time.Millisecond,
-			DetectRetries:   2,
+		res, err := stencil.Live(world, core.Vector{4, 4, 4, 4, 4, 4}, stencil.STEN1, n, iters, stencil.Options{
+			Injector: eng,
+			FT: &stencil.FT{
+				CheckpointEvery: 4,
+				DetectTimeout:   60 * time.Millisecond,
+				DetectRetries:   2,
+			},
 		})
 		if err != nil {
-			t.Fatalf("RunLiveFT under sanitized %q (from %q): %v", sched.String(), s, err)
+			t.Fatalf("Live with FT under sanitized %q (from %q): %v", sched.String(), s, err)
 		}
 		for _, ev := range res.Events {
 			if sum := ev.Vector.Sum(); sum != n {

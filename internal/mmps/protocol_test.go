@@ -72,7 +72,7 @@ func TestWireCounts(t *testing.T) {
 	}
 }
 
-// TestWindowFitsDefaultSocketBuffer is the transport half of the RunLiveFT
+// TestWindowFitsDefaultSocketBuffer is the transport half of the live FT
 // bugfix: 1 MB written in one burst overflows a default (208 KB) receive
 // buffer several times over; clocked out a window at a time it arrives
 // without a single retransmission.

@@ -340,11 +340,27 @@ func settledGoroutines(want int) int {
 	return n
 }
 
+// steadyGoroutines returns the goroutine count once it has held still for
+// 20 ms (or after a second): an earlier test's goroutine that its Run joined
+// may still be on its way out when this one starts.
+func steadyGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i, still := 0, 0; i < 1000 && still < 20; i++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
+}
+
 // TestNoGoroutineOutlivesRun: after a deadlocked run, a run in which a task
 // panicked while others waited on it, and a clean run, every task goroutine
 // is gone. The blocked tasks are unwound through their deferred calls.
 func TestNoGoroutineOutlivesRun(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := steadyGoroutines()
 
 	s, _ := New(model.PaperTestbed())
 	var procs [3]*Proc

@@ -15,11 +15,11 @@ func TestAdaptiveNoRebalanceMatchesStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, err := RunSim(net, cfg, vec, STEN1, n, iters)
+	static, err := Sim(net, cfg, vec, STEN1, n, iters, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := RunSimAdaptive(net, cfg, vec, STEN1, n, iters, AdaptiveOptions{})
+	adaptive, err := Sim(net, cfg, vec, STEN1, n, iters, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestAdaptiveStaysExactUnderMigration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunSimAdaptive(net, c, vec, v, n, iters, AdaptiveOptions{
+			res, err := Sim(net, c, vec, v, n, iters, Options{
 				RebalanceEvery: 3,
 				Slowdown:       slowdown,
 			})
@@ -89,11 +89,11 @@ func TestAdaptiveBeatsStaticUnderLoad(t *testing.T) {
 		}
 		return 1
 	}
-	static, err := RunSimAdaptive(net, cfg, vec, STEN1, n, iters, AdaptiveOptions{Slowdown: slowdown})
+	static, err := Sim(net, cfg, vec, STEN1, n, iters, Options{Slowdown: slowdown})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := RunSimAdaptive(net, cfg, vec, STEN1, n, iters, AdaptiveOptions{
+	adaptive, err := Sim(net, cfg, vec, STEN1, n, iters, Options{
 		RebalanceEvery: 5,
 		Slowdown:       slowdown,
 	})
@@ -111,15 +111,5 @@ func TestAdaptiveBeatsStaticUnderLoad(t *testing.T) {
 	want := Sequential(NewGrid(n), iters)
 	if !gridsEqual(adaptive.Grid, want) || !gridsEqual(static.Grid, want) {
 		t.Error("load injection changed numerics")
-	}
-}
-
-func TestAdaptiveValidatesInputs(t *testing.T) {
-	net := model.PaperTestbed()
-	if _, err := RunSimAdaptive(net, paperConfig(2, 0), core.Vector{3, 3}, STEN1, 10, 2, AdaptiveOptions{}); err == nil {
-		t.Error("vector/N mismatch accepted")
-	}
-	if _, err := RunSimAdaptive(net, paperConfig(2, 0), core.Vector{3, 3, 4}, STEN1, 10, 2, AdaptiveOptions{}); err == nil {
-		t.Error("vector/config mismatch accepted")
 	}
 }

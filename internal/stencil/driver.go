@@ -11,9 +11,9 @@ import (
 // The cycle driver. Every stencil runtime executes this one per-rank cycle
 // loop (the fault-tolerant one, ftlive.go, calls cycles from its own
 // recovery loop); what differs between the simulated and the live runtimes
-// sits behind the link interface, and what differs between the entry points
-// (load, converge-until, repartitioning) is a field of job, not a copy of
-// the loop.
+// sits behind the link interface, and what differs between runs (load,
+// converge-until, repartitioning) is a field of job that newJob fills in
+// from Options, not a copy of the loop.
 
 // halo is one border row in flight: the global row index, the cycle it
 // belongs to, and its values.
@@ -52,9 +52,10 @@ type link interface {
 	endCycle(iter int, startMs, endMs, exchangeMs float64)
 }
 
-// job is one distributed run: the problem, the policies the entry point
-// chose, and the shared result. Ranks read it concurrently; only rank 0
-// writes out, and each rank publishes its own rows of the grid.
+// job is one distributed run: the problem, the policies its Options chose,
+// and the shared result. Ranks read it concurrently; only rank 0 (under FT,
+// the survivor that records a recovery, holding ftShared's lock) writes
+// out, and each rank publishes its own rows of the grid.
 type job struct {
 	v        Variant
 	n, iters int
@@ -125,17 +126,41 @@ func checkVector(vec core.Vector, tasks, n int, workFactor []int) error {
 	return nil
 }
 
-// newJob validates the inputs and sets up a run; the engine carries the
-// repartitioning policy's planner and its observability.
-func newJob(vec core.Vector, tasks int, v Variant, n, iters int, workFactor []int, eng *repart.Engine) (*job, error) {
-	if err := checkVector(vec, tasks, n, workFactor); err != nil {
+// checkEvery is the round cadence (in iterations) when a repart trigger is
+// configured. Each round costs one gather/broadcast exchange, so it stays
+// coarse relative to the cycle time.
+const checkEvery = 4
+
+// newJob validates a run of tasks ranks on the runtime (Live when live is
+// set, else Sim) and sets it up: every option becomes a job field here, and
+// only a run that keeps its grid gets the result rows.
+func newJob(live bool, vec core.Vector, tasks int, v Variant, n, iters int, opts Options) (*job, error) {
+	if err := opts.refuse(live, tasks); err != nil {
 		return nil, err
 	}
-	return &job{
-		v: v, n: n, iters: iters, vec: vec, eng: eng,
-		rows: make([][]float64, n),
-		out:  RunStats{FinalVector: append(core.Vector(nil), vec...)},
-	}, nil
+	if err := checkVector(vec, tasks, n, opts.WorkFactor); err != nil {
+		return nil, err
+	}
+	j := &job{
+		v: v, n: n, iters: iters, vec: vec,
+		timeOnly: opts.TimeOnly,
+		load:     opts.load(),
+		tol:      opts.Tol,
+		every:    opts.RebalanceEvery, trigger: opts.Trigger, fallback: opts.RebalanceEvery,
+		eng: &repart.Engine{
+			Planner: repart.NewPlanner(opts.Planner),
+			Metrics: opts.Metrics,
+			Trace:   opts.Trace,
+		},
+		out: RunStats{FinalVector: append(core.Vector(nil), vec...)},
+	}
+	if opts.Trigger != nil {
+		j.every = checkEvery
+	}
+	if !j.timeOnly {
+		j.rows = make([][]float64, n)
+	}
+	return j, nil
 }
 
 // finish returns the assembled grid once every rank is done. A rank's own
@@ -167,6 +192,7 @@ func (j *job) finish(errs []error, runErr error) ([][]float64, error) {
 type rankState struct {
 	job       *job
 	lk        link
+	rank      int // physical rank: the one the job's load names
 	rows, off int
 	cur       block
 	box       *[]float64
@@ -181,13 +207,7 @@ type rankState struct {
 // migration — until the iterations are done.
 func (j *job) runRank(lk link) error {
 	rank, size := lk.Rank(), lk.Size()
-	own := repart.NewOwners(j.vec)
-	s := &rankState{job: j, lk: lk, rows: own.Count(rank), off: own.First(rank)}
-	s.cur, s.box = j.block(s.rows)
-	if s.off == 0 {
-		initialRow(s.cur.row(1), 0)
-	}
-
+	s := j.start(lk, rank)
 	iter := 0
 	for iter < j.iters {
 		stop := j.iters
@@ -226,10 +246,27 @@ func (j *job) runRank(lk link) error {
 		putBlock(s.box)
 		return nil
 	}
-	for i := 0; i < s.rows; i++ {
-		j.rows[s.off+i] = s.cur.row(i + 1)
-	}
+	s.publish()
 	return nil
+}
+
+// start returns physical rank's share of the job before its first cycle: its
+// rows under the job's vector, in a block holding the initial condition.
+func (j *job) start(lk link, rank int) *rankState {
+	own := repart.NewOwners(j.vec)
+	s := &rankState{job: j, lk: lk, rank: rank, rows: own.Count(rank), off: own.First(rank)}
+	s.cur, s.box = j.block(s.rows)
+	if s.off == 0 {
+		initialRow(s.cur.row(1), 0)
+	}
+	return s
+}
+
+// publish makes the rank's rows the job's result rows.
+func (s *rankState) publish() {
+	for i := 0; i < s.rows; i++ {
+		s.job.rows[s.off+i] = s.cur.row(i + 1)
+	}
 }
 
 // block returns a block of rows data rows: a zeroed one that the caller
@@ -345,7 +382,7 @@ func (s *rankState) cycles(from, to int) error {
 func (s *rankState) computeRows(lo, hi, iter int) {
 	factor := 1.0
 	if s.job.load != nil {
-		factor = s.job.load(s.lk.Rank(), iter)
+		factor = s.job.load(s.rank, iter)
 	}
 	if s.job.every == 0 {
 		s.lk.compute(s, lo, hi, factor)

@@ -9,88 +9,141 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"netpart/internal/core"
 	"netpart/internal/faults"
-	"netpart/internal/mmps"
 	"netpart/internal/model"
+	"netpart/internal/obs"
 	"netpart/internal/spmd"
 	"netpart/internal/topo"
 )
 
-// entryPoints runs every stencil entry point on one (vector, variant)
-// problem and hands each final grid, or error, to report. P is len(vec);
-// udp adds RunLive over loopback UDP.
-func entryPoints(t *testing.T, vec core.Vector, v Variant, n, iters int, udp bool, report func(name string, grid [][]float64, err error)) {
+// policies are the options a run can combine. TestDifferential runs every
+// subset of them through both entry points; each set adds its policy to a
+// run of tasks ranks. Tol is unreachable, so a run that honours it still
+// runs every cycle.
+var policies = []struct {
+	name string
+	set  func(o *Options, tasks int)
+}{
+	{"load", func(o *Options, tasks int) {
+		o.WorkFactor = make([]int, tasks)
+		for r := range o.WorkFactor {
+			o.WorkFactor[r] = 1
+		}
+		o.WorkFactor[0] = 6
+		o.Slowdown = func(rank, iter int) float64 {
+			if rank == tasks-1 && iter >= 2 {
+				return 5
+			}
+			return 1
+		}
+		o.Injector = faults.NewEngine(faults.Schedule{Slows: []faults.Slow{{Rank: tasks / 2, Factor: 3, FromCycle: 1, ToCycle: 4}}}, 1, nil)
+	}},
+	{"tol", func(o *Options, _ int) { o.Tol = 1e-300 }},
+	{"rebalance", func(o *Options, _ int) { o.RebalanceEvery = 3 }},
+	{"observe", func(o *Options, _ int) {
+		o.Metrics, o.Trace, o.Cycles = obs.NewRegistry(), obs.NewRecorder(nil), newCycleLog()
+	}},
+	{"timeonly", func(o *Options, _ int) { o.TimeOnly = true }},
+	{"ft", func(o *Options, _ int) { o.FT = &FT{} }},
+}
+
+// refusedField is the option field an entry point must refuse a policy
+// set by, or "" when it must run the set.
+func refusedField(live bool, set map[string]bool) string {
+	switch {
+	case live && set["timeonly"]:
+		return "TimeOnly"
+	case !live && set["ft"]:
+		return "FT"
+	case set["tol"] && (set["timeonly"] || set["ft"]):
+		return "Tol"
+	case set["ft"] && set["rebalance"]:
+		return "RebalanceEvery"
+	}
+	return ""
+}
+
+// combinations runs every subset of policies through Sim and Live (over
+// in-memory transports; udp adds a plain Live run over loopback UDP) on one
+// (vector, variant) problem. Each run must be refused by name exactly when
+// refusedField says so, and otherwise end bit-equal to the seed kernel's
+// grid after every cycle; a time-only run has no grid, and must take the
+// virtual time of the same run with the grid.
+func combinations(t *testing.T, vec core.Vector, v Variant, n, iters int, udp bool) {
 	t.Helper()
 	tasks := len(vec)
-	net := model.PaperTestbed()
-	p1 := tasks
-	if p1 > 6 {
-		p1 = 6
-	}
+	p1 := min(tasks, 6)
 	cfg := paperConfig(p1, tasks-p1)
-	slow := func(rank, iter int) float64 {
-		if rank == tasks-1 && iter >= 2 {
-			return 5
+	want := seedSequential(NewGrid(n), iters)
+	simMs := map[int]float64{} // by policy mask
+	timeOnly := 0
+	for mask := 0; mask < 1<<len(policies); mask++ {
+		set := map[string]bool{}
+		var names []string
+		for i, p := range policies {
+			if mask&(1<<i) != 0 {
+				set[p.name] = true
+				names = append(names, p.name)
+			}
+			if p.name == "timeonly" {
+				timeOnly = 1 << i
+			}
 		}
-		return 1
+		for _, live := range []bool{false, true} {
+			var opts Options
+			for _, p := range policies {
+				if set[p.name] {
+					p.set(&opts, tasks)
+				}
+			}
+			name := fmt.Sprintf("N=%d %v %s %s%v", n, vec, v, runtimeName(live), names)
+			var res Result
+			var err error
+			if live {
+				world := localWorld(t, tasks)
+				res, err = Live(world, vec, v, n, iters, opts)
+				closeWorld(world)
+			} else {
+				res, err = Sim(model.PaperTestbed(), cfg, vec, v, n, iters, opts)
+			}
+			if field := refusedField(live, set); field != "" {
+				if err == nil || !strings.Contains(err.Error(), "cannot honour Options."+field+":") {
+					t.Errorf("%s: returned %v, want a refusal naming Options.%s", name, err, field)
+				}
+				continue
+			}
+			switch {
+			case err != nil:
+				t.Errorf("%s: %v", name, err)
+			case res.Iterations != iters:
+				t.Errorf("%s: ran %d cycles, want %d", name, res.Iterations, iters)
+			case set["timeonly"]:
+				if full := simMs[mask&^timeOnly]; res.Grid != nil || res.ElapsedMs != full {
+					t.Errorf("%s: grid %v, %v ms, want no grid and the full run's %v ms", name, res.Grid != nil, res.ElapsedMs, full)
+				}
+			case !gridsEqual(res.Grid, want):
+				t.Errorf("%s: grid differs from the seed kernel's", name)
+			case !live:
+				simMs[mask] = res.ElapsedMs
+			}
+		}
 	}
-	factors := make([]int, tasks)
-	for r := range factors {
-		factors[r] = 1
-	}
-	factors[0] = 6
-
-	sim, err := RunSim(net, cfg, vec, v, n, iters)
-	report("RunSim", sim.Grid, err)
-	for name, opts := range map[string]AdaptiveOptions{
-		"RunSimAdaptive/idle":      {},
-		"RunSimAdaptive/rebalance": {RebalanceEvery: 3, Slowdown: slow},
-		"RunSimAdaptive/converge":  {Tol: 1e-300}, // unreachable: runs all iters
-	} {
-		res, err := RunSimAdaptive(net, cfg, vec, v, n, iters, opts)
-		report(name, res.Grid, err)
-	}
-
-	live := func(name string, world []mmps.Transport, run func([]mmps.Transport) ([][]float64, error)) {
-		grid, err := run(world)
-		closeWorld(world)
-		report(name, grid, err)
-	}
-	live("RunLive/local", localWorld(t, tasks), func(w []mmps.Transport) ([][]float64, error) {
-		res, err := RunLive(w, vec, v, n, iters, nil)
-		return res.Grid, err
-	})
 	if udp {
-		live("RunLive/udp", udpWorld(t, tasks), func(w []mmps.Transport) ([][]float64, error) {
-			res, err := RunLive(w, vec, v, n, iters, nil)
-			return res.Grid, err
-		})
+		world := udpWorld(t, tasks)
+		res, err := Live(world, vec, v, n, iters, Options{})
+		closeWorld(world)
+		if err != nil || !gridsEqual(res.Grid, want) {
+			t.Errorf("N=%d %v %s Live over UDP: grid equal %v, error %v", n, vec, v, err == nil && gridsEqual(res.Grid, want), err)
+		}
 	}
-	live("RunLiveMonitored", localWorld(t, tasks), func(w []mmps.Transport) ([][]float64, error) {
-		res, err := RunLiveMonitored(w, vec, v, n, iters, nil, nil, nil, nil)
-		return res.Grid, err
-	})
-	live("RunLiveAdaptive/idle", localWorld(t, tasks), func(w []mmps.Transport) ([][]float64, error) {
-		res, err := RunLiveAdaptive(w, vec, v, n, iters, LiveAdaptiveOptions{})
-		return res.Grid, err
-	})
-	live("RunLiveAdaptive/rebalance", localWorld(t, tasks), func(w []mmps.Transport) ([][]float64, error) {
-		res, err := RunLiveAdaptive(w, vec, v, n, iters, LiveAdaptiveOptions{RebalanceEvery: 3, WorkFactor: factors})
-		return res.Grid, err
-	})
-	live("RunLiveFT", localWorld(t, tasks), func(w []mmps.Transport) ([][]float64, error) {
-		res, err := RunLiveFT(w, vec, v, n, iters, FTOptions{})
-		return res.Grid, err
-	})
 }
 
 // TestDifferential drives seeded random (N, P, vector, variant) problems —
-// vectors with 1- and 2-row ranks included — through every entry point and
-// policy, on each kernel path, and requires each final grid to be bit-equal
-// to the seed kernel's.
+// vectors with 1- and 2-row ranks included — through every combination of
+// policies on both entry points, on each kernel path, and requires each
+// final grid to be bit-equal to the seed kernel's.
 func TestDifferential(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(1994))
@@ -113,53 +166,9 @@ func TestDifferential(t *testing.T) {
 				vec[r]++
 				left--
 			}
-			v := Variant(c % 2)
-			want := seedSequential(NewGrid(n), iters)
-			entryPoints(t, vec, v, n, iters, c < 4, func(name string, grid [][]float64, err error) {
-				if err != nil {
-					t.Errorf("N=%d %v %s %s: %v", n, vec, v, name, err)
-				} else if !gridsEqual(grid, want) {
-					t.Errorf("N=%d %v %s %s: grid differs from the seed kernel's", n, vec, v, name)
-				}
-			})
+			combinations(t, vec, Variant(c%2), n, iters, c < 4)
 		}
 	})
-}
-
-// TestZeroRowEntriesRejected: a rank without rows has no border to send, so
-// its neighbours would wait on it until the transport timeout (and STEN-2
-// would index past its block). Every entry point must refuse such a vector
-// up front, quickly, naming the rank.
-func TestZeroRowEntriesRejected(t *testing.T) {
-	for _, tc := range []struct {
-		vec  core.Vector
-		rank string
-	}{
-		{core.Vector{0, 8}, "rank 0"},
-		{core.Vector{8, 0}, "rank 1"},
-		{core.Vector{4, 0, 4}, "rank 1"},
-		{core.Vector{9, -1}, "rank 1"},
-	} {
-		for _, v := range []Variant{STEN1, STEN2} {
-			start := time.Now()
-			seen := 0
-			entryPoints(t, tc.vec, v, 8, 3, true, func(name string, _ [][]float64, err error) {
-				seen++
-				if err == nil {
-					t.Errorf("%v %s %s: accepted", tc.vec, v, name)
-				} else if msg := err.Error(); !strings.HasPrefix(msg, "stencil:") || !strings.Contains(msg, tc.rank) {
-					t.Errorf("%v %s %s: error %q does not name %s", tc.vec, v, name, msg, tc.rank)
-				}
-			})
-			if seen != 10 {
-				t.Errorf("%v %s: %d entry points reported, want 10", tc.vec, v, seen)
-			}
-			// The budget is per entry point; world construction is included.
-			if d := time.Since(start); d > time.Duration(seen)*100*time.Millisecond {
-				t.Errorf("%v %s: rejection took %v", tc.vec, v, d)
-			}
-		}
-	}
 }
 
 // cycleLog is a CycleSink that keeps every observation.
@@ -199,7 +208,7 @@ func TestSimReportsExchangeTime(t *testing.T) {
 	}
 	for _, v := range []Variant{STEN1, STEN2} {
 		log := newCycleLog()
-		if _, err := RunSimAdaptive(net, cfg, vec, v, n, iters, AdaptiveOptions{Cycles: log}); err != nil {
+		if _, err := Sim(net, cfg, vec, v, n, iters, Options{Cycles: log}); err != nil {
 			t.Fatal(err)
 		}
 		if log.exchangeCalls != tasks*iters || len(log.exchange) != tasks*iters {
@@ -233,7 +242,7 @@ func TestLiveExchangeTimeExcludesInteriorCompute(t *testing.T) {
 	world := localWorld(t, 2)
 	defer closeWorld(world)
 	log := newCycleLog()
-	if _, err := RunLiveMonitored(world, core.Vector{n / 2, n / 2}, STEN2, n, iters, []int{1, 64}, nil, nil, log); err != nil {
+	if _, err := Live(world, core.Vector{n / 2, n / 2}, STEN2, n, iters, Options{WorkFactor: []int{1, 64}, Cycles: log}); err != nil {
 		t.Fatal(err)
 	}
 	var sum [2]struct{ ex, cyc float64 }
@@ -251,7 +260,7 @@ func TestLiveExchangeTimeExcludesInteriorCompute(t *testing.T) {
 	}
 }
 
-// TestResultGridOwnedByCaller: the rows RunSim returns are views of the
+// TestResultGridOwnedByCaller: the rows Sim returns are views of the
 // ranks' blocks, which no run keeps or recycles. Later runs of the same size
 // must therefore leave an earlier result alone. Enough iterations that the
 // hot edge has reached every row: a block written by a later run differs
@@ -261,13 +270,13 @@ func TestResultGridOwnedByCaller(t *testing.T) {
 	net := model.PaperTestbed()
 	cfg := paperConfig(2, 2)
 	want := Sequential(NewGrid(n), iters)
-	first, err := RunSim(net, cfg, core.Vector{16, 16, 16, 16}, STEN2, n, iters)
+	first, err := Sim(net, cfg, core.Vector{16, 16, 16, 16}, STEN2, n, iters, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, vec := range []core.Vector{{16, 16, 16, 16}, {12, 20, 12, 20}, {10, 22, 22, 10}} {
 		for _, v := range []Variant{STEN1, STEN2} {
-			res, err := RunSim(net, cfg, vec, v, n, iters+1)
+			res, err := Sim(net, cfg, vec, v, n, iters+1, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,16 +306,16 @@ func TestSimIndependentOfGOMAXPROCS(t *testing.T) {
 		}
 		return 1
 	}
-	for name, opts := range map[string]AdaptiveOptions{
+	for name, opts := range map[string]Options{
 		"plain":     {},
 		"converge":  {Tol: 4}, // reached after 7 of the 9 iterations
 		"rebalance": {RebalanceEvery: 3, Slowdown: slow},
 	} {
 		for _, v := range []Variant{STEN1, STEN2} {
-			var ref AdaptiveResult
+			var ref Result
 			for _, procs := range []int{1, 2, 4} {
 				runtime.GOMAXPROCS(procs)
-				res, err := RunSimAdaptive(net, cfg, vec, v, n, iters, opts)
+				res, err := Sim(net, cfg, vec, v, n, iters, opts)
 				if err != nil {
 					t.Fatalf("%s %s GOMAXPROCS=%d: %v", name, v, procs, err)
 				}
@@ -351,7 +360,7 @@ func TestRunSimAllocationCeiling(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := RunSim(net, cfg, vec, STEN1, n, iters)
+	res, err := Sim(net, cfg, vec, STEN1, n, iters, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +368,7 @@ func TestRunSimAllocationCeiling(t *testing.T) {
 	tasks := len(vec)
 	values := (n+3*tasks)*n + 2*tasks*n + 2*(tasks-1)*iters*n
 	if got, ceiling := after.TotalAlloc-before.TotalAlloc, uint64(8*values*11/10); got > ceiling {
-		t.Errorf("RunSim(N=%d, 6+6) allocated %d bytes, want at most %d (%.2f grids)", n, got, ceiling, float64(ceiling)/(8*n*n))
+		t.Errorf("Sim(N=%d, 6+6) allocated %d bytes, want at most %d (%.2f grids)", n, got, ceiling, float64(ceiling)/(8*n*n))
 	}
 	// After an even number of cycles a rank's first data row is storage row 2
 	// again, so what follows it in the block is its capacity.
@@ -395,7 +404,7 @@ func TestOverlappedUpdatePanicIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := newJob(vec, pl.NumTasks(), STEN1, n, 2, nil, nil)
+	j, err := newJob(false, vec, pl.NumTasks(), STEN1, n, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +443,7 @@ func TestDriverClockReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v, perCycle := range map[Variant]int{STEN1: 3, STEN2: 4} {
-		j, err := newJob(vec, pl.NumTasks(), v, n, iters, nil, nil)
+		j, err := newJob(false, vec, pl.NumTasks(), v, n, iters, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,7 +479,7 @@ func TestDriverClockReads(t *testing.T) {
 func TestDriverDegenerateRuns(t *testing.T) {
 	net := model.PaperTestbed()
 	for _, v := range []Variant{STEN1, STEN2} {
-		res, err := RunSim(net, paperConfig(2, 1), core.Vector{1, 2, 21}, v, 24, 0)
+		res, err := Sim(net, paperConfig(2, 1), core.Vector{1, 2, 21}, v, 24, 0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -479,7 +488,7 @@ func TestDriverDegenerateRuns(t *testing.T) {
 		}
 		for _, n := range []int{24, 80} {
 			for _, iters := range []int{1, 4} {
-				res, err := RunSim(net, paperConfig(1, 0), core.Vector{n}, v, n, iters)
+				res, err := Sim(net, paperConfig(1, 0), core.Vector{n}, v, n, iters, Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -492,20 +501,13 @@ func TestDriverDegenerateRuns(t *testing.T) {
 		for _, vec := range []core.Vector{{1, 1, 1, 1, 1, 1, 1, 1}, {2, 5, 2, 6, 2}} {
 			n, tasks := vec.Sum(), len(vec)
 			for _, iters := range []int{6, 7} {
-				want := seedSequential(NewGrid(n), iters)
-				entryPoints(t, vec, v, n, iters, false, func(name string, grid [][]float64, err error) {
-					if err != nil {
-						t.Errorf("%v %s %d cycles %s: %v", vec, v, iters, name, err)
-					} else if !gridsEqual(grid, want) {
-						t.Errorf("%v %s %d cycles %s: grid differs from the seed kernel's", vec, v, iters, name)
-					}
-				})
+				combinations(t, vec, v, n, iters, false)
 			}
 			cfg := paperConfig(min(tasks, 6), tasks-min(tasks, 6))
 			stops := map[bool]bool{}
 			for _, tol := range []float64{3, 2, 1.5} {
 				want, iters, delta := SequentialUntil(NewGrid(n), tol, 40)
-				res, err := RunSimAdaptive(net, cfg, vec, v, n, 40, AdaptiveOptions{Tol: tol})
+				res, err := Sim(net, cfg, vec, v, n, 40, Options{Tol: tol})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -521,7 +523,7 @@ func TestDriverDegenerateRuns(t *testing.T) {
 		}
 
 		vec := core.Vector{2, 5, 2, 6, 2}
-		ad, err := RunSimAdaptive(net, paperConfig(5, 0), vec, v, 17, 8, AdaptiveOptions{
+		ad, err := Sim(net, paperConfig(5, 0), vec, v, 17, 8, Options{
 			RebalanceEvery: 3,
 			Slowdown: func(rank, iter int) float64 {
 				if rank == 3 {
@@ -547,9 +549,9 @@ func TestDriverDegenerateRuns(t *testing.T) {
 	// rebuild from the checkpointed rows alone.
 	for _, iters := range []int{8, 9} {
 		dt, dr := fastDetect()
-		res, err := RunLiveFT(ftWorld(t, 4), core.Vector{5, 2, 6, 4}, STEN2, 17, iters, FTOptions{
-			Injector:        faults.NewEngine(faults.Schedule{Crashes: []faults.Crash{{Rank: 1, Cycle: 5}}}, 1, nil),
-			CheckpointEvery: 3, DetectTimeout: dt, DetectRetries: dr,
+		res, err := Live(ftWorld(t, 4), core.Vector{5, 2, 6, 4}, STEN2, 17, iters, Options{
+			Injector: faults.NewEngine(faults.Schedule{Crashes: []faults.Crash{{Rank: 1, Cycle: 5}}}, 1, nil),
+			FT:       &FT{CheckpointEvery: 3, DetectTimeout: dt, DetectRetries: dr},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -18,8 +18,9 @@ import (
 	"netpart/internal/repart"
 )
 
-// Fault-tolerant live runtime: RunLiveFT executes the distributed stencil
-// like RunLive, but survives ranks disappearing mid-computation.
+// Fault-tolerant live runtime: Live with Options.FT executes the distributed
+// stencil like a plain Live run, but survives ranks disappearing
+// mid-computation.
 //
 // Mechanisms, in the order they engage:
 //
@@ -55,37 +56,6 @@ const (
 	MetricFTReplayedC  = "ft.replayed_cycles"     // cycles recomputed after rollback
 )
 
-// FTOptions configures RunLiveFT.
-type FTOptions struct {
-	// Injector supplies crash-at-cycle and compute-slowdown faults (packet
-	// faults belong to the transport; see mmps.WithInjector). Nil injects
-	// nothing.
-	Injector faults.Injector
-	// Repartition maps the surviving ranks to a new full-size partition
-	// vector (zero rows retire a rank). Nil splits rows evenly over the
-	// survivors. It must be deterministic: every survivor calls it with the
-	// same arguments and must obtain the same vector.
-	Repartition func(alive []int) (core.Vector, error)
-	// CheckpointEvery is the checkpoint period in cycles (default 8).
-	CheckpointEvery int
-	// DetectTimeout is one bounded-receive window (default 200ms).
-	DetectTimeout time.Duration
-	// DetectRetries is how many extra windows a silent peer is granted
-	// before the NodeFailed verdict (default 3).
-	DetectRetries int
-	// WorkFactor emulates heterogeneity as in RunLive. Nil means uniform.
-	WorkFactor []int
-	// Metrics, when non-nil, receives the MetricFT* series plus the
-	// MetricLive* wall-clock series.
-	Metrics *obs.Registry
-	// Trace, when non-nil, receives per-cycle spans for Chrome export.
-	Trace *obs.Recorder
-	// Cycles, when non-nil, receives each rank's wall-clock per-cycle and
-	// per-exchange durations as they complete — the drift-monitor
-	// subscription. Calls arrive from one goroutine per rank.
-	Cycles obs.CycleSink
-}
-
 // RecoveryEvent records one completed recovery.
 type RecoveryEvent struct {
 	// Epoch is the epoch the computation entered by recovering (the first
@@ -102,20 +72,6 @@ type RecoveryEvent struct {
 	LatencyMs float64
 }
 
-// FTResult is the outcome of a fault-tolerant live run.
-type FTResult struct {
-	Elapsed time.Duration
-	Grid    [][]float64
-	// Recoveries counts completed recoveries.
-	Recoveries int
-	// Failed lists every rank that left the computation by crash or
-	// excommunication (not ranks retired with zero rows).
-	Failed []int
-	// FinalVector is the partition vector the run finished under.
-	FinalVector core.Vector
-	Events      []RecoveryEvent
-}
-
 // Unrecoverable-run errors.
 var (
 	ErrQuorumLost     = errors.New("stencil: too few survivors for a recovery quorum")
@@ -124,68 +80,46 @@ var (
 	errRetired        = errors.New("stencil: rank retired with zero rows")
 )
 
-// ftShared is the cross-rank state of one run.
+// ftShared is the cross-rank state of one run beside its job: the recovery
+// log and, under mu with it, the job's result rows and final vector.
 type ftShared struct {
 	mu     sync.Mutex
-	result [][]float64
 	events []RecoveryEvent
-	failed map[int]bool
-	vec    core.Vector
 }
 
-// RunLiveFT executes the distributed stencil over real concurrent tasks
-// with failure detection and recovery. The transports must outlive the
-// call; a crashed rank stops participating but its transport endpoint is
-// left to the caller to close.
+// runFT is Live under opts.FT: the ranks run the job's cycles with failure
+// detection and recovery. The transports must outlive the call; a crashed
+// rank stops participating but its transport endpoint is left to the caller
+// to close.
 //
 //netpart:wallclock
-func RunLiveFT(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, opts FTOptions) (FTResult, error) {
-	if err := checkVector(vec, len(world), n, opts.WorkFactor); err != nil {
-		return FTResult{}, err
-	}
-	opts = opts.withDefaults(len(world), n)
-	sh := &ftShared{
-		result: make([][]float64, n),
-		failed: map[int]bool{},
-		vec:    append(core.Vector(nil), vec...),
-	}
+func (j *job) runFT(world []mmps.Transport, opts Options) (Result, error) {
+	sh := &ftShared{}
 	errs, elapsed := runRanks(len(world), opts.Metrics, func(rank int, start time.Time) error {
-		return newFTTask(world[rank], vec, v, n, iters, opts, sh, start).run()
+		return newFTTask(world[rank], j, opts, sh, start).run()
 	})
-
-	out := FTResult{Elapsed: elapsed}
+	var failed []int
 	for rank, err := range errs {
 		switch {
-		case err == nil || errors.Is(err, errRetired):
+		case errors.Is(err, errRetired):
 		case errors.Is(err, errCrashed) || errors.Is(err, errExcommunicated):
-			sh.mu.Lock()
-			sh.failed[rank] = true
-			sh.mu.Unlock()
+			failed = append(failed, rank)
 		default:
-			return FTResult{}, fmt.Errorf("stencil: rank %d: %w", rank, err)
+			continue
 		}
+		errs[rank] = nil
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for i, row := range sh.result {
-		if row == nil {
-			return FTResult{}, fmt.Errorf("stencil: row %d not produced (unrecovered failure)", i)
-		}
+	grid, err := j.finish(errs, nil)
+	if err != nil {
+		return Result{}, err
 	}
-	out.Grid = sh.result
-	out.Events = sh.events
-	out.Recoveries = len(sh.events)
-	out.FinalVector = append(core.Vector(nil), sh.vec...)
-	for r := range sh.failed {
-		out.Failed = append(out.Failed, r)
-	}
-	sort.Ints(out.Failed)
-	return out, nil
+	j.out.Iterations = j.iters
+	return Result{Elapsed: elapsed, Grid: grid, RunStats: j.out, Failed: failed, Events: sh.events}, nil
 }
 
 // withDefaults fills in the documented default of every option left at its
 // zero value, for a run of size ranks over n rows.
-func (o FTOptions) withDefaults(size, n int) FTOptions {
+func (o FT) withDefaults(size, n int) FT {
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 8
 	}
@@ -255,7 +189,8 @@ type ftTask struct {
 	size  int
 	n     int
 	iters int
-	opts  FTOptions
+	ft    FT
+	inj   faults.Injector
 	sh    *ftShared
 
 	epoch    int
@@ -289,11 +224,11 @@ type ftTask struct {
 	mReplay  *obs.Counter
 }
 
-func newFTTask(tr mmps.Transport, vec core.Vector, v Variant, n, iters int, opts FTOptions, sh *ftShared, t0 time.Time) *ftTask {
+func newFTTask(tr mmps.Transport, j *job, opts Options, sh *ftShared, t0 time.Time) *ftTask {
 	m := opts.Metrics
 	t := &ftTask{
-		tr: tr, rank: tr.Rank(), size: tr.Size(), n: n, iters: iters,
-		opts: opts, sh: sh,
+		tr: tr, rank: tr.Rank(), size: tr.Size(), n: j.n, iters: j.iters,
+		ft: opts.FT.withDefaults(tr.Size(), j.n), inj: opts.Injector, sh: sh,
 		dead:      map[int]bool{},
 		ownCkpt:   map[int][][]float64{},
 		ckptIn:    map[int]map[int]ckptBlob{},
@@ -306,23 +241,10 @@ func newFTTask(tr mmps.Transport, vec core.Vector, v Variant, n, iters int, opts
 		mRecovMs:  m.Histogram(MetricFTRecoveryMs),
 		mReplay:   m.Counter(MetricFTReplayedC),
 	}
-	t.link = &ftLink{t: t, liveLink: liveLink{
-		tr:         tr,
-		epoch:      t0,
-		rec:        opts.Trace,
-		cycleMs:    m.Histogram(MetricLiveCycleMs),
-		exchangeMs: m.Histogram(MetricLiveExchangeMs),
-		cycles:     opts.Cycles,
-		sendBuf:    make([]byte, 0, ftHeaderLen+haloHeaderLen+8*n),
-		ftEpoch:    &t.epoch,
-	}}
-	t.s = &rankState{job: &job{v: v, n: n, load: t.load}, lk: t.link}
-	own := repart.NewOwners(vec)
-	cur := newBlock(own.Count(t.rank), n)
-	if own.First(t.rank) == 0 {
-		initialRow(cur.row(1), 0)
-	}
-	t.view(append(core.Vector(nil), vec...), own, cur)
+	t.link = &ftLink{t: t, liveLink: newLiveLink(tr, t0, opts, j.n, ftHeaderLen)}
+	t.link.ftEpoch = &t.epoch
+	t.s = j.start(t.link, t.rank)
+	t.view(append(core.Vector(nil), j.vec...), repart.NewOwners(j.vec), t.s.cur)
 	return t
 }
 
@@ -341,19 +263,6 @@ func (t *ftTask) view(vec core.Vector, own repart.Owners, cur block) {
 			l.owners = append(l.owners, r)
 		}
 	}
-}
-
-// load is the job's load for the driver: the injected slowdown times the
-// work factor of this rank, whatever position the link gives it.
-func (t *ftTask) load(_, iter int) float64 {
-	factor := 1.0
-	if t.opts.Injector != nil {
-		factor = t.opts.Injector.Slowdown(t.rank, iter)
-	}
-	if t.opts.WorkFactor != nil {
-		factor *= float64(t.opts.WorkFactor[t.rank])
-	}
-	return factor
 }
 
 // participants are the ranks still computing: row-owners not declared dead.
@@ -399,11 +308,11 @@ func (t *ftTask) wardOf(r int) int {
 }
 
 func (t *ftTask) detectBudget() time.Duration {
-	return t.opts.DetectTimeout * time.Duration(t.opts.DetectRetries+1)
+	return t.ft.DetectTimeout * time.Duration(t.ft.DetectRetries+1)
 }
 
 func (t *ftTask) pingInterval() time.Duration {
-	p := t.opts.DetectTimeout / 2
+	p := t.ft.DetectTimeout / 2
 	if p < time.Millisecond {
 		p = time.Millisecond
 	}
@@ -703,11 +612,8 @@ func (t *ftTask) run() error {
 			return err
 		}
 	}
-	s := t.s
 	t.sh.mu.Lock()
-	for i := 0; i < s.rows; i++ {
-		t.sh.result[s.off+i] = s.cur.row(i + 1)
-	}
+	t.s.publish()
 	t.sh.mu.Unlock()
 	return nil
 }
@@ -719,10 +625,10 @@ func (t *ftTask) run() error {
 // rebuilds from checkpoints.
 func (t *ftTask) advance() error {
 	crash := -1
-	if inj := t.opts.Injector; inj != nil {
+	if inj := t.inj; inj != nil {
 		crash = inj.CrashCycle(t.rank)
 	}
-	every := t.opts.CheckpointEvery
+	every := t.ft.CheckpointEvery
 	for t.iter < t.iters {
 		if t.needRecovery {
 			return errNeedRecovery
@@ -887,7 +793,7 @@ func (t *ftTask) recover() error {
 			Vector:        append(core.Vector(nil), t.vec...),
 			LatencyMs:     latency,
 		})
-		t.sh.vec = append(core.Vector(nil), t.vec...)
+		copy(t.s.job.out.FinalVector, t.vec)
 		t.sh.mu.Unlock()
 	}
 	return nil
@@ -939,7 +845,7 @@ func (t *ftTask) applyRecovery(dl []int, parts []int) error {
 		}
 	}
 
-	newVec, err := t.opts.Repartition(parts)
+	newVec, err := t.ft.Repartition(parts)
 	if err != nil {
 		return err
 	}

@@ -87,20 +87,20 @@ func gridsMatch(t *testing.T, got, want [][]float64) {
 	}
 }
 
-// TestRunLiveFTFaultFree: with no faults the FT runtime is just RunLive
+// TestRunLiveFTFaultFree: with no faults the FT runtime is just a plain Live run
 // with extra bookkeeping — identical results, zero recoveries.
 func TestRunLiveFTFaultFree(t *testing.T) {
 	const n, iters = 32, 20
 	world := ftWorld(t, 4)
 	dt, dr := fastDetect()
-	res, err := RunLiveFT(world, core.Vector{8, 8, 8, 8}, STEN1, n, iters, FTOptions{
-		DetectTimeout: dt, DetectRetries: dr, CheckpointEvery: 5,
+	res, err := Live(world, core.Vector{8, 8, 8, 8}, STEN1, n, iters, Options{
+		FT: &FT{DetectTimeout: dt, DetectRetries: dr, CheckpointEvery: 5},
 	})
 	if err != nil {
-		t.Fatalf("RunLiveFT: %v", err)
+		t.Fatalf("Live with FT: %v", err)
 	}
-	if res.Recoveries != 0 || len(res.Failed) != 0 {
-		t.Fatalf("fault-free run reported %d recoveries, failed=%v", res.Recoveries, res.Failed)
+	if len(res.Events) != 0 || len(res.Failed) != 0 {
+		t.Fatalf("fault-free run reported %d recoveries, failed=%v", len(res.Events), res.Failed)
 	}
 	gridsMatch(t, res.Grid, Sequential(NewGrid(n), iters))
 }
@@ -115,15 +115,14 @@ func TestRunLiveFTRetiredMiddleRank(t *testing.T) {
 	retire := core.Vector{10, 10, 0, 10, 0}
 	dt, dr := fastDetect()
 	for _, v := range []Variant{STEN1, STEN2} {
-		res, err := RunLiveFT(ftWorld(t, 5), core.Vector{6, 6, 6, 6, 6}, v, n, iters, FTOptions{
+		res, err := Live(ftWorld(t, 5), core.Vector{6, 6, 6, 6, 6}, v, n, iters, Options{
 			Injector: faults.NewEngine(faults.Schedule{Crashes: []faults.Crash{{Rank: crashed, Cycle: 6}}}, 1, nil),
-			Repartition: func(alive []int) (core.Vector, error) {
+			FT: &FT{Repartition: func(alive []int) (core.Vector, error) {
 				if !reflect.DeepEqual(alive, []int{0, 1, 2, 3}) {
 					return nil, fmt.Errorf("repartition over %v, want the four survivors", alive)
 				}
 				return retire, nil
-			},
-			CheckpointEvery: 4, DetectTimeout: dt, DetectRetries: dr,
+			}, CheckpointEvery: 4, DetectTimeout: dt, DetectRetries: dr},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
@@ -141,22 +140,34 @@ func TestRunLiveFTRetiredMiddleRank(t *testing.T) {
 	}
 }
 
-// TestFTDetectBudgetDefault: the zero FTOptions grants a silent peer the
+// TestFTDetectBudgetDefault: the zero FT grants a silent peer the
 // documented three extra windows of 200 ms before the verdict, and explicit
 // values are kept.
 func TestFTDetectBudgetDefault(t *testing.T) {
 	for _, tc := range []struct {
-		opts FTOptions
+		ft   FT
 		want time.Duration
 	}{
-		{FTOptions{}, 800 * time.Millisecond},
-		{FTOptions{DetectTimeout: 60 * time.Millisecond, DetectRetries: 2}, 180 * time.Millisecond},
+		{FT{}, 800 * time.Millisecond},
+		{FT{DetectTimeout: 60 * time.Millisecond, DetectRetries: 2}, 180 * time.Millisecond},
 	} {
-		task := &ftTask{opts: tc.opts.withDefaults(4, 32)}
+		task := &ftTask{ft: tc.ft.withDefaults(4, 32)}
 		if got := task.detectBudget(); got != tc.want {
-			t.Errorf("%+v: detection budget %v, want %v", tc.opts, got, tc.want)
+			t.Errorf("%+v: detection budget %v, want %v", tc.ft, got, tc.want)
 		}
 	}
+}
+
+// newTestFTTask is rank tr's task of a fresh one-cycle FT run of N = 4 over
+// the vector {2, 2}, with every FT option at its default.
+func newTestFTTask(t testing.TB, tr mmps.Transport, v Variant) *ftTask {
+	t.Helper()
+	opts := Options{FT: &FT{}}
+	j, err := newJob(true, core.Vector{2, 2}, 2, v, 4, 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newFTTask(tr, j, opts, &ftShared{}, time.Now())
 }
 
 // TestFTDispatchIgnoresRanksOutsideWorld: a FAIL or SYNC frame naming a rank
@@ -169,7 +180,7 @@ func TestFTDispatchIgnoresRanksOutsideWorld(t *testing.T) {
 		ftFrame(ftFail, 0, 0, encodeDeadset([]int{2})),
 		ftFrame(ftSync, 0, 0, encodeSyncInfo(syncInfo{dead: []int{-1, 7}, ward: -1})),
 	} {
-		task := newFTTask(world[0], core.Vector{2, 2}, STEN1, 4, 1, FTOptions{}, &ftShared{}, time.Now())
+		task := newTestFTTask(t, world[0], STEN1)
 		if err := task.dispatch(1, frame); err != nil {
 			t.Fatal(err)
 		}
@@ -200,12 +211,12 @@ func FuzzFTFrame(f *testing.F) {
 		decodeDeadset(data)
 		decodeSyncInfo(data)
 		repart.DecodeRows(data, n)
-		task := newFTTask(world[0], core.Vector{2, 2}, STEN2, n, 1, FTOptions{}, &ftShared{}, time.Now())
+		task := newTestFTTask(t, world[0], STEN2)
 		_ = task.dispatch(1, data)
 	})
 }
 
-// TestRunLiveFTReportsExchangeTime: like RunLive, the FT runtime reports one
+// TestRunLiveFTReportsExchangeTime: like plain Live, the FT runtime reports one
 // exchange observation per rank per cycle, to the cycle sink and to
 // live.exchange_ms, and no exchange is longer than the cycle it belongs to.
 func TestRunLiveFTReportsExchangeTime(t *testing.T) {
@@ -214,11 +225,13 @@ func TestRunLiveFTReportsExchangeTime(t *testing.T) {
 	dt, dr := fastDetect()
 	log := newCycleLog()
 	reg := obs.NewRegistry()
-	res, err := RunLiveFT(world, core.Vector{8, 8, 8, 8}, STEN2, n, iters, FTOptions{
-		DetectTimeout: dt, DetectRetries: dr, Metrics: reg, Cycles: log,
+	res, err := Live(world, core.Vector{8, 8, 8, 8}, STEN2, n, iters, Options{
+		Metrics: reg,
+		Cycles:  log,
+		FT:      &FT{DetectTimeout: dt, DetectRetries: dr},
 	})
 	if err != nil {
-		t.Fatalf("RunLiveFT: %v", err)
+		t.Fatalf("Live with FT: %v", err)
 	}
 	gridsMatch(t, res.Grid, Sequential(NewGrid(n), iters))
 	if log.exchangeCalls != ranks*iters || len(log.exchange) != ranks*iters || len(log.cycle) != ranks*iters {
@@ -246,23 +259,25 @@ func TestRunLiveFTCrashRecovery(t *testing.T) {
 	net, vec, placement := paperVector(t, n, iters, STEN2)
 	want := Sequential(NewGrid(n), iters)
 
-	run := func() FTResult {
+	run := func() Result {
 		world := ftWorld(t, 12)
 		inj := faults.NewEngine(faults.Schedule{
 			Crashes: []faults.Crash{{Rank: crashRank, Cycle: crashCycle}},
 		}, 1, nil)
 		dt, dr := fastDetect()
 		reg := obs.NewRegistry()
-		res, err := RunLiveFT(world, vec, STEN2, n, iters, FTOptions{
-			Injector:        inj,
-			Repartition:     Repartitioner(net, cost.PaperTable(), STEN2, n, iters, placement),
-			CheckpointEvery: 8,
-			DetectTimeout:   dt,
-			DetectRetries:   dr,
-			Metrics:         reg,
+		res, err := Live(world, vec, STEN2, n, iters, Options{
+			Injector: inj,
+			Metrics:  reg,
+			FT: &FT{
+				Repartition:     Repartitioner(net, cost.PaperTable(), STEN2, n, iters, placement),
+				CheckpointEvery: 8,
+				DetectTimeout:   dt,
+				DetectRetries:   dr,
+			},
 		})
 		if err != nil {
-			t.Fatalf("RunLiveFT: %v", err)
+			t.Fatalf("Live with FT: %v", err)
 		}
 		if got := reg.Counter(MetricFTRecoveries).Value(); got != 1 {
 			t.Fatalf("ft.recoveries = %d, want 1", got)
@@ -274,8 +289,8 @@ func TestRunLiveFTCrashRecovery(t *testing.T) {
 	}
 
 	res := run()
-	if res.Recoveries != 1 || len(res.Events) != 1 {
-		t.Fatalf("recoveries = %d (events %v), want 1", res.Recoveries, res.Events)
+	if len(res.Events) != 1 {
+		t.Fatalf("recoveries = %d (events %v), want 1", len(res.Events), res.Events)
 	}
 	ev := res.Events[0]
 	if len(ev.Dead) != 1 || ev.Dead[0] != crashRank {
@@ -328,17 +343,15 @@ func TestRunLiveFTCrashOverUDP(t *testing.T) {
 	inj := faults.NewEngine(faults.Schedule{
 		Crashes: []faults.Crash{{Rank: 1, Cycle: 5}},
 	}, 7, nil)
-	res, err := RunLiveFT(world, core.Vector{6, 6, 6, 6}, STEN1, n, iters, FTOptions{
-		Injector:        inj,
-		CheckpointEvery: 4,
-		DetectTimeout:   150 * time.Millisecond,
-		DetectRetries:   2,
+	res, err := Live(world, core.Vector{6, 6, 6, 6}, STEN1, n, iters, Options{
+		Injector: inj,
+		FT:       &FT{CheckpointEvery: 4, DetectTimeout: 150 * time.Millisecond, DetectRetries: 2},
 	})
 	if err != nil {
-		t.Fatalf("RunLiveFT: %v", err)
+		t.Fatalf("Live with FT: %v", err)
 	}
-	if res.Recoveries != 1 {
-		t.Fatalf("recoveries = %d, want 1", res.Recoveries)
+	if len(res.Events) != 1 {
+		t.Fatalf("recoveries = %d, want 1", len(res.Events))
 	}
 	gridsMatch(t, res.Grid, Sequential(NewGrid(n), iters))
 }
@@ -380,15 +393,15 @@ func TestRunLiveFTFaultFreeOverUDPAtCheckpointSize(t *testing.T) {
 		for i, c := range conns {
 			world[i] = c
 		}
-		res, err := RunLiveFT(world, core.Vector{128, 128, 128, 128}, STEN2, n, iters, FTOptions{})
+		res, err := Live(world, core.Vector{128, 128, 128, 128}, STEN2, n, iters, Options{FT: &FT{}})
 		for _, c := range conns {
 			c.Close()
 		}
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
-		if res.Recoveries != 0 || len(res.Failed) != 0 {
-			t.Fatalf("run %d: fault-free run reported %d recoveries, failed=%v", run, res.Recoveries, res.Failed)
+		if len(res.Events) != 0 || len(res.Failed) != 0 {
+			t.Fatalf("run %d: fault-free run reported %d recoveries, failed=%v", run, len(res.Events), res.Failed)
 		}
 		gridsMatch(t, res.Grid, want)
 		if re, sent := m.Counter(mmps.MetricRetransmits).Value(), m.Counter(mmps.MetricPacketsSent).Value(); re > sent/100 {

@@ -94,7 +94,7 @@ func TestLiveMatchesSeedKernel(t *testing.T) {
 		for _, n := range []int{7, 61, 127} {
 			for _, v := range []Variant{STEN1, STEN2} {
 				world := localWorld(t, 3)
-				res, err := RunLive(world, core3Vector(n), v, n, 5, nil)
+				res, err := Live(world, core3Vector(n), v, n, 5, Options{})
 				closeWorld(world)
 				if err != nil {
 					t.Fatalf("n=%d %v: %v", n, v, err)

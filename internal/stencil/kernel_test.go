@@ -235,7 +235,7 @@ func TestDenormalRegimeMatchesSeed(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
 		world := localWorld(t, 3)
 		defer closeWorld(world)
-		res, err := RunLive(world, core3Vector(n), STEN2, n, iters, nil)
+		res, err := Live(world, core3Vector(n), STEN2, n, iters, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

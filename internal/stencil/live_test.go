@@ -55,7 +55,7 @@ func TestLiveOnOneProcLosesNoWakeup(t *testing.T) {
 			t.Fatal(err)
 		}
 		world := []mmps.Transport{eps[0], eps[1], eps[2], eps[3]}
-		res, err := RunLive(world, core.Vector{12, 12, 12, 12}, v, n, iters, nil)
+		res, err := Live(world, core.Vector{12, 12, 12, 12}, v, n, iters, Options{})
 		closeWorld(world)
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
@@ -72,7 +72,7 @@ func TestLiveMatchesSequentialLocalTransport(t *testing.T) {
 	for _, v := range []Variant{STEN1, STEN2} {
 		world := localWorld(t, 4)
 		vec := core.Vector{8, 8, 8, 8}
-		res, err := RunLive(world, vec, v, n, iters, nil)
+		res, err := Live(world, vec, v, n, iters, Options{})
 		closeWorld(world)
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
@@ -92,7 +92,7 @@ func TestLiveMatchesSequentialUDPTransport(t *testing.T) {
 	for _, v := range []Variant{STEN1, STEN2} {
 		world := udpWorld(t, 3)
 		vec := core.Vector{8, 10, 6} // deliberately uneven
-		res, err := RunLive(world, vec, v, n, iters, nil)
+		res, err := Live(world, vec, v, n, iters, Options{})
 		closeWorld(world)
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
@@ -109,7 +109,7 @@ func TestLiveHeterogeneousWorkFactors(t *testing.T) {
 	want := Sequential(NewGrid(n), iters)
 	world := localWorld(t, 3)
 	defer closeWorld(world)
-	res, err := RunLive(world, core.Vector{12, 6, 6}, STEN2, n, iters, []int{1, 2, 2})
+	res, err := Live(world, core.Vector{12, 6, 6}, STEN2, n, iters, Options{WorkFactor: []int{1, 2, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestLiveSingleTask(t *testing.T) {
 	want := Sequential(NewGrid(n), iters)
 	world := localWorld(t, 1)
 	defer closeWorld(world)
-	res, err := RunLive(world, core.Vector{n}, STEN1, n, iters, nil)
+	res, err := Live(world, core.Vector{n}, STEN1, n, iters, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,16 +135,16 @@ func TestLiveSingleTask(t *testing.T) {
 func TestLiveValidatesInputs(t *testing.T) {
 	world := localWorld(t, 2)
 	defer closeWorld(world)
-	if _, err := RunLive(world, core.Vector{4}, STEN1, 8, 1, nil); err == nil {
+	if _, err := Live(world, core.Vector{4}, STEN1, 8, 1, Options{}); err == nil {
 		t.Error("vector/world mismatch should error")
 	}
-	if _, err := RunLive(world, core.Vector{4, 5}, STEN1, 8, 1, nil); err == nil {
+	if _, err := Live(world, core.Vector{4, 5}, STEN1, 8, 1, Options{}); err == nil {
 		t.Error("vector/N mismatch should error")
 	}
-	if _, err := RunLive(world, core.Vector{4, 4}, STEN1, 8, 1, []int{1}); err == nil {
+	if _, err := Live(world, core.Vector{4, 4}, STEN1, 8, 1, Options{WorkFactor: []int{1}}); err == nil {
 		t.Error("work factor length mismatch should error")
 	}
-	if _, err := RunLive(nil, core.Vector{}, STEN1, 0, 1, nil); err == nil {
+	if _, err := Live(nil, core.Vector{}, STEN1, 0, 1, Options{}); err == nil {
 		t.Error("empty world should error")
 	}
 }
@@ -165,7 +165,7 @@ func TestLiveAdaptiveBitExactUnderMigration(t *testing.T) {
 			}
 			defer closeWorld(world)
 			vec := core.Vector{16, 16, 16, 16}
-			res, err := RunLiveAdaptive(world, vec, STEN2, n, iters, LiveAdaptiveOptions{
+			res, err := Live(world, vec, STEN2, n, iters, Options{
 				RebalanceEvery: 4,
 				WorkFactor:     []int{1, 8, 1, 1}, // rank 1 is 8x slower
 			})
@@ -196,7 +196,7 @@ func TestLiveAdaptiveShedsLoadedRank(t *testing.T) {
 	world := localWorld(t, 3)
 	defer closeWorld(world)
 	vec := core.Vector{171, 171, 170}
-	res, err := RunLiveAdaptive(world, vec, STEN1, n, iters, LiveAdaptiveOptions{
+	res, err := Live(world, vec, STEN1, n, iters, Options{
 		RebalanceEvery: 3,
 		WorkFactor:     []int{1, 64, 1},
 	})
@@ -213,19 +213,5 @@ func TestLiveAdaptiveShedsLoadedRank(t *testing.T) {
 	want := Sequential(NewGrid(n), iters)
 	if !gridsEqual(res.Grid, want) {
 		t.Error("numerics changed")
-	}
-}
-
-func TestLiveAdaptiveValidates(t *testing.T) {
-	world := localWorld(t, 2)
-	defer closeWorld(world)
-	if _, err := RunLiveAdaptive(world, core.Vector{4}, STEN1, 8, 2, LiveAdaptiveOptions{}); err == nil {
-		t.Error("vector/world mismatch accepted")
-	}
-	if _, err := RunLiveAdaptive(world, core.Vector{4, 5}, STEN1, 8, 2, LiveAdaptiveOptions{}); err == nil {
-		t.Error("vector/N mismatch accepted")
-	}
-	if _, err := RunLiveAdaptive(world, core.Vector{4, 4}, STEN1, 8, 2, LiveAdaptiveOptions{WorkFactor: []int{1}}); err == nil {
-		t.Error("work factor mismatch accepted")
 	}
 }

@@ -21,7 +21,7 @@ func TestSimMetricsAndSpans(t *testing.T) {
 	}
 	m := obs.NewRegistry()
 	rec := obs.NewRecorder(nil)
-	res, err := RunSimAdaptive(net, cfg, vec, STEN1, n, iters, AdaptiveOptions{Metrics: m, Trace: rec})
+	res, err := Sim(net, cfg, vec, STEN1, n, iters, Options{Metrics: m, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSimMetricsAndSpans(t *testing.T) {
 	}
 
 	// Observed runs must not change results: same grid, same elapsed.
-	plain, err := RunSim(net, cfg, vec, STEN1, n, iters)
+	plain, err := Sim(net, cfg, vec, STEN1, n, iters, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestLiveMetrics(t *testing.T) {
 	vec := core.Vector{8, 8, 8}
 	m := obs.NewRegistry()
 	rec := obs.NewRecorder(nil)
-	res, err := RunLiveMonitored(world, vec, STEN1, n, iters, nil, m, rec, nil)
+	res, err := Live(world, vec, STEN1, n, iters, Options{Metrics: m, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestAdaptiveMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := obs.NewRegistry()
-	res, err := RunSimAdaptive(net, cfg, vec, STEN1, n, iters, AdaptiveOptions{
+	res, err := Sim(net, cfg, vec, STEN1, n, iters, Options{
 		RebalanceEvery: 2,
 		Slowdown: func(rank, iter int) float64 {
 			if rank == 0 {

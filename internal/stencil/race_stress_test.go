@@ -51,17 +51,15 @@ func TestRaceStressCrashWithPacketFaults(t *testing.T) {
 	eng := faults.NewEngine(sched, 1, nil)
 	world := raceWorld(t, 6, eng)
 	dt, dr := raceDetect()
-	res, err := RunLiveFT(world, core.Vector{8, 8, 8, 8, 8, 8}, STEN2, n, iters, FTOptions{
-		Injector:        eng,
-		CheckpointEvery: 4,
-		DetectTimeout:   dt,
-		DetectRetries:   dr,
+	res, err := Live(world, core.Vector{8, 8, 8, 8, 8, 8}, STEN2, n, iters, Options{
+		Injector: eng,
+		FT:       &FT{CheckpointEvery: 4, DetectTimeout: dt, DetectRetries: dr},
 	})
 	if err != nil {
-		t.Fatalf("RunLiveFT: %v", err)
+		t.Fatalf("Live with FT: %v", err)
 	}
-	if res.Recoveries < 1 {
-		t.Fatalf("recoveries = %d, want at least 1", res.Recoveries)
+	if len(res.Events) < 1 {
+		t.Fatalf("recoveries = %d, want at least 1", len(res.Events))
 	}
 	if len(res.Failed) != 1 || res.Failed[0] != 2 {
 		t.Fatalf("failed = %v, want [2]", res.Failed)
@@ -77,17 +75,15 @@ func TestRaceStressLossyNoCrash(t *testing.T) {
 	eng := faults.NewEngine(faults.MustParse("drop:0.1;dup:0.1"), 7, nil)
 	world := raceWorld(t, 6, eng)
 	dt, dr := raceDetect()
-	res, err := RunLiveFT(world, core.Vector{8, 8, 8, 8, 8, 8}, STEN1, n, iters, FTOptions{
-		Injector:        eng,
-		CheckpointEvery: 4,
-		DetectTimeout:   dt,
-		DetectRetries:   dr,
+	res, err := Live(world, core.Vector{8, 8, 8, 8, 8, 8}, STEN1, n, iters, Options{
+		Injector: eng,
+		FT:       &FT{CheckpointEvery: 4, DetectTimeout: dt, DetectRetries: dr},
 	})
 	if err != nil {
-		t.Fatalf("RunLiveFT: %v", err)
+		t.Fatalf("Live with FT: %v", err)
 	}
-	if res.Recoveries != 0 || len(res.Failed) != 0 {
-		t.Fatalf("lossy-but-live run triggered recovery (recoveries=%d failed=%v)", res.Recoveries, res.Failed)
+	if len(res.Events) != 0 || len(res.Failed) != 0 {
+		t.Fatalf("lossy-but-live run triggered recovery (recoveries=%d failed=%v)", len(res.Events), res.Failed)
 	}
 	gridsMatch(t, res.Grid, Sequential(NewGrid(n), iters))
 }
@@ -108,13 +104,13 @@ func TestRaceStressDriftTriggeredAdaptive(t *testing.T) {
 		Warmup:       1,
 		Notify:       func(drift.Event) { trig.Fire() },
 	}, nil, nil)
-	res, err := RunLiveAdaptive(world, core.Vector{8, 8, 8, 8, 8, 8}, STEN1, n, iters, LiveAdaptiveOptions{
+	res, err := Live(world, core.Vector{8, 8, 8, 8, 8, 8}, STEN1, n, iters, Options{
 		Trigger:    trig,
 		WorkFactor: []int{1, 1, 6, 1, 1, 1},
 		Cycles:     mon,
 	})
 	if err != nil {
-		t.Fatalf("RunLiveAdaptive: %v", err)
+		t.Fatalf("Live: %v", err)
 	}
 	if len(res.Plans) == 0 {
 		t.Fatal("no repart rounds recorded")

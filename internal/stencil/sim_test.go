@@ -43,7 +43,7 @@ func TestSimAllocationsIndependentOfIterations(t *testing.T) {
 		allocs := func(iters int) float64 {
 			return testing.AllocsPerRun(5, func() {
 				for _, v := range []Variant{STEN1, STEN2} {
-					if _, err := RunSimAdaptive(net, cfg, vec, v, c.n, iters, AdaptiveOptions{TimeOnly: c.timeOnly}); err != nil {
+					if _, err := Sim(net, cfg, vec, v, c.n, iters, Options{TimeOnly: c.timeOnly}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -71,22 +71,22 @@ func TestSimQueuedBordersStayExact(t *testing.T) {
 	const iters = 10 // runBoth's
 	want := Sequential(NewGrid(n), iters)
 	for _, c := range []timeOnlyCase{
-		{name: "slow middle rank", opts: func() AdaptiveOptions {
-			return AdaptiveOptions{Slowdown: func(rank, _ int) float64 {
+		{name: "slow middle rank", opts: func() Options {
+			return Options{Slowdown: func(rank, _ int) float64 {
 				if rank == 1 {
 					return 8
 				}
 				return 1
 			}}
 		}},
-		{name: "delayed link", opts: func() AdaptiveOptions {
-			return AdaptiveOptions{Injector: faults.NewEngine(faults.MustParse("delay:0.5,20"), 7, nil)}
+		{name: "delayed link", opts: func() Options {
+			return Options{Injector: faults.NewEngine(faults.MustParse("delay:0.5,20"), 7, nil)}
 		}},
 	} {
 		c.cfg, c.vec = cfg, vec
 		for _, v := range []Variant{STEN1, STEN2} {
 			c.v = v
-			res, err := RunSimAdaptive(model.PaperTestbed(), cfg, vec, v, n, iters, c.opts())
+			res, err := Sim(model.PaperTestbed(), cfg, vec, v, n, iters, c.opts())
 			if err != nil {
 				t.Fatalf("%s %s: %v", c.name, v, err)
 			}

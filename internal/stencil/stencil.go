@@ -160,7 +160,7 @@ func Sequential(grid [][]float64, iters int) [][]float64 {
 }
 
 // SequentialUntil is the reference for converge-until runs
-// (AdaptiveOptions.Tol): iterate until the maximum point change falls to
+// (Options.Tol): iterate until the maximum point change falls to
 // tol (or maxIters), returning the grid, iteration count and final change.
 func SequentialUntil(grid [][]float64, tol float64, maxIters int) ([][]float64, int, float64) {
 	n := len(grid)

@@ -88,7 +88,7 @@ func TestDistributedMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for _, v := range tc.varnts {
-			res, err := RunSim(net, tc.cfg, vec, v, tc.n, tc.iters)
+			res, err := Sim(net, tc.cfg, vec, v, tc.n, tc.iters, Options{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.name, v, err)
 			}
@@ -111,11 +111,11 @@ func TestSTEN2FasterThanSTEN1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := RunSim(net, cfg, vec, STEN1, 300, 10)
+	r1, err := Sim(net, cfg, vec, STEN1, 300, 10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunSim(net, cfg, vec, STEN2, 300, 10)
+	r2, err := Sim(net, cfg, vec, STEN2, 300, 10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestElapsedNearModelPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSim(net, cfg, vec, STEN1, n, iters)
+	res, err := Sim(net, cfg, vec, STEN1, n, iters, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +167,11 @@ func TestHeterogeneousBeatsEqualDecomposition(t *testing.T) {
 	for i := range equal {
 		equal[i] = n / 12
 	}
-	rBal, err := RunSim(net, cfg, balanced, STEN1, n, iters)
+	rBal, err := Sim(net, cfg, balanced, STEN1, n, iters, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rEq, err := RunSim(net, cfg, equal, STEN1, n, iters)
+	rEq, err := Sim(net, cfg, equal, STEN1, n, iters, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,16 +185,6 @@ func TestHeterogeneousBeatsEqualDecomposition(t *testing.T) {
 	}
 }
 
-func TestRunSimValidatesInputs(t *testing.T) {
-	net := model.PaperTestbed()
-	if _, err := RunSim(net, paperConfig(2, 0), core.Vector{5, 5}, STEN1, 12, 1); err == nil {
-		t.Error("vector/N mismatch should error")
-	}
-	if _, err := RunSim(net, paperConfig(2, 0), core.Vector{5, 5, 2}, STEN1, 12, 1); err == nil {
-		t.Error("vector/config mismatch should error")
-	}
-}
-
 // TestRunSimRejectsOversubscription: seven tasks on the six-Sparc2 cluster
 // is a placement the testbed cannot host, so the run is refused by name
 // rather than simulated on a processor that does not exist.
@@ -205,7 +195,7 @@ func TestRunSimRejectsOversubscription(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunSim(net, cfg, vec, STEN1, 60, 2)
+	_, err = Sim(net, cfg, vec, STEN1, 60, 2, Options{})
 	if err == nil {
 		t.Fatal("7 tasks on a 6-processor cluster accepted")
 	}
@@ -276,7 +266,7 @@ func TestAnyDecompositionIsCorrectProperty(t *testing.T) {
 			}
 		}
 		for _, v := range []Variant{STEN1, STEN2} {
-			res, err := RunSim(net, cfg, vec, v, n, iters)
+			res, err := Sim(net, cfg, vec, v, n, iters, Options{})
 			if err != nil {
 				return false
 			}
@@ -303,7 +293,7 @@ func TestMoreProcessorsReduceComputeBoundElapsed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunSim(net, cfg, vec, STEN1, n, iters)
+		res, err := Sim(net, cfg, vec, STEN1, n, iters, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -346,7 +336,7 @@ func TestScatterSimNearEstimate(t *testing.T) {
 	// Quantifying the paper's exclusion of distribution cost: at the
 	// paper's 10 iterations the scatter actually EXCEEDS the run (their
 	// "sufficient granularity" assumption needs more iterations).
-	run, err := RunSim(net, cfg, vec, STEN1, n, 10)
+	run, err := Sim(net, cfg, vec, STEN1, n, 10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +414,7 @@ func TestDistributedOnThreeClusterCoercionNetwork(t *testing.T) {
 	}
 	want := Sequential(NewGrid(n), iters)
 	for _, v := range []Variant{STEN1, STEN2} {
-		res, err := RunSim(net, cfg, vec, v, n, iters)
+		res, err := Sim(net, cfg, vec, v, n, iters, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
@@ -454,13 +444,13 @@ func TestCoercionCostsChargeBoundarySenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed, err := RunSim(base, cfg, vec, STEN1, n, iters)
+	mixed, err := Sim(base, cfg, vec, STEN1, n, iters, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	same := model.Figure1Network()
 	same.Cluster("rs6000").Format = model.FormatBigEndian // no coercion now
-	uniform, err := RunSim(same, cfg, vec, STEN1, n, iters)
+	uniform, err := Sim(same, cfg, vec, STEN1, n, iters, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +480,7 @@ func TestConvergenceMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RunSimAdaptive(net, cfg, vec, v, n, maxIters, AdaptiveOptions{Tol: tol})
+			res, err := Sim(net, cfg, vec, v, n, maxIters, Options{Tol: tol})
 			if err != nil {
 				t.Fatalf("%s (%d,%d): %v", v, cfgCounts[0], cfgCounts[1], err)
 			}
@@ -516,7 +506,7 @@ func TestConvergenceMaxItersCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSimAdaptive(net, cfg, vec, STEN1, n, 7, AdaptiveOptions{Tol: 1e-30}) // unreachable tol
+	res, err := Sim(net, cfg, vec, STEN1, n, 7, Options{Tol: 1e-30}) // unreachable tol
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +514,7 @@ func TestConvergenceMaxItersCap(t *testing.T) {
 		t.Errorf("iterations = %d, want capped at 7", res.Iterations)
 	}
 	// The capped run equals the fixed-iteration runtime's result.
-	fixed, err := RunSim(net, cfg, vec, STEN1, n, 7)
+	fixed, err := Sim(net, cfg, vec, STEN1, n, 7, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

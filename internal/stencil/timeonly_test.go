@@ -25,13 +25,13 @@ type timeOnlyCase struct {
 	cfg  cost.Config
 	vec  core.Vector
 	v    Variant
-	opts func() AdaptiveOptions
+	opts func() Options
 }
 
 func timeOnlyCases(t *testing.T) []timeOnlyCase {
 	t.Helper()
 	net := model.PaperTestbed()
-	none := func() AdaptiveOptions { return AdaptiveOptions{} }
+	none := func() Options { return Options{} }
 	var cases []timeOnlyCase
 	for _, n := range []int{60, 600} {
 		for _, c := range [][2]int{{1, 0}, {2, 0}, {4, 0}, {6, 0}, {6, 2}, {6, 4}, {6, 6}} {
@@ -61,15 +61,15 @@ func timeOnlyCases(t *testing.T) []timeOnlyCase {
 			timeOnlyCase{fmt.Sprintf("random %v", random), paperConfig(6, 1), random, v, none},
 			timeOnlyCase{"P=N", paperConfig(6, 6), core.Vector{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, v, none},
 			timeOnlyCase{"two-row ranks", paperConfig(5, 0), core.Vector{2, 5, 2, 6, 2}, v, none},
-			timeOnlyCase{"rebalance", paperConfig(2, 2), core.Vector{40, 40, 40, 40}, v, func() AdaptiveOptions {
-				return AdaptiveOptions{RebalanceEvery: 3, Slowdown: slow}
+			timeOnlyCase{"rebalance", paperConfig(2, 2), core.Vector{40, 40, 40, 40}, v, func() Options {
+				return Options{RebalanceEvery: 3, Slowdown: slow}
 			}},
-			timeOnlyCase{"injector", paperConfig(4, 2), core.Vector{30, 30, 30, 30, 20, 20}, v, func() AdaptiveOptions {
+			timeOnlyCase{"injector", paperConfig(4, 2), core.Vector{30, 30, 30, 30, 20, 20}, v, func() Options {
 				sched := faults.MustParse("slow:1,3@2-6;slow:4,2;drop:0.1;delay:0.2,3")
-				return AdaptiveOptions{Injector: faults.NewEngine(sched, 7, nil), RetransmitMs: 10}
+				return Options{Injector: faults.NewEngine(sched, 7, nil), RetransmitMs: 10}
 			}},
-			timeOnlyCase{"jitter", paperConfig(6, 2), core.Vector{25, 25, 25, 25, 25, 25, 25, 25}, v, func() AdaptiveOptions {
-				return AdaptiveOptions{SimOptions: []simnet.Option{simnet.WithJitter(0.3, 42)}}
+			timeOnlyCase{"jitter", paperConfig(6, 2), core.Vector{25, 25, 25, 25, 25, 25, 25, 25}, v, func() Options {
+				return Options{SimOptions: []simnet.Option{simnet.WithJitter(0.3, 42)}}
 			}},
 		)
 	}
@@ -87,11 +87,11 @@ func runBoth(t *testing.T, c timeOnlyCase) {
 	fullOpts, timeOpts := c.opts(), c.opts()
 	fullLog, timeLog := newCycleLog(), newCycleLog()
 	fullOpts.Cycles, timeOpts.Cycles, timeOpts.TimeOnly = fullLog, timeLog, true
-	full, err := RunSimAdaptive(net, c.cfg, c.vec, c.v, n, iters, fullOpts)
+	full, err := Sim(net, c.cfg, c.vec, c.v, n, iters, fullOpts)
 	if err != nil {
 		t.Fatalf("%s %s: %v", c.name, c.v, err)
 	}
-	got, err := RunSimAdaptive(net, c.cfg, c.vec, c.v, n, iters, timeOpts)
+	got, err := Sim(net, c.cfg, c.vec, c.v, n, iters, timeOpts)
 	if err != nil {
 		t.Fatalf("%s %s time-only: %v", c.name, c.v, err)
 	}
@@ -145,8 +145,8 @@ func TestTimeOnlyIgnoresValues(t *testing.T) {
 // TestTimeOnlyRefusesTol: convergence reads values, so a time-only run
 // cannot stop on a tolerance; the refusal names both options.
 func TestTimeOnlyRefusesTol(t *testing.T) {
-	_, err := RunSimAdaptive(model.PaperTestbed(), paperConfig(2, 0), core.Vector{5, 5}, STEN1, 10, 3,
-		AdaptiveOptions{TimeOnly: true, Tol: 1e-3})
+	_, err := Sim(model.PaperTestbed(), paperConfig(2, 0), core.Vector{5, 5}, STEN1, 10, 3,
+		Options{TimeOnly: true, Tol: 1e-3})
 	if err == nil || !strings.Contains(err.Error(), "TimeOnly") || !strings.Contains(err.Error(), "Tol") {
 		t.Fatalf("TimeOnly with Tol returned %v, want a refusal naming both", err)
 	}
@@ -165,13 +165,13 @@ func TestTimeOnlyAllocatesLessThanAGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	opts := AdaptiveOptions{TimeOnly: true}
-	if _, err := RunSimAdaptive(net, cfg, vec, STEN1, n, iters, opts); err != nil {
+	opts := Options{TimeOnly: true}
+	if _, err := Sim(net, cfg, vec, STEN1, n, iters, opts); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := RunSimAdaptive(net, cfg, vec, STEN1, n, iters, opts); err != nil {
+	if _, err := Sim(net, cfg, vec, STEN1, n, iters, opts); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

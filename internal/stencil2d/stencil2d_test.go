@@ -105,7 +105,7 @@ func TestBorderBytesBelowOneD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1d, err := stencil.RunSim(net, paperConfig(6, 6), vec, stencil.STEN1, n, iters)
+	res1d, err := stencil.Sim(net, paperConfig(6, 6), vec, stencil.STEN1, n, iters, stencil.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,16 +200,32 @@ func StencilAnnotations(n int, v StencilVariant, iters int) *Annotations {
 // partial pivoting (broadcast topology, non-uniform complexity).
 func GaussAnnotations(n int) *Annotations { return gauss.Annotations(n) }
 
+// StencilOptions selects the policies of a stencil run on either runtime:
+// load (WorkFactor, Slowdown, Injector), run-to-convergence (Tol), dynamic
+// repartitioning with real row migration (RebalanceEvery, Trigger,
+// Planner) — the §7 future-work strategy for load imbalance —,
+// observation (Metrics, Trace, the Cycles drift-monitor hookup), the
+// simulator's own settings (SimOptions, RetransmitMs, TimeOnly) and the
+// live runtime's fault tolerance (FT). The zero value is a plain run; an
+// option a runtime cannot honour is refused by name.
+type StencilOptions = stencil.Options
+
+// StencilFT configures the fault-tolerant live runtime: buddy
+// checkpointing, bounded-silence verdicts, a recovery barrier,
+// re-partitioning over the survivors, and rollback to the last complete
+// checkpoint. The result is bit-for-bit identical to a fault-free run.
+type StencilFT = stencil.FT
+
 // RunStencilSim executes the distributed stencil on the simulated network
 // and returns the virtual elapsed time and final grid.
-func RunStencilSim(net *Network, cfg Config, vec Vector, v StencilVariant, n, iters int) (stencil.SimResult, error) {
-	return stencil.RunSim(net, cfg, vec, v, n, iters)
+func RunStencilSim(net *Network, cfg Config, vec Vector, v StencilVariant, n, iters int, opts StencilOptions) (stencil.Result, error) {
+	return stencil.Sim(net, cfg, vec, v, n, iters, opts)
 }
 
 // RunStencilLive executes the distributed stencil over real concurrent
 // tasks communicating through mmps transports.
-func RunStencilLive(world []Transport, vec Vector, v StencilVariant, n, iters int, workFactor []int) (stencil.LiveResult, error) {
-	return stencil.RunLive(world, vec, v, n, iters, workFactor)
+func RunStencilLive(world []Transport, vec Vector, v StencilVariant, n, iters int, opts StencilOptions) (stencil.Result, error) {
+	return stencil.Live(world, vec, v, n, iters, opts)
 }
 
 // SequentialStencil is the single-processor reference solver.
@@ -269,22 +285,6 @@ func PartitionGlobal(net *Network, costs *CostTable, ann *Annotations) (Result, 
 // MetasystemTestbed returns the §7 metasystem: the paper's workstation
 // testbed plus an 8-node multicomputer on a fast private segment.
 func MetasystemTestbed() *Network { return model.MetasystemTestbed() }
-
-// StencilAdaptiveOptions selects the policies of a simulated stencil run:
-// instrumentation (Metrics, Trace, the Cycles drift-monitor hookup),
-// periodic dynamic repartitioning (RebalanceEvery), injected load
-// (Slowdown), packet and slowdown faults (Injector, RetransmitMs),
-// run-to-convergence (Tol) and timing without a grid (TimeOnly). The zero
-// value is RunStencilSim.
-type StencilAdaptiveOptions = stencil.AdaptiveOptions
-
-// RunStencilAdaptive is the general simulated entry point: RunStencilSim
-// plus the policies in opts — among them periodic dynamic repartitioning
-// with real row migration, the §7 future-work strategy for load imbalance
-// from processor sharing.
-func RunStencilAdaptive(net *Network, cfg Config, vec Vector, v StencilVariant, n, iters int, opts StencilAdaptiveOptions) (stencil.AdaptiveResult, error) {
-	return stencil.RunSimAdaptive(net, cfg, vec, v, n, iters, opts)
-}
 
 // CompileAnnotations compiles a declarative JSON annotation specification
 // (see specs/) into callbacks — the §7 "compiler-generated callbacks"
@@ -411,10 +411,6 @@ type (
 	FaultInjector = faults.Injector
 	// FaultEngine is the deterministic injector over a FaultSchedule.
 	FaultEngine = faults.Engine
-	// FTOptions configures the fault-tolerant live stencil runtime.
-	FTOptions = stencil.FTOptions
-	// FTResult is its outcome, including recovery events.
-	FTResult = stencil.FTResult
 	// RecoveryEvent records one completed failure recovery.
 	RecoveryEvent = stencil.RecoveryEvent
 	// Fault clause types, for building schedules programmatically instead
@@ -442,15 +438,6 @@ func NewFaultEngine(sched FaultSchedule, seed uint64, m *Metrics) *FaultEngine {
 // unchanged, only timing and retransmissions shift — except for crash
 // faults, which the fault-tolerant runtime turns into recoveries.
 func WithFaultInjector(inj FaultInjector) mmps.Option { return mmps.WithInjector(inj) }
-
-// RunStencilLiveFT executes the live stencil with failure detection and
-// recovery: buddy checkpointing, bounded-silence verdicts, a recovery
-// barrier, re-partitioning over the survivors, and rollback to the last
-// complete checkpoint. The result is bit-for-bit identical to a fault-free
-// run.
-func RunStencilLiveFT(world []Transport, vec Vector, v StencilVariant, n, iters int, opts FTOptions) (FTResult, error) {
-	return stencil.RunLiveFT(world, vec, v, n, iters, opts)
-}
 
 // Live telemetry and drift monitoring types. TelemetryServer exposes a
 // Metrics registry over HTTP (Prometheus text on /metrics, JSON on

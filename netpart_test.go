@@ -28,7 +28,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if res.Config.Total() < 1 || res.Vector.Sum() != n {
 		t.Fatalf("partition result %v / %v", res.Config, res.Vector)
 	}
-	run, err := netpart.RunStencilSim(net, res.Config, res.Vector, netpart.STEN2, n, iters)
+	run, err := netpart.RunStencilSim(net, res.Config, res.Vector, netpart.STEN2, n, iters, netpart.StencilOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +106,8 @@ func TestFacadeAdaptiveStencil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := netpart.RunStencilAdaptive(net, cfg, vec, netpart.STEN1, 60, 12,
-		netpart.StencilAdaptiveOptions{
+	res, err := netpart.RunStencilSim(net, cfg, vec, netpart.STEN1, 60, 12,
+		netpart.StencilOptions{
 			RebalanceEvery: 4,
 			Slowdown: func(rank, iter int) float64 {
 				if rank == 0 && iter > 2 {
@@ -184,13 +184,13 @@ func TestFacadeFaultTolerance(t *testing.T) {
 		}
 	}()
 	const n, iters = 24, 12
-	res, err := netpart.RunStencilLiveFT(world, netpart.Vector{6, 6, 6, 6}, netpart.STEN1, n, iters,
-		netpart.FTOptions{Injector: eng, CheckpointEvery: 4})
+	res, err := netpart.RunStencilLive(world, netpart.Vector{6, 6, 6, 6}, netpart.STEN1, n, iters,
+		netpart.StencilOptions{Injector: eng, FT: &netpart.StencilFT{CheckpointEvery: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Recoveries != 1 || len(res.Failed) != 1 {
-		t.Fatalf("recoveries = %d, failed = %v, want one crash survived", res.Recoveries, res.Failed)
+	if len(res.Events) != 1 || len(res.Failed) != 1 {
+		t.Fatalf("recoveries = %d, failed = %v, want one crash survived", len(res.Events), res.Failed)
 	}
 	want := netpart.SequentialStencil(netpart.NewStencilGrid(n), iters)
 	for i := range want {
@@ -211,12 +211,12 @@ func TestFacadeFaultTolerance(t *testing.T) {
 	lossy := netpart.NewFaultEngine(netpart.FaultSchedule{
 		Drops: []netpart.FaultDrop{{Prob: 0.1, ToMs: 1e18}},
 	}, 7, nil)
-	sim, err := netpart.RunStencilAdaptive(net, cfg, vec, netpart.STEN1, n, iters,
-		netpart.StencilAdaptiveOptions{Injector: lossy, RetransmitMs: 10})
+	sim, err := netpart.RunStencilSim(net, cfg, vec, netpart.STEN1, n, iters,
+		netpart.StencilOptions{Injector: lossy, RetransmitMs: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := netpart.RunStencilSim(net, cfg, vec, netpart.STEN1, n, iters)
+	clean, err := netpart.RunStencilSim(net, cfg, vec, netpart.STEN1, n, iters, netpart.StencilOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

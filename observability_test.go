@@ -122,8 +122,8 @@ func TestFacadeObservedStencilRun(t *testing.T) {
 	}
 	m := netpart.NewMetrics()
 	rec := netpart.NewTraceRecorder(nil)
-	res, err := netpart.RunStencilAdaptive(net, cfg, vec, netpart.STEN1, n, iters,
-		netpart.StencilAdaptiveOptions{Metrics: m, Trace: rec})
+	res, err := netpart.RunStencilSim(net, cfg, vec, netpart.STEN1, n, iters,
+		netpart.StencilOptions{Metrics: m, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
