@@ -592,11 +592,7 @@ func BenchmarkEstimateObserver(b *testing.B) {
 // module is loaded and typechecked once outside the timer: the regression
 // target is analyzer cost, which the flow-sensitive passes dominate.
 func BenchmarkLintWholeTree(b *testing.B) {
-	root, modPath, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		b.Fatal(err)
-	}
-	pkgs, err := analysis.NewLoader(root, modPath).Load("./...")
+	pkgs, _, err := analysis.LoadModule("./...")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -622,15 +618,10 @@ func BenchmarkLintWholeTree(b *testing.B) {
 // lint run. Loading and typechecking stay outside the timer, mirroring
 // BenchmarkLintWholeTree.
 func BenchmarkCallGraphWholeTree(b *testing.B) {
-	root, modPath, err := analysis.FindModuleRoot(".")
+	pkgs, _, err := analysis.LoadModule("./...")
 	if err != nil {
 		b.Fatal(err)
 	}
-	loader := analysis.NewLoader(root, modPath)
-	if _, err := loader.Load("./..."); err != nil {
-		b.Fatal(err)
-	}
-	pkgs := loader.Packages()
 	if len(pkgs) == 0 {
 		b.Fatal("no packages loaded")
 	}

@@ -59,7 +59,7 @@ func run(which, constants string, n, jobs int, showMetrics bool, serveAddr strin
 		defer srv.Close()
 		fmt.Printf("telemetry: %s/metrics (also /metrics.json /healthz /debug/pprof/)\n", srv.URL())
 	}
-	runStart := time.Now() //nolint:netpart/determinism reason=section wall times feed the -metrics gauges, operator diagnostics outside the golden tables
+	runStart := time.Now()
 
 	fmt.Println("Building environment (offline communication benchmarking)...")
 	env, err := experiments.NewEnv()
@@ -89,7 +89,7 @@ func run(which, constants string, n, jobs int, showMetrics bool, serveAddr strin
 	section := func(title string) {
 		flush()
 		curSlug = strings.ToLower(strings.TrimSuffix(strings.Fields(title)[0], ":"))
-		curStart = time.Now() //nolint:netpart/determinism reason=section wall times feed the -metrics gauges, operator diagnostics outside the golden tables
+		curStart = time.Now()
 		fmt.Printf("\n=== %s ===\n", title)
 		did = true
 	}
@@ -268,5 +268,5 @@ func run(which, constants string, n, jobs int, showMetrics bool, serveAddr strin
 
 // msSince returns the wall time since start in milliseconds.
 func msSince(start time.Time) float64 {
-	return float64(time.Since(start).Microseconds()) / 1000 //nolint:netpart/determinism reason=section wall times feed the -metrics gauges, operator diagnostics outside the golden tables
+	return float64(time.Since(start).Microseconds()) / 1000
 }

@@ -1,6 +1,6 @@
 // netpartlint is the project's static-analysis gate: it runs the
 // internal/analysis suite — determinism, allocfree, msgproto, poolflow,
-// concsafety, units, obsnil, errcheck — over the module and fails the
+// concsafety, errcheck — over the module and fails the
 // build on any violation. The analyzers machine-check the invariants the
 // partitioner's correctness rests on (see DESIGN.md §7 and the README's
 // "Static analysis" section); CI runs `go run ./cmd/netpartlint ./...` as
@@ -70,13 +70,7 @@ func run(args []string) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	root, modPath, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "netpartlint:", err)
-		return 2
-	}
-	loader := analysis.NewLoader(root, modPath)
-	pkgs, err := loader.Load(patterns...)
+	pkgs, _, err := analysis.LoadModule(patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netpartlint:", err)
 		return 2

@@ -65,27 +65,12 @@ func run(args []string, stdout io.Writer) int {
 	if !ok {
 		return 2
 	}
-	pkgs, ip, err := load(patterns)
+	pkgs, ip, err := analysis.LoadModule(patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netpartverify:", err)
 		return 2
 	}
 	return v.verify(pkgs, ip)
-}
-
-// load type-checks the packages the patterns name, from the module that
-// encloses the working directory, and solves the call graph over them.
-func load(patterns []string) ([]*analysis.Package, *analysis.Interproc, error) {
-	root, modPath, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		return nil, nil, err
-	}
-	loader := analysis.NewLoader(root, modPath)
-	pkgs, err := loader.Load(patterns...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pkgs, loader.Interproc(), nil
 }
 
 // parseArgs turns the command line into a configured verifier and the

@@ -33,7 +33,7 @@ var (
 // through loadModule.
 func typecheckModule() ([]*analysis.Package, *analysis.Interproc, error) {
 	moduleLoads.Add(1)
-	return load([]string{"./..."})
+	return analysis.LoadModule("./...")
 }
 
 // loadModule returns the shared module, loading it on first use, whatever

@@ -5,32 +5,22 @@
 //
 // The analyzers encode the repository's runtime invariants as compile-time
 // checks — determinism of the partitioning pipeline, the zero-allocation
-// estimate hot path, wire-codec symmetry, sync.Pool buffer lifetimes in
-// mmps, and nil-safety of every observability hook. The contracts they
-// enforce are driven by source-level directives:
+// estimate hot path, wire-codec symmetry, sync.Pool and Recycle buffer
+// lifetimes in mmps, lock pairing, and checked errors in the commands.
+// Each one catches defects the tests do not (EXPERIMENTS E32). The
+// contracts they enforce are driven by source-level directives:
 //
-//	//netpart:deterministic   (package)  output must not depend on map order,
-//	                                     wall-clock time, or global rand
+//	//netpart:deterministic   (package)  output must not depend on map order
+//	                                     or global rand
 //	//netpart:hotpath         (func)     neither the body nor anything it
 //	                                     calls may allocate outside nil/cap-
 //	                                     guarded slow paths
-//	//netpart:nilsafe         (package)  exported pointer methods must
-//	                                     nil-guard their receiver
-//	//netpart:nilhook         (type)     calls through this interface must be
-//	                                     nil-guarded at the call site
-//	//netpart:checkerrors     (package)  discarded error results are rejected
-//	                                     (package main gets this implicitly)
-//	//netpart:unit <dim>      (field/var/func doc) declares the physical
-//	                                     dimension (sec, bytes, pdus, ops, 1;
-//	                                     composed with · and /) that the units
-//	                                     analyzer propagates through the cost
-//	                                     arithmetic
 //	//netpart:purecallback    (field)    callbacks installed in this func-typed
 //	                                     field are pure and allocation-free, so
 //	                                     interprocedural solves trust calls
 //	                                     through it
 //	//netpart:wallclock       (func/package) measures real time by design; its
-//	                                     wall-clock/rand use is data, not hidden
+//	                                     global-rand use is data, not hidden
 //	                                     nondeterminism, and does not propagate
 //	                                     to callers
 //	//netpart:wire <group> <encode|decode> (func) assigns a codec function to a
@@ -84,11 +74,6 @@ type Pass struct {
 	Pkg       *types.Package
 	PkgPath   string
 	TypesInfo *types.Info
-	// Dep resolves an import path to its loaded package, so analyzers can
-	// read source-level facts (like //netpart:unit annotations) from the
-	// dependencies of the package under analysis. Nil outside a loader, and
-	// nil results for packages the loader has not seen (GOROOT).
-	Dep func(path string) *Package
 	// Inter is the module-wide interprocedural state (call graph + solved
 	// summaries) shared by every pass of one Loader; nil when the package
 	// was checked without a loader. allocfree, msgproto, and determinism's
@@ -124,7 +109,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full netpartlint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Determinism, AllocFree, MsgProto, PoolFlow, ConcSafety, Units, ObsNil, ErrCheck}
+	return []*Analyzer{Determinism, AllocFree, MsgProto, PoolFlow, ConcSafety, ErrCheck}
 }
 
 // Check runs the given analyzers over one loaded package and returns the
@@ -164,7 +149,6 @@ func CheckAll(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Pkg:       pkg.Types,
 			PkgPath:   pkg.Path,
 			TypesInfo: pkg.Info,
-			Dep:       pkg.Dep,
 			Inter:     inter,
 			diags:     &diags,
 		}

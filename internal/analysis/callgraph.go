@@ -43,13 +43,10 @@ type FuncNode struct {
 	// Calls lists every call site in the declaration (closure bodies
 	// included), in source order.
 	Calls []*Callsite
-	// Direct intraprocedural facts, populated by summary.go's scan:
-	// allocation sites outside guarded slow paths, wall-clock reads, and
-	// global-rand uses — each already filtered through //nolint
+	// DirectAllocs are the allocation sites outside guarded slow paths,
+	// populated by summary.go's scan and already filtered through //nolint
 	// suppressions so a waived site never propagates to callers.
 	DirectAllocs []*Site
-	DirectClock  []*Site
-	DirectRand   []*Site
 	// ParamEscapes marks parameters (by signature index) whose value is
 	// stored beyond the call: assigned to a field or package-level
 	// variable, or sent on a channel. Approximate (direct stores only);

@@ -40,9 +40,6 @@ type CFG struct {
 	// model them as running at Exit (in reverse order); a DeferStmt node
 	// inside a block must therefore have no transfer effect in place.
 	Defers []*ast.CallExpr
-	// NonBlocking marks select communication statements that cannot block
-	// because their select has a default clause.
-	NonBlocking map[ast.Stmt]bool
 	// Ranges maps a range loop's head block to its statement: analyzers
 	// that track per-variable state treat the Key/Value variables as
 	// freshly assigned each time the head executes.
@@ -80,7 +77,7 @@ func (g *CFG) Reachable() []bool {
 // FuncDecl's or a FuncLit's; both are plain *ast.BlockStmt.
 func BuildCFG(body *ast.BlockStmt) *CFG {
 	b := &cfgBuilder{
-		cfg:    &CFG{NonBlocking: map[ast.Stmt]bool{}, Ranges: map[*Block]*ast.RangeStmt{}},
+		cfg:    &CFG{Ranges: map[*Block]*ast.RangeStmt{}},
 		labels: map[string]*Block{},
 	}
 	b.cfg.Entry = b.newBlock()
@@ -287,12 +284,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 	case *ast.SelectStmt:
 		head := b.cur
 		after := b.newBlock()
-		hasDefault := false
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
 		b.scopes = append(b.scopes, loopScope{label: label, brk: after})
 		for _, c := range s.Body.List {
 			cc, ok := c.(*ast.CommClause)
@@ -303,9 +294,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 			b.edge(head, blk)
 			if cc.Comm != nil {
 				blk.Nodes = append(blk.Nodes, cc.Comm)
-				if hasDefault {
-					b.cfg.NonBlocking[cc.Comm] = true
-				}
 			}
 			b.cur = blk
 			b.stmtList(cc.Body)

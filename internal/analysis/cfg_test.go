@@ -25,12 +25,11 @@ func buildCFG(t *testing.T, src string) *analysis.CFG {
 // shape is the golden summary of one CFG: enough to pin the builder's
 // translation of a construct without enumerating every block.
 type shape struct {
-	blocks      int // total blocks, including synthetic and dead ones
-	edges       int // total directed edges
-	reachable   int // blocks reachable from the entry
-	defers      int // registered defer sites
-	nonBlocking int // select comms that cannot block (default present)
-	exitPreds   int // distinct ways control reaches the exit block
+	blocks    int // total blocks, including synthetic and dead ones
+	edges     int // total directed edges
+	reachable int // blocks reachable from the entry
+	defers    int // registered defer sites
+	exitPreds int // distinct ways control reaches the exit block
 }
 
 func summarize(g *analysis.CFG) shape {
@@ -41,12 +40,11 @@ func summarize(g *analysis.CFG) shape {
 		}
 	}
 	return shape{
-		blocks:      len(g.Blocks),
-		edges:       g.NumEdges(),
-		reachable:   live,
-		defers:      len(g.Defers),
-		nonBlocking: len(g.NonBlocking),
-		exitPreds:   len(g.Exit.Preds),
+		blocks:    len(g.Blocks),
+		edges:     g.NumEdges(),
+		reachable: live,
+		defers:    len(g.Defers),
+		exitPreds: len(g.Exit.Preds),
 	}
 }
 
@@ -71,7 +69,7 @@ outer:
 	}
 	return sum
 }`)
-	want := shape{blocks: 16, edges: 19, reachable: 13, defers: 0, nonBlocking: 0, exitPreds: 2}
+	want := shape{blocks: 16, edges: 19, reachable: 13, defers: 0, exitPreds: 2}
 	if got := summarize(g); got != want {
 		t.Errorf("shape = %+v, want %+v", got, want)
 	}
@@ -106,7 +104,7 @@ retry:
 	}
 	return n
 }`)
-	want := shape{blocks: 7, edges: 7, reachable: 5, defers: 0, nonBlocking: 0, exitPreds: 2}
+	want := shape{blocks: 7, edges: 7, reachable: 5, defers: 0, exitPreds: 2}
 	if got := summarize(g); got != want {
 		t.Errorf("shape = %+v, want %+v", got, want)
 	}
@@ -134,9 +132,9 @@ retry:
 	}
 }
 
-// TestCFGSelectDefault: every comm clause of a select with a default is
-// non-blocking, each clause body gets its own block, and a return inside
-// one clause edges straight to exit.
+// TestCFGSelectDefault: each clause of a select with a default, the
+// default included, gets its own block, and a return inside one clause
+// edges straight to exit.
 func TestCFGSelectDefault(t *testing.T) {
 	g := buildCFG(t, `
 func f(ch chan int) int {
@@ -148,16 +146,9 @@ func f(ch chan int) int {
 	}
 	return 0
 }`)
-	want := shape{blocks: 8, edges: 9, reachable: 6, defers: 0, nonBlocking: 2, exitPreds: 3}
+	want := shape{blocks: 8, edges: 9, reachable: 6, defers: 0, exitPreds: 3}
 	if got := summarize(g); got != want {
 		t.Errorf("shape = %+v, want %+v", got, want)
-	}
-	for stmt := range g.NonBlocking {
-		switch stmt.(type) {
-		case *ast.AssignStmt, *ast.SendStmt:
-		default:
-			t.Errorf("NonBlocking holds %T, want only the comm statements", stmt)
-		}
 	}
 }
 
@@ -183,7 +174,7 @@ loop:
 }`)
 	// exitPreds counts the dead fall-off-the-end block too; only one pred
 	// is live (checked below).
-	want := shape{blocks: 12, edges: 12, reachable: 10, defers: 0, nonBlocking: 0, exitPreds: 2}
+	want := shape{blocks: 12, edges: 12, reachable: 10, defers: 0, exitPreds: 2}
 	if got := summarize(g); got != want {
 		t.Errorf("shape = %+v, want %+v", got, want)
 	}
@@ -276,7 +267,7 @@ func f(files []string) {
 		defer println(name)
 	}
 }`)
-	want := shape{blocks: 5, edges: 5, reachable: 5, defers: 1, nonBlocking: 0, exitPreds: 1}
+	want := shape{blocks: 5, edges: 5, reachable: 5, defers: 1, exitPreds: 1}
 	if got := summarize(g); got != want {
 		t.Errorf("shape = %+v, want %+v", got, want)
 	}
@@ -290,23 +281,6 @@ func f(files []string) {
 	}
 	if !inBody {
 		t.Error("DeferStmt node missing from the loop body block")
-	}
-}
-
-// TestCFGNoDefaultBlocks: without a default clause the comms stay
-// blocking — the NonBlocking map must be empty.
-func TestCFGNoDefaultBlocks(t *testing.T) {
-	g := buildCFG(t, `
-func f(ch chan int) int {
-	select {
-	case v := <-ch:
-		return v
-	case ch <- 1:
-	}
-	return 0
-}`)
-	if len(g.NonBlocking) != 0 {
-		t.Errorf("len(NonBlocking) = %d, want 0 for a select without default", len(g.NonBlocking))
 	}
 }
 
@@ -329,7 +303,7 @@ func f(xs []int) int {
 	}
 	return n
 }`)
-	want := shape{blocks: 11, edges: 12, reachable: 9, defers: 0, nonBlocking: 0, exitPreds: 2}
+	want := shape{blocks: 11, edges: 12, reachable: 9, defers: 0, exitPreds: 2}
 	if got := summarize(g); got != want {
 		t.Errorf("shape = %+v, want %+v", got, want)
 	}
@@ -358,10 +332,9 @@ func f(xs []int) int {
 	}
 }
 
-// TestCFGNestedSelectInnerDefault: when only the inner of two nested
-// selects has a default, exactly the inner's comm clauses become
-// non-blocking; the outer's comms must stay blocking even though a
-// non-blocking select executes inside one of their bodies.
+// TestCFGNestedSelectInnerDefault: a select with a default nested in a
+// clause of one without: both get a block per clause, and the inner
+// clauses join inside the outer clause's body.
 func TestCFGNestedSelectInnerDefault(t *testing.T) {
 	g := buildCFG(t, `
 func f(a, b chan int) int {
@@ -377,19 +350,8 @@ func f(a, b chan int) int {
 	}
 	return 0
 }`)
-	want := shape{blocks: 11, edges: 12, reachable: 8, defers: 0, nonBlocking: 1, exitPreds: 4}
+	want := shape{blocks: 11, edges: 12, reachable: 8, defers: 0, exitPreds: 4}
 	if got := summarize(g); got != want {
 		t.Errorf("shape = %+v, want %+v", got, want)
-	}
-	// The single non-blocking comm is the inner receive `w := <-b`; the
-	// outer receive binds v and the outer send must not be in the map.
-	for stmt := range g.NonBlocking {
-		as, ok := stmt.(*ast.AssignStmt)
-		if !ok {
-			t.Fatalf("NonBlocking holds %T, want the inner receive assign", stmt)
-		}
-		if as.Lhs[0].(*ast.Ident).Name != "w" {
-			t.Errorf("NonBlocking holds the %q comm, want the inner receive into w", as.Lhs[0].(*ast.Ident).Name)
-		}
 	}
 }

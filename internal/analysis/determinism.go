@@ -12,10 +12,8 @@ import (
 // (estimator, search, experiment assembly, rendered tables) must produce
 // byte-identical output for identical inputs — that is what makes the
 // parallel experiment engine's index-ordered assembly sound and what the
-// golden-output tests diff against. Three hazard classes are rejected:
+// golden-output tests diff against. Two hazard classes are rejected:
 //
-//   - wall-clock reads (time.Now/Since/Until) — virtual time or caller-
-//     supplied clocks only;
 //   - the global math/rand source (auto-seeded since Go 1.20) — construct
 //     a seeded *rand.Rand instead;
 //   - iteration over a map that feeds ordered output (appends to an outer
@@ -26,7 +24,7 @@ import (
 //     function.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbids wall-clock, global rand, and order-dependent map iteration in //netpart:deterministic packages",
+	Doc:  "forbids global rand and order-dependent map iteration in //netpart:deterministic packages",
 	Run:  runDeterminism,
 }
 
@@ -37,7 +35,7 @@ func runDeterminism(pass *Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
-				checkClockAndRand(pass, call)
+				checkGlobalRand(pass, call)
 			}
 			return true
 		})
@@ -49,16 +47,16 @@ func runDeterminism(pass *Pass) error {
 	return nil
 }
 
-// propagateDeterminism is the interprocedural half of the clock/rand
-// check: a deterministic package must not reach the wall clock or the
-// global rand source through helper calls either. Using the solved
-// summaries (Pass.Inter), every call from this package to a function of
-// an unmarked module package whose call tree touches time.Now/Since/Until
-// or auto-seeded rand is reported at the call site with the provenance
-// chain. Calls into other //netpart:deterministic packages are skipped —
-// their own analysis run reports the origin — and //netpart:wallclock
-// functions neither propagate (their summaries are clean by contract) nor
-// are they checked as callers (they are declared measurement boundaries).
+// propagateDeterminism is the interprocedural half of the rand check: a
+// deterministic package must not reach the global rand source through
+// helper calls either. Using the solved summaries (Pass.Inter), every call
+// from this package to a function of an unmarked module package whose call
+// tree touches auto-seeded rand is reported at the call site with the
+// provenance chain. Calls into other //netpart:deterministic packages are
+// skipped — their own analysis run reports the origin — and functions
+// marked //netpart:wallclock neither propagate (their summaries are clean
+// by contract) nor are checked as callers (they are declared measurement
+// boundaries).
 func propagateDeterminism(pass *Pass) {
 	ip := pass.Inter
 	if ip == nil {
@@ -74,7 +72,7 @@ func propagateDeterminism(pass *Pass) {
 			continue
 		}
 		for _, cs := range node.Calls {
-			var clock, rand *Site
+			var rand *Site
 			var via *types.Func
 			for _, target := range cs.Targets {
 				tn := ip.Node(target)
@@ -88,15 +86,10 @@ func propagateDeterminism(pass *Pass) {
 				if sum == nil {
 					continue
 				}
-				if clock == nil && len(sum.Clock) > 0 {
-					clock, via = sum.Clock[0], target
-				}
-				if rand == nil && len(sum.Rand) > 0 {
+				if len(sum.Rand) > 0 {
 					rand, via = sum.Rand[0], target
+					break
 				}
-			}
-			if clock != nil {
-				pass.Reportf(cs.Call.Pos(), "call to %s reaches the wall clock in a deterministic package: %s", funcLabel(via), ip.RenderChain(clock))
 			}
 			if rand != nil {
 				pass.Reportf(cs.Call.Pos(), "call to %s reaches the global rand source in a deterministic package: %s", funcLabel(via), ip.RenderChain(rand))
@@ -105,26 +98,16 @@ func propagateDeterminism(pass *Pass) {
 	}
 }
 
-// nondeterministicTimeFuncs read the wall clock.
-var nondeterministicTimeFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
-
 // seededRandConstructors build explicit generators and are the sanctioned
 // replacement for the global source.
 var seededRandConstructors = map[string]bool{
 	"New": true, "NewSource": true, "NewPCG": true, "NewChaCha8": true, "NewZipf": true,
 }
 
-func checkClockAndRand(pass *Pass, call *ast.CallExpr) {
+func checkGlobalRand(pass *Pass, call *ast.CallExpr) {
 	pkgPath, name := calleePkgFunc(pass.TypesInfo, call)
-	switch pkgPath {
-	case "time":
-		if nondeterministicTimeFuncs[name] {
-			pass.Reportf(call.Pos(), "time.%s reads the wall clock in a deterministic package; use virtual time or a caller-supplied clock", name)
-		}
-	case "math/rand", "math/rand/v2":
-		if !seededRandConstructors[name] {
-			pass.Reportf(call.Pos(), "global %s.%s is auto-seeded and nondeterministic; construct a seeded *rand.Rand", pkgPath[strings.LastIndex(pkgPath, "/")+1:], name)
-		}
+	if (pkgPath == "math/rand" || pkgPath == "math/rand/v2") && !seededRandConstructors[name] {
+		pass.Reportf(call.Pos(), "global %s.%s is auto-seeded and nondeterministic; construct a seeded *rand.Rand", pkgPath[strings.LastIndex(pkgPath, "/")+1:], name)
 	}
 }
 

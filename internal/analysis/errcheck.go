@@ -6,22 +6,22 @@ import (
 )
 
 // ErrCheck rejects silently discarded error results in the commands
-// (package main) and in packages opting in with //netpart:checkerrors. The
-// commands render the experiment tables whose bytes the golden tests diff;
-// a swallowed Flush or Close error turns truncated output into a plausible-
-// looking but wrong artifact, which is worse than a crash. Only bare
+// (package main). The commands render the experiment tables whose bytes
+// the golden tests diff; a swallowed Flush or Close error turns truncated
+// output into a plausible-looking but wrong artifact, which is worse than
+// a crash. Only bare
 // expression statements are flagged: explicit `_ =` discards are visible
 // decisions, and `defer f.Close()` on read-only files is accepted idiom.
 // fmt printers and the never-failing strings.Builder / bytes.Buffer
 // writers are exempt.
 var ErrCheck = &Analyzer{
 	Name: "errcheck",
-	Doc:  "rejects discarded error results in package main and //netpart:checkerrors packages",
+	Doc:  "rejects discarded error results in package main",
 	Run:  runErrCheck,
 }
 
 func runErrCheck(pass *Pass) error {
-	if pass.Pkg.Name() != "main" && !packageHasDirective(pass.Files, "netpart:checkerrors") {
+	if pass.Pkg.Name() != "main" {
 		return nil
 	}
 	for _, fd := range enclosingFuncDecls(pass.Files) {

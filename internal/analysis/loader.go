@@ -32,18 +32,6 @@ type Package struct {
 	loader *Loader
 }
 
-// Dep returns the loaded package with the given import path — the package
-// itself, one of its (transitive) module dependencies, or nil for paths
-// the loader has not seen (GOROOT packages, unloaded directories). It lets
-// analyzers consult source-level facts of dependency packages, such as
-// //netpart:unit annotations.
-func (p *Package) Dep(path string) *Package {
-	if p.loader == nil {
-		return nil
-	}
-	return p.loader.byPath[path]
-}
-
 // Loader parses and type-checks packages of one module from source. Std
 // library imports are resolved through go/importer's source importer, so
 // the loader needs no module cache and no network — only GOROOT sources.
@@ -84,8 +72,8 @@ func NewLoader(root, modulePath string) *Loader {
 	return l
 }
 
-// Packages returns every package loaded so far, in import-path order.
-func (l *Loader) Packages() []*Package {
+// packages returns every package loaded so far, in import-path order.
+func (l *Loader) packages() []*Package {
 	paths := make([]string, 0, len(l.byPath))
 	for p := range l.byPath {
 		paths = append(paths, p)
@@ -105,7 +93,7 @@ func (l *Loader) Packages() []*Package {
 // rebuilding when the loaded set has grown since.
 func (l *Loader) Interproc() *Interproc {
 	if l.inter == nil || l.interN != len(l.byPath) {
-		l.inter = BuildInterproc(l.fset, l.Packages())
+		l.inter = BuildInterproc(l.fset, l.packages())
 		l.interN = len(l.byPath)
 	}
 	return l.inter
@@ -287,9 +275,24 @@ func (im *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*
 	return l.std.ImportFrom(path, l.Root, 0)
 }
 
-// FindModuleRoot walks up from dir to the directory containing go.mod and
+// LoadModule loads the packages the patterns name from the module that
+// encloses the working directory, and solves the call graph over them.
+func LoadModule(patterns ...string) ([]*Package, *Interproc, error) {
+	root, modPath, err := findModuleRoot(".")
+	if err != nil {
+		return nil, nil, err
+	}
+	l := NewLoader(root, modPath)
+	pkgs, err := l.Load(patterns...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pkgs, l.Interproc(), nil
+}
+
+// findModuleRoot walks up from dir to the directory containing go.mod and
 // returns it with the module path parsed from the file.
-func FindModuleRoot(dir string) (root, modulePath string, err error) {
+func findModuleRoot(dir string) (root, modulePath string, err error) {
 	dir, err = filepath.Abs(dir)
 	if err != nil {
 		return "", "", err

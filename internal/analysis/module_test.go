@@ -32,16 +32,7 @@ var module struct {
 // solves the call graph over them. Tests reach it through loadModule.
 func typecheckModule() ([]*analysis.Package, *analysis.Interproc, error) {
 	moduleLoads.Add(1)
-	root, modPath, err := analysis.FindModuleRoot(".")
-	if err != nil {
-		return nil, nil, err
-	}
-	l := analysis.NewLoader(root, modPath)
-	pkgs, err := l.Load("./...")
-	if err != nil {
-		return nil, nil, err
-	}
-	return pkgs, l.Interproc(), nil
+	return analysis.LoadModule("./...")
 }
 
 // loadModule returns the shared module, loading it on first use. The

@@ -10,14 +10,19 @@ import (
 // PoolFlow enforces the sync.Pool buffer rules the mmps transport
 // documents on its bufPool, in two halves.
 //
+// A transport's Recycle(buf) hands a delivered buffer back the same way,
+// so its lifetime is tracked like a Put's.
+//
 // Accessor discipline: direct (*sync.Pool).Get/Put calls are allowed only
 // inside accessor functions (name starting with get/put), which is where
 // the box/length/zeroing conventions live. Everything else must go through
 // the accessor pair.
 //
 // Lifetime: the analyzer runs the CFG + dataflow engine over each function
-// body and reports a use-after-put or double-put exactly when some
-// execution path realizes it. Path sensitivity matters both ways:
+// body and reports a use-after-put exactly when some execution path
+// realizes it. (A second Put of the same buffer is not reported: the
+// transport's tests fail on it, EXPERIMENTS E32.) Path sensitivity matters
+// both ways:
 //
 //   - no false negatives at joins: a Put in every arm of an if poisons the
 //     code after the join, and a Put at the bottom of a loop body poisons
@@ -33,12 +38,11 @@ import (
 // poisons the whole class — an alias taken before the Put names the same
 // buffer. Rebinding a member to a fresh buffer revives that member alone,
 // so re-get patterns stay clean. Closure bodies are separate units that
-// start clean (delayed puts run at another time), and a deferred put is
-// modeled at function exit, where it double-puts if the buffer was
-// already recycled on some path.
+// start clean (delayed puts run at another time), and a deferred put runs
+// after every use, so it poisons nothing.
 var PoolFlow = &Analyzer{
 	Name: "poolflow",
-	Doc:  "sync.Pool discipline: direct Get/Put only in get*/put* accessors; no use-after-put or double-put on any reachable path",
+	Doc:  "sync.Pool discipline: direct Get/Put only in get*/put* accessors; no use-after-put (or after a transport's Recycle) on any reachable path",
 	Run:  runPoolFlow,
 }
 
@@ -132,21 +136,6 @@ func checkPoolFlowFunc(pass *Pass, putters map[types.Object]bool, body *ast.Bloc
 			poolTransferNode(pass, info, putters, aliases, n, s, true)
 		}
 	}
-
-	// Deferred puts run at exit, after every path's explicit recycling.
-	exit := ins[g.Exit.Index]
-	if exit == nil {
-		return
-	}
-	s := exit.Clone()
-	for i := len(g.Defers) - 1; i >= 0; i-- {
-		if obj := putTargetCall(info, putters, g.Defers[i]); obj != nil {
-			if s[obj]&poolPoisoned != 0 {
-				pass.Reportf(g.Defers[i].Pos(), "pooled buffer %q recycled twice: this deferred Put runs after a Put on some path through the function", obj.Name())
-			}
-			poisonClass(aliases, obj, s)
-		}
-	}
 }
 
 // poolAliasClasses groups a body's variables connected by pure alias
@@ -213,12 +202,9 @@ func poisonClass(aliases map[types.Object][]types.Object, obj types.Object, s Fl
 func poolTransferNode(pass *Pass, info *types.Info, putters map[types.Object]bool, aliases map[types.Object][]types.Object, n ast.Node, s FlowState[types.Object], report bool) {
 	switch n := n.(type) {
 	case *ast.DeferStmt:
-		return // modeled at exit
+		return // runs at exit, after every use
 	case *ast.ExprStmt:
 		if obj := putTargetStmt(info, putters, n); obj != nil {
-			if report && s[obj]&poolPoisoned != 0 {
-				pass.Reportf(n.Pos(), "pooled buffer %q recycled twice: a Put already ran on some path reaching this one", obj.Name())
-			}
 			poisonClass(aliases, obj, s)
 			return
 		}
@@ -326,28 +312,29 @@ func putTargetStmt(info *types.Info, putters map[types.Object]bool, es *ast.Expr
 }
 
 // putTargetCall returns the object a call recycles — the argument of a
-// direct (*sync.Pool).Put or of one of the package's put accessors — or
-// nil.
+// direct (*sync.Pool).Put or of one of the package's put accessors, or the
+// buffer handed back through a transport's Recycle (mmps.Recycler's
+// method, or mmps.Recycle(tr, buf): the same ownership transfer) — or nil.
 func putTargetCall(info *types.Info, putters map[types.Object]bool, call *ast.CallExpr) types.Object {
 	if len(call.Args) == 0 {
 		return nil
 	}
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
-		if fun.Sel.Name == "Put" && isSyncPool(info.TypeOf(fun.X)) {
+		if fun.Sel.Name == "Put" && isSyncPool(info.TypeOf(fun.X)) || fun.Sel.Name == "Recycle" {
 			break
 		}
 		if !putters[info.Uses[fun.Sel]] {
 			return nil
 		}
 	case *ast.Ident:
-		if !putters[info.Uses[fun]] {
+		if fun.Name != "Recycle" && !putters[info.Uses[fun]] {
 			return nil
 		}
 	default:
 		return nil
 	}
-	arg := ast.Unparen(call.Args[0])
+	arg := ast.Unparen(call.Args[len(call.Args)-1])
 	if u, ok := arg.(*ast.UnaryExpr); ok && u.Op.String() == "&" {
 		arg = ast.Unparen(u.X)
 	}

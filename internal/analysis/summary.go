@@ -14,8 +14,7 @@ import (
 
 // This file computes per-function summaries over the call graph in
 // callgraph.go: does the function allocate (and where), does it reach the
-// wall clock, the global rand source or the transport, and which parameters
-// escape. The summaries are solved bottom-up over the SCC condensation with
+// global rand source or the transport, and which parameters escape. The summaries are solved bottom-up over the SCC condensation with
 // a fixpoint inside each component (recursion), so by the time a caller is
 // summarized every callee outside its own component is final.
 //
@@ -32,7 +31,7 @@ import (
 //   - guarded slow paths — an if whose condition compares something to nil
 //     (lazy initialization, observer branches) or inspects cap/len
 //     (first-use buffer growth), isGuardedSlowPath — are excluded from
-//     allocation facts, but not from wall-clock facts: a guard sanctions
+//     allocation facts, but not from rand facts: a guard sanctions
 //     allocation, not nondeterminism;
 //   - fmt.Errorf / errors.New directly inside a return statement is the
 //     failure path, never the steady state, and contributes nothing;
@@ -44,10 +43,9 @@ import (
 // whitelist of provably non-allocating packages and methods (math,
 // math/bits, sync/atomic, binary.PutUint*/Uint*, sync.Pool.Get/Put, lock
 // and WaitGroup operations, time.Duration arithmetic, the UDP AddrPort
-// datagram calls, runtime.Goexit) passes; time.Now/
-// Since/Until and the auto-seeded math/rand globals contribute wall-clock
-// and rand facts; every other stdlib call is conservatively assumed to
-// allocate. Unresolved indirect calls are likewise conservative, except
+// datagram calls, runtime.Goexit, time.Now/Since/Until) passes; the
+// auto-seeded math/rand globals contribute rand facts; every other stdlib
+// call is conservatively assumed to allocate. Unresolved indirect calls are likewise conservative, except
 // through //netpart:purecallback fields — the annotation-callback contract
 // (core.Annotations), whose installed callbacks promise to be pure.
 //
@@ -60,8 +58,8 @@ import (
 //
 // Functions or packages annotated //netpart:wallclock declare that they
 // measure real time by design (live runtimes, transports): their
-// summaries expose no wall-clock or rand facts to callers, because their
-// timing results are data, not hidden nondeterminism.
+// summaries expose no rand facts to callers, because their results are
+// data, not hidden nondeterminism.
 
 // maxSites bounds the call-derived facts of each summary category (enough
 // for useful diagnostics, small enough to keep the fixpoint cheap). A
@@ -94,10 +92,9 @@ type Summary struct {
 	// paths (empty means: proven allocation-free through the whole call
 	// tree, modulo the documented stdlib model).
 	Allocs []*Site
-	// Clock are reachable wall-clock reads; Rand reachable global-rand
-	// uses. Empty for //netpart:wallclock functions and packages.
-	Clock []*Site
-	Rand  []*Site
+	// Rand are reachable global-rand uses. Empty for //netpart:wallclock
+	// functions and packages.
+	Rand []*Site
 	// comm reports that the function reaches a transport operation — a
 	// Send/Recv/RecvAny call (transportCallKind) in its own body or,
 	// through static calls, in a module function it calls. Interface
@@ -115,8 +112,8 @@ func (ip *Interproc) Summary(fn *types.Func) *Summary { return ip.sums[fn] }
 // --- intraprocedural seeding ---
 
 // scanDirect populates a node's direct allocation sites and parameter
-// escapes. Wall-clock and rand seeds come from call sites during the
-// solve (they are stdlib calls).
+// escapes. Rand seeds come from call sites during the solve (they are
+// stdlib calls).
 func (ip *Interproc) scanDirect(node *FuncNode) {
 	info := node.Pkg.Info
 	var walk func(root ast.Node, guarded bool)
@@ -294,7 +291,7 @@ func (ip *Interproc) solve() {
 	}
 }
 
-// wallclockWaived reports whether the node opts out of wall-clock/rand
+// wallclockWaived reports whether the node opts out of rand
 // propagation (//netpart:wallclock on the function or its package).
 func (ip *Interproc) wallclockWaived(node *FuncNode) bool {
 	return funcHasDirective(node.Decl, "netpart:wallclock") ||
@@ -305,7 +302,7 @@ func (ip *Interproc) wallclockWaived(node *FuncNode) bool {
 // callee summaries; it reports whether the summary grew.
 func (ip *Interproc) resolveNode(node *FuncNode) bool {
 	s := ip.sums[node.Fn]
-	before, comm := len(s.Allocs)+len(s.Clock)+len(s.Rand), s.comm
+	before, comm := len(s.Allocs)+len(s.Rand), s.comm
 	waived := ip.wallclockWaived(node)
 	for _, cs := range node.Calls {
 		s.comm = s.comm || ip.reachesTransport(cs)
@@ -336,9 +333,6 @@ func (ip *Interproc) resolveNode(node *FuncNode) bool {
 				if allocOK && len(ts.Allocs) > 0 {
 					s.Allocs = appendSite(s.Allocs, &Site{Pos: pos, Desc: "call to " + funcLabel(target), Callee: target, Inner: ts.Allocs[0], ViaCall: true})
 				}
-				if detOK && len(ts.Clock) > 0 {
-					s.Clock = appendSite(s.Clock, &Site{Pos: pos, Desc: "call to " + funcLabel(target), Callee: target, Inner: ts.Clock[0], ViaCall: true})
-				}
 				if detOK && len(ts.Rand) > 0 {
 					s.Rand = appendSite(s.Rand, &Site{Pos: pos, Desc: "call to " + funcLabel(target), Callee: target, Inner: ts.Rand[0], ViaCall: true})
 				}
@@ -354,7 +348,7 @@ func (ip *Interproc) resolveNode(node *FuncNode) bool {
 			ip.mergeStdlib(s, cs, target, allocOK, detOK)
 		}
 	}
-	return len(s.Allocs)+len(s.Clock)+len(s.Rand) != before || s.comm != comm
+	return len(s.Allocs)+len(s.Rand) != before || s.comm != comm
 }
 
 // reachesTransport reports whether one call site is a transport operation
@@ -384,10 +378,7 @@ func (ip *Interproc) mergeStdlib(s *Summary, cs *Callsite, fn *types.Func, alloc
 	name := fn.Name()
 	switch pkg {
 	case "time":
-		if nondeterministicTimeFuncs[name] {
-			if detOK {
-				s.Clock = appendSite(s.Clock, &Site{Pos: pos, Desc: "time." + name, ViaCall: true})
-			}
+		if name == "Now" || name == "Since" || name == "Until" {
 			return
 		}
 	case "math/rand", "math/rand/v2":

@@ -1,6 +1,5 @@
 // Package concsafety is the fixture for the CFG-based concurrency
-// analyzer: lock pairing across paths, blocking operations under a lock,
-// WaitGroup balance around go statements, and goroutine join edges.
+// analyzer: lock pairing across paths.
 package concsafety
 
 import "sync"
@@ -57,97 +56,4 @@ func (c *counter) doubleLock() {
 func unlockUnheld() {
 	var mu sync.Mutex
 	mu.Unlock() // want `mu\.Unlock without a preceding Lock on any path`
-}
-
-func (c *counter) sendUnderLock(ch chan int) {
-	c.mu.Lock()
-	ch <- c.n // want `channel send while c\.mu is held`
-	c.mu.Unlock()
-}
-
-func (c *counter) recvUnderLock(ch chan int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return <-ch // want `channel receive while c\.mu is held`
-}
-
-// trySend cannot block: the select has a default clause.
-func (c *counter) trySend(ch chan int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	select {
-	case ch <- c.n:
-	default:
-	}
-}
-
-// sendAfterUnlock releases the lock before the blocking send.
-func (c *counter) sendAfterUnlock(ch chan int) {
-	c.mu.Lock()
-	v := c.n
-	c.mu.Unlock()
-	ch <- v
-}
-
-func waitUnderLock(mu *sync.Mutex, wg *sync.WaitGroup) {
-	mu.Lock()
-	wg.Wait() // want `wg\.Wait while mu is held`
-	mu.Unlock()
-}
-
-func launchWithoutAdd() {
-	var wg sync.WaitGroup
-	go func() {
-		wg.Done() // want `goroutine calls wg\.Done but no wg\.Add precedes the launch on any path`
-	}()
-	wg.Wait()
-}
-
-func addInsideGoroutine() {
-	var wg sync.WaitGroup
-	go func() {
-		wg.Add(1)       // want `wg\.Add inside the launched goroutine races with wg\.Wait`
-		defer wg.Done() // want `goroutine calls wg\.Done but no wg\.Add precedes the launch on any path`
-	}()
-	wg.Wait()
-}
-
-func properFanOut(items []int) {
-	var wg sync.WaitGroup
-	sum := 0
-	for range items {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sum++
-		}()
-	}
-	wg.Wait()
-}
-
-func fireAndForget() {
-	go func() { // want `goroutine closure has no join edge back to its launcher`
-		_ = 1 + 1
-	}()
-}
-
-func requestReply() int {
-	reply := make(chan int)
-	go func() {
-		reply <- 42
-	}()
-	return <-reply
-}
-
-type server struct {
-	events chan int
-}
-
-// publishAsync signals through a captured channel: the server's owner
-// receives the event in another method, so the goroutine is joined
-// beyond this function's intraprocedural view.
-func (s *server) publishAsync(v int) {
-	go func() {
-		s.events <- v
-	}()
 }

@@ -7,16 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 )
-
-func clock() time.Time {
-	return time.Now() // want `time\.Now reads the wall clock`
-}
-
-func elapsed(start time.Time) time.Duration {
-	return time.Since(start) // want `time\.Since reads the wall clock`
-}
 
 func draw() int {
 	return rand.Int() // want `global rand\.Int is auto-seeded`

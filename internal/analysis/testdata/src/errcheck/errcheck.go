@@ -1,8 +1,6 @@
-// Package errcheck is the fixture for the discarded-error analyzer; the
-// directive opts it in the way package main is opted in implicitly.
-//
-//netpart:checkerrors
-package errcheck
+// Command errcheck is the fixture for the discarded-error analyzer, which
+// checks package main only.
+package main
 
 import (
 	"fmt"

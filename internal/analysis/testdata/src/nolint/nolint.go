@@ -3,24 +3,24 @@
 //netpart:deterministic
 package nolint
 
-import "time"
+import "math/rand"
 
-func suppressed() time.Time {
-	return time.Now() //nolint:netpart reason=fixture demonstrating a justified blanket suppression
+func suppressed() int {
+	return rand.Int() //nolint:netpart reason=fixture demonstrating a justified blanket suppression
 }
 
-func scoped() time.Time {
-	return time.Now() //nolint:netpart/determinism reason=fixture demonstrating a scoped suppression
+func scoped() int {
+	return rand.Int() //nolint:netpart/determinism reason=fixture demonstrating a scoped suppression
 }
 
-func wrongScope() time.Time {
-	return time.Now() //nolint:netpart/allocfree reason=scoped to another analyzer so it must not apply // want `time\.Now reads the wall clock`
+func wrongScope() int {
+	return rand.Int() //nolint:netpart/allocfree reason=scoped to another analyzer so it must not apply // want `global rand\.Int is auto-seeded`
 }
 
-func unknownScope() time.Time {
-	return time.Now() //nolint:netpart/hotpath reason=names an analyzer that no longer exists // want `scoped to "hotpath", which is not an analyzer` `time\.Now reads the wall clock`
+func unknownScope() int {
+	return rand.Int() //nolint:netpart/hotpath reason=names an analyzer that no longer exists // want `scoped to "hotpath", which is not an analyzer` `global rand\.Int is auto-seeded`
 }
 
-func noReason() time.Time {
-	return time.Now() //nolint:netpart // want `suppression without a reason` `time\.Now reads the wall clock`
+func noReason() int {
+	return rand.Int() //nolint:netpart // want `suppression without a reason` `global rand\.Int is auto-seeded`
 }

@@ -19,12 +19,6 @@ func useAfterPut() int {
 	return len(*bp) // want `pooled buffer "bp" used after Put on some path`
 }
 
-func doublePut() {
-	bp := getBuf()
-	putBuf(bp)
-	putBuf(bp) // want `pooled buffer "bp" recycled twice: a Put already ran on some path`
-}
-
 func aliasAfterPut() int {
 	bp := getBuf()
 	buf := *bp
@@ -51,16 +45,6 @@ func loopCarried(n int) {
 	bp := getBuf()
 	for i := 0; i < n; i++ {
 		_ = len(*bp) // want `pooled buffer "bp" used after Put on some path`
-		putBuf(bp)   // want `pooled buffer "bp" recycled twice: a Put already ran on some path`
-	}
-}
-
-// deferDouble: the deferred Put runs at exit, after the conditional
-// explicit Put already recycled the buffer on one path.
-func deferDouble(ok bool) {
-	bp := getBuf()
-	defer putBuf(bp) // want `this deferred Put runs after a Put on some path`
-	if ok {
 		putBuf(bp)
 	}
 }
@@ -99,4 +83,29 @@ func rangeEach(frags []*[]byte) {
 func delayedPut() func() {
 	bp := getBuf()
 	return func() { putBuf(bp) } // closures run later: analyzed with a clean slate
+}
+
+// transport stands in for an mmps transport: Recycle takes a delivered
+// buffer back, and the caller must not touch it afterwards.
+type transport struct{}
+
+func (transport) Recycle(buf []byte) {}
+
+// Recycle mirrors mmps.Recycle(tr, buf).
+func Recycle(tr transport, buf []byte) { tr.Recycle(buf) }
+
+func useAfterRecycle(tr transport, buf []byte) byte {
+	tr.Recycle(buf)
+	return buf[0] // want `pooled buffer "buf" used after Put on some path`
+}
+
+func useAfterRecycleFunc(tr transport, buf []byte) byte {
+	Recycle(tr, buf)
+	return buf[0] // want `pooled buffer "buf" used after Put on some path`
+}
+
+func readThenRecycle(tr transport, buf []byte) byte {
+	b := buf[0]
+	Recycle(tr, buf)
+	return b
 }

@@ -1,7 +1,7 @@
 // Package poollifetime is the fixture for poolflow's accessor-discipline
 // half: direct Get/Put calls belong inside get*/put* accessors, where the
-// box/length/zeroing conventions live. The temporal lifetime rules
-// (use-after-put, double-put) are exercised by the poolflow fixture.
+// box/length/zeroing conventions live. The temporal lifetime rule
+// (use-after-put) is exercised by the poolflow fixture.
 package poollifetime
 
 import "sync"

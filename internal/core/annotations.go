@@ -27,7 +27,6 @@ type ComputationPhase struct {
 	// problem parameters such as the problem size N (5N for the paper's
 	// stencil). Installed callbacks must be pure arithmetic — the estimator
 	// invokes them on its zero-allocation hot path.
-	//netpart:unit ops/pdus
 	//netpart:purecallback
 	ComplexityPerPDU func() float64
 	// TotalOps optionally replaces the linear form S·complexity·A of Eq. 4
@@ -35,7 +34,6 @@ type ComputationPhase struct {
 	// PDUs held (the paper's Gaussian-elimination case). Given a PDU count
 	// it returns the operations per cycle. Nil means linear. Installed
 	// callbacks must be pure arithmetic (see ComplexityPerPDU).
-	//netpart:unit ops
 	//netpart:purecallback
 	TotalOps func(pdus float64) float64
 	// Class selects which instruction speed (integer or floating point) the
@@ -44,9 +42,6 @@ type ComputationPhase struct {
 }
 
 // Ops returns the operations one task holding pdus PDUs executes per cycle.
-//
-//netpart:unit pdus pdus
-//netpart:unit return ops
 func (cp *ComputationPhase) Ops(pdus float64) float64 {
 	if cp.TotalOps != nil {
 		return cp.TotalOps(pdus)
@@ -67,7 +62,6 @@ type CommunicationPhase struct {
 	// PDU count of the sending task because message size may depend on the
 	// assignment (for the paper's stencil it is the constant 4N). Installed
 	// callbacks must be pure arithmetic (see ComplexityPerPDU).
-	//netpart:unit bytes
 	//netpart:purecallback
 	BytesPerMessage func(pdus float64) float64
 	// Overlap names the computation phase this communication is overlapped
@@ -83,7 +77,6 @@ type Annotations struct {
 	// NumPDUs is the number-of-PDUs callback (N rows for the stencil).
 	// Installed callbacks must be pure arithmetic (see
 	// ComputationPhase.ComplexityPerPDU).
-	//netpart:unit pdus
 	//netpart:purecallback
 	NumPDUs func() int
 	// Compute and Comm list the phases of one cycle.
@@ -98,7 +91,6 @@ type Annotations struct {
 	// domain from the first processor; the paper assumes this is amortized
 	// (T_startup ≪ I·T_c) and the estimate lets callers check that
 	// assumption. Zero disables startup modeling.
-	//netpart:unit bytes/pdus
 	StartupBytesPerPDU float64
 }
 

@@ -36,21 +36,17 @@ type DeltaEval struct {
 	comm    *CommunicationPhase
 	tp      topo.Topology
 	bwLimit bool
-	//netpart:unit pdus
 	numPDUs int
 
-	cl    []deltaCluster // one per cluster of the base, in its order
-	pairs []deltaPair    // one per unordered cluster pair (pairFor)
-	//netpart:unit pdus
-	shares []float64 // probe output buffer (Estimate.Shares aliases it)
-	probe  []int     // Probe's counts (Estimate.Config.Counts aliases it)
+	cl     []deltaCluster // one per cluster of the base, in its order
+	pairs  []deltaPair    // one per unordered cluster pair (pairFor)
+	shares []float64      // probe output buffer (Estimate.Shares aliases it)
+	probe  []int          // Probe's counts (Estimate.Config.Counts aliases it)
 }
 
 // deltaCluster is what a probe reads and writes of one cluster.
 type deltaCluster struct {
-	//netpart:unit ms/ops
-	time float64 // op time of the dominant class, re-read on every bind
-	//netpart:unit ops/ms
+	time  float64 // op time of the dominant class, re-read on every bind
 	term  float64 // base count / time: the Eq. 3 denominator's term
 	count int     // the count under evaluation
 	// params are the Eq. 1 constants for the dominant topology (1-D
@@ -357,8 +353,6 @@ func (d *DeltaEval) pairFor(i, j int) *deltaPair {
 // rank ranges, so no placement is materialized.
 //
 //netpart:hotpath
-//netpart:unit b bytes
-//netpart:unit return ms
 func (d *DeltaEval) commCost(b float64, total int) (float64, error) {
 	worst := 0.0
 	lo := 0
@@ -399,8 +393,6 @@ func (d *DeltaEval) commCost(b float64, total int) (float64, error) {
 // to any other active cluster on another segment.
 //
 //netpart:hotpath
-//netpart:unit b bytes
-//netpart:unit return ms
 func (d *DeltaEval) crossPenalty(from int, b float64) float64 {
 	worst := 0.0
 	cl := d.cl
@@ -432,8 +424,6 @@ func (d *DeltaEval) crossPenalty(from int, b float64) float64 {
 // costs sum.
 //
 //netpart:hotpath
-//netpart:unit shares pdus
-//netpart:unit return ms
 func (d *DeltaEval) startupCost(shares []float64, root int) float64 {
 	params, err := d.paramsFor(root)
 	if err != nil {

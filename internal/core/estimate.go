@@ -79,31 +79,24 @@ type Estimate struct {
 	// Config.Clusters). The slice aliases the estimator's scratch buffer
 	// and is valid until the estimator's next Estimate call; callers that
 	// retain an Estimate across calls must copy it (see Detach).
-	//netpart:unit pdus
 	Shares []float64
 	// TcompMs is the per-cycle computation time of the dominant computation
 	// phase (equal across processors by load balance).
-	//netpart:unit ms
 	TcompMs float64
 	// TcommMs is the per-cycle cost of the dominant communication phase
 	// (Eq. 2 composition across clusters).
-	//netpart:unit ms
 	TcommMs float64
 	// ToverlapMs is the overlappable portion (min(Tcomp, Tcomm) when the
 	// dominant communication phase overlaps the dominant computation
 	// phase).
-	//netpart:unit ms
 	ToverlapMs float64
 	// TcMs = TcompMs + TcommMs - ToverlapMs (Eq. 6).
-	//netpart:unit ms
 	TcMs float64
 	// BytesPerMsg is the message size the communication estimate used.
-	//netpart:unit bytes
 	BytesPerMsg float64
 	// StartupMs estimates T_startup, the initial scatter of the data
 	// domain from the first processor (zero unless the annotations declare
 	// StartupBytesPerPDU).
-	//netpart:unit ms
 	StartupMs float64
 }
 
@@ -118,9 +111,6 @@ func (est Estimate) Detach() Estimate {
 
 // ElapsedMs extrapolates total elapsed time for the annotated cycle count:
 // T_elapsed = I·T_c (startup excluded, as in the paper's measurements).
-//
-//netpart:unit cycles 1
-//netpart:unit return ms
 func (e Estimate) ElapsedMs(cycles int) float64 { return float64(cycles) * e.TcMs }
 
 // Evaluations returns how many Eq. 3/6 computations (Estimate calls and
@@ -190,9 +180,6 @@ func (e *Estimator) searchEvent(ev SearchEvent) {
 
 // generalShares mirrors DecomposeGeneral but returns the per-cluster real
 // shares instead of an integer vector.
-//
-//netpart:unit numPDUs pdus
-//netpart:unit return pdus
 func generalShares(net *model.Network, cfg cost.Config, numPDUs int, class model.OpClass, ops func(float64) float64) ([]float64, error) {
 	v, err := DecomposeGeneral(net, cfg, numPDUs, class, ops)
 	if err != nil {

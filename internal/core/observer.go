@@ -17,8 +17,6 @@ import (
 //
 // Estimator.Observer is nil by default; a nil observer adds no work and no
 // allocations to the estimate hot path.
-//
-//netpart:nilhook
 type Observer interface {
 	// OnCandidate reports one evaluated candidate configuration.
 	OnCandidate(Candidate)
@@ -37,19 +35,13 @@ type Candidate struct {
 	// Config is the full candidate configuration.
 	Config cost.Config
 	// Shares are the Eq. 3 real PDU shares per cluster (A_i).
-	//netpart:unit pdus
 	Shares []float64
 	// Cost breakdown (Eq. 4–6): T_c = T_comp + T_comm − T_overlap.
-	//netpart:unit ms
-	TcompMs float64
-	//netpart:unit ms
-	TcommMs float64
-	//netpart:unit ms
+	TcompMs    float64
+	TcommMs    float64
 	ToverlapMs float64
-	//netpart:unit ms
-	TcMs float64
-	//netpart:unit ms
-	StartupMs float64
+	TcMs       float64
+	StartupMs  float64
 	// Evaluation is the estimator's evaluation counter after this
 	// computation (the O(K·log2 P) overhead sequence number).
 	Evaluation int
@@ -67,7 +59,6 @@ const (
 	EvClusterSettle  = "cluster-settle"  // the cluster's best count left it partially used (search stops)
 	EvClusterExhaust = "cluster-exhaust" // the cluster was used in full (a slower cluster may open)
 	EvWinner         = "winner"          // the search committed to Config
-	EvRepartPlan     = "repart-plan"     // a continuous-repartitioning decision (internal/repart): P = rows moved, TcMs = predicted bottleneck window
 )
 
 // SearchEvent is one search control-flow step.
@@ -119,8 +110,6 @@ func (m MultiObserver) OnSearch(ev SearchEvent) {
 // EventSink abstracts a structured event stream; *obs.Recorder satisfies
 // it. Declared here structurally so core does not depend on the obs
 // package.
-//
-//netpart:nilhook
 type EventSink interface {
 	Emit(kind string, fields map[string]any)
 }
@@ -173,9 +162,6 @@ func (o SinkObserver) OnSearch(ev SearchEvent) {
 		fields["p"], fields["tc_ms"] = ev.P, ev.TcMs
 	case EvWinner:
 		fields["config"] = ev.Config.String()
-		fields["p"], fields["tc_ms"] = ev.P, ev.TcMs
-		fields["evaluations"] = ev.Evaluations
-	case EvRepartPlan:
 		fields["p"], fields["tc_ms"] = ev.P, ev.TcMs
 		fields["evaluations"] = ev.Evaluations
 	}

@@ -31,9 +31,8 @@ type search struct {
 	order    []*model.Cluster
 	cfg      cost.Config
 	vec      Vector // room for the partition vector, behind cfg.Counts
-	//netpart:unit pdus
-	numPDUs int
-	tc      float64 // the best T_c so far
+	numPDUs  int
+	tc       float64 // the best T_c so far
 }
 
 // begin opens a search: clusters fastest-first, the evaluation counter
@@ -118,7 +117,7 @@ func localityFirst(e *Estimator, strategy string, minimise minimiser) (Result, e
 			continue
 		}
 		total := s.cfg.Total()
-		hi := min(c.Available, s.numPDUs-total) //nolint:netpart/units reason=intentional pdus-vs-processors pun: the search grants at most one processor per PDU, so the processor budget is bounded by the PDU count
+		hi := min(c.Available, s.numPDUs-total)
 		lo := 0
 		if total == 0 {
 			lo = 1 // at least one processor overall

@@ -24,10 +24,8 @@ import (
 // per processor).
 type Params struct {
 	// C1 is the fixed latency, C2 the added latency per station.
-	//netpart:unit ms
 	C1, C2 float64
 	// C3 is the per-byte cost, C4 the added per-byte cost per station.
-	//netpart:unit ms/bytes
 	C3, C4 float64
 }
 
@@ -35,10 +33,6 @@ type Params struct {
 // Section 6.0, the absolute value is taken: the linear fit may go negative
 // for small p, and the paper observes |T| is a very good approximation to
 // the actual cost there.
-//
-//netpart:unit b bytes
-//netpart:unit p 1
-//netpart:unit return ms
 func (c Params) Eval(b float64, p int) float64 {
 	v := c.C1 + c.C2*float64(p) + b*(c.C3+c.C4*float64(p))
 	return math.Abs(v)
@@ -53,17 +47,12 @@ func (c Params) String() string {
 // (T_router) and coercion (T_coerce) penalties.
 type PerByte struct {
 	// Ms is the per-byte cost in milliseconds.
-	//netpart:unit ms/bytes
 	Ms float64
 	// FixedMs is a per-message constant (zero in the paper's fits).
-	//netpart:unit ms
 	FixedMs float64
 }
 
 // Eval returns the cost of one b-byte message.
-//
-//netpart:unit b bytes
-//netpart:unit return ms
 func (p PerByte) Eval(b float64) float64 { return p.FixedMs + p.Ms*b }
 
 // Migration extends the Eq. 4–6 cost model with the price of *changing* a
@@ -80,13 +69,10 @@ func (p PerByte) Eval(b float64) float64 { return p.FixedMs + p.Ms*b }
 // the same Eq. 1 fits as T_comm: PerMoveMs from C1 and PerByteMs from C3.
 type Migration struct {
 	// PerMoveMs is the fixed cost of one migration round.
-	//netpart:unit ms
 	PerMoveMs float64
 	// PerByteMs is the wire cost per payload byte moved.
-	//netpart:unit ms/bytes
 	PerByteMs float64
 	// RowBytes is the payload size of one migrated PDU (row).
-	//netpart:unit bytes/pdus
 	RowBytes float64
 }
 
@@ -95,17 +81,12 @@ type Migration struct {
 // C3 prices the payload. As in Eval, absolute values are taken — the
 // Section 6.0 linear fits may go negative (the paper's C3 for both
 // clusters does), and a negative T_mig would reward churn.
-//
-//netpart:unit rowBytes bytes/pdus
 func MigrationFromParams(p Params, rowBytes float64) Migration {
 	return Migration{PerMoveMs: math.Abs(p.C1), PerByteMs: math.Abs(p.C3), RowBytes: rowBytes}
 }
 
 // Cost evaluates T_mig for a plan that moves rowsMoved PDUs. A plan that
 // moves nothing costs nothing (no migration round happens).
-//
-//netpart:unit rowsMoved pdus
-//netpart:unit return ms
 func (m Migration) Cost(rowsMoved int) float64 {
 	if rowsMoved <= 0 {
 		return 0
@@ -184,13 +165,10 @@ type Config struct {
 	// (fastest-first for the paper's heuristic).
 	Clusters []string
 	// Counts[i] is P_i, the processors used in Clusters[i].
-	//netpart:unit 1
 	Counts []int
 }
 
 // Total returns the total number of processors in the configuration.
-//
-//netpart:unit return 1
 func (c Config) Total() int {
 	sum := 0
 	for _, n := range c.Counts {
@@ -237,9 +215,6 @@ func (c Config) String() string {
 //   - The synchronous cost is the maximum over clusters for locality-
 //     exploiting topologies; bandwidth-limited topologies are charged at
 //     the total processor count on every segment.
-//
-//netpart:unit b bytes
-//netpart:unit return ms
 func (t *Table) CommCost(net *model.Network, tp topo.Topology, b float64, cfg Config) (float64, error) {
 	if net == nil {
 		return 0, fmt.Errorf("cost: nil network")
@@ -286,9 +261,6 @@ func (t *Table) CommCost(net *model.Network, tp topo.Topology, b float64, cfg Co
 
 // crossPenalty returns the worst-case router+coercion per-message penalty a
 // border task of cluster 'from' pays to reach any other active cluster.
-//
-//netpart:unit b bytes
-//netpart:unit return ms
 func (t *Table) crossPenalty(net *model.Network, active []string, from string, b float64) float64 {
 	worst := 0.0
 	for _, other := range active {

@@ -47,10 +47,8 @@ type Cluster struct {
 	Available int
 	// FloatOpTime is the average time per floating-point operation in
 	// milliseconds (the paper's S_i; 0.3 µs = 3.0e-4 ms for the Sparc2).
-	//netpart:unit ms/ops
 	FloatOpTime float64
 	// IntOpTime is the average time per integer operation in milliseconds.
-	//netpart:unit ms/ops
 	IntOpTime float64
 	// Format is the cluster's data format, used to decide coercion.
 	Format Format
@@ -60,20 +58,16 @@ type Cluster struct {
 	// call, NIC programming) in milliseconds. Slower processors have larger
 	// overheads, which is why the paper's fitted cost functions differ
 	// between clusters even though segment bandwidth is equal.
-	//netpart:unit ms
 	MsgOverheadMs float64
 	// HostPerByteMs is the per-byte host protocol-processing cost in
 	// milliseconds per byte (checksumming, copying). It adds to the wire
 	// time 1/Segment.BytesPerMs to give the effective per-byte rate the
 	// paper's constants capture.
-	//netpart:unit ms/bytes
 	HostPerByteMs float64
 }
 
 // OpTime returns the per-operation time in milliseconds for the given
 // operation class.
-//
-//netpart:unit return ms/ops
 func (c *Cluster) OpTime(class OpClass) float64 {
 	if class == OpInt {
 		return c.IntOpTime
@@ -108,7 +102,6 @@ type Segment struct {
 	// BytesPerMs is the raw channel rate in bytes per millisecond.
 	// 10 Mb/s ethernet is 1250 bytes/ms. The paper assumes all segments
 	// have equal bandwidth; Validate enforces this.
-	//netpart:unit bytes/ms
 	BytesPerMs float64
 }
 
@@ -120,10 +113,8 @@ type Router struct {
 	Name string
 	// PerByteMs is the internal router delay per byte in milliseconds
 	// (the paper fits T_router[C1,C2](b) ≈ 0.0006·b ms).
-	//netpart:unit ms/bytes
 	PerByteMs float64
 	// PerMessageMs is a fixed per-message forwarding cost in milliseconds.
-	//netpart:unit ms
 	PerMessageMs float64
 	// Segments lists the segments the router joins.
 	Segments []string
@@ -133,7 +124,6 @@ type Router struct {
 // formats. The model charges it only when formats differ.
 type CoercePolicy struct {
 	// PerByteMs is the conversion cost per byte in milliseconds.
-	//netpart:unit ms/bytes
 	PerByteMs float64
 }
 

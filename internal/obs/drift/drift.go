@@ -11,8 +11,6 @@
 // drift.worst_pct) track the smoothed deviations continuously, so a
 // scraper — or a future restreaming repartitioner — sees drift as it
 // develops, not only when it alarms.
-//
-//netpart:nilsafe
 package drift
 
 import (

@@ -12,8 +12,6 @@
 // exposes a registry over HTTP for long-running processes, which is why
 // histograms hold O(buckets + reservoir) memory rather than every
 // observation (see histogram.go).
-//
-//netpart:nilsafe
 package obs
 
 import (

@@ -34,7 +34,7 @@ func (e Event) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON reverses MarshalJSON (used by trace-loading tools and
 // tests; seq and type return to the envelope).
-func (e *Event) UnmarshalJSON(data []byte) error { //nolint:netpart/obsnil reason=encoding/json only invokes UnmarshalJSON on an addressable non-nil receiver
+func (e *Event) UnmarshalJSON(data []byte) error {
 	flat := map[string]any{}
 	if err := json.Unmarshal(data, &flat); err != nil {
 		return err

@@ -9,8 +9,6 @@
 // convention (see obs.Export): "spmd.cycle_ms" becomes
 // netpart_spmd_cycle_ms, and `drift.pct{task="3"}` becomes one series of
 // the netpart_drift_pct family.
-//
-//netpart:nilsafe
 package serve
 
 import (
@@ -238,7 +236,7 @@ func Start(addr string, reg *obs.Registry) (*Server, error) {
 		srv:  &http.Server{Handler: Handler(reg)},
 		done: make(chan struct{}),
 	}
-	go func() { //nolint:netpart/concsafety reason=the accept loop intentionally outlives Start; Server.Close joins it by closing the listener
+	go func() {
 		// Serve always returns non-nil; after Close it reports
 		// http.ErrServerClosed, which is the expected shutdown path.
 		_ = s.srv.Serve(ln)

@@ -65,10 +65,6 @@ type Engine struct {
 	Metrics *obs.Registry
 	// Trace receives one structured "repart" event per decision (nil-safe).
 	Trace *obs.Recorder
-	// Observer receives the decision stream as core.EvRepartPlan search
-	// events, so SearchTrace/SinkObserver tooling sees repartitioning
-	// decisions alongside the initial search's.
-	Observer core.Observer
 }
 
 // planner returns the engine's planner, defaulting a nil one.
@@ -80,7 +76,7 @@ func (e *Engine) planner() *Planner {
 }
 
 // Decide plans at rank 0 and exports the decision: counters, latency
-// histogram, a "repart" trace event, and an EvRepartPlan search event.
+// histogram and a "repart" trace event.
 func (e *Engine) Decide(cycle int, reason string, cur core.Vector, measuredMs []float64) Plan {
 	start := time.Now()
 	plan := e.planner().Plan(cycle, reason, cur, measuredMs)
@@ -105,15 +101,6 @@ func (e *Engine) Decide(cycle int, reason string, cur core.Vector, measuredMs []
 		"evaluations": plan.Evaluations,
 		"plan_ms":     plan.PlanMs,
 	})
-	if e.Observer != nil {
-		e.Observer.OnSearch(core.SearchEvent{
-			Kind:        core.EvRepartPlan,
-			Strategy:    "restream",
-			P:           plan.MovedRows,
-			TcMs:        plan.NewMaxMs,
-			Evaluations: plan.Evaluations,
-		})
-	}
 	return plan
 }
 

@@ -42,28 +42,12 @@ func TestDriftTrigger(t *testing.T) {
 	}
 }
 
-// recordingObserver captures search events.
-type recordingObserver struct {
-	mu     sync.Mutex
-	events []core.SearchEvent
-}
-
-func (r *recordingObserver) OnCandidate(core.Candidate) {}
-
-func (r *recordingObserver) OnSearch(ev core.SearchEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.events = append(r.events, ev)
-}
-
-// TestEngineDecideExports: a decision lands in metrics, the trace, and the
-// observer stream.
+// TestEngineDecideExports: a decision lands in metrics and the trace.
 func TestEngineDecideExports(t *testing.T) {
 	reg := obs.NewRegistry()
 	var sb strings.Builder
 	rec := obs.NewRecorder(&sb)
-	ro := &recordingObserver{}
-	eng := &Engine{Planner: NewPlanner(PlannerConfig{}), Metrics: reg, Trace: rec, Observer: ro}
+	eng := &Engine{Planner: NewPlanner(PlannerConfig{}), Metrics: reg, Trace: rec}
 	plan := eng.Decide(4, "drift", core.Vector{16, 16}, []float64{10, 30})
 	if !plan.Changed() {
 		t.Fatal("no plan under 3x imbalance")
@@ -82,14 +66,6 @@ func TestEngineDecideExports(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), `"repart"`) {
 		t.Errorf("no repart trace event in %q", sb.String())
-	}
-	ro.mu.Lock()
-	defer ro.mu.Unlock()
-	if len(ro.events) != 1 || ro.events[0].Kind != core.EvRepartPlan {
-		t.Fatalf("observer saw %+v", ro.events)
-	}
-	if ro.events[0].P != plan.MovedRows || ro.events[0].Evaluations != plan.Evaluations {
-		t.Errorf("observer payload %+v vs plan %+v", ro.events[0], plan)
 	}
 }
 
