@@ -153,8 +153,8 @@ func BenchmarkPartitionOverhead(b *testing.B) {
 
 // BenchmarkDecision is one whole decision as a caller pays for it — a
 // fresh core.NewEstimator plus core.Partition, the decide-sweep workload's
-// unit. Its allocations are the estimator, the evaluator's state and the
-// Result (BENCH_policy.json holds the ceiling).
+// unit. Its allocations are the estimator, the evaluator's state, the
+// fastest-first order and the Result (BENCH_policy.json holds the ceiling).
 func BenchmarkDecision(b *testing.B) {
 	e := benchEnv(b)
 	ann := stencil.Annotations(1200, stencil.STEN1, 10)
@@ -166,6 +166,22 @@ func BenchmarkDecision(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := core.Partition(est); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNewEstimator is what a decision pays before its first probe:
+// Annotations.Validate, Network.Validate and the Estimator, its one
+// allocation (BENCH_policy.json holds the ceiling). The network, table and
+// annotations are built once, outside the loop.
+func BenchmarkNewEstimator(b *testing.B) {
+	e := benchEnv(b)
+	ann := stencil.Annotations(1200, stencil.STEN1, 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.NewEstimator(e.Net, e.Fitted, ann); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,10 +19,6 @@
 //	                                     field are pure and allocation-free, so
 //	                                     interprocedural solves trust calls
 //	                                     through it
-//	//netpart:wallclock       (func/package) measures real time by design; its
-//	                                     global-rand use is data, not hidden
-//	                                     nondeterminism, and does not propagate
-//	                                     to callers
 //	//netpart:wire <group> <encode|decode> (func) assigns a codec function to a
 //	                                     wire group and side when its name does
 //	                                     not follow the EncodeX/DecodeX pattern

@@ -53,10 +53,7 @@ func runDeterminism(pass *Pass) error {
 // from this package to a function of an unmarked module package whose call
 // tree touches auto-seeded rand is reported at the call site with the
 // provenance chain. Calls into other //netpart:deterministic packages are
-// skipped — their own analysis run reports the origin — and functions
-// marked //netpart:wallclock neither propagate (their summaries are clean
-// by contract) nor are checked as callers (they are declared measurement
-// boundaries).
+// skipped — their own analysis run reports the origin.
 func propagateDeterminism(pass *Pass) {
 	ip := pass.Inter
 	if ip == nil {
@@ -68,7 +65,7 @@ func propagateDeterminism(pass *Pass) {
 			continue
 		}
 		node := ip.Node(fn)
-		if node == nil || ip.wallclockWaived(node) {
+		if node == nil {
 			continue
 		}
 		for _, cs := range node.Calls {

@@ -55,11 +55,6 @@ import (
 // a $0 frame (it cannot grow the stack, and has no frame to call the
 // runtime from): a leaf that works on its arguments and returns. Any other
 // assembly function is assumed to allocate, and the finding says so.
-//
-// Functions or packages annotated //netpart:wallclock declare that they
-// measure real time by design (live runtimes, transports): their
-// summaries expose no rand facts to callers, because their results are
-// data, not hidden nondeterminism.
 
 // maxSites bounds the call-derived facts of each summary category (enough
 // for useful diagnostics, small enough to keep the fixpoint cheap). A
@@ -92,8 +87,7 @@ type Summary struct {
 	// paths (empty means: proven allocation-free through the whole call
 	// tree, modulo the documented stdlib model).
 	Allocs []*Site
-	// Rand are reachable global-rand uses. Empty for //netpart:wallclock
-	// functions and packages.
+	// Rand are reachable global-rand uses.
 	Rand []*Site
 	// comm reports that the function reaches a transport operation — a
 	// Send/Recv/RecvAny call (transportCallKind) in its own body or,
@@ -291,24 +285,16 @@ func (ip *Interproc) solve() {
 	}
 }
 
-// wallclockWaived reports whether the node opts out of rand
-// propagation (//netpart:wallclock on the function or its package).
-func (ip *Interproc) wallclockWaived(node *FuncNode) bool {
-	return funcHasDirective(node.Decl, "netpart:wallclock") ||
-		packageHasDirective(node.Pkg.Files, "netpart:wallclock")
-}
-
 // resolveNode recomputes one node's call-derived facts from the current
 // callee summaries; it reports whether the summary grew.
 func (ip *Interproc) resolveNode(node *FuncNode) bool {
 	s := ip.sums[node.Fn]
 	before, comm := len(s.Allocs)+len(s.Rand), s.comm
-	waived := ip.wallclockWaived(node)
 	for _, cs := range node.Calls {
 		s.comm = s.comm || ip.reachesTransport(cs)
 		pos := cs.Call.Pos()
 		allocOK := !cs.Guarded && !ip.suppressedAt(pos, "allocfree")
-		detOK := !waived && !ip.suppressedAt(pos, "determinism")
+		detOK := !ip.suppressedAt(pos, "determinism")
 		if cs.PureCallback {
 			continue
 		}

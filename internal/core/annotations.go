@@ -12,6 +12,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"netpart/internal/model"
 	"netpart/internal/topo"
@@ -112,7 +113,6 @@ func (a *Annotations) Validate() error {
 	if len(a.Compute) == 0 {
 		return ErrNoComputePhase
 	}
-	names := make(map[string]bool, len(a.Compute))
 	for i := range a.Compute {
 		cp := &a.Compute[i]
 		if cp.ComplexityPerPDU == nil && cp.TotalOps == nil {
@@ -121,7 +121,6 @@ func (a *Annotations) Validate() error {
 		if cp.ComplexityPerPDU == nil {
 			return fmt.Errorf("core: computation phase %q needs ComplexityPerPDU (used for dominance)", cp.Name)
 		}
-		names[cp.Name] = true
 	}
 	for i := range a.Comm {
 		cm := &a.Comm[i]
@@ -131,7 +130,7 @@ func (a *Annotations) Validate() error {
 		if _, err := topo.ByName(cm.Topology); err != nil {
 			return fmt.Errorf("core: communication phase %q: %w", cm.Name, err)
 		}
-		if cm.Overlap != "" && !names[cm.Overlap] {
+		if cm.Overlap != "" && !slices.ContainsFunc(a.Compute, func(cp ComputationPhase) bool { return cp.Name == cm.Overlap }) {
 			return fmt.Errorf("%w: phase %q overlaps %q", ErrBadOverlap, cm.Name, cm.Overlap)
 		}
 	}

@@ -36,6 +36,7 @@ type DeltaEval struct {
 	comm    *CommunicationPhase
 	tp      topo.Topology
 	bwLimit bool
+	overlap bool // the dominant communication overlaps the dominant computation
 	numPDUs int
 
 	cl     []deltaCluster // one per cluster of the base, in its order
@@ -46,9 +47,10 @@ type DeltaEval struct {
 
 // deltaCluster is what a probe reads and writes of one cluster.
 type deltaCluster struct {
-	time  float64 // op time of the dominant class, re-read on every bind
-	term  float64 // base count / time: the Eq. 3 denominator's term
-	count int     // the count under evaluation
+	c     *model.Cluster // resolved once per bind
+	time  float64        // op time of the dominant class, re-read on every bind
+	term  float64        // base count / time: the Eq. 3 denominator's term
+	count int            // the count under evaluation
 	// params are the Eq. 1 constants for the dominant topology (1-D
 	// without a communication phase), resolved on first use.
 	params   cost.Params
@@ -84,11 +86,12 @@ func (e *Estimator) BeginDelta(cfg cost.Config) (*DeltaEval, error) {
 // bind points the evaluator at cfg, a well-formed configuration whose
 // counts become the (aliased) base. order, when non-nil, is cfg's clusters
 // resolved (a search's fastest-first order); otherwise the names resolve
-// through the network. The dominant phases, the PDU count and the cluster
-// speeds are re-read on every bind, so annotations whose dominance shifts
-// between calls stay correct. The cost-table memo survives a rebind to the
-// same cluster names and communication phase; otherwise it is cleared,
-// reusing the buffers.
+// through the network. Each slot keeps its *model.Cluster, so no probe
+// reads a name. The dominant phases, their overlap, the PDU count and the
+// cluster speeds are re-read on every bind, so annotations whose dominance
+// shifts between calls stay correct. The cost-table memo survives a rebind
+// to the same cluster names and communication phase; otherwise it is
+// cleared, reusing the buffers.
 //
 //netpart:hotpath
 func (d *DeltaEval) bind(e *Estimator, cfg cost.Config, order []*model.Cluster) error {
@@ -102,7 +105,11 @@ func (d *DeltaEval) bind(e *Estimator, cfg cost.Config, order []*model.Cluster) 
 			return err
 		}
 	}
-	d.base, d.comp, d.numPDUs = cfg, comp, e.Ann.NumPDUs()
+	if cap(d.shares) < k { // a longer list, or a search handed the buffer to its Result
+		d.shares = make([]float64, k)
+	}
+	d.base, d.comp, d.numPDUs, d.shares = cfg, comp, e.Ann.NumPDUs(), d.shares[:k]
+	d.overlap = comm != nil && comm.Overlap != "" && comm.Overlap == comp.Name
 	for i, name := range cfg.Clusters {
 		var c *model.Cluster
 		if order != nil {
@@ -110,7 +117,7 @@ func (d *DeltaEval) bind(e *Estimator, cfg cost.Config, order []*model.Cluster) 
 		} else if c = e.Net.Cluster(name); c == nil {
 			return fmt.Errorf("core: unknown cluster %q", name)
 		}
-		d.cl[i].time = c.OpTime(comp.Class)
+		d.cl[i].c, d.cl[i].time = c, c.OpTime(comp.Class)
 	}
 	d.Rebase()
 	return nil
@@ -123,9 +130,9 @@ func (d *DeltaEval) bind(e *Estimator, cfg cost.Config, order []*model.Cluster) 
 func (d *DeltaEval) reset(e *Estimator, comm *CommunicationPhase, k int) error {
 	d.e = nil // until the memo is consistent again
 	if cap(d.cl) < k {
-		d.cl, d.pairs, d.shares = make([]deltaCluster, k), make([]deltaPair, k*(k-1)/2), make([]float64, k)
+		d.cl, d.pairs = make([]deltaCluster, k), nil
 	}
-	d.cl, d.shares = d.cl[:k], d.shares[:k]
+	d.cl = d.cl[:k]
 	clear(d.cl)
 	clear(d.pairs)
 	d.tp = nil
@@ -270,7 +277,7 @@ func (d *DeltaEval) eval(est *Estimate, k, p int, mode evalMode) error {
 			}
 			est.TcommMs = tcomm
 		}
-		if d.comm.Overlap != "" && d.comm.Overlap == d.comp.Name {
+		if d.overlap {
 			est.ToverlapMs = math.Min(est.TcompMs, est.TcommMs)
 		}
 	}
@@ -328,17 +335,20 @@ func (d *DeltaEval) pairFor(i, j int) *deltaPair {
 	if i < j {
 		i, j = j, i
 	}
+	if len(d.pairs) == 0 { // taken at the first crossing: many searches never cross
+		d.pairs = make([]deltaPair, cap(d.cl)*(cap(d.cl)-1)/2)
+	}
 	pr := &d.pairs[i*(i-1)/2+j]
 	if pr.ok {
 		return pr
 	}
-	from, to := d.base.Clusters[i], d.base.Clusters[j]
-	*pr = deltaPair{ok: true, sameSeg: d.e.Net.SameSegment(from, to)}
+	a, b := d.cl[i].c, d.cl[j].c
+	*pr = deltaPair{ok: true, sameSeg: a.Segment == b.Segment}
 	if !pr.sameSeg {
-		pr.router = d.e.Costs.Router(from, to)
-		pr.coerce = d.e.Net.NeedsCoercion(from, to)
+		pr.router = d.e.Costs.Router(a.Name, b.Name)
+		pr.coerce = a.Format != b.Format
 		if pr.coerce {
-			pr.coerceC = d.e.Costs.Coerce(from, to)
+			pr.coerceC = d.e.Costs.Coerce(a.Name, b.Name)
 		}
 	}
 	return pr

@@ -145,7 +145,7 @@ func localityFirst(e *Estimator, strategy string, minimise minimiser) (Result, e
 	if err := d.eval(&best, 0, s.cfg.Counts[0], rebuilt); err != nil {
 		return Result{}, err
 	}
-	best.Config, best.Shares = s.cfg, append([]float64(nil), best.Shares...)
+	best.Config, d.shares = s.cfg, nil // the Result keeps the shares buffer
 	return s.finish(best)
 }
 

@@ -10,14 +10,6 @@
 // Two interchangeable transports implement the same interface: a real UDP
 // transport (NewUDPWorld) and an in-memory channel transport (NewLocalWorld)
 // for deterministic tests of higher layers.
-//
-// As a transport, mmps measures real time by design (retransmission timers,
-// fault-injection timestamps, latency benchmarks); the //netpart:wallclock
-// directive below declares that boundary so interprocedural determinism
-// analysis treats its timing results as data rather than as hidden
-// nondeterminism leaking into deterministic callers.
-//
-//netpart:wallclock
 package mmps
 
 import (

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 )
 
 // Format identifies a machine data format. Messages between clusters with
@@ -163,18 +162,18 @@ func (n *Network) Validate() error {
 	if len(n.Clusters) == 0 {
 		return ErrNoClusters
 	}
-	segByName := make(map[string]*Segment, len(n.Segments))
-	for _, s := range n.Segments {
+	// Every check scans the network's own slices and hashes no name: a
+	// network has a handful of clusters, and every decision validates it.
+	for i, s := range n.Segments {
 		if s.Name == "" {
 			return fmt.Errorf("%w: empty segment name", ErrDuplicateName)
 		}
-		if _, dup := segByName[s.Name]; dup {
+		if slices.ContainsFunc(n.Segments[:i], func(p *Segment) bool { return p.Name == s.Name }) {
 			return fmt.Errorf("%w: segment %q", ErrDuplicateName, s.Name)
 		}
 		if !isPositive(s.BytesPerMs) {
 			return paramError("segment", s.Name, "BytesPerMs", s.BytesPerMs)
 		}
-		segByName[s.Name] = s
 	}
 	// Equal-bandwidth assumption (relaxed for metasystems, §7).
 	if !n.Metasystem && len(n.Segments) > 1 {
@@ -185,23 +184,19 @@ func (n *Network) Validate() error {
 			}
 		}
 	}
-	seenCluster := make(map[string]bool, len(n.Clusters))
-	segUsed := make(map[string]string, len(n.Segments))
-	for _, c := range n.Clusters {
+	for i, c := range n.Clusters {
 		if c.Name == "" {
 			return fmt.Errorf("%w: empty cluster name", ErrDuplicateName)
 		}
-		if seenCluster[c.Name] {
+		if slices.ContainsFunc(n.Clusters[:i], func(p *Cluster) bool { return p.Name == c.Name }) {
 			return fmt.Errorf("%w: cluster %q", ErrDuplicateName, c.Name)
 		}
-		seenCluster[c.Name] = true
-		if _, ok := segByName[c.Segment]; !ok {
+		if !holds(n.Segments, i, func(s *Segment) bool { return s.Name == c.Segment }) {
 			return fmt.Errorf("%w: cluster %q on segment %q", ErrUnknownSegment, c.Name, c.Segment)
 		}
-		if prev, used := segUsed[c.Segment]; used {
-			return fmt.Errorf("%w: segment %q hosts %q and %q", ErrSharedSegment, c.Segment, prev, c.Name)
+		if j := slices.IndexFunc(n.Clusters[:i], func(p *Cluster) bool { return p.Segment == c.Segment }); j >= 0 {
+			return fmt.Errorf("%w: segment %q hosts %q and %q", ErrSharedSegment, c.Segment, n.Clusters[j].Name, c.Name)
 		}
-		segUsed[c.Segment] = c.Name
 		if c.Procs <= 0 {
 			return fmt.Errorf("%w: cluster %q has %d processors", ErrBadParameter, c.Name, c.Procs)
 		}
@@ -228,20 +223,25 @@ func (n *Network) Validate() error {
 		return paramError("coercion", "", "PerByteMs", n.Coerce.PerByteMs)
 	}
 	if len(n.Segments) > 1 {
-		joined := make(map[string]bool, len(n.Router.Segments))
-		for _, s := range n.Router.Segments {
-			if _, ok := segByName[s]; !ok {
-				return fmt.Errorf("%w: router joins unknown segment %q", ErrUnknownSegment, s)
+		for i, r := range n.Router.Segments {
+			if !holds(n.Segments, i, func(s *Segment) bool { return s.Name == r }) {
+				return fmt.Errorf("%w: router joins unknown segment %q", ErrUnknownSegment, r)
 			}
-			joined[s] = true
 		}
-		for _, s := range n.Segments {
-			if !joined[s.Name] {
+		for i, s := range n.Segments {
+			if !holds(n.Router.Segments, i, func(r string) bool { return r == s.Name }) {
 				return fmt.Errorf("%w: segment %q not joined by router", ErrUnknownSegment, s.Name)
 			}
 		}
 	}
 	return nil
+}
+
+// holds reports whether an element of list satisfies is, trying list[at]
+// first: where the i-th cluster and the i-th router entry name the i-th
+// segment, the usual layout, a lookup is one compare.
+func holds[T any](list []T, at int, is func(T) bool) bool {
+	return at < len(list) && is(list[at]) || slices.ContainsFunc(list, is)
 }
 
 // Cluster returns the named cluster, or nil if absent.
@@ -297,10 +297,17 @@ func paramError(owner, name, field string, v float64) error {
 func (n *Network) BySpeed(class OpClass) []*Cluster {
 	out := make([]*Cluster, len(n.Clusters))
 	copy(out, n.Clusters)
-	slices.SortStableFunc(out, func(a, b *Cluster) int {
-		// Smaller op time = faster.
-		return cmp.Or(cmp.Compare(a.OpTime(class), b.OpTime(class)), strings.Compare(a.Name, b.Name))
-	})
+	// A stable insertion sort, written out: a network has a handful of
+	// clusters, and names are compared only on a tie.
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0; j-- {
+			a, b := out[j-1], out[j] // smaller op time = faster
+			if c := cmp.Compare(a.OpTime(class), b.OpTime(class)); c < 0 || c == 0 && a.Name <= b.Name {
+				break
+			}
+			out[j-1], out[j] = b, a
+		}
+	}
 	return out
 }
 

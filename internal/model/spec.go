@@ -7,7 +7,9 @@ import (
 )
 
 // spec mirrors Network for JSON encoding. It exists so that the wire format
-// is explicit and stable even if the in-memory types grow fields.
+// is explicit and stable. Each spec type has its model type's fields in the
+// same order, so the two convert into each other: a field added to one and
+// not the other stops the conversions below from compiling.
 type spec struct {
 	Clusters   []clusterSpec `json:"clusters"`
 	Segments   []segmentSpec `json:"segments"`
@@ -47,26 +49,12 @@ type coerceSpec struct {
 
 // WriteSpec encodes the network as indented JSON.
 func WriteSpec(w io.Writer, n *Network) error {
-	s := spec{
-		Router: routerSpec{
-			Name:         n.Router.Name,
-			PerByteMs:    n.Router.PerByteMs,
-			PerMessageMs: n.Router.PerMessageMs,
-			Segments:     n.Router.Segments,
-		},
-		Coerce:     coerceSpec{PerByteMs: n.Coerce.PerByteMs},
-		Metasystem: n.Metasystem,
-	}
+	s := spec{Router: routerSpec(n.Router), Coerce: coerceSpec(n.Coerce), Metasystem: n.Metasystem}
 	for _, c := range n.Clusters {
-		s.Clusters = append(s.Clusters, clusterSpec{
-			Name: c.Name, Arch: c.Arch, Procs: c.Procs, Available: c.Available,
-			FloatOpTime: c.FloatOpTime, IntOpTime: c.IntOpTime,
-			Format: c.Format, Segment: c.Segment,
-			MsgOverheadMs: c.MsgOverheadMs, HostPerByteMs: c.HostPerByteMs,
-		})
+		s.Clusters = append(s.Clusters, clusterSpec(*c))
 	}
 	for _, seg := range n.Segments {
-		s.Segments = append(s.Segments, segmentSpec{Name: seg.Name, BytesPerMs: seg.BytesPerMs})
+		s.Segments = append(s.Segments, segmentSpec(*seg))
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -82,34 +70,18 @@ func ReadSpec(r io.Reader) (*Network, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("model: decoding network spec: %w", err)
 	}
-	n := &Network{
-		Router: Router{
-			Name:         s.Router.Name,
-			PerByteMs:    s.Router.PerByteMs,
-			PerMessageMs: s.Router.PerMessageMs,
-			Segments:     s.Router.Segments,
-		},
-		Coerce:     CoercePolicy{PerByteMs: s.Coerce.PerByteMs},
-		Metasystem: s.Metasystem,
-	}
+	n := &Network{Router: Router(s.Router), Coerce: CoercePolicy(s.Coerce), Metasystem: s.Metasystem}
 	for _, c := range s.Clusters {
-		avail := c.Available
-		if avail == 0 {
-			avail = c.Procs
+		if c.Available == 0 {
+			c.Available = c.Procs
 		}
-		format := c.Format
-		if format == "" {
-			format = FormatBigEndian
+		if c.Format == "" {
+			c.Format = FormatBigEndian
 		}
-		n.Clusters = append(n.Clusters, &Cluster{
-			Name: c.Name, Arch: c.Arch, Procs: c.Procs, Available: avail,
-			FloatOpTime: c.FloatOpTime, IntOpTime: c.IntOpTime,
-			Format: format, Segment: c.Segment,
-			MsgOverheadMs: c.MsgOverheadMs, HostPerByteMs: c.HostPerByteMs,
-		})
+		n.Clusters = append(n.Clusters, (*Cluster)(&c))
 	}
 	for _, seg := range s.Segments {
-		n.Segments = append(n.Segments, &Segment{Name: seg.Name, BytesPerMs: seg.BytesPerMs})
+		n.Segments = append(n.Segments, (*Segment)(&seg))
 	}
 	if err := n.Validate(); err != nil {
 		return nil, err

@@ -28,29 +28,21 @@ func RunSim(net *model.Network, cfg cost.Config, vec core.Vector, v Variant, n, 
 }
 
 // RunLive is Live with work factors only.
-//
-//netpart:wallclock
 func RunLive(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, workFactor []int) (Result, error) {
 	return Live(world, vec, v, n, iters, Options{WorkFactor: workFactor})
 }
 
 // RunLiveMonitored is Live with work factors and observation.
-//
-//netpart:wallclock
 func RunLiveMonitored(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, workFactor []int, m *obs.Registry, rec *obs.Recorder, sink obs.CycleSink) (Result, error) {
 	return Live(world, vec, v, n, iters, Options{WorkFactor: workFactor, Metrics: m, Trace: rec, Cycles: sink})
 }
 
 // RunLiveAdaptive is Live.
-//
-//netpart:wallclock
 func RunLiveAdaptive(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, opts LiveAdaptiveOptions) (Result, error) {
 	return Live(world, vec, v, n, iters, opts)
 }
 
 // RunLiveFT is Live with default fault tolerance.
-//
-//netpart:wallclock
 func RunLiveFT(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, opts FTOptions) (Result, error) {
 	return Live(world, vec, v, n, iters, Options{WorkFactor: opts.WorkFactor, FT: &FT{}})
 }

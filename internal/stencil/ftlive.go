@@ -91,8 +91,6 @@ type ftShared struct {
 // detection and recovery. The transports must outlive the call; a crashed
 // rank stops participating but its transport endpoint is left to the caller
 // to close.
-//
-//netpart:wallclock
 func (j *job) runFT(world []mmps.Transport, opts Options) (Result, error) {
 	sh := &ftShared{}
 	errs, elapsed := runRanks(len(world), opts.Metrics, func(rank int, start time.Time) error {

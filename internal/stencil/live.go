@@ -26,8 +26,6 @@ const (
 // kernel for any repartitioning sequence: decisions may vary with
 // wall-clock noise, but only rank 0 decides and broadcasts, so every rank
 // stays consistent. With opts.FT the run survives ranks failing (ftlive.go).
-//
-//netpart:wallclock
 func Live(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, opts Options) (Result, error) {
 	j, err := newJob(true, vec, len(world), v, n, iters, opts)
 	if err != nil {
@@ -50,8 +48,6 @@ func Live(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, opts
 // runRanks runs body once per rank, each on its own goroutine and all
 // handed the same start time, waits for every rank, and returns their errors
 // and the wall time, which it also records as MetricLiveElapsedMs.
-//
-//netpart:wallclock
 func runRanks(tasks int, m *obs.Registry, body func(rank int, start time.Time) error) ([]error, time.Duration) {
 	errs := make([]error, tasks)
 	var wg sync.WaitGroup
@@ -137,8 +133,6 @@ func (l *liveLink) Recv(src int) (halo, error) {
 func (l *liveLink) control() repart.Link { return l.tr }
 
 // nowMs is the wall time since the run epoch in milliseconds.
-//
-//netpart:wallclock
 func (l *liveLink) nowMs() float64 {
 	return float64(time.Since(l.epoch)) / float64(time.Millisecond)
 }
@@ -155,7 +149,6 @@ func loadReps(factor float64) int {
 	return 1
 }
 
-//netpart:wallclock
 func (l *liveLink) endCycle(iter int, startMs, endMs, exchangeMs float64) {
 	cycle := endMs - startMs
 	rank := l.tr.Rank()

@@ -63,8 +63,3 @@ func (Hypercube) Neighbors(rank, p int) []int {
 
 // BandwidthLimited reports false.
 func (Hypercube) BandwidthLimited() bool { return false }
-
-func init() {
-	registry[Torus2D{}.Name()] = Torus2D{}
-	registry[Hypercube{}.Name()] = Hypercube{}
-}

@@ -214,30 +214,25 @@ func (AllToAll) Neighbors(rank, p int) []int {
 // BandwidthLimited reports true.
 func (AllToAll) BandwidthLimited() bool { return true }
 
-// registry maps canonical names to topologies.
-var registry = map[string]Topology{
-	OneD{}.Name():      OneD{},
-	Ring{}.Name():      Ring{},
-	Mesh2D{}.Name():    Mesh2D{},
-	Tree{}.Name():      Tree{},
-	Broadcast{}.Name(): Broadcast{},
-	AllToAll{}.Name():  AllToAll{},
-}
+// registry lists the known topologies. ByName scans it: a handful of
+// entries, and a decision resolves its topology each time.
+var registry = []Topology{OneD{}, Ring{}, Mesh2D{}, Tree{}, Broadcast{}, AllToAll{}, Torus2D{}, Hypercube{}}
 
 // ByName returns the topology with the given canonical name.
 func ByName(name string) (Topology, error) {
-	t, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("topo: unknown topology %q", name)
+	for _, t := range registry {
+		if t.Name() == name {
+			return t, nil
+		}
 	}
-	return t, nil
+	return nil, fmt.Errorf("topo: unknown topology %q", name)
 }
 
 // Names returns the canonical topology names in sorted order.
 func Names() []string {
 	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	for _, t := range registry {
+		out = append(out, t.Name())
 	}
 	sort.Strings(out)
 	return out
