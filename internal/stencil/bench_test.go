@@ -7,20 +7,37 @@ import (
 	"netpart/internal/mmps"
 )
 
-// BenchmarkStencilKernel measures one cache-blocked Jacobi sweep over a
-// 240×240 flat grid — the pure compute inner loop every runtime (sim, live,
-// adaptive, FT) shares. CI hard-gates this at zero allocations per op
-// (BENCH_policy.json).
+// BenchmarkStencilKernel measures one full-grid in-place sweep of a 240×240
+// grid, block.sweep and flip as Sequential runs them — the pure compute
+// inner loop every runtime (sim, live, adaptive, FT) shares. CI hard-gates
+// this at zero allocations per op (BENCH_policy.json).
 func BenchmarkStencilKernel(b *testing.B) {
 	const n = 240
-	cur := flatten(NewGrid(n))
-	next := append([]float64(nil), cur...)
+	blk := sequentialBlock(NewGrid(n))
 	b.SetBytes(int64(8 * n * n))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		jacobiIter(next, cur, n)
-		cur, next = next, cur
+		blk.sweep(0, n, 1, n, 1, nil, nil)
+		blk.flip()
+	}
+}
+
+// BenchmarkSequential times reference grids of about the shapes the
+// benchmark's set-up asks for — N = 1024 over 210 iterations (live-kernel's
+// anchor), 600 over 10 (a Table 2 size) and 96 over 2010 (decide-sweep's
+// anchor) — and reports ns per point and iteration: the layer under setup_s.
+func BenchmarkSequential(b *testing.B) {
+	for _, c := range []struct{ n, iters int }{{1024, 210}, {600, 10}, {96, 2010}} {
+		b.Run(fmt.Sprintf("%dx%d", c.n, c.iters), func(b *testing.B) {
+			grid := NewGrid(c.n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Sequential(grid, c.iters)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(c.n*c.n*c.iters)), "ns/pt")
+		})
 	}
 }
 

@@ -142,10 +142,11 @@ func combinations(t *testing.T, vec core.Vector, v Variant, n, iters int, udp bo
 
 // TestDifferential drives seeded random (N, P, vector, variant) problems —
 // vectors with 1- and 2-row ranks included — through every combination of
-// policies on both entry points, on each kernel path, and requires each
-// final grid to be bit-equal to the seed kernel's.
+// policies on both entry points, on each kernel path with clean and with
+// poisoned blocks, and requires each final grid to be bit-equal to the seed
+// kernel's.
 func TestDifferential(t *testing.T) {
-	eachKernel(t, func(t *testing.T) {
+	eachKernelPoisoned(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(1994))
 		const cases, iters = 12, 7
 		for c := 0; c < cases; c++ {

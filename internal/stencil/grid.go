@@ -3,20 +3,15 @@ package stencil
 // This file holds the flat-grid compute kernel shared by every stencil
 // runtime — Sequential, the simulated variants, the live/adaptive
 // runtimes, and FT recovery. Rows live in one row-major backing array
-// (type block), and the five-point update runs cache-blocked: four points
+// (type block) swept in place, and the five-point update runs four points
 // per instruction where the processor has AVX2 (kernel_amd64.s), a Go loop
 // with hoisted bounds checks everywhere else and for what the vector routine
 // leaves. The arithmetic — one (up + down + left + right) * 0.25 per point,
 // operands in that order — is exactly the seed kernel's on either path, so
 // results stay bit-for-bit identical (golden tests in grid_test.go pin both
-// against the reference kernel, kernel_test.go one against the other).
+// against the seed kernel, kernel_test.go one against the other).
 
 import "math"
-
-// colTile is the column-tile width of the cache-blocked full-grid sweep:
-// three active rows of one tile (3 × 512 × 8 B = 12 KiB) sit comfortably
-// in L1 even with write-allocate traffic for the destination tile.
-const colTile = 512
 
 // block is a task-local band of grid rows in one flat row-major allocation,
 // updated in place. The logical rows — data rows 1..rows between the north
@@ -40,12 +35,31 @@ type block struct {
 	swept bool
 }
 
-// newBlock allocates a zeroed block of rows data rows plus two ghost rows,
-// and its stash, so that the sweep never allocates.
+// newBlock allocates a block of rows data rows plus two ghost rows, and its
+// stash, so that the sweep never allocates. The data rows are zero, the
+// initial condition's cold value; what the ghost rows, the spare storage
+// row and the stash hold is unspecified until they are written.
 func newBlock(rows, width int) block {
-	return block{width: width, rows: rows, shift: 1,
+	b := block{width: width, rows: rows, shift: 1,
 		cells: make([]float64, (rows+3)*width), stash: make([]float64, 2*width)}
+	if poisonBlocks {
+		for _, s := range [][]float64{b.cells[:2*width], b.cells[(rows+2)*width:], b.stash} {
+			for i := range s {
+				s[i] = poison
+			}
+		}
+	}
+	return b
 }
+
+// poisonBlocks is false except in tests, which set it to make newBlock fill
+// everything it leaves unspecified with poison: a read of a ghost, spare or
+// stash row nobody wrote then shows in a bit-exact comparison instead of
+// reading a zero.
+var poisonBlocks bool
+
+// poison is a quiet NaN with a fixed payload.
+var poison = math.Float64frombits(0x7ff8_dead_beef_0bad)
 
 // row returns the local row i as a slice view into the backing array.
 //
@@ -183,41 +197,6 @@ func updateRow(dst, cur, up, down []float64) {
 	dst[0] = cur[0]
 	dst[n-1] = cur[n-1]
 	updateSpan(dst, cur, up, down, 1, n-1)
-}
-
-// jacobiIter performs one full-grid Jacobi sweep over flat row-major
-// storage: interior rows of next get the five-point update of cur,
-// boundary columns are copied. Column tiles are swept outermost so the
-// three cur rows feeding each destination row stay resident in L1 across
-// the row walk. Every element's value is independent of sweep order, so
-// tiling cannot change results.
-//
-//netpart:hotpath
-func jacobiIter(next, cur []float64, n int) {
-	for i := 1; i < n-1; i++ {
-		next[i*n] = cur[i*n]
-		next[i*n+n-1] = cur[i*n+n-1]
-	}
-	for c0 := 1; c0 < n-1; c0 += colTile {
-		c1 := c0 + colTile
-		if c1 > n-1 {
-			c1 = n - 1
-		}
-		for i := 1; i < n-1; i++ {
-			row := i * n
-			updateSpan(next[row:row+n], cur[row:row+n], cur[row-n:row], cur[row+n:row+2*n], c0, c1)
-		}
-	}
-}
-
-// flatten copies a [][]float64 grid into one row-major array.
-func flatten(g [][]float64) []float64 {
-	n := len(g)
-	out := make([]float64, n*n)
-	for i, row := range g {
-		copy(out[i*n:(i+1)*n], row)
-	}
-	return out
 }
 
 // rowsView wraps flat row-major storage in per-row slice headers (views,

@@ -9,8 +9,8 @@ import (
 
 // seedUpdateRow is the original (pre-flat-grid) row kernel, kept verbatim
 // as the bit-identity reference: dst[j] = (up[j] + down[j] + cur[j-1] +
-// cur[j+1]) * 0.25, in exactly that operand order. The cache-blocked,
-// unrolled kernel in grid.go must reproduce it bit for bit.
+// cur[j+1]) * 0.25, in exactly that operand order. The unrolled and the
+// vector kernel in grid.go must reproduce it bit for bit.
 func seedUpdateRow(dst, cur, up, down []float64) {
 	n := len(cur)
 	dst[0] = cur[0]
@@ -20,11 +20,24 @@ func seedUpdateRow(dst, cur, up, down []float64) {
 	}
 }
 
-// seedSequential is the original [][]float64 reference kernel.
+// seedCloneGrid is the original grid deep copy.
+func seedCloneGrid(g [][]float64) [][]float64 {
+	out := make([][]float64, len(g))
+	cells := make([]float64, len(g)*len(g))
+	for i := range g {
+		out[i], cells = cells[:len(g)], cells[len(g):]
+		copy(out[i], g[i])
+	}
+	return out
+}
+
+// seedSequential is the original [][]float64 reference kernel. Sequential
+// runs the runtimes' in-place sweep, so this, not Sequential, is what keeps
+// the reference independent of the code it checks.
 func seedSequential(grid [][]float64, iters int) [][]float64 {
 	n := len(grid)
-	cur := cloneGrid(grid)
-	next := cloneGrid(grid)
+	cur := seedCloneGrid(grid)
+	next := seedCloneGrid(grid)
 	for it := 0; it < iters; it++ {
 		for i := 1; i < n-1; i++ {
 			seedUpdateRow(next[i], cur[i], cur[i-1], cur[i+1])
@@ -34,35 +47,153 @@ func seedSequential(grid [][]float64, iters int) [][]float64 {
 	return cur
 }
 
-// goldenSizes covers the kernel's tiling and stepping edges: tiny grids
-// (spans below vectorMinSpan), interior widths that leave 1, 2 and 3 points
-// after the vector routine's 8-point steps alone (9, 10, 11) and after its
-// single 4-point step (13, 14, 15), the same six remainders in a last tile
-// just short of colTile and in a second tile just past it, and the sizes
-// the benchmarks run.
-var goldenSizes = []int{3, 4, 5, 7, 11, 12, 13, 15, 16, 17, 60, 61, 127, 240,
-	colTile - 5, colTile - 4, colTile - 3, colTile - 1, colTile, colTile + 1, colTile + 7,
-	colTile + 11, colTile + 12, colTile + 13, colTile + 15, colTile + 16, colTile + 17}
-
-// TestFlatKernelMatchesSeed pins the tentpole's hard invariant: the flat
-// cache-blocked kernel produces bit-for-bit the seed kernel's grids for
-// every size and several iteration counts.
-func TestFlatKernelMatchesSeed(t *testing.T) {
-	eachKernel(t, func(t *testing.T) {
-		for _, n := range goldenSizes {
-			for _, iters := range []int{1, 2, 7} {
-				got := Sequential(NewGrid(n), iters)
-				want := seedSequential(NewGrid(n), iters)
-				for i := range want {
-					for j := range want[i] {
-						if got[i][j] != want[i][j] {
-							t.Fatalf("n=%d iters=%d: grid[%d][%d] = %v, seed %v", n, iters, i, j, got[i][j], want[i][j])
-						}
-					}
+// twoBufferSequentialUntil is SequentialUntil as it was before it ran on a
+// block: two grids, updateRow on every interior row, the change taken over
+// the interior after each row.
+func twoBufferSequentialUntil(grid [][]float64, tol float64, maxIters int) ([][]float64, int, float64) {
+	n := len(grid)
+	cur := seedCloneGrid(grid)
+	next := seedCloneGrid(grid)
+	delta := math.Inf(1)
+	it := 0
+	for ; it < maxIters && delta > tol; it++ {
+		delta = 0
+		for i := 1; i < n-1; i++ {
+			updateRow(next[i], cur[i], cur[i-1], cur[i+1])
+			for j := 1; j < n-1; j++ {
+				if d := math.Abs(next[i][j] - cur[i][j]); d > delta {
+					delta = d
 				}
 			}
 		}
+		cur, next = next, cur
+	}
+	return cur, it, delta
+}
+
+// setPoison makes newBlock poison what it leaves unspecified until the test
+// ends. Tests that use it do not run in parallel: poisonBlocks is a plain
+// package variable.
+func setPoison(t *testing.T) {
+	was := poisonBlocks
+	t.Cleanup(func() { poisonBlocks = was })
+	poisonBlocks = true
+}
+
+// eachKernelPoisoned runs f as eachKernel does, then once more on each path
+// with new blocks poisoned, so that a read of a ghost, spare or stash row
+// nobody wrote fails a bit-exact comparison instead of reading a zero.
+func eachKernelPoisoned(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	eachKernel(t, f)
+	t.Run("poisoned", func(t *testing.T) {
+		setPoison(t)
+		eachKernel(t, f)
 	})
+}
+
+// randomValue draws a finite value of either sign over forty binary orders
+// of magnitude: operands with no zeros to hide a wrong one behind.
+func randomValue(rng *rand.Rand) float64 {
+	return math.Ldexp(2*rng.Float64()-1, rng.Intn(40)-20)
+}
+
+// randomGrid returns an n×n grid of randomValue draws.
+func randomGrid(rng *rand.Rand, n int) [][]float64 {
+	g := NewGrid(n)
+	for _, row := range g {
+		for j := range row {
+			row[j] = randomValue(rng)
+		}
+	}
+	return g
+}
+
+// sameBits reports where two grids first differ bit for bit, or ok.
+func sameBits(got, want [][]float64) (i, j int, ok bool) {
+	if len(got) != len(want) {
+		return len(got), 0, false
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			return i, len(got[i]), false
+		}
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				return i, j, false
+			}
+		}
+	}
+	return 0, 0, true
+}
+
+// goldenSizes covers the kernel's stepping edges and the widths around 512
+// where the full-grid sweep once changed column tiles: tiny grids (spans
+// below vectorMinSpan), interior widths that leave 1, 2 and 3 points after
+// the vector routine's 8-point steps alone (9, 10, 11) and after its single
+// 4-point step (13, 14, 15), the same six remainders around 512, and the
+// sizes the benchmarks run.
+var goldenSizes = []int{3, 4, 5, 7, 11, 12, 13, 15, 16, 17, 60, 61, 127, 240,
+	507, 508, 509, 511, 512, 513, 519, 523, 524, 525, 527, 528, 529}
+
+// anchorSizes are the grid sizes the benchmark's workloads verify against
+// Sequential, two either side of each: about 64 (live-exchange-local), 96
+// (decide-sweep), 512 (live-udp-overlap), 600 (sim-paper) and 1024
+// (live-kernel).
+var anchorSizes = []int{62, 63, 64, 65, 66, 94, 95, 96, 97, 98, 510, 511, 512, 513, 514,
+	598, 599, 600, 601, 602, 1022, 1023, 1024, 1025, 1026}
+
+// TestFlatKernelMatchesSeed pins Sequential, which runs the runtimes' sweep,
+// to the seed kernel bit for bit: every golden size after 1, 2, 7 and 8
+// iterations (8 ends on the block's other parity) from NewGrid and from a
+// random grid — from NewGrid a wrong operand far from row 0 multiplies zeros
+// and passes — and the benchmark's anchor sizes after 3.
+func TestFlatKernelMatchesSeed(t *testing.T) {
+	eachKernelPoisoned(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1994))
+		check := func(start string, init [][]float64, iters int) {
+			t.Helper()
+			got := Sequential(init, iters)
+			want := seedSequential(init, iters)
+			if i, j, ok := sameBits(got, want); !ok {
+				n := len(init)
+				t.Fatalf("n=%d iters=%d from %s: grid[%d][%d] differs from the seed kernel's", n, iters, start, i, j)
+			}
+		}
+		for _, n := range goldenSizes {
+			for _, iters := range []int{1, 2, 7, 8} {
+				check("NewGrid", NewGrid(n), iters)
+				check("a random grid", randomGrid(rng, n), iters)
+			}
+		}
+		for _, n := range anchorSizes {
+			check("NewGrid", NewGrid(n), 3)
+		}
+	})
+}
+
+// TestSequentialUntilMatchesTwoBuffers holds SequentialUntil on the block to
+// the two-grid loop it replaced: the same iteration count, the same final
+// change and the same grid, bit for bit, for every golden size and the
+// degenerate ones across tolerances that stop it at once, early, late and
+// never, with new blocks poisoned.
+func TestSequentialUntilMatchesTwoBuffers(t *testing.T) {
+	setPoison(t)
+	for _, n := range append([]int{0, 1, 2}, goldenSizes...) {
+		for _, tol := range []float64{0, 1e-3, 0.5, 10} {
+			for _, maxIters := range []int{0, 1, 5, 40} {
+				got, gotIters, gotDelta := SequentialUntil(NewGrid(n), tol, maxIters)
+				want, wantIters, wantDelta := twoBufferSequentialUntil(NewGrid(n), tol, maxIters)
+				if gotIters != wantIters || math.Float64bits(gotDelta) != math.Float64bits(wantDelta) {
+					t.Fatalf("N=%d tol=%v maxIters=%d: %d iterations to delta %v, two buffers %d to %v",
+						n, tol, maxIters, gotIters, gotDelta, wantIters, wantDelta)
+				}
+				if i, j, ok := sameBits(got, want); !ok {
+					t.Fatalf("N=%d tol=%v maxIters=%d: grid[%d][%d] differs from two buffers'", n, tol, maxIters, i, j)
+				}
+			}
+		}
+	}
 }
 
 // TestUpdateRowMatchesSeed pins the row kernel (the distributed runtimes'
@@ -144,12 +275,11 @@ func sweepCycle(b *block, v Variant, off, n, reps int, scratch []float64, delta 
 // operands the real update has not yet overwritten: what they leave in
 // scratch is one of the cycle's new rows.
 func TestBlockSweepMatchesTwoArrays(t *testing.T) {
-	eachKernel(t, func(t *testing.T) {
+	eachKernelPoisoned(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(1994))
-		value := func() float64 { return math.Ldexp(2*rng.Float64()-1, rng.Intn(40)-20) }
 		fill := func(rows ...[]float64) {
 			for j := range rows[0] {
-				v := value()
+				v := randomValue(rng)
 				for _, row := range rows {
 					row[j] = v
 				}

@@ -213,11 +213,12 @@ func TestUpdateSpanPathsAgree(t *testing.T) {
 // go denormal (100·4^-k leaves the normal range at k = 513; ROADMAP's "cycles
 // are not equally expensive") on a grid deep enough that the front is still
 // inside it at the end, and requires the live runtime's grid to equal the
-// seed kernel's bit for bit there, on both kernel paths: a kernel that
-// flushed denormals to zero would be faster and wrong.
+// seed kernel's bit for bit there, on both kernel paths, with clean and with
+// poisoned blocks: a kernel that flushed denormals to zero would be faster
+// and wrong.
 func TestDenormalRegimeMatchesSeed(t *testing.T) {
 	if testing.Short() {
-		t.Skip("560 iterations of a 601×601 grid, three times over")
+		t.Skip("560 iterations of a 601×601 grid, five times over")
 	}
 	const n, iters = 601, 560
 	want := seedSequential(NewGrid(n), iters)
@@ -232,7 +233,7 @@ func TestDenormalRegimeMatchesSeed(t *testing.T) {
 	if denormals == 0 {
 		t.Fatal("the reference run never reached the denormal range")
 	}
-	eachKernel(t, func(t *testing.T) {
+	eachKernelPoisoned(t, func(t *testing.T) {
 		world := localWorld(t, 3)
 		defer closeWorld(world)
 		res, err := Live(world, core3Vector(n), STEN2, n, iters, Options{})
@@ -246,8 +247,8 @@ func TestDenormalRegimeMatchesSeed(t *testing.T) {
 // BenchmarkUpdateSpan times one span update on L1-resident rows, per path
 // and span length: the short lengths are where vectorMinSpan comes from (the
 // 4-point row of E21 was taken with the constant lowered to 4), 62 is the
-// live-exchange-local workload's span, and 512 is one column tile, the
-// kernel with no cache misses at all.
+// live-exchange-local workload's span, and 512 is the kernel with no cache
+// misses at all.
 func BenchmarkUpdateSpan(b *testing.B) {
 	const width = 514
 	cur, up, down, dst := make([]float64, width), make([]float64, width), make([]float64, width), make([]float64, width)

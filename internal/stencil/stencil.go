@@ -131,54 +131,50 @@ func initialRow(dst []float64, g int) {
 	}
 }
 
-// cloneGrid deep-copies a grid.
-func cloneGrid(g [][]float64) [][]float64 {
-	out := make([][]float64, len(g))
-	cells := make([]float64, len(g)*len(g))
-	for i := range g {
-		out[i], cells = cells[:len(g)], cells[len(g):]
-		copy(out[i], g[i])
-	}
-	return out
-}
-
 // Sequential runs iters Jacobi iterations on a copy of grid and returns the
-// result. It is the correctness reference for the distributed variants,
-// running the cache-blocked flat kernel (grid.go) over two flat buffers.
+// result. It is the correctness reference for the distributed variants and
+// runs the runtimes' own kernel: the n rows sit in one block, swept in place
+// whole once per iteration (block.sweep in grid.go). Its independence rests
+// on seedSequential, the naive two-array kernel the tests hold it to.
 func Sequential(grid [][]float64, iters int) [][]float64 {
-	n := len(grid)
-	cur := flatten(grid)
-	// jacobiIter rewrites every row of next but the first and the last.
-	next := make([]float64, n*n)
-	copy(next[:n], cur[:n])
-	copy(next[n*n-n:], cur[n*n-n:])
+	b := sequentialBlock(grid)
 	for it := 0; it < iters; it++ {
-		jacobiIter(next, cur, n)
-		cur, next = next, cur
+		b.sweep(0, len(grid), 1, len(grid), 1, nil, nil)
+		b.flip()
 	}
-	return rowsView(cur, n, n)
+	return b.grid()
 }
 
 // SequentialUntil is the reference for converge-until runs
 // (Options.Tol): iterate until the maximum point change falls to
 // tol (or maxIters), returning the grid, iteration count and final change.
+// It sweeps like Sequential and takes the change from the sweep.
 func SequentialUntil(grid [][]float64, tol float64, maxIters int) ([][]float64, int, float64) {
-	n := len(grid)
-	cur := cloneGrid(grid)
-	next := cloneGrid(grid)
+	b := sequentialBlock(grid)
 	delta := math.Inf(1)
 	it := 0
 	for ; it < maxIters && delta > tol; it++ {
 		delta = 0
-		for i := 1; i < n-1; i++ {
-			updateRow(next[i], cur[i], cur[i-1], cur[i+1])
-			for j := 1; j < n-1; j++ {
-				if d := math.Abs(next[i][j] - cur[i][j]); d > delta {
-					delta = d
-				}
-			}
-		}
-		cur, next = next, cur
+		b.sweep(0, len(grid), 1, len(grid), 1, nil, &delta)
+		b.flip()
 	}
-	return cur, it, delta
+	return b.grid(), it, delta
+}
+
+// sequentialBlock copies an n×n grid into the data rows of a fresh block of
+// n rows. Its ghost rows are never read: the grid's first and last rows are
+// copied, not updated.
+func sequentialBlock(grid [][]float64) block {
+	b := newBlock(len(grid), len(grid))
+	for i, row := range grid {
+		copy(b.row(i+1), row)
+	}
+	return b
+}
+
+// grid returns the data rows of a block that holds a whole grid as a grid
+// of views into the block.
+func (b *block) grid() [][]float64 {
+	lo := (1 + b.shift) * b.width
+	return rowsView(b.cells[lo:lo+b.rows*b.width], b.rows, b.width)
 }

@@ -2,6 +2,7 @@ package stencil
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -59,10 +60,34 @@ func TestSequentialConservesBoundary(t *testing.T) {
 	}
 }
 
+// TestSequentialZeroIterationsIsIdentity: any grid after no iterations, and
+// grids with no interior (N = 0, 1, 2) after any number, come back equal to
+// the input, in storage of their own, and the input is left as it was.
 func TestSequentialZeroIterationsIsIdentity(t *testing.T) {
-	init := NewGrid(8)
-	if !gridsEqual(Sequential(init, 0), init) {
-		t.Error("0 iterations must return the initial grid")
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 2, 3, 16} {
+		for _, iters := range []int{0, 1, 4} {
+			if n > 2 && iters > 0 {
+				continue
+			}
+			init := randomGrid(rng, n)
+			keep := seedCloneGrid(init)
+			got := map[string][][]float64{"Sequential": Sequential(init, iters)}
+			got["SequentialUntil"], _, _ = SequentialUntil(init, -1, iters)
+			for name, g := range got {
+				if i, j, ok := sameBits(g, keep); !ok {
+					t.Fatalf("%s N=%d iters=%d: grid[%d][%d] differs from the input", name, n, iters, i, j)
+				}
+				for _, row := range g {
+					for j := range row {
+						row[j] = -row[j] - 1
+					}
+				}
+				if i, j, ok := sameBits(init, keep); !ok {
+					t.Fatalf("%s N=%d iters=%d: input grid[%d][%d] modified or aliased by the result", name, n, iters, i, j)
+				}
+			}
+		}
 	}
 }
 
