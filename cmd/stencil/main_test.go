@@ -2,32 +2,62 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"netpart/internal/stencil"
 )
 
+// runOut runs the command with o and returns what it printed.
+func runOut(t *testing.T, o runOptions) (string, error) {
+	t.Helper()
+	var out bytes.Buffer
+	err := run(&out, o)
+	return out.String(), err
+}
+
 func TestRunSimFixed(t *testing.T) {
-	if err := run(runOptions{N: 48, Variant: "sten1", Iters: 3, P1: 2, P2: 1, Runtime: "sim", Verify: true, Mode: "fixed", SlowFactor: 1}); err != nil {
+	if _, err := runOut(t, runOptions{N: 48, Variant: "sten1", Iters: 3, P1: 2, P2: 1, Runtime: "sim", Verify: true}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestRunSimConverge: under Tol the run stops where the sequential
+// reference does, before the -iters cap.
 func TestRunSimConverge(t *testing.T) {
-	if err := run(runOptions{N: 32, Variant: "sten2", Iters: 10, P1: 2, P2: 0, Runtime: "sim", Verify: true, Mode: "converge", Tol: 0.05, SlowFactor: 1}); err != nil {
+	const n, tol, limit = 32, 0.05, 400
+	out, err := runOut(t, runOptions{N: n, Variant: "sten2", Iters: limit, P1: 2, P2: 0, Runtime: "sim", Verify: true, Tol: tol})
+	if err != nil {
 		t.Fatal(err)
+	}
+	_, iters, _ := stencil.SequentialUntil(stencil.NewGrid(n), tol, limit)
+	if iters >= limit || !strings.Contains(out, fmt.Sprintf("after %d iterations", iters)) {
+		t.Errorf("want convergence after %d < %d iterations:\n%s", iters, limit, out)
 	}
 }
 
+// TestRunSimAdaptive: a slowed rank under -repart on the sim runtime moves
+// rows away from it.
 func TestRunSimAdaptive(t *testing.T) {
-	if err := run(runOptions{N: 64, Variant: "sten1", Iters: 16, P1: 3, P2: 0, Runtime: "sim", Mode: "adaptive", SlowRank: 1, SlowFactor: 4}); err != nil {
+	out, err := runOut(t, runOptions{
+		N: 64, Variant: "sten1", Iters: 16, P1: 3, P2: 0, Runtime: "sim", Verify: true,
+		Repart: true, RepartEvery: 4, RepartHorizon: 32, Faults: "slow:1,4@2-16", FaultSeed: 1,
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(out, " reason=") { // one line per applied plan
+		t.Errorf("no plan applied:\n%s", out)
 	}
 }
 
 func TestRunLiveSmall(t *testing.T) {
-	if err := run(runOptions{N: 24, Variant: "sten2", Iters: 2, P1: 2, P2: 1, Runtime: "live", Verify: true, Mode: "fixed", SlowFactor: 1}); err != nil {
+	if _, err := runOut(t, runOptions{N: 24, Variant: "sten2", Iters: 2, P1: 2, P2: 1, Runtime: "live", Verify: true}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -36,9 +66,9 @@ func TestRunSimObservability(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "cycles.jsonl")
 	chromePath := filepath.Join(dir, "cycles.json")
-	err := run(runOptions{
+	_, err := runOut(t, runOptions{
 		N: 48, Variant: "sten1", Iters: 3, P1: 2, P2: 1,
-		Runtime: "sim", Verify: true, Mode: "fixed", SlowFactor: 1,
+		Runtime: "sim", Verify: true,
 		Metrics: true, TraceFile: tracePath, ChromeFile: chromePath,
 	})
 	if err != nil {
@@ -46,24 +76,12 @@ func TestRunSimObservability(t *testing.T) {
 	}
 
 	// One span event per task per cycle, each a valid JSON line.
-	f, err := os.Open(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	events := readTrace(t, tracePath)
 	spans := 0
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var ev map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("trace line is not valid JSON: %v\n%s", err, sc.Text())
-		}
+	for _, ev := range events {
 		if ev["type"] == "span" {
 			spans++
 		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
 	}
 	const tasks, iters = 3, 3
 	if spans != tasks*iters {
@@ -84,26 +102,44 @@ func TestRunSimObservability(t *testing.T) {
 	}
 }
 
+// readTrace parses a -trace file, failing on a line that is not JSON.
+func readTrace(t *testing.T, path string) []map[string]any {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var events []map[string]any
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		var ev map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("trace line is not valid JSON: %v\n%s", err, sc.Text())
+		}
+		events = append(events, ev)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
 func TestRunErrors(t *testing.T) {
-	base := runOptions{N: 24, Variant: "sten1", Iters: 2, P1: 1, P2: 0, Runtime: "sim", Mode: "fixed", SlowFactor: 1}
+	base := runOptions{N: 24, Variant: "sten1", Iters: 2, P1: 1, P2: 0, Runtime: "sim"}
 	o := base
 	o.Variant = "bogus"
-	if err := run(o); err == nil {
+	if _, err := runOut(t, o); err == nil {
 		t.Error("unknown variant accepted")
 	}
 	o = base
 	o.Runtime = "bogus"
-	if err := run(o); err == nil {
+	if _, err := runOut(t, o); err == nil {
 		t.Error("unknown runtime accepted")
 	}
 	o = base
-	o.Mode = "bogus"
-	if err := run(o); err == nil {
-		t.Error("unknown mode accepted")
-	}
-	o = base
 	o.Faults = "crash:0@1"
-	if err := run(o); err == nil {
+	if _, err := runOut(t, o); err == nil {
 		t.Error("a crash on the sim runtime accepted")
 	}
 }
@@ -112,24 +148,144 @@ func TestRunErrors(t *testing.T) {
 // a crash schedule switches it to checkpointing and recovery, and the
 // recovered grid must still verify against the sequential reference.
 func TestRunLiveFaultTolerant(t *testing.T) {
-	err := run(runOptions{
+	_, err := runOut(t, runOptions{
 		N: 48, Variant: "sten1", Iters: 12, P1: 2, P2: 2, Runtime: "live", Verify: true,
-		Mode: "fixed", SlowFactor: 1, Faults: "crash:1@5", FaultSeed: 1, Ckpt: 4,
+		Faults: "crash:1@5", FaultSeed: 1, Ckpt: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRunLiveRepart drives the live runtime's continuous repartitioning
-// branch. With explicit counts there is no drift monitor, so the interval
-// fallback drives the rounds; the grid must verify however rows migrate.
+// TestRunLiveRepart drives the live runtime's continuous repartitioning.
+// Live has no drift monitor, so the interval drives the rounds; the grid
+// must verify however rows migrate.
 func TestRunLiveRepart(t *testing.T) {
-	err := run(runOptions{
+	_, err := runOut(t, runOptions{
 		N: 48, Variant: "sten2", Iters: 12, P1: 2, P2: 1, Runtime: "live", Verify: true,
-		Mode: "fixed", SlowFactor: 1, Repart: true, RepartEvery: 4, RepartHorizon: 32,
+		Repart: true, RepartEvery: 4, RepartHorizon: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunHonoursOrRefuses: every flag combination either runs, verifies
+// and shows that each option took effect, or fails naming the option the
+// runtime cannot honour. None is silently ignored.
+func TestRunHonoursOrRefuses(t *testing.T) {
+	base := runOptions{
+		N: 48, Variant: "sten2", Iters: 16, P1: 3, P2: 0, Verify: true,
+		FaultSeed: 1, Ckpt: 4, RepartEvery: 4, RepartHorizon: 32,
+	}
+	with := func(runtime string, edit func(*runOptions)) runOptions {
+		o := base
+		o.Runtime = runtime
+		edit(&o)
+		return o
+	}
+	// Tol 2 converges after 12 iterations at N=48, before the cap of 16.
+	converged := "Δ 1.948 after 12 iterations (tolerance 2, cap 16)"
+	for _, c := range []struct {
+		name   string
+		o      runOptions
+		want   []string // printed lines showing each option took effect
+		not    []string // output that must be absent
+		refuse string   // the error instead, when the runtime cannot honour it
+	}{
+		// Commands that the former -mode fork ran without an option they named.
+		{name: "live tol capped", o: runOptions{N: 48, Variant: "sten2", Iters: 5, P1: 2, P2: 1, Runtime: "live", Verify: true, Tol: 0.5},
+			want: []string{"after 5 iterations (tolerance 0.5, cap 5)"}},
+		{name: "sim repart drop", o: with("sim", func(o *runOptions) { o.Repart, o.Faults = true, "drop:0.5" }),
+			want: []string{"fault schedule : drop:0.15", "repartitioning : 3 rounds"}},
+		{name: "sim tol drop metrics", o: with("sim", func(o *runOptions) { o.Tol, o.Faults, o.Metrics = 0.5, "drop:0.5", true }),
+			want: []string{"fault schedule : drop:0.15", "(tolerance 0.5, cap 16)", "spmd.msgs_sent"}},
+		{name: "live repart tol", o: with("live", func(o *runOptions) { o.Repart, o.Tol = true, 2 }),
+			want: []string{converged, "repartitioning : 2 rounds"}},
+		{name: "live auto repart metrics", o: runOptions{N: 240, Variant: "sten2", Iters: 40, P1: -1, P2: -1, Runtime: "live", Verify: true,
+			Metrics: true, Repart: true, RepartEvery: 4, RepartHorizon: 32},
+			want: []string{"repartitioning : 9 rounds", "live.cycle_ms"}, not: []string{"drift."}},
+
+		{name: "sim tol", o: with("sim", func(o *runOptions) { o.Tol = 2 }), want: []string{converged}},
+		{name: "sim repart", o: with("sim", func(o *runOptions) { o.Repart = true }), want: []string{"repartitioning : 3 rounds"}},
+		{name: "sim drop", o: with("sim", func(o *runOptions) { o.Faults = "drop:0.1" }), want: []string{"fault schedule : drop:0.1 "}},
+		{name: "sim slow", o: with("sim", func(o *runOptions) { o.Faults = "slow:1,2" }), want: []string{"fault schedule : slow:1,3 "}},
+		{name: "sim crash", o: with("sim", func(o *runOptions) { o.Faults = "crash:1@5" }), refuse: "Sim cannot honour Options.Injector"},
+		{name: "sim tol slow", o: with("sim", func(o *runOptions) { o.Tol, o.Faults = 2, "slow:1,2" }), want: []string{converged, "slow:1,3"}},
+		{name: "sim repart slow", o: with("sim", func(o *runOptions) { o.Repart, o.Faults = true, "slow:1,2" }), want: []string{"slow:1,3", "repartitioning : 3 rounds, 1 plans applied"}},
+
+		{name: "live tol", o: with("live", func(o *runOptions) { o.Tol = 2 }), want: []string{converged}},
+		{name: "live repart", o: with("live", func(o *runOptions) { o.Repart = true }), want: []string{"repartitioning : 3 rounds"}},
+		{name: "live drop", o: with("live", func(o *runOptions) { o.Faults = "drop:0.1" }), want: []string{"fault schedule : drop:0.1 ", "fault tolerance: 0 recoveries"}},
+		{name: "live slow", o: with("live", func(o *runOptions) { o.Faults = "slow:1,2" }), want: []string{"fault schedule : slow:1,3 ", "fault tolerance: 0 recoveries"}},
+		{name: "live crash", o: with("live", func(o *runOptions) { o.Faults = "crash:1@5" }), want: []string{"fault tolerance: 1 recoveries, failed ranks [1]"}},
+		{name: "live tol faults", o: with("live", func(o *runOptions) { o.Tol, o.Faults = 2, "drop:0.1" }), refuse: "Live cannot honour Options.Tol"},
+		{name: "live repart faults", o: with("live", func(o *runOptions) { o.Repart, o.Faults = true, "slow:1,2" }), refuse: "Live cannot honour Options.RebalanceEvery"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			out, err := runOut(t, c.o)
+			if c.refuse != "" {
+				if err == nil || !strings.Contains(err.Error(), c.refuse) {
+					t.Fatalf("err = %v, want %q", err, c.refuse)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("%v\n%s", err, out)
+			}
+			for _, s := range append(c.want, "verification   : distributed grid matches") {
+				if !strings.Contains(out, s) {
+					t.Errorf("output lacks %q:\n%s", s, out)
+				}
+			}
+			for _, s := range c.not {
+				if strings.Contains(out, s) {
+					t.Errorf("output has %q:\n%s", s, out)
+				}
+			}
+		})
+	}
+}
+
+// TestRunDriftMonitorSimOnly: the drift monitor compares the sim runtime's
+// cycles with the T_c predicted for the simulated testbed, and is not
+// attached on live, whose -repart rounds all run on the interval.
+func TestRunDriftMonitorSimOnly(t *testing.T) {
+	auto := runOptions{N: 240, Variant: "sten2", Iters: 40, P1: -1, P2: -1, Verify: true, Metrics: true}
+
+	sim := auto
+	sim.Runtime = "sim"
+	out, err := runOut(t, sim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "drift.pct{") {
+		t.Errorf("sim run exports no drift.pct:\n%s", out)
+	}
+
+	live := auto
+	live.Runtime, live.Repart, live.RepartEvery, live.RepartHorizon = "live", true, 4, 32
+	live.TraceFile = filepath.Join(t.TempDir(), "live.jsonl")
+	if out, err = runOut(t, live); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out, "drift.") {
+		t.Errorf("live run exports a drift series:\n%s", out)
+	}
+	plans := 0
+	for _, ev := range readTrace(t, live.TraceFile) {
+		if ev["type"] == "drift" {
+			t.Errorf("live run traced a drift event: %v", ev)
+		}
+		if ev["type"] != "repart" {
+			continue
+		}
+		plans++
+		if ev["reason"] != "interval" {
+			t.Errorf("plan reason %v, want interval: %v", ev["reason"], ev)
+		}
+	}
+	if plans == 0 {
+		t.Error("live run recorded no plan")
 	}
 }

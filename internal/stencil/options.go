@@ -26,13 +26,11 @@ type Options struct {
 	Slowdown func(rank, iter int) float64
 	// Injector runs under a fault schedule. Its slowdown faults stretch
 	// compute times on both runtimes, composing with Slowdown. On Sim its
-	// packet faults are injected below the simulator's reliability layer:
-	// drops cost retransmission round trips of RetransmitMs each and delays
-	// stretch delivery, but messages still arrive intact and in order (a
-	// live transport takes its injector from mmps.WithInjector). A crash
-	// is honoured only by Live with FT.
-	Injector     faults.Injector
-	RetransmitMs float64
+	// packet faults act below the simulated reliability layer: a drop costs
+	// a retransmission (retransmitMs), a delay stretches delivery, and
+	// messages still arrive intact and in order. A live transport takes its
+	// injector from mmps.WithInjector. Only Live with FT honours a crash.
+	Injector faults.Injector
 	// Tol, when positive, runs until the global maximum point change of an
 	// iteration falls to it (iters is then the cap): each iteration ends
 	// with a max-reduction gathered at rank 0 and broadcast back.
@@ -125,7 +123,6 @@ func (o Options) refuse(live bool, tasks int) error {
 	}{
 		{live && o.TimeOnly, "TimeOnly", "a live run computes every value it times"},
 		{live && o.SimOptions != nil, "SimOptions", "they configure the simulator"},
-		{live && o.RetransmitMs != 0, "RetransmitMs", "it prices the simulator's retransmissions"},
 		{!live && ft, "FT", "a simulated rank cannot fail"},
 		{o.Tol > 0 && o.TimeOnly, "Tol", "under TimeOnly no point change is computed to converge on"},
 		{o.Tol > 0 && ft, "Tol", "under FT no convergence reduction survives a failure"},

@@ -139,7 +139,6 @@ func TestRefusals(t *testing.T) {
 	checkRefusals(t, []refusal{
 		{liveEntries, 2, core.Vector{4, 4}, 8, Options{TimeOnly: true}, []string{"Live cannot honour Options.TimeOnly"}},
 		{liveEntries, 2, core.Vector{4, 4}, 8, Options{SimOptions: []simnet.Option{simnet.WithJitter(0.1, 1)}}, []string{"Live cannot honour Options.SimOptions"}},
-		{liveEntries, 2, core.Vector{4, 4}, 8, Options{RetransmitMs: 10}, []string{"Live cannot honour Options.RetransmitMs"}},
 		{[]string{"Sim"}, 2, core.Vector{4, 4}, 8, Options{FT: &FT{}}, []string{"Sim cannot honour Options.FT"}},
 		{[]string{"Sim"}, 2, core.Vector{4, 4}, 8, Options{TimeOnly: true, Tol: 1e-3}, []string{"Sim cannot honour Options.Tol", "TimeOnly"}},
 		{[]string{"Sim", "Live"}, 2, core.Vector{4, 4}, 8, Options{Injector: crash}, []string{"cannot honour Options.Injector", "crashes rank 1 at cycle 2", "FT"}},

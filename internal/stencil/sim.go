@@ -12,6 +12,8 @@ import (
 	"netpart/internal/topo"
 )
 
+const retransmitMs = 10 // Sim's price of a packet the Injector drops: one retransmission round trip
+
 // Sim executes the distributed stencil on the simulated network: one task
 // per processor of the configuration (contiguous 1-D placement, fastest
 // cluster first), rows assigned by the partition vector, iters Jacobi
@@ -31,7 +33,7 @@ func Sim(net *model.Network, cfg cost.Config, vec core.Vector, v Variant, n, ite
 	simOpts := opts.SimOptions
 	if inj := opts.Injector; inj != nil {
 		simOpts = append(append([]simnet.Option(nil), simOpts...),
-			simnet.WithFaultInjector(inj, opts.RetransmitMs))
+			simnet.WithFaultInjector(inj, retransmitMs))
 	}
 	errs := make([]error, len(vec))
 	rep, err := spmd.Run(spmd.Job{

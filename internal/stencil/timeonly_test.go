@@ -66,7 +66,7 @@ func timeOnlyCases(t *testing.T) []timeOnlyCase {
 			}},
 			timeOnlyCase{"injector", paperConfig(4, 2), core.Vector{30, 30, 30, 30, 20, 20}, v, func() Options {
 				sched := faults.MustParse("slow:1,3@2-6;slow:4,2;drop:0.1;delay:0.2,3")
-				return Options{Injector: faults.NewEngine(sched, 7, nil), RetransmitMs: 10}
+				return Options{Injector: faults.NewEngine(sched, 7, nil)}
 			}},
 			timeOnlyCase{"jitter", paperConfig(6, 2), core.Vector{25, 25, 25, 25, 25, 25, 25, 25}, v, func() Options {
 				return Options{SimOptions: []simnet.Option{simnet.WithJitter(0.3, 42)}}

@@ -205,7 +205,7 @@ func GaussAnnotations(n int) *Annotations { return gauss.Annotations(n) }
 // repartitioning with real row migration (RebalanceEvery, Trigger,
 // Planner) — the §7 future-work strategy for load imbalance —,
 // observation (Metrics, Trace, the Cycles drift-monitor hookup), the
-// simulator's own settings (SimOptions, RetransmitMs, TimeOnly) and the
+// simulator's own settings (SimOptions, TimeOnly) and the
 // live runtime's fault tolerance (FT). The zero value is a plain run; an
 // option a runtime cannot honour is refused by name.
 type StencilOptions = stencil.Options

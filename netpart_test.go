@@ -212,7 +212,7 @@ func TestFacadeFaultTolerance(t *testing.T) {
 		Drops: []netpart.FaultDrop{{Prob: 0.1, ToMs: 1e18}},
 	}, 7, nil)
 	sim, err := netpart.RunStencilSim(net, cfg, vec, netpart.STEN1, n, iters,
-		netpart.StencilOptions{Injector: lossy, RetransmitMs: 10})
+		netpart.StencilOptions{Injector: lossy})
 	if err != nil {
 		t.Fatal(err)
 	}
