@@ -48,11 +48,9 @@ type exchangeSum struct {
 	ms []float64
 }
 
-func (s *exchangeSum) OnCycle(int, int, float64) {}
-
-func (s *exchangeSum) OnExchange(task, _ int, ms float64) {
+func (s *exchangeSum) OnCycle(task, _ int, _, exchangeMs float64) {
 	s.mu.Lock()
-	s.ms[task] += ms
+	s.ms[task] += exchangeMs
 	s.mu.Unlock()
 }
 

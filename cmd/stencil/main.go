@@ -16,23 +16,26 @@
 // The flags build one stencil.Options, run by stencil.Sim or stencil.Live,
 // and mean the same on both: -tol is Tol (run until an iteration's global
 // maximum point change falls to it, -iters the cap), -faults is the
-// Injector (its slow:RANK,FACTOR clauses load a rank on either runtime),
-// and -repart is RebalanceEvery + Planner, migration priced by the cost
-// table that made the decision. A combination the runtime cannot honour
-// is refused, naming the option; none is ignored. The only runtime
-// difference is the world: the sim runtime injects packet faults below the
-// simulated reliability layer, while the live runtime runs its ranks over
-// loopback UDP, emulates the 2x slower IPCs by doubling their row work, and
-// under -faults switches to the fault-tolerant protocol (Options.FT): buddy
-// checkpointing every -ckpt cycles, failure detection, and recovery by
-// re-running the paper's partitioning algorithm over the survivors.
+// Injector, applied as written (its slow:RANK,FACTOR clauses load a rank on
+// either runtime), and -repart is RebalanceEvery + Planner, migration priced
+// by the cost table that made the decision. A combination the runtime
+// cannot honour is refused, naming the option, and so is a fault clause
+// that names a rank the run does not have or starts at or after -iters;
+// none is ignored. The only runtime difference is the world: the sim
+// runtime injects packet faults below the simulated reliability layer,
+// while the live runtime runs its ranks over loopback UDP, emulates the 2x
+// slower IPCs by doubling their row work, and under -faults switches to the
+// fault-tolerant protocol (Options.FT): buddy checkpointing every -ckpt
+// cycles, failure detection, and recovery by re-running the paper's
+// partitioning algorithm over the survivors.
 //
 // When the sim runtime auto-partitions with -metrics, a drift monitor
 // compares each cycle with the predicted T_c, and with -repart its events
 // trigger the re-plans, -repart-every being the fallback. The live runtime
 // has no drift monitor, because the prediction is for the simulated
 // testbed, not this host: its -repart rounds run every -repart-every
-// cycles.
+// cycles. A -repart that no monitor triggers and -repart-every 0 would run
+// no round, and is refused.
 //
 //netpart:deterministic
 package main
@@ -207,7 +210,9 @@ func run(w io.Writer, o runOptions) error {
 		if err != nil {
 			return err
 		}
-		sched = sched.Sanitize(tasks, iters)
+		if err := checkFaults(sched, tasks, iters); err != nil {
+			return err
+		}
 		fmt.Fprintf(w, "fault schedule : %s (seed %d)\n", sched.String(), o.FaultSeed)
 		opts.Injector = faults.NewEngine(sched, o.FaultSeed, metrics)
 	}
@@ -240,6 +245,9 @@ func run(w io.Writer, o runOptions) error {
 			opts.Trigger = trig
 		}
 		opts.Cycles = drift.New(driftCfg, metrics, rec)
+	}
+	if o.Repart && o.RepartEvery <= 0 && opts.Trigger == nil {
+		return fmt.Errorf("-repart with -repart-every %d re-plans on drift events only, and no drift monitor watches this run (one does only on an auto-partitioned -runtime sim run with -metrics or -serve)", o.RepartEvery)
 	}
 
 	var res stencil.Result
@@ -377,6 +385,39 @@ func run(w io.Writer, o runOptions) error {
 	if srv != nil {
 		fmt.Fprintln(w, "telemetry      : run complete, still serving (interrupt to exit)")
 		srv.Wait()
+	}
+	return nil
+}
+
+// checkFaults refuses a clause of sched that the run would not apply as
+// written: a rank outside [0, tasks), a partition cut that leaves every
+// rank on one side, or a crash or slowdown from a cycle at or after iters.
+func checkFaults(sched faults.Schedule, tasks, iters int) error {
+	refuse := func(clause faults.Schedule, format string, args ...any) error {
+		return fmt.Errorf("-faults clause %q: %s", clause, fmt.Sprintf(format, args...))
+	}
+	for _, c := range sched.Crashes {
+		clause := faults.Schedule{Crashes: []faults.Crash{c}}
+		if c.Rank >= tasks {
+			return refuse(clause, "rank %d, but the run has %d tasks", c.Rank, tasks)
+		}
+		if c.Cycle >= iters {
+			return refuse(clause, "cycle %d, but the run has %d iterations", c.Cycle, iters)
+		}
+	}
+	for _, sl := range sched.Slows {
+		clause := faults.Schedule{Slows: []faults.Slow{sl}}
+		if sl.Rank >= tasks {
+			return refuse(clause, "rank %d, but the run has %d tasks", sl.Rank, tasks)
+		}
+		if sl.FromCycle >= iters {
+			return refuse(clause, "from cycle %d, but the run has %d iterations", sl.FromCycle, iters)
+		}
+	}
+	for _, p := range sched.Parts {
+		if p.Cut >= tasks {
+			return refuse(faults.Schedule{Parts: []faults.Part{p}}, "cut at rank %d, but the run has %d tasks", p.Cut, tasks)
+		}
 	}
 	return nil
 }

@@ -197,27 +197,27 @@ func TestRunHonoursOrRefuses(t *testing.T) {
 		{name: "live tol capped", o: runOptions{N: 48, Variant: "sten2", Iters: 5, P1: 2, P2: 1, Runtime: "live", Verify: true, Tol: 0.5},
 			want: []string{"after 5 iterations (tolerance 0.5, cap 5)"}},
 		{name: "sim repart drop", o: with("sim", func(o *runOptions) { o.Repart, o.Faults = true, "drop:0.5" }),
-			want: []string{"fault schedule : drop:0.15", "repartitioning : 3 rounds"}},
+			want: []string{"fault schedule : drop:0.5 ", "repartitioning : 3 rounds"}},
 		{name: "sim tol drop metrics", o: with("sim", func(o *runOptions) { o.Tol, o.Faults, o.Metrics = 0.5, "drop:0.5", true }),
-			want: []string{"fault schedule : drop:0.15", "(tolerance 0.5, cap 16)", "spmd.msgs_sent"}},
+			want: []string{"fault schedule : drop:0.5 ", "(tolerance 0.5, cap 16)", "spmd.msgs_sent", "stencil.cycle_ms"}},
 		{name: "live repart tol", o: with("live", func(o *runOptions) { o.Repart, o.Tol = true, 2 }),
 			want: []string{converged, "repartitioning : 2 rounds"}},
 		{name: "live auto repart metrics", o: runOptions{N: 240, Variant: "sten2", Iters: 40, P1: -1, P2: -1, Runtime: "live", Verify: true,
 			Metrics: true, Repart: true, RepartEvery: 4, RepartHorizon: 32},
-			want: []string{"repartitioning : 9 rounds", "live.cycle_ms"}, not: []string{"drift."}},
+			want: []string{"repartitioning : 9 rounds", "stencil.cycle_ms"}, not: []string{"drift."}},
 
 		{name: "sim tol", o: with("sim", func(o *runOptions) { o.Tol = 2 }), want: []string{converged}},
 		{name: "sim repart", o: with("sim", func(o *runOptions) { o.Repart = true }), want: []string{"repartitioning : 3 rounds"}},
 		{name: "sim drop", o: with("sim", func(o *runOptions) { o.Faults = "drop:0.1" }), want: []string{"fault schedule : drop:0.1 "}},
-		{name: "sim slow", o: with("sim", func(o *runOptions) { o.Faults = "slow:1,2" }), want: []string{"fault schedule : slow:1,3 "}},
+		{name: "sim slow", o: with("sim", func(o *runOptions) { o.Faults = "slow:1,2" }), want: []string{"fault schedule : slow:1,2 "}},
 		{name: "sim crash", o: with("sim", func(o *runOptions) { o.Faults = "crash:1@5" }), refuse: "Sim cannot honour Options.Injector"},
-		{name: "sim tol slow", o: with("sim", func(o *runOptions) { o.Tol, o.Faults = 2, "slow:1,2" }), want: []string{converged, "slow:1,3"}},
-		{name: "sim repart slow", o: with("sim", func(o *runOptions) { o.Repart, o.Faults = true, "slow:1,2" }), want: []string{"slow:1,3", "repartitioning : 3 rounds, 1 plans applied"}},
+		{name: "sim tol slow", o: with("sim", func(o *runOptions) { o.Tol, o.Faults = 2, "slow:1,2" }), want: []string{converged, "slow:1,2"}},
+		{name: "sim repart slow", o: with("sim", func(o *runOptions) { o.Repart, o.Faults = true, "slow:1,2" }), want: []string{"slow:1,2", "repartitioning : 3 rounds, 1 plans applied"}},
 
 		{name: "live tol", o: with("live", func(o *runOptions) { o.Tol = 2 }), want: []string{converged}},
 		{name: "live repart", o: with("live", func(o *runOptions) { o.Repart = true }), want: []string{"repartitioning : 3 rounds"}},
 		{name: "live drop", o: with("live", func(o *runOptions) { o.Faults = "drop:0.1" }), want: []string{"fault schedule : drop:0.1 ", "fault tolerance: 0 recoveries"}},
-		{name: "live slow", o: with("live", func(o *runOptions) { o.Faults = "slow:1,2" }), want: []string{"fault schedule : slow:1,3 ", "fault tolerance: 0 recoveries"}},
+		{name: "live slow", o: with("live", func(o *runOptions) { o.Faults = "slow:1,2" }), want: []string{"fault schedule : slow:1,2 ", "fault tolerance: 0 recoveries"}},
 		{name: "live crash", o: with("live", func(o *runOptions) { o.Faults = "crash:1@5" }), want: []string{"fault tolerance: 1 recoveries, failed ranks [1]"}},
 		{name: "live tol faults", o: with("live", func(o *runOptions) { o.Tol, o.Faults = 2, "drop:0.1" }), refuse: "Live cannot honour Options.Tol"},
 		{name: "live repart faults", o: with("live", func(o *runOptions) { o.Repart, o.Faults = true, "slow:1,2" }), refuse: "Live cannot honour Options.RebalanceEvery"},
@@ -287,5 +287,52 @@ func TestRunDriftMonitorSimOnly(t *testing.T) {
 	}
 	if plans == 0 {
 		t.Error("live run recorded no plan")
+	}
+}
+
+// TestRunAppliesFaultsAsWritten: the printed schedule is the one requested,
+// windows, factors and probabilities included.
+func TestRunAppliesFaultsAsWritten(t *testing.T) {
+	out, err := runOut(t, runOptions{N: 48, Variant: "sten2", Iters: 8, P1: 3, P2: 0, Runtime: "sim", Verify: true,
+		Faults: "slow:1,2@2-4; drop:0.5", FaultSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "fault schedule : drop:0.5;slow:1,2@2-4 (seed 1)"; !strings.Contains(out, want) {
+		t.Errorf("output lacks %q:\n%s", want, out)
+	}
+}
+
+// TestRunRefusesFaultsOutsideTheRun: a clause naming a rank the run does
+// not have, or starting at or after -iters, is refused by name, not moved
+// into the run.
+func TestRunRefusesFaultsOutsideTheRun(t *testing.T) {
+	for faults, why := range map[string]string{
+		"crash:5@100":         `"crash:5@100": rank 5, but the run has 3 tasks`,
+		"crash:1@8":           `"crash:1@8": cycle 8, but the run has 8 iterations`,
+		"drop:0.1;slow:3,2":   `"slow:3,2": rank 3, but the run has 3 tasks`,
+		"slow:1,2@8-12":       `"slow:1,2@8-12": from cycle 8, but the run has 8 iterations`,
+		"part:3@0-10;dup:0.1": `"part:3@0-10": cut at rank 3, but the run has 3 tasks`,
+	} {
+		for _, runtime := range []string{"sim", "live"} {
+			_, err := runOut(t, runOptions{N: 48, Variant: "sten2", Iters: 8, P1: 3, P2: 0, Runtime: runtime, Verify: true,
+				Faults: faults, FaultSeed: 1, Ckpt: 4})
+			if err == nil || !strings.Contains(err.Error(), "-faults clause "+why) {
+				t.Errorf("%s -faults %q: err = %v, want the clause refused: %s", runtime, faults, err, why)
+			}
+		}
+	}
+}
+
+// TestRunRefusesRepartWithoutRounds: -repart-every 0 leaves the rounds to
+// drift events, so a run that no drift monitor watches is refused, naming
+// both flags, instead of running no round.
+func TestRunRefusesRepartWithoutRounds(t *testing.T) {
+	for _, runtime := range []string{"sim", "live"} {
+		_, err := runOut(t, runOptions{N: 48, Variant: "sten2", Iters: 16, P1: 3, P2: 0, Runtime: runtime, Verify: true,
+			Repart: true, RepartEvery: 0, RepartHorizon: 32, Faults: "slow:1,4", FaultSeed: 1})
+		if err == nil || !strings.Contains(err.Error(), "-repart with -repart-every 0") {
+			t.Errorf("%s: err = %v, want -repart with -repart-every 0 refused", runtime, err)
+		}
 	}
 }

@@ -129,11 +129,16 @@ func (s *component) p90() float64 {
 	return sm.Percentile(90)
 }
 
-// taskState is the per-task pair of deviation streams.
-type taskState struct {
-	cycle component
-	comm  component
-}
+// taskState is a task's two deviation streams, in the order OnCycle folds
+// them in: the border exchange against PredCommMs, then the whole cycle
+// against PredCycleMs. streams names them in events, gauges in the
+// registry.
+type taskState [2]component
+
+var (
+	streams = [2]string{"comm", "cycle"}
+	gauges  = [2]string{`drift.comm_pct{task="%d"}`, `drift.pct{task="%d"}`}
+)
 
 // Monitor is an obs.CycleSink that turns per-cycle measurements into
 // drift gauges, counters, and events. All methods are safe on a nil
@@ -169,71 +174,58 @@ func New(cfg Config, reg *obs.Registry, rec *obs.Recorder) *Monitor {
 func (m *Monitor) taskLocked(task int) *taskState {
 	ts, ok := m.tasks[task]
 	if !ok {
-		ts = &taskState{
-			cycle: component{
-				window: make([]float64, 0, window),
-				gauge:  m.reg.Gauge(fmt.Sprintf(`drift.pct{task="%d"}`, task)),
-			},
-			comm: component{
-				window: make([]float64, 0, window),
-				gauge:  m.reg.Gauge(fmt.Sprintf(`drift.comm_pct{task="%d"}`, task)),
-			},
+		ts = &taskState{}
+		for i := range ts {
+			ts[i] = component{window: make([]float64, 0, window), gauge: m.reg.Gauge(fmt.Sprintf(gauges[i], task))}
 		}
 		m.tasks[task] = ts
 	}
 	return ts
 }
 
-// OnCycle folds in one task's measured cycle time. No-op on a nil monitor
-// or when no cycle prediction was configured.
-func (m *Monitor) OnCycle(task, cycle int, measuredMs float64) {
+// OnCycle folds in one task's measured cycle under one lock: its exchange
+// time, then its cycle time, each against its prediction. A component
+// without a prediction is skipped. No-op on a nil monitor.
+func (m *Monitor) OnCycle(task, cycle int, cycleMs, exchangeMs float64) {
 	if m == nil {
 		return
 	}
-	m.observe(task, cycle, "cycle", measuredMs, m.cfg.PredCycleMs)
-}
-
-// OnExchange folds in one task's measured border-exchange time. No-op on
-// a nil monitor or when no comm prediction was configured.
-func (m *Monitor) OnExchange(task, cycle int, measuredMs float64) {
-	if m == nil {
+	preds := [2]float64{m.cfg.PredCommMs, m.cfg.PredCycleMs}
+	if !predicted(preds[0]) && !predicted(preds[1]) {
 		return
 	}
-	m.observe(task, cycle, "comm", measuredMs, m.cfg.PredCommMs)
-}
-
-func (m *Monitor) observe(task, cycle int, comp string, measuredMs, predMs float64) {
-	dev := trace.DeviationPct(measuredMs, predMs)
-	if predMs == 0 || math.IsInf(predMs, 0) || math.IsNaN(predMs) {
-		return // no prediction, nothing to deviate from
-	}
+	measured := [2]float64{exchangeMs, cycleMs}
+	var fired [2]Event
+	nFired := 0
 	m.mu.Lock()
 	ts := m.taskLocked(task)
-	s := &ts.cycle
-	if comp == "comm" {
-		s = &ts.comm
-	}
-	fired := s.observe(dev, m.cfg.ThresholdPct, m.cfg.Warmup)
-	if a := math.Abs(s.ewma); a > m.worst {
-		m.worst = a
-		m.reg.Gauge("drift.worst_pct").Set(a)
-	}
-	var ev Event
-	if fired {
-		ev = Event{
-			Task:       task,
-			Cycle:      cycle,
-			Component:  comp,
-			MeasuredMs: measuredMs,
-			PredMs:     predMs,
-			DevPct:     dev,
-			EwmaPct:    s.ewma,
-			P90Pct:     s.p90(),
+	for i := range ts {
+		s := &ts[i]
+		if !predicted(preds[i]) {
+			continue
+		}
+		dev := trace.DeviationPct(measured[i], preds[i])
+		if s.observe(dev, m.cfg.ThresholdPct, m.cfg.Warmup) {
+			fired[nFired] = Event{
+				Task:       task,
+				Cycle:      cycle,
+				Component:  streams[i],
+				MeasuredMs: measured[i],
+				PredMs:     preds[i],
+				DevPct:     dev,
+				EwmaPct:    s.ewma,
+				P90Pct:     s.p90(),
+			}
+			nFired++
+		}
+		if a := math.Abs(s.ewma); a > m.worst {
+			m.worst = a
+			m.reg.Gauge("drift.worst_pct").Set(a)
 		}
 	}
 	m.mu.Unlock()
 
-	if fired {
+	for _, ev := range fired[:nFired] {
 		m.reg.Counter("drift.events").Inc()
 		if m.cfg.Notify != nil {
 			m.cfg.Notify(ev)
@@ -249,6 +241,12 @@ func (m *Monitor) observe(task, cycle int, comp string, measuredMs, predMs float
 			"p90_pct":     ev.P90Pct,
 		})
 	}
+}
+
+// predicted reports whether predMs is a prediction to deviate from: 0 and
+// non-finite values are not.
+func predicted(predMs float64) bool {
+	return predMs != 0 && !math.IsInf(predMs, 0) && !math.IsNaN(predMs)
 }
 
 // Worst reports the largest |EWMA deviation| seen so far across all tasks

@@ -21,13 +21,13 @@ func TestSyntheticSlowdownFires(t *testing.T) {
 	m := New(Config{PredCycleMs: 10, PredCommMs: 2}, reg, rec)
 
 	for c := 0; c < 10; c++ {
-		m.OnCycle(0, c, 10) // on prediction: no drift
+		m.OnCycle(0, c, 10, 2) // on prediction: no drift
 	}
 	if got := reg.Counter("drift.events").Value(); got != 0 {
 		t.Fatalf("events after on-prediction cycles = %d", got)
 	}
 	for c := 10; c < 30; c++ {
-		m.OnCycle(0, c, 20) // 2x slowdown
+		m.OnCycle(0, c, 20, 2) // 2x slowdown
 	}
 	if got := reg.Counter("drift.events").Value(); got != 1 {
 		t.Fatalf("events after sustained slowdown = %d, want 1 (edge-triggered)", got)
@@ -52,10 +52,10 @@ func TestSyntheticSlowdownFires(t *testing.T) {
 	// Recovery re-arms: back on prediction, then a second slowdown fires a
 	// second event.
 	for c := 30; c < 60; c++ {
-		m.OnCycle(0, c, 10)
+		m.OnCycle(0, c, 10, 2)
 	}
 	for c := 60; c < 80; c++ {
-		m.OnCycle(0, c, 20)
+		m.OnCycle(0, c, 20, 2)
 	}
 	if got := reg.Counter("drift.events").Value(); got != 2 {
 		t.Errorf("events after recover+re-drift = %d, want 2", got)
@@ -70,14 +70,14 @@ func TestThresholdBoundary(t *testing.T) {
 
 	// +20% sustained: below threshold, never fires.
 	for c := 0; c < 50; c++ {
-		m.OnCycle(0, c, 120)
+		m.OnCycle(0, c, 120, 0)
 	}
 	if got := reg.Counter("drift.events").Value(); got != 0 {
 		t.Fatalf("events at +20%% = %d, want 0", got)
 	}
 	// +30% sustained: EWMA converges past 25, fires once.
 	for c := 50; c < 100; c++ {
-		m.OnCycle(0, c, 130)
+		m.OnCycle(0, c, 130, 0)
 	}
 	if got := reg.Counter("drift.events").Value(); got != 1 {
 		t.Errorf("events at +30%% = %d, want 1", got)
@@ -87,13 +87,13 @@ func TestThresholdBoundary(t *testing.T) {
 func TestWarmupSuppresses(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := New(Config{PredCycleMs: 10, Warmup: 5}, reg, nil)
-	m.OnCycle(0, 0, 100) // wildly off, but within warmup
-	m.OnCycle(0, 1, 100)
+	m.OnCycle(0, 0, 100, 0) // wildly off, but within warmup
+	m.OnCycle(0, 1, 100, 0)
 	if got := reg.Counter("drift.events").Value(); got != 0 {
 		t.Errorf("events during warmup = %d, want 0", got)
 	}
 	for c := 2; c < 8; c++ {
-		m.OnCycle(0, c, 100)
+		m.OnCycle(0, c, 100, 0)
 	}
 	if got := reg.Counter("drift.events").Value(); got != 1 {
 		t.Errorf("events after warmup = %d, want 1", got)
@@ -106,8 +106,8 @@ func TestCommComponentAndPerTaskGauges(t *testing.T) {
 	rec := obs.NewRecorder(&buf)
 	m := New(Config{PredCycleMs: 10, PredCommMs: 2}, reg, rec)
 	for c := 0; c < 10; c++ {
-		m.OnExchange(1, c, 6) // comm 3x over
-		m.OnCycle(2, c, 10)   // other task healthy
+		m.OnCycle(1, c, 10, 6) // comm 3x over
+		m.OnCycle(2, c, 10, 2) // other task healthy
 	}
 	if !strings.Contains(buf.String(), `"component":"comm"`) {
 		t.Error("no comm drift event emitted")
@@ -124,8 +124,7 @@ func TestNoPredictionIsInert(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := New(Config{}, reg, nil) // no predictions configured
 	for c := 0; c < 10; c++ {
-		m.OnCycle(0, c, 1e9)
-		m.OnExchange(0, c, 1e9)
+		m.OnCycle(0, c, 1e9, 1e9)
 	}
 	if got := reg.Counter("drift.events").Value(); got != 0 {
 		t.Errorf("events with no prediction = %d", got)
@@ -134,20 +133,19 @@ func TestNoPredictionIsInert(t *testing.T) {
 
 func TestNilMonitorAndNilOutputs(t *testing.T) {
 	var m *Monitor
-	m.OnCycle(0, 0, 1)
-	m.OnExchange(0, 0, 1)
+	m.OnCycle(0, 0, 1, 1)
 	if m.Worst() != 0 {
 		t.Error("nil monitor Worst != 0")
 	}
 	// A nil *Monitor in the interface must be callable: this is exactly
 	// how runtimes hold the sink.
 	var sink obs.CycleSink = m
-	sink.OnCycle(0, 0, 1)
+	sink.OnCycle(0, 0, 1, 1)
 
 	// Nil registry and recorder: observations are dropped, not panics.
 	m2 := New(Config{PredCycleMs: 1}, nil, nil)
 	for c := 0; c < 10; c++ {
-		m2.OnCycle(0, c, 10)
+		m2.OnCycle(0, c, 10, 0)
 	}
 	if m2.Worst() < 25 {
 		t.Errorf("Worst = %v, want tracked even with nil outputs", m2.Worst())
@@ -166,8 +164,7 @@ func TestConcurrentRanks(t *testing.T) {
 		go func(task int) {
 			defer wg.Done()
 			for c := 0; c < 200; c++ {
-				m.OnCycle(task, c, float64(10+task))
-				m.OnExchange(task, c, 2)
+				m.OnCycle(task, c, float64(10+task), 2)
 			}
 		}(task)
 	}

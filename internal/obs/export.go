@@ -2,7 +2,7 @@ package obs
 
 import "sort"
 
-// Metric names are dotted paths ("spmd.cycle_ms"). A name may carry one
+// Metric names are dotted paths ("stencil.cycle_ms"). A name may carry one
 // Prometheus-style label suffix — `drift.pct{task="3"}` — which the
 // registry treats as an opaque part of the name (each labeled series is
 // its own instrument) and the exposition layer (internal/obs/serve) emits

@@ -6,8 +6,8 @@
 // workload can stay scrapeable.
 //
 // Metric names map to the exposition by the registry's label-suffix
-// convention (see obs.Export): "spmd.cycle_ms" becomes
-// netpart_spmd_cycle_ms, and `drift.pct{task="3"}` becomes one series of
+// convention (see obs.Export): "stencil.cycle_ms" becomes
+// netpart_stencil_cycle_ms, and `drift.pct{task="3"}` becomes one series of
 // the netpart_drift_pct family.
 package serve
 

@@ -1,11 +1,12 @@
 package obs
 
 // CycleSink receives per-task per-cycle runtime observations as they
-// happen, in contrast to the Registry's aggregated histograms. The SPMD
-// runtimes (spmd over simnet, the live and fault-tolerant stencil over
-// mmps) call it once per task per cycle; the drift monitor
-// (internal/obs/drift) is the canonical implementation, comparing measured
-// times against the estimator's predictions.
+// happen, in contrast to the Registry's aggregated histograms. The stencil
+// cycle driver calls it once per rank per cycle, from the one place that
+// also records the cycle histograms and span, on the simulated and the live
+// runtimes alike; the drift monitor (internal/obs/drift) is the canonical
+// implementation, comparing measured times against the estimator's
+// predictions.
 //
 // Implementations must be safe for concurrent use: live runtimes call from
 // one goroutine per rank. Calls must never panic a run — implementations
@@ -13,11 +14,9 @@ package obs
 // package, and runtimes nil-guard the interface at each call site.
 type CycleSink interface {
 	// OnCycle reports one completed compute+communicate cycle: the task's
-	// rank, the 0-based cycle index, and the measured duration in
-	// milliseconds (virtual time on the simulated runtimes, wall clock on
+	// rank, the 0-based cycle index, the cycle's duration, and the part of
+	// it spent on the border exchange (sends plus receive waits), in
+	// milliseconds (virtual time on the simulated runtime, wall clock on
 	// the live ones).
-	OnCycle(task, cycle int, measuredMs float64)
-	// OnExchange reports the communication portion (border exchange) of a
-	// cycle, same units and indexing as OnCycle.
-	OnExchange(task, cycle int, measuredMs float64)
+	OnCycle(task, cycle int, cycleMs, exchangeMs float64)
 }

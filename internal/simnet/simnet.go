@@ -443,9 +443,6 @@ func (p *Proc) Rank() int { return p.rank }
 // Name returns the task's name.
 func (p *Proc) Name() string { return p.name }
 
-// Cluster returns the cluster hosting the task.
-func (p *Proc) Cluster() *model.Cluster { return p.cluster }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.sim.now }
 

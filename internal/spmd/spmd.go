@@ -21,18 +21,15 @@ import (
 	"netpart/internal/topo"
 )
 
-// Metric names this package records into Job.Metrics. Counters count
-// whole-job totals; histograms aggregate over every task and cycle.
+// Metric names this package records into Job.Metrics: whole-job message
+// totals and the transit time of every message. A task body observes its
+// own cycles.
 const (
 	MetricMsgsSent   = "spmd.msgs_sent"
 	MetricMsgsRecv   = "spmd.msgs_received"
 	MetricBytesSent  = "spmd.bytes_sent"
 	MetricBytesRecv  = "spmd.bytes_received"
-	MetricCycles     = "spmd.cycles"
-	MetricCycleMs    = "spmd.cycle_ms"    // per-task per-cycle virtual time
-	MetricExchangeMs = "spmd.exchange_ms" // border-exchange latency per task per cycle
 	MetricDeliveryMs = "spmd.delivery_ms" // per-message transit time (send to mailbox)
-	MetricElapsedMs  = "spmd.elapsed_ms"  // gauge: job elapsed virtual time
 )
 
 // jobMetrics holds the pre-resolved instruments one job records into.
@@ -43,9 +40,6 @@ type jobMetrics struct {
 	msgsRecv   *obs.Counter
 	bytesSent  *obs.Counter
 	bytesRecv  *obs.Counter
-	cycles     *obs.Counter
-	cycleMs    *obs.Histogram
-	exchangeMs *obs.Histogram
 	deliveryMs *obs.Histogram
 }
 
@@ -55,9 +49,6 @@ func resolveMetrics(r *obs.Registry) jobMetrics {
 		msgsRecv:   r.Counter(MetricMsgsRecv),
 		bytesSent:  r.Counter(MetricBytesSent),
 		bytesRecv:  r.Counter(MetricBytesRecv),
-		cycles:     r.Counter(MetricCycles),
-		cycleMs:    r.Histogram(MetricCycleMs),
-		exchangeMs: r.Histogram(MetricExchangeMs),
 		deliveryMs: r.Histogram(MetricDeliveryMs),
 	}
 }
@@ -73,12 +64,7 @@ type Task struct {
 	proc   *simnet.Proc
 	peers  []*Task
 	tp     topo.Topology
-
-	m            jobMetrics
-	rec          *obs.Recorder
-	sink         obs.CycleSink
-	cycle        int
-	cycleStartMs float64
+	m      jobMetrics
 }
 
 // Rank returns this task's rank (0-based, contiguous placement order).
@@ -94,9 +80,6 @@ func (t *Task) PDUs() int { return t.pdus }
 // PDUOffset returns the index of the first PDU this task owns: partition
 // vectors assign contiguous PDU ranges in rank order (Fig. 2).
 func (t *Task) PDUOffset() int { return t.offset }
-
-// Cluster returns the hosting cluster.
-func (t *Task) Cluster() *model.Cluster { return t.proc.Cluster() }
 
 // NowMs returns the current virtual time.
 func (t *Task) NowMs() float64 { return t.proc.Now() }
@@ -155,27 +138,10 @@ func (t *Task) Recv(src int) interface{} {
 	return msg.Payload
 }
 
-// EndCycle marks the end of one SPMD cycle for this task: it folds the
-// cycle's virtual duration into the cycle histogram and, when the job has
-// a trace recorder, emits a span (one per task per cycle) for Chrome trace
-// export. Task bodies call it once per iteration; without a Metrics
-// registry or Trace recorder it only advances the task's cycle counter.
-func (t *Task) EndCycle() {
-	now := t.NowMs()
-	t.m.cycles.Inc()
-	t.m.cycleMs.Observe(now - t.cycleStartMs)
-	if t.sink != nil {
-		t.sink.OnCycle(t.rank, t.cycle, now-t.cycleStartMs)
-	}
-	if t.rec != nil {
-		t.rec.Span("cycle", t.rank, t.cycleStartMs, now-t.cycleStartMs, map[string]any{
-			"iter":    t.cycle,
-			"cluster": t.Cluster().Name,
-		})
-	}
-	t.cycle++
-	t.cycleStartMs = now
-}
+// EndCycle marks the end of one SPMD cycle for this task. It records
+// nothing: the application observes its own cycles (the stencil's cycle
+// driver does, on every runtime).
+func (t *Task) EndCycle() {}
 
 // ExchangeBorders performs one synchronous communication cycle in the
 // paper's canonical form — an asynchronous send to every neighbor followed
@@ -183,7 +149,6 @@ func (t *Task) EndCycle() {
 // payloads keyed by neighbor rank. payload(nb) supplies the data sent to
 // each neighbor.
 func (t *Task) ExchangeBorders(bytes int, payload func(nb int) interface{}) map[int]interface{} {
-	start := t.NowMs()
 	ns := t.Neighbors()
 	for _, nb := range ns {
 		var p interface{}
@@ -196,20 +161,7 @@ func (t *Task) ExchangeBorders(bytes int, payload func(nb int) interface{}) map[
 	for _, nb := range ns {
 		got[nb] = t.Recv(nb)
 	}
-	t.ObserveExchange(t.NowMs() - start)
 	return got
-}
-
-// ObserveExchange records the communication portion of the current cycle
-// (virtual milliseconds spent sending and waiting on receives): it feeds
-// the exchange histogram and the cycle sink. ExchangeBorders calls it;
-// bodies that run their own exchange call it once per cycle, before
-// EndCycle.
-func (t *Task) ObserveExchange(ms float64) {
-	t.m.exchangeMs.Observe(ms)
-	if t.sink != nil {
-		t.sink.OnExchange(t.rank, t.cycle, ms)
-	}
 }
 
 // Job describes one SPMD execution: the network, the processor
@@ -228,16 +180,10 @@ type Job struct {
 	Body func(*Task)
 	// SimOptions configure the underlying simulator (e.g. jitter).
 	SimOptions []simnet.Option
-	// Metrics, when non-nil, receives runtime counters and histograms (the
-	// Metric* names). Nil disables metric recording at no cost.
+	// Metrics, when non-nil, receives the message counters and the
+	// delivery histogram (the Metric* names). Nil disables metric
+	// recording at no cost.
 	Metrics *obs.Registry
-	// Trace, when non-nil, receives per-cycle span events (via
-	// Task.EndCycle) suitable for obs.WriteChromeTrace.
-	Trace *obs.Recorder
-	// Cycles, when non-nil, receives each task's per-cycle and
-	// per-exchange durations as they complete (virtual-time
-	// milliseconds) — the subscription point for the drift monitor.
-	Cycles obs.CycleSink
 }
 
 // Execution errors.
@@ -293,8 +239,6 @@ func Run(job Job) (Report, error) {
 			peers:  tasks,
 			tp:     job.Topology,
 			m:      m,
-			rec:    job.Trace,
-			sink:   job.Cycles,
 		}
 		offset += job.Vector[rank]
 	}
@@ -306,7 +250,6 @@ func Run(job Job) (Report, error) {
 	if err := sim.Run(); err != nil {
 		return Report{}, err
 	}
-	job.Metrics.Gauge(MetricElapsedMs).Set(sim.Now())
 	return Report{
 		ElapsedMs: sim.Now(),
 		Segments:  sim.Stats(),

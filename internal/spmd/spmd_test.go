@@ -51,17 +51,17 @@ func TestRunAssignsRanksAndPDUs(t *testing.T) {
 }
 
 func TestRunPlacesTasksOnClusters(t *testing.T) {
-	clusters := make(map[int]string)
-	_, err := Run(job(t, 2, 2, core.Vector{1, 1, 1, 1}, func(task *Task) {
-		clusters[task.Rank()] = task.Cluster().Name
-	}))
+	rep, err := Run(job(t, 2, 2, core.Vector{1, 1, 1, 1}, func(*Task) {}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[int]string{0: "sparc2", 1: "sparc2", 2: "ipc", 3: "ipc"}
+	want := []string{"sparc2", "sparc2", "ipc", "ipc"}
+	if len(rep.Procs) != len(want) {
+		t.Fatalf("%d procs, want %d", len(rep.Procs), len(want))
+	}
 	for r, c := range want {
-		if clusters[r] != c {
-			t.Errorf("rank %d on %q, want %q", r, clusters[r], c)
+		if rep.Procs[r].Cluster != c {
+			t.Errorf("rank %d on %q, want %q", r, rep.Procs[r].Cluster, c)
 		}
 	}
 }

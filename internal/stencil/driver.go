@@ -5,6 +5,7 @@ import (
 
 	"netpart/internal/core"
 	"netpart/internal/mmps"
+	"netpart/internal/obs"
 	"netpart/internal/repart"
 )
 
@@ -13,7 +14,17 @@ import (
 // recovery loop); what differs between the simulated and the live runtimes
 // sits behind the link interface, and what differs between runs (load,
 // converge-until, repartitioning) is a field of job that newJob fills in
-// from Options, not a copy of the loop.
+// from Options, not a copy of the loop. The driver also observes every
+// cycle itself, in one place (rankState.report), so a cycle means the same
+// on every runtime.
+
+// Metric names the cycle driver records, in virtual milliseconds on Sim and
+// wall milliseconds on Live.
+const (
+	MetricCycleMs    = "stencil.cycle_ms"    // per rank per cycle
+	MetricExchangeMs = "stencil.exchange_ms" // the cycle's sends and receive waits
+	MetricElapsedMs  = "stencil.elapsed_ms"  // gauge: the run's time
+)
 
 // halo is one border row in flight: the global row index, the cycle it
 // belongs to, and its values.
@@ -47,9 +58,6 @@ type link interface {
 	// operations to virtual time, and lets the update run beside the
 	// other ranks' while this rank is parked in that time.
 	compute(s *rankState, lo, hi int, factor float64)
-	// endCycle reports one finished cycle that ran from startMs to endMs and
-	// spent exchangeMs sending and waiting on receives.
-	endCycle(iter int, startMs, endMs, exchangeMs float64)
 }
 
 // job is one distributed run: the problem, the policies its Options chose,
@@ -80,6 +88,11 @@ type job struct {
 	trigger  repart.Trigger
 	fallback int
 	eng      *repart.Engine
+
+	// What report records each finished cycle into; nil when not asked for.
+	cycleMs, exchangeMs *obs.Histogram
+	sink                obs.CycleSink
+	rec                 *obs.Recorder
 
 	out RunStats
 }
@@ -152,7 +165,11 @@ func newJob(live bool, vec core.Vector, tasks int, v Variant, n, iters int, opts
 			Metrics: opts.Metrics,
 			Trace:   opts.Trace,
 		},
-		out: RunStats{FinalVector: append(core.Vector(nil), vec...)},
+		cycleMs:    opts.Metrics.Histogram(MetricCycleMs),
+		exchangeMs: opts.Metrics.Histogram(MetricExchangeMs),
+		sink:       opts.Cycles,
+		rec:        opts.Trace,
+		out:        RunStats{FinalVector: append(core.Vector(nil), vec...)},
 	}
 	if opts.Trigger != nil {
 		j.every = checkEvery
@@ -192,7 +209,8 @@ func (j *job) finish(errs []error, runErr error) ([][]float64, error) {
 type rankState struct {
 	job       *job
 	lk        link
-	rank      int // physical rank: the one the job's load names
+	rank      int // physical rank: the one the job's load and report name
+	iter      int // the next cycle to run
 	rows, off int
 	cur       block
 	box       *[]float64
@@ -208,19 +226,17 @@ type rankState struct {
 func (j *job) runRank(lk link) error {
 	rank, size := lk.Rank(), lk.Size()
 	s := j.start(lk, rank)
-	iter := 0
-	for iter < j.iters {
+	for s.iter < j.iters {
 		stop := j.iters
 		switch {
 		case j.tol > 0:
-			stop = iter + 1
+			stop = s.iter + 1
 		case j.every > 0 && size > 1:
-			stop = min(stop, (iter/j.every+1)*j.every)
+			stop = min(stop, (s.iter/j.every+1)*j.every)
 		}
-		if err := s.cycles(iter, stop); err != nil {
+		if err := s.cycles(stop); err != nil {
 			return err
 		}
-		iter = stop
 		if j.tol > 0 {
 			global, err := reduceMax(lk.control(), s.delta)
 			if err != nil {
@@ -233,14 +249,14 @@ func (j *job) runRank(lk link) error {
 				break
 			}
 		}
-		if iter < j.iters && j.every > 0 && iter%j.every == 0 && size > 1 {
-			if err := s.rebalance(iter); err != nil {
+		if s.iter < j.iters && j.every > 0 && s.iter%j.every == 0 && size > 1 {
+			if err := s.rebalance(); err != nil {
 				return err
 			}
 		}
 	}
 	if rank == 0 {
-		j.out.Iterations = iter
+		j.out.Iterations = s.iter
 	}
 	if j.timeOnly {
 		putBlock(s.box)
@@ -279,11 +295,12 @@ func (j *job) block(rows int) (block, *[]float64) {
 	return newBlock(rows, j.n), nil
 }
 
-// cycles runs iterations [from, to) of the paper's communication cycle:
+// cycles runs iterations [s.iter, to) of the paper's communication cycle:
 // asynchronous sends of both border rows, blocking receives of both ghost
 // rows, the grid update — with STEN-2 hiding the transfer behind the
-// interior rows, which need no ghost data (Eq. 4–6). The exchange time
-// reported per cycle covers the sends and the receive waits only.
+// interior rows, which need no ghost data (Eq. 4–6). Each finished cycle
+// is reported once and advances s.iter; the exchange time reported covers
+// the sends and the receive waits only.
 //
 // The clock is read only where a reading is used: a cycle starts at the
 // previous cycle's end reading, and on STEN-1 the reading after the sends
@@ -299,7 +316,7 @@ func (j *job) block(rows int) (block, *[]float64) {
 // suffices) and does not claim the rendezvous case.
 //
 //netpart:lockstep sem=buffered
-func (s *rankState) cycles(from, to int) error {
+func (s *rankState) cycles(to int) error {
 	lk, n := s.lk, s.job.n
 	rank, size := lk.Rank(), lk.Size()
 	north, south := rank-1, rank+1
@@ -335,7 +352,7 @@ func (s *rankState) cycles(from, to int) error {
 	}
 
 	start := lk.nowMs()
-	for iter := from; iter < to; iter++ {
+	for iter := s.iter; iter < to; iter++ {
 		s.delta = 0
 		if hasNorth {
 			if err := lk.Send(north, halo{s.off, iter, s.cur.row(1)}); err != nil {
@@ -369,10 +386,27 @@ func (s *rankState) cycles(from, to int) error {
 		}
 		s.cur.flip()
 		end := lk.nowMs()
-		lk.endCycle(iter, start, end, exchangeMs)
-		start = end
+		s.report(iter, start, end, exchangeMs)
+		s.iter, start = iter+1, end
 	}
 	return nil
+}
+
+// report is the one observation of a finished cycle, the same on every
+// runtime: the cycle and exchange histograms, the cycle sink and a "cycle"
+// span, all under the rank's physical number. A cycle runs from the end of
+// the one before it in the same call of cycles, or from the call, so a
+// reduction or a repartitioning round between calls belongs to no cycle.
+func (s *rankState) report(iter int, startMs, endMs, exchangeMs float64) {
+	j, ms := s.job, endMs-startMs
+	j.cycleMs.Observe(ms)
+	j.exchangeMs.Observe(exchangeMs)
+	if j.sink != nil {
+		j.sink.OnCycle(s.rank, iter, ms, exchangeMs)
+	}
+	if j.rec != nil {
+		j.rec.Span("cycle", s.rank, startMs, ms, map[string]any{"iter": iter})
+	}
 }
 
 // computeRows updates local rows [lo, hi] under the job's load and, in a
@@ -467,13 +501,13 @@ func oneFloat64(vals []float64, err error) (float64, error) {
 	return vals[0], nil
 }
 
-// rebalance is one repartitioning round after iter completed cycles: the
+// rebalance is one repartitioning round after s.iter completed cycles: the
 // engine's gather → plan → broadcast and, when the plan moved rows, their
 // migration. Every rank enters at the shared cadence so the protocol stays
 // in lockstep; only rank 0 consults the trigger, so wall-clock-dependent
 // firing cannot desynchronize the ranks.
-func (s *rankState) rebalance(iter int) error {
-	j, ctl := s.job, s.lk.control()
+func (s *rankState) rebalance() error {
+	j, ctl, iter := s.job, s.lk.control(), s.iter
 	rank := ctl.Rank()
 	doPlan, reason := true, "interval"
 	if rank == 0 && j.trigger != nil {

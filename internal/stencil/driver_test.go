@@ -176,23 +176,20 @@ func TestDifferential(t *testing.T) {
 type cycleLog struct {
 	mu              sync.Mutex
 	cycle, exchange map[[2]int]float64
-	exchangeCalls   int
+	order           map[int][]int // each task's cycles in call order
+	calls           int
 }
 
 func newCycleLog() *cycleLog {
-	return &cycleLog{cycle: map[[2]int]float64{}, exchange: map[[2]int]float64{}}
+	return &cycleLog{cycle: map[[2]int]float64{}, exchange: map[[2]int]float64{}, order: map[int][]int{}}
 }
 
-func (l *cycleLog) OnCycle(task, cycle int, ms float64) {
+func (l *cycleLog) OnCycle(task, cycle int, cycleMs, exchangeMs float64) {
 	l.mu.Lock()
-	l.cycle[[2]int{task, cycle}] = ms
-	l.mu.Unlock()
-}
-
-func (l *cycleLog) OnExchange(task, cycle int, ms float64) {
-	l.mu.Lock()
-	l.exchange[[2]int{task, cycle}] = ms
-	l.exchangeCalls++
+	key := [2]int{task, cycle}
+	l.cycle[key], l.exchange[key] = cycleMs, exchangeMs
+	l.order[task] = append(l.order[task], cycle)
+	l.calls++
 	l.mu.Unlock()
 }
 
@@ -212,9 +209,9 @@ func TestSimReportsExchangeTime(t *testing.T) {
 		if _, err := Sim(net, cfg, vec, v, n, iters, Options{Cycles: log}); err != nil {
 			t.Fatal(err)
 		}
-		if log.exchangeCalls != tasks*iters || len(log.exchange) != tasks*iters {
-			t.Errorf("%s: %d OnExchange calls over %d (task, cycle) keys, want %d each",
-				v, log.exchangeCalls, len(log.exchange), tasks*iters)
+		if log.calls != tasks*iters || len(log.exchange) != tasks*iters {
+			t.Errorf("%s: %d OnCycle calls over %d (task, cycle) keys, want %d each",
+				v, log.calls, len(log.exchange), tasks*iters)
 		}
 		for key, ex := range log.exchange {
 			cyc, ok := log.cycle[key]

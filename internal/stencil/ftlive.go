@@ -195,11 +195,10 @@ type ftTask struct {
 	vec      core.Vector
 	own      repart.Owners
 	dead     map[int]bool
-	iter     int
 	executed int // monotonic executed-cycle count (crash injection key)
 
 	// s is the rank's share of the grid under the current vector, swept by
-	// the driver's cycles (driver.go) through link.
+	// the driver's cycles (driver.go) through link; s.iter is the next cycle.
 	s    *rankState
 	link *ftLink
 
@@ -239,8 +238,7 @@ func newFTTask(tr mmps.Transport, j *job, opts Options, sh *ftShared, t0 time.Ti
 		mRecovMs:  m.Histogram(MetricFTRecoveryMs),
 		mReplay:   m.Counter(MetricFTReplayedC),
 	}
-	t.link = &ftLink{t: t, liveLink: newLiveLink(tr, t0, opts, j.n, ftHeaderLen)}
-	t.link.ftEpoch = &t.epoch
+	t.link = &ftLink{t: t, liveLink: newLiveLink(tr, t0, j.n, ftHeaderLen)}
 	t.s = j.start(t.link, t.rank)
 	t.view(append(core.Vector(nil), j.vec...), repart.NewOwners(j.vec), t.s.cur)
 	return t
@@ -522,12 +520,12 @@ func (t *ftTask) deadsetGrew(dl []int) func() bool {
 }
 
 // ftLink is the driver's link for the fault-tolerant runtime: the live
-// link's clock, load emulation and cycle observation, over the task's
-// transport, with every border in the FT envelope and every receive a
-// bounded wait. Its ranks are positions among the row owners of the task's
-// current view, which keeps the driver's neighbours at rank±1 when a
-// retired rank (no rows) sits between two owners; callbacks that name a
-// rank (the job's load, the observation in endCycle) see the physical one.
+// link's clock and load emulation, over the task's transport, with every
+// border in the FT envelope and every receive a bounded wait. Its ranks are
+// positions among the row owners of the task's current view, which keeps
+// the driver's neighbours at rank±1 when a retired rank (no rows) sits
+// between two owners; callbacks that name a rank (the job's load, the
+// driver's report) see the physical one.
 type ftLink struct {
 	liveLink
 	t      *ftTask
@@ -560,7 +558,7 @@ func (l *ftLink) Send(dst int, h halo) error {
 // errNeedRecovery out through the driver.
 func (l *ftLink) Recv(src int) (halo, error) {
 	t, s := l.t, l.t.s
-	key := borderKey{s.off + s.rows, t.iter}
+	key := borderKey{s.off + s.rows, s.iter}
 	if src < l.pos {
 		key.row = s.off - 1
 	}
@@ -573,14 +571,6 @@ func (l *ftLink) Recv(src int) (halo, error) {
 		return ok, append(waiting, owner)
 	})
 	return halo{key.row, key.cycle, vals}, err
-}
-
-// endCycle observes the cycle through the live link and counts it as
-// executed: the task's iteration is the next cycle's from here on.
-func (l *ftLink) endCycle(iter int, startMs, endMs, exchangeMs float64) {
-	l.liveLink.endCycle(iter, startMs, endMs, exchangeMs)
-	l.t.iter = iter + 1
-	l.t.executed++
 }
 
 // validCkpt returns src's replicated block at cycle, if one is buffered
@@ -626,22 +616,25 @@ func (t *ftTask) advance() error {
 	if inj := t.inj; inj != nil {
 		crash = inj.CrashCycle(t.rank)
 	}
-	every := t.ft.CheckpointEvery
-	for t.iter < t.iters {
+	every, s := t.ft.CheckpointEvery, t.s
+	for s.iter < t.iters {
 		if t.needRecovery {
 			return errNeedRecovery
 		}
 		if crash == t.executed {
 			return errCrashed
 		}
-		if t.iter > 0 && t.iter%every == 0 && t.iter != t.lastCkpt {
-			t.checkpoint(t.iter)
+		if s.iter > 0 && s.iter%every == 0 && s.iter != t.lastCkpt {
+			t.checkpoint(s.iter)
 		}
-		to := min(t.iters, (t.iter/every+1)*every)
+		to := min(t.iters, (s.iter/every+1)*every)
 		if crash > t.executed {
-			to = min(to, t.iter+crash-t.executed)
+			to = min(to, s.iter+crash-t.executed)
 		}
-		if err := t.s.cycles(t.iter, to); err != nil {
+		from := s.iter
+		err := s.cycles(to)
+		t.executed += s.iter - from
+		if err != nil {
 			return err
 		}
 	}
@@ -732,7 +725,7 @@ func (t *ftTask) latestWard() (int, int) {
 //netpart:lockstep model=ft-recovery
 func (t *ftTask) recover() error {
 	started := time.Now()
-	preIter := t.iter
+	preIter := t.s.iter
 	for {
 		// The barrier restarts whenever the deadset grows; deadList is the
 		// set this attempt is built on.
@@ -776,7 +769,7 @@ func (t *ftTask) recover() error {
 	}
 	latency := float64(time.Since(started)) / float64(time.Millisecond)
 	t.mRecovMs.Observe(latency)
-	if replay := preIter - t.iter; replay > 0 {
+	if replay := preIter - t.s.iter; replay > 0 {
 		t.mReplay.Add(int64(replay))
 	}
 	// The lowest surviving rank records the event for the whole run.
@@ -787,7 +780,7 @@ func (t *ftTask) recover() error {
 		t.sh.events = append(t.sh.events, RecoveryEvent{
 			Epoch:         t.epoch,
 			Dead:          t.deadList(),
-			RollbackCycle: t.iter,
+			RollbackCycle: t.s.iter,
 			Vector:        append(core.Vector(nil), t.vec...),
 			LatencyMs:     latency,
 		})
@@ -968,7 +961,7 @@ func (t *ftTask) applyRecovery(dl []int, parts []int) error {
 	// have sent its fresh cycle-c* replica, and stale blobs are inert —
 	// validCkpt re-checks their shape against the new vector at every read.
 	t.view(newVec, newOwn, ncur)
-	t.iter = cstar
+	t.s.iter = cstar
 	// t.borders intentionally survives too: a neighbor that committed
 	// first may already have sent post-rollback ghost rows, and border
 	// content is timeline-independent (keyed by global row and cycle).

@@ -218,7 +218,7 @@ func FuzzFTFrame(f *testing.F) {
 
 // TestRunLiveFTReportsExchangeTime: like plain Live, the FT runtime reports one
 // exchange observation per rank per cycle, to the cycle sink and to
-// live.exchange_ms, and no exchange is longer than the cycle it belongs to.
+// stencil.exchange_ms, and no exchange is longer than the cycle it belongs to.
 func TestRunLiveFTReportsExchangeTime(t *testing.T) {
 	const n, iters, ranks = 32, 10, 4
 	world := ftWorld(t, ranks)
@@ -234,17 +234,17 @@ func TestRunLiveFTReportsExchangeTime(t *testing.T) {
 		t.Fatalf("Live with FT: %v", err)
 	}
 	gridsMatch(t, res.Grid, Sequential(NewGrid(n), iters))
-	if log.exchangeCalls != ranks*iters || len(log.exchange) != ranks*iters || len(log.cycle) != ranks*iters {
-		t.Errorf("%d OnExchange calls over %d (rank, cycle) keys and %d OnCycle keys, want %d each",
-			log.exchangeCalls, len(log.exchange), len(log.cycle), ranks*iters)
+	if log.calls != ranks*iters || len(log.exchange) != ranks*iters || len(log.cycle) != ranks*iters {
+		t.Errorf("%d OnCycle calls over %d (rank, cycle) exchange keys and %d cycle keys, want %d each",
+			log.calls, len(log.exchange), len(log.cycle), ranks*iters)
 	}
 	for key, ex := range log.exchange {
 		if cyc, ok := log.cycle[key]; !ok || ex < 0 || ex > cyc {
 			t.Errorf("rank %d cycle %d: exchange %v ms against cycle %v ms (reported %v)", key[0], key[1], ex, cyc, ok)
 		}
 	}
-	if got := reg.Histogram(MetricLiveExchangeMs).N(); got != ranks*iters {
-		t.Errorf("%s holds %d observations, want %d", MetricLiveExchangeMs, got, ranks*iters)
+	if got := reg.Histogram(MetricExchangeMs).N(); got != ranks*iters {
+		t.Errorf("%s holds %d observations, want %d", MetricExchangeMs, got, ranks*iters)
 	}
 }
 

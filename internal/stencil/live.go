@@ -10,14 +10,6 @@ import (
 	"netpart/internal/repart"
 )
 
-// Metric names the live runtimes record. Live metrics measure wall-clock
-// time, unlike the spmd.Metric* virtual-time metrics.
-const (
-	MetricLiveCycleMs    = "live.cycle_ms"    // per-task per-cycle wall time
-	MetricLiveExchangeMs = "live.exchange_ms" // border exchange (sends + receive waits) wall time
-	MetricLiveElapsedMs  = "live.elapsed_ms"  // gauge: whole-run wall time
-)
-
 // Live executes the distributed stencil over real concurrent tasks — one
 // goroutine per rank — communicating through the given mmps transports (UDP
 // or in-memory), under the policies in opts, on the wall clock. Rows are
@@ -35,7 +27,7 @@ func Live(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, opts
 		return j.runFT(world, opts)
 	}
 	errs, elapsed := runRanks(len(world), opts.Metrics, func(rank int, start time.Time) error {
-		lk := newLiveLink(world[rank], start, opts, n, 0)
+		lk := newLiveLink(world[rank], start, n, 0)
 		return j.runRank(&lk)
 	})
 	grid, err := j.finish(errs, nil)
@@ -47,7 +39,7 @@ func Live(world []mmps.Transport, vec core.Vector, v Variant, n, iters int, opts
 
 // runRanks runs body once per rank, each on its own goroutine and all
 // handed the same start time, waits for every rank, and returns their errors
-// and the wall time, which it also records as MetricLiveElapsedMs.
+// and the wall time, which it also records as MetricElapsedMs.
 func runRanks(tasks int, m *obs.Registry, body func(rank int, start time.Time) error) ([]error, time.Duration) {
 	errs := make([]error, tasks)
 	var wg sync.WaitGroup
@@ -62,21 +54,17 @@ func runRanks(tasks int, m *obs.Registry, body func(rank int, start time.Time) e
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	m.Gauge(MetricLiveElapsedMs).Set(float64(elapsed) / float64(time.Millisecond))
+	m.Gauge(MetricElapsedMs).Set(float64(elapsed) / float64(time.Millisecond))
 	return errs, elapsed
 }
 
 // liveLink is the driver's link over an mmps transport: each border is one
 // halo frame (halo.go) built in a reused buffer and parsed into a reused
 // scratch, so the exchange allocates nothing in steady state. One goroutine
-// owns it. The observability hooks are nil-safe; zero values disable them.
+// owns it.
 type liveLink struct {
-	tr         mmps.Transport
-	epoch      time.Time
-	rec        *obs.Recorder
-	cycleMs    *obs.Histogram
-	exchangeMs *obs.Histogram
-	cycles     obs.CycleSink
+	tr    mmps.Transport
+	epoch time.Time
 
 	// Send copies its argument before returning and Recv's values are
 	// consumed before the next Recv, so one frame buffer and one value
@@ -84,25 +72,16 @@ type liveLink struct {
 	// because every block is n columns wide.
 	sendBuf   []byte
 	ghostVals []float64
-
-	// ftEpoch, when non-nil, is the fault-tolerant runtime's recovery epoch
-	// (ftlive.go), tagged on every cycle span beside the iteration.
-	ftEpoch *int
 }
 
-// newLiveLink is the link of endpoint tr in a run that began at start, with
-// the observation opts asks for; header is the room a send needs in front
-// of the halo frame.
-func newLiveLink(tr mmps.Transport, start time.Time, opts Options, n, header int) liveLink {
+// newLiveLink is the link of endpoint tr in a run that began at start;
+// header is the room a send needs in front of the halo frame.
+func newLiveLink(tr mmps.Transport, start time.Time, n, header int) liveLink {
 	return liveLink{
-		tr:         tr,
-		epoch:      start,
-		rec:        opts.Trace,
-		cycleMs:    opts.Metrics.Histogram(MetricLiveCycleMs),
-		exchangeMs: opts.Metrics.Histogram(MetricLiveExchangeMs),
-		cycles:     opts.Cycles,
-		sendBuf:    make([]byte, 0, header+haloHeaderLen+8*n),
-		ghostVals:  make([]float64, 0, n),
+		tr:        tr,
+		epoch:     start,
+		sendBuf:   make([]byte, 0, header+haloHeaderLen+8*n),
+		ghostVals: make([]float64, 0, n),
 	}
 }
 
@@ -147,22 +126,4 @@ func loadReps(factor float64) int {
 		return reps
 	}
 	return 1
-}
-
-func (l *liveLink) endCycle(iter int, startMs, endMs, exchangeMs float64) {
-	cycle := endMs - startMs
-	rank := l.tr.Rank()
-	l.cycleMs.Observe(cycle)
-	l.exchangeMs.Observe(exchangeMs)
-	if l.cycles != nil {
-		l.cycles.OnExchange(rank, iter, exchangeMs)
-		l.cycles.OnCycle(rank, iter, cycle)
-	}
-	if l.rec != nil {
-		args := map[string]any{"iter": iter}
-		if l.ftEpoch != nil {
-			args["epoch"] = *l.ftEpoch
-		}
-		l.rec.Span("cycle", rank, startMs, cycle, args)
-	}
 }

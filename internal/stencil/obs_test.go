@@ -3,11 +3,15 @@ package stencil
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"netpart/internal/core"
 	"netpart/internal/model"
 	"netpart/internal/obs"
+	"netpart/internal/repart"
 	"netpart/internal/spmd"
 )
 
@@ -28,11 +32,11 @@ func TestSimMetricsAndSpans(t *testing.T) {
 
 	// One cycle record per task per iteration.
 	tasks := p1 + p2
-	if got := m.Counter(spmd.MetricCycles).Value(); got != int64(tasks*iters) {
-		t.Errorf("cycles = %d, want %d", got, tasks*iters)
-	}
-	if got := m.Histogram(spmd.MetricCycleMs).N(); got != tasks*iters {
+	if got := m.Histogram(MetricCycleMs).N(); got != tasks*iters {
 		t.Errorf("cycle histogram n = %d, want %d", got, tasks*iters)
+	}
+	if got := m.Histogram(MetricExchangeMs).N(); got != tasks*iters {
+		t.Errorf("exchange histogram n = %d, want %d", got, tasks*iters)
 	}
 	// 1-D chain: 2(tasks-1) border messages per iteration.
 	wantMsgs := int64(2 * (tasks - 1) * iters)
@@ -49,7 +53,7 @@ func TestSimMetricsAndSpans(t *testing.T) {
 	if got := m.Histogram(spmd.MetricDeliveryMs).N(); got != int(wantMsgs) {
 		t.Errorf("delivery histogram n = %d, want %d", got, wantMsgs)
 	}
-	if got := m.Gauge(spmd.MetricElapsedMs).Value(); got != res.ElapsedMs {
+	if got := m.Gauge(MetricElapsedMs).Value(); got != res.ElapsedMs {
 		t.Errorf("elapsed gauge = %v, want %v", got, res.ElapsedMs)
 	}
 
@@ -111,13 +115,13 @@ func TestLiveMetrics(t *testing.T) {
 	if !gridsEqual(res.Grid, Sequential(NewGrid(n), iters)) {
 		t.Error("observed live run diverged from sequential reference")
 	}
-	if got := m.Histogram(MetricLiveCycleMs).N(); got != tasks*iters {
+	if got := m.Histogram(MetricCycleMs).N(); got != tasks*iters {
 		t.Errorf("live cycle histogram n = %d, want %d", got, tasks*iters)
 	}
-	if got := m.Histogram(MetricLiveExchangeMs).N(); got != tasks*iters {
+	if got := m.Histogram(MetricExchangeMs).N(); got != tasks*iters {
 		t.Errorf("live exchange histogram n = %d, want %d", got, tasks*iters)
 	}
-	if m.Gauge(MetricLiveElapsedMs).Value() <= 0 {
+	if m.Gauge(MetricElapsedMs).Value() <= 0 {
 		t.Error("live elapsed gauge not set")
 	}
 	if rec.Len() != tasks*iters {
@@ -147,13 +151,121 @@ func TestAdaptiveMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Counter("adaptive.rebalances").Value(); got != int64(res.Rebalances) {
-		t.Errorf("rebalances counter = %d, want %d", got, res.Rebalances)
+	if got := m.Counter(repart.MetricPlans).Value(); got != int64(len(res.Plans)) {
+		t.Errorf("plans counter = %d, want %d", got, len(res.Plans))
 	}
-	if got := m.Counter("adaptive.migrated_rows").Value(); got != int64(res.MigratedRows) {
-		t.Errorf("migrated_rows counter = %d, want %d", got, res.MigratedRows)
+	if got := m.Counter(repart.MetricMigratedRows).Value(); got != int64(res.MigratedRows) || got == 0 {
+		t.Errorf("migrated_rows counter = %d, want %d (> 0)", got, res.MigratedRows)
 	}
-	if m.Histogram(spmd.MetricCycleMs).N() == 0 {
+	if m.Histogram(MetricCycleMs).N() == 0 {
 		t.Error("adaptive run recorded no cycle histogram")
 	}
+}
+
+// TestOneCycleSeriesOnEitherRuntime: Sim and Live observe a cycle in the
+// one driver function, so a run records the same series on either runtime:
+// the same instrument names outside the simulator's own spmd.* message
+// series, ranks × Iterations observations in stencil.cycle_ms and
+// stencil.exchange_ms, and per rank one sink call and one span per cycle,
+// cycles in order, the sink's cycle time the span's duration, the exchange
+// time within it. A cycle is timed by the driver, so on Sim the converge
+// reduction and the repartitioning round between two cycles leave a gap
+// between their spans, and nothing else does.
+func TestOneCycleSeriesOnEitherRuntime(t *testing.T) {
+	const n, iters, tasks = 36, 6, 3
+	vec := core.Vector{6, 18, 12}
+	for _, pol := range []struct {
+		name     string
+		opts     Options
+		gapAfter func(iter int) bool // on Sim: a reduction or a round follows cycle iter
+	}{
+		{"plain", Options{}, func(int) bool { return false }},
+		{"tol", Options{Tol: 1e-300}, func(int) bool { return true }},
+		{"rebalance", Options{RebalanceEvery: 2}, func(iter int) bool { return iter%2 == 1 }},
+	} {
+		for _, v := range []Variant{STEN1, STEN2} {
+			names := map[bool][]string{}
+			for _, live := range []bool{false, true} {
+				name := fmt.Sprintf("%s %s %s", runtimeName(live), pol.name, v)
+				m, rec, log := obs.NewRegistry(), obs.NewRecorder(nil), newCycleLog()
+				opts := pol.opts
+				opts.Metrics, opts.Trace, opts.Cycles = m, rec, log
+				var res Result
+				var err error
+				if live {
+					world := localWorld(t, tasks)
+					res, err = Live(world, vec, v, n, iters, opts)
+					closeWorld(world)
+				} else {
+					res, err = Sim(model.PaperTestbed(), paperConfig(2, 1), vec, v, n, iters, opts)
+				}
+				if err != nil || res.Iterations != iters {
+					t.Fatalf("%s: %d iterations, %v", name, res.Iterations, err)
+				}
+				names[live] = seriesNames(m)
+				for _, h := range []string{MetricCycleMs, MetricExchangeMs} {
+					if got := m.Histogram(h).N(); got != tasks*iters {
+						t.Errorf("%s: %s holds %d observations, want %d", name, h, got, tasks*iters)
+					}
+				}
+				if got := m.Counter(repart.MetricMigratedRows).Value(); got != int64(res.MigratedRows) {
+					t.Errorf("%s: %s = %d, Result.MigratedRows %d", name, repart.MetricMigratedRows, got, res.MigratedRows)
+				}
+				spans := map[int][]map[string]any{}
+				for _, ev := range rec.Events() {
+					if ev.Kind == "span" {
+						rank := ev.Fields["tid"].(int)
+						spans[rank] = append(spans[rank], ev.Fields)
+					}
+				}
+				for rank := 0; rank < tasks; rank++ {
+					if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(log.order[rank], want) || len(spans[rank]) != iters {
+						t.Fatalf("%s rank %d: sink calls for cycles %v and %d spans, want %v and %d",
+							name, rank, log.order[rank], len(spans[rank]), want, iters)
+					}
+					end := 0.0
+					for iter, sp := range spans[rank] {
+						key := [2]int{rank, iter}
+						start, dur := sp["ts_ms"].(float64), sp["dur_ms"].(float64)
+						if sp["iter"] != iter || len(sp) != 5 || dur != log.cycle[key] || log.exchange[key] < 0 || log.exchange[key] > dur {
+							t.Errorf("%s rank %d: span %v against sink cycle %v ms, exchange %v ms",
+								name, rank, sp, log.cycle[key], log.exchange[key])
+						}
+						gap := start - end
+						if iter > 0 && (gap < -1e-9 || !live && pol.gapAfter(iter-1) != (gap > 1e-9)) {
+							t.Errorf("%s rank %d: cycle %d starts %v ms after cycle %d ends", name, rank, iter, gap, iter-1)
+						}
+						end = start + dur
+					}
+				}
+			}
+			if !slices.Equal(names[false], names[true]) {
+				t.Errorf("%s %s: Sim records %v, Live %v", pol.name, v, names[false], names[true])
+			}
+		}
+	}
+}
+
+// seriesNames lists the series in m outside the simulator's spmd.* family,
+// sorted.
+func seriesNames(m *obs.Registry) []string {
+	var names []string
+	snap := m.Snapshot()
+	for _, set := range []map[string]bool{keys(snap.Counters), keys(snap.Gauges), keys(snap.Histograms)} {
+		for name := range set {
+			if !strings.HasPrefix(name, "spmd.") {
+				names = append(names, name)
+			}
+		}
+	}
+	slices.Sort(names)
+	return names
+}
+
+func keys[V any](m map[string]V) map[string]bool {
+	out := map[string]bool{}
+	for k := range m {
+		out[k] = true
+	}
+	return out
 }

@@ -51,17 +51,19 @@ type Options struct {
 	// amortization horizon). The zero value balances load with free
 	// migration.
 	Planner repart.PlannerConfig
-	// Metrics, when non-nil, receives the runtime's series — Sim's spmd.*
-	// virtual times, messages and bytes, Live's MetricLive* wall times, FT's
-	// MetricFT* counters — and the repartitioning engine's repart.* series.
+	// Metrics, when non-nil, receives the cycle driver's stencil.* series
+	// (MetricCycleMs, MetricExchangeMs, MetricElapsedMs: virtual ms on Sim,
+	// wall ms on Live), the repartitioning engine's repart.* series, Sim's
+	// spmd.* message counters and FT's MetricFT* counters.
 	Metrics *obs.Registry
 	// Trace, when non-nil, receives one span per rank per cycle for Chrome
 	// export and one "repart" event per planning decision.
 	Trace *obs.Recorder
-	// Cycles, when non-nil, receives every rank's cycle and border-exchange
-	// duration (virtual on Sim, wall on Live) as it completes, from that
-	// rank's goroutine — the hookup point for the drift monitor
-	// (internal/obs/drift).
+	// Cycles, when non-nil, receives one OnCycle call per rank per finished
+	// cycle with its cycle and border-exchange durations (virtual on Sim,
+	// wall on Live), from that rank's goroutine and from the place that
+	// records the cycle histograms and span — the hookup point for the
+	// drift monitor (internal/obs/drift).
 	Cycles obs.CycleSink
 	// SimOptions configure Sim's simulator (jitter, message observers).
 	SimOptions []simnet.Option

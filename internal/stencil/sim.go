@@ -42,8 +42,6 @@ func Sim(net *model.Network, cfg cost.Config, vec core.Vector, v Variant, n, ite
 		Vector:     vec,
 		Topology:   topo.OneD{},
 		Metrics:    opts.Metrics,
-		Trace:      opts.Trace,
-		Cycles:     opts.Cycles,
 		SimOptions: simOpts,
 		Body:       func(t *spmd.Task) { errs[t.Rank()] = j.runRank(&simLink{t: t, timeOnly: j.timeOnly}) },
 	})
@@ -51,8 +49,7 @@ func Sim(net *model.Network, cfg cost.Config, vec core.Vector, v Variant, n, ite
 	if err != nil {
 		return Result{}, err
 	}
-	opts.Metrics.Counter("adaptive.rebalances").Add(int64(j.out.Rebalances))
-	opts.Metrics.Counter("adaptive.migrated_rows").Add(int64(j.out.MigratedRows))
+	opts.Metrics.Gauge(MetricElapsedMs).Set(rep.ElapsedMs)
 	return Result{ElapsedMs: rep.ElapsedMs, Grid: grid, Report: rep, RunStats: j.out}, nil
 }
 
@@ -174,11 +171,6 @@ func getBlock(rows, width int) (block, *[]float64) {
 // putBlock recycles a box obtained from getBlock. Nothing may touch the
 // block afterwards: the next getBlock may hand its cells to another run.
 func putBlock(p *[]float64) { dirtyCells.Put(p) }
-
-func (l *simLink) endCycle(_ int, _, _, exchangeMs float64) {
-	l.t.ObserveExchange(exchangeMs)
-	l.t.EndCycle()
-}
 
 // simControl adapts the task handle to the repart protocol's transport
 // surface. Sends are charged at the encoded byte size.

@@ -204,7 +204,8 @@ func GaussAnnotations(n int) *Annotations { return gauss.Annotations(n) }
 // load (WorkFactor, Slowdown, Injector), run-to-convergence (Tol), dynamic
 // repartitioning with real row migration (RebalanceEvery, Trigger,
 // Planner) — the §7 future-work strategy for load imbalance —,
-// observation (Metrics, Trace, the Cycles drift-monitor hookup), the
+// observation (Metrics, Trace and the Cycles sink: one record per rank per
+// cycle, the same on either runtime, the drift monitor's hookup), the
 // simulator's own settings (SimOptions, TimeOnly) and the
 // live runtime's fault tolerance (FT). The zero value is a plain run; an
 // option a runtime cannot honour is refused by name.
@@ -441,13 +442,15 @@ func WithFaultInjector(inj FaultInjector) mmps.Option { return mmps.WithInjector
 
 // Live telemetry and drift monitoring types. TelemetryServer exposes a
 // Metrics registry over HTTP (Prometheus text on /metrics, JSON on
-// /metrics.json, /healthz, /debug/pprof/); DriftMonitor subscribes to a
-// runtime's per-cycle measurements (as a CycleSink) and flags sustained
-// deviation from the estimator's T_comp/T_comm predictions.
+// /metrics.json, /healthz, /debug/pprof/); DriftMonitor subscribes to the
+// stencil driver's per-cycle measurements (as a CycleSink, on either
+// runtime) and flags sustained deviation from the estimator's T_comp/T_comm
+// predictions.
 type (
 	// TelemetryServer is a running HTTP telemetry endpoint.
 	TelemetryServer = serve.Server
-	// CycleSink receives per-task per-cycle runtime observations.
+	// CycleSink receives one call per rank per finished cycle: its cycle
+	// and border-exchange times.
 	CycleSink = obs.CycleSink
 	// DriftMonitor is a CycleSink comparing measured cycle times against
 	// estimator predictions (EWMA + windowed quantiles, threshold events).

@@ -173,7 +173,7 @@ func TestFacadeFaultTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := netpart.NewFaultEngine(sched.Sanitize(4, 12), 1, netpart.NewMetrics())
+	eng := netpart.NewFaultEngine(sched, 1, netpart.NewMetrics())
 	world, err := netpart.NewLocalWorld(4, netpart.WithFaultInjector(eng))
 	if err != nil {
 		t.Fatal(err)
