@@ -37,12 +37,20 @@ type DeltaEval struct {
 	tp      topo.Topology
 	bwLimit bool
 	overlap bool // the dominant communication overlaps the dominant computation
+	stagger bool // a non-overlapped 1-D phase: eval charges the staggered cycle
 	numPDUs int
 
 	cl     []deltaCluster // one per cluster of the base, in its order
 	pairs  []deltaPair    // one per unordered cluster pair (pairFor)
 	shares []float64      // probe output buffer (Estimate.Shares aliases it)
 	probe  []int          // Probe's counts (Estimate.Config.Counts aliases it)
+
+	// Room for cl, pairs and a search's order inside the Estimator's one
+	// allocation, sized for two clusters (the paper's): more would take the
+	// Estimator past 512 bytes, to a slower allocator path.
+	clRoom    [2]deltaCluster
+	pairRoom  [1]deltaPair
+	orderRoom [5]*model.Cluster
 }
 
 // deltaCluster is what a probe reads and writes of one cluster.
@@ -67,9 +75,10 @@ type deltaPair struct {
 type evalMode uint8
 
 const (
-	probed  evalMode = iota // a search probe: counted, observed with its cluster and count
-	whole                   // an Estimate: counted, observed unlabeled
-	rebuilt                 // a configuration already counted, evaluated again for its figures
+	probed   evalMode = iota // a Probe: counted, observed with its cluster and count
+	searched                 // a search's probe: as probed, but only T_c is read, so unobserved it skips the startup estimate
+	whole                    // an Estimate: counted, observed unlabeled
+	rebuilt                  // a configuration already counted, evaluated again for its figures
 )
 
 // BeginDelta prepares an incremental evaluator for probes against cfg.
@@ -110,6 +119,8 @@ func (d *DeltaEval) bind(e *Estimator, cfg cost.Config, order []*model.Cluster) 
 	}
 	d.base, d.comp, d.numPDUs, d.shares = cfg, comp, e.Ann.NumPDUs(), d.shares[:k]
 	d.overlap = comm != nil && comm.Overlap != "" && comm.Overlap == comp.Name
+	_, oneD := d.tp.(topo.OneD)
+	d.stagger = oneD && !d.overlap
 	for i, name := range cfg.Clusters {
 		var c *model.Cluster
 		if order != nil {
@@ -130,7 +141,10 @@ func (d *DeltaEval) bind(e *Estimator, cfg cost.Config, order []*model.Cluster) 
 func (d *DeltaEval) reset(e *Estimator, comm *CommunicationPhase, k int) error {
 	d.e = nil // until the memo is consistent again
 	if cap(d.cl) < k {
-		d.cl, d.pairs = make([]deltaCluster, k), nil
+		d.cl, d.pairs = d.clRoom[:0], nil
+		if k > len(d.clRoom) {
+			d.cl = make([]deltaCluster, k)
+		}
 	}
 	d.cl = d.cl[:k]
 	clear(d.cl)
@@ -271,31 +285,43 @@ func (d *DeltaEval) eval(est *Estimate, k, p int, mode evalMode) error {
 		}
 		est.BytesPerMsg = b
 		if total > 1 { // a single task exchanges no messages
-			tcomm, err := d.commCost(b, total)
+			burst, own, err := d.commCost(b, total)
 			if err != nil {
 				return err
 			}
-			est.TcommMs = tcomm
+			est.TcommMs = burst
+			if d.stagger {
+				// A staggered cycle: a rank with its ghosts computes while
+				// the channel still carries its neighbours' borders, so the
+				// cycle costs the burst or T_comp plus the slowest rank's
+				// own exchanges (one per neighbour), whichever is larger.
+				// The max is direct, keeping plateaus of T_c flat, and
+				// T_comm is what the cycle charges beyond T_comp.
+				exchanges := float64(min(total-1, 2))
+				est.TcMs = max(burst, est.TcompMs+exchanges*own)
+				est.TcommMs = est.TcMs - est.TcompMs
+			}
 		}
 		if d.overlap {
 			est.ToverlapMs = math.Min(est.TcompMs, est.TcommMs)
 		}
 	}
-	if e.Ann.StartupBytesPerPDU > 0 && total > 1 {
+	if e.Ann.StartupBytesPerPDU > 0 && total > 1 && (mode != searched || e.Observer != nil) {
 		est.StartupMs = d.startupCost(shares, first)
 	}
-	if est.ToverlapMs > 0 {
+	switch {
+	case est.ToverlapMs > 0:
 		// Algebraically Tcomp + Tcomm - min(Tcomp, Tcomm) = max(Tcomp,
 		// Tcomm); computing the max directly keeps plateaus of the T_c
 		// curve exactly flat (the subtraction form differs by an ulp,
 		// which would mislead the bisection search).
 		est.TcMs = math.Max(est.TcompMs, est.TcommMs)
-	} else {
+	case est.TcMs == 0: // not charged a staggered cycle above
 		est.TcMs = est.TcompMs + est.TcommMs
 	}
 	if e.Observer != nil && mode != rebuilt {
 		cluster, at := "", 0
-		if mode == probed {
+		if mode == probed || mode == searched {
 			cluster, at = d.base.Clusters[k], p
 		}
 		e.observe(cluster, at, d.detached(*est, k, p), false)
@@ -336,7 +362,10 @@ func (d *DeltaEval) pairFor(i, j int) *deltaPair {
 		i, j = j, i
 	}
 	if len(d.pairs) == 0 { // taken at the first crossing: many searches never cross
-		d.pairs = make([]deltaPair, cap(d.cl)*(cap(d.cl)-1)/2)
+		d.pairs = d.pairRoom[:]
+		if cap(d.cl) > len(d.clRoom) {
+			d.pairs = make([]deltaPair, cap(d.cl)*(cap(d.cl)-1)/2)
+		}
 	}
 	pr := &d.pairs[i*(i-1)/2+j]
 	if pr.ok {
@@ -359,12 +388,14 @@ func (d *DeltaEval) pairFor(i, j int) *deltaPair {
 // a cluster whose tasks communicate across the router is charged one
 // extra contending station (Section 3.0, matching cost.Table.CommCost bit
 // for bit); without it, Section 6.0's composition omits the extra station.
-// Border detection uses topo.SegmentCrosses on the contiguous placement's
-// rank ranges, so no placement is materialized.
+// That is the burst. own, in the same walk, is the slowest rank's exchange
+// with one neighbour: the largest Eq. 1_i(b, 2), plus the cluster's
+// crossing penalty when its ranks cross. Border detection uses
+// topo.SegmentCrosses on the contiguous placement's rank ranges, so no
+// placement is materialized.
 //
 //netpart:hotpath
-func (d *DeltaEval) commCost(b float64, total int) (float64, error) {
-	worst := 0.0
+func (d *DeltaEval) commCost(b float64, total int) (burst, own float64, err error) {
 	lo := 0
 	cl := d.cl
 	for i := range cl {
@@ -374,7 +405,7 @@ func (d *DeltaEval) commCost(b float64, total int) (float64, error) {
 		}
 		params, err := d.paramsFor(i)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		hi := lo + cnt
 		crosses := topo.SegmentCrosses(d.tp, lo, hi, total)
@@ -388,15 +419,14 @@ func (d *DeltaEval) commCost(b float64, total int) (float64, error) {
 		if crosses && d.e.RouterStation {
 			p++ // the router is one more station on this segment
 		}
-		c := params.Eval(b, p)
+		c, o := params.Eval(b, p), params.Eval(b, 2)
 		if crosses {
-			c += d.crossPenalty(i, b)
+			pen := d.crossPenalty(i, b)
+			c, o = c+pen, o+pen
 		}
-		if c > worst {
-			worst = c
-		}
+		burst, own = max(burst, c), max(own, o)
 	}
-	return worst, nil
+	return burst, own, nil
 }
 
 // crossPenalty is the worst router (plus coercion) cost from cluster from

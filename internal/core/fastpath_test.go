@@ -105,9 +105,11 @@ func TestEstimateSharesDetach(t *testing.T) {
 }
 
 // TestCommCostMatchesTable cross-checks the evaluator's allocation-free
-// Eq. 2 composition, read from Estimate's TcommMs, against the reference
-// cost.Table.CommCost over every topology and a grid of configurations:
-// the two must be bit-for-bit identical (RouterStation semantics).
+// Eq. 2 composition, the burst half of commCost at the configuration an
+// Estimate just bound, against the reference cost.Table.CommCost over
+// every topology and a grid of configurations: the two must be bit-for-bit
+// identical (RouterStation semantics). Off the staggered 1-D phase the
+// burst is also Estimate's TcommMs.
 func TestCommCostMatchesTable(t *testing.T) {
 	net := model.PaperTestbed()
 	tbl := cost.PaperTable()
@@ -147,8 +149,17 @@ func TestCommCostMatchesTable(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s %v b=%v reference: %v", name, cfg, b, err)
 					}
-					if got.TcommMs != want {
-						t.Errorf("%s %v b=%v: evaluator %v, reference %v", name, cfg, b, got.TcommMs, want)
+					burst := got.TcommMs // a single task exchanges nothing
+					if p1+p2 > 1 {
+						if burst, _, err = e.eval.commCost(got.BytesPerMsg, p1+p2); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if burst != want {
+						t.Errorf("%s %v b=%v: evaluator %v, reference %v", name, cfg, b, burst, want)
+					}
+					if name != "1-D" && got.TcommMs != want {
+						t.Errorf("%s %v b=%v: Estimate's Tcomm %v, reference %v", name, cfg, b, got.TcommMs, want)
 					}
 				}
 			}
@@ -293,11 +304,11 @@ func TestResultOwnsItsSlices(t *testing.T) {
 }
 
 // TestDecisionAllocations pins what one decision allocates: a fresh
-// NewEstimator + Partition allocates the estimator, the evaluator's
-// per-cluster state, its per-pair state (only once a probe crosses a
-// segment), the fastest-first order and the Result's three slices, whose
-// shares are the evaluator's buffer handed over; Partition on a reused
-// estimator only the order and the Result's slices.
+// NewEstimator + Partition allocates the estimator and the Result's three
+// slices, whose shares are the evaluator's buffer handed over; on a
+// network larger than the evaluator's rooms, also its per-cluster state
+// and its per-pair state (only once a probe crosses a segment). Partition
+// on a reused estimator allocates only the Result's slices.
 func TestDecisionAllocations(t *testing.T) {
 	if raceDetector() {
 		t.Skip("the race detector changes allocation counts")
@@ -307,10 +318,10 @@ func TestDecisionAllocations(t *testing.T) {
 		mk    func(t *testing.T) *Estimator
 		fresh float64 // the ceiling for a fresh estimator
 	}{
-		{"paper", func(t *testing.T) *Estimator { return paperEstimator(t, 1200, false) }, 7},
-		{"five-cluster", func(t *testing.T) *Estimator { return fiveClusterEstimator(t, 1200) }, 7},
+		{"paper", func(t *testing.T) *Estimator { return paperEstimator(t, 1200, false) }, 4},
+		{"five-cluster", func(t *testing.T) *Estimator { return fiveClusterEstimator(t, 1200) }, 6},
 		// Settles inside the Sparc2 segment: no pair memo is taken.
-		{"one segment", func(t *testing.T) *Estimator { return paperEstimator(t, 60, false) }, 6},
+		{"one segment", func(t *testing.T) *Estimator { return paperEstimator(t, 60, false) }, 4},
 	} {
 		e := tc.mk(t)
 		res, err := Partition(e)
@@ -337,8 +348,8 @@ func TestDecisionAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if fresh > tc.fresh || reused > 4 {
-			t.Errorf("%s: %.0f allocations fresh (want <= %.0f), %.0f reused (want <= 4)", tc.name, fresh, tc.fresh, reused)
+		if fresh > tc.fresh || reused > 3 {
+			t.Errorf("%s: %.0f allocations fresh (want <= %.0f), %.0f reused (want <= 3)", tc.name, fresh, tc.fresh, reused)
 		}
 	}
 }

@@ -39,7 +39,7 @@ type search struct {
 // reset, and the search-start event. The names and counts are the
 // Result's, with room behind the counts for the vector.
 func (e *Estimator) begin(strategy string) search {
-	order := e.Net.BySpeed(e.Ann.DominantCompute().Class)
+	order := e.Net.BySpeed(e.eval.orderRoom[:0], e.Ann.DominantCompute().Class)
 	k, procs, names := len(order), 0, make([]string, len(order))
 	for i, c := range order {
 		names[i], procs = c.Name, procs+c.Available
@@ -157,8 +157,18 @@ func localityFirst(e *Estimator, strategy string, minimise minimiser) (Result, e
 // the memo is T_c at lo and at hi. A memo hit is re-emitted as a cached
 // candidate (evaluated again, uncounted, for its figures) so the decision
 // record shows every probe the search consulted.
+//
+// The curve is unimodal but for two steps, checked directly. Opening a
+// slower cluster adds its crossing penalty at p = 1, so the cluster stays
+// closed unless its minimum beats the search's best so far (no probe). On
+// a staggered phase a rank exchanges once at two ranks and twice from
+// three on, so bisection covers totals from 3 and totals 1 and 2 are probed.
 func bisectCluster(s search, d *DeltaEval, k, lo, hi int) (int, float64, error) {
 	name := s.cfg.Clusters[k]
+	base, top := s.cfg.Total(), hi
+	if d.stagger {
+		lo = max(lo, min(hi, 3-base))
+	}
 	tLo, tHi := math.NaN(), math.NaN() // NaN until a step probes that end
 	f := func(p int) (float64, error) {
 		tc := math.NaN()
@@ -179,7 +189,7 @@ func bisectCluster(s search, d *DeltaEval, k, lo, hi int) (int, float64, error) 
 			return tc, nil
 		}
 		var est Estimate
-		if err := d.eval(&est, k, p, probed); err != nil {
+		if err := d.eval(&est, k, p, searched); err != nil {
 			return 0, err
 		}
 		return est.TcMs, nil
@@ -201,8 +211,23 @@ func bisectCluster(s search, d *DeltaEval, k, lo, hi int) (int, float64, error) 
 			lo, tLo = m+1, tm1
 		}
 	}
-	tc, err := f(lo)
-	return lo, tc, err
+	p := lo
+	best, err := f(p)
+	for t := 1; d.stagger && t <= 2 && err == nil; t++ {
+		if q := t - base; q >= 1 && q <= top && q != p {
+			var tq float64
+			if tq, err = f(q); tq < best || tq == best && q < p {
+				p, best = q, tq
+			}
+		}
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	if base > 0 && best >= s.tc {
+		return 0, s.tc, nil // keep the cluster closed
+	}
+	return p, best, nil
 }
 
 // scanCluster is PartitionLinear's minimiser: it probes every count and
@@ -212,7 +237,7 @@ func scanCluster(s search, d *DeltaEval, k, lo, hi int) (int, float64, error) {
 	bestP, best, have := 0, s.tc, s.cfg.Total() > 0
 	for p := lo; p <= hi; p++ {
 		var est Estimate
-		if err := d.eval(&est, k, p, probed); err != nil {
+		if err := d.eval(&est, k, p, searched); err != nil {
 			return 0, 0, err
 		}
 		if !have || est.TcMs < best {

@@ -35,11 +35,17 @@ var searchStrategies = []struct {
 type searchCase struct {
 	name string
 	mk   func(t *testing.T) *Estimator
+	// exact names the strategies whose T_c must equal the exhaustive
+	// oracle's; any other may be worse, never better.
+	exact []string
 }
 
 // table1Cases is the Table 1 grid: STEN-1/2 × N ∈ {60, 300, 600, 1200}
 // under the paper's and the fitted cost tables, with and without the
-// router station.
+// router station. The pairwise global search finds the oracle's optimum
+// on every one; on Table 2's setting (fitted, router station) so do the
+// locality-first searches, elsewhere a configuration such as 5+4 that
+// leaves a faster processor idle can beat them.
 func table1Cases(t *testing.T) []searchCase {
 	t.Helper()
 	fit, err := commbench.Run(model.PaperTestbed(), []topo.Topology{topo.OneD{}, topo.Broadcast{}}, commbench.DefaultGrid())
@@ -55,8 +61,13 @@ func table1Cases(t *testing.T) []searchCase {
 			for _, overlap := range []bool{false, true} {
 				for _, n := range []int{60, 300, 600, 1200} {
 					tbl, rs, overlap, n := tbl, rs, overlap, n
+					exact := []string{"global"}
+					if tbl.name == "fitted" && rs {
+						exact = append(exact, "bisect", "scan")
+					}
 					out = append(out, searchCase{
-						name: fmt.Sprintf("%s/rs=%t/%s/N=%d", tbl.name, rs, stencilAnnotations(n, overlap).Name, n),
+						exact: exact,
+						name:  fmt.Sprintf("%s/rs=%t/%s/N=%d", tbl.name, rs, stencilAnnotations(n, overlap).Name, n),
 						mk: func(t *testing.T) *Estimator {
 							e, err := NewEstimator(model.PaperTestbed(), tbl.t, stencilAnnotations(n, overlap))
 							if err != nil {
@@ -137,10 +148,78 @@ func randomEstimator(t *testing.T, seed int64) *Estimator {
 	return e
 }
 
-// searchGoldenCases is every pinned input: the Table 1 grid plus a seeded
-// set of random networks.
+// constructedCases are two T_c curves built to mislead a bisection that
+// assumes unimodality (TestConstructedCurves pins their shapes): every
+// strategy must find the oracle's optimum on both.
+//   - p2-minimum: one cluster whose Eq. 1 is a constant C1 = T_comp(1)/2.5,
+//     so a staggered STEN-1 cycle is T_comp(1)/p + d·C1: the minimum is at
+//     p = 2 (one exchange), and from p = 3 on (two) the curve falls again
+//     to a higher minimum at p = 6.
+//   - stay-closed: the paper testbed with a 60 ms router charge, so every
+//     count of the slower cluster is worse than leaving it closed, while
+//     the curve over those counts falls all the way to p = 6.
+func constructedCases() []searchCase {
+	all := []string{"bisect", "scan", "global"}
+	return []searchCase{
+		{name: "constructed/p2-minimum", exact: all, mk: func(t *testing.T) *Estimator {
+			net := model.PaperTestbed()
+			net.Cluster(model.IPCCluster).Available = 0
+			tbl := cost.NewTable()
+			tbl.SetComm(model.Sparc2Cluster, "1-D", cost.Params{C1: 5.4 / 2.5}) // T_comp(1) = 5.4 ms at N = 60
+			e, err := NewEstimator(net, tbl, stencilAnnotations(60, false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}},
+		{name: "constructed/stay-closed", exact: all, mk: func(t *testing.T) *Estimator {
+			tbl := cost.PaperTable()
+			tbl.SetRouter(model.Sparc2Cluster, model.IPCCluster, cost.PerByte{FixedMs: 60, Ms: 0.0006})
+			e, err := NewEstimator(model.PaperTestbed(), tbl, stencilAnnotations(1200, false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}},
+	}
+}
+
+// TestConstructedCurves pins the shapes constructedCases claim, so that
+// each stays a curve a plain bisection gets wrong.
+func TestConstructedCurves(t *testing.T) {
+	cs := constructedCases()
+	curve := func(sc searchCase, counts ...[2]int) []float64 {
+		e := sc.mk(t)
+		var out []float64
+		for _, c := range counts {
+			est, err := e.Estimate(cost.Config{Clusters: []string{model.Sparc2Cluster, model.IPCCluster}, Counts: c[:]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, est.TcMs)
+		}
+		return out
+	}
+	// T(1..6) on one cluster: a minimum at 2, a rise at 3, then a fall
+	// to a second, higher minimum at 6, where a bisection lands.
+	tc := curve(cs[0], [2]int{1, 0}, [2]int{2, 0}, [2]int{3, 0}, [2]int{4, 0}, [2]int{5, 0}, [2]int{6, 0})
+	if !(tc[1] < tc[0] && tc[1] < tc[2] && tc[2] > tc[3] && tc[3] > tc[4] && tc[4] > tc[5] && tc[1] < tc[5]) {
+		t.Errorf("p2-minimum: T_c(1..6) = %v, want a minimum at 2 and a higher one at 6", tc)
+	}
+	// T(6+0..6+6): every open count worse than 6+0, falling to 6+6.
+	tc = curve(cs[1], [2]int{6, 0}, [2]int{6, 1}, [2]int{6, 2}, [2]int{6, 3}, [2]int{6, 4}, [2]int{6, 5}, [2]int{6, 6})
+	for p := 1; p <= 6; p++ {
+		if tc[p] <= tc[0] || p > 1 && tc[p] >= tc[p-1] {
+			t.Errorf("stay-closed: T_c(6+0..6+6) = %v, want every open count above 6+0 and falling", tc)
+			break
+		}
+	}
+}
+
+// searchGoldenCases is every pinned input: the Table 1 grid, the two
+// constructed curves and a seeded set of random networks.
 func searchGoldenCases(t *testing.T) []searchCase {
-	out := table1Cases(t)
+	out := append(table1Cases(t), constructedCases()...)
 	for seed := int64(1); seed <= 24; seed++ {
 		seed := seed
 		out = append(out, searchCase{
@@ -188,12 +267,18 @@ func resultLine(res Result, err error) string {
 // SearchTrace must match testdata/searches.golden, and attaching the
 // observer must not change the answer. Regenerate with -update only for a
 // change that is meant to move answers.
+//
+// It also holds every strategy against the exhaustive oracle: none beats
+// it, the strategies a case names in exact match it, the global search
+// never does worse than the bisection it starts from, and on the 1-D
+// topology the bisection matches the scan with no more evaluations.
 func TestSearchesBitIdentical(t *testing.T) {
 	var got []string
 	for _, sc := range searchGoldenCases(t) {
+		res := map[string]Result{}
 		for _, st := range searchStrategies {
-			res, err := st.run(sc.mk(t))
-			plain := resultLine(res, err)
+			r, err := st.run(sc.mk(t))
+			plain := resultLine(r, err)
 			e := sc.mk(t)
 			trace := &SearchTrace{}
 			e.Observer = trace
@@ -201,6 +286,31 @@ func TestSearchesBitIdentical(t *testing.T) {
 				t.Errorf("%s %s: observed answer %s, unobserved %s", sc.name, st.name, observed, plain)
 			}
 			got = append(got, fmt.Sprintf("%s %s %s trace=%016x", sc.name, st.name, plain, traceHash(trace)))
+			if err == nil {
+				res[st.name] = r
+			}
+		}
+		if len(res) != len(searchStrategies) {
+			continue // the golden lines pin the errors
+		}
+		oracle := res["exhaustive"].TcMs
+		for name, r := range res {
+			if r.TcMs < oracle {
+				t.Errorf("%s %s: T_c %v below the oracle's %v", sc.name, name, r.TcMs, oracle)
+			}
+		}
+		for _, name := range sc.exact {
+			if r := res[name]; r.TcMs != oracle {
+				t.Errorf("%s %s: %v T_c %v, oracle %v T_c %v", sc.name, name, r.Config, r.TcMs, res["exhaustive"].Config, oracle)
+			}
+		}
+		bisect, scan := res["bisect"], res["scan"]
+		if res["global"].TcMs > bisect.TcMs {
+			t.Errorf("%s: global T_c %v above bisect's %v", sc.name, res["global"].TcMs, bisect.TcMs)
+		}
+		if sc.mk(t).Ann.Comm[0].Topology == "1-D" && (bisect.TcMs != scan.TcMs || bisect.Evaluations > scan.Evaluations) {
+			t.Errorf("%s: bisect %v T_c %v in %d evaluations, scan %v T_c %v in %d", sc.name,
+				bisect.Config, bisect.TcMs, bisect.Evaluations, scan.Config, scan.TcMs, scan.Evaluations)
 		}
 	}
 	path := filepath.Join("testdata", "searches.golden")
@@ -303,7 +413,7 @@ func TestSearchPropertiesOnRandomModels(t *testing.T) {
 		for _, st := range searchStrategies {
 			e := randomEstimator(t, seed)
 			if seed%3 == 0 && len(e.Net.Clusters) > 1 {
-				e.Net.BySpeed(e.Ann.DominantCompute().Class)[0].Available = 0
+				e.Net.BySpeed(nil, e.Ann.DominantCompute().Class)[0].Available = 0
 			}
 			res, err := st.run(e)
 			if err != nil {

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"netpart/internal/core"
 	"netpart/internal/stencil"
+	"netpart/internal/trace"
 )
 
 // sharedEnv caches the benchmarked environment across tests in this
@@ -86,13 +89,28 @@ func TestTable2PredictionsNearMinimum(t *testing.T) {
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d", len(rows))
 	}
+	// The ceiling on |T_c residual| over the 56 cells. The worst cell,
+	// +21.1 %, is N = 60 STEN-1 2+0: Eq. 1's p = 2 calibration point,
+	// which the stagger term leaves as it is.
+	const maxResidualPct = 22.0
 	for _, r := range rows {
-		// The reproduced headline claim: the algorithm's choice is within
-		// a few percent of the measured minimum for every problem size.
-		// (N=300 STEN-1 sits on a nearly flat region — the paper's own
-		// measured gap there was 337 vs 338 ms — so allow up to 10%.)
-		if r.PredictedGapPct > 10 {
+		// The reproduced headline claim: the predicted minimum is the
+		// measured minimum on every row.
+		if r.PredictedGapPct != 0 {
 			t.Errorf("N=%d %s: prediction %.1f%% above measured minimum", r.N, r.Variant, r.PredictedGapPct)
+		}
+		est, err := core.NewEstimator(e.Net, e.Fitted, stencil.Annotations(r.N, r.Variant, Iterations))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range r.Cells {
+			pred, err := est.Estimate(PaperConfig(c.P1, c.P2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := trace.DeviationPct(pred.ElapsedMs(Iterations), c.ElapsedMs); math.Abs(res) > maxResidualPct {
+				t.Errorf("N=%d %s %d+%d: T_c residual %+.1f%%, ceiling %.0f%%", r.N, r.Variant, c.P1, c.P2, res, maxResidualPct)
+			}
 		}
 		// STEN-2 must beat STEN-1 at the measured minimum (Table 2).
 		if r.EqualDecompMs > 0 {

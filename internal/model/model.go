@@ -293,10 +293,10 @@ func paramError(owner, name, field string, v float64) error {
 
 // BySpeed returns the clusters ordered fastest-first by the instruction
 // rate for the given operation class (the ordering the partitioning
-// heuristic of Section 5.0 uses). Ties break by name for determinism.
-func (n *Network) BySpeed(class OpClass) []*Cluster {
-	out := make([]*Cluster, len(n.Clusters))
-	copy(out, n.Clusters)
+// heuristic of Section 5.0 uses), written over dst's storage when it has
+// room (dst may be nil). Ties break by name for determinism.
+func (n *Network) BySpeed(dst []*Cluster, class OpClass) []*Cluster {
+	out := append(dst[:0], n.Clusters...)
 	// A stable insertion sort, written out: a network has a handful of
 	// clusters, and names are compared only on a tie.
 	for i := 1; i < len(out); i++ {

@@ -140,9 +140,9 @@ func TestValidateRefusesNonFiniteCosts(t *testing.T) {
 
 func TestBySpeedOrdersFastestFirst(t *testing.T) {
 	n := PaperTestbed()
-	order := n.BySpeed(OpFloat)
+	order := n.BySpeed(nil, OpFloat)
 	if order[0].Name != Sparc2Cluster || order[1].Name != IPCCluster {
-		t.Errorf("BySpeed(OpFloat) order = [%s %s], want [sparc2 ipc]", order[0].Name, order[1].Name)
+		t.Errorf("BySpeed(nil, OpFloat) order = [%s %s], want [sparc2 ipc]", order[0].Name, order[1].Name)
 	}
 	// Ordering must not mutate the original slice.
 	if n.Clusters[0].Name != Sparc2Cluster {
@@ -159,7 +159,7 @@ func TestBySpeedTieBreaksByName(t *testing.T) {
 		Segments: []*Segment{{Name: "s1", BytesPerMs: 1}, {Name: "s2", BytesPerMs: 1}},
 		Router:   Router{Segments: []string{"s1", "s2"}},
 	}
-	order := n.BySpeed(OpFloat)
+	order := n.BySpeed(nil, OpFloat)
 	if order[0].Name != "alpha" {
 		t.Errorf("tie-break order[0] = %q, want alpha", order[0].Name)
 	}
@@ -297,7 +297,7 @@ func TestBySpeedSortedProperty(t *testing.T) {
 		if err := n.Validate(); err != nil {
 			return false
 		}
-		order := n.BySpeed(OpFloat)
+		order := n.BySpeed(nil, OpFloat)
 		if len(order) != len(n.Clusters) {
 			return false
 		}
@@ -327,7 +327,7 @@ func TestMetasystemTestbedValidates(t *testing.T) {
 		t.Errorf("TotalProcs = %d, want 20", n.TotalProcs())
 	}
 	// The multicomputer must order first by speed.
-	if order := n.BySpeed(OpFloat); order[0].Name != "paragon" {
+	if order := n.BySpeed(nil, OpFloat); order[0].Name != "paragon" {
 		t.Errorf("fastest cluster = %q, want paragon", order[0].Name)
 	}
 	if !n.NeedsCoercion("paragon", Sparc2Cluster) {
