@@ -6,7 +6,7 @@
 // Usage:
 //
 //	partition [-spec network.json] [-app sten1|sten2|gauss] [-n 600]
-//	          [-constants paper|fitted] [-search bisect|scan|exhaustive]
+//	          [-constants paper|fitted] [-search bisect|scan|exhaustive|global]
 //	          [-available sparc2=4,ipc=6]
 //	          [-explain] [-trace out.jsonl] [-metrics]
 //
@@ -58,7 +58,7 @@ func main() {
 	flag.IntVar(&o.Iters, "iters", 10, "iteration count (stencil)")
 	flag.StringVar(&o.Constants, "constants", "fitted", "cost table: 'fitted' (benchmark the simulated network) or 'paper' (published constants; paper testbed only)")
 	flag.StringVar(&o.CostFile, "costs", "", "load a fitted cost table from JSON (written by commbench -o) instead of -constants")
-	flag.StringVar(&o.Search, "search", "bisect", "search strategy: bisect, scan, or exhaustive")
+	flag.StringVar(&o.Search, "search", "bisect", "search strategy: bisect, scan, exhaustive, or global")
 	flag.StringVar(&o.Available, "available", "", "override availability, e.g. sparc2=4,ipc=6")
 	flag.BoolVar(&o.Explain, "explain", false, "explain the decision: per-cluster T_c(p) curves, search path, winner breakdown")
 	flag.StringVar(&o.TraceFile, "trace", "", "write the search trace (one JSON event per line) to this file")
@@ -224,6 +224,8 @@ func run(o runOptions) error {
 		res, err = core.PartitionLinear(est)
 	case "exhaustive":
 		res, err = core.PartitionExhaustive(est)
+	case "global":
+		res, err = core.PartitionGlobal(est)
 	default:
 		return fmt.Errorf("unknown search %q", o.Search)
 	}

@@ -21,8 +21,10 @@ func TestRunFittedGauss(t *testing.T) {
 }
 
 func TestRunExhaustiveWithAvailability(t *testing.T) {
-	if err := run(runOptions{App: "sten1", N: 300, Iters: 10, Constants: "paper", Search: "exhaustive", Available: "sparc2=3,ipc=2"}); err != nil {
-		t.Fatal(err)
+	for _, search := range []string{"exhaustive", "global"} {
+		if err := run(runOptions{App: "sten1", N: 300, Iters: 10, Constants: "paper", Search: search, Available: "sparc2=3,ipc=2"}); err != nil {
+			t.Fatalf("%s: %v", search, err)
+		}
 	}
 }
 

@@ -165,7 +165,7 @@ func run(w io.Writer, o runOptions) error {
 	n, iters := o.N, o.Iters
 	table := cost.PaperTable()
 	var vec core.Vector
-	var predictedTcMs, predictedTcommMs float64
+	var predictedTcMs float64
 	chosen := struct{ p1, p2 int }{o.P1, o.P2}
 	if chosen.p1 < 0 || chosen.p2 < 0 {
 		fmt.Fprintln(w, "partitioning: benchmarking communication and searching configurations...")
@@ -185,7 +185,6 @@ func run(w io.Writer, o runOptions) error {
 		chosen.p1, chosen.p2 = res.Config.Counts[0], res.Config.Counts[1]
 		vec = res.Vector
 		predictedTcMs = res.TcMs
-		predictedTcommMs = res.TcommMs
 		fmt.Fprintf(w, "partitioning: chose %v, predicted T_c %.3f ms/cycle (%d evaluations)\n",
 			res.Config, res.TcMs, res.Evaluations)
 	}
@@ -232,11 +231,13 @@ func run(w io.Writer, o runOptions) error {
 	// deviation of the measured cycles from the predicted T_c (gauges
 	// drift.pct{task=...}, events on -trace); under -repart each event
 	// latches the trigger that the next round consumes. Only the sim
-	// runtime gets one: the prediction is for the simulated testbed.
+	// runtime gets one: the prediction is for the simulated testbed. It
+	// watches T_c only: a rank's exchange wait on a staggered phase depends
+	// on its neighbours' timing (an edge rank waits on one, an interior
+	// rank on two), so the one predicted T_comm is no per-rank baseline.
 	if o.Runtime == "sim" && metrics != nil && predictedTcMs > 0 {
 		driftCfg := drift.Config{
 			PredCycleMs:  predictedTcMs,
-			PredCommMs:   predictedTcommMs,
 			ThresholdPct: o.DriftPct,
 		}
 		if o.Repart {

@@ -249,7 +249,10 @@ func TestRunHonoursOrRefuses(t *testing.T) {
 
 // TestRunDriftMonitorSimOnly: the drift monitor compares the sim runtime's
 // cycles with the T_c predicted for the simulated testbed, and is not
-// attached on live, whose -repart rounds all run on the interval.
+// attached on live, whose -repart rounds all run on the interval. It
+// watches T_c only: an idle STEN-1 run, whose ranks wait on their
+// neighbours by different amounts, raises no event, and a slowed one
+// raises cycle events.
 func TestRunDriftMonitorSimOnly(t *testing.T) {
 	auto := runOptions{N: 240, Variant: "sten2", Iters: 40, P1: -1, P2: -1, Verify: true, Metrics: true}
 
@@ -261,6 +264,31 @@ func TestRunDriftMonitorSimOnly(t *testing.T) {
 	}
 	if !strings.Contains(out, "drift.pct{") {
 		t.Errorf("sim run exports no drift.pct:\n%s", out)
+	}
+
+	for _, c := range []struct {
+		faults string
+		events bool
+	}{{"", false}, {"slow:1,4@5-40", true}} {
+		sten1 := sim
+		sten1.Variant, sten1.N, sten1.Faults = "sten1", 300, c.faults
+		sten1.TraceFile = filepath.Join(t.TempDir(), "sten1.jsonl")
+		if out, err = runOut(t, sten1); err != nil {
+			t.Fatal(err)
+		}
+		events := 0
+		for _, ev := range readTrace(t, sten1.TraceFile) {
+			if ev["type"] != "drift" {
+				continue
+			}
+			events++
+			if ev["component"] != "cycle" {
+				t.Errorf("faults %q: drift event on %v, want cycle: %v", c.faults, ev["component"], ev)
+			}
+		}
+		if (events > 0) != c.events {
+			t.Errorf("faults %q: %d drift events, want any: %t\n%s", c.faults, events, c.events, out)
+		}
 	}
 
 	live := auto

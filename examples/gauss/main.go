@@ -32,14 +32,19 @@ func main() {
 
 	// Partition the elimination (broadcast) and, for contrast, a stencil
 	// (1-D) of the same size.
-	gRes, err := netpart.Partition(net, costs, netpart.GaussAnnotations(n))
-	if err != nil {
-		log.Fatal(err)
+	partition := func(ann *netpart.Annotations) netpart.Result {
+		est, err := netpart.NewEstimator(net, costs, ann)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := netpart.Partition(est)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
-	sRes, err := netpart.Partition(net, costs, netpart.StencilAnnotations(n, netpart.STEN1, 10))
-	if err != nil {
-		log.Fatal(err)
-	}
+	gRes := partition(netpart.GaussAnnotations(n))
+	sRes := partition(netpart.StencilAnnotations(n, netpart.STEN1, 10))
 	fmt.Printf("gauss (broadcast, bandwidth-limited) chooses: %v\n", gRes.Config)
 	fmt.Printf("stencil (1-D, locality-friendly) chooses:     %v\n", sRes.Config)
 

@@ -28,8 +28,12 @@ func main() {
 	}
 	ann := netpart.StencilAnnotations(900, netpart.STEN2, 10)
 
-	partition := func(label string) {
-		res, err := netpart.Partition(net, costs, ann)
+	partition := func(label string, net *netpart.Network) {
+		est, err := netpart.NewEstimator(net, costs, ann)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := netpart.Partition(est)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -37,7 +41,7 @@ func main() {
 	}
 
 	// All processors idle.
-	partition("all 12 processors idle")
+	partition("all 12 processors idle", net)
 
 	// Cluster managers monitor load and exchange availability over the
 	// message-passing layer (one manager per cluster).
@@ -83,7 +87,7 @@ func main() {
 	manager.Apply(net, reports[0])
 
 	// The partitioner now sees the reduced availability.
-	partition("\nafter load appears")
+	partition("\nafter load appears", net)
 
 	// The paper's "general case": keep the busy processors but stretch
 	// their effective instruction times by the observed load.
@@ -91,9 +95,5 @@ func main() {
 	for _, c := range adjusted.Clusters {
 		c.Available = c.Procs
 	}
-	res, err := netpart.Partition(adjusted, costs, ann)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%-28s -> %v  (Tc %.2f ms)\n", "general case (speeds adjusted)", res.Config, res.TcMs)
+	partition("general case (speeds adjusted)", adjusted)
 }

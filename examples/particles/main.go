@@ -55,7 +55,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := netpart.Partition(net, costs, netpart.ParticleAnnotations(cells, n, steps))
+	est, err := netpart.NewEstimator(net, costs, netpart.ParticleAnnotations(cells, n, steps))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := netpart.Partition(est)
 	if err != nil {
 		log.Fatal(err)
 	}

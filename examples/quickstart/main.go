@@ -32,7 +32,11 @@ func main() {
 	// 3. Partition a 600×600 overlapped stencil (STEN-2, 10 iterations).
 	const n, iters = 600, 10
 	ann := netpart.StencilAnnotations(n, netpart.STEN2, iters)
-	res, err := netpart.Partition(net, costs, ann)
+	est, err := netpart.NewEstimator(net, costs, ann)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := netpart.Partition(est)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -77,7 +77,7 @@ type evalMode uint8
 const (
 	probed   evalMode = iota // a Probe: counted, observed with its cluster and count
 	searched                 // a search's probe: as probed, but only T_c is read, so unobserved it skips the startup estimate
-	whole                    // an Estimate: counted, observed unlabeled
+	whole                    // an Estimate, or a search's counts as they stand: counted, observed unlabeled
 	rebuilt                  // a configuration already counted, evaluated again for its figures
 )
 

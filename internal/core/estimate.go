@@ -39,9 +39,9 @@ type Estimator struct {
 	// partitioning overhead.
 	evaluations int
 
-	// eval is the evaluator behind Estimate and the locality-first
-	// searches. Estimate returns Shares aliased into its buffers; see the
-	// Estimate doc comment for the resulting ownership rule.
+	// eval is the evaluator behind Estimate and every search. Estimate
+	// returns Shares aliased into its buffers; see the Estimate doc
+	// comment for the resulting ownership rule.
 	eval DeltaEval
 }
 

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"encoding/binary"
-
-	"netpart/internal/cost"
-)
+import "encoding/binary"
 
 // PartitionGlobal addresses the general partitioning problem of Section
 // 5.0 that the paper leaves as future work: the locality-first heuristic
@@ -23,142 +19,112 @@ import (
 // O(K²·P²) per sweep — polynomial in the number of clusters, where the
 // exhaustive oracle's Π(N_i+1) is exponential (the paper's K=5, P=20
 // example: ~4.4k evaluations against the oracle's 4 million). Start
-// points: the locality-first heuristic's choice, the full network, and
-// each cluster alone.
+// points: the locality-first heuristic's choice, the full network (filled
+// fastest-first up to one processor per PDU), and each cluster alone.
 func PartitionGlobal(e *Estimator) (Result, error) {
 	heur, err := Partition(e)
 	if err != nil {
 		return Result{}, err
 	}
-	s := e.begin("global")
-	avail := make([]int, len(s.order))
-	for i, c := range s.order {
-		avail[i] = c.Available
+	s, err := e.begin("global")
+	if err != nil {
+		return Result{}, err
 	}
+	counts := s.cfg.Counts
 
-	starts := [][]int{
-		append([]int(nil), heur.Config.Counts...),
-		capTotal(append([]int(nil), avail...), s.numPDUs),
-	}
-	for k := range avail {
-		st := make([]int, len(avail))
-		st[k] = min(avail[k], s.numPDUs)
-		if st[k] > 0 {
-			starts = append(starts, st)
+	// Every start is a copy: the heuristic's counts are its Result's (and
+	// its winner event's), and the walk's counts move.
+	best := append([]int(nil), heur.Config.Counts...)
+	starts := [][]int{append([]int(nil), best...), make([]int, len(counts))}
+	for i, left := 0, s.numPDUs; i < len(counts); i++ {
+		starts[1][i] = min(s.order[i].Available, left)
+		left -= starts[1][i]
+		if alone := min(s.order[i].Available, s.numPDUs); alone > 0 {
+			starts = append(starts, make([]int, len(counts)))
+			starts[len(starts)-1][i] = alone
 		}
 	}
 
 	// Memoize T_c per configuration, keyed on the full counts: different
-	// starts revisit the same configurations.
+	// starts revisit the same configurations. evalCounts evaluates the
+	// walk's counts as they stand, keeping the best.
 	memo := make(map[string]float64)
 	var key []byte
-	best := heur.Estimate
-	evalCfg := func(counts []int) (float64, bool, error) {
-		total := 0
+	s.tc = heur.TcMs
+	evalCounts := func() (float64, bool, error) {
 		key = key[:0]
 		for _, c := range counts {
-			total += c
 			key = binary.AppendUvarint(key, uint64(c))
 		}
-		if total == 0 || total > s.numPDUs {
+		if total := s.cfg.Total(); total == 0 || total > s.numPDUs {
 			return 0, false, nil
 		}
 		if tc, ok := memo[string(key)]; ok {
 			return tc, true, nil
 		}
-		est, err := e.Estimate(cost.Config{Clusters: s.cfg.Clusters, Counts: counts})
+		tc, err := s.evaluate()
 		if err != nil {
 			return 0, false, err
 		}
-		memo[string(key)] = est.TcMs
-		if est.TcMs < best.TcMs {
-			best = est.Detach()
+		memo[string(key)] = tc
+		if tc < s.tc {
+			copy(best, counts)
+			s.tc = tc
 		}
-		return est.TcMs, true, nil
+		return tc, true, nil
 	}
 
-	probe := make([]int, len(avail)) // reused per-probe vector (Estimate does not retain it)
-	for _, start := range starts {
-		cur := append([]int(nil), start...)
-		curTc, ok, err := evalCfg(cur)
+	for _, cur := range starts {
+		copy(counts, cur)
+		curTc, ok, err := evalCounts()
 		if err != nil {
 			return Result{}, err
 		}
 		if !ok {
 			continue
 		}
-		for improved := true; improved; {
-			improved = false
-			sweep := func(k, l int) error {
-				bestK, bestL := cur[k], cur[l]
-				for pk := 0; pk <= avail[k]; pk++ {
-					for pl := 0; ; pl++ {
-						if k == l && pl > 0 {
-							break // single-coordinate scan
-						}
-						if k != l && pl > avail[l] {
-							break
-						}
-						copy(probe, cur)
-						probe[k] = pk
-						if k != l {
-							probe[l] = pl
-						}
-						tc, ok, err := evalCfg(probe)
-						if err != nil {
-							return err
-						}
-						if ok && tc < curTc-1e-12 {
-							curTc = tc
-							bestK = pk
-							if k != l {
-								bestL = pl
-							} else {
-								bestL = cur[l]
-							}
-							improved = true
-						}
-						if k == l {
-							break
-						}
+		// sweep scans the pair (k, l) jointly, or cluster k alone when
+		// l == k, with the other counts at cur's, and moves cur to the
+		// best it finds.
+		improved := true
+		sweep := func(k, l int) error {
+			bestK, bestL := cur[k], cur[l]
+			for pk := 0; pk <= s.order[k].Available; pk++ {
+				lo, hi := 0, s.order[l].Available
+				if k == l {
+					lo, hi = pk, pk
+				}
+				for pl := lo; pl <= hi; pl++ {
+					copy(counts, cur)
+					counts[k], counts[l] = pk, pl
+					tc, ok, err := evalCounts()
+					if err != nil {
+						return err
+					}
+					if ok && tc < curTc-1e-12 {
+						curTc, bestK, bestL, improved = tc, pk, pl, true
 					}
 				}
-				cur[k], cur[l] = bestK, bestL
-				return nil
 			}
-			if len(cur) == 1 {
+			cur[k], cur[l] = bestK, bestL
+			return nil
+		}
+		for improved {
+			improved = false
+			if len(counts) == 1 {
 				if err := sweep(0, 0); err != nil {
 					return Result{}, err
 				}
-				continue
 			}
-			for k := 0; k < len(cur); k++ {
-				for l := k + 1; l < len(cur); l++ {
-					if err := sweep(k, l); err != nil {
+			for i := range counts {
+				for j := i + 1; j < len(counts); j++ {
+					if err := sweep(i, j); err != nil {
 						return Result{}, err
 					}
 				}
 			}
 		}
 	}
-
-	return s.finish(best)
-}
-
-// capTotal shrinks counts (from the last cluster backward) until their sum
-// is at most limit.
-func capTotal(counts []int, limit int) []int {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	for k := len(counts) - 1; k >= 0 && total > limit; k-- {
-		drop := total - limit
-		if drop > counts[k] {
-			drop = counts[k]
-		}
-		counts[k] -= drop
-		total -= drop
-	}
-	return counts
+	copy(counts, best)
+	return s.settle()
 }

@@ -22,9 +22,12 @@ type Result struct {
 	Evaluations int
 }
 
-// search is what the four Partition* strategies share: the clusters in
-// fastest-first order, a configuration over them (all counts zero), the
-// program's PDU count, and the best T_c the walk has settled on.
+// search is the one walk every Partition* strategy runs: the clusters in
+// fastest-first order, a configuration over them (all counts zero) that
+// the estimator's evaluator is bound to, the program's PDU count, and the
+// best T_c the walk has settled on. A strategy moves the walk's counts,
+// evaluates them through the evaluator, and ends in settle with the
+// winner's counts in place.
 type search struct {
 	e        *Estimator
 	strategy string
@@ -36,9 +39,10 @@ type search struct {
 }
 
 // begin opens a search: clusters fastest-first, the evaluation counter
-// reset, and the search-start event. The names and counts are the
-// Result's, with room behind the counts for the vector.
-func (e *Estimator) begin(strategy string) search {
+// reset, the search-start event, and the evaluator bound to the walk's
+// configuration. The names and counts are the Result's, with room behind
+// the counts for the vector.
+func (e *Estimator) begin(strategy string) (search, error) {
 	order := e.Net.BySpeed(e.eval.orderRoom[:0], e.Ann.DominantCompute().Class)
 	k, procs, names := len(order), 0, make([]string, len(order))
 	for i, c := range order {
@@ -49,7 +53,7 @@ func (e *Estimator) begin(strategy string) search {
 	s.cfg, s.vec = cost.Config{Clusters: names, Counts: counts[:k:k]}, counts[k:k]
 	e.ResetEvaluations()
 	s.event(SearchEvent{Kind: EvSearchStart})
-	return s
+	return s, e.eval.bind(e, s.cfg, order)
 }
 
 // event forwards one control-flow step, tagged with the strategy.
@@ -58,15 +62,33 @@ func (s *search) event(ev SearchEvent) {
 	s.e.searchEvent(ev)
 }
 
-// finish commits to best, whose slices the Result keeps: its partition
-// vector (the largest-remainder rounding of the Eq. 3 shares best carries,
-// or DecomposeGeneral's balance for a non-linear dominant phase), the
-// winner event, and the Result. A search that found no configuration has
+// evaluate is T_c at the walk's counts as they stand: counted and observed
+// unlabeled, as an Estimate of them is, and bit-identical to one.
+func (s *search) evaluate() (float64, error) {
+	d := &s.e.eval
+	d.Rebase()
+	var est Estimate
+	err := d.eval(&est, 0, s.cfg.Counts[0], whole)
+	return est.TcMs, err
+}
+
+// settle commits to the walk's counts, the winner. It evaluates them once
+// more, uncounted, for the Result, which keeps the evaluator's shares
+// buffer; the partition vector is the largest-remainder rounding of the
+// Eq. 3 shares (or DecomposeGeneral's balance for a non-linear dominant
+// phase); then the winner event. A search that found no configuration has
 // no processors.
-func (s *search) finish(best Estimate) (Result, error) {
-	if best.Config.Total() == 0 {
+func (s *search) settle() (Result, error) {
+	if s.cfg.Total() == 0 {
 		return Result{}, ErrNoProcessors
 	}
+	d := &s.e.eval
+	d.Rebase()
+	var best Estimate
+	if err := d.eval(&best, 0, s.cfg.Counts[0], rebuilt); err != nil {
+		return Result{}, err
+	}
+	best.Config, d.shares = s.cfg, nil
 	vec, err := roundLargestRemainder(s.vec, best.Shares, best.Config.Counts, s.numPDUs)
 	if comp := s.e.Ann.DominantCompute(); comp.TotalOps != nil {
 		vec, err = DecomposeGeneral(s.e.Net, best.Config, s.numPDUs, comp.Class, comp.TotalOps)
@@ -103,15 +125,14 @@ type minimiser func(s search, d *DeltaEval, k, lo, hi int) (int, float64, error)
 // over the counts the PDU budget allows, and a slower cluster opened only
 // when the faster one is used in full. A cluster with nothing available
 // is skipped. Every probe varies a single count of the walk's
-// configuration, so the whole search runs on the estimator's evaluator;
-// Rebase folds each settled cluster into its terms. Probes keep only T_c:
-// the winner is evaluated once more at the end, uncounted, for the Result.
+// configuration; Rebase folds each settled cluster into the evaluator's
+// terms. Probes keep only T_c: settle evaluates the winner once more.
 func localityFirst(e *Estimator, strategy string, minimise minimiser) (Result, error) {
-	s := e.begin(strategy)
-	d := &e.eval
-	if err := d.bind(e, s.cfg, s.order); err != nil {
+	s, err := e.begin(strategy)
+	if err != nil {
 		return Result{}, err
 	}
+	d := &e.eval
 	for k, c := range s.order {
 		if c.Available == 0 {
 			continue
@@ -140,13 +161,7 @@ func localityFirst(e *Estimator, strategy string, minimise minimiser) (Result, e
 		}
 		s.event(SearchEvent{Kind: EvClusterExhaust, Cluster: c.Name, P: p, TcMs: tc})
 	}
-	d.Rebase()
-	var best Estimate
-	if err := d.eval(&best, 0, s.cfg.Counts[0], rebuilt); err != nil {
-		return Result{}, err
-	}
-	best.Config, d.shares = s.cfg, nil // the Result keeps the shares buffer
-	return s.finish(best)
+	return s.settle()
 }
 
 // bisectCluster is Partition's minimiser. It assumes T_c(p) is unimodal
@@ -250,41 +265,33 @@ func scanCluster(s search, d *DeltaEval, k, lo, hi int) (int, float64, error) {
 // PartitionExhaustive searches the full product space of processor counts
 // (every P_i from 0 to available, not only locality-first prefixes). It is
 // the oracle the heuristic is compared against in ablation A1; its cost is
-// Π(N_i+1) evaluations.
+// Π(N_i+1) evaluations. The walk's counts turn like an odometer, the last
+// cluster's fastest, and the first strictly best configuration wins.
 func PartitionExhaustive(e *Estimator) (Result, error) {
-	s := e.begin("exhaustive")
-	counts := make([]int, len(s.order))
-	var best Estimate
-	var rec func(k int) error
-	rec = func(k int) error {
-		if k == len(counts) {
-			total := 0
-			for _, c := range counts {
-				total += c
-			}
-			if total == 0 || total > s.numPDUs {
-				return nil
-			}
-			est, err := e.Estimate(cost.Config{Clusters: s.cfg.Clusters, Counts: counts})
-			if err != nil {
-				return err
-			}
-			if best.Config.Counts == nil || est.TcMs < best.TcMs {
-				best = est.Detach()
-			}
-			return nil
-		}
-		for p := 0; p <= s.order[k].Available; p++ {
-			counts[k] = p
-			if err := rec(k + 1); err != nil {
-				return err
-			}
-		}
-		counts[k] = 0
-		return nil
-	}
-	if err := rec(0); err != nil {
+	s, err := e.begin("exhaustive")
+	if err != nil {
 		return Result{}, err
 	}
-	return s.finish(best)
+	counts := s.cfg.Counts
+	best, found := make([]int, len(counts)), false
+	for k := 0; k >= 0; {
+		if total := s.cfg.Total(); total > 0 && total <= s.numPDUs {
+			tc, err := s.evaluate()
+			if err != nil {
+				return Result{}, err
+			}
+			if !found || tc < s.tc {
+				copy(best, counts)
+				s.tc, found = tc, true
+			}
+		}
+		for k = len(counts) - 1; k >= 0 && counts[k] == s.order[k].Available; k-- {
+			counts[k] = 0
+		}
+		if k >= 0 {
+			counts[k]++
+		}
+	}
+	copy(counts, best)
+	return s.settle()
 }

@@ -8,8 +8,9 @@
 // smoothed deviation crosses the configured threshold it emits one
 // structured "drift" event on the recorder and bumps the drift.events
 // counter. Gauges (`drift.pct{task="k"}`, `drift.comm_pct{task="k"}`,
-// drift.worst_pct) track the smoothed deviations continuously, so a
-// scraper — or a future restreaming repartitioner — sees drift as it
+// each only for a component with a prediction, and drift.worst_pct over
+// the cycles past warmup) track the smoothed deviations continuously, so
+// a scraper — or a future restreaming repartitioner — sees drift as it
 // develops, not only when it alarms.
 package drift
 
@@ -169,14 +170,17 @@ func New(cfg Config, reg *obs.Registry, rec *obs.Recorder) *Monitor {
 	}
 }
 
-// taskLocked returns the task's state, creating it (and its gauges) on
-// first sight. Callers hold m.mu.
-func (m *Monitor) taskLocked(task int) *taskState {
+// taskLocked returns the task's state, creating it (and a gauge for each
+// predicted component) on first sight. Callers hold m.mu.
+func (m *Monitor) taskLocked(task int, preds [2]float64) *taskState {
 	ts, ok := m.tasks[task]
 	if !ok {
 		ts = &taskState{}
 		for i := range ts {
-			ts[i] = component{window: make([]float64, 0, window), gauge: m.reg.Gauge(fmt.Sprintf(gauges[i], task))}
+			ts[i].window = make([]float64, 0, window)
+			if predicted(preds[i]) {
+				ts[i].gauge = m.reg.Gauge(fmt.Sprintf(gauges[i], task))
+			}
 		}
 		m.tasks[task] = ts
 	}
@@ -198,7 +202,7 @@ func (m *Monitor) OnCycle(task, cycle int, cycleMs, exchangeMs float64) {
 	var fired [2]Event
 	nFired := 0
 	m.mu.Lock()
-	ts := m.taskLocked(task)
+	ts := m.taskLocked(task, preds)
 	for i := range ts {
 		s := &ts[i]
 		if !predicted(preds[i]) {
@@ -218,7 +222,7 @@ func (m *Monitor) OnCycle(task, cycle int, cycleMs, exchangeMs float64) {
 			}
 			nFired++
 		}
-		if a := math.Abs(s.ewma); a > m.worst {
+		if a := math.Abs(s.ewma); s.n >= m.cfg.Warmup && a > m.worst {
 			m.worst = a
 			m.reg.Gauge("drift.worst_pct").Set(a)
 		}
@@ -250,7 +254,8 @@ func predicted(predMs float64) bool {
 }
 
 // Worst reports the largest |EWMA deviation| seen so far across all tasks
-// and components (0 for a nil monitor).
+// and components, over the observations past warmup: the ones that may
+// fire an event (0 for a nil monitor).
 func (m *Monitor) Worst() float64 {
 	if m == nil {
 		return 0

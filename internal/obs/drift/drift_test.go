@@ -100,6 +100,29 @@ func TestWarmupSuppresses(t *testing.T) {
 	}
 }
 
+// TestWorstCountsWarmCyclesOnly: drift.worst_pct folds in the same
+// observations that may fire an event, so a start-of-run outlier inside
+// warmup counts only through the EWMA it leaves at the first warm cycle.
+// A component without a prediction exports no gauge.
+func TestWorstCountsWarmCyclesOnly(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := New(Config{PredCycleMs: 10, Warmup: 3}, reg, nil)
+	m.OnCycle(0, 0, 30, 0) // +200 %, the first cycle
+	for c := 1; c < 10; c++ {
+		m.OnCycle(0, c, 10, 0)
+	}
+	// The EWMA reads 200, 150, then 112.5 at the third, first warm, cycle.
+	if got := reg.Gauge("drift.worst_pct").Value(); got != 112.5 || m.Worst() != got {
+		t.Errorf("drift.worst_pct = %v, Worst() = %v, want 112.5", got, m.Worst())
+	}
+	if got := reg.Counter("drift.events").Value(); got != 1 {
+		t.Errorf("events = %d, want 1 (112.5 %% at the first warm cycle)", got)
+	}
+	if out := reg.Render(); strings.Contains(out, "drift.comm_pct") {
+		t.Errorf("unpredicted T_comm exports a gauge:\n%s", out)
+	}
+}
+
 func TestCommComponentAndPerTaskGauges(t *testing.T) {
 	reg := obs.NewRegistry()
 	var buf bytes.Buffer

@@ -33,7 +33,8 @@
 //	net := netpart.PaperTestbed()
 //	costs, _ := netpart.BenchmarkCosts(net, netpart.Topo1D())
 //	ann := netpart.StencilAnnotations(600, netpart.STEN2, 10)
-//	res, _ := netpart.Partition(net, costs, ann)
+//	est, _ := netpart.NewEstimator(net, costs, ann)
+//	res, _ := netpart.Partition(est)
 //	fmt.Println(res.Config, res.Vector, res.TcMs)
 package netpart
 
@@ -168,16 +169,11 @@ func NewEstimator(net *Network, costs *CostTable, ann *Annotations) (*Estimator,
 	return core.NewEstimator(net, costs, ann)
 }
 
-// Partition runs the Section 5.0 heuristic: fastest clusters first,
-// bisection over the unimodal T_c curve within each, opening a slower
-// cluster only when the faster one is exhausted.
-func Partition(net *Network, costs *CostTable, ann *Annotations) (Result, error) {
-	est, err := core.NewEstimator(net, costs, ann)
-	if err != nil {
-		return Result{}, err
-	}
-	return core.Partition(est)
-}
+// Partition runs the Section 5.0 heuristic on est: fastest clusters
+// first, bisection over the T_c curve within each, opening a slower
+// cluster only when the faster one is exhausted. Attach an Observer to
+// est (or tune it) before searching.
+func Partition(est *Estimator) (Result, error) { return core.Partition(est) }
 
 // Decompose computes the Eq. 3 load-balanced integer partition vector for
 // an explicit configuration.
@@ -275,13 +271,7 @@ func NewClusterManager(c *Cluster) *manager.Manager {
 // work): multi-start pairwise-coordinate descent over the full
 // configuration lattice, robust to the multimodal T_c surfaces that trap
 // the locality-first heuristic.
-func PartitionGlobal(net *Network, costs *CostTable, ann *Annotations) (Result, error) {
-	est, err := core.NewEstimator(net, costs, ann)
-	if err != nil {
-		return Result{}, err
-	}
-	return core.PartitionGlobal(est)
-}
+func PartitionGlobal(est *Estimator) (Result, error) { return core.PartitionGlobal(est) }
 
 // MetasystemTestbed returns the §7 metasystem: the paper's workstation
 // testbed plus an 8-node multicomputer on a fast private segment.
@@ -379,11 +369,6 @@ type (
 // single minimum and then weakly increases — the Fig. 3 shape the
 // bisection search depends on.
 func Unimodal(points []CurvePoint) bool { return core.Unimodal(points) }
-
-// PartitionWith runs the Section 5.0 heuristic on a caller-built estimator;
-// use this instead of Partition to attach an Observer (or tune the
-// estimator) before searching.
-func PartitionWith(est *Estimator) (Result, error) { return core.Partition(est) }
 
 // SinkObserver adapts a TraceRecorder into an Observer that streams every
 // candidate evaluation and search step as structured events.

@@ -8,6 +8,17 @@ import (
 	"netpart"
 )
 
+// newEstimator builds the estimator a search runs on, as the quick start
+// does.
+func newEstimator(t *testing.T, net *netpart.Network, costs *netpart.CostTable, ann *netpart.Annotations) *netpart.Estimator {
+	t.Helper()
+	est, err := netpart.NewEstimator(net, costs, ann)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
+
 // TestFacadeEndToEnd drives the whole public API the way the README's
 // quick start does: model → benchmark → partition → execute → verify.
 func TestFacadeEndToEnd(t *testing.T) {
@@ -21,7 +32,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	const n, iters = 300, 10
 	ann := netpart.StencilAnnotations(n, netpart.STEN2, iters)
-	res, err := netpart.Partition(net, costs, ann)
+	res, err := netpart.Partition(newEstimator(t, net, costs, ann))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +57,11 @@ func TestFacadeGlobalSearchAndMetasystem(t *testing.T) {
 	net := netpart.PaperTestbed()
 	costs := netpart.PaperCostTable()
 	ann := netpart.StencilAnnotations(300, netpart.STEN2, 10)
-	heur, err := netpart.Partition(net, costs, ann)
+	heur, err := netpart.Partition(newEstimator(t, net, costs, ann))
 	if err != nil {
 		t.Fatal(err)
 	}
-	global, err := netpart.PartitionGlobal(net, costs, ann)
+	global, err := netpart.PartitionGlobal(newEstimator(t, net, costs, ann))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +101,7 @@ func TestFacadeCompileAnnotations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := netpart.Partition(netpart.PaperTestbed(), netpart.PaperCostTable(), ann)
+	res, err := netpart.Partition(newEstimator(t, netpart.PaperTestbed(), netpart.PaperCostTable(), ann))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,13 +27,13 @@ func TestGoldenSearchTraceSten1(t *testing.T) {
 	}
 	st := &netpart.SearchTrace{}
 	est.Observer = st
-	res, err := netpart.PartitionWith(est)
+	res, err := netpart.Partition(est)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The plain facade entry point must agree with the observed search.
-	plain, err := netpart.Partition(net, costs, ann)
+	plain, err := netpart.Partition(newEstimator(t, net, costs, ann))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestFacadeTraceRecorderJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	rec := netpart.NewTraceRecorder(&buf)
 	est.Observer = netpart.SinkObserver(rec)
-	if _, err := netpart.PartitionWith(est); err != nil {
+	if _, err := netpart.Partition(est); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Len() == 0 {
