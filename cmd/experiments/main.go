@@ -248,7 +248,11 @@ func run(which, constants string, n, jobs int, showMetrics bool, serveAddr strin
 		if err != nil {
 			return err
 		}
-		fmt.Print(renderResiduals(rows, p))
+		held, err := experiments.HeldOutTwoRank(env)
+		if err != nil {
+			return err
+		}
+		fmt.Print(renderResiduals(rows, p, held))
 	}
 	if !did {
 		return fmt.Errorf("unknown experiment %q", which)

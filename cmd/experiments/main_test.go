@@ -87,7 +87,12 @@ func TestResidualsMatchTable2(t *testing.T) {
 	if len(p) != len(table2) {
 		t.Fatalf("%d rows of picks, want %d", len(p), len(table2))
 	}
-	if out := renderResiduals(rows, p); !strings.Contains(out, "offgrid") || !strings.Contains(out, "exhaustive") {
+	held, err := experiments.HeldOutTwoRank(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := renderResiduals(rows, p, held); !strings.Contains(out, "offgrid") || !strings.Contains(out, "exhaustive") ||
+		!strings.Contains(out, "metasystem") || !strings.Contains(out, "across router") {
 		t.Error("render malformed")
 	}
 }

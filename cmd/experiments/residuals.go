@@ -195,7 +195,7 @@ func picks(env *experiments.Env, rows []residualRow) ([]rowPicks, error) {
 	return out, nil
 }
 
-func renderResiduals(rows []residualRow, ps []rowPicks) string {
+func renderResiduals(rows []residualRow, ps []rowPicks, held []experiments.HeldOutRow) string {
 	var b strings.Builder
 	b.WriteString("Per cycle, ms; resid% = (predicted - simulated) / simulated; sim is the rank with the most compute.\n" +
 		"Simulated T_comm is sends plus receive waits: on STEN-2 only what the interior update does not hide.\n")
@@ -224,6 +224,17 @@ func renderResiduals(rows []residualRow, ps []rowPicks) string {
 			fmt.Sprintf("%d+%d", p.model.p1, p.model.p2), fmt.Sprintf("%.2f", p.model.pred.c),
 			counts(p.heuristic), fmt.Sprintf("%.2f", p.heuristic.TcMs),
 			counts(p.exhaustive), fmt.Sprintf("%.2f", p.exhaustive.TcMs))
+	}
+	b.WriteString(t.String())
+	b.WriteString("\nHeld out: every two-rank STEN-1 configuration on the metasystem (E10) and Fig. 1 networks, each fitted by commbench\n")
+	t = experiments.NewTextTable("testbed", "N", "config", "pair", "Tc_pred", "Tc_sim", "resid%")
+	for _, r := range held {
+		pair := "one segment"
+		if r.Crossing {
+			pair = "across router"
+		}
+		t.Add(r.Testbed, fmt.Sprint(r.N), r.Config.String(), pair,
+			fmt.Sprintf("%.2f", r.PredMs), fmt.Sprintf("%.2f", r.SimMs), fmt.Sprintf("%+.1f", r.ResidualPct()))
 	}
 	b.WriteString(t.String())
 	return b.String()

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -252,7 +254,8 @@ func TestRunHonoursOrRefuses(t *testing.T) {
 // attached on live, whose -repart rounds all run on the interval. It
 // watches T_c only: an idle STEN-1 run, whose ranks wait on their
 // neighbours by different amounts, raises no event, and a slowed one
-// raises cycle events.
+// raises cycle events. An idle STEN-1 run, at N = 300 (six ranks) and at
+// N = 60 (two ranks on one segment), measures within 5 % of its estimate.
 func TestRunDriftMonitorSimOnly(t *testing.T) {
 	auto := runOptions{N: 240, Variant: "sten2", Iters: 40, P1: -1, P2: -1, Verify: true, Metrics: true}
 
@@ -267,14 +270,20 @@ func TestRunDriftMonitorSimOnly(t *testing.T) {
 	}
 
 	for _, c := range []struct {
+		n      int
 		faults string
 		events bool
-	}{{"", false}, {"slow:1,4@5-40", true}} {
+	}{{300, "", false}, {300, "slow:1,4@5-40", true}, {60, "", false}} {
 		sten1 := sim
-		sten1.Variant, sten1.N, sten1.Faults = "sten1", 300, c.faults
+		sten1.Variant, sten1.N, sten1.Faults = "sten1", c.n, c.faults
 		sten1.TraceFile = filepath.Join(t.TempDir(), "sten1.jsonl")
 		if out, err = runOut(t, sten1); err != nil {
 			t.Fatal(err)
+		}
+		if c.faults == "" {
+			if drift, ok := gauge(out, "stencil.drift_pct"); !ok || math.Abs(drift) > 5 {
+				t.Errorf("N=%d idle: estimate drift %v%% (exported %t), want within 5%%\n%s", c.n, drift, ok, out)
+			}
 		}
 		events := 0
 		for _, ev := range readTrace(t, sten1.TraceFile) {
@@ -283,11 +292,11 @@ func TestRunDriftMonitorSimOnly(t *testing.T) {
 			}
 			events++
 			if ev["component"] != "cycle" {
-				t.Errorf("faults %q: drift event on %v, want cycle: %v", c.faults, ev["component"], ev)
+				t.Errorf("N=%d faults %q: drift event on %v, want cycle: %v", c.n, c.faults, ev["component"], ev)
 			}
 		}
 		if (events > 0) != c.events {
-			t.Errorf("faults %q: %d drift events, want any: %t\n%s", c.faults, events, c.events, out)
+			t.Errorf("N=%d faults %q: %d drift events, want any: %t\n%s", c.n, c.faults, events, c.events, out)
 		}
 	}
 
@@ -316,6 +325,17 @@ func TestRunDriftMonitorSimOnly(t *testing.T) {
 	if plans == 0 {
 		t.Error("live run recorded no plan")
 	}
+}
+
+// gauge reads one gauge from a -metrics dump.
+func gauge(out, name string) (float64, bool) {
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == name {
+			v, err := strconv.ParseFloat(f[1], 64)
+			return v, err == nil
+		}
+	}
+	return 0, false
 }
 
 // TestRunAppliesFaultsAsWritten: the printed schedule is the one requested,

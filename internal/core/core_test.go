@@ -411,6 +411,83 @@ func TestEstimateSTEN1MatchesHandComputation(t *testing.T) {
 	}
 }
 
+// TestEstimateTwoRankLeapfrog pins the two-rank charge at N = 60 STEN-1
+// (b = 240 bytes) on the paper's constants. Two ranks on one segment
+// leapfrog: each waits for one border, not the two-station burst, so own
+// is Eq. 1(b, 2) less one message's channel hold, (C2 + b·C4)/2. A pair
+// across the router keeps the crossing charge.
+func TestEstimateTwoRankLeapfrog(t *testing.T) {
+	const b = 240
+	tbl := cost.PaperTable()
+	sparc, err := tbl.Comm(model.Sparc2Cluster, "1-D")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ipc, err := tbl.Comm(model.IPCCluster, "1-D")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The charge before the leapfrog, for the pair across the router:
+	// own is the worse cluster's Eq. 1(b, 2) plus the router, and the
+	// burst (the router one more station on each side) is the same.
+	pen := tbl.Router(model.Sparc2Cluster, model.IPCCluster).Eval(b)
+	crossOwn := max(sparc.Eval(b, 2)+pen, ipc.Eval(b, 2)+pen)
+	for _, tc := range []struct {
+		name         string
+		oneSegment   bool // the IPC cluster moved onto sparc2's segment
+		counts       []int
+		tcomp, tcomm float64
+		exactTc      float64 // when non-zero, T_c must equal it bit for bit
+	}{
+		// Tcomp = 0.0003·300·30 = 2.7 ms. Eq. 1(240, 2) = 2.2 + 240·0.00016
+		// = 2.2384 ms, less (1.1 + 240·0.00283)/2 = 0.8896: own 1.3488, and
+		// T_c = max(2.2384, 2.7 + 1.3488) = 4.0488 ms.
+		{name: "2+0 one segment", counts: []int{2, 0}, tcomp: 2.7, tcomm: 1.3488},
+		// Eq. 3 gives sparc2 40 rows and the IPC 20: Tcomp = 0.0003·300·40
+		// = 3.6 ms. The IPC's Eq. 1(240, 2) = 3.8 − 240·0.00316 = 3.0416
+		// plus the router 0.0006·240 = 0.144 is own, 3.1856, and T_c =
+		// 6.7856 ms, as before the leapfrog.
+		{name: "1+1 across the router", counts: []int{1, 1}, tcomp: 3.6, tcomm: 3.1856,
+			exactTc: max(crossOwn, 3.6+crossOwn)},
+		// The same pair on one segment pays no router and leapfrogs: the
+		// IPC's own is 3.0416 − (1.9 + 240·0.00457)/2 = 1.5432, sparc2's
+		// 1.3488, and T_c = max(3.0416, 3.6 + 1.5432) = 5.1432 ms. The
+		// burst keeps the router station, as cost.Table.CommCost does.
+		{name: "1+1 one segment", oneSegment: true, counts: []int{1, 1}, tcomp: 3.6, tcomm: 1.5432},
+	} {
+		e, err := NewEstimator(model.PaperTestbed(), tbl, stencilAnnotations(60, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.oneSegment {
+			// Validate keeps each cluster on a segment of its own, so the
+			// pair is made after the estimator is: the rule reads the
+			// clusters' segments, not only the border between them.
+			e.Net.Cluster(model.IPCCluster).Segment = e.Net.Cluster(model.Sparc2Cluster).Segment
+		}
+		est, err := e.Estimate(cost.Config{Clusters: []string{model.Sparc2Cluster, model.IPCCluster}, Counts: tc.counts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.BytesPerMsg != b {
+			t.Fatalf("%s: BytesPerMsg = %v, want %v", tc.name, est.BytesPerMsg, b)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"Tcomp", est.TcompMs, tc.tcomp}, {"Tcomm", est.TcommMs, tc.tcomm}, {"Tc", est.TcMs, tc.tcomp + tc.tcomm},
+		} {
+			if math.Abs(c.got-c.want) > 1e-9 {
+				t.Errorf("%s: %s = %v, want %v", tc.name, c.name, c.got, c.want)
+			}
+		}
+		if tc.exactTc != 0 && est.TcMs != tc.exactTc {
+			t.Errorf("%s: Tc = %v, want %v bit for bit", tc.name, est.TcMs, tc.exactTc)
+		}
+	}
+}
+
 func TestEstimateSTEN2OverlapIsMax(t *testing.T) {
 	e := paperEstimator(t, 1200, true)
 	est, err := e.Estimate(cost.Config{
@@ -471,8 +548,10 @@ func TestEstimateCountsEvaluations(t *testing.T) {
 //
 // STEN-1 cycles are staggered: T_c = max(burst, Tcomp + d·own), d = 1 at
 // two ranks and 2 from three on. In ms:
-//   - N=60: 2+0 is 2.7 + 2.2384 = 4.94; 3+0 is 1.8 + 2·2.2384 = 6.28, 4+0
-//     the burst 5.80 (a second, higher minimum), 1+0 is 5.4.
+//   - N=60: 2+0 is 2.7 + 1.3488 = 4.05 (two ranks on one segment
+//     leapfrog: Eq. 1(b, 2) = 2.2384 less one message, 0.8896); 3+0 is
+//     1.8 + 2·2.2384 = 6.28, 4+0 the burst 5.80 (a second, higher
+//     minimum), 1+0 is 5.4.
 //   - N=300: from 6+2 to 6+4 the cycle is the crossing burst, 25.592 ms
 //     ((-0.0055 + 0.00283·7)·1200 + 1.1·7 + 0.0006·1200, the router one
 //     more station), below 6+0's 22.5 + 2·2.392 = 27.28; the smallest

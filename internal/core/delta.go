@@ -390,9 +390,12 @@ func (d *DeltaEval) pairFor(i, j int) *deltaPair {
 // for bit); without it, Section 6.0's composition omits the extra station.
 // That is the burst. own, in the same walk, is the slowest rank's exchange
 // with one neighbour: the largest Eq. 1_i(b, 2), plus the cluster's
-// crossing penalty when its ranks cross. Border detection uses
-// topo.SegmentCrosses on the contiguous placement's rank ranges, so no
-// placement is materialized.
+// crossing penalty when its ranks cross. Two ranks on one segment
+// leapfrog: the channel carries both borders, but each rank waits for
+// only its neighbour's, so their own is Eq. 1_i(b, 2) less one message's
+// channel hold, (C2 + b·C4)/2. Border detection uses topo.SegmentCrosses
+// on the contiguous placement's rank ranges, so no placement is
+// materialized.
 //
 //netpart:hotpath
 func (d *DeltaEval) commCost(b float64, total int) (burst, own float64, err error) {
@@ -420,9 +423,14 @@ func (d *DeltaEval) commCost(b float64, total int) (burst, own float64, err erro
 			p++ // the router is one more station on this segment
 		}
 		c, o := params.Eval(b, p), params.Eval(b, 2)
+		routed := false
 		if crosses {
-			pen := d.crossPenalty(i, b)
+			var pen float64
+			pen, routed = d.crossPenalty(i, b)
 			c, o = c+pen, o+pen
+		}
+		if total == 2 && !routed {
+			o -= (params.C2 + b*params.C4) / 2
 		}
 		burst, own = max(burst, c), max(own, o)
 	}
@@ -430,11 +438,11 @@ func (d *DeltaEval) commCost(b float64, total int) (burst, own float64, err erro
 }
 
 // crossPenalty is the worst router (plus coercion) cost from cluster from
-// to any other active cluster on another segment.
+// to any other active cluster on another segment; routed reports whether
+// there is one.
 //
 //netpart:hotpath
-func (d *DeltaEval) crossPenalty(from int, b float64) float64 {
-	worst := 0.0
+func (d *DeltaEval) crossPenalty(from int, b float64) (worst float64, routed bool) {
 	cl := d.cl
 	for j := range cl {
 		if cl[j].count == 0 || j == from {
@@ -444,6 +452,7 @@ func (d *DeltaEval) crossPenalty(from int, b float64) float64 {
 		if pr.sameSeg {
 			continue
 		}
+		routed = true
 		p := pr.router.Eval(b)
 		if pr.coerce {
 			p += pr.coerceC.Eval(b)
@@ -452,7 +461,7 @@ func (d *DeltaEval) crossPenalty(from int, b float64) float64 {
 			worst = p
 		}
 	}
-	return worst
+	return worst, routed
 }
 
 // startupCost estimates T_startup (at least two tasks): the root, the

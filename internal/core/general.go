@@ -30,6 +30,7 @@ func PartitionGlobal(e *Estimator) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	e.evaluations = heur.Evaluations // the start's probes are this search's too
 	counts := s.cfg.Counts
 
 	// Every start is a copy: the heuristic's counts are its Result's (and

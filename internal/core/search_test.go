@@ -338,12 +338,47 @@ func TestSearchesBitIdentical(t *testing.T) {
 	}
 }
 
+// TestEvaluationsCountComputedCandidates pins a search's evaluation count
+// to its decision record: for every strategy on every golden input,
+// Result.Evaluations and the last winner event's count are the number of
+// candidates the observer records as computed, memo hits left out. The
+// global search's count includes its bisect start's probes.
+func TestEvaluationsCountComputedCandidates(t *testing.T) {
+	for _, sc := range searchGoldenCases(t) {
+		for _, st := range searchStrategies {
+			e := sc.mk(t)
+			trace := &SearchTrace{}
+			e.Observer = trace
+			res, err := st.run(e)
+			if err != nil {
+				continue // the golden lines pin the errors
+			}
+			computed := 0
+			for _, c := range trace.Candidates {
+				if !c.Cached {
+					computed++
+				}
+			}
+			winner := -1
+			for _, ev := range trace.Events {
+				if ev.Kind == EvWinner {
+					winner = ev.Evaluations
+				}
+			}
+			if res.Evaluations != computed || winner != computed {
+				t.Errorf("%s %s: %d evaluations, winner event %d, %d candidates computed",
+					sc.name, st.name, res.Evaluations, winner, computed)
+			}
+		}
+	}
+}
+
 // TestPartitionGlobalKeysFullCounts pins the global search's memo key on
 // a lattice with counts of 256 and more: two clusters of 300 and N = 600,
 // where the pairwise sweep visits every configuration. Each one must be
 // estimated exactly once under its own counts, so the evaluation count
-// equals the number of distinct configurations in the candidate stream,
-// which is the whole lattice.
+// beyond its bisect start's equals the number of distinct configurations
+// in the candidate stream, which is the whole lattice.
 func TestPartitionGlobalKeysFullCounts(t *testing.T) {
 	const avail = 300
 	net := model.PaperTestbed()
@@ -351,6 +386,10 @@ func TestPartitionGlobalKeysFullCounts(t *testing.T) {
 		c.Procs, c.Available = avail, avail
 	}
 	e, err := NewEstimator(net, cost.PaperTable(), stencilAnnotations(2*avail, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, err := Partition(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,8 +408,9 @@ func TestPartitionGlobalKeysFullCounts(t *testing.T) {
 	if !large {
 		t.Error("no configuration with a count ≥ 256 was estimated")
 	}
-	if lattice := (avail+1)*(avail+1) - 1; res.Evaluations != len(distinct) || len(distinct) != lattice {
-		t.Errorf("%d evaluations over %d distinct configurations, want both %d", res.Evaluations, len(distinct), lattice)
+	if lattice, n := (avail+1)*(avail+1)-1, res.Evaluations-start.Evaluations; n != len(distinct) || len(distinct) != lattice {
+		t.Errorf("%d evaluations after the start's %d over %d distinct configurations, want both %d",
+			n, start.Evaluations, len(distinct), lattice)
 	}
 }
 
