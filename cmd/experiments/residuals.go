@@ -10,6 +10,7 @@ import (
 	"netpart/internal/core"
 	"netpart/internal/experiments"
 	"netpart/internal/model"
+	"netpart/internal/parallel"
 	"netpart/internal/stencil"
 	"netpart/internal/trace"
 )
@@ -144,7 +145,7 @@ func residuals(env *experiments.Env) ([]residualRow, error) {
 		return nil, err
 	}
 	rows := make([]residualRow, len(units))
-	err = experiments.ParallelFor(env.Jobs, len(units), func(i int) error {
+	err = parallel.For(env.Jobs, len(units), func(i int) error {
 		row, err := residual(env.Clone(), units[i])
 		rows[i] = row
 		return err

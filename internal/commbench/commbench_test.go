@@ -1,9 +1,14 @@
 package commbench
 
 import (
+	"fmt"
+	"maps"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
+	"netpart/internal/cost"
 	"netpart/internal/model"
 	"netpart/internal/topo"
 )
@@ -147,6 +152,106 @@ func TestFitsBitIdentical(t *testing.T) {
 	}
 	if len(res.Coerce) != 0 {
 		t.Errorf("coercion fits %+v on a single-format testbed", res.Coerce)
+	}
+
+	// Run's pool: one worker and several give the same fits and table,
+	// bit for bit.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	want0 := fingerprint(t, res)
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		r, err := Run(model.PaperTestbed(), []topo.Topology{topo.OneD{}, topo.Broadcast{}, topo.Mesh2D{}}, DefaultGrid())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fingerprint(t, r); got != want0 {
+			t.Errorf("GOMAXPROCS %d:\n%s\nwant\n%s", procs, got, want0)
+		}
+	}
+}
+
+// fingerprint renders a Result's fits and table exactly: %v prints each
+// float64 in the shortest form that reads back to the same bits.
+func fingerprint(t *testing.T, res *Result) string {
+	t.Helper()
+	var b strings.Builder
+	fmt.Fprintf(&b, "%+v\n", res.Fits)
+	if err := cost.WriteTable(&b, res.Table); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// programs counts a plan's distinct programs by kind.
+func programs(pl *plan) map[progKind]int {
+	n := make(map[progKind]int)
+	for _, pr := range pl.progs {
+		n[pr.kind]++
+	}
+	return n
+}
+
+// TestSharedProgramsMeasureAlike holds the premise of Run's dedupe: a
+// program two topologies share measures the same whichever one asks for
+// it. On a seven-processor cluster 2-D at p = 2, 3, 5 and 7 is 1-D's
+// program, and so is broadcast at p = 2; a Run over all three topologies
+// measures those through 1-D, and its 2-D fits must equal those of a Run
+// over 2-D alone, bit for bit, with and without jitter.
+func TestSharedProgramsMeasureAlike(t *testing.T) {
+	net := model.PaperTestbed()
+	net.Clusters[0].Procs, net.Clusters[0].Available = 7, 7
+	all := []topo.Topology{topo.OneD{}, topo.Broadcast{}, topo.Mesh2D{}}
+	for _, jitter := range []float64{0, 0.2} {
+		grid := DefaultGrid()
+		grid.Jitter, grid.Seed = jitter, 1994
+		pl, err := newPlan(net, all, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Per message size: sparc2 (p = 2..7) 1-D 6, broadcast 5, 2-D 2
+		// (p = 4, 6); ipc (p = 2..6) 5, 4 and 2. 24 of 33 cycles; the
+		// pair's three deliveries are distinct.
+		b := len(grid.Bytes)
+		if got, want := programs(pl), (map[progKind]int{progCycle: 24 * b, progDelivery: 3 * b}); !maps.Equal(got, want) {
+			t.Errorf("jitter %v: programs %v, want %v", jitter, got, want)
+		}
+		both, err := Run(net, all, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone, err := Run(net, []topo.Topology{topo.Mesh2D{}}, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []ClusterFit
+		for _, f := range both.Fits {
+			if f.Topology == "2-D" {
+				got = append(got, f)
+			}
+		}
+		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", alone.Fits) {
+			t.Errorf("jitter %v: 2-D fits beside 1-D and broadcast\n%+v\nwant, as fitted alone,\n%+v", jitter, got, alone.Fits)
+		}
+	}
+}
+
+// TestSelfDeliveryOncePerSize: each cluster's d_ii is one program per
+// message size however many cross-segment pairs it is in. Fig. 1's three
+// clusters are pairwise across the router and rs6000's format differs from
+// the other two.
+func TestSelfDeliveryOncePerSize(t *testing.T) {
+	grid := DefaultGrid()
+	pl, err := newPlan(model.Figure1Network(), []topo.Topology{topo.OneD{}}, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per size: 3 crossing deliveries and 3 self-deliveries (9 listed);
+	// send CPU a→b and a→a for sun4-rs6000 and hp-rs6000; 1-D at p = 2..4
+	// on each of the three clusters.
+	b := len(grid.Bytes)
+	want := map[progKind]int{progCycle: 9 * b, progDelivery: 6 * b, progSendCPU: 4 * b}
+	if got := programs(pl); !maps.Equal(got, want) {
+		t.Errorf("programs %v, want %v", got, want)
 	}
 }
 

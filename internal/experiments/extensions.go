@@ -8,6 +8,7 @@ import (
 	"netpart/internal/core"
 	"netpart/internal/cost"
 	"netpart/internal/model"
+	"netpart/internal/parallel"
 	"netpart/internal/particles"
 	"netpart/internal/simnet"
 	"netpart/internal/stencil"
@@ -216,7 +217,7 @@ func ExtendedAblations(e *Env) ([]AblationRow, error) {
 		ablationGlobal,
 	}
 	rows := make([]AblationRow, len(units))
-	err := ParallelFor(e.workers(), len(units), func(i int) error {
+	err := parallel.For(e.workers(), len(units), func(i int) error {
 		row, err := units[i](e.Clone())
 		if err != nil {
 			return err
@@ -310,7 +311,7 @@ func ImplSelect(e *Env) ([]ImplSelectRow, error) {
 	// The shared 2-D benchmark above runs once; the per-size comparisons
 	// (two searches plus two simulator runs each) are independent units.
 	rows := make([]ImplSelectRow, len(ProblemSizes))
-	err = ParallelFor(e.workers(), len(ProblemSizes), func(i int) error {
+	err = parallel.For(e.workers(), len(ProblemSizes), func(i int) error {
 		env := e.Clone()
 		n := ProblemSizes[i]
 		oneD, twoD, err := stencil2d.CompareImplementations(env.Net, bench.Table, n, Iterations)
@@ -483,7 +484,7 @@ func SelectionCost(e *Env, n int) (*SelectionCostResult, error) {
 	// reported probe total) is exactly the serial strategy's.
 	runs := append(append([]cost.Config(nil), candidates...), part.Config)
 	times := make([]float64, len(runs))
-	err = ParallelFor(e.workers(), len(runs), func(i int) error {
+	err = parallel.For(e.workers(), len(runs), func(i int) error {
 		ms, err := run(e.Clone(), runs[i])
 		if err != nil {
 			return err
@@ -552,7 +553,7 @@ type NoiseRow struct {
 func Noise(e *Env) ([]NoiseRow, error) {
 	jitters := []float64{0, 0.1, 0.3, 0.5}
 	rows := make([]NoiseRow, len(jitters))
-	err := ParallelFor(e.workers(), len(jitters), func(i int) error {
+	err := parallel.For(e.workers(), len(jitters), func(i int) error {
 		row, err := noiseLevel(e.Clone(), jitters[i])
 		if err != nil {
 			return err

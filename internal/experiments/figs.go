@@ -6,6 +6,7 @@ import (
 
 	"netpart/internal/core"
 	"netpart/internal/model"
+	"netpart/internal/parallel"
 	"netpart/internal/stencil"
 	"netpart/internal/trace"
 )
@@ -52,7 +53,7 @@ func Fig3(e *Env, n int, v stencil.Variant) ([]Fig3Point, error) {
 		}
 		ests[i] = pe.Detach()
 	}
-	err = ParallelFor(e.workers(), len(pts), func(i int) error {
+	err = parallel.For(e.workers(), len(pts), func(i int) error {
 		env := e.Clone()
 		p := i + 1
 		p1, p2 := p, 0

@@ -5,6 +5,7 @@ import (
 	"netpart/internal/core"
 	"netpart/internal/cost"
 	"netpart/internal/model"
+	"netpart/internal/parallel"
 	"netpart/internal/stencil"
 	"netpart/internal/topo"
 	"netpart/internal/trace"
@@ -76,7 +77,7 @@ func HeldOutTwoRank(e *Env) ([]HeldOutRow, error) {
 		}
 	}
 	rows := make([]HeldOutRow, len(units))
-	err := ParallelFor(e.workers(), len(units), func(i int) error {
+	err := parallel.For(e.workers(), len(units), func(i int) error {
 		u := units[i]
 		est, err := core.NewEstimator(u.net, u.tbl, stencil.Annotations(u.N, stencil.STEN1, Iterations))
 		if err != nil {

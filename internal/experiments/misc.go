@@ -9,6 +9,7 @@ import (
 	"netpart/internal/cost"
 	"netpart/internal/gauss"
 	"netpart/internal/model"
+	"netpart/internal/parallel"
 	"netpart/internal/stencil"
 )
 
@@ -210,7 +211,7 @@ func Ablations(e *Env) ([]AblationRow, error) {
 		ablationOracle, ablationScan, ablationDecomp, ablationOverlap, ablationDynamic,
 	}
 	rows := make([]AblationRow, len(units))
-	err := ParallelFor(e.workers(), len(units), func(i int) error {
+	err := parallel.For(e.workers(), len(units), func(i int) error {
 		row, err := units[i](e.Clone())
 		if err != nil {
 			return err

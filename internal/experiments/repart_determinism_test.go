@@ -7,6 +7,7 @@ import (
 	"netpart/internal/core"
 	"netpart/internal/cost"
 	"netpart/internal/model"
+	"netpart/internal/parallel"
 	"netpart/internal/repart"
 	"netpart/internal/stencil"
 )
@@ -79,7 +80,7 @@ func TestAdaptivePlanGolden(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		const replicas = 4
 		outs := make([]string, replicas)
-		if err := ParallelFor(workers, replicas, func(i int) error {
+		if err := parallel.For(workers, replicas, func(i int) error {
 			outs[i] = run()
 			return nil
 		}); err != nil {

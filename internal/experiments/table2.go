@@ -7,6 +7,7 @@ import (
 	"netpart/internal/balance"
 	"netpart/internal/core"
 	"netpart/internal/model"
+	"netpart/internal/parallel"
 	"netpart/internal/stencil"
 	"netpart/internal/trace"
 )
@@ -116,7 +117,7 @@ func Table2(e *Env) ([]Table2Row, error) {
 	}
 	eqMs := make([]float64, len(specs))
 	predRunMs := make([]float64, len(specs))
-	err := ParallelFor(e.workers(), len(units), func(i int) error {
+	err := parallel.For(e.workers(), len(units), func(i int) error {
 		u := units[i]
 		env := e.Clone()
 		s := specs[u.row]
