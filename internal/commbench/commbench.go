@@ -57,19 +57,11 @@ func MeasureCycle(net *model.Network, cluster string, tp topo.Topology, p, b, cy
 		return 0, err
 	}
 	procs := make([]*simnet.Proc, p)
-	for i := 0; i < p; i++ {
-		rank := i
-		procs[i] = sim.Spawn(fmt.Sprintf("bench-%d", rank), cluster, func(pr *simnet.Proc) {
-			ns := tp.Neighbors(rank, p)
-			for c := 0; c < cycles; c++ {
-				for _, nb := range ns {
-					pr.Send(procs[nb], b, nil)
-				}
-				for _, nb := range ns {
-					pr.Recv(procs[nb])
-				}
-			}
-		})
+	ranks := make([]rank, p)
+	for i := range ranks {
+		ns := tp.Neighbors(i, p)
+		ranks[i] = rank{procs: procs, to: ns, from: ns, b: b, rounds: cycles}
+		procs[i] = sim.SpawnStep(fmt.Sprintf("bench-%d", i), cluster, ranks[i].step)
 	}
 	if err := sim.Run(); err != nil {
 		return 0, err
@@ -81,47 +73,85 @@ func MeasureCycle(net *model.Network, cluster string, tp topo.Topology, p, b, cy
 // single b-byte message from a task on cluster src to a task on cluster
 // dst.
 func MeasureDelivery(net *model.Network, src, dst string, b int) (float64, error) {
-	sim, err := simnet.New(net)
+	ranks, err := oneMessage(net, src, dst, b)
 	if err != nil {
 		return 0, err
 	}
-	var delivered float64
-	var procs [2]*simnet.Proc
-	procs[0] = sim.Spawn("src", src, func(pr *simnet.Proc) {
-		pr.Send(procs[1], b, nil)
-	})
-	procs[1] = sim.Spawn("dst", dst, func(pr *simnet.Proc) {
-		msg := pr.Recv(procs[0])
-		delivered = msg.DeliveredAt
-	})
-	if err := sim.Run(); err != nil {
-		return 0, err
-	}
-	return delivered, nil
+	return ranks[1].delivered, nil
 }
 
 // MeasureSendCPU returns the virtual time a Send call occupies the sending
 // task for a b-byte message from cluster src to cluster dst (which includes
 // the per-byte coercion cost when formats differ).
 func MeasureSendCPU(net *model.Network, src, dst string, b int) (float64, error) {
-	sim, err := simnet.New(net)
+	ranks, err := oneMessage(net, src, dst, b)
 	if err != nil {
 		return 0, err
 	}
-	var cpu float64
-	var procs [2]*simnet.Proc
-	procs[0] = sim.Spawn("src", src, func(pr *simnet.Proc) {
-		t0 := pr.Now()
-		pr.Send(procs[1], b, nil)
-		cpu = pr.Now() - t0
-	})
-	procs[1] = sim.Spawn("dst", dst, func(pr *simnet.Proc) {
-		pr.Recv(procs[0])
-	})
-	if err := sim.Run(); err != nil {
-		return 0, err
+	return ranks[0].end, nil // the sender starts at virtual time 0
+}
+
+// oneMessage runs the program of MeasureDelivery and MeasureSendCPU: a task
+// on cluster src sends one b-byte message to a task on cluster dst.
+func oneMessage(net *model.Network, src, dst string, b int) (*[2]rank, error) {
+	sim, err := simnet.New(net)
+	if err != nil {
+		return nil, err
 	}
-	return cpu, nil
+	procs := make([]*simnet.Proc, 2)
+	ranks := &[2]rank{
+		{procs: procs, to: []int{1}, b: b, rounds: 1},
+		{procs: procs, from: []int{0}, rounds: 1},
+	}
+	procs[0] = sim.SpawnStep("src", src, ranks[0].step)
+	procs[1] = sim.SpawnStep("dst", dst, ranks[1].step)
+	if err := sim.Run(); err != nil {
+		return nil, err
+	}
+	return ranks, nil
+}
+
+// rank is one task of a benchmark program, run as a simnet step task: for
+// each of rounds, a b-byte send to each of to and then a receive from each
+// of from (indices into procs), and then finish. It is the loop
+//
+//	for range rounds {
+//		for _, i := range to { pr.Send(procs[i], b, nil) }
+//		for _, i := range from { delivered = pr.Recv(procs[i]).DeliveredAt }
+//	}
+//
+// taken one send or receive per wake.
+type rank struct {
+	procs     []*simnet.Proc
+	to, from  []int
+	b, rounds int
+	// round and op are where the loop stands: op < len(to) is the next
+	// send, and after those the next receive is from[op-len(to)].
+	round, op int
+	// end is the virtual time of finishing, delivered that of the last
+	// message received reaching the mailbox.
+	end, delivered float64
+}
+
+func (r *rank) step(pr *simnet.Proc) {
+	n := len(r.to)
+	switch {
+	case r.round == r.rounds || n+len(r.from) == 0:
+		r.end = pr.Now()
+		pr.Finish()
+		return
+	case r.op < n:
+		pr.StartSend(r.procs[r.to[r.op]], r.b, nil)
+	default:
+		msg, ok := pr.TryRecv(r.procs[r.from[r.op-n]])
+		if !ok {
+			return
+		}
+		r.delivered = msg.DeliveredAt
+	}
+	if r.op++; r.op == n+len(r.from) {
+		r.round, r.op = r.round+1, 0
+	}
 }
 
 // ClusterFit records the fitted constants and fit quality for one
@@ -220,6 +250,11 @@ func (pl *plan) run() ([]float64, error) {
 	ms := make([]float64, len(pl.progs))
 	err := parallel.For(runtime.GOMAXPROCS(0), len(pl.progs), func(i int) error {
 		pr := pl.progs[i]
+		// A program of step tasks never blocks, so a worker would run one
+		// after another while a GC cycle's mark worker waits for a
+		// processor, its write barriers on all the while; yield between
+		// programs.
+		defer runtime.Gosched()
 		var err error
 		switch pr.kind {
 		case progCycle:

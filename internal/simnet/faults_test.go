@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math"
 	"testing"
 
 	"netpart/internal/faults"
@@ -64,5 +65,53 @@ func TestFaultInjectorLostMessageIsDeadlockNotHang(t *testing.T) {
 	})
 	if err := s.Run(); err == nil {
 		t.Fatal("Run = nil, want deadlock error for the lost message")
+	}
+}
+
+// TestFaultInjectorTimesPinned pins the virtual end time and a weighted sum
+// of every delivery time, in float64 bits, of a six-rank ring across the
+// router under drops and delays, at three injector seeds. The values were
+// recorded when each retransmission and delayed transmission was still a
+// closure; a change to how the injector's events are scheduled that moved
+// any virtual time would move them.
+func TestFaultInjectorTimesPinned(t *testing.T) {
+	want := map[uint64][2]uint64{
+		1: {0x40646a2d0e560414, 0x411ddb109604188e},
+		2: {0x4064bf70a3d70a3b, 0x411db906bae147aa},
+		3: {0x4064689374bc6a7a, 0x411d942bd374bc68},
+	}
+	for seed, w := range want {
+		inj := faults.NewEngine(faults.MustParse("drop:0.4;delay:0.3,2"), seed, nil)
+		var sum float64
+		n := 0
+		s, err := New(model.PaperTestbed(), WithFaultInjector(inj, 3), WithMessageObserver(func(d Delivery) {
+			n++
+			sum += float64(n) * d.DeliveredAtMs
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs := make([]*Proc, 6)
+		for i := range procs {
+			i := i
+			cl := model.Sparc2Cluster
+			if i >= 3 {
+				cl = model.IPCCluster
+			}
+			procs[i] = s.Spawn("t", cl, func(p *Proc) {
+				for r := 0; r < 8; r++ {
+					p.Send(procs[(i+1)%6], 700, nil)
+					p.Send(procs[(i+5)%6], 700, nil)
+					p.Recv(procs[(i+1)%6])
+					p.Recv(procs[(i+5)%6])
+				}
+			})
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := [2]uint64{math.Float64bits(s.Now()), math.Float64bits(sum)}; got != w || n != 96 {
+			t.Errorf("seed %d: end and delivery-sum bits %#x over %d deliveries, want %#x over 96", seed, got, n, w)
+		}
 	}
 }

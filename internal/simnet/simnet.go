@@ -5,18 +5,27 @@
 // joining segments with a per-byte delay, per-byte data coercion between
 // clusters of different formats, and host send/receive processing costs.
 //
-// Simulated tasks are goroutines that pass a baton: exactly one goroutine
-// — a running task, or Run before the first task starts — holds the event
-// queue and the simulation state at a time, and only the holder reads or
-// writes them. Tasks advance the virtual clock by blocking in Advance,
-// Send, and Recv; a blocking task keeps the baton and runs the event loop
-// itself, handling router hops and deliveries inline until an event wakes
-// a task. If that is the task itself it carries on without a goroutine
-// switch; otherwise it hands the baton to the woken task and waits for its
-// own wake. Runs are fully deterministic — the event queue is ordered by
+// A simulated task is one of two kinds. A goroutine task (Spawn) runs a
+// body on a goroutine of its own and advances the virtual clock by blocking
+// in Advance, Send and Recv; its body may block anywhere. A step task
+// (SpawnStep) is a small state machine with no goroutine: the simulator
+// calls its step function at each of its wakes, and each call starts a
+// send, tries a receive, or finishes. The offline benchmark programs are
+// step tasks; everything whose body blocks in the middle of its own code
+// (spmd, and so every stencil run) is goroutine tasks.
+//
+// Goroutine tasks pass a baton: exactly one goroutine — a running task, or
+// Run before the first task starts — holds the event queue and the
+// simulation state at a time, and only the holder reads or writes them. A
+// blocking task keeps the baton and runs the event loop itself, handling
+// router hops, deliveries and step-task wakes inline until an event wakes a
+// goroutine task. If that is the task itself it carries on without a
+// goroutine switch; otherwise it hands the baton to the woken task and
+// waits for its own wake. A run of step tasks alone is one loop on Run's
+// goroutine. Runs are fully deterministic — the event queue is ordered by
 // (virtual time, sequence number) and the simulation uses no wall-clock
-// time or randomness — so which goroutine runs an event never changes what
-// the event does.
+// time or randomness — so which goroutine runs an event, and which kind of
+// task makes a send or a receive, never changes what the event does.
 //
 // Why this produces Eq. 1 costs: a message of b bytes from a cluster with
 // per-message channel occupancy σ (model.Cluster.MsgOverheadMs) and host
@@ -49,27 +58,28 @@ const (
 	RecvCPUMs = 0.05
 )
 
-// event is one scheduled action. Every action the simulator itself takes
-// — a wake, a router hop, a delivery — is typed,
-// with its operands in fields, so the loop recycles event structs through
-// a free list instead of allocating one struct plus one closure per event.
-// Only the fault injector's retry and delay paths carry a closure (fn).
+// event is one scheduled action. Every action the simulator takes — a
+// wake, the end of a send's CPU, a router hop, a delivery, a fault
+// injector's retransmission or delayed transmission — is typed, with its
+// operands in fields, so the loop recycles event structs through a free
+// list instead of allocating one struct plus one closure per event.
 type event struct {
 	at   float64
 	seq  int64
 	kind eventKind
 	p    *Proc    // the task woken, or the message's destination
-	msg  *Message // evHop, evDeliver
-	fn   func()   // evFn
+	msg  *Message // every kind but evWake
 }
 
 type eventKind uint8
 
 const (
 	evWake    eventKind = iota // resume p
+	evSend                     // msg's send CPU ends: transmit it to p, resume msg.From
 	evHop                      // msg leaves the router onto p's segment
 	evDeliver                  // msg reaches p's mailbox
-	evFn                       // run fn
+	evRetry                    // an injected drop's retransmission of msg to p
+	evDelayed                  // an injected delay ends: transmit msg to p
 )
 
 // maxFree bounds the event and message free lists. The live set of events
@@ -200,7 +210,8 @@ type Sim struct {
 	launched int
 	tasks    sync.WaitGroup
 	// idle carries the baton back to Run: from whichever goroutine empties
-	// the event queue, and from each blocked task Run unwinds.
+	// the event queue, and from each blocked task Run unwinds. Made by the
+	// first Spawn: a run of step tasks passes no baton.
 	idle chan struct{}
 	// releasing is set while Run unwinds the tasks a drained queue left
 	// blocked (see Run).
@@ -221,9 +232,8 @@ type Sim struct {
 
 	// inj, when non-nil, decides per-message fates (drop → retransmit
 	// after injRtoMs, delay → later transmission); see WithFaultInjector.
-	inj        faults.Injector
-	injRtoMs   float64
-	injStreams map[[2]int]*injStream
+	inj      faults.Injector
+	injRtoMs float64
 }
 
 // injStream serializes fault-injected transmissions per (src, dst) pair,
@@ -232,9 +242,10 @@ type Sim struct {
 // head therefore delays everything after it (head-of-line blocking), so
 // injected loss costs latency without ever reordering delivery.
 type injStream struct {
-	dst   *Proc
-	queue msgQueue
-	busy  bool
+	dst     *Proc
+	queue   msgQueue
+	busy    bool
+	attempt int // the head's transmissions dropped so far
 }
 
 // Delivery describes one delivered message for observers: who sent it,
@@ -318,10 +329,8 @@ func New(net *model.Network, opts ...Option) (*Sim, error) {
 		return nil, err
 	}
 	s := &Sim{
-		net:        net,
-		segments:   make(map[string]*segment, len(net.Segments)),
-		idle:       make(chan struct{}),
-		injStreams: make(map[[2]int]*injStream),
+		net:      net,
+		segments: make(map[string]*segment, len(net.Segments)),
 	}
 	for _, seg := range net.Segments {
 		s.segments[seg.Name] = &segment{spec: seg}
@@ -356,41 +365,56 @@ func (s *Sim) alloc(at float64) *event {
 	return ev
 }
 
-// schedule queues a typed event at virtual time at (clamped to now) and
-// returns it, for the caller to fill in fn.
+// schedule queues a typed event at virtual time at (clamped to now).
 //
 //netpart:hotpath
-func (s *Sim) schedule(at float64, kind eventKind, p *Proc, msg *Message) *event {
+func (s *Sim) schedule(at float64, kind eventKind, p *Proc, msg *Message) {
 	ev := s.alloc(at)
 	ev.kind, ev.p, ev.msg = kind, p, msg
 	s.events.push(ev)
-	return ev
 }
 
 // run is the event loop, executed by whichever goroutine holds the baton.
-// It pops events in (at, seq) order, running hops, deliveries and injector
-// actions inline, until one wakes a task, and returns that task — or nil
-// once the queue is empty.
+// It pops events in (at, seq) order, running transmissions, hops,
+// deliveries, injector actions and step tasks inline, until one wakes a
+// goroutine task, and returns that task — or nil once the queue is empty.
 func (s *Sim) run() *Proc {
 	for len(s.events) > 0 {
 		ev := s.events.pop()
 		s.now = ev.at
 		// Recycle before dispatch: the action's fields are copied out, so
 		// anything the action schedules may reuse this struct immediately.
-		kind, p, msg, fn := ev.kind, ev.p, ev.msg, ev.fn
-		ev.p, ev.msg, ev.fn = nil, nil, nil
+		kind, p, msg := ev.kind, ev.p, ev.msg
+		ev.p, ev.msg = nil, nil
 		if len(s.free) < maxFree {
 			s.free = append(s.free, ev)
 		}
 		switch kind {
+		case evSend:
+			// Where Send transmits after its CPU charge: before anything
+			// else runs at this time.
+			from := msg.From
+			s.transmit(msg, p)
+			if from.step != nil {
+				s.runStep(from)
+				continue
+			}
+			return from
 		case evWake:
+			if p.step != nil {
+				s.runStep(p)
+				continue
+			}
 			return p
 		case evHop:
 			s.hop(msg, p)
 		case evDeliver:
 			s.deliver(msg, p)
-		case evFn:
-			fn()
+		case evRetry:
+			s.injAttempt(&msg.From.streams[p.rank], msg)
+		case evDelayed:
+			s.transmitClean(msg, p)
+			s.injPump(&msg.From.streams[p.rank])
 		}
 	}
 	return nil
@@ -410,22 +434,32 @@ func (s *Sim) pass(next *Proc) {
 	next.resume <- struct{}{}
 }
 
-// Proc is one simulated task: a goroutine that advances only in virtual
-// time. All Proc methods must be called from within the task body.
+// Proc is one simulated task, advancing only in virtual time: a goroutine
+// task or a step task (see the package comment). A goroutine task's methods
+// must be called from within its body, a step task's from its step
+// function.
 type Proc struct {
 	sim     *Sim
 	name    string
 	cluster *model.Cluster
+	seg     *segment // the cluster's segment, resolved once at spawn
 	rank    int
 	body    func(*Proc)
-	// resume hands p the baton.
+	// step is a step task's step function; nil for a goroutine task.
+	// acted records that the current call has made its one operation.
+	step  func(*Proc)
+	acted bool
+	// resume hands a goroutine task the baton.
 	resume   chan struct{}
 	done     bool
 	panicked error
 
-	// mailboxes holds queued messages per sender rank (indexed by rank;
-	// sized once in Run, when the rank count is final).
+	// mailboxes holds queued messages per sender rank, and streams, with a
+	// fault injector, this task's outgoing streams per destination rank
+	// (both indexed by rank; sized once in Run, when the rank count is
+	// final).
 	mailboxes []msgQueue
+	streams   []injStream
 	// waitingOn is the sender rank a blocked Recv is waiting for, or -1.
 	waitingOn int
 
@@ -446,9 +480,33 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.sim.now }
 
-// Spawn creates a task on the named cluster. The body runs when Run is
-// called. Spawn panics on an unknown cluster (a programming error).
+// Spawn creates a goroutine task on the named cluster. The body runs on a
+// goroutine of its own when Run is called. Spawn panics on an unknown
+// cluster (a programming error).
 func (s *Sim) Spawn(name, cluster string, body func(*Proc)) *Proc {
+	p := s.spawn(name, cluster)
+	p.body = body
+	p.resume = make(chan struct{}, 1)
+	if s.idle == nil {
+		s.idle = make(chan struct{})
+	}
+	return p
+}
+
+// SpawnStep creates a step task on the named cluster: Run calls step at
+// each of the task's wakes, the first at virtual time 0, on whichever
+// goroutine holds the baton. Each call makes exactly one of StartSend,
+// TryRecv and Finish; a call that makes none, or a second, panics, and a
+// panic in step ends the task with its panic error as a body's panic ends a
+// goroutine task. SpawnStep panics on an unknown cluster.
+func (s *Sim) SpawnStep(name, cluster string, step func(*Proc)) *Proc {
+	p := s.spawn(name, cluster)
+	p.step = step
+	return p
+}
+
+// spawn adds a task of either kind, due at virtual time 0.
+func (s *Sim) spawn(name, cluster string) *Proc {
 	if s.running {
 		panic("simnet: Spawn during Run")
 	}
@@ -460,14 +518,70 @@ func (s *Sim) Spawn(name, cluster string, body func(*Proc)) *Proc {
 		sim:       s,
 		name:      name,
 		cluster:   c,
+		seg:       s.segments[c.Segment],
 		rank:      len(s.procs),
-		body:      body,
-		resume:    make(chan struct{}, 1),
 		waitingOn: -1,
 	}
 	s.procs = append(s.procs, p)
 	s.schedule(0, evWake, p, nil)
 	return p
+}
+
+// runStep calls step task p at its wake. A panic in the step function ends
+// p with p's own panic error, as live ends a goroutine task, instead of
+// unwinding whichever goroutine holds the baton.
+func (s *Sim) runStep(p *Proc) {
+	if p.done {
+		return // a wake left by a step that panicked
+	}
+	defer p.endIfPanicked()
+	p.acted = false
+	p.step(p)
+	if !p.acted {
+		panic("simnet: step returned without sending, receiving or finishing")
+	}
+}
+
+// endIfPanicked, deferred by runStep, ends a step task whose call panicked.
+func (p *Proc) endIfPanicked() {
+	if r := recover(); r != nil {
+		p.panicked = fmt.Errorf("simnet: task %s panicked: %v", p.name, r)
+		p.done, p.waitingOn = true, -1
+	}
+}
+
+// act marks the one operation of a step task's current call.
+func (p *Proc) act() {
+	if p.step == nil {
+		panic("simnet: a step operation called from a goroutine task")
+	}
+	if p.acted {
+		panic("simnet: a second operation in one step")
+	}
+	p.acted = true
+}
+
+// StartSend starts a step task's send of a message to dst: the sender is
+// charged the CPU Send charges, and the message is transmitted at the
+// task's next wake, when that charge ends, exactly where Send transmits it.
+func (p *Proc) StartSend(dst *Proc, bytes int, payload interface{}) {
+	p.act()
+	p.startSend(dst, bytes, payload)
+}
+
+// TryRecv takes a step task's next message from src and charges the
+// receive CPU as Recv does; the task's next wake is when that charge ends.
+// With no message from src queued it reports false, and the task wakes when
+// one is delivered.
+func (p *Proc) TryRecv(src *Proc) (Message, bool) {
+	p.act()
+	return p.tryRecv(src)
+}
+
+// Finish ends a step task.
+func (p *Proc) Finish() {
+	p.act()
+	p.done = true
 }
 
 // live is the life of p's goroutine: wait for the baton, run the body, and
@@ -495,6 +609,9 @@ func (p *Proc) live() {
 // with no goroutine switch; otherwise it hands the baton to the woken task
 // (or, with the queue empty, back to Run) and waits for it to come back.
 func (p *Proc) park() {
+	if p.step != nil {
+		panic("simnet: a step task cannot block")
+	}
 	s := p.sim
 	if s.releasing {
 		runtime.Goexit() // a deferred call of a task Run is unwinding
@@ -526,17 +643,35 @@ func (s *Sim) Run() error {
 	}
 	s.running = true
 	defer func() { s.running = false }()
-	// Size every task's per-sender mailbox table once: Spawn is forbidden
-	// during Run, so the rank count is final here and delivery indexes the
-	// slice directly with no map hashing and no growth.
+	// Size every task's per-sender mailbox table (and per-destination
+	// stream table) once: Spawn is forbidden during Run, so the rank count
+	// is final here and delivery indexes the slice directly with no map
+	// hashing and no growth.
+	n := len(s.procs)
+	var boxes []msgQueue // one block for the tables this Run sizes
 	for _, p := range s.procs {
-		if len(p.mailboxes) < len(s.procs) {
-			grown := make([]msgQueue, len(s.procs))
+		if len(p.mailboxes) < n {
+			if len(boxes) == 0 {
+				boxes = make([]msgQueue, n*n)
+			}
+			grown := boxes[:n:n]
+			boxes = boxes[n:]
 			copy(grown, p.mailboxes)
 			p.mailboxes = grown
 		}
+		if s.inj != nil && len(p.streams) < n {
+			grown := make([]injStream, n)
+			copy(grown, p.streams)
+			for r := range grown {
+				grown[r].dst = s.procs[r]
+			}
+			p.streams = grown
+		}
 	}
 	for _, p := range s.procs[s.launched:] {
+		if p.step != nil {
+			continue // runs inline in the event loop
+		}
 		s.tasks.Add(1)
 		go func() {
 			defer s.tasks.Done()
@@ -544,8 +679,8 @@ func (s *Sim) Run() error {
 		}()
 	}
 	s.launched = len(s.procs)
-	// Run holds the baton until the first wake, and gets it back from
-	// whichever goroutine empties the queue.
+	// Run holds the baton until the first goroutine task's wake, and gets
+	// it back from whichever goroutine empties the queue.
 	if next := s.run(); next != nil {
 		s.pass(next)
 		<-s.idle
@@ -560,15 +695,17 @@ func (s *Sim) Run() error {
 			stuck = append(stuck, fmt.Sprintf("%s (recv from rank %d)", p.name, p.waitingOn))
 		}
 	}
-	// Unwind the blocked tasks in rank order, one at a time, so that each
-	// runs its deferred calls with the simulation to itself; then join
-	// every task goroutine.
+	// Unwind the blocked goroutine tasks in rank order, one at a time, so
+	// that each runs its deferred calls with the simulation to itself; then
+	// join every task goroutine. A blocked step task has nothing to unwind.
 	s.releasing = true
 	for _, p := range s.procs {
 		if !p.done {
 			p.done, p.waitingOn = true, -1
-			p.resume <- struct{}{}
-			<-s.idle
+			if p.step == nil {
+				p.resume <- struct{}{}
+				<-s.idle
+			}
 		}
 	}
 	s.tasks.Wait()
@@ -587,10 +724,17 @@ func (p *Proc) Advance(ms float64) {
 	if ms < 0 {
 		panic("simnet: negative advance")
 	}
+	p.charge(ms)
+	p.park()
+}
+
+// charge spends ms of p's CPU and schedules p's wake when it ends.
+//
+//netpart:hotpath
+func (p *Proc) charge(ms float64) {
 	p.computeMs += ms
 	s := p.sim
 	s.schedule(s.now+ms, evWake, p, nil)
-	p.park()
 }
 
 // AdvanceOps spends the virtual time of executing n operations of the given
@@ -605,6 +749,13 @@ func (p *Proc) AdvanceOps(n float64, class model.OpClass) {
 // itself then serializes through the shared channel(s) and router without
 // blocking the sender.
 func (p *Proc) Send(dst *Proc, bytes int, payload interface{}) {
+	p.startSend(dst, bytes, payload)
+	p.park()
+}
+
+// startSend charges p the CPU of a send to dst and schedules the evSend
+// that transmits the message, and wakes p, when the charge ends.
+func (p *Proc) startSend(dst *Proc, bytes int, payload interface{}) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("simnet: negative message size %d", bytes))
 	}
@@ -622,10 +773,8 @@ func (p *Proc) Send(dst *Proc, bytes int, payload interface{}) {
 		msg = new(Message)
 	}
 	*msg = Message{From: p, Bytes: bytes, Payload: payload, SentAt: s.now + cpu}
-	// CPU initiation happens inline; the transmission is scheduled at its
-	// completion.
-	p.Advance(cpu)
-	s.transmit(msg, dst)
+	p.computeMs += cpu
+	s.schedule(s.now+cpu, evSend, dst, msg)
 }
 
 // transmit routes one message: straight through the substrate, or through
@@ -635,12 +784,7 @@ func (s *Sim) transmit(msg *Message, dst *Proc) {
 		s.transmitClean(msg, dst)
 		return
 	}
-	key := [2]int{msg.From.rank, dst.rank}
-	st := s.injStreams[key]
-	if st == nil {
-		st = &injStream{dst: dst}
-		s.injStreams[key] = st
-	}
+	st := &msg.From.streams[dst.rank]
 	st.queue.push(msg)
 	if !st.busy {
 		s.injPump(st)
@@ -657,8 +801,8 @@ func (s *Sim) injPump(st *injStream) {
 		st.busy = false
 		return
 	}
-	st.busy = true
-	s.injAttempt(st, st.queue.pop(), 0)
+	st.busy, st.attempt = true, 0
+	s.injAttempt(st, st.queue.pop())
 }
 
 // injAttempt consults the injector for one transmission attempt of the
@@ -668,19 +812,17 @@ func (s *Sim) injPump(st *injStream) {
 // delivery semantics). A message dropped past simMaxRetries is lost and
 // stalls its stream, surfacing as a blocked receiver in Run's deadlock
 // report — the behavior of a reliable transport over a dead link.
-func (s *Sim) injAttempt(st *injStream, msg *Message, attempt int) {
+func (s *Sim) injAttempt(st *injStream, msg *Message) {
 	fate := s.inj.Packet(msg.From.rank, st.dst.rank, s.now)
 	switch {
 	case fate.Drop:
-		if attempt >= simMaxRetries {
+		if st.attempt >= simMaxRetries {
 			return // lost: stream stalls, Run reports the blocked receiver
 		}
-		s.schedule(s.now+s.injRtoMs, evFn, nil, nil).fn = func() { s.injAttempt(st, msg, attempt+1) }
+		st.attempt++
+		s.schedule(s.now+s.injRtoMs, evRetry, st.dst, msg)
 	case fate.DelayMs > 0:
-		s.schedule(s.now+fate.DelayMs, evFn, nil, nil).fn = func() {
-			s.transmitClean(msg, st.dst)
-			s.injPump(st)
-		}
+		s.schedule(s.now+fate.DelayMs, evDelayed, st.dst, msg)
 	default:
 		s.transmitClean(msg, st.dst)
 		s.injPump(st)
@@ -692,13 +834,13 @@ func (s *Sim) injAttempt(st *injStream, msg *Message, attempt int) {
 func (s *Sim) transmitClean(msg *Message, dst *Proc) {
 	from := msg.From.cluster
 	b := float64(msg.Bytes)
-	src := s.segments[from.Segment]
+	src := msg.From.seg
 	hold := (from.MsgOverheadMs + b*(1/src.spec.BytesPerMs+from.HostPerByteMs)) * s.jitterMul()
 	doneSrc := src.acquire(s.now, hold)
 	src.messages++
 	src.bytes += int64(msg.Bytes)
 
-	if from.Segment == dst.cluster.Segment {
+	if src == dst.seg {
 		s.schedule(doneSrc, evDeliver, dst, msg)
 		return
 	}
@@ -710,7 +852,7 @@ func (s *Sim) transmitClean(msg *Message, dst *Proc) {
 // hop carries msg from the router onto dst's segment.
 func (s *Sim) hop(msg *Message, dst *Proc) {
 	b := float64(msg.Bytes)
-	dseg := s.segments[dst.cluster.Segment]
+	dseg := dst.seg
 	dhold := (dst.cluster.MsgOverheadMs + b*(1/dseg.spec.BytesPerMs+dst.cluster.HostPerByteMs)) * s.jitterMul()
 	doneDst := dseg.acquire(s.now, dhold)
 	dseg.messages++
@@ -754,10 +896,23 @@ func (s *Sim) deliver(msg *Message, dst *Proc) {
 // received in transmission order. The message is returned by value: its
 // struct goes back to the simulator's free list for the next Send.
 func (p *Proc) Recv(src *Proc) Message {
-	box := &p.mailboxes[src.rank]
-	for box.len() == 0 {
-		p.waitingOn = src.rank
+	for {
+		msg, ok := p.tryRecv(src)
 		p.park()
+		if ok {
+			return msg
+		}
+	}
+}
+
+// tryRecv consumes p's next message from src, charging the receive CPU, or
+// with none queued marks p as waiting on src; either way p's next wake is
+// scheduled (the delivery schedules a waiting task's).
+func (p *Proc) tryRecv(src *Proc) (Message, bool) {
+	box := &p.mailboxes[src.rank]
+	if box.len() == 0 {
+		p.waitingOn = src.rank
+		return Message{}, false
 	}
 	s := p.sim
 	ptr := box.pop()
@@ -767,8 +922,8 @@ func (p *Proc) Recv(src *Proc) Message {
 		s.freeMsgs = append(s.freeMsgs, ptr)
 	}
 	p.received++
-	p.Advance(RecvCPUMs)
-	return msg
+	p.charge(RecvCPUMs)
+	return msg, true
 }
 
 // SegmentStats reports channel usage for one segment.
