@@ -30,7 +30,7 @@ import (
 func main() {
 	spec := flag.String("spec", "", "network spec JSON (default: the paper's Sparc2+IPC testbed)")
 	topoList := flag.String("topologies", "1-D,ring,broadcast", "comma-separated topology names")
-	cycles := flag.Int("cycles", 10, "communication cycles per measurement")
+	cycles := flag.Int("cycles", 10, "communication cycles per Eq. 1 measurement (the stagger program always runs commbench.StaggerCycles)")
 	out := flag.String("o", "", "write the fitted cost table as JSON to this file (readable by partition -costs)")
 	showMetrics := flag.Bool("metrics", false, "print benchmarking metrics (fits, samples, R² distribution) at exit")
 	serveAddr := flag.String("serve", "", `telemetry listen address (e.g. ":9090"): fit metrics on /metrics, /metrics.json, /healthz, /debug/pprof/; keeps serving after the benchmark until interrupted`)
@@ -92,6 +92,11 @@ func run(spec, topoList string, cycles int, out string, showMetrics bool, serveA
 			metrics.Counter("commbench.samples").Add(int64(f.Samples))
 			metrics.Histogram("commbench.fit_r2").Observe(f.Quality.R2)
 		}
+		for _, f := range res.Staggers {
+			metrics.Counter("commbench.stagger_fits").Inc()
+			metrics.Counter("commbench.samples").Add(int64(f.Samples))
+			metrics.Histogram("commbench.stagger_r2").Observe(f.Quality.R2)
+		}
 	}
 
 	fmt.Println("Fitted Eq. 1 constants: T = c1 + c2·p + b·(c3 + c4·p)  (ms, bytes)")
@@ -103,6 +108,20 @@ func run(spec, topoList string, cycles int, out string, showMetrics bool, serveA
 		if p, err := paper.Comm(f.Cluster, f.Topology); err == nil {
 			fmt.Printf("      paper §6:            %s\n", p)
 		}
+	}
+	if len(res.Staggers) > 0 {
+		fmt.Println()
+		fmt.Printf("Measured STEN-1 stagger (cycle less its %g ms of compute): Eq. 1 over p ≥ 3, a line at p = 2\n", commbench.StaggerComputeMs)
+		fmt.Println()
+	}
+	for _, f := range res.Staggers {
+		if f.With != "" {
+			fmt.Printf("  X[%s, %s](b) = %.4g + %.4g·b at one rank each   (R²=%.4f, %d samples)\n",
+				f.Cluster, f.With, f.Stagger.Two.FixedMs, f.Stagger.Two.Ms, f.Quality.R2, f.Samples)
+			continue
+		}
+		fmt.Printf("  X[%s](b,p) = %s   (R²=%.4f, %d samples)\n", f.Cluster, f.Stagger.Many, f.Quality.R2, f.Samples)
+		fmt.Printf("      p = 2:            %.4g + %.4g·b\n", f.Stagger.Two.FixedMs, f.Stagger.Two.Ms)
 	}
 	fmt.Println()
 	for _, pair := range sortedPairs(res.Router) {

@@ -4,26 +4,72 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"netpart/internal/cost"
 	"netpart/internal/model"
+	"netpart/internal/simnet"
 	"netpart/internal/topo"
 )
 
+// The step programs as the tests run them, each on a runner of its own.
+
+func measureCycle(net *model.Network, cluster string, tp topo.Topology, p, b, cycles int, opts ...simnet.Option) (float64, error) {
+	r, err := newRunner(net, p)
+	if err != nil {
+		return 0, err
+	}
+	end, err := r.exchange(cluster, cluster, neighbours(tp, p), b, cycles, 0, opts)
+	return end / float64(cycles), err
+}
+
+// measureStagger runs the stagger program at p ranks on cluster a, or at
+// one rank on a and one on c when c is set.
+func measureStagger(net *model.Network, a, c string, p, b int, opts ...simnet.Option) (float64, error) {
+	if c != "" {
+		p = 2
+	}
+	r, err := newRunner(net, p)
+	if err != nil {
+		return 0, err
+	}
+	return r.stagger(a, c, neighbours(topo.OneD{}, p), b, opts)
+}
+
+func measureDelivery(net *model.Network, src, dst string, b int) (float64, error) {
+	r, err := newRunner(net, 2)
+	if err != nil {
+		return 0, err
+	}
+	err = r.oneMessage(src, dst, b)
+	return r.ranks[1].delivered, err
+}
+
+func measureSendCPU(net *model.Network, src, dst string, b int) (float64, error) {
+	r, err := newRunner(net, 2)
+	if err != nil {
+		return 0, err
+	}
+	err = r.oneMessage(src, dst, b)
+	return r.ranks[0].end, err
+}
+
 func TestMeasureCycleGrowsWithPAndB(t *testing.T) {
 	net := model.PaperTestbed()
-	small, err := MeasureCycle(net, model.Sparc2Cluster, topo.OneD{}, 2, 240, 5)
+	small, err := measureCycle(net, model.Sparc2Cluster, topo.OneD{}, 2, 240, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	moreProcs, err := MeasureCycle(net, model.Sparc2Cluster, topo.OneD{}, 6, 240, 5)
+	moreProcs, err := measureCycle(net, model.Sparc2Cluster, topo.OneD{}, 6, 240, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bigger, err := MeasureCycle(net, model.Sparc2Cluster, topo.OneD{}, 2, 4800, 5)
+	bigger, err := measureCycle(net, model.Sparc2Cluster, topo.OneD{}, 2, 4800, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,18 +79,18 @@ func TestMeasureCycleGrowsWithPAndB(t *testing.T) {
 	if bigger <= small {
 		t.Errorf("bandwidth: b=4800 (%v) not costlier than b=240 (%v)", bigger, small)
 	}
-	if _, err := MeasureCycle(net, model.Sparc2Cluster, topo.OneD{}, 1, 240, 5); err == nil {
+	if _, err := measureCycle(net, model.Sparc2Cluster, topo.OneD{}, 1, 240, 5); err == nil {
 		t.Error("p=1 should error")
 	}
 }
 
 func TestMeasureDeliveryCrossSegmentCostsMore(t *testing.T) {
 	net := model.PaperTestbed()
-	local, err := MeasureDelivery(net, model.Sparc2Cluster, model.Sparc2Cluster, 2400)
+	local, err := measureDelivery(net, model.Sparc2Cluster, model.Sparc2Cluster, 2400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cross, err := MeasureDelivery(net, model.Sparc2Cluster, model.IPCCluster, 2400)
+	cross, err := measureDelivery(net, model.Sparc2Cluster, model.IPCCluster, 2400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +101,11 @@ func TestMeasureDeliveryCrossSegmentCostsMore(t *testing.T) {
 
 func TestMeasureSendCPUCoercion(t *testing.T) {
 	net := model.Figure1Network()
-	same, err := MeasureSendCPU(net, "sun4", "hp", 1000) // same format
+	same, err := measureSendCPU(net, "sun4", "hp", 1000) // same format
 	if err != nil {
 		t.Fatal(err)
 	}
-	coerced, err := MeasureSendCPU(net, "sun4", "rs6000", 1000) // differs
+	coerced, err := measureSendCPU(net, "sun4", "rs6000", 1000) // differs
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +199,34 @@ func TestFitsBitIdentical(t *testing.T) {
 	if len(res.Coerce) != 0 {
 		t.Errorf("coercion fits %+v on a single-format testbed", res.Coerce)
 	}
+	// The stagger models (recorded when the stagger program was added, and
+	// equal to the goroutine reference's): per cluster, and for the pair,
+	// Two's FixedMs and Ms, then Many's C1..C4.
+	wantStagger := []struct {
+		cluster, with string
+		c             [6]uint64
+	}{
+		{"sparc2", "", [6]uint64{0x3fe68f5c28f5cc0a, 0x3f59806f26288889, 0x3fd51eb851eb9f61, 0x3fd6147ae147b6e7, 0x3f3f8784c41f81ee, 0x3f4d36064c4a59b6}},
+		{"ipc", "", [6]uint64{0x3ff251eb851ebcb5, 0x3f649731098d46f6, 0x3fddd2f1a9fbf7b1, 0x3fe31a9fbe76cdda, 0x3f49751c0bcf3c82, 0x3f5795e90af0f3f7}},
+		{"sparc2", "ipc", [6]uint64{0x40000000000004a4, 0x3f72b7fe08aefa63, 0, 0, 0, 0}},
+	}
+	if len(res.Staggers) != len(wantStagger) {
+		t.Fatalf("%d stagger fits, want %d", len(res.Staggers), len(wantStagger))
+	}
+	for i, f := range res.Staggers {
+		w, st := wantStagger[i], f.Stagger
+		got := [6]uint64{math.Float64bits(st.Two.FixedMs), math.Float64bits(st.Two.Ms),
+			math.Float64bits(st.Many.C1), math.Float64bits(st.Many.C2), math.Float64bits(st.Many.C3), math.Float64bits(st.Many.C4)}
+		if f.Cluster != w.cluster || f.With != w.with || got != w.c {
+			t.Errorf("stagger %d: %s-%s %#x, want %s-%s %#x", i, f.Cluster, f.With, got, w.cluster, w.with, w.c)
+		}
+	}
 
 	// Run's pool: one worker and several give the same fits and table,
-	// bit for bit.
+	// bit for bit, each runner's simulator reset between programs.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	want0 := fingerprint(t, res)
-	for _, procs := range []int{1, 4} {
+	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		r, err := Run(model.PaperTestbed(), []topo.Topology{topo.OneD{}, topo.Broadcast{}, topo.Mesh2D{}}, DefaultGrid())
 		if err != nil {
@@ -175,7 +243,7 @@ func TestFitsBitIdentical(t *testing.T) {
 func fingerprint(t *testing.T, res *Result) string {
 	t.Helper()
 	var b strings.Builder
-	fmt.Fprintf(&b, "%+v\n", res.Fits)
+	fmt.Fprintf(&b, "%+v\n%+v\n", res.Fits, res.Staggers)
 	if err := cost.WriteTable(&b, res.Table); err != nil {
 		t.Fatal(err)
 	}
@@ -210,9 +278,11 @@ func TestSharedProgramsMeasureAlike(t *testing.T) {
 		}
 		// Per message size: sparc2 (p = 2..7) 1-D 6, broadcast 5, 2-D 2
 		// (p = 4, 6); ipc (p = 2..6) 5, 4 and 2. 24 of 33 cycles; the
-		// pair's three deliveries are distinct.
+		// pair's three deliveries are distinct. The stagger program at the
+		// smallest and largest size: sparc2 at p = 2..7, ipc at p = 2..6
+		// and the pair, 12 per size.
 		b := len(grid.Bytes)
-		if got, want := programs(pl), (map[progKind]int{progCycle: 24 * b, progDelivery: 3 * b}); !maps.Equal(got, want) {
+		if got, want := programs(pl), (map[progKind]int{progCycle: 24 * b, progDelivery: 3 * b, progStagger: 2 * 12}); !maps.Equal(got, want) {
 			t.Errorf("jitter %v: programs %v, want %v", jitter, got, want)
 		}
 		both, err := Run(net, all, grid)
@@ -247,9 +317,10 @@ func TestSelfDeliveryOncePerSize(t *testing.T) {
 	}
 	// Per size: 3 crossing deliveries and 3 self-deliveries (9 listed);
 	// send CPU a→b and a→a for sun4-rs6000 and hp-rs6000; 1-D at p = 2..4
-	// on each of the three clusters.
+	// on each of the three clusters; the stagger program at p = 2..4 on
+	// each and on the three pairs, at two sizes.
 	b := len(grid.Bytes)
-	want := map[progKind]int{progCycle: 9 * b, progDelivery: 6 * b, progSendCPU: 4 * b}
+	want := map[progKind]int{progCycle: 9 * b, progDelivery: 6 * b, progSendCPU: 4 * b, progStagger: 2 * 12}
 	if got := programs(pl); !maps.Equal(got, want) {
 		t.Errorf("programs %v, want %v", got, want)
 	}
@@ -287,6 +358,23 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestStaggerIgnoresGridCycles: the stagger models run StaggerCycles
+// cycles whatever the grid's Cycles, so a measurement flag cannot move them.
+func TestStaggerIgnoresGridCycles(t *testing.T) {
+	net := model.PaperTestbed()
+	var runs [2][]StaggerFit
+	for i, cycles := range []int{1, StaggerCycles + 5} {
+		res, err := Run(net, []topo.Topology{topo.OneD{}}, Grid{Bytes: []int{240, 2400}, Cycles: cycles})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = res.Staggers
+	}
+	if len(runs[0]) == 0 || !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Errorf("stagger fits at 1 cycle %+v, at %d %+v", runs[0], StaggerCycles+5, runs[1])
+	}
+}
+
 func TestRunCoversAllTopologies(t *testing.T) {
 	net := model.PaperTestbed()
 	tops := []topo.Topology{topo.OneD{}, topo.Ring{}, topo.Broadcast{}}
@@ -304,4 +392,101 @@ func TestRunCoversAllTopologies(t *testing.T) {
 	if len(res.Fits) != 6 {
 		t.Errorf("fits = %d, want 6", len(res.Fits))
 	}
+}
+
+// TestRunnerReuseMatchesFresh: every program of a plan, run one after
+// another on one runner (its simulator reset between them, the jitter
+// re-seeded), measures what it measures on a runner of its own, bit for
+// bit. The programs run in reverse order, so each follows a different one
+// than in Run.
+func TestRunnerReuseMatchesFresh(t *testing.T) {
+	grid := DefaultGrid()
+	grid.Jitter, grid.Seed = 0.2, 2741
+	net := model.Figure1Network()
+	pl, err := newPlan(net, []topo.Topology{topo.OneD{}, topo.Ring{}}, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := newRunner(net, pl.maxP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(pl.progs) - 1; i >= 0; i-- {
+		pr := pl.progs[i]
+		fresh, err := newRunner(net, pl.maxP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, werr := pl.measure(fresh, pr)
+		got, gerr := pl.measure(shared, pr)
+		sameBits(t, fmt.Sprintf("%+v", pr), got, want, gerr, werr)
+	}
+}
+
+// TestThreeProcessorCluster: a cluster of three processors has one p ≥ 3,
+// so its stagger's Eq. 1 is the p = 3 line (C2 = C4 = 0), which gives the
+// measured stagger at p = 3 at both sizes. The network is drawn as the
+// generated networks are (3–6 processors per cluster); seed 1 gives a
+// three-processor cluster.
+func TestThreeProcessorCluster(t *testing.T) {
+	net := generatedNetwork(1)
+	grid := DefaultGrid()
+	res, err := Run(net, []topo.Topology{topo.OneD{}}, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	three := 0
+	for _, c := range net.Clusters {
+		if c.Procs != 3 {
+			continue
+		}
+		three++
+		_, st, _ := res.Table.Model(c.Name, "1-D")
+		if st == nil {
+			t.Fatalf("%s: no stagger", c.Name)
+		}
+		if st.Many.C2 != 0 || st.Many.C4 != 0 {
+			t.Errorf("%s: Eq. 1 %v, want C2 = C4 = 0", c.Name, st.Many)
+		}
+		for _, b := range []int{slices.Min(grid.Bytes), slices.Max(grid.Bytes)} {
+			x, err := measureStagger(net, c.Name, "", 3, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := st.Eval(float64(b), 3); math.Abs(got-x) > 1e-9*x {
+				t.Errorf("%s b=%d: stagger model %v, measured %v", c.Name, b, got, x)
+			}
+		}
+	}
+	if three == 0 {
+		t.Fatal("the drawn network has no three-processor cluster")
+	}
+}
+
+// generatedNetwork draws a network as the benchmark's generator does: two
+// to five clusters of three to six processors, each on a segment of its
+// own behind one router, three in ten of another data format.
+func generatedNetwork(seed int64) *model.Network {
+	rng := rand.New(rand.NewSource(seed))
+	net := &model.Network{
+		Router: model.Router{Name: "router", PerByteMs: 0.0006},
+		Coerce: model.CoercePolicy{PerByteMs: 0.0004},
+	}
+	for i := range 2 + rng.Intn(4) {
+		name, seg := fmt.Sprintf("c%d", i), fmt.Sprintf("seg%d", i)
+		procs := 3 + rng.Intn(4)
+		format := model.FormatBigEndian
+		if rng.Intn(10) < 3 {
+			format = model.FormatLittleEndian
+		}
+		flop := 0.0001 + 0.0007*rng.Float64()
+		net.Clusters = append(net.Clusters, &model.Cluster{
+			Name: name, Procs: procs, Available: procs - rng.Intn(2),
+			FloatOpTime: flop, IntOpTime: 0.7 * flop, Format: format, Segment: seg,
+			MsgOverheadMs: 0.3 + 0.9*rng.Float64(), HostPerByteMs: 0.0003 + 0.0013*rng.Float64(),
+		})
+		net.Segments = append(net.Segments, &model.Segment{Name: seg, BytesPerMs: 1250})
+		net.Router.Segments = append(net.Router.Segments, seg)
+	}
+	return net
 }

@@ -3,6 +3,7 @@ package commbench
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"netpart/internal/model"
@@ -10,7 +11,7 @@ import (
 	"netpart/internal/topo"
 )
 
-// The three benchmark programs written as goroutine tasks, each a plain
+// The four benchmark programs written as goroutine tasks, each a plain
 // loop of blocking Sends and Recvs. They are the reference the step-task
 // programs must match bit for bit.
 
@@ -118,7 +119,7 @@ func TestCycleMatchesGoroutineReference(t *testing.T) {
 							if jitter > 0 {
 								opts = append(opts, simnet.WithJitter(jitter, 1994+uint64(p)*131+uint64(b)))
 							}
-							step, serr := MeasureCycle(net, c.Name, tp, p, b, cycles, opts...)
+							step, serr := measureCycle(net, c.Name, tp, p, b, cycles, opts...)
 							ref, rerr := goroutineCycle(net, c.Name, tp, p, b, cycles, opts...)
 							sameBits(t, fmt.Sprintf("%s %s %s p=%d b=%d jitter=%v", name, c.Name, tp.Name(), p, b, jitter), step, ref, serr, rerr)
 							cases++
@@ -148,10 +149,10 @@ func TestPairsMatchGoroutineReference(t *testing.T) {
 				}
 				for _, b := range DefaultGrid().Bytes {
 					what := fmt.Sprintf("%s %s→%s b=%d", name, a.Name, c.Name, b)
-					step, serr := MeasureDelivery(net, a.Name, c.Name, b)
+					step, serr := measureDelivery(net, a.Name, c.Name, b)
 					ref, rerr := goroutineDelivery(net, a.Name, c.Name, b)
 					sameBits(t, "delivery "+what, step, ref, serr, rerr)
-					step, serr = MeasureSendCPU(net, a.Name, c.Name, b)
+					step, serr = measureSendCPU(net, a.Name, c.Name, b)
 					ref, rerr = goroutineSendCPU(net, a.Name, c.Name, b)
 					sameBits(t, "send CPU "+what, step, ref, serr, rerr)
 				}
@@ -160,5 +161,98 @@ func TestPairsMatchGoroutineReference(t *testing.T) {
 	}
 	if coercing == 0 {
 		t.Error("no ordered pair coerces: the coercion charge went unchecked")
+	}
+}
+
+// goroutineStagger is the stagger program as goroutine tasks: p ranks on
+// cluster a, or one on a and one on c when c is set, in a 1-D chain.
+func goroutineStagger(net *model.Network, a, c string, p, b, cycles int, opts ...simnet.Option) (float64, error) {
+	if c != "" {
+		p = 2
+	} else {
+		c = a
+	}
+	sim, err := simnet.New(net, opts...)
+	if err != nil {
+		return 0, err
+	}
+	procs := make([]*simnet.Proc, p)
+	for i := 0; i < p; i++ {
+		rank, cluster := i, c
+		if rank == 0 {
+			cluster = a
+		}
+		procs[i] = sim.Spawn(fmt.Sprintf("bench-%d", rank), cluster, func(pr *simnet.Proc) {
+			ns := topo.OneD{}.Neighbors(rank, p)
+			for range cycles {
+				for _, nb := range ns {
+					pr.Send(procs[nb], b, nil)
+				}
+				for _, nb := range ns {
+					pr.Recv(procs[nb])
+				}
+				pr.Advance(StaggerComputeMs)
+			}
+		})
+	}
+	if err := sim.Run(); err != nil {
+		return 0, err
+	}
+	return sim.Now()/float64(cycles) - StaggerComputeMs, nil
+}
+
+// TestStaggerMatchesGoroutineReference: the stagger program's step tasks
+// (Compute included) give the goroutine program's stagger bit for bit, on
+// every cluster of three testbeds at every p and on every ordered pair of
+// clusters at one rank each, at every size of the default grid, with and
+// without jitter. Without jitter a pair's stagger does not depend on the
+// pair's order, so the one the plan measures stands for both.
+func TestStaggerMatchesGoroutineReference(t *testing.T) {
+	grid := DefaultGrid()
+	jitterOpts := func(jitter float64, p, b int) []simnet.Option {
+		if jitter == 0 {
+			return nil
+		}
+		return []simnet.Option{simnet.WithJitter(jitter, 1994+uint64(p)*131+uint64(b))}
+	}
+	cases, symmetric := 0, 0
+	for name, mk := range referenceNetworks {
+		net := mk()
+		for _, a := range net.Clusters {
+			for _, c := range append([]*model.Cluster{nil}, net.Clusters...) {
+				other, top := "", a.Procs
+				if c != nil {
+					if c == a {
+						continue
+					}
+					other, top = c.Name, 2
+				}
+				for p := 2; p <= top; p++ {
+					for _, b := range grid.Bytes {
+						for _, jitter := range []float64{0, 0.2} {
+							opts := jitterOpts(jitter, p, b)
+							step, serr := measureStagger(net, a.Name, other, p, b, opts...)
+							ref, rerr := goroutineStagger(net, a.Name, other, p, b, StaggerCycles, opts...)
+							sameBits(t, fmt.Sprintf("%s %s %s p=%d b=%d jitter=%v", name, a.Name, other, p, b, jitter), step, ref, serr, rerr)
+							cases++
+							if other == "" || jitter != 0 || (b != slices.Min(grid.Bytes) && b != slices.Max(grid.Bytes)) {
+								continue
+							}
+							back, err := measureStagger(net, other, a.Name, 2, b)
+							sameBits(t, fmt.Sprintf("%s %s-%s b=%d reversed", name, a.Name, other, b), back, step, err, nil)
+							symmetric++
+						}
+					}
+				}
+			}
+		}
+	}
+	// Per size and jitter: paper 10 single-cluster ps and 2 ordered
+	// pairs, metasystem 17 and 6, Fig. 1 9 and 6.
+	if want := 50 * len(grid.Bytes) * 2; cases != want {
+		t.Errorf("%d cases, want %d", cases, want)
+	}
+	if symmetric != 28 {
+		t.Errorf("%d reversed pairs checked, want 28", symmetric)
 	}
 }

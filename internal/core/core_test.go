@@ -359,24 +359,49 @@ func TestDecomposeGeneralBalancesNonlinearWork(t *testing.T) {
 	}
 }
 
+// measuredPaperTable is the paper's table with the stagger commbench
+// measures on the paper's testbed (cmd/commbench -topologies 1-D),
+// rounded as it prints: sparc2's Eq. 1 over p ≥ 3 and p = 2 line, and the
+// sparc2-ipc pair's line.
+func measuredPaperTable() *cost.Table {
+	tbl := cost.PaperTable()
+	tbl.SetStagger(model.Sparc2Cluster, cost.Stagger{
+		Two:  cost.PerByte{FixedMs: 0.705, Ms: 0.001556},
+		Many: cost.Params{C1: 0.33, C2: 0.345, C3: 0.0004811, C4: 0.0008914},
+	})
+	tbl.SetPairStagger(model.Sparc2Cluster, model.IPCCluster, cost.PerByte{FixedMs: 2, Ms: 0.00457})
+	return tbl
+}
+
 func TestEstimateSTEN1MatchesHandComputation(t *testing.T) {
 	for _, tc := range []struct {
-		n                          int
-		tcomp, burst, own, tc, tco float64
+		name                     string
+		tbl                      *cost.Table
+		n                        int
+		tcomp, burst, x, tc, tco float64
+		charge                   string
 	}{
 		// Tcomp = 0.0003 · 5·1200 · 200 = 360 ms. The six-rank burst is
-		// (-0.0055 + 0.00283·6)·4800 + 1.1·6 = 61.704 ms; one rank's own
-		// exchange is Eq. 1 at two stations, (-0.0055 + 0.00283·2)·4800 +
-		// 1.1·2 = 2.968 ms, paid twice by an interior rank. The staggered
-		// cycle is max(61.704, 360 + 2·2.968) = 365.936 ms.
-		{n: 1200, tcomp: 360, burst: 61.704, own: 2.968, tc: 365.936, tco: 5.936},
+		// (-0.0055 + 0.00283·6)·4800 + 1.1·6 = 61.704 ms. The measured
+		// stagger at p = 6 is 0.33 + 0.345·6 + 4800·(0.0004811 +
+		// 0.0008914·6) = 30.3816 ms, and the cycle is max(61.704, 360 +
+		// 30.3816) = 390.3816 ms.
+		{name: "measured", tbl: measuredPaperTable(), n: 1200, tcomp: 360, burst: 61.704, x: 30.3816, tc: 390.3816, tco: 30.3816, charge: ChargeStagger},
+		// The paper's table has no stagger: one rank's own exchange is
+		// Eq. 1 at two stations, (-0.0055 + 0.00283·2)·4800 + 1.1·2 =
+		// 2.968 ms, charged twice, and the cycle is max(61.704, 360 +
+		// 5.936) = 365.936 ms.
+		{name: "paper", tbl: cost.PaperTable(), n: 1200, tcomp: 360, burst: 61.704, x: 5.936, tc: 365.936, tco: 5.936, charge: ChargeTwoOwn},
 		// At N = 60 the channel is the bottleneck: Tcomp = 0.9 ms, the burst
 		// (-0.0055 + 0.00283·6)·240 + 6.6 = 9.3552 ms outweighs 0.9 +
-		// 2·((-0.0055 + 0.00283·2)·240 + 2.2) = 5.3768 ms, so the cycle is
-		// the burst and T_comm is what it charges beyond T_comp.
-		{n: 60, tcomp: 0.9, burst: 9.3552, own: 2.2384, tc: 9.3552, tco: 8.4552},
+		// 0.33 + 2.07 + 240·0.0058295 = 4.69908 ms, so the cycle is the
+		// burst and T_comm is what it charges beyond T_comp.
+		{name: "measured", tbl: measuredPaperTable(), n: 60, tcomp: 0.9, burst: 9.3552, x: 3.79908, tc: 9.3552, tco: 8.4552, charge: ChargeStagger},
 	} {
-		e := paperEstimator(t, tc.n, false)
+		e, err := NewEstimator(model.PaperTestbed(), tc.tbl, stencilAnnotations(tc.n, false))
+		if err != nil {
+			t.Fatal(err)
+		}
 		est, err := e.Estimate(cost.Config{
 			Clusters: []string{model.Sparc2Cluster, model.IPCCluster},
 			Counts:   []int{6, 0},
@@ -384,7 +409,7 @@ func TestEstimateSTEN1MatchesHandComputation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		burst, own, err := e.eval.commCost(est.BytesPerMsg, 6)
+		burst, x, charge, err := e.eval.commCost(est.BytesPerMsg, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,12 +417,15 @@ func TestEstimateSTEN1MatchesHandComputation(t *testing.T) {
 			name      string
 			got, want float64
 		}{
-			{"Tcomp", est.TcompMs, tc.tcomp}, {"burst", burst, tc.burst}, {"own", own, tc.own},
+			{"Tcomp", est.TcompMs, tc.tcomp}, {"burst", burst, tc.burst}, {"x", x, tc.x},
 			{"Tcomm", est.TcommMs, tc.tco}, {"Tc", est.TcMs, tc.tc}, {"ElapsedMs(10)", est.ElapsedMs(10), 10 * tc.tc},
 		} {
 			if math.Abs(c.got-c.want) > 1e-9 {
-				t.Errorf("N=%d: %s = %v, want %v", tc.n, c.name, c.got, c.want)
+				t.Errorf("%s N=%d: %s = %v, want %v", tc.name, tc.n, c.name, c.got, c.want)
 			}
+		}
+		if charge != tc.charge || est.Charge != tc.charge {
+			t.Errorf("%s N=%d: charge %q, Estimate's %q, want %q", tc.name, tc.n, charge, est.Charge, tc.charge)
 		}
 		if est.ToverlapMs != 0 {
 			t.Errorf("N=%d: STEN-1 overlap = %v, want 0", tc.n, est.ToverlapMs)
@@ -411,11 +439,10 @@ func TestEstimateSTEN1MatchesHandComputation(t *testing.T) {
 	}
 }
 
-// TestEstimateTwoRankLeapfrog pins the two-rank charge at N = 60 STEN-1
-// (b = 240 bytes) on the paper's constants. Two ranks on one segment
-// leapfrog: each waits for one border, not the two-station burst, so own
-// is Eq. 1(b, 2) less one message's channel hold, (C2 + b·C4)/2. A pair
-// across the router keeps the crossing charge.
+// TestEstimateTwoRankLeapfrog pins the two-rank charges at N = 60 STEN-1
+// (b = 240 bytes). Two ranks of one cluster are charged the cluster's
+// measured p = 2 line, and a pair across the router the pair's; a pair on
+// one segment, and a table without the measurement, are charged 2·own.
 func TestEstimateTwoRankLeapfrog(t *testing.T) {
 	const b = 240
 	tbl := cost.PaperTable()
@@ -427,35 +454,37 @@ func TestEstimateTwoRankLeapfrog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The charge before the leapfrog, for the pair across the router:
-	// own is the worse cluster's Eq. 1(b, 2) plus the router, and the
-	// burst (the router one more station on each side) is the same.
+	// For the pair across the router, own is the worse cluster's Eq. 1(b,
+	// 2) plus the router, and so is the burst (the router one more
+	// station on each side).
 	pen := tbl.Router(model.Sparc2Cluster, model.IPCCluster).Eval(b)
 	crossOwn := max(sparc.Eval(b, 2)+pen, ipc.Eval(b, 2)+pen)
 	for _, tc := range []struct {
 		name         string
+		tbl          *cost.Table
 		oneSegment   bool // the IPC cluster moved onto sparc2's segment
 		counts       []int
 		tcomp, tcomm float64
+		charge       string
 		exactTc      float64 // when non-zero, T_c must equal it bit for bit
 	}{
-		// Tcomp = 0.0003·300·30 = 2.7 ms. Eq. 1(240, 2) = 2.2 + 240·0.00016
-		// = 2.2384 ms, less (1.1 + 240·0.00283)/2 = 0.8896: own 1.3488, and
-		// T_c = max(2.2384, 2.7 + 1.3488) = 4.0488 ms.
-		{name: "2+0 one segment", counts: []int{2, 0}, tcomp: 2.7, tcomm: 1.3488},
+		// Tcomp = 0.0003·300·30 = 2.7 ms. The burst is Eq. 1(240, 2) = 2.2 +
+		// 240·0.00016 = 2.2384 ms, and sparc2's p = 2 line 0.705 +
+		// 240·0.001556 = 1.07844 ms: T_c = max(2.2384, 2.7 + 1.07844).
+		{name: "2+0 one segment", tbl: measuredPaperTable(), counts: []int{2, 0}, tcomp: 2.7, tcomm: 1.07844, charge: ChargeStagger},
 		// Eq. 3 gives sparc2 40 rows and the IPC 20: Tcomp = 0.0003·300·40
-		// = 3.6 ms. The IPC's Eq. 1(240, 2) = 3.8 − 240·0.00316 = 3.0416
-		// plus the router 0.0006·240 = 0.144 is own, 3.1856, and T_c =
-		// 6.7856 ms, as before the leapfrog.
-		{name: "1+1 across the router", counts: []int{1, 1}, tcomp: 3.6, tcomm: 3.1856,
-			exactTc: max(crossOwn, 3.6+crossOwn)},
-		// The same pair on one segment pays no router and leapfrogs: the
-		// IPC's own is 3.0416 − (1.9 + 240·0.00457)/2 = 1.5432, sparc2's
-		// 1.3488, and T_c = max(3.0416, 3.6 + 1.5432) = 5.1432 ms. The
-		// burst keeps the router station, as cost.Table.CommCost does.
-		{name: "1+1 one segment", oneSegment: true, counts: []int{1, 1}, tcomp: 3.6, tcomm: 1.5432},
+		// = 3.6 ms. The pair's line is 2 + 240·0.00457 = 3.0968 ms, and
+		// T_c = max(3.1856, 3.6 + 3.0968) = 6.6968 ms.
+		{name: "1+1 across the router", tbl: measuredPaperTable(), counts: []int{1, 1}, tcomp: 3.6, tcomm: 3.0968, charge: ChargePair},
+		// Unmeasured, the pair is charged 2·own: the IPC's Eq. 1(240, 2) =
+		// 3.8 − 240·0.00316 = 3.0416 plus the router 0.144, twice.
+		{name: "1+1 across the router, paper table", tbl: tbl, counts: []int{1, 1}, tcomp: 3.6, tcomm: 6.3712,
+			charge: ChargeTwoOwn, exactTc: max(crossOwn, 3.6+2*crossOwn)},
+		// The same pair on one segment pays no router, and the table
+		// measures no pair on one segment: 2·3.0416 = 6.0832 ms.
+		{name: "1+1 one segment", tbl: measuredPaperTable(), oneSegment: true, counts: []int{1, 1}, tcomp: 3.6, tcomm: 6.0832, charge: ChargeTwoOwn},
 	} {
-		e, err := NewEstimator(model.PaperTestbed(), tbl, stencilAnnotations(60, false))
+		e, err := NewEstimator(model.PaperTestbed(), tc.tbl, stencilAnnotations(60, false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,6 +500,9 @@ func TestEstimateTwoRankLeapfrog(t *testing.T) {
 		}
 		if est.BytesPerMsg != b {
 			t.Fatalf("%s: BytesPerMsg = %v, want %v", tc.name, est.BytesPerMsg, b)
+		}
+		if est.Charge != tc.charge {
+			t.Errorf("%s: charge %q, want %q", tc.name, est.Charge, tc.charge)
 		}
 		for _, c := range []struct {
 			name      string
@@ -546,12 +578,11 @@ func TestEstimateCountsEvaluations(t *testing.T) {
 // See EXPERIMENTS.md for the comparison against the paper's Table 1,
 // including the rows where the paper is internally inconsistent.
 //
-// STEN-1 cycles are staggered: T_c = max(burst, Tcomp + d·own), d = 1 at
-// two ranks and 2 from three on. In ms:
-//   - N=60: 2+0 is 2.7 + 1.3488 = 4.05 (two ranks on one segment
-//     leapfrog: Eq. 1(b, 2) = 2.2384 less one message, 0.8896); 3+0 is
-//     1.8 + 2·2.2384 = 6.28, 4+0 the burst 5.80 (a second, higher
-//     minimum), 1+0 is 5.4.
+// STEN-1 cycles are staggered: T_c = max(burst, Tcomp + 2·own), the
+// paper's table having no measured stagger. In ms:
+//   - N=60: 1+0 is 5.4; 2+0 is 2.7 + 2·2.2384 = 7.18 (own is Eq. 1(b,
+//     2) = 2.2384), 3+0 1.8 + 2·2.2384 = 6.28, 4+0 the burst 5.80. One
+//     processor, as in the paper's Table 1.
 //   - N=300: from 6+2 to 6+4 the cycle is the crossing burst, 25.592 ms
 //     ((-0.0055 + 0.00283·7)·1200 + 1.1·7 + 0.0006·1200, the router one
 //     more station), below 6+0's 22.5 + 2·2.392 = 27.28; the smallest
@@ -564,7 +595,7 @@ var partitionCases = []struct {
 	overlap bool
 	p1, p2  int
 }{
-	{60, false, 2, 0},
+	{60, false, 1, 0},
 	{300, false, 6, 2},
 	{600, false, 6, 6},
 	{1200, false, 6, 6},
@@ -844,8 +875,19 @@ func TestPartitionGlobalSingleCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Config.Counts[0] != 2 { // same optimum as the heuristic finds
-		t.Errorf("single-cluster global chose %v", res.Config)
+	// b = 240 bytes, T_comp = 5.4/p ms. The table carries no stagger, so a
+	// staggered cycle is charged 2·own: 2+0 costs max(2.24, 2.7 + 2·2.24) =
+	// 7.18 ms against 1+0's 5.4 ms, 3+0 costs 1.8 + 2·2.24 = 6.28 ms, and
+	// from 4 on the burst alone (5.80 ms at p = 4) exceeds 5.4 ms.
+	if res.Config.Counts[0] != 1 {
+		t.Errorf("single-cluster global chose %v, want 1", res.Config)
+	}
+	oracle, err := PartitionExhaustive(e.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Config.Counts[0] != oracle.Config.Counts[0] {
+		t.Errorf("single-cluster global chose %v, the exhaustive search %v", res.Config, oracle.Config)
 	}
 }
 

@@ -60,15 +60,18 @@ type deltaCluster struct {
 	term  float64        // base count / time: the Eq. 3 denominator's term
 	count int            // the count under evaluation
 	// params are the Eq. 1 constants for the dominant topology (1-D
-	// without a communication phase), resolved on first use.
+	// without a communication phase) and stagger the measured stagger (nil
+	// if none), resolved on first use.
 	params   cost.Params
 	paramsOK bool
+	stagger  *cost.Stagger
 }
 
 // deltaPair memoizes the cross-segment facts of one cluster pair.
 type deltaPair struct {
-	ok, sameSeg, coerce bool
-	router, coerceC     cost.PerByte
+	ok, sameSeg, coerce, staggerOK bool
+	router, coerceC                cost.PerByte
+	stagger                        *cost.PerByte // the pair's measured stagger, if any
 }
 
 // evalMode says how an evaluation reports itself.
@@ -228,7 +231,7 @@ func (d *DeltaEval) eval(est *Estimate, k, p int, mode evalMode) error {
 	cl[k].count = p
 	// Field by field: measured cheaper than assigning a whole Estimate
 	// through the pointer (BenchmarkEstimateDelta).
-	est.Config, est.Shares = cost.Config{Clusters: d.base.Clusters}, nil
+	est.Config, est.Shares, est.Charge = cost.Config{Clusters: d.base.Clusters}, nil, ""
 	est.TcompMs, est.TcommMs, est.ToverlapMs, est.TcMs, est.BytesPerMsg, est.StartupMs = 0, 0, 0, 0, 0, 0
 	if total <= 0 {
 		return ErrNoProcessors
@@ -285,21 +288,17 @@ func (d *DeltaEval) eval(est *Estimate, k, p int, mode evalMode) error {
 		}
 		est.BytesPerMsg = b
 		if total > 1 { // a single task exchanges no messages
-			burst, own, err := d.commCost(b, total)
+			burst, x, charge, err := d.commCost(b, total)
 			if err != nil {
 				return err
 			}
 			est.TcommMs = burst
 			if d.stagger {
-				// A staggered cycle: a rank with its ghosts computes while
-				// the channel still carries its neighbours' borders, so the
-				// cycle costs the burst or T_comp plus the slowest rank's
-				// own exchanges (one per neighbour), whichever is larger.
-				// The max is direct, keeping plateaus of T_c flat, and
-				// T_comm is what the cycle charges beyond T_comp.
-				exchanges := float64(min(total-1, 2))
-				est.TcMs = max(burst, est.TcompMs+exchanges*own)
-				est.TcommMs = est.TcMs - est.TcompMs
+				// A rank with its ghosts computes while the channel still
+				// carries its neighbours' borders: the cycle is the larger
+				// of the burst and T_comp + x (direct, keeping T_c flat).
+				est.TcMs = max(burst, est.TcompMs+x)
+				est.TcommMs, est.Charge = est.TcMs-est.TcompMs, charge
 			}
 		}
 		if d.overlap {
@@ -330,9 +329,10 @@ func (d *DeltaEval) eval(est *Estimate, k, p int, mode evalMode) error {
 }
 
 // paramsFor resolves (and memoizes) cluster i's Eq. 1 constants for the
-// dominant topology. Without a communication phase they are the 1-D
-// model's, which only the startup estimate reads; with one, commCost has
-// resolved every active cluster before startupCost reads the root's.
+// dominant topology, and its measured stagger. Without a communication
+// phase they are the 1-D model's, which only the startup estimate reads;
+// with one, commCost has resolved every active cluster before startupCost
+// reads the root's.
 //
 //netpart:hotpath
 func (d *DeltaEval) paramsFor(i int) (cost.Params, error) {
@@ -344,11 +344,11 @@ func (d *DeltaEval) paramsFor(i int) (cost.Params, error) {
 	if d.comm != nil {
 		topology = d.comm.Topology
 	}
-	params, err := d.e.Costs.Comm(d.base.Clusters[i], topology)
+	params, stagger, err := d.e.Costs.Model(d.base.Clusters[i], topology)
 	if err != nil {
 		return cost.Params{}, err
 	}
-	c.params, c.paramsOK = params, true
+	c.params, c.paramsOK, c.stagger = params, true, stagger
 	return params, nil
 }
 
@@ -388,18 +388,16 @@ func (d *DeltaEval) pairFor(i, j int) *deltaPair {
 // a cluster whose tasks communicate across the router is charged one
 // extra contending station (Section 3.0, matching cost.Table.CommCost bit
 // for bit); without it, Section 6.0's composition omits the extra station.
-// That is the burst. own, in the same walk, is the slowest rank's exchange
-// with one neighbour: the largest Eq. 1_i(b, 2), plus the cluster's
-// crossing penalty when its ranks cross. Two ranks on one segment
-// leapfrog: the channel carries both borders, but each rank waits for
-// only its neighbour's, so their own is Eq. 1_i(b, 2) less one message's
-// channel hold, (C2 + b·C4)/2. Border detection uses topo.SegmentCrosses
-// on the contiguous placement's rank ranges, so no placement is
-// materialized.
+// That is the burst. x, a staggered phase's stagger, is measured for one
+// active cluster and for a two-rank pair across the router, else 2·own:
+// own is the largest Eq. 1_i(b, 2), plus the crossing penalty when the
+// cluster's ranks cross; charge names which. Border detection uses
+// topo.SegmentCrosses on the contiguous placement's rank ranges, so no
+// placement is materialized.
 //
 //netpart:hotpath
-func (d *DeltaEval) commCost(b float64, total int) (burst, own float64, err error) {
-	lo := 0
+func (d *DeltaEval) commCost(b float64, total int) (burst, x float64, charge string, err error) {
+	lo, own, active, prev, last := 0, 0.0, 0, 0, 0
 	cl := d.cl
 	for i := range cl {
 		cnt := cl[i].count
@@ -408,7 +406,7 @@ func (d *DeltaEval) commCost(b float64, total int) (burst, own float64, err erro
 		}
 		params, err := d.paramsFor(i)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, "", err
 		}
 		hi := lo + cnt
 		crosses := topo.SegmentCrosses(d.tp, lo, hi, total)
@@ -423,26 +421,33 @@ func (d *DeltaEval) commCost(b float64, total int) (burst, own float64, err erro
 			p++ // the router is one more station on this segment
 		}
 		c, o := params.Eval(b, p), params.Eval(b, 2)
-		routed := false
 		if crosses {
-			var pen float64
-			pen, routed = d.crossPenalty(i, b)
+			pen := d.crossPenalty(i, b)
 			c, o = c+pen, o+pen
 		}
-		if total == 2 && !routed {
-			o -= (params.C2 + b*params.C4) / 2
-		}
 		burst, own = max(burst, c), max(own, o)
+		active, prev, last = active+1, last, i
 	}
-	return burst, own, nil
+	if st := cl[last].stagger; active == 1 && st != nil {
+		return burst, st.Eval(b, cl[last].count), ChargeStagger, nil
+	}
+	if active == 2 && total == 2 {
+		pr := d.pairFor(prev, last)
+		if !pr.staggerOK { // looked up here: no other probe reads it
+			pr.stagger, pr.staggerOK = d.e.Costs.PairStagger(cl[prev].c.Name, cl[last].c.Name), true
+		}
+		if !pr.sameSeg && pr.stagger != nil {
+			return burst, pr.stagger.Eval(b), ChargePair, nil
+		}
+	}
+	return burst, 2 * own, ChargeTwoOwn, nil
 }
 
 // crossPenalty is the worst router (plus coercion) cost from cluster from
-// to any other active cluster on another segment; routed reports whether
-// there is one.
+// to any other active cluster on another segment.
 //
 //netpart:hotpath
-func (d *DeltaEval) crossPenalty(from int, b float64) (worst float64, routed bool) {
+func (d *DeltaEval) crossPenalty(from int, b float64) (worst float64) {
 	cl := d.cl
 	for j := range cl {
 		if cl[j].count == 0 || j == from {
@@ -452,7 +457,6 @@ func (d *DeltaEval) crossPenalty(from int, b float64) (worst float64, routed boo
 		if pr.sameSeg {
 			continue
 		}
-		routed = true
 		p := pr.router.Eval(b)
 		if pr.coerce {
 			p += pr.coerceC.Eval(b)
@@ -461,7 +465,7 @@ func (d *DeltaEval) crossPenalty(from int, b float64) (worst float64, routed boo
 			worst = p
 		}
 	}
-	return worst, routed
+	return worst
 }
 
 // startupCost estimates T_startup (at least two tasks): the root, the

@@ -98,7 +98,12 @@ type Estimate struct {
 	// domain from the first processor (zero unless the annotations declare
 	// StartupBytesPerPDU).
 	StartupMs float64
+	// Charge names what priced a STEN-1 stagger (DESIGN §1), or is empty.
+	Charge string
 }
+
+// The stagger charges (Estimate.Charge).
+const ChargeStagger, ChargePair, ChargeTwoOwn = "measured stagger", "measured pair", "2·own (not measured)"
 
 // Detach returns the estimate with its own copies of the slices that may
 // alias estimator scratch (Shares) or a reused search probe vector
@@ -166,6 +171,7 @@ func (e *Estimator) observe(cluster string, p int, est Estimate, cached bool) {
 		ToverlapMs: est.ToverlapMs,
 		TcMs:       est.TcMs,
 		StartupMs:  est.StartupMs,
+		Charge:     est.Charge,
 		Evaluation: e.evaluations,
 		Cached:     cached,
 	})

@@ -151,7 +151,7 @@ func TestCommCostMatchesTable(t *testing.T) {
 					}
 					burst := got.TcommMs // a single task exchanges nothing
 					if p1+p2 > 1 {
-						if burst, _, err = e.eval.commCost(got.BytesPerMsg, p1+p2); err != nil {
+						if burst, _, _, err = e.eval.commCost(got.BytesPerMsg, p1+p2); err != nil {
 							t.Fatal(err)
 						}
 					}

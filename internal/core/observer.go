@@ -42,6 +42,7 @@ type Candidate struct {
 	ToverlapMs float64
 	TcMs       float64
 	StartupMs  float64
+	Charge     string // Estimate.Charge
 	// Evaluation is the estimator's evaluation counter after this
 	// computation (the O(K·log2 P) overhead sequence number).
 	Evaluation int
@@ -337,6 +338,9 @@ func (t *SearchTrace) Explain() string {
 		fmt.Fprintf(&b, "  shares (A_i)  : %s\n", formatShares(winner.Config, winner.Shares))
 		fmt.Fprintf(&b, "  T_comp %.3f + T_comm %.3f - T_overlap %.3f = T_c %.3f ms\n",
 			winner.TcompMs, winner.TcommMs, winner.ToverlapMs, winner.TcMs)
+		if winner.Charge != "" {
+			fmt.Fprintf(&b, "  stagger charge: %s\n", winner.Charge)
+		}
 		if winner.StartupMs > 0 {
 			fmt.Fprintf(&b, "  T_startup     : %.3f ms (excluded from T_c, per the paper)\n", winner.StartupMs)
 		}

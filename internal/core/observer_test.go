@@ -3,6 +3,9 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"netpart/internal/cost"
+	"netpart/internal/model"
 )
 
 func TestSearchTraceRecordsPartition(t *testing.T) {
@@ -213,6 +216,38 @@ func TestObserverStrategies(t *testing.T) {
 		}
 		if last.Config.String() != res.Config.String() {
 			t.Errorf("%s: winner event %v != result %v", tc.strategy, last.Config, res.Config)
+		}
+	}
+}
+
+// TestExplainNamesTheCharge: the winner's report names what its stagger
+// was charged — the cluster's measured stagger on a measured table, 2·own
+// on the paper's — and names nothing for an overlapped phase. The IPC
+// cluster is unavailable, so the winner is sparc2's alone.
+func TestExplainNamesTheCharge(t *testing.T) {
+	for _, tc := range []struct {
+		tbl     *cost.Table
+		overlap bool
+		want    string
+	}{
+		{measuredPaperTable(), false, "stagger charge: " + ChargeStagger},
+		{cost.PaperTable(), false, "stagger charge: " + ChargeTwoOwn},
+		{measuredPaperTable(), true, ""},
+	} {
+		net := model.PaperTestbed()
+		net.Cluster(model.IPCCluster).Available = 0
+		e, err := NewEstimator(net, tc.tbl, stencilAnnotations(300, tc.overlap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace := &SearchTrace{}
+		e.Observer = trace
+		if _, err := Partition(e); err != nil {
+			t.Fatal(err)
+		}
+		report := trace.Explain()
+		if got := strings.Contains(report, "stagger charge:"); got != (tc.want != "") || !strings.Contains(report, tc.want) {
+			t.Errorf("overlap %v: want %q in\n%s", tc.overlap, tc.want, report)
 		}
 	}
 }

@@ -176,9 +176,8 @@ func localityFirst(e *Estimator, strategy string, minimise minimiser) (Result, e
 // The curve is unimodal but for two steps, checked directly. Opening a
 // slower cluster adds its crossing penalty at p = 1, so the cluster stays
 // closed unless its minimum beats the search's best so far (no probe). On
-// a staggered phase a rank exchanges once at two ranks (one message when
-// they share a segment) and twice from three on, so bisection covers
-// totals from 3 and totals 1 and 2 are probed.
+// a staggered phase two ranks leapfrog, off the line from three on, so
+// bisection covers totals from 3 and totals 1 and 2 are probed.
 func bisectCluster(s search, d *DeltaEval, k, lo, hi int) (int, float64, error) {
 	name := s.cfg.Clusters[k]
 	base, top := s.cfg.Total(), hi

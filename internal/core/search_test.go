@@ -151,10 +151,11 @@ func randomEstimator(t *testing.T, seed int64) *Estimator {
 // constructedCases are two T_c curves built to mislead a bisection that
 // assumes unimodality (TestConstructedCurves pins their shapes): every
 // strategy must find the oracle's optimum on both.
-//   - p2-minimum: one cluster whose Eq. 1 is a constant C1 = T_comp(1)/2.5,
-//     so a staggered STEN-1 cycle is T_comp(1)/p + d·C1: the minimum is at
-//     p = 2 (one exchange), and from p = 3 on (two) the curve falls again
-//     to a higher minimum at p = 6.
+//   - p2-minimum: one cluster whose Eq. 1 is a constant C1 = T_comp(1)/2.5
+//     and whose measured stagger is C1 at p = 2 and 2·C1 from p = 3 on,
+//     so a staggered STEN-1 cycle is T_comp(1)/p + d·C1: the minimum is
+//     at p = 2 (one exchange), and from p = 3 on (two) the curve falls
+//     again to a higher minimum at p = 6.
 //   - stay-closed: the paper testbed with a 60 ms router charge, so every
 //     count of the slower cluster is worse than leaving it closed, while
 //     the curve over those counts falls all the way to p = 6.
@@ -166,6 +167,7 @@ func constructedCases() []searchCase {
 			net.Cluster(model.IPCCluster).Available = 0
 			tbl := cost.NewTable()
 			tbl.SetComm(model.Sparc2Cluster, "1-D", cost.Params{C1: 5.4 / 2.5}) // T_comp(1) = 5.4 ms at N = 60
+			tbl.SetStagger(model.Sparc2Cluster, cost.Stagger{Two: cost.PerByte{FixedMs: 5.4 / 2.5}, Many: cost.Params{C1: 2 * (5.4 / 2.5)}})
 			e, err := NewEstimator(net, tbl, stencilAnnotations(60, false))
 			if err != nil {
 				t.Fatal(err)

@@ -55,6 +55,24 @@ type PerByte struct {
 // Eval returns the cost of one b-byte message.
 func (p PerByte) Eval(b float64) float64 { return p.FixedMs + p.Ms*b }
 
+// Stagger is a cluster's measured STEN-1 stagger: what one cycle of
+// commbench's stagger program costs beyond its compute, as a function of
+// the message size b and the ranks p. Many is Eq. 1 fitted over p ≥ 3; Two
+// is a per-byte line at p = 2, which is off that line (two ranks
+// leapfrog: each waits only for its one neighbour's border).
+type Stagger struct {
+	Two  PerByte
+	Many Params
+}
+
+// Eval returns the stagger of p ≥ 2 ranks exchanging b-byte borders.
+func (s Stagger) Eval(b float64, p int) float64 {
+	if p == 2 {
+		return s.Two.Eval(b)
+	}
+	return s.Many.Eval(b, p)
+}
+
 // Migration extends the Eq. 4–6 cost model with the price of *changing* a
 // partition: moving rows_moved PDUs to their new owners costs
 //
@@ -105,43 +123,77 @@ func makePair(a, b string) pairKey {
 }
 
 // Table holds the benchmarked cost models for one network: Eq. 1 constants
-// per (cluster, topology), and per-byte router and coercion penalties per
-// cluster pair. Construct with NewTable and populate via Set* (typically
-// from package commbench's fits).
+// per (cluster, topology), per-byte router and coercion penalties per
+// cluster pair, and the measured STEN-1 stagger per cluster and per
+// cross-segment pair. Construct with NewTable and populate via Set*
+// (typically from package commbench's fits).
 type Table struct {
-	comm   map[string]map[string]Params // cluster → topology → params
-	router map[pairKey]PerByte
-	coerce map[pairKey]PerByte
+	comm        map[string]*clusterCosts
+	router      map[pairKey]PerByte
+	coerce      map[pairKey]PerByte
+	pairStagger map[pairKey]*PerByte
+}
+
+// clusterCosts are one cluster's models: Eq. 1 per topology, and the
+// measured stagger (nil if none).
+type clusterCosts struct {
+	topo    map[string]Params
+	stagger *Stagger
 }
 
 // NewTable returns an empty cost table.
 func NewTable() *Table {
 	return &Table{
-		comm:   make(map[string]map[string]Params),
-		router: make(map[pairKey]PerByte),
-		coerce: make(map[pairKey]PerByte),
+		comm:        make(map[string]*clusterCosts),
+		router:      make(map[pairKey]PerByte),
+		coerce:      make(map[pairKey]PerByte),
+		pairStagger: make(map[pairKey]*PerByte),
 	}
+}
+
+// cluster returns a cluster's models, adding an empty entry if it has none.
+func (t *Table) cluster(name string) *clusterCosts {
+	m, ok := t.comm[name]
+	if !ok {
+		m = &clusterCosts{topo: make(map[string]Params)}
+		t.comm[name] = m
+	}
+	return m
 }
 
 // SetComm records the Eq. 1 constants for a (cluster, topology) pair.
-func (t *Table) SetComm(cluster, topology string, p Params) {
-	m, ok := t.comm[cluster]
-	if !ok {
-		m = make(map[string]Params)
-		t.comm[cluster] = m
-	}
-	m[topology] = p
-}
+func (t *Table) SetComm(cluster, topology string, p Params) { t.cluster(cluster).topo[topology] = p }
 
 // Comm returns the Eq. 1 constants for a (cluster, topology) pair.
 func (t *Table) Comm(cluster, topology string) (Params, error) {
+	p, _, err := t.Model(cluster, topology)
+	return p, err
+}
+
+// SetStagger records a cluster's measured stagger.
+func (t *Table) SetStagger(cluster string, s Stagger) { t.cluster(cluster).stagger = &s }
+
+// Model returns both of a cluster's models in one lookup: the Eq. 1
+// constants for a topology, as Comm, and the cluster's measured stagger,
+// nil when the table has none (the paper's table, or one fitted without
+// the stagger program). The stagger is the table's own: read it, do not
+// write it.
+func (t *Table) Model(cluster, topology string) (Params, *Stagger, error) {
 	if m, ok := t.comm[cluster]; ok {
-		if p, ok := m[topology]; ok {
-			return p, nil
+		if p, ok := m.topo[topology]; ok {
+			return p, m.stagger, nil
 		}
 	}
-	return Params{}, fmt.Errorf("cost: no model for cluster %q topology %q", cluster, topology)
+	return Params{}, nil, fmt.Errorf("cost: no model for cluster %q topology %q", cluster, topology)
 }
+
+// SetPairStagger records the measured stagger of two ranks, one on each of
+// two clusters on different segments (order irrelevant).
+func (t *Table) SetPairStagger(c1, c2 string, p PerByte) { t.pairStagger[makePair(c1, c2)] = &p }
+
+// PairStagger returns the measured stagger of a cross-segment pair at one
+// rank each, or nil when the table has none; read it, do not write it.
+func (t *Table) PairStagger(c1, c2 string) *PerByte { return t.pairStagger[makePair(c1, c2)] }
 
 // SetRouter records the router penalty between two clusters (order
 // irrelevant).

@@ -361,11 +361,61 @@ func TestTableRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStaggerRoundTrip: a cluster's stagger and a pair's survive
+// WriteTable and ReadTable bit for bit (the pair in either order), and a
+// table written without them reads back without them.
+func TestStaggerRoundTrip(t *testing.T) {
+	orig := PaperTable()
+	st := Stagger{Two: PerByte{FixedMs: 0.705, Ms: 0.001556}, Many: Params{C1: 0.33, C2: 0.345, C3: 0.0004811, C4: 0.0008914}}
+	pair := PerByte{FixedMs: 2, Ms: 0.00457}
+	orig.SetStagger(model.Sparc2Cluster, st)
+	orig.SetPairStagger(model.IPCCluster, model.Sparc2Cluster, pair)
+	var buf bytes.Buffer
+	if err := WriteTable(&buf, orig); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	got, err := ReadTable(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, have, _ := got.Model(model.Sparc2Cluster, "1-D"); have == nil || *have != st {
+		t.Errorf("stagger round trip: %+v, want %+v", have, st)
+	}
+	if _, have, _ := got.Model(model.IPCCluster, "1-D"); have != nil {
+		t.Error("ipc has a stagger it was never given")
+	}
+	if have := got.PairStagger(model.Sparc2Cluster, model.IPCCluster); have == nil || *have != pair {
+		t.Errorf("pair stagger round trip: %+v, want %+v\n%s", have, pair, text)
+	}
+	buf.Reset()
+	if err := WriteTable(&buf, PaperTable()); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "stagger") {
+		t.Errorf("a table without stagger writes one:\n%s", buf.String())
+	}
+	plain, err := ReadTable(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, have, _ := plain.Model(model.Sparc2Cluster, "1-D"); have != nil || plain.PairStagger(model.Sparc2Cluster, model.IPCCluster) != nil {
+		t.Error("a table read without stagger has one")
+	}
+	if x := st.Eval(4800, 2); x != 0.705+0.001556*4800 {
+		t.Errorf("Eval(4800, 2) = %v, want the p = 2 line", x)
+	}
+	if x := st.Eval(4800, 6); x != st.Many.Eval(4800, 6) {
+		t.Errorf("Eval(4800, 6) = %v, want Eq. 1", x)
+	}
+}
+
 func TestReadTableRejectsInvalid(t *testing.T) {
 	for name, in := range map[string]string{
 		"garbage":       `nope`,
 		"unknown field": `{"comm":[],"bogus":1}`,
 		"empty cluster": `{"comm":[{"cluster":"","topology":"1-D"}]}`,
+		"empty stagger": `{"comm":[],"stagger":[{"cluster":""}]}`,
 	} {
 		if _, err := ReadTable(strings.NewReader(in)); err == nil {
 			t.Errorf("%s accepted", name)

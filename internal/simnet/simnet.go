@@ -10,9 +10,9 @@
 // in Advance, Send and Recv; its body may block anywhere. A step task
 // (SpawnStep) is a small state machine with no goroutine: the simulator
 // calls its step function at each of its wakes, and each call starts a
-// send, tries a receive, or finishes. The offline benchmark programs are
-// step tasks; everything whose body blocks in the middle of its own code
-// (spmd, and so every stencil run) is goroutine tasks.
+// send, tries a receive, computes, or finishes. The offline benchmark
+// programs are step tasks; everything whose body blocks in the middle of
+// its own code (spmd, and so every stencil run) is goroutine tasks.
 //
 // Goroutine tasks pass a baton: exactly one goroutine — a running task, or
 // Run before the first task starts — holds the event queue and the
@@ -341,6 +341,33 @@ func New(net *model.Network, opts ...Option) (*Sim, error) {
 	return s, nil
 }
 
+// Reset readies s for another Run over the same network, as New would
+// with opts, without validating the network again, and keeps what s has
+// allocated: the event and message free lists, the heap's array, and the
+// task structs with their mailbox tables, which the next run's spawns
+// take in rank order. A run after Reset is bit for bit the run of a fresh
+// simulator. Every task of the previous run is invalid after Reset, and
+// it must not be called during Run.
+func (s *Sim) Reset(opts ...Option) {
+	if s.running {
+		panic("simnet: Reset during Run")
+	}
+	for _, ev := range s.events { // queued by spawns that no Run followed
+		*ev = event{}
+		if len(s.free) < maxFree {
+			s.free = append(s.free, ev)
+		}
+	}
+	clear(s.events)
+	*s = Sim{net: s.net, segments: s.segments, events: s.events[:0], free: s.free, freeMsgs: s.freeMsgs, procs: s.procs[:0], idle: s.idle}
+	for _, seg := range s.segments {
+		*seg = segment{spec: seg.spec}
+	}
+	for _, opt := range opts {
+		opt(s)
+	}
+}
+
 // Now returns the current virtual time in milliseconds.
 func (s *Sim) Now() float64 { return s.now }
 
@@ -496,9 +523,10 @@ func (s *Sim) Spawn(name, cluster string, body func(*Proc)) *Proc {
 // SpawnStep creates a step task on the named cluster: Run calls step at
 // each of the task's wakes, the first at virtual time 0, on whichever
 // goroutine holds the baton. Each call makes exactly one of StartSend,
-// TryRecv and Finish; a call that makes none, or a second, panics, and a
-// panic in step ends the task with its panic error as a body's panic ends a
-// goroutine task. SpawnStep panics on an unknown cluster.
+// TryRecv, Compute and Finish; a call that makes none, or a second,
+// panics, and a panic in step ends the task with its panic error as a
+// body's panic ends a goroutine task. SpawnStep panics on an unknown
+// cluster.
 func (s *Sim) SpawnStep(name, cluster string, step func(*Proc)) *Proc {
 	p := s.spawn(name, cluster)
 	p.step = step
@@ -514,13 +542,27 @@ func (s *Sim) spawn(name, cluster string) *Proc {
 	if c == nil {
 		panic(fmt.Sprintf("simnet: unknown cluster %q", cluster))
 	}
-	p := &Proc{
+	n := len(s.procs)
+	var p *Proc
+	if n < cap(s.procs) {
+		p = s.procs[:n+1][n] // a task of a run before Reset, or nil
+	}
+	if p == nil {
+		p = new(Proc)
+	}
+	boxes := p.mailboxes
+	for i := range boxes {
+		clear(boxes[i].items)
+		boxes[i] = msgQueue{items: boxes[i].items[:0]}
+	}
+	*p = Proc{
 		sim:       s,
 		name:      name,
 		cluster:   c,
 		seg:       s.segments[c.Segment],
-		rank:      len(s.procs),
+		rank:      n,
 		waitingOn: -1,
+		mailboxes: boxes,
 	}
 	s.procs = append(s.procs, p)
 	s.schedule(0, evWake, p, nil)
@@ -538,7 +580,7 @@ func (s *Sim) runStep(p *Proc) {
 	p.acted = false
 	p.step(p)
 	if !p.acted {
-		panic("simnet: step returned without sending, receiving or finishing")
+		panic("simnet: step returned without sending, receiving, computing or finishing")
 	}
 }
 
@@ -576,6 +618,16 @@ func (p *Proc) StartSend(dst *Proc, bytes int, payload interface{}) {
 func (p *Proc) TryRecv(src *Proc) (Message, bool) {
 	p.act()
 	return p.tryRecv(src)
+}
+
+// Compute spends ms of a step task's virtual time computing, as Advance
+// does; the task's next wake is when the computation ends.
+func (p *Proc) Compute(ms float64) {
+	p.act()
+	if ms < 0 {
+		panic("simnet: negative advance")
+	}
+	p.charge(ms)
 }
 
 // Finish ends a step task.

@@ -173,7 +173,7 @@ func TestStepPanicIsTheTasks(t *testing.T) {
 		step func(p *Proc)
 		want string
 	}{
-		{"idle", func(*Proc) {}, "simnet: task idle panicked: simnet: step returned without sending, receiving or finishing"},
+		{"idle", func(*Proc) {}, "simnet: task idle panicked: simnet: step returned without sending, receiving, computing or finishing"},
 		{"twice", func(p *Proc) { p.StartSend(p, 1, nil); p.Finish() }, "simnet: task twice panicked: simnet: a second operation in one step"},
 		{"blocking", func(p *Proc) { p.Advance(1) }, "simnet: task blocking panicked: simnet: a step task cannot block"},
 	} {
@@ -204,5 +204,121 @@ func TestStepTasksStartNoGoroutine(t *testing.T) {
 	}
 	if most != base {
 		t.Errorf("%d goroutines during the run, want %d", most, base)
+	}
+}
+
+// TestResetRunsLikeNew: a simulator Reset after a run, one that left a
+// message unreceived in a finished task's mailbox and ran with other
+// options, runs the next program exactly as a new simulator does: the same
+// end time, channel and task statistics, delivery sequence and messages
+// received, with jitter re-seeded, step tasks computing, and goroutine
+// tasks beside them.
+func TestResetRunsLikeNew(t *testing.T) {
+	type delivery struct {
+		from, to int
+		at       float64
+	}
+	// program records the size of each message its step tasks receive.
+	program := func(s *Sim, seen *[]delivery) {
+		procs := make([]*Proc, 4)
+		for i := range procs {
+			var peers []int
+			if i > 0 {
+				peers = append(peers, i-1)
+			}
+			if i < 3 {
+				peers = append(peers, i+1)
+			}
+			cl := model.Sparc2Cluster
+			if i >= 2 {
+				cl = model.IPCCluster
+			}
+			if i == 1 || i == 2 {
+				n, round, op := len(peers), 0, 0
+				procs[i] = s.SpawnStep("step", cl, func(p *Proc) {
+					switch {
+					case round == 3:
+						p.Finish()
+						return
+					case op < n:
+						p.StartSend(procs[peers[op]], 1200, nil)
+					case op < 2*n:
+						msg, ok := p.TryRecv(procs[peers[op-n]])
+						if !ok {
+							return
+						}
+						*seen = append(*seen, delivery{from: -msg.Bytes, to: p.Rank()})
+					default:
+						p.Compute(0.7)
+					}
+					if op++; op == 2*n+1 {
+						round, op = round+1, 0
+					}
+				})
+				continue
+			}
+			procs[i] = s.Spawn("goroutine", cl, func(p *Proc) {
+				for range 3 {
+					p.AdvanceOps(2000, model.OpFloat)
+					for _, nb := range peers {
+						p.Send(procs[nb], 1200, nil)
+					}
+					for _, nb := range peers {
+						p.Recv(procs[nb])
+					}
+				}
+			})
+		}
+	}
+	opts := func(seen *[]delivery) []Option {
+		return []Option{WithJitter(0.2, 2741), WithMessageObserver(func(d Delivery) {
+			*seen = append(*seen, delivery{d.From.Rank(), d.To.Rank(), d.DeliveredAtMs})
+		})}
+	}
+	var want, got []delivery
+	fresh, err := New(model.PaperTestbed(), opts(&want)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	program(fresh, &want)
+	if err := runBounded(t, fresh); err != nil {
+		t.Fatal(err)
+	}
+
+	reused, err := New(model.PaperTestbed(), WithJitter(0.5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var procs [3]*Proc
+	sent := false
+	procs[0] = reused.SpawnStep("sender", model.IPCCluster, func(p *Proc) {
+		if !sent {
+			sent = true
+			p.StartSend(procs[1], 4800, nil)
+			return
+		}
+		p.Finish()
+	})
+	procs[1] = reused.SpawnStep("gone", model.IPCCluster, func(p *Proc) { p.Finish() })
+	procs[2] = reused.Spawn("idle", model.Sparc2Cluster, func(p *Proc) { p.Advance(5) })
+	if err := runBounded(t, reused); err != nil {
+		t.Fatal(err)
+	}
+	reused.Reset(opts(&got)...)
+	program(reused, &got)
+	if err := runBounded(t, reused); err != nil {
+		t.Fatal(err)
+	}
+	if reused.Now() != fresh.Now() {
+		t.Errorf("end time %v after Reset, new simulator %v", reused.Now(), fresh.Now())
+	}
+	if !reflect.DeepEqual(reused.Stats(), fresh.Stats()) {
+		t.Errorf("segment stats %+v after Reset, want %+v", reused.Stats(), fresh.Stats())
+	}
+	if !reflect.DeepEqual(reused.ProcStats(), fresh.ProcStats()) {
+		t.Errorf("task stats %+v after Reset, want %+v", reused.ProcStats(), fresh.ProcStats())
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("deliveries after Reset\n%v\nwant\n%v", got, want)
 	}
 }
