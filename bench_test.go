@@ -469,8 +469,10 @@ func BenchmarkStencilLiveAdaptiveCycle(b *testing.B) {
 // BenchmarkMetasystem regenerates E10: partitioning on the metasystem
 // testbed (includes its own commbench run).
 func BenchmarkMetasystem(b *testing.B) {
+	e := benchEnv(b)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Metasystem(1200); err != nil {
+		if _, err := experiments.Metasystem(e, 1200); err != nil {
 			b.Fatal(err)
 		}
 	}

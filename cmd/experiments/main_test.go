@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -44,55 +46,45 @@ func TestRunRejectsBadJobs(t *testing.T) {
 	}
 }
 
-// TestResidualsMatchTable2: the residual table simulates Table 2's 56 cells
-// in Table 2's order and at Table 2's times, then 16 off-grid units whose
-// compute fits inside their cycle.
-func TestResidualsMatchTable2(t *testing.T) {
-	env, err := experiments.NewEnv()
+// TestOneGaugePerSection: every printed section has a wall-time gauge of
+// its own (the two ablation sections share a key, not a gauge), and every
+// section in the table a distinct ID.
+func TestOneGaugePerSection(t *testing.T) {
+	ids := map[string]bool{}
+	for _, s := range experiments.Sections(nil, "", 0) {
+		if ids[s.ID] {
+			t.Errorf("section ID %q used twice", s.ID)
+		}
+		ids[s.ID] = true
+	}
+	f, err := os.CreateTemp(t.TempDir(), "out")
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.Jobs = 2
-	rows, err := residuals(env)
+	stdout := os.Stdout
+	os.Stdout = f
+	err = run("ablations", "paper", 60, 1, true, "")
+	os.Stdout = stdout
 	if err != nil {
 		t.Fatal(err)
 	}
-	table2, err := experiments.Table2(env)
+	out, err := os.ReadFile(f.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	per := len(experiments.Table2Configs)
-	if len(rows) != len(table2)*per+16 {
-		t.Fatalf("%d residual rows, want %d", len(rows), len(table2)*per+16)
-	}
-	for r, row := range table2 {
-		for c, cell := range row.Cells {
-			got := rows[r*per+c]
-			if got.offgrid || got.n != row.N || got.v != row.Variant || got.p1 != cell.P1 || got.p2 != cell.P2 ||
-				got.sim.c != cell.ElapsedMs/experiments.Iterations {
-				t.Errorf("residual row %d is %+v, want Table 2's N=%d %s %d+%d at %v ms",
-					r*per+c, got, row.N, row.Variant, cell.P1, cell.P2, cell.ElapsedMs)
-			}
+	printed, counted, gauges := strings.Count(string(out), "\n=== "), "", map[string]bool{}
+	for _, line := range strings.Split(string(out), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) != 2:
+		case f[0] == "experiments.sections":
+			counted = f[1]
+		case strings.HasPrefix(f[0], "experiments.") && strings.HasSuffix(f[0], "_ms") &&
+			f[0] != "experiments.env_ms" && f[0] != "experiments.total_ms":
+			gauges[f[0]] = true
 		}
 	}
-	for _, u := range rows[len(table2)*per:] {
-		if !u.offgrid || u.sim.c <= 0 || u.sim.comp <= 0 || u.sim.comp > u.sim.c {
-			t.Errorf("off-grid unit %+v", u)
-		}
-	}
-	p, err := picks(env, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p) != len(table2) {
-		t.Fatalf("%d rows of picks, want %d", len(p), len(table2))
-	}
-	held, err := experiments.HeldOutTwoRank(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := renderResiduals(rows, p, held); !strings.Contains(out, "offgrid") || !strings.Contains(out, "exhaustive") ||
-		!strings.Contains(out, "metasystem") || !strings.Contains(out, "across router") {
-		t.Error("render malformed")
+	if printed != 2 || len(gauges) != printed || counted != fmt.Sprint(printed) {
+		t.Errorf("%d sections printed, %s counted, %d section gauges %v:\n%s", printed, counted, len(gauges), gauges, out)
 	}
 }

@@ -7,9 +7,11 @@
 //     [9] — the partition vector is recomputed periodically from measured
 //     per-task rates, paying a migration cost, which also handles load
 //     imbalance from processor sharing.
-//   - Benchmarking-based selection in the style of Reeves et al. [1] — a
-//     fixed set of candidate configurations is probed by running the
-//     actual application briefly on each.
+//
+// The third baseline, benchmarking-based selection in the style of Reeves
+// et al. [1] (probe every candidate configuration by running the
+// application on it), is experiments.SelectionCost (E14), which runs the
+// probes on the simulator itself.
 //
 //netpart:deterministic
 package balance
@@ -103,32 +105,6 @@ func Rebalance(current core.Vector, measuredMs []float64) (core.Vector, error) {
 		}
 	}
 	return v, nil
-}
-
-// Benchmarked implements the Reeves-style strategy: probe runs the actual
-// application on each candidate configuration and the cheapest one wins.
-// It returns the winner, the per-candidate measurements, and the total
-// probing cost (the overhead this strategy pays that the runtime
-// partitioning method avoids).
-func Benchmarked(candidates []cost.Config, probe func(cost.Config) (float64, error)) (cost.Config, []float64, float64, error) {
-	if len(candidates) == 0 {
-		return cost.Config{}, nil, 0, errors.New("balance: no candidate configurations")
-	}
-	times := make([]float64, len(candidates))
-	best := 0
-	totalCost := 0.0
-	for i, cfg := range candidates {
-		t, err := probe(cfg)
-		if err != nil {
-			return cost.Config{}, nil, 0, fmt.Errorf("balance: probing %v: %w", cfg, err)
-		}
-		times[i] = t
-		totalCost += t
-		if t < times[best] {
-			best = i
-		}
-	}
-	return candidates[best], times, totalCost, nil
 }
 
 // WorkloadSpec describes a synthetic iterative data parallel workload used

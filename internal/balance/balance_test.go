@@ -111,26 +111,6 @@ func TestRebalanceInvariantsProperty(t *testing.T) {
 	}
 }
 
-func TestBenchmarkedPicksCheapest(t *testing.T) {
-	candidates := []cost.Config{paperConfig(2, 0), paperConfig(4, 0), paperConfig(6, 0)}
-	probe := func(cfg cost.Config) (float64, error) {
-		return math.Abs(float64(cfg.Total()) - 4), nil // best at 4
-	}
-	best, times, total, err := Benchmarked(candidates, probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Total() != 4 {
-		t.Errorf("best = %v", best)
-	}
-	if len(times) != 3 || total != times[0]+times[1]+times[2] {
-		t.Errorf("times = %v total = %v", times, total)
-	}
-	if _, _, _, err := Benchmarked(nil, probe); err == nil {
-		t.Error("no candidates accepted")
-	}
-}
-
 func TestSimulateStaticBalanced(t *testing.T) {
 	net := model.PaperTestbed()
 	cfg := paperConfig(4, 0)

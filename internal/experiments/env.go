@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 6.0) on the simulated substrate, plus the ablations
 // DESIGN.md calls out. Each experiment returns structured data and has a
-// Render function producing the text table printed by cmd/experiments;
-// bench_test.go at the repository root wraps each in a testing.B benchmark.
+// render function producing its text; Sections lists them in the order
+// cmd/experiments prints them. bench_test.go at the repository root wraps
+// each in a testing.B benchmark.
 //
 //netpart:deterministic
 package experiments
@@ -11,7 +12,6 @@ import (
 	"strings"
 
 	"netpart/internal/commbench"
-	"netpart/internal/core"
 	"netpart/internal/cost"
 	"netpart/internal/model"
 	"netpart/internal/stencil"
@@ -68,34 +68,31 @@ var ProblemSizes = []int{60, 300, 600, 1200}
 // Iterations matches the paper's Table 2 (10 iterations).
 const Iterations = 10
 
-// simMs is the simulated elapsed time of a stencil run whose grid nobody
-// reads: a time-only run, with the virtual time of a computing one.
-func simMs(net *model.Network, cfg cost.Config, vec core.Vector, v stencil.Variant, n, iters int) (float64, error) {
-	res, err := stencil.Sim(net, cfg, vec, v, n, iters, stencil.Options{TimeOnly: true})
-	return res.ElapsedMs, err
-}
+// variants are the two stencil implementations, in the order every table
+// lists them.
+var variants = []stencil.Variant{stencil.STEN1, stencil.STEN2}
 
-// TextTable renders aligned columns for experiment output.
-type TextTable struct {
+// textTable renders aligned columns for experiment output.
+type textTable struct {
 	headers []string
 	rows    [][]string
 }
 
-// NewTextTable creates a table with the given column headers.
-func NewTextTable(headers ...string) *TextTable {
-	return &TextTable{headers: headers}
+// newTextTable creates a table with the given column headers.
+func newTextTable(headers ...string) *textTable {
+	return &textTable{headers: headers}
 }
 
-// Add appends a row (cells beyond the header count are dropped; missing
+// add appends a row (cells beyond the header count are dropped; missing
 // cells render empty).
-func (t *TextTable) Add(cells ...string) {
+func (t *textTable) add(cells ...string) {
 	row := make([]string, len(t.headers))
 	copy(row, cells)
 	t.rows = append(t.rows, row)
 }
 
-// String renders the table with right-padded columns.
-func (t *TextTable) String() string {
+// render returns the table with right-padded columns.
+func (t *textTable) render() string {
 	widths := make([]int, len(t.headers))
 	for i, h := range t.headers {
 		widths[i] = len(h)

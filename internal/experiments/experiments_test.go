@@ -53,7 +53,7 @@ func TestTable1WithPaperConstants(t *testing.T) {
 	if matches < 4 {
 		t.Errorf("only %d/8 rows match the published Table 1", matches)
 	}
-	out := RenderTable1(rows)
+	out := renderTable1(rows)
 	if !strings.Contains(out, "STEN-1") || !strings.Contains(out, "match") {
 		t.Error("render output malformed")
 	}
@@ -127,7 +127,7 @@ func TestTable2PredictionsNearMinimum(t *testing.T) {
 			}
 		}
 	}
-	out := RenderTable2(rows)
+	out := renderTable2(rows)
 	if !strings.Contains(out, "*") || !strings.Contains(out, "p") {
 		t.Error("render lacks min/prediction markers")
 	}
@@ -191,7 +191,7 @@ func TestFig3CurveShape(t *testing.T) {
 			t.Errorf("p=%d: estimate off by %.1f%%", p.Procs, p.EstimateErrPct)
 		}
 	}
-	out := RenderFig3(pts, 600, stencil.STEN1)
+	out := renderFig3(pts, 600, stencil.STEN1)
 	if !strings.Contains(out, "#") {
 		t.Error("render lacks curve bars")
 	}
@@ -214,7 +214,7 @@ func TestCostFitComparison(t *testing.T) {
 	if router.Ms <= 0 {
 		t.Error("no router cost fitted")
 	}
-	out := RenderCostFit(rows, router)
+	out := renderCostFit(rows, router)
 	if !strings.Contains(out, "router") {
 		t.Error("render lacks router line")
 	}
@@ -233,7 +233,7 @@ func TestOverheadWithinBound(t *testing.T) {
 			t.Errorf("N=%d %s: %d evaluations vs bound %.1f", r.N, r.Variant, r.Evaluations, r.Bound)
 		}
 	}
-	if out := RenderOverhead(rows); !strings.Contains(out, "evaluations") {
+	if out := renderOverhead(rows); !strings.Contains(out, "evaluations") {
 		t.Error("render malformed")
 	}
 }
@@ -256,7 +256,7 @@ func TestGaussExperiment(t *testing.T) {
 	if !g.ChosenBeatsAll {
 		t.Errorf("chosen %v (%.1f ms) lost to the full network (%.1f ms)", g.Chosen, g.ElapsedMs, g.FullNetworkMs)
 	}
-	if out := RenderGauss(g); !strings.Contains(out, "broadcast") {
+	if out := renderGauss(g); !strings.Contains(out, "broadcast") {
 		t.Error("render malformed")
 	}
 }
@@ -289,7 +289,7 @@ func TestAblations(t *testing.T) {
 	if r := byName["A5 static-vs-dynamic"]; r.Speedup <= 1 {
 		t.Errorf("dynamic should win under fluctuation: %+v", r)
 	}
-	if out := RenderAblations(rows); !strings.Contains(out, "A3") {
+	if out := renderAblations(rows); !strings.Contains(out, "A3") {
 		t.Error("render malformed")
 	}
 }
@@ -313,9 +313,9 @@ func TestFigures(t *testing.T) {
 }
 
 func TestTextTable(t *testing.T) {
-	tt := NewTextTable("a", "bb")
-	tt.Add("xxx")
-	out := tt.String()
+	tt := newTextTable("a", "bb")
+	tt.add("xxx")
+	out := tt.render()
 	if !strings.Contains(out, "xxx") || !strings.Contains(out, "bb") {
 		t.Errorf("table output:\n%s", out)
 	}
@@ -336,13 +336,13 @@ func TestAdaptiveExperiment(t *testing.T) {
 	if r.Rebalances == 0 || r.MigratedRows == 0 {
 		t.Errorf("no rebalancing recorded: %+v", r)
 	}
-	if out := RenderAdaptive(r); !strings.Contains(out, "bit-exact") {
+	if out := renderAdaptive(r); !strings.Contains(out, "bit-exact") {
 		t.Error("render malformed")
 	}
 }
 
 func TestMetasystemExperiment(t *testing.T) {
-	r, err := Metasystem(1200)
+	r, err := Metasystem(env(t), 1200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestMetasystemExperiment(t *testing.T) {
 	if r.PredictedTcMs >= r.WorkstationTc {
 		t.Errorf("metasystem Tc %v not better than workstations %v", r.PredictedTcMs, r.WorkstationTc)
 	}
-	if out := RenderMetasystem(r); !strings.Contains(out, "multicomputer") {
+	if out := renderMetasystem(r); !strings.Contains(out, "multicomputer") {
 		t.Error("render malformed")
 	}
 }
@@ -378,7 +378,7 @@ func TestStartupExperiment(t *testing.T) {
 			t.Errorf("N=%d: break-even %d", r.N, r.BreakEvenCycles)
 		}
 	}
-	if out := RenderStartup(rows); !strings.Contains(out, "amortize") {
+	if out := renderStartup(rows); !strings.Contains(out, "amortize") {
 		t.Error("render malformed")
 	}
 }
@@ -416,7 +416,7 @@ func TestImplSelectExperiment(t *testing.T) {
 			t.Errorf("N=%d: winner %q", r.N, r.Winner)
 		}
 	}
-	if out := RenderImplSelect(rows); !strings.Contains(out, "sim winner") {
+	if out := renderImplSelect(rows); !strings.Contains(out, "sim winner") {
 		t.Error("render malformed")
 	}
 }
@@ -433,7 +433,7 @@ func TestParticlesExperiment(t *testing.T) {
 	if r.WeightedMs >= r.UniformMs {
 		t.Errorf("weighted %v not better than uniform %v on clumped density", r.WeightedMs, r.UniformMs)
 	}
-	if out := RenderParticles(r); !strings.Contains(out, "density-weighted") {
+	if out := renderParticles(r); !strings.Contains(out, "density-weighted") {
 		t.Error("render malformed")
 	}
 }
@@ -456,7 +456,7 @@ func TestSelectionCostExperiment(t *testing.T) {
 	if r.PartitionEvals > 20 {
 		t.Errorf("partitioner used %d evaluations", r.PartitionEvals)
 	}
-	if out := RenderSelectionCost(r); !strings.Contains(out, "probing") {
+	if out := renderSelectionCost(r); !strings.Contains(out, "probing") {
 		t.Error("render malformed")
 	}
 }
@@ -481,7 +481,7 @@ func TestNoiseExperiment(t *testing.T) {
 			t.Errorf("jitter %v: choice %v sits %.1f%% above the minimum", r.Jitter, r.Chosen, r.GapPct)
 		}
 	}
-	if out := RenderNoise(rows); !strings.Contains(out, "jitter") {
+	if out := renderNoise(rows); !strings.Contains(out, "jitter") {
 		t.Error("render malformed")
 	}
 }
@@ -507,7 +507,7 @@ func TestFaultTolExperiment(t *testing.T) {
 	if r.RollbackCycle >= r.CrashCycle {
 		t.Fatalf("rollback cycle %d not before crash cycle %d", r.RollbackCycle, r.CrashCycle)
 	}
-	if out := RenderFaultTol(r); !strings.Contains(out, "recovery latency") {
+	if out := renderFaultTol(r); !strings.Contains(out, "recovery latency") {
 		t.Error("render malformed")
 	}
 }
@@ -519,24 +519,71 @@ func TestFaultTolExperiment(t *testing.T) {
 // two ranks are charged its measured p = 2 stagger, and a pair across the
 // router the pair's.
 func TestHeldOutTwoRankSameSegment(t *testing.T) {
-	rows, err := HeldOutTwoRank(&Env{})
+	ps, err := heldOutProbes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := measure(&Env{}, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	same, crossing := 0, 0
 	for _, r := range rows {
-		if r.Crossing {
+		if r.crossing {
 			crossing++
 		} else {
 			same++
 		}
-		if res := r.ResidualPct(); math.Abs(res) > 5 {
-			t.Errorf("%s N=%d %v: T_c predicted %.3f, simulated %.3f ms (%+.1f %%)", r.Testbed, r.N, r.Config, r.PredMs, r.SimMs, res)
+		if res := trace.DeviationPct(r.pred.c, r.sim.c); math.Abs(res) > 5 {
+			t.Errorf("%s N=%d %v: T_c predicted %.3f, simulated %.3f ms (%+.1f %%)", r.set, r.n, r.cfg, r.pred.c, r.sim.c, res)
 		}
 	}
 	// Two testbeds of three clusters: three alone and three pairs each.
-	if want := 2 * 3 * len(HeldOutSizes); same != want || crossing != want {
+	if want := 2 * 3 * len(heldOutSizes); same != want || crossing != want {
 		t.Errorf("%d same-segment and %d crossing rows, want %d of each", same, crossing, want)
+	}
+}
+
+// TestResidualsMatchTable2: the residual table reads Table 2's 56 cells
+// in Table 2's order and at Table 2's times, then 16 off-grid units whose
+// compute fits inside their cycle.
+func TestResidualsMatchTable2(t *testing.T) {
+	e := env(t).Clone()
+	e.Jobs = 2
+	table2, err := Table2(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := table2Residuals(e, table2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := res.rows()
+	per := len(Table2Configs)
+	if len(rows) != len(table2)*per+16 {
+		t.Fatalf("%d residual rows, want %d", len(rows), len(table2)*per+16)
+	}
+	for r, row := range table2 {
+		for c, cell := range row.Cells {
+			got := rows[r*per+c]
+			if got.set != "table2" || got.n != row.N || got.v != row.Variant || got.cfg.Counts[0] != cell.P1 || got.cfg.Counts[1] != cell.P2 ||
+				got.sim.c != cell.ElapsedMs/Iterations {
+				t.Errorf("residual row %d is %+v, want Table 2's N=%d %s %d+%d at %v ms",
+					r*per+c, got, row.N, row.Variant, cell.P1, cell.P2, cell.ElapsedMs)
+			}
+		}
+	}
+	for _, u := range rows[len(table2)*per:] {
+		if u.set != "offgrid" || u.sim.c <= 0 || u.sim.comp <= 0 || u.sim.comp > u.sim.c {
+			t.Errorf("off-grid unit %+v", u)
+		}
+	}
+	if len(res.picks) != len(table2) {
+		t.Fatalf("%d rows of picks, want %d", len(res.picks), len(table2))
+	}
+	if out := res.render(); !strings.Contains(out, "offgrid") || !strings.Contains(out, "exhaustive") ||
+		!strings.Contains(out, "metasystem") || !strings.Contains(out, "across router") {
+		t.Error("render malformed")
 	}
 }
 

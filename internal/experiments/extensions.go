@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"netpart/internal/balance"
 	"netpart/internal/commbench"
 	"netpart/internal/core"
 	"netpart/internal/cost"
 	"netpart/internal/model"
-	"netpart/internal/parallel"
 	"netpart/internal/particles"
 	"netpart/internal/simnet"
 	"netpart/internal/stencil"
@@ -80,8 +78,8 @@ func gridsMatch(a, b [][]float64) bool {
 	return true
 }
 
-// RenderAdaptive prints the E9 summary.
-func RenderAdaptive(r *RebalanceResult) string {
+// renderAdaptive prints the E9 summary.
+func renderAdaptive(r *RebalanceResult) string {
 	return fmt.Sprintf(`Dynamic repartitioning under load (N=%d, %d iterations, rank 2 slowed 4x)
   static partition : %.1f ms
   adaptive         : %.1f ms  (%.2fx; %d rebalances, %d rows migrated)
@@ -102,43 +100,31 @@ type MetasystemResult struct {
 }
 
 // Metasystem benchmarks the §7 metasystem testbed (unequal segment
-// bandwidths) and partitions a stencil on it.
-func Metasystem(n int) (*MetasystemResult, error) {
+// bandwidths) and partitions a stencil on it; the contrast, the best the
+// workstations alone can do, reads the Env's fitted paper testbed.
+func Metasystem(e *Env, n int) (*MetasystemResult, error) {
 	net := model.MetasystemTestbed()
 	bench, err := commbench.Run(net, []topo.Topology{topo.OneD{}}, commbench.DefaultGrid())
 	if err != nil {
 		return nil, err
 	}
-	est, err := core.NewEstimator(net, bench.Table, stencil.Annotations(n, stencil.STEN2, 10))
+	ann := stencil.Annotations(n, stencil.STEN2, Iterations)
+	res, err := decide(net, bench.Table, ann, core.Partition)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Partition(est)
-	if err != nil {
-		return nil, err
-	}
-	// For contrast: the best the workstations alone can do.
-	wsNet := model.PaperTestbed()
-	wsBench, err := commbench.Run(wsNet, []topo.Topology{topo.OneD{}}, commbench.DefaultGrid())
-	if err != nil {
-		return nil, err
-	}
-	wsEst, err := core.NewEstimator(wsNet, wsBench.Table, stencil.Annotations(n, stencil.STEN2, 10))
-	if err != nil {
-		return nil, err
-	}
-	wsRes, err := core.Partition(wsEst)
+	ws, err := decide(e.Net, e.Fitted, ann, core.Partition)
 	if err != nil {
 		return nil, err
 	}
 	return &MetasystemResult{
-		N: n, Chosen: res.Config, PredictedTcMs: res.TcMs,
-		WorkstationTc: wsRes.TcMs, Evaluations: res.Evaluations,
+		N: n, Chosen: res[0].Config, PredictedTcMs: res[0].TcMs,
+		WorkstationTc: ws[0].TcMs, Evaluations: res[0].Evaluations,
 	}, nil
 }
 
-// RenderMetasystem prints the E10 summary.
-func RenderMetasystem(r *MetasystemResult) string {
+// renderMetasystem prints the E10 summary.
+func renderMetasystem(r *MetasystemResult) string {
 	return fmt.Sprintf(`Metasystem (§7): Sparc2+IPC workstations plus an 8-node multicomputer
   N=%d STEN-2 chooses  : %v  (Tc %.2f ms, %d evaluations)
   workstations alone   : Tc %.2f ms — the multicomputer improves T_c %.1fx
@@ -162,92 +148,65 @@ type StartupRow struct {
 // Startup quantifies the paper's T_startup exclusion across problem sizes
 // on the full 6+6 configuration.
 func Startup(e *Env) ([]StartupRow, error) {
-	var rows []StartupRow
-	for _, n := range ProblemSizes {
-		cfg := PaperConfig(6, 6)
-		if n < 12 {
-			continue
-		}
-		vec, err := core.Decompose(e.Net, cfg, n, model.OpFloat)
+	cfg := PaperConfig(6, 6)
+	return fanOut(e, len(ProblemSizes), func(env *Env, i int) (StartupRow, error) {
+		n := ProblemSizes[i]
+		vec, err := core.Decompose(env.Net, cfg, n, model.OpFloat)
 		if err != nil {
-			return nil, err
+			return StartupRow{}, err
 		}
-		measured, err := stencil.ScatterSim(e.Net, cfg, vec, n)
+		measured, err := stencil.ScatterSim(env.Net, cfg, vec, n)
 		if err != nil {
-			return nil, err
+			return StartupRow{}, err
 		}
-		est, err := core.NewEstimator(e.Net, e.Fitted, stencil.Annotations(n, stencil.STEN1, Iterations))
+		pe, err := decide(env.Net, env.Fitted, stencil.Annotations(n, stencil.STEN1, Iterations), estimate(cfg))
 		if err != nil {
-			return nil, err
-		}
-		pe, err := est.Estimate(cfg)
-		if err != nil {
-			return nil, err
+			return StartupRow{}, err
 		}
 		breakEven := 0
-		if pe.TcMs > 0 {
-			breakEven = int(measured/(0.1*pe.TcMs)) + 1
+		if tc := pe[0].TcMs; tc > 0 {
+			breakEven = int(measured/(0.1*tc)) + 1
 		}
-		rows = append(rows, StartupRow{
-			N: n, EstStartupMs: pe.StartupMs, MeasStartupMs: measured,
-			TcMs: pe.TcMs, BreakEvenCycles: breakEven,
-		})
-	}
-	return rows, nil
+		return StartupRow{
+			N: n, EstStartupMs: pe[0].StartupMs, MeasStartupMs: measured,
+			TcMs: pe[0].TcMs, BreakEvenCycles: breakEven,
+		}, nil
+	})
 }
 
-// RenderStartup prints the E11 table.
-func RenderStartup(rows []StartupRow) string {
-	t := NewTextTable("N", "T_startup_est(ms)", "T_startup_sim(ms)", "T_c(ms)", "cycles_to_amortize")
+// renderStartup prints the E11 table.
+func renderStartup(rows []StartupRow) string {
+	t := newTextTable("N", "T_startup_est(ms)", "T_startup_sim(ms)", "T_c(ms)", "cycles_to_amortize")
 	for _, r := range rows {
-		t.Add(fmt.Sprint(r.N), fmt.Sprintf("%.1f", r.EstStartupMs),
+		t.add(fmt.Sprint(r.N), fmt.Sprintf("%.1f", r.EstStartupMs),
 			fmt.Sprintf("%.1f", r.MeasStartupMs), fmt.Sprintf("%.2f", r.TcMs),
 			fmt.Sprint(r.BreakEvenCycles))
 	}
-	return t.String() + "(amortize = startup ≤ 10% of I·T_c; the paper's I=10 does not amortize large N)\n"
+	return t.render() + "(amortize = startup ≤ 10% of I·T_c; the paper's I=10 does not amortize large N)\n"
 }
 
 // ExtendedAblations runs A6 (router-station composition, at two problem
 // sizes) and A7 (global search vs locality-first heuristic) as three
 // independent units on the worker pool.
 func ExtendedAblations(e *Env) ([]AblationRow, error) {
-	units := []func(*Env) (AblationRow, error){
+	return ablate(e,
 		func(e *Env) (AblationRow, error) { return ablationRouterStation(e, 300) },
 		func(e *Env) (AblationRow, error) { return ablationRouterStation(e, 1200) },
-		ablationGlobal,
-	}
-	rows := make([]AblationRow, len(units))
-	err := parallel.For(e.workers(), len(units), func(i int) error {
-		row, err := units[i](e.Clone())
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+		ablationGlobal)
 }
 
 // ablationRouterStation is A6: §3.0 composition (router as extra station)
 // vs §6.0 composition.
 func ablationRouterStation(e *Env, n int) (AblationRow, error) {
-	est, err := core.NewEstimator(e.Net, e.Paper, stencil.Annotations(n, stencil.STEN1, Iterations))
+	res, err := decide(e.Net, e.Paper, stencil.Annotations(n, stencil.STEN1, Iterations), core.Partition,
+		func(est *core.Estimator) (core.Result, error) {
+			est.RouterStation = false
+			return core.Partition(est)
+		})
 	if err != nil {
 		return AblationRow{}, err
 	}
-	with, err := core.Partition(est)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	est.RouterStation = false
-	est.ResetEvaluations()
-	without, err := core.Partition(est)
-	if err != nil {
-		return AblationRow{}, err
-	}
+	with, without := res[0], res[1]
 	return AblationRow{
 		Name: fmt.Sprintf("A6 router-station N=%d", n),
 		Detail: fmt.Sprintf("§3.0 (+1 station) chooses %v Tc=%.2f; §6.0 (no station) chooses %v Tc=%.2f",
@@ -260,22 +219,11 @@ func ablationRouterStation(e *Env, n int) (AblationRow, error) {
 // ablationGlobal is A7: locality-first heuristic vs the general (global)
 // search on the multimodal N=300 instance.
 func ablationGlobal(e *Env) (AblationRow, error) {
-	est, err := core.NewEstimator(e.Net, e.Paper, stencil.Annotations(300, stencil.STEN2, Iterations))
+	res, err := decide(e.Net, e.Paper, stencil.Annotations(300, stencil.STEN2, Iterations), core.Partition, core.PartitionGlobal)
 	if err != nil {
 		return AblationRow{}, err
 	}
-	heur, err := core.Partition(est)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	est2, err := core.NewEstimator(e.Net, e.Paper, stencil.Annotations(300, stencil.STEN2, Iterations))
-	if err != nil {
-		return AblationRow{}, err
-	}
-	global, err := core.PartitionGlobal(est2)
-	if err != nil {
-		return AblationRow{}, err
-	}
+	heur, global := res[0], res[1]
 	return AblationRow{
 		Name: "A7 heuristic-vs-global",
 		Detail: fmt.Sprintf("N=300 STEN-2: heuristic %v (%d evals) vs global %v (%d evals)",
@@ -310,59 +258,48 @@ func ImplSelect(e *Env) ([]ImplSelectRow, error) {
 	}
 	// The shared 2-D benchmark above runs once; the per-size comparisons
 	// (two searches plus two simulator runs each) are independent units.
-	rows := make([]ImplSelectRow, len(ProblemSizes))
-	err = parallel.For(e.workers(), len(ProblemSizes), func(i int) error {
-		env := e.Clone()
+	return fanOut(e, len(ProblemSizes), func(env *Env, i int) (ImplSelectRow, error) {
 		n := ProblemSizes[i]
 		oneD, twoD, err := stencil2d.CompareImplementations(env.Net, bench.Table, n, Iterations)
 		if err != nil {
-			return err
+			return ImplSelectRow{}, err
+		}
+		_, r1, err := step(env.Net, nil, n, stencil.STEN1, oneD.Config, nil)
+		if err != nil {
+			return ImplSelectRow{}, err
+		}
+		r2, err := stencil2d.RunSim(env.Net, twoD.Config, n, Iterations)
+		if err != nil {
+			return ImplSelectRow{}, err
 		}
 		row := ImplSelectRow{
 			N:          n,
 			OneDConfig: oneD.Config, OneDTcMs: oneD.TcMs,
 			TwoDConfig: twoD.Config, TwoDTcMs: twoD.TcMs,
+			OneDSimMs: r1.ms, TwoDSimMs: r2.ElapsedMs,
+			Winner: "1-D",
 		}
-		vec, err := core.Decompose(env.Net, oneD.Config, n, model.OpFloat)
-		if err != nil {
-			return err
-		}
-		oneDMs, err := simMs(env.Net, oneD.Config, vec, stencil.STEN1, n, Iterations)
-		if err != nil {
-			return err
-		}
-		r2, err := stencil2d.RunSim(env.Net, twoD.Config, n, Iterations)
-		if err != nil {
-			return err
-		}
-		row.OneDSimMs, row.TwoDSimMs = oneDMs, r2.ElapsedMs
-		row.Winner = "1-D"
 		if row.TwoDTcMs < row.OneDTcMs {
 			row.Winner = "2-D"
 		}
-		rows[i] = row
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
-// RenderImplSelect prints the E12 table.
-func RenderImplSelect(rows []ImplSelectRow) string {
-	t := NewTextTable("N", "1-D config", "Tc", "sim(ms)", "2-D config", "Tc", "sim(ms)", "est picks", "sim winner")
+// renderImplSelect prints the E12 table.
+func renderImplSelect(rows []ImplSelectRow) string {
+	t := newTextTable("N", "1-D config", "Tc", "sim(ms)", "2-D config", "Tc", "sim(ms)", "est picks", "sim winner")
 	for _, r := range rows {
 		simWinner := "1-D"
 		if r.TwoDSimMs < r.OneDSimMs {
 			simWinner = "2-D"
 		}
-		t.Add(fmt.Sprint(r.N),
+		t.add(fmt.Sprint(r.N),
 			r.OneDConfig.String(), fmt.Sprintf("%.2f", r.OneDTcMs), fmt.Sprintf("%.0f", r.OneDSimMs),
 			r.TwoDConfig.String(), fmt.Sprintf("%.2f", r.TwoDTcMs), fmt.Sprintf("%.0f", r.TwoDSimMs),
 			r.Winner, simWinner)
 	}
-	return t.String() + `(Where the estimator and simulator disagree, the Eq. 1 model is the cause:
+	return t.render() + `(Where the estimator and simulator disagree, the Eq. 1 model is the cause:
  its single per-cycle message size cannot express the 2-D blocks' mixed
  row/column borders and heavier router traffic — the model-fidelity limit
  of the paper's restricted-topology approach.)
@@ -419,8 +356,8 @@ func Particles(e *Env) (*ParticlesResult, error) {
 	}, nil
 }
 
-// RenderParticles prints the E13 summary.
-func RenderParticles(r *ParticlesResult) string {
+// renderParticles prints the E13 summary.
+func renderParticles(r *ParticlesResult) string {
 	return fmt.Sprintf(`Particle simulation (PDU = cell of particles; 80%% clumped into the first tenth)
   %d cells, %d particles, %d steps on 4 Sparc2s
   uniform Eq. 3 vector  : %v  -> %.1f ms (density blind: the first task owns the clump)
@@ -450,76 +387,57 @@ type SelectionCostResult struct {
 	BenchmarkPickMs  float64
 }
 
+// menu is the i-th run of E14's and E15's sweeps: Table 2's seven
+// configurations, each run with no prediction, then the decision under
+// tbl.
+func menu(i int, tbl *cost.Table) (*cost.Table, cost.Config) {
+	if i < len(Table2Configs) {
+		return nil, PaperConfig(Table2Configs[i].P1, Table2Configs[i].P2)
+	}
+	return tbl, cost.Config{}
+}
+
 // SelectionCost runs E14 on one problem size with the Table 2 candidate
 // set as the Reeves configuration menu.
 func SelectionCost(e *Env, n int) (*SelectionCostResult, error) {
-	iters := Iterations
-	est, err := core.NewEstimator(e.Net, e.Fitted, stencil.Annotations(n, stencil.STEN2, iters))
+	// Every candidate probe, then the partitioner's decision and its run:
+	// each one full simulator run, fanned out.
+	type probe struct {
+		pred core.Result
+		ms   float64
+	}
+	probes, err := fanOut(e, len(Table2Configs)+1, func(env *Env, i int) (probe, error) {
+		tbl, cfg := menu(i, env.Fitted)
+		pred, r, err := step(env.Net, tbl, n, stencil.STEN2, cfg, nil)
+		return probe{pred, r.ms}, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	part, err := core.Partition(est)
-	if err != nil {
-		return nil, err
-	}
+	part := probes[len(Table2Configs)]
 	out := &SelectionCostResult{
 		N:               n,
-		PartitionConfig: part.Config,
-		PartitionEvals:  part.Evaluations,
+		PartitionConfig: part.pred.Config,
+		PartitionEvals:  part.pred.Evaluations,
+		PartitionPickMs: part.ms,
 	}
-	run := func(env *Env, cfg cost.Config) (float64, error) {
-		vec, err := core.Decompose(env.Net, cfg, n, model.OpFloat)
-		if err != nil {
-			return 0, err
-		}
-		return simMs(env.Net, cfg, vec, stencil.STEN2, n, iters)
-	}
-	var candidates []cost.Config
-	for _, c := range Table2Configs {
-		candidates = append(candidates, PaperConfig(c.P1, c.P2))
-	}
-	// Fan out the partitioner's pick plus every candidate probe — each is
-	// one full simulator run. Benchmarked then replays the probes from the
-	// precomputed times in candidate order, so its selection logic (and the
-	// reported probe total) is exactly the serial strategy's.
-	runs := append(append([]cost.Config(nil), candidates...), part.Config)
-	times := make([]float64, len(runs))
-	err = parallel.For(e.workers(), len(runs), func(i int) error {
-		ms, err := run(e.Clone(), runs[i])
-		if err != nil {
-			return err
-		}
-		times[i] = ms
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.PartitionPickMs = times[len(candidates)]
-
-	replay := 0
-	best, _, probeMs, err := balance.Benchmarked(candidates, func(cost.Config) (float64, error) {
-		ms := times[replay]
-		replay++
-		return ms, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.BenchmarkConfig = best
-	out.BenchmarkProbeMs = probeMs
-	// The winner's measured elapsed: the simulator is deterministic, so the
-	// probe already holds the value re-running it would produce.
-	for i, c := range candidates {
-		if c.String() == best.String() {
-			out.BenchmarkPickMs = times[i]
+	// The benchmarked strategy pays for every probe and picks the
+	// cheapest; the simulator is deterministic, so the winner's probe is
+	// the time re-running it would measure.
+	best := 0
+	for i, p := range probes[:len(Table2Configs)] {
+		out.BenchmarkProbeMs += p.ms
+		if p.ms < probes[best].ms {
+			best = i
 		}
 	}
+	c := Table2Configs[best]
+	out.BenchmarkConfig, out.BenchmarkPickMs = PaperConfig(c.P1, c.P2), probes[best].ms
 	return out, nil
 }
 
-// RenderSelectionCost prints the E14 summary.
-func RenderSelectionCost(r *SelectionCostResult) string {
+// renderSelectionCost prints the E14 summary.
+func renderSelectionCost(r *SelectionCostResult) string {
 	return fmt.Sprintf(`Selection cost at N=%d (STEN-2, 10 iterations): runtime partitioning vs
 Reeves-style benchmarked selection over the 7 Table-2 configurations
   runtime partitioning : picks %v (measured %.0f ms) after %d cost-model
@@ -552,19 +470,7 @@ type NoiseRow struct {
 // noisy measurement runs), so the levels fan out over the worker pool.
 func Noise(e *Env) ([]NoiseRow, error) {
 	jitters := []float64{0, 0.1, 0.3, 0.5}
-	rows := make([]NoiseRow, len(jitters))
-	err := parallel.For(e.workers(), len(jitters), func(i int) error {
-		row, err := noiseLevel(e.Clone(), jitters[i])
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return fanOut(e, len(jitters), func(env *Env, i int) (NoiseRow, error) { return noiseLevel(env, jitters[i]) })
 }
 
 // noiseLevel runs one jitter level of E15.
@@ -583,58 +489,35 @@ func noiseLevel(e *Env, jitter float64) (NoiseRow, error) {
 			row.FitR2 = f.Quality.R2
 		}
 	}
-	est, err := core.NewEstimator(e.Net, bench.Table, stencil.Annotations(n, stencil.STEN2, Iterations))
-	if err != nil {
-		return NoiseRow{}, err
-	}
-	res, err := core.Partition(est)
-	if err != nil {
-		return NoiseRow{}, err
-	}
-	row.Chosen = res.Config
-	// Measure every Table 2 configuration and the chosen one on an
-	// equally noisy simulator (different seed: a different day on the
-	// same flaky network).
-	measure := func(cfg cost.Config, seed uint64) (float64, error) {
-		vec, err := core.Decompose(e.Net, cfg, n, model.OpFloat)
-		if err != nil {
-			return 0, err
-		}
-		return runStencilNoisy(e.Net, cfg, vec, n, jitter, seed)
+	// Measure every Table 2 configuration, then decide from the noisy fit
+	// and measure the choice, on an equally noisy simulator (different
+	// seed: a different day on the same flaky network).
+	var opts []simnet.Option
+	if jitter > 0 {
+		opts = append(opts, simnet.WithJitter(jitter, 42))
 	}
 	var min trace.MinTracker
-	for i, c := range Table2Configs {
-		ms, err := measure(PaperConfig(c.P1, c.P2), 42)
+	for i := 0; i <= len(Table2Configs); i++ {
+		tbl, cfg := menu(i, bench.Table)
+		pred, r, err := step(e.Net, tbl, n, stencil.STEN2, cfg, nil, opts...)
 		if err != nil {
 			return NoiseRow{}, err
 		}
-		min.Observe(i, ms)
+		min.Observe(i, r.ms)
+		if tbl != nil {
+			row.Chosen = pred.Config
+			row.GapPct = trace.DeviationPct(r.ms, min.Min())
+		}
 	}
-	chosenMs, err := measure(res.Config, 42)
-	if err != nil {
-		return NoiseRow{}, err
-	}
-	min.Observe(len(Table2Configs), chosenMs)
-	row.GapPct = trace.DeviationPct(chosenMs, min.Min())
 	return row, nil
 }
 
-// runStencilNoisy executes STEN-2 with jittered channel holds.
-func runStencilNoisy(net *model.Network, cfg cost.Config, vec core.Vector, n int, jitter float64, seed uint64) (float64, error) {
-	var opts []simnet.Option
-	if jitter > 0 {
-		opts = append(opts, simnet.WithJitter(jitter, seed))
-	}
-	res, err := stencil.Sim(net, cfg, vec, stencil.STEN2, n, Iterations, stencil.Options{SimOptions: opts, TimeOnly: true})
-	return res.ElapsedMs, err
-}
-
-// RenderNoise prints the E15 table.
-func RenderNoise(rows []NoiseRow) string {
-	t := NewTextTable("jitter", "fit_R2", "chosen", "gap_vs_min%")
+// renderNoise prints the E15 table.
+func renderNoise(rows []NoiseRow) string {
+	t := newTextTable("jitter", "fit_R2", "chosen", "gap_vs_min%")
 	for _, r := range rows {
-		t.Add(fmt.Sprintf("±%.0f%%", r.Jitter*100), fmt.Sprintf("%.4f", r.FitR2),
+		t.add(fmt.Sprintf("±%.0f%%", r.Jitter*100), fmt.Sprintf("%.4f", r.FitR2),
 			r.Chosen.String(), fmt.Sprintf("%.1f", r.GapPct))
 	}
-	return t.String() + "(the fits stay near-perfect averages and the choices stay near-minimal —\n the paper's claim that average-case cost functions suffice)\n"
+	return t.render() + "(the fits stay near-perfect averages and the choices stay near-minimal —\n the paper's claim that average-case cost functions suffice)\n"
 }

@@ -127,8 +127,8 @@ func FaultTol(e *Env, n, iters int) (*FaultTolResult, error) {
 	}, nil
 }
 
-// RenderFaultTol formats the experiment for the CLI.
-func RenderFaultTol(r *FaultTolResult) string {
+// renderFaultTol formats the experiment for the CLI.
+func renderFaultTol(r *FaultTolResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "STEN-2, N=%d, %d iterations, 12 ranks (6 Sparc2 + 6 IPC), checkpoint every 8 cycles\n", r.N, r.Iters)
 	fmt.Fprintf(&b, "crash injected  : rank %d at cycle %d (detect budget %.0f ms of silence)\n",

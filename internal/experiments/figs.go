@@ -6,7 +6,6 @@ import (
 
 	"netpart/internal/core"
 	"netpart/internal/model"
-	"netpart/internal/parallel"
 	"netpart/internal/stencil"
 	"netpart/internal/trace"
 )
@@ -34,16 +33,14 @@ func Fig3(e *Env, n int, v stencil.Variant) ([]Fig3Point, error) {
 	// The curve varies one cluster count per point (p1 up to 6, then p2), so
 	// all estimates come from a single delta evaluator up front — the
 	// parallel fan-out below only runs the simulations.
-	pts := make([]Fig3Point, e.Net.TotalProcs())
-	ests := make([]core.Estimate, len(pts))
+	estTc := make([]float64, e.Net.TotalProcs())
 	delta, err := est.BeginDelta(PaperConfig(6, 0))
 	if err != nil {
 		return nil, err
 	}
-	for i := range pts {
-		p := i + 1
+	for i := range estTc {
 		var pe core.Estimate
-		if p <= 6 {
+		if p := i + 1; p <= 6 {
 			pe, err = delta.Probe(0, p)
 		} else {
 			pe, err = delta.Probe(1, p-6)
@@ -51,47 +48,32 @@ func Fig3(e *Env, n int, v stencil.Variant) ([]Fig3Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		ests[i] = pe.Detach()
+		estTc[i] = pe.TcMs
 	}
-	err = parallel.For(e.workers(), len(pts), func(i int) error {
-		env := e.Clone()
-		p := i + 1
-		p1, p2 := p, 0
-		if p1 > 6 {
-			p1, p2 = 6, p-6
-		}
-		cfg := PaperConfig(p1, p2)
-		pe := ests[i]
-		vec, err := core.Decompose(env.Net, cfg, n, model.OpFloat)
-		if err != nil {
-			return err
-		}
-		ms, err := simMs(env.Net, cfg, vec, v, n, Iterations)
-		if err != nil {
-			return err
-		}
-		simTc := ms / Iterations
-		pts[i] = Fig3Point{
-			Procs: p, P1: p1, P2: p2,
-			EstimatedTcMs:  pe.TcMs,
+	pts, err := fanOut(e, len(estTc), func(env *Env, i int) (Fig3Point, error) {
+		p1, p2 := min(i+1, 6), max(i+1-6, 0)
+		_, r, err := step(env.Net, nil, n, v, PaperConfig(p1, p2), nil)
+		simTc := r.ms / Iterations
+		return Fig3Point{
+			Procs: i + 1, P1: p1, P2: p2,
+			EstimatedTcMs:  estTc[i],
 			SimulatedTcMs:  simTc,
-			EstimateErrPct: trace.DeviationPct(pe.TcMs, simTc),
-		}
-		return nil
+			EstimateErrPct: trace.DeviationPct(estTc[i], simTc),
+		}, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	// Mark regions around the simulated minimum.
-	var min trace.MinTracker
+	var best trace.MinTracker
 	for i, pt := range pts {
-		min.Observe(i, pt.SimulatedTcMs)
+		best.Observe(i, pt.SimulatedTcMs)
 	}
 	for i := range pts {
 		switch {
-		case i < min.Index():
+		case i < best.Index():
 			pts[i].Region = "A"
-		case i == min.Index():
+		case i == best.Index():
 			pts[i].Region = "min"
 		default:
 			pts[i].Region = "B"
@@ -100,11 +82,11 @@ func Fig3(e *Env, n int, v stencil.Variant) ([]Fig3Point, error) {
 	return pts, nil
 }
 
-// RenderFig3 prints the curve with an ASCII bar per point.
-func RenderFig3(pts []Fig3Point, n int, v stencil.Variant) string {
+// renderFig3 prints the curve with an ASCII bar per point.
+func renderFig3(pts []Fig3Point, n int, v stencil.Variant) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 3 — T_c vs processors (N=%d, %s); region A left of the minimum, B right\n", n, v)
-	t := NewTextTable("p", "config", "Tc_est(ms)", "Tc_sim(ms)", "err%", "region", "curve")
+	t := newTextTable("p", "config", "Tc_est(ms)", "Tc_sim(ms)", "err%", "region", "curve")
 	maxTc := 0.0
 	for _, p := range pts {
 		if p.SimulatedTcMs > maxTc {
@@ -113,11 +95,11 @@ func RenderFig3(pts []Fig3Point, n int, v stencil.Variant) string {
 	}
 	for _, p := range pts {
 		bar := strings.Repeat("#", 1+int(40*p.SimulatedTcMs/maxTc))
-		t.Add(fmt.Sprint(p.Procs), fmt.Sprintf("%d+%d", p.P1, p.P2),
+		t.add(fmt.Sprint(p.Procs), fmt.Sprintf("%d+%d", p.P1, p.P2),
 			fmt.Sprintf("%.2f", p.EstimatedTcMs), fmt.Sprintf("%.2f", p.SimulatedTcMs),
 			fmt.Sprintf("%+.1f", p.EstimateErrPct), p.Region, bar)
 	}
-	b.WriteString(t.String())
+	b.WriteString(t.render())
 	return b.String()
 }
 

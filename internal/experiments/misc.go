@@ -9,7 +9,6 @@ import (
 	"netpart/internal/cost"
 	"netpart/internal/gauss"
 	"netpart/internal/model"
-	"netpart/internal/parallel"
 	"netpart/internal/stencil"
 )
 
@@ -43,21 +42,21 @@ func CostFit(e *Env) ([]CostFitRow, cost.PerByte, error) {
 	return rows, router, nil
 }
 
-// RenderCostFit prints the comparison.
-func RenderCostFit(rows []CostFitRow, router cost.PerByte) string {
-	t := NewTextTable("cluster", "topology", "c1", "c2", "c3", "c4", "R2", "paper:c2", "paper:c4")
+// renderCostFit prints the comparison.
+func renderCostFit(rows []CostFitRow, router cost.PerByte) string {
+	t := newTextTable("cluster", "topology", "c1", "c2", "c3", "c4", "R2", "paper:c2", "paper:c4")
 	for _, r := range rows {
 		pc2, pc4 := "-", "-"
 		if r.HavePaperModel {
 			pc2 = fmt.Sprintf("%.4g", r.Paper.C2)
 			pc4 = fmt.Sprintf("%.4g", r.Paper.C4)
 		}
-		t.Add(r.Cluster, r.Topology,
+		t.add(r.Cluster, r.Topology,
 			fmt.Sprintf("%.4g", r.Fitted.C1), fmt.Sprintf("%.4g", r.Fitted.C2),
 			fmt.Sprintf("%.4g", r.Fitted.C3), fmt.Sprintf("%.4g", r.Fitted.C4),
 			fmt.Sprintf("%.4f", r.R2), pc2, pc4)
 	}
-	return t.String() +
+	return t.render() +
 		fmt.Sprintf("router: fitted %.6f ms/byte (paper 0.0006)\n", router.Ms)
 }
 
@@ -77,18 +76,14 @@ func Overhead(e *Env) ([]OverheadRow, error) {
 	p := float64(e.Net.TotalProcs())
 	var rows []OverheadRow
 	for _, n := range ProblemSizes {
-		for _, v := range []stencil.Variant{stencil.STEN1, stencil.STEN2} {
-			est, err := core.NewEstimator(e.Net, e.Fitted, stencil.Annotations(n, v, Iterations))
-			if err != nil {
-				return nil, err
-			}
-			res, err := core.Partition(est)
+		for _, v := range variants {
+			res, err := decide(e.Net, e.Fitted, stencil.Annotations(n, v, Iterations), core.Partition)
 			if err != nil {
 				return nil, err
 			}
 			rows = append(rows, OverheadRow{
 				N: n, Variant: v,
-				Evaluations: res.Evaluations,
+				Evaluations: res[0].Evaluations,
 				Bound:       k * math.Log2(p),
 			})
 		}
@@ -96,14 +91,14 @@ func Overhead(e *Env) ([]OverheadRow, error) {
 	return rows, nil
 }
 
-// RenderOverhead prints the overhead table.
-func RenderOverhead(rows []OverheadRow) string {
-	t := NewTextTable("N", "variant", "evaluations", "K·log2(P)")
+// renderOverhead prints the overhead table.
+func renderOverhead(rows []OverheadRow) string {
+	t := newTextTable("N", "variant", "evaluations", "K·log2(P)")
 	for _, r := range rows {
-		t.Add(fmt.Sprint(r.N), r.Variant.String(),
+		t.add(fmt.Sprint(r.N), r.Variant.String(),
 			fmt.Sprint(r.Evaluations), fmt.Sprintf("%.1f", r.Bound))
 	}
-	return t.String()
+	return t.render()
 }
 
 // GaussResult is the E8 experiment: partitioning and executing the
@@ -123,26 +118,28 @@ type GaussResult struct {
 // Gauss runs the partitioning method on the elimination annotations, then
 // executes the chosen configuration and (for contrast) the full network.
 func Gauss(e *Env, n int) (*GaussResult, error) {
-	est, err := core.NewEstimator(e.Net, e.Fitted, gauss.Annotations(n))
+	picks, err := decide(e.Net, e.Fitted, gauss.Annotations(n), core.Partition)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Partition(est)
+	// Contrast: the stencil of the same size uses more of the network.
+	contrast, err := decide(e.Net, e.Fitted, stencil.Annotations(n, stencil.STEN1, Iterations), core.Partition)
 	if err != nil {
 		return nil, err
 	}
+	res := picks[0]
 	s := gauss.NewSystem(n, 1994)
 	want, err := gauss.Sequential(s)
 	if err != nil {
 		return nil, err
 	}
-	run, err := gauss.RunSim(e.Net, res.Config, res.Vector, s)
+	sim, err := gauss.RunSim(e.Net, res.Config, res.Vector, s)
 	if err != nil {
 		return nil, err
 	}
 	matches := true
 	for i := range want {
-		if run.X[i] != want[i] {
+		if sim.X[i] != want[i] {
 			matches = false
 			break
 		}
@@ -150,20 +147,11 @@ func Gauss(e *Env, n int) (*GaussResult, error) {
 	out := &GaussResult{
 		N: n, Chosen: res.Config,
 		PredictedTcMs: res.TcMs,
-		ElapsedMs:     run.ElapsedMs,
-		ResidualMax:   gauss.Residual(s, run.X),
+		ElapsedMs:     sim.ElapsedMs,
+		ResidualMax:   gauss.Residual(s, sim.X),
 		MatchesSeq:    matches,
+		StencilChoice: contrast[0].Config,
 	}
-	// Contrast: the stencil of the same size uses more of the network.
-	sEst, err := core.NewEstimator(e.Net, e.Fitted, stencil.Annotations(n, stencil.STEN1, Iterations))
-	if err != nil {
-		return nil, err
-	}
-	sRes, err := core.Partition(sEst)
-	if err != nil {
-		return nil, err
-	}
-	out.StencilChoice = sRes.Config
 	// Force the full network.
 	full := PaperConfig(6, 6)
 	vec, err := core.Decompose(e.Net, full, n, model.OpFloat)
@@ -179,8 +167,8 @@ func Gauss(e *Env, n int) (*GaussResult, error) {
 	return out, nil
 }
 
-// RenderGauss prints the E8 summary.
-func RenderGauss(g *GaussResult) string {
+// renderGauss prints the E8 summary.
+func renderGauss(g *GaussResult) string {
 	return fmt.Sprintf(`Gaussian elimination with partial pivoting (N=%d, broadcast topology)
   chosen configuration : %v  (predicted Tc %.2f ms)
   simulated elapsed    : %.1f ms   (all 12 processors: %.1f ms; chosen wins: %v)
@@ -200,56 +188,25 @@ type AblationRow struct {
 	Speedup float64 // BaseMs / AltMs
 }
 
-// Ablations runs the design-choice studies of DESIGN.md (A1-A5) at N=600.
-// The five studies are independent, so the engine runs them as five units
-// writing fixed row slots. A2 recomputes the bisection search A1 also runs
-// (both are deterministic microsecond-scale cost-model walks), which keeps
-// the units self-contained without changing any reported number.
+// Ablations runs the design-choice studies of DESIGN.md (A1-A5) at N=600,
+// as five independent units writing fixed row slots.
 func Ablations(e *Env) ([]AblationRow, error) {
-	const n = 600
-	units := []func(*Env) (AblationRow, error){
-		ablationOracle, ablationScan, ablationDecomp, ablationOverlap, ablationDynamic,
-	}
-	rows := make([]AblationRow, len(units))
-	err := parallel.For(e.workers(), len(units), func(i int) error {
-		row, err := units[i](e.Clone())
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
+	return ablate(e, ablationOracle, ablationScan, ablationDecomp, ablationOverlap, ablationDynamic)
 }
 
-// ablationHeuristic runs the baseline locality-first search A1 and A2 share.
-func ablationHeuristic(e *Env, n int) (core.Result, error) {
-	est, err := core.NewEstimator(e.Net, e.Fitted, stencil.Annotations(n, stencil.STEN1, Iterations))
-	if err != nil {
-		return core.Result{}, err
-	}
-	return core.Partition(est)
+// ablate runs each study as one unit on the worker pool.
+func ablate(e *Env, studies ...func(*Env) (AblationRow, error)) ([]AblationRow, error) {
+	return fanOut(e, len(studies), func(env *Env, i int) (AblationRow, error) { return studies[i](env) })
 }
 
 // ablationOracle is A1: locality-first heuristic vs exhaustive oracle
 // (estimated Tc).
 func ablationOracle(e *Env) (AblationRow, error) {
-	const n = 600
-	heur, err := ablationHeuristic(e, n)
+	res, err := decide(e.Net, e.Fitted, stencil.Annotations(600, stencil.STEN1, Iterations), core.Partition, core.PartitionExhaustive)
 	if err != nil {
 		return AblationRow{}, err
 	}
-	est2, err := core.NewEstimator(e.Net, e.Fitted, stencil.Annotations(n, stencil.STEN1, Iterations))
-	if err != nil {
-		return AblationRow{}, err
-	}
-	oracle, err := core.PartitionExhaustive(est2)
-	if err != nil {
-		return AblationRow{}, err
-	}
+	heur, oracle := res[0], res[1]
 	return AblationRow{
 		Name:   "A1 heuristic-vs-oracle",
 		Detail: fmt.Sprintf("heuristic %v (%d evals) vs oracle %v (%d evals)", heur.Config, heur.Evaluations, oracle.Config, oracle.Evaluations),
@@ -259,19 +216,11 @@ func ablationOracle(e *Env) (AblationRow, error) {
 
 // ablationScan is A2: bisection vs linear scan (search cost in evaluations).
 func ablationScan(e *Env) (AblationRow, error) {
-	const n = 600
-	heur, err := ablationHeuristic(e, n)
+	res, err := decide(e.Net, e.Fitted, stencil.Annotations(600, stencil.STEN1, Iterations), core.Partition, core.PartitionLinear)
 	if err != nil {
 		return AblationRow{}, err
 	}
-	est3, err := core.NewEstimator(e.Net, e.Fitted, stencil.Annotations(n, stencil.STEN1, Iterations))
-	if err != nil {
-		return AblationRow{}, err
-	}
-	lin, err := core.PartitionLinear(est3)
-	if err != nil {
-		return AblationRow{}, err
-	}
+	heur, lin := res[0], res[1]
 	return AblationRow{
 		Name:   "A2 bisect-vs-scan",
 		Detail: fmt.Sprintf("same choice %v; evaluations %d vs %d", lin.Config, heur.Evaluations, lin.Evaluations),
@@ -284,51 +233,40 @@ func ablationScan(e *Env) (AblationRow, error) {
 // on 6+6.
 func ablationDecomp(e *Env) (AblationRow, error) {
 	const n = 600
-	cfg := PaperConfig(6, 6)
-	bal, err := core.Decompose(e.Net, cfg, n, model.OpFloat)
-	if err != nil {
-		return AblationRow{}, err
-	}
 	eq, err := balance.EqualVector(n, 12)
 	if err != nil {
 		return AblationRow{}, err
 	}
-	balMs, err := simMs(e.Net, cfg, bal, stencil.STEN1, n, Iterations)
+	_, bal, err := step(e.Net, nil, n, stencil.STEN1, PaperConfig(6, 6), nil)
 	if err != nil {
 		return AblationRow{}, err
 	}
-	eqMs, err := simMs(e.Net, cfg, eq, stencil.STEN1, n, Iterations)
+	_, equal, err := step(e.Net, nil, n, stencil.STEN1, PaperConfig(6, 6), eq)
 	if err != nil {
 		return AblationRow{}, err
 	}
 	return AblationRow{
 		Name:   "A3 eq3-vs-equal",
 		Detail: "STEN-1 on 6+6: Eq. 3 decomposition vs equal rows",
-		BaseMs: eqMs, AltMs: balMs, Speedup: eqMs / balMs,
+		BaseMs: equal.ms, AltMs: bal.ms, Speedup: equal.ms / bal.ms,
 	}, nil
 }
 
 // ablationOverlap is A4: STEN-2 overlap vs STEN-1 at the STEN-2-chosen
 // configuration.
 func ablationOverlap(e *Env) (AblationRow, error) {
-	const n = 600
-	cfg := PaperConfig(6, 6)
-	bal, err := core.Decompose(e.Net, cfg, n, model.OpFloat)
+	_, r1, err := step(e.Net, nil, 600, stencil.STEN1, PaperConfig(6, 6), nil)
 	if err != nil {
 		return AblationRow{}, err
 	}
-	ms1, err := simMs(e.Net, cfg, bal, stencil.STEN1, n, Iterations)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	ms2, err := simMs(e.Net, cfg, bal, stencil.STEN2, n, Iterations)
+	_, r2, err := step(e.Net, nil, 600, stencil.STEN2, PaperConfig(6, 6), nil)
 	if err != nil {
 		return AblationRow{}, err
 	}
 	return AblationRow{
 		Name:   "A4 overlap",
 		Detail: "6+6: STEN-1 vs STEN-2 (border sends overlapped)",
-		BaseMs: ms1, AltMs: ms2, Speedup: ms1 / ms2,
+		BaseMs: r1.ms, AltMs: r2.ms, Speedup: r1.ms / r2.ms,
 	}, nil
 }
 
@@ -367,12 +305,12 @@ func ablationDynamic(e *Env) (AblationRow, error) {
 	}, nil
 }
 
-// RenderAblations prints the ablation table.
-func RenderAblations(rows []AblationRow) string {
-	t := NewTextTable("ablation", "base", "alternative", "ratio", "detail")
+// renderAblations prints the ablation table.
+func renderAblations(rows []AblationRow) string {
+	t := newTextTable("ablation", "base", "alternative", "ratio", "detail")
 	for _, r := range rows {
-		t.Add(r.Name, fmt.Sprintf("%.1f", r.BaseMs), fmt.Sprintf("%.1f", r.AltMs),
+		t.add(r.Name, fmt.Sprintf("%.1f", r.BaseMs), fmt.Sprintf("%.1f", r.AltMs),
 			fmt.Sprintf("%.2f", r.Speedup), r.Detail)
 	}
-	return t.String()
+	return t.render()
 }

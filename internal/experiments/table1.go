@@ -41,26 +41,22 @@ var paperTable1 = map[int]map[stencil.Variant][4]int{
 func Table1(e *Env, tbl *cost.Table) ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, n := range ProblemSizes {
-		for _, v := range []stencil.Variant{stencil.STEN1, stencil.STEN2} {
-			est, err := core.NewEstimator(e.Net, tbl, stencil.Annotations(n, v, Iterations))
-			if err != nil {
-				return nil, err
-			}
-			res, err := core.Partition(est)
+		for _, v := range variants {
+			res, err := decide(e.Net, tbl, stencil.Annotations(n, v, Iterations), core.Partition)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: partition N=%d %s: %w", n, v, err)
 			}
 			row := Table1Row{
 				N: n, Variant: v,
-				P1: res.Config.Counts[0], P2: res.Config.Counts[1],
-				PredictedTcMs: res.TcMs,
-				Evaluations:   res.Evaluations,
+				P1: res[0].Config.Counts[0], P2: res[0].Config.Counts[1],
+				PredictedTcMs: res[0].TcMs,
+				Evaluations:   res[0].Evaluations,
 			}
 			if row.P1 > 0 {
-				row.A1 = res.Vector[0]
+				row.A1 = res[0].Vector[0]
 			}
 			if row.P2 > 0 {
-				row.A2 = res.Vector[row.P1]
+				row.A2 = res[0].Vector[row.P1]
 			}
 			p := paperTable1[n][v]
 			row.PaperP1, row.PaperP2, row.PaperA1, row.PaperA2 = p[0], p[1], p[2], p[3]
@@ -70,16 +66,16 @@ func Table1(e *Env, tbl *cost.Table) ([]Table1Row, error) {
 	return rows, nil
 }
 
-// RenderTable1 prints the reproduction next to the paper's values.
-func RenderTable1(rows []Table1Row) string {
-	t := NewTextTable("N", "variant", "P1", "P2", "A1", "A2", "Tc(ms)", "evals",
+// renderTable1 prints the reproduction next to the paper's values.
+func renderTable1(rows []Table1Row) string {
+	t := newTextTable("N", "variant", "P1", "P2", "A1", "A2", "Tc(ms)", "evals",
 		"paper:P1", "P2", "A1", "A2", "match")
 	for _, r := range rows {
 		match := "yes"
 		if r.P1 != r.PaperP1 || r.P2 != r.PaperP2 {
 			match = "no"
 		}
-		t.Add(
+		t.add(
 			fmt.Sprint(r.N), r.Variant.String(),
 			fmt.Sprint(r.P1), fmt.Sprint(r.P2), fmt.Sprint(r.A1), fmt.Sprint(r.A2),
 			fmt.Sprintf("%.2f", r.PredictedTcMs), fmt.Sprint(r.Evaluations),
@@ -87,5 +83,5 @@ func RenderTable1(rows []Table1Row) string {
 			fmt.Sprint(r.PaperA1), fmt.Sprint(r.PaperA2), match,
 		)
 	}
-	return t.String()
+	return t.render()
 }

@@ -6,8 +6,7 @@ import (
 
 	"netpart/internal/balance"
 	"netpart/internal/core"
-	"netpart/internal/model"
-	"netpart/internal/parallel"
+	"netpart/internal/cost"
 	"netpart/internal/stencil"
 	"netpart/internal/trace"
 )
@@ -22,6 +21,9 @@ type Table2Cell struct {
 	// Predicted marks the configuration the partitioning algorithm chose
 	// (the asterisk of Table 2).
 	Predicted bool
+	// resid is the cell's E29 reading: its fitted estimate against the
+	// run that timed ElapsedMs.
+	resid residual
 }
 
 // Table2Row reproduces one row of Table 2.
@@ -54,164 +56,121 @@ var paperTable2Min = map[int]map[stencil.Variant][2]int{
 // overlays the partitioning algorithm's prediction (computed from the
 // fitted cost table — the full honest pipeline).
 func Table2(e *Env) ([]Table2Row, error) {
-	type rowSpec struct {
-		n int
-		v stencil.Variant
-	}
-	var specs []rowSpec
+	// Stage 1 — the decisions. Cheap cost-model searches (microseconds
+	// each), run serially; they decide which extra simulator runs stage 2
+	// needs.
+	var rows []Table2Row
+	var preds []core.Result
 	for _, n := range ProblemSizes {
-		for _, v := range []stencil.Variant{stencil.STEN1, stencil.STEN2} {
-			specs = append(specs, rowSpec{n, v})
-		}
-	}
-
-	// Stage 1 — predictions. Cheap cost-model searches (microseconds each),
-	// run serially; they decide which extra simulator runs stage 2 needs.
-	preds := make([]core.Result, len(specs))
-	for i, s := range specs {
-		est, err := core.NewEstimator(e.Net, e.Fitted, stencil.Annotations(s.n, s.v, Iterations))
-		if err != nil {
-			return nil, err
-		}
-		preds[i], err = core.Partition(est)
-		if err != nil {
-			return nil, err
-		}
-	}
-	inMeasuredSet := func(pred core.Result) bool {
-		for _, c := range Table2Configs {
-			if c.P1 == pred.Config.Counts[0] && c.P2 == pred.Config.Counts[1] {
-				return true
+		for _, v := range variants {
+			pred, err := decide(e.Net, e.Fitted, stencil.Annotations(n, v, Iterations), core.Partition)
+			if err != nil {
+				return nil, err
 			}
+			pm := paperTable2Min[n][v]
+			rows = append(rows, Table2Row{N: n, Variant: v, PaperMinP1: pm[0], PaperMinP2: pm[1]})
+			preds = append(preds, pred[0])
 		}
-		return false
+	}
+	predicted := func(r, p1, p2 int) bool {
+		return p1 == preds[r].Config.Counts[0] && p2 == preds[r].Config.Counts[1]
 	}
 
-	// Stage 2 — fan the independent simulator runs (the expensive part: 56
-	// measured cells, the N=1200 equal-decomposition runs, and any
-	// predicted-outside-the-set runs) out over the worker pool. Each unit
-	// writes one index-addressed slot; nothing is shared between units.
+	// Stage 2 — the simulator runs, the expensive part, fanned out: 56
+	// measured cells, each predicted from the fitted table too, the N=1200
+	// equal-decomposition runs, and any prediction outside the measured set
+	// (possible: the heuristic can choose e.g. 6+5).
 	const (
 		unitEqualDecomp = -1
 		unitPredRun     = -2
 	)
 	type unit struct {
-		row  int
-		cell int // index into Table2Configs, or a unit* sentinel
+		row, cell int // cell: an index into Table2Configs, or a unit* sentinel
+		tbl       *cost.Table
+		cfg       cost.Config
+		vec       core.Vector
 	}
 	var units []unit
-	for r, s := range specs {
-		for c := range Table2Configs {
-			units = append(units, unit{r, c})
+	for r, row := range rows {
+		inSet := false
+		for c, pc := range Table2Configs {
+			units = append(units, unit{r, c, e.Fitted, PaperConfig(pc.P1, pc.P2), nil})
+			inSet = inSet || predicted(r, pc.P1, pc.P2)
 		}
-		if s.n == 1200 {
-			units = append(units, unit{r, unitEqualDecomp})
+		if row.N == 1200 {
+			eq, err := balance.EqualVector(row.N, 12)
+			if err != nil {
+				return nil, err
+			}
+			units = append(units, unit{r, unitEqualDecomp, nil, PaperConfig(6, 6), eq})
 		}
-		if !inMeasuredSet(preds[r]) {
-			units = append(units, unit{r, unitPredRun})
+		if !inSet {
+			units = append(units, unit{r, unitPredRun, nil, preds[r].Config, nil})
 		}
 	}
-	cellMs := make([][]float64, len(specs))
-	for r := range specs {
-		cellMs[r] = make([]float64, len(Table2Configs))
+	type out struct {
+		ms    float64
+		resid residual
 	}
-	eqMs := make([]float64, len(specs))
-	predRunMs := make([]float64, len(specs))
-	err := parallel.For(e.workers(), len(units), func(i int) error {
-		u := units[i]
-		env := e.Clone()
-		s := specs[u.row]
-		switch u.cell {
-		case unitEqualDecomp:
-			cfg := PaperConfig(6, 6)
-			eq, err := balance.EqualVector(s.n, 12)
-			if err != nil {
-				return err
-			}
-			ms, err := simMs(env.Net, cfg, eq, s.v, s.n, Iterations)
-			if err != nil {
-				return err
-			}
-			eqMs[u.row] = ms
-		case unitPredRun:
-			cfg := preds[u.row].Config
-			vec, err := core.Decompose(env.Net, cfg, s.n, model.OpFloat)
-			if err != nil {
-				return err
-			}
-			ms, err := simMs(env.Net, cfg, vec, s.v, s.n, Iterations)
-			if err != nil {
-				return err
-			}
-			predRunMs[u.row] = ms
-		default:
-			c := Table2Configs[u.cell]
-			cfg := PaperConfig(c.P1, c.P2)
-			vec, err := core.Decompose(env.Net, cfg, s.n, model.OpFloat)
-			if err != nil {
-				return err
-			}
-			ms, err := simMs(env.Net, cfg, vec, s.v, s.n, Iterations)
-			if err != nil {
-				return fmt.Errorf("experiments: N=%d %s (%d,%d): %w", s.n, s.v, c.P1, c.P2, err)
-			}
-			cellMs[u.row][u.cell] = ms
+	outs, err := fanOut(e, len(units), func(env *Env, i int) (out, error) {
+		u, row := units[i], rows[units[i].row]
+		pred, r, err := step(env.Net, u.tbl, row.N, row.Variant, u.cfg, u.vec)
+		if err != nil {
+			return out{}, fmt.Errorf("experiments: N=%d %s %v: %w", row.N, row.Variant, u.cfg, err)
 		}
-		return nil
+		return out{r.ms, r.read(pred.Estimate)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Stage 3 — serial assembly in the original order, replicating the
-	// serial code's MinTracker observation sequence exactly.
-	var rows []Table2Row
-	for r, s := range specs {
-		row := Table2Row{N: s.n, Variant: s.v}
-		pred := preds[r]
-		var min trace.MinTracker
-		for ci, c := range Table2Configs {
-			cell := Table2Cell{P1: c.P1, P2: c.P2, ElapsedMs: cellMs[r][ci]}
-			cell.Predicted = c.P1 == pred.Config.Counts[0] && c.P2 == pred.Config.Counts[1]
-			min.Observe(len(row.Cells), cell.ElapsedMs)
-			row.Cells = append(row.Cells, cell)
+	// Stage 3 — serial assembly in the original order.
+	predRunMs := make([]float64, len(rows))
+	for i, u := range units {
+		row := &rows[u.row]
+		switch u.cell {
+		case unitEqualDecomp:
+			row.EqualDecompMs = outs[i].ms
+		case unitPredRun:
+			predRunMs[u.row] = outs[i].ms
+		default:
+			c := Table2Configs[u.cell]
+			row.Cells = append(row.Cells, Table2Cell{P1: c.P1, P2: c.P2, ElapsedMs: outs[i].ms,
+				Predicted: predicted(u.row, c.P1, c.P2), resid: outs[i].resid})
 		}
-		row.Cells[min.Index()].MeasuredMin = true
-		// Gap between the predicted configuration and the measured
-		// minimum. When the prediction is outside the measured set
-		// (possible: the heuristic can choose e.g. 6+5), stage 2 measured it.
+	}
+	for r := range rows {
+		row := &rows[r]
+		var min trace.MinTracker
 		predMs := math.Inf(1)
-		for _, c := range row.Cells {
+		for i, c := range row.Cells {
+			min.Observe(i, c.ElapsedMs)
 			if c.Predicted {
 				predMs = c.ElapsedMs
 			}
 		}
+		row.Cells[min.Index()].MeasuredMin = true
+		// Gap between the predicted configuration and the measured
+		// minimum; stage 2 measured a prediction outside the set.
 		if math.IsInf(predMs, 1) {
 			predMs = predRunMs[r]
 			min.Observe(len(row.Cells), predMs)
 		}
 		row.PredictedGapPct = trace.DeviationPct(predMs, min.Min())
-		// Equal-decomposition comparison at N=1200 on the full network.
-		if s.n == 1200 {
-			row.EqualDecompMs = eqMs[r]
-		}
-		pm := paperTable2Min[s.n][s.v]
-		row.PaperMinP1, row.PaperMinP2 = pm[0], pm[1]
-		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// RenderTable2 prints the measured grid with the paper's column layout:
+// renderTable2 prints the measured grid with the paper's column layout:
 // the measured minimum is suffixed with '*', the algorithm's prediction
 // with 'p' (both on the same cell reproduces the paper's claim).
-func RenderTable2(rows []Table2Row) string {
+func renderTable2(rows []Table2Row) string {
 	headers := []string{"N", "variant"}
 	for _, c := range Table2Configs {
 		headers = append(headers, fmt.Sprintf("%d+%d", c.P1, c.P2))
 	}
 	headers = append(headers, "equal(6+6)", "gap%")
-	t := NewTextTable(headers...)
+	t := newTextTable(headers...)
 	for _, r := range rows {
 		cells := []string{fmt.Sprint(r.N), r.Variant.String()}
 		for _, c := range r.Cells {
@@ -229,7 +188,7 @@ func RenderTable2(rows []Table2Row) string {
 			eq = fmt.Sprintf("%.0f", r.EqualDecompMs)
 		}
 		cells = append(cells, eq, fmt.Sprintf("%.1f", r.PredictedGapPct))
-		t.Add(cells...)
+		t.add(cells...)
 	}
-	return t.String()
+	return t.render()
 }
