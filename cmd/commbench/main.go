@@ -97,6 +97,10 @@ func run(spec, topoList string, cycles int, out string, showMetrics bool, serveA
 			metrics.Counter("commbench.samples").Add(int64(f.Samples))
 			metrics.Histogram("commbench.stagger_r2").Observe(f.Quality.R2)
 		}
+		for _, f := range res.Chains {
+			metrics.Counter("commbench.chain_entries").Inc()
+			metrics.Counter("commbench.samples").Add(int64(f.Samples))
+		}
 	}
 
 	fmt.Println("Fitted Eq. 1 constants: T = c1 + c2·p + b·(c3 + c4·p)  (ms, bytes)")
@@ -115,13 +119,16 @@ func run(spec, topoList string, cycles int, out string, showMetrics bool, serveA
 		fmt.Println()
 	}
 	for _, f := range res.Staggers {
-		if f.With != "" {
-			fmt.Printf("  X[%s, %s](b) = %.4g + %.4g·b at one rank each   (R²=%.4f, %d samples)\n",
-				f.Cluster, f.With, f.Stagger.Two.FixedMs, f.Stagger.Two.Ms, f.Quality.R2, f.Samples)
-			continue
-		}
 		fmt.Printf("  X[%s](b,p) = %s   (R²=%.4f, %d samples)\n", f.Cluster, f.Stagger.Many, f.Quality.R2, f.Samples)
 		fmt.Printf("      p = 2:            %.4g + %.4g·b\n", f.Stagger.Two.FixedMs, f.Stagger.Two.Ms)
+	}
+	if len(res.Chains) > 0 {
+		fmt.Println()
+		fmt.Println("Measured chain table (two-cluster STEN-1 chains, first cluster's ranks first): a line per entry")
+		fmt.Println()
+	}
+	for _, f := range res.Chains {
+		fmt.Printf("  X[%s:%d + %s:%d](b) = %.4g + %.4g·b   (%d samples)\n", f.A, f.PA, f.B, f.PB, f.Stagger.FixedMs, f.Stagger.Ms, f.Samples)
 	}
 	fmt.Println()
 	for _, pair := range sortedPairs(res.Router) {

@@ -235,10 +235,14 @@ func run(w io.Writer, o runOptions) error {
 	// watches T_c only: a rank's exchange wait on a staggered phase depends
 	// on its neighbours' timing (an edge rank waits on one, an interior
 	// rank on two), so the one predicted T_comm is no per-rank baseline.
+	// The predicted T_c is the mean of a commbench.StaggerCycles-cycle run,
+	// the first cycles' fill included (a rank at a crossing runs its first
+	// cycle up to 60 % over it), so no event fires before that many cycles.
 	if o.Runtime == "sim" && metrics != nil && predictedTcMs > 0 {
 		driftCfg := drift.Config{
 			PredCycleMs:  predictedTcMs,
 			ThresholdPct: o.DriftPct,
+			Warmup:       commbench.StaggerCycles,
 		}
 		if o.Repart {
 			trig := &repart.DriftTrigger{}

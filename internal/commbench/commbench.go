@@ -3,7 +3,8 @@
 // the (simulated) network for a grid of message sizes and processor counts,
 // and Eq. 1 cost functions are fitted to the measurements by least squares.
 // A STEN-1 stagger program, the 1-D exchange with compute between cycles,
-// is fitted the same way per cluster and per cross-segment pair.
+// is fitted the same way per cluster, and measured on the two-cluster
+// chains a partitioning search can reach.
 // The resulting cost.Table is what the runtime partitioning method consults
 // — it never sees the simulator's raw parameters, so predictions versus
 // simulated measurements are a genuine test of the method.
@@ -61,14 +62,14 @@ const StaggerCycles = 10
 // (an asynchronous send to each neighbour, then a blocking receive from
 // each) with b-byte messages, and the result is the elapsed time per
 // cycle. A stagger, a STEN-1 cycle (runner.stagger): p tasks on one
-// cluster, or one on each of two, in a 1-D chain, each of which, for
-// StaggerCycles cycles, sends a b-byte border to each neighbour, receives
-// each neighbour's, and computes for StaggerComputeMs; the result is what
-// a cycle costs beyond its compute. A delivery and a send CPU (one message):
-// a task on cluster src sends one b-byte message to a task on cluster
-// dst, and the result is the message's one-way delivery time, or the time
-// the send occupies the sender (which includes the per-byte coercion cost
-// when the formats differ).
+// cluster, or p_a on one cluster followed by p_b on another, in a 1-D
+// chain, each of which, for StaggerCycles cycles, sends a b-byte border to
+// each neighbour, receives each neighbour's, and computes for
+// StaggerComputeMs; the result is what a cycle costs beyond its compute.
+// A delivery and a send CPU (one message): a task on cluster src sends one
+// b-byte message to a task on cluster dst, and the result is the message's
+// one-way delivery time, or the time the send occupies the sender (which
+// includes the per-byte coercion cost when the formats differ).
 
 // neighbours lists tp's neighbours of every rank of p.
 func neighbours(tp topo.Topology, p int) [][]int {
@@ -108,43 +109,41 @@ func newRunner(net *model.Network, p int) (*runner, error) {
 	return r, nil
 }
 
-// run spawns the first p ranks, which the caller has set, rank 0 on
-// cluster first and the others on rest, on the simulator reset with opts,
-// and runs them.
-func (r *runner) run(p int, first, rest string, opts []simnet.Option) error {
+// run spawns the first p ranks, which the caller has set, ranks below
+// split on cluster a and the others on c, on the simulator reset with
+// opts, and runs them.
+func (r *runner) run(p, split int, a, c string, opts []simnet.Option) error {
 	r.sim.Reset(opts...)
 	for i := range p {
-		c := rest
-		if i == 0 {
-			c = first
+		cluster := c
+		if i < split {
+			cluster = a
 		}
-		r.procs[i] = r.sim.SpawnStep(r.names[i], c, r.steps[i])
+		r.procs[i] = r.sim.SpawnStep(r.names[i], cluster, r.steps[i])
 	}
 	return r.sim.Run()
 }
 
-// exchange runs the ranks of lists, rank 0 on cluster first and the others
-// on rest, each for cycles rounds of a b-byte send to each of its
+// exchange runs the ranks of lists, ranks below split on cluster a and the
+// others on c, each for cycles rounds of a b-byte send to each of its
 // neighbours, a receive from each, and computeMs of compute. It returns the
 // elapsed virtual time.
-func (r *runner) exchange(first, rest string, lists [][]int, b, cycles int, computeMs float64, opts []simnet.Option) (float64, error) {
+func (r *runner) exchange(split int, a, c string, lists [][]int, b, cycles int, computeMs float64, opts []simnet.Option) (float64, error) {
 	for i, ns := range lists {
 		r.ranks[i] = rank{procs: r.procs, to: ns, from: ns, b: b, rounds: cycles, computeMs: computeMs}
 	}
-	if err := r.run(len(lists), first, rest, opts); err != nil {
+	if err := r.run(len(lists), split, a, c, opts); err != nil {
 		return 0, err
 	}
 	return r.sim.Now(), nil
 }
 
-// stagger runs the stagger program of the 1-D chain of lists on cluster
-// a, or of its two ranks on a and c, for StaggerCycles cycles and returns
-// the stagger: the elapsed time per cycle less StaggerComputeMs.
-func (r *runner) stagger(a, c string, lists [][]int, b int, opts []simnet.Option) (float64, error) {
-	if c == "" {
-		c = a
-	}
-	end, err := r.exchange(a, c, lists, b, StaggerCycles, StaggerComputeMs, opts)
+// stagger runs the stagger program of the 1-D chain of lists, its ranks
+// below split on cluster a and the others on c, for StaggerCycles cycles
+// and returns the stagger: the elapsed time per cycle less
+// StaggerComputeMs.
+func (r *runner) stagger(split int, a, c string, lists [][]int, b int, opts []simnet.Option) (float64, error) {
+	end, err := r.exchange(split, a, c, lists, b, StaggerCycles, StaggerComputeMs, opts)
 	return end/StaggerCycles - StaggerComputeMs, err
 }
 
@@ -154,7 +153,7 @@ func (r *runner) stagger(a, c string, lists [][]int, b int, opts []simnet.Option
 func (r *runner) oneMessage(src, dst string, b int) error {
 	r.ranks[0] = rank{procs: r.procs, to: toOne, b: b, rounds: 1}
 	r.ranks[1] = rank{procs: r.procs, from: fromZero, rounds: 1}
-	return r.run(2, src, dst, nil)
+	return r.run(2, 1, src, dst, nil)
 }
 
 // toOne and fromZero are oneMessage's neighbour lists (read only).
@@ -222,16 +221,28 @@ type ClusterFit struct {
 	Samples  int
 }
 
-// StaggerFit records one measured stagger model (cost.Stagger) and its fit
-// quality: a cluster's, or with With set, that of a cross-segment pair at
-// one rank each, whose line is Stagger.Two. Quality is that of Stagger.Many
-// over p ≥ 3 (for a pair, of its line), and Samples counts every
-// measurement the model was fitted from.
+// StaggerFit records one cluster's measured stagger model (cost.Stagger)
+// and its fit quality: Quality is that of Stagger.Many over p ≥ 3, and
+// Samples counts every measurement the model was fitted from.
 type StaggerFit struct {
-	Cluster, With string
-	Stagger       cost.Stagger
-	Quality       cost.FitQuality
-	Samples       int
+	Cluster string
+	Stagger cost.Stagger
+	Quality cost.FitQuality
+	Samples int
+}
+
+// ChainFit records one entry of the chain table: the measured stagger of
+// the 1-D chain of PA ranks on cluster A followed by PB on cluster B, the
+// line through its Samples measurements. A pair at one rank each is A
+// before B in the network's cluster order, and the table holds its line
+// for either order.
+type ChainFit struct {
+	A       string
+	PA      int
+	B       string
+	PB      int
+	Stagger cost.PerByte
+	Samples int
 }
 
 // Result is the full output of a benchmarking run: a ready-to-use cost
@@ -240,6 +251,7 @@ type Result struct {
 	Table    *cost.Table
 	Fits     []ClusterFit
 	Staggers []StaggerFit
+	Chains   []ChainFit
 	Router   map[[2]string]cost.PerByte
 	Coerce   map[[2]string]cost.PerByte
 }
@@ -248,9 +260,12 @@ type Result struct {
 // grid, fits Eq. 1 per (cluster, topology), fits per-byte router and
 // coercion penalties per cross-segment cluster pair, and assembles the cost
 // table the partitioner consumes. With 1-D among the topologies it also
-// measures the stagger program on every cluster at p = 2 … Procs and on
-// every cross-segment pair at one rank each, at the grid's smallest and
-// largest message sizes, and fits the table's stagger models from them.
+// measures the stagger program, at the grid's smallest and largest message
+// sizes, on every cluster at p = 2 … Procs and on the chain table's
+// two-cluster chains: every cross-segment pair at one rank each, and each
+// walk pair (walkPairs), the faster cluster's Available ranks followed by
+// 1 … Procs of the other. It fits the table's stagger models and chain
+// lines from them.
 //
 // It first lists every measurement the fits need, then runs each distinct
 // program once on a pool of GOMAXPROCS workers (each with its own
@@ -279,12 +294,14 @@ type plan struct {
 	lists      map[[2]int][][]int // (topology, p) → every rank's neighbours, for the cycles
 	chains     [][][]int          // chains[p]: every rank's 1-D neighbours, for the staggers
 	same       [][]int            // same[p][t]: the first topology with t's neighbour lists at p
+	sizes      []int              // the grid's smallest and largest sizes, the staggers'
 	maxP       int
 	progs      []program
 	index      map[program]int
 	fits       []cycleFit
 	pairs      []pairFit
 	staggers   []staggerFit
+	chainFits  []chainFit
 }
 
 // newPlan lists every measurement Run's fits need, in Run's serial order.
@@ -295,9 +312,9 @@ func newPlan(net *model.Network, topologies []topo.Topology, grid Grid) (*plan, 
 	if grid.Cycles <= 0 {
 		grid.Cycles = 1
 	}
-	pl := &plan{net: net, topologies: topologies, grid: grid, lists: make(map[[2]int][][]int), index: make(map[program]int), maxP: 2}
+	pl := &plan{net: net, topologies: topologies, grid: grid, lists: make(map[[2]int][][]int), index: make(map[program]int), maxP: 2,
+		sizes: []int{slices.Min(grid.Bytes), slices.Max(grid.Bytes)}}
 	oneD := slices.ContainsFunc(topologies, func(tp topo.Topology) bool { _, ok := tp.(topo.OneD); return ok })
-	sizes := []int{slices.Min(grid.Bytes), slices.Max(grid.Bytes)}
 	for _, c := range net.Clusters {
 		if c.Procs < 3 {
 			return nil, fmt.Errorf("commbench: cluster %q has only %d processors; need ≥ 3 to vary p", c.Name, c.Procs)
@@ -316,9 +333,9 @@ func newPlan(net *model.Network, topologies []topo.Topology, grid Grid) (*plan, 
 		if oneD {
 			f := staggerFit{cluster: c.Name}
 			for p := 2; p <= c.Procs; p++ {
-				for _, b := range sizes {
+				for _, b := range pl.sizes {
 					f.obs = append(f.obs, cost.Observation{B: float64(b), P: p})
-					f.slots = append(f.slots, pl.add(program{kind: progStagger, src: c.Name, p: p, b: b}))
+					f.slots = append(f.slots, pl.add(program{kind: progStagger, src: c.Name, dst: c.Name, p: p, split: p, b: b}))
 				}
 			}
 			pl.staggers = append(pl.staggers, f)
@@ -331,16 +348,16 @@ func newPlan(net *model.Network, topologies []topo.Topology, grid Grid) (*plan, 
 			}
 			pl.pairs = append(pl.pairs, pl.pair(ci.Name, cj.Name))
 			if oneD {
-				f := staggerFit{cluster: ci.Name, with: cj.Name}
-				for _, b := range sizes {
-					f.obs = append(f.obs, cost.Observation{B: float64(b), P: 2})
-					f.slots = append(f.slots, pl.add(program{kind: progStagger, src: ci.Name, dst: cj.Name, p: 2, b: b}))
-				}
-				pl.staggers = append(pl.staggers, f)
+				pl.chain(ci, 1, cj, 1)
 			}
 		}
 	}
 	if oneD {
+		for _, w := range walkPairs(net) {
+			for q := 1; q <= w[1].Procs; q++ {
+				pl.chain(w[0], w[0].Available, w[1], q)
+			}
+		}
 		pl.chains = make([][][]int, pl.maxP+1)
 		for p := 2; p <= pl.maxP; p++ {
 			pl.chains[p] = neighbours(topo.OneD{}, p)
@@ -392,15 +409,15 @@ func (pl *plan) measure(r *runner, pr program) (float64, error) {
 	}
 	switch pr.kind {
 	case progCycle:
-		end, err := r.exchange(pr.src, pr.src, pl.lists[[2]int{pr.topology, pr.p}], pr.b, grid.Cycles, 0, opts)
+		end, err := r.exchange(pr.p, pr.src, pr.src, pl.lists[[2]int{pr.topology, pr.p}], pr.b, grid.Cycles, 0, opts)
 		if err != nil {
 			return 0, fmt.Errorf("commbench: %s/%s p=%d b=%d: %w", pr.src, pl.topologies[pr.topology].Name(), pr.p, pr.b, err)
 		}
 		return end / float64(grid.Cycles), nil
 	case progStagger:
-		x, err := r.stagger(pr.src, pr.dst, pl.chains[pr.p], pr.b, opts)
+		x, err := r.stagger(pr.split, pr.src, pr.dst, pl.chains[pr.p], pr.b, opts)
 		if err != nil {
-			return 0, fmt.Errorf("commbench: stagger %s %s p=%d b=%d: %w", pr.src, pr.dst, pr.p, pr.b, err)
+			return 0, fmt.Errorf("commbench: stagger %s+%s p=%d (%d on %s) b=%d: %w", pr.src, pr.dst, pr.p, pr.split, pr.src, pr.b, err)
 		}
 		return x, nil
 	}
@@ -445,6 +462,11 @@ func (pl *plan) fit(ms []float64) (*Result, error) {
 			return nil, err
 		}
 	}
+	for _, f := range pl.chainFits {
+		if err := f.fit(ms, res); err != nil {
+			return nil, err
+		}
+	}
 	sort.Slice(res.Fits, func(a, b int) bool {
 		if res.Fits[a].Cluster != res.Fits[b].Cluster {
 			return res.Fits[a].Cluster < res.Fits[b].Cluster
@@ -454,52 +476,107 @@ func (pl *plan) fit(ms []float64) (*Result, error) {
 	return res, nil
 }
 
-// staggerFit is one stagger model's fit: a cluster's, with observations at
-// p = 2 … Procs, or a cross-segment pair's (with set) at p = 2, each at the
-// grid's smallest and largest message sizes, and the slot of the program
-// that measures each.
+// staggerFit is one cluster's stagger model fit: its observations at p = 2
+// … Procs, each at the grid's smallest and largest message sizes, and the
+// slot of the program that measures each.
 type staggerFit struct {
-	cluster, with string
-	obs           []cost.Observation
-	slots         []int
+	cluster string
+	obs     []cost.Observation
+	slots   []int
 }
 
-// fit fits the model from the measured slots. A pair's is the line through
-// its observations. A cluster's is the line through its p = 2 observations
-// and Eq. 1 over the rest; a cluster of three processors has only p = 3
-// there, and its Eq. 1 is that line, C2 = C4 = 0.
+// fit fits the model from the measured slots: the line through the p = 2
+// observations and Eq. 1 over the rest; a cluster of three processors has
+// only p = 3 there, and its Eq. 1 is that line, C2 = C4 = 0.
 func (f staggerFit) fit(ms []float64, res *Result) error {
 	for i, slot := range f.slots {
 		f.obs[i].Ms = ms[slot]
 	}
-	name := f.cluster
-	if f.with != "" {
-		name += "-" + f.with
-	}
 	two, err := cost.FitPerByte(f.obs[:2])
 	if err != nil {
-		return fmt.Errorf("commbench: fitting stagger %s: %w", name, err)
+		return fmt.Errorf("commbench: fitting stagger %s: %w", f.cluster, err)
 	}
 	var many cost.Params
-	switch rest := f.obs[2:]; {
-	case f.with != "":
-		res.Table.SetPairStagger(f.cluster, f.with, two)
-		q := cost.Quality(cost.Params{C1: two.FixedMs, C3: two.Ms}, f.obs)
-		res.Staggers = append(res.Staggers, StaggerFit{Cluster: f.cluster, With: f.with, Stagger: cost.Stagger{Two: two}, Quality: q, Samples: len(f.obs)})
-		return nil
-	case len(rest) == 2:
+	if rest := f.obs[2:]; len(rest) == 2 {
 		line, lerr := cost.FitPerByte(rest)
 		many, err = cost.Params{C1: line.FixedMs, C3: line.Ms}, lerr
-	default:
+	} else {
 		many, err = cost.Fit(rest)
 	}
 	if err != nil {
-		return fmt.Errorf("commbench: fitting stagger %s: %w", name, err)
+		return fmt.Errorf("commbench: fitting stagger %s: %w", f.cluster, err)
 	}
 	st := cost.Stagger{Two: two, Many: many}
 	res.Table.SetStagger(f.cluster, st)
 	res.Staggers = append(res.Staggers, StaggerFit{Cluster: f.cluster, Stagger: st, Quality: cost.Quality(many, f.obs[2:]), Samples: len(f.obs)})
 	return nil
+}
+
+// chainFit is one chain table entry's fit: pa ranks of cluster a followed
+// by pb of cluster b, observed at the grid's smallest and largest message
+// sizes, and the slot of the program that measures each.
+type chainFit struct {
+	a, b   string
+	pa, pb int
+	obs    []cost.Observation
+	slots  []int
+}
+
+// chain lists the chain of pa ranks on a followed by pb on b, once.
+func (pl *plan) chain(a *model.Cluster, pa int, b *model.Cluster, pb int) {
+	for _, f := range pl.chainFits {
+		if f.a == a.Name && f.pa == pa && f.b == b.Name && f.pb == pb {
+			return
+		}
+	}
+	f := chainFit{a: a.Name, b: b.Name, pa: pa, pb: pb}
+	for _, n := range pl.sizes {
+		f.obs = append(f.obs, cost.Observation{B: float64(n), P: pa + pb})
+		f.slots = append(f.slots, pl.add(program{kind: progStagger, src: a.Name, dst: b.Name, p: pa + pb, split: pa, b: n}))
+	}
+	pl.chainFits = append(pl.chainFits, f)
+	pl.maxP = max(pl.maxP, pa+pb)
+}
+
+// fit fits the entry's line from the measured slots.
+func (f chainFit) fit(ms []float64, res *Result) error {
+	for i, slot := range f.slots {
+		f.obs[i].Ms = ms[slot]
+	}
+	line, err := cost.FitPerByte(f.obs)
+	if err != nil {
+		return fmt.Errorf("commbench: fitting chain %s:%d+%s:%d: %w", f.a, f.pa, f.b, f.pb, err)
+	}
+	res.Table.SetChain(f.a, f.pa, f.b, f.pb, line)
+	if f.pa == 1 && f.pb == 1 {
+		// A rank each: the mirror image is the same program, bit for bit.
+		res.Table.SetChain(f.b, 1, f.a, 1, line)
+	}
+	res.Chains = append(res.Chains, ChainFit{A: f.a, PA: f.pa, B: f.b, PB: f.pb, Stagger: line, Samples: len(f.obs)})
+	return nil
+}
+
+// walkPairs lists the network's walk pairs: for each op class, the first
+// two clusters with processors available in fastest-first order, faster
+// first, once each. Core's locality-first search opens clusters in that
+// order and places their ranks in it, so the only two-cluster
+// configurations it evaluates are its walk pair's: the faster cluster's
+// Available ranks followed by 1 … Available of the other.
+func walkPairs(net *model.Network) [][2]*model.Cluster {
+	var pairs [][2]*model.Cluster
+	for _, class := range []model.OpClass{model.OpFloat, model.OpInt} {
+		var w [2]*model.Cluster
+		n := 0
+		for _, c := range net.BySpeed(nil, class) {
+			if c.Available > 0 && n < 2 {
+				w[n], n = c, n+1
+			}
+		}
+		if n == 2 && !slices.Contains(pairs, w) {
+			pairs = append(pairs, w)
+		}
+	}
+	return pairs
 }
 
 // cycleFit is one (cluster, topology) Eq. 1 fit: its observations in grid
@@ -538,9 +615,10 @@ const (
 // (p, b).
 type program struct {
 	kind     progKind
-	src, dst string // dst is empty for a cycle and a cluster's stagger
+	src, dst string // dst is empty for a cycle; a stagger's ranks from split on are on dst
 	topology int    // index into the plan's topologies; cycles only
 	p, b     int
+	split    int // a stagger's ranks on src
 }
 
 // add returns pr's slot, listing it if it is new.

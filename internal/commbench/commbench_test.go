@@ -24,21 +24,21 @@ func measureCycle(net *model.Network, cluster string, tp topo.Topology, p, b, cy
 	if err != nil {
 		return 0, err
 	}
-	end, err := r.exchange(cluster, cluster, neighbours(tp, p), b, cycles, 0, opts)
+	end, err := r.exchange(p, cluster, cluster, neighbours(tp, p), b, cycles, 0, opts)
 	return end / float64(cycles), err
 }
 
-// measureStagger runs the stagger program at p ranks on cluster a, or at
-// one rank on a and one on c when c is set.
-func measureStagger(net *model.Network, a, c string, p, b int, opts ...simnet.Option) (float64, error) {
-	if c != "" {
-		p = 2
-	}
-	r, err := newRunner(net, p)
+// measureStagger runs the stagger program of the chain of pa ranks on
+// cluster a followed by pc on cluster c (a cluster's own at pc = 0).
+func measureStagger(net *model.Network, a string, pa int, c string, pc, b int, opts ...simnet.Option) (float64, error) {
+	r, err := newRunner(net, pa+pc)
 	if err != nil {
 		return 0, err
 	}
-	return r.stagger(a, c, neighbours(topo.OneD{}, p), b, opts)
+	if pc == 0 {
+		c = a
+	}
+	return r.stagger(pa, a, c, neighbours(topo.OneD{}, pa+pc), b, opts)
 }
 
 func measureDelivery(net *model.Network, src, dst string, b int) (float64, error) {
@@ -200,15 +200,14 @@ func TestFitsBitIdentical(t *testing.T) {
 		t.Errorf("coercion fits %+v on a single-format testbed", res.Coerce)
 	}
 	// The stagger models (recorded when the stagger program was added, and
-	// equal to the goroutine reference's): per cluster, and for the pair,
-	// Two's FixedMs and Ms, then Many's C1..C4.
+	// equal to the goroutine reference's): per cluster, Two's FixedMs and
+	// Ms, then Many's C1..C4.
 	wantStagger := []struct {
-		cluster, with string
-		c             [6]uint64
+		cluster string
+		c       [6]uint64
 	}{
-		{"sparc2", "", [6]uint64{0x3fe68f5c28f5cc0a, 0x3f59806f26288889, 0x3fd51eb851eb9f61, 0x3fd6147ae147b6e7, 0x3f3f8784c41f81ee, 0x3f4d36064c4a59b6}},
-		{"ipc", "", [6]uint64{0x3ff251eb851ebcb5, 0x3f649731098d46f6, 0x3fddd2f1a9fbf7b1, 0x3fe31a9fbe76cdda, 0x3f49751c0bcf3c82, 0x3f5795e90af0f3f7}},
-		{"sparc2", "ipc", [6]uint64{0x40000000000004a4, 0x3f72b7fe08aefa63, 0, 0, 0, 0}},
+		{"sparc2", [6]uint64{0x3fe68f5c28f5cc0a, 0x3f59806f26288889, 0x3fd51eb851eb9f61, 0x3fd6147ae147b6e7, 0x3f3f8784c41f81ee, 0x3f4d36064c4a59b6}},
+		{"ipc", [6]uint64{0x3ff251eb851ebcb5, 0x3f649731098d46f6, 0x3fddd2f1a9fbf7b1, 0x3fe31a9fbe76cdda, 0x3f49751c0bcf3c82, 0x3f5795e90af0f3f7}},
 	}
 	if len(res.Staggers) != len(wantStagger) {
 		t.Fatalf("%d stagger fits, want %d", len(res.Staggers), len(wantStagger))
@@ -217,8 +216,36 @@ func TestFitsBitIdentical(t *testing.T) {
 		w, st := wantStagger[i], f.Stagger
 		got := [6]uint64{math.Float64bits(st.Two.FixedMs), math.Float64bits(st.Two.Ms),
 			math.Float64bits(st.Many.C1), math.Float64bits(st.Many.C2), math.Float64bits(st.Many.C3), math.Float64bits(st.Many.C4)}
-		if f.Cluster != w.cluster || f.With != w.with || got != w.c {
-			t.Errorf("stagger %d: %s-%s %#x, want %s-%s %#x", i, f.Cluster, f.With, got, w.cluster, w.with, w.c)
+		if f.Cluster != w.cluster || got != w.c {
+			t.Errorf("stagger %d: %s %#x, want %s %#x", i, f.Cluster, got, w.cluster, w.c)
+		}
+	}
+	// The chain table: the pair at one rank each (recorded when it was the
+	// pair's stagger), then the walk's sparc2:6 + ipc:1…6, each a line's
+	// FixedMs and Ms.
+	wantChain := []struct {
+		a     string
+		pa    int
+		b     string
+		pb    int
+		fixed [2]uint64
+	}{
+		{"sparc2", 1, "ipc", 1, [2]uint64{0x40000000000004a4, 0x3f72b7fe08aefa63}}, // 7.48 ms at 1200 B
+		{"sparc2", 6, "ipc", 1, [2]uint64{0x4003b1da46102e65, 0x3f7a4508713e702d}}, // 10.16
+		{"sparc2", 6, "ipc", 2, [2]uint64{0x4004065103baca89, 0x3f80cd82fea347f8}}, // 12.35
+		{"sparc2", 6, "ipc", 3, [2]uint64{0x4009f4988b2d899a, 0x3f848df2911cba0c}}, // 15.29
+		{"sparc2", 6, "ipc", 4, [2]uint64{0x400fbdaa966e5eb6, 0x3f8540f3532769e2}}, // 16.42
+		{"sparc2", 6, "ipc", 5, [2]uint64{0x4013428f5c28fb42, 0x3f86ee30caa325d6}}, // 18.25
+		{"sparc2", 6, "ipc", 6, [2]uint64{0x401709f87469a813, 0x3f8b9cc377f5bba0}}, // 21.94
+	}
+	if len(res.Chains) != len(wantChain) {
+		t.Fatalf("%d chain entries, want %d", len(res.Chains), len(wantChain))
+	}
+	for i, f := range res.Chains {
+		w := wantChain[i]
+		got := [2]uint64{math.Float64bits(f.Stagger.FixedMs), math.Float64bits(f.Stagger.Ms)}
+		if f.A != w.a || f.PA != w.pa || f.B != w.b || f.PB != w.pb || got != w.fixed || f.Samples != 2 {
+			t.Errorf("chain %d: %s:%d+%s:%d %#x (%d samples), want %s:%d+%s:%d %#x", i, f.A, f.PA, f.B, f.PB, got, f.Samples, w.a, w.pa, w.b, w.pb, w.fixed)
 		}
 	}
 
@@ -243,7 +270,7 @@ func TestFitsBitIdentical(t *testing.T) {
 func fingerprint(t *testing.T, res *Result) string {
 	t.Helper()
 	var b strings.Builder
-	fmt.Fprintf(&b, "%+v\n%+v\n", res.Fits, res.Staggers)
+	fmt.Fprintf(&b, "%+v\n%+v\n%+v\n", res.Fits, res.Staggers, res.Chains)
 	if err := cost.WriteTable(&b, res.Table); err != nil {
 		t.Fatal(err)
 	}
@@ -279,10 +306,11 @@ func TestSharedProgramsMeasureAlike(t *testing.T) {
 		// Per message size: sparc2 (p = 2..7) 1-D 6, broadcast 5, 2-D 2
 		// (p = 4, 6); ipc (p = 2..6) 5, 4 and 2. 24 of 33 cycles; the
 		// pair's three deliveries are distinct. The stagger program at the
-		// smallest and largest size: sparc2 at p = 2..7, ipc at p = 2..6
-		// and the pair, 12 per size.
+		// smallest and largest size: sparc2 at p = 2..7, ipc at p = 2..6,
+		// the pair at 1+1 and the walk's chains sparc2:7 + ipc:1..6, 18 per
+		// size.
 		b := len(grid.Bytes)
-		if got, want := programs(pl), (map[progKind]int{progCycle: 24 * b, progDelivery: 3 * b, progStagger: 2 * 12}); !maps.Equal(got, want) {
+		if got, want := programs(pl), (map[progKind]int{progCycle: 24 * b, progDelivery: 3 * b, progStagger: 2 * 18}); !maps.Equal(got, want) {
 			t.Errorf("jitter %v: programs %v, want %v", jitter, got, want)
 		}
 		both, err := Run(net, all, grid)
@@ -318,9 +346,10 @@ func TestSelfDeliveryOncePerSize(t *testing.T) {
 	// Per size: 3 crossing deliveries and 3 self-deliveries (9 listed);
 	// send CPU a→b and a→a for sun4-rs6000 and hp-rs6000; 1-D at p = 2..4
 	// on each of the three clusters; the stagger program at p = 2..4 on
-	// each and on the three pairs, at two sizes.
+	// each, on the three pairs at 1+1 and on the walk's chains rs6000:4 +
+	// hp:1..4, at two sizes.
 	b := len(grid.Bytes)
-	want := map[progKind]int{progCycle: 9 * b, progDelivery: 6 * b, progSendCPU: 4 * b, progStagger: 2 * 12}
+	want := map[progKind]int{progCycle: 9 * b, progDelivery: 6 * b, progSendCPU: 4 * b, progStagger: 2 * 16}
 	if got := programs(pl); !maps.Equal(got, want) {
 		t.Errorf("programs %v, want %v", got, want)
 	}
@@ -449,7 +478,7 @@ func TestThreeProcessorCluster(t *testing.T) {
 			t.Errorf("%s: Eq. 1 %v, want C2 = C4 = 0", c.Name, st.Many)
 		}
 		for _, b := range []int{slices.Min(grid.Bytes), slices.Max(grid.Bytes)} {
-			x, err := measureStagger(net, c.Name, "", 3, b)
+			x, err := measureStagger(net, c.Name, 3, "", 0, b)
 			if err != nil {
 				t.Fatal(err)
 			}

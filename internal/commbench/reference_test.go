@@ -164,22 +164,19 @@ func TestPairsMatchGoroutineReference(t *testing.T) {
 	}
 }
 
-// goroutineStagger is the stagger program as goroutine tasks: p ranks on
-// cluster a, or one on a and one on c when c is set, in a 1-D chain.
-func goroutineStagger(net *model.Network, a, c string, p, b, cycles int, opts ...simnet.Option) (float64, error) {
-	if c != "" {
-		p = 2
-	} else {
-		c = a
-	}
+// goroutineStagger is the stagger program as goroutine tasks: the 1-D
+// chain of pa ranks on cluster a followed by pc on cluster c (a cluster's
+// own at pc = 0).
+func goroutineStagger(net *model.Network, a string, pa int, c string, pc, b, cycles int, opts ...simnet.Option) (float64, error) {
 	sim, err := simnet.New(net, opts...)
 	if err != nil {
 		return 0, err
 	}
+	p := pa + pc
 	procs := make([]*simnet.Proc, p)
 	for i := 0; i < p; i++ {
 		rank, cluster := i, c
-		if rank == 0 {
+		if rank < pa {
 			cluster = a
 		}
 		procs[i] = sim.Spawn(fmt.Sprintf("bench-%d", rank), cluster, func(pr *simnet.Proc) {
@@ -203,10 +200,12 @@ func goroutineStagger(net *model.Network, a, c string, p, b, cycles int, opts ..
 
 // TestStaggerMatchesGoroutineReference: the stagger program's step tasks
 // (Compute included) give the goroutine program's stagger bit for bit, on
-// every cluster of three testbeds at every p and on every ordered pair of
-// clusters at one rank each, at every size of the default grid, with and
-// without jitter. Without jitter a pair's stagger does not depend on the
-// pair's order, so the one the plan measures stands for both.
+// every cluster of three testbeds at every p, on every ordered pair of
+// clusters at one rank each, and on every chain of the testbeds' chain
+// tables, at every size of the default grid, with and without jitter.
+// Without jitter a pair's stagger at one rank each does not depend on
+// which cluster comes first, so the order the plan measures stands for
+// both; a longer chain's does (TestChainsAreNotMirrors).
 func TestStaggerMatchesGoroutineReference(t *testing.T) {
 	grid := DefaultGrid()
 	jitterOpts := func(jitter float64, p, b int) []simnet.Option {
@@ -215,44 +214,87 @@ func TestStaggerMatchesGoroutineReference(t *testing.T) {
 		}
 		return []simnet.Option{simnet.WithJitter(jitter, 1994+uint64(p)*131+uint64(b))}
 	}
-	cases, symmetric := 0, 0
+	type chain struct {
+		a     string
+		pa    int
+		c     string
+		pc    int
+		table bool // listed by the plan's chain table (else an ordered pair's 1+1, or a cluster's)
+	}
+	cases, chains, symmetric := 0, 0, 0
 	for name, mk := range referenceNetworks {
 		net := mk()
+		var all []chain
 		for _, a := range net.Clusters {
-			for _, c := range append([]*model.Cluster{nil}, net.Clusters...) {
-				other, top := "", a.Procs
-				if c != nil {
-					if c == a {
+			for p := 2; p <= a.Procs; p++ {
+				all = append(all, chain{a: a.Name, pa: p})
+			}
+			for _, c := range net.Clusters {
+				if c != a {
+					all = append(all, chain{a: a.Name, pa: 1, c: c.Name, pc: 1})
+				}
+			}
+		}
+		pl, err := newPlan(net, []topo.Topology{topo.OneD{}}, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range pl.chainFits {
+			if f.pa+f.pb > 2 {
+				all = append(all, chain{f.a, f.pa, f.b, f.pb, true})
+			}
+		}
+		for _, ch := range all {
+			for _, b := range grid.Bytes {
+				for _, jitter := range []float64{0, 0.2} {
+					opts := jitterOpts(jitter, ch.pa+ch.pc, b)
+					step, serr := measureStagger(net, ch.a, ch.pa, ch.c, ch.pc, b, opts...)
+					ref, rerr := goroutineStagger(net, ch.a, ch.pa, ch.c, ch.pc, b, StaggerCycles, opts...)
+					what := fmt.Sprintf("%s %s:%d %s:%d b=%d jitter=%v", name, ch.a, ch.pa, ch.c, ch.pc, b, jitter)
+					sameBits(t, what, step, ref, serr, rerr)
+					cases++
+					if ch.table {
+						chains++
+					}
+					if ch.pa+ch.pc != 2 || ch.c == "" || jitter != 0 || (b != slices.Min(grid.Bytes) && b != slices.Max(grid.Bytes)) {
 						continue
 					}
-					other, top = c.Name, 2
-				}
-				for p := 2; p <= top; p++ {
-					for _, b := range grid.Bytes {
-						for _, jitter := range []float64{0, 0.2} {
-							opts := jitterOpts(jitter, p, b)
-							step, serr := measureStagger(net, a.Name, other, p, b, opts...)
-							ref, rerr := goroutineStagger(net, a.Name, other, p, b, StaggerCycles, opts...)
-							sameBits(t, fmt.Sprintf("%s %s %s p=%d b=%d jitter=%v", name, a.Name, other, p, b, jitter), step, ref, serr, rerr)
-							cases++
-							if other == "" || jitter != 0 || (b != slices.Min(grid.Bytes) && b != slices.Max(grid.Bytes)) {
-								continue
-							}
-							back, err := measureStagger(net, other, a.Name, 2, b)
-							sameBits(t, fmt.Sprintf("%s %s-%s b=%d reversed", name, a.Name, other, b), back, step, err, nil)
-							symmetric++
-						}
-					}
+					back, err := measureStagger(net, ch.c, ch.pc, ch.a, ch.pa, b)
+					sameBits(t, what+" reversed", back, step, err, nil)
+					symmetric++
 				}
 			}
 		}
 	}
-	// Per size and jitter: paper 10 single-cluster ps and 2 ordered
-	// pairs, metasystem 17 and 6, Fig. 1 9 and 6.
-	if want := 50 * len(grid.Bytes) * 2; cases != want {
-		t.Errorf("%d cases, want %d", cases, want)
+	// Per size and jitter: paper 10 single-cluster ps, 2 ordered pairs at
+	// 1+1 and 6 chains (sparc2:6 + ipc:1…6), metasystem 17, 6 and 6
+	// (paragon:8 + sparc2:1…6), Fig. 1 9, 6 and 4 (rs6000:4 + hp:1…4).
+	if want := 50 * len(grid.Bytes) * 2; cases-chains != want {
+		t.Errorf("%d cases past the chain table's, want %d", cases-chains, want)
+	}
+	if want := 16 * len(grid.Bytes) * 2; chains != want {
+		t.Errorf("%d chain table cases, want %d", chains, want)
 	}
 	if symmetric != 28 {
 		t.Errorf("%d reversed pairs checked, want 28", symmetric)
+	}
+}
+
+// TestChainsAreNotMirrors: a rank sends to its lower neighbour first, so a
+// chain of two clusters and its mirror image cross the router in different
+// turns and stagger differently; the chain table keeps each chain in the
+// order the search places it, fastest cluster first.
+func TestChainsAreNotMirrors(t *testing.T) {
+	net := model.PaperTestbed()
+	fwd, err := measureStagger(net, model.Sparc2Cluster, 6, model.IPCCluster, 6, 4800)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := measureStagger(net, model.IPCCluster, 6, model.Sparc2Cluster, 6, 4800)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(fwd-back) < 0.1*fwd {
+		t.Errorf("sparc2:6 + ipc:6 staggers %.2f ms, its mirror %.2f: within 10 %%", fwd, back)
 	}
 }

@@ -361,15 +361,19 @@ func TestDecomposeGeneralBalancesNonlinearWork(t *testing.T) {
 
 // measuredPaperTable is the paper's table with the stagger commbench
 // measures on the paper's testbed (cmd/commbench -topologies 1-D),
-// rounded as it prints: sparc2's Eq. 1 over p ≥ 3 and p = 2 line, and the
-// sparc2-ipc pair's line.
+// rounded as it prints: sparc2's Eq. 1 over p ≥ 3 and p = 2 line, and two
+// lines of the chain table, the sparc2-ipc pair at one rank each (either
+// order) and sparc2:6 + ipc:2.
 func measuredPaperTable() *cost.Table {
 	tbl := cost.PaperTable()
 	tbl.SetStagger(model.Sparc2Cluster, cost.Stagger{
 		Two:  cost.PerByte{FixedMs: 0.705, Ms: 0.001556},
 		Many: cost.Params{C1: 0.33, C2: 0.345, C3: 0.0004811, C4: 0.0008914},
 	})
-	tbl.SetPairStagger(model.Sparc2Cluster, model.IPCCluster, cost.PerByte{FixedMs: 2, Ms: 0.00457})
+	pair := cost.PerByte{FixedMs: 2, Ms: 0.00457}
+	tbl.SetChain(model.Sparc2Cluster, 1, model.IPCCluster, 1, pair)
+	tbl.SetChain(model.IPCCluster, 1, model.Sparc2Cluster, 1, pair)
+	tbl.SetChain(model.Sparc2Cluster, 6, model.IPCCluster, 2, cost.PerByte{FixedMs: 2.503, Ms: 0.008204})
 	return tbl
 }
 
@@ -378,6 +382,7 @@ func TestEstimateSTEN1MatchesHandComputation(t *testing.T) {
 		name                     string
 		tbl                      *cost.Table
 		n                        int
+		counts                   []int // 6+0 when nil
 		tcomp, burst, x, tc, tco float64
 		charge                   string
 	}{
@@ -397,19 +402,34 @@ func TestEstimateSTEN1MatchesHandComputation(t *testing.T) {
 		// 0.33 + 2.07 + 240·0.0058295 = 4.69908 ms, so the cycle is the
 		// burst and T_comm is what it charges beyond T_comp.
 		{name: "measured", tbl: measuredPaperTable(), n: 60, tcomp: 0.9, burst: 9.3552, x: 3.79908, tc: 9.3552, tco: 8.4552, charge: ChargeStagger},
+		// N = 300 across the router at 6+2: Eq. 3 gives sparc2 300/7 rows,
+		// Tcomp = 0.0003·1500·300/7 = 135/7 ms. Both clusters cross, so the
+		// burst is sparc2's Eq. 1 at seven stations plus the router,
+		// (-0.0055 + 0.00283·7)·1200 + 1.1·7 + 0.0006·1200 = 25.592 ms. The
+		// chain table's sparc2:6 + ipc:2 line is 2.503 + 0.008204·1200 =
+		// 12.3478 ms, and the cycle is max(25.592, 135/7 + 12.3478).
+		{name: "chain", tbl: measuredPaperTable(), n: 300, counts: []int{6, 2}, tcomp: 135.0 / 7, burst: 25.592, x: 12.3478, tc: 135.0/7 + 12.3478, tco: 12.3478, charge: ChargeChain},
+		// At 6+3 the table has no line: 2·own, own the larger Eq. 1(b, 2)
+		// plus the router, sparc2's (-0.0055 + 0.00566)·1200 + 2.2 + 0.72 =
+		// 3.112 ms. Tcomp = 0.45·40 = 18 ms, and 18 + 6.224 is under the
+		// burst, 25.592 ms (ipc's, at five stations, is 15.496).
+		{name: "chain miss", tbl: measuredPaperTable(), n: 300, counts: []int{6, 3}, tcomp: 18, burst: 25.592, x: 6.224, tc: 25.592, tco: 7.592, charge: ChargeTwoOwn},
 	} {
 		e, err := NewEstimator(model.PaperTestbed(), tc.tbl, stencilAnnotations(tc.n, false))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if tc.counts == nil {
+			tc.counts = []int{6, 0}
+		}
 		est, err := e.Estimate(cost.Config{
 			Clusters: []string{model.Sparc2Cluster, model.IPCCluster},
-			Counts:   []int{6, 0},
+			Counts:   tc.counts,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		burst, x, charge, err := e.eval.commCost(est.BytesPerMsg, 6)
+		burst, x, charge, err := e.eval.commCost(est.BytesPerMsg, tc.counts[0]+tc.counts[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,8 +461,10 @@ func TestEstimateSTEN1MatchesHandComputation(t *testing.T) {
 
 // TestEstimateTwoRankLeapfrog pins the two-rank charges at N = 60 STEN-1
 // (b = 240 bytes). Two ranks of one cluster are charged the cluster's
-// measured p = 2 line, and a pair across the router the pair's; a pair on
-// one segment, and a table without the measurement, are charged 2·own.
+// measured p = 2 line, and a pair across the router the chain table's
+// (1, 1) line, in either order; a table without the measurement charges
+// 2·own, and so does a pair on one segment, which commbench measures only
+// where a search's walk crosses.
 func TestEstimateTwoRankLeapfrog(t *testing.T) {
 	const b = 240
 	tbl := cost.PaperTable()
@@ -463,6 +485,7 @@ func TestEstimateTwoRankLeapfrog(t *testing.T) {
 		name         string
 		tbl          *cost.Table
 		oneSegment   bool // the IPC cluster moved onto sparc2's segment
+		ipcFirst     bool // the configuration lists the IPC cluster first
 		counts       []int
 		tcomp, tcomm float64
 		charge       string
@@ -475,14 +498,16 @@ func TestEstimateTwoRankLeapfrog(t *testing.T) {
 		// Eq. 3 gives sparc2 40 rows and the IPC 20: Tcomp = 0.0003·300·40
 		// = 3.6 ms. The pair's line is 2 + 240·0.00457 = 3.0968 ms, and
 		// T_c = max(3.1856, 3.6 + 3.0968) = 6.6968 ms.
-		{name: "1+1 across the router", tbl: measuredPaperTable(), counts: []int{1, 1}, tcomp: 3.6, tcomm: 3.0968, charge: ChargePair},
+		{name: "1+1 across the router", tbl: measuredPaperTable(), counts: []int{1, 1}, tcomp: 3.6, tcomm: 3.0968, charge: ChargeChain},
+		// The other order: ipc first, with 20 rows, so Tcomp is the IPC's
+		// 0.0006·300·20 = 3.6 ms, and the same line.
+		{name: "1+1 across the router, ipc first", tbl: measuredPaperTable(), ipcFirst: true, counts: []int{1, 1}, tcomp: 3.6, tcomm: 3.0968, charge: ChargeChain},
 		// Unmeasured, the pair is charged 2·own: the IPC's Eq. 1(240, 2) =
 		// 3.8 − 240·0.00316 = 3.0416 plus the router 0.144, twice.
 		{name: "1+1 across the router, paper table", tbl: tbl, counts: []int{1, 1}, tcomp: 3.6, tcomm: 6.3712,
 			charge: ChargeTwoOwn, exactTc: max(crossOwn, 3.6+2*crossOwn)},
-		// The same pair on one segment pays no router, and the table
-		// measures no pair on one segment: 2·3.0416 = 6.0832 ms.
-		{name: "1+1 one segment", tbl: measuredPaperTable(), oneSegment: true, counts: []int{1, 1}, tcomp: 3.6, tcomm: 6.0832, charge: ChargeTwoOwn},
+		// The same pair on one segment pays no router: 2·3.0416 = 6.0832 ms.
+		{name: "1+1 one segment, paper table", tbl: tbl, oneSegment: true, counts: []int{1, 1}, tcomp: 3.6, tcomm: 6.0832, charge: ChargeTwoOwn},
 	} {
 		e, err := NewEstimator(model.PaperTestbed(), tc.tbl, stencilAnnotations(60, false))
 		if err != nil {
@@ -494,7 +519,11 @@ func TestEstimateTwoRankLeapfrog(t *testing.T) {
 			// clusters' segments, not only the border between them.
 			e.Net.Cluster(model.IPCCluster).Segment = e.Net.Cluster(model.Sparc2Cluster).Segment
 		}
-		est, err := e.Estimate(cost.Config{Clusters: []string{model.Sparc2Cluster, model.IPCCluster}, Counts: tc.counts})
+		clusters := []string{model.Sparc2Cluster, model.IPCCluster}
+		if tc.ipcFirst {
+			clusters[0], clusters[1] = clusters[1], clusters[0]
+		}
+		est, err := e.Estimate(cost.Config{Clusters: clusters, Counts: tc.counts})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,11 +67,13 @@ type deltaCluster struct {
 	stagger  *cost.Stagger
 }
 
-// deltaPair memoizes the cross-segment facts of one cluster pair.
+// deltaPair memoizes the cross-segment facts of one cluster pair, and the
+// measured chains of the earlier cluster's ranks (in the evaluator's order)
+// followed by the later's.
 type deltaPair struct {
-	ok, sameSeg, coerce, staggerOK bool
-	router, coerceC                cost.PerByte
-	stagger                        *cost.PerByte // the pair's measured stagger, if any
+	ok, sameSeg, coerce, chainOK bool
+	router, coerceC              cost.PerByte
+	chain                        *cost.Chain // nil when the table has none
 }
 
 // evalMode says how an evaluation reports itself.
@@ -388,8 +390,9 @@ func (d *DeltaEval) pairFor(i, j int) *deltaPair {
 // a cluster whose tasks communicate across the router is charged one
 // extra contending station (Section 3.0, matching cost.Table.CommCost bit
 // for bit); without it, Section 6.0's composition omits the extra station.
-// That is the burst. x, a staggered phase's stagger, is measured for one
-// active cluster and for a two-rank pair across the router, else 2·own:
+// That is the burst. x, a staggered phase's stagger, is the cluster's
+// measured stagger for one active cluster, the chain table's line for two
+// active clusters at counts (and in the order) it measured, else 2·own:
 // own is the largest Eq. 1_i(b, 2), plus the crossing penalty when the
 // cluster's ranks cross; charge names which. Border detection uses
 // topo.SegmentCrosses on the contiguous placement's rank ranges, so no
@@ -431,13 +434,13 @@ func (d *DeltaEval) commCost(b float64, total int) (burst, x float64, charge str
 	if st := cl[last].stagger; active == 1 && st != nil {
 		return burst, st.Eval(b, cl[last].count), ChargeStagger, nil
 	}
-	if active == 2 && total == 2 {
+	if active == 2 {
 		pr := d.pairFor(prev, last)
-		if !pr.staggerOK { // looked up here: no other probe reads it
-			pr.stagger, pr.staggerOK = d.e.Costs.PairStagger(cl[prev].c.Name, cl[last].c.Name), true
+		if !pr.chainOK { // resolved here, prev < last: no other probe reads it
+			pr.chain, pr.chainOK = d.e.Costs.Chain(cl[prev].c.Name, cl[last].c.Name), true
 		}
-		if !pr.sameSeg && pr.stagger != nil {
-			return burst, pr.stagger.Eval(b), ChargePair, nil
+		if line, ok := pr.chain.Line(cl[prev].count, cl[last].count); ok {
+			return burst, line.Eval(b), ChargeChain, nil
 		}
 	}
 	return burst, 2 * own, ChargeTwoOwn, nil

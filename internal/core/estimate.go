@@ -103,7 +103,7 @@ type Estimate struct {
 }
 
 // The stagger charges (Estimate.Charge).
-const ChargeStagger, ChargePair, ChargeTwoOwn = "measured stagger", "measured pair", "2·own (not measured)"
+const ChargeStagger, ChargeChain, ChargeTwoOwn = "measured stagger", "measured chain", "2·own (not measured)"
 
 // Detach returns the estimate with its own copies of the slices that may
 // alias estimator scratch (Shares) or a reused search probe vector

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"netpart/internal/commbench"
 	"netpart/internal/cost"
 	"netpart/internal/model"
+	"netpart/internal/topo"
 )
 
 func TestSearchTraceRecordsPartition(t *testing.T) {
@@ -222,32 +224,45 @@ func TestObserverStrategies(t *testing.T) {
 
 // TestExplainNamesTheCharge: the winner's report names what its stagger
 // was charged — the cluster's measured stagger on a measured table, 2·own
-// on the paper's — and names nothing for an overlapped phase. The IPC
-// cluster is unavailable, so the winner is sparc2's alone.
+// on the paper's — and names nothing for an overlapped phase; with the
+// IPC cluster unavailable the winner is sparc2's alone. With it, on the
+// table commbench fits, N = 300 STEN-1's winner crosses at sparc2:6 +
+// ipc:1, a walk chain the table measured.
 func TestExplainNamesTheCharge(t *testing.T) {
+	fit, err := commbench.Run(model.PaperTestbed(), []topo.Topology{topo.OneD{}}, commbench.DefaultGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		tbl     *cost.Table
-		overlap bool
-		want    string
+		tbl          *cost.Table
+		overlap, ipc bool
+		want         string
 	}{
-		{measuredPaperTable(), false, "stagger charge: " + ChargeStagger},
-		{cost.PaperTable(), false, "stagger charge: " + ChargeTwoOwn},
-		{measuredPaperTable(), true, ""},
+		{measuredPaperTable(), false, false, "stagger charge: " + ChargeStagger},
+		{cost.PaperTable(), false, false, "stagger charge: " + ChargeTwoOwn},
+		{measuredPaperTable(), true, false, ""},
+		{fit.Table, false, true, "stagger charge: " + ChargeChain},
 	} {
 		net := model.PaperTestbed()
-		net.Cluster(model.IPCCluster).Available = 0
+		if !tc.ipc {
+			net.Cluster(model.IPCCluster).Available = 0
+		}
 		e, err := NewEstimator(net, tc.tbl, stencilAnnotations(300, tc.overlap))
 		if err != nil {
 			t.Fatal(err)
 		}
 		trace := &SearchTrace{}
 		e.Observer = trace
-		if _, err := Partition(e); err != nil {
+		res, err := Partition(e)
+		if err != nil {
 			t.Fatal(err)
 		}
 		report := trace.Explain()
 		if got := strings.Contains(report, "stagger charge:"); got != (tc.want != "") || !strings.Contains(report, tc.want) {
 			t.Errorf("overlap %v: want %q in\n%s", tc.overlap, tc.want, report)
+		}
+		if tc.ipc && res.Config.String() != "sparc2:6 ipc:1" {
+			t.Errorf("winner %v, want sparc2:6 ipc:1", res.Config)
 		}
 	}
 }

@@ -14,6 +14,7 @@ package cost
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"netpart/internal/model"
 	"netpart/internal/topo"
@@ -122,16 +123,51 @@ func makePair(a, b string) pairKey {
 	return pairKey{a, b}
 }
 
+// Chain is the measured stagger of the two-cluster 1-D chains of one
+// ordered cluster pair (a, b), a's ranks first: a per-byte line per (p_a,
+// p_b). The order matters: a rank sends to its lower neighbour first, so
+// the chain of a's ranks then b's and its mirror image cross the router
+// in different turns (6 sparc2 ranks then 6 ipc ranks stagger 70.5 ms at
+// 4 800 B, the mirror 47.8). Table.Chain returns it; read it, do not
+// write it.
+type Chain struct{ rows []chainRow }
+
+// chainRow is a Chain's lines at one p_a, indexed by p_b.
+type chainRow struct {
+	pa    int
+	lines []chainLine
+}
+
+// chainLine is one cell of a chainRow, ok when measured.
+type chainLine struct {
+	stagger PerByte
+	ok      bool
+}
+
+// Line returns the measured line at (pa, pb), or false when the chain (nil
+// included) has none there: a scan of the chain's few p_a rows (one per
+// walk, plus p_a = 1) and one index.
+func (c *Chain) Line(pa, pb int) (PerByte, bool) {
+	if c != nil {
+		for _, r := range c.rows {
+			if r.pa == pa && pb >= 0 && pb < len(r.lines) {
+				return r.lines[pb].stagger, r.lines[pb].ok
+			}
+		}
+	}
+	return PerByte{}, false
+}
+
 // Table holds the benchmarked cost models for one network: Eq. 1 constants
 // per (cluster, topology), per-byte router and coercion penalties per
-// cluster pair, and the measured STEN-1 stagger per cluster and per
-// cross-segment pair. Construct with NewTable and populate via Set*
-// (typically from package commbench's fits).
+// cluster pair, the measured STEN-1 stagger per cluster, and the measured
+// two-cluster chains per cluster pair. Construct with NewTable and populate
+// via Set* (typically from package commbench's fits).
 type Table struct {
-	comm        map[string]*clusterCosts
-	router      map[pairKey]PerByte
-	coerce      map[pairKey]PerByte
-	pairStagger map[pairKey]*PerByte
+	comm   map[string]*clusterCosts
+	router map[pairKey]PerByte
+	coerce map[pairKey]PerByte
+	chains map[[2]string]*Chain // by (first cluster, second)
 }
 
 // clusterCosts are one cluster's models: Eq. 1 per topology, and the
@@ -144,10 +180,10 @@ type clusterCosts struct {
 // NewTable returns an empty cost table.
 func NewTable() *Table {
 	return &Table{
-		comm:        make(map[string]*clusterCosts),
-		router:      make(map[pairKey]PerByte),
-		coerce:      make(map[pairKey]PerByte),
-		pairStagger: make(map[pairKey]*PerByte),
+		comm:   make(map[string]*clusterCosts),
+		router: make(map[pairKey]PerByte),
+		coerce: make(map[pairKey]PerByte),
+		chains: make(map[[2]string]*Chain),
 	}
 }
 
@@ -187,13 +223,29 @@ func (t *Table) Model(cluster, topology string) (Params, *Stagger, error) {
 	return Params{}, nil, fmt.Errorf("cost: no model for cluster %q topology %q", cluster, topology)
 }
 
-// SetPairStagger records the measured stagger of two ranks, one on each of
-// two clusters on different segments (order irrelevant).
-func (t *Table) SetPairStagger(c1, c2 string, p PerByte) { t.pairStagger[makePair(c1, c2)] = &p }
+// SetChain records the measured stagger of the 1-D chain of pa ranks on
+// cluster a followed by pb on cluster b, replacing any line already there.
+func (t *Table) SetChain(a string, pa int, b string, pb int, line PerByte) {
+	c, ok := t.chains[[2]string{a, b}]
+	if !ok {
+		c = &Chain{}
+		t.chains[[2]string{a, b}] = c
+	}
+	i := slices.IndexFunc(c.rows, func(r chainRow) bool { return r.pa == pa })
+	if i < 0 {
+		i = len(c.rows)
+		c.rows = append(c.rows, chainRow{pa: pa})
+	}
+	r := &c.rows[i]
+	if pb >= len(r.lines) {
+		r.lines = append(r.lines, make([]chainLine, pb+1-len(r.lines))...)
+	}
+	r.lines[pb] = chainLine{stagger: line, ok: true}
+}
 
-// PairStagger returns the measured stagger of a cross-segment pair at one
-// rank each, or nil when the table has none; read it, do not write it.
-func (t *Table) PairStagger(c1, c2 string) *PerByte { return t.pairStagger[makePair(c1, c2)] }
+// Chain returns the measured chains of a's ranks followed by b's, or nil
+// when the table has none.
+func (t *Table) Chain(a, b string) *Chain { return t.chains[[2]string{a, b}] }
 
 // SetRouter records the router penalty between two clusters (order
 // irrelevant).

@@ -361,20 +361,27 @@ func TestTableRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStaggerRoundTrip: a cluster's stagger and a pair's survive
-// WriteTable and ReadTable bit for bit (the pair in either order), and a
-// table written without them reads back without them.
+// TestStaggerRoundTrip: a cluster's stagger and the chain table survive
+// WriteTable and ReadTable bit for bit, each chain in its order; a file of
+// the old form, whose pairs' one-rank-each lines are pair_stagger, reads
+// them as (1, 1) entries in either order; and a table written without
+// them reads back without them.
 func TestStaggerRoundTrip(t *testing.T) {
 	orig := PaperTable()
 	st := Stagger{Two: PerByte{FixedMs: 0.705, Ms: 0.001556}, Many: Params{C1: 0.33, C2: 0.345, C3: 0.0004811, C4: 0.0008914}}
 	pair := PerByte{FixedMs: 2, Ms: 0.00457}
+	walk := PerByte{FixedMs: 2.503, Ms: 0.008204}
 	orig.SetStagger(model.Sparc2Cluster, st)
-	orig.SetPairStagger(model.IPCCluster, model.Sparc2Cluster, pair)
+	orig.SetChain(model.IPCCluster, 1, model.Sparc2Cluster, 1, pair)
+	orig.SetChain(model.Sparc2Cluster, 6, model.IPCCluster, 2, walk)
 	var buf bytes.Buffer
 	if err := WriteTable(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
+	if !strings.Contains(text, "chain_stagger") || strings.Contains(text, "pair_stagger") {
+		t.Errorf("chain table written as:\n%s", text)
+	}
 	got, err := ReadTable(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -385,9 +392,36 @@ func TestStaggerRoundTrip(t *testing.T) {
 	if _, have, _ := got.Model(model.IPCCluster, "1-D"); have != nil {
 		t.Error("ipc has a stagger it was never given")
 	}
-	if have := got.PairStagger(model.Sparc2Cluster, model.IPCCluster); have == nil || *have != pair {
-		t.Errorf("pair stagger round trip: %+v, want %+v\n%s", have, pair, text)
+	for _, c := range []struct {
+		a      string
+		pa     int
+		b      string
+		pb     int
+		want   PerByte
+		wantOK bool
+	}{
+		{model.IPCCluster, 1, model.Sparc2Cluster, 1, pair, true},
+		{model.Sparc2Cluster, 1, model.IPCCluster, 1, PerByte{}, false}, // recorded in one order only
+		{model.Sparc2Cluster, 6, model.IPCCluster, 2, walk, true},
+		{model.IPCCluster, 2, model.Sparc2Cluster, 6, PerByte{}, false}, // the mirror is another chain
+		{model.Sparc2Cluster, 6, model.IPCCluster, 3, PerByte{}, false},
+	} {
+		if have, ok := got.Chain(c.a, c.b).Line(c.pa, c.pb); have != c.want || ok != c.wantOK {
+			t.Errorf("chain %s:%d + %s:%d read back %+v %v, want %+v %v\n%s", c.a, c.pa, c.b, c.pb, have, ok, c.want, c.wantOK, text)
+		}
 	}
+
+	old := `{"comm": [], "pair_stagger": [{"a": "ipc", "b": "sparc2", "per_byte_ms": 0.00457, "fixed_ms": 2}]}`
+	legacy, err := ReadTable(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ab := range [][2]string{{model.IPCCluster, model.Sparc2Cluster}, {model.Sparc2Cluster, model.IPCCluster}} {
+		if have, ok := legacy.Chain(ab[0], ab[1]).Line(1, 1); !ok || have != pair {
+			t.Errorf("pair_stagger read as %s:1 + %s:1 = %+v %v, want %+v", ab[0], ab[1], have, ok, pair)
+		}
+	}
+
 	buf.Reset()
 	if err := WriteTable(&buf, PaperTable()); err != nil {
 		t.Fatal(err)
@@ -399,7 +433,7 @@ func TestStaggerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, have, _ := plain.Model(model.Sparc2Cluster, "1-D"); have != nil || plain.PairStagger(model.Sparc2Cluster, model.IPCCluster) != nil {
+	if _, have, _ := plain.Model(model.Sparc2Cluster, "1-D"); have != nil || plain.Chain(model.Sparc2Cluster, model.IPCCluster) != nil {
 		t.Error("a table read without stagger has one")
 	}
 	if x := st.Eval(4800, 2); x != 0.705+0.001556*4800 {
@@ -412,13 +446,44 @@ func TestStaggerRoundTrip(t *testing.T) {
 
 func TestReadTableRejectsInvalid(t *testing.T) {
 	for name, in := range map[string]string{
-		"garbage":       `nope`,
-		"unknown field": `{"comm":[],"bogus":1}`,
-		"empty cluster": `{"comm":[{"cluster":"","topology":"1-D"}]}`,
-		"empty stagger": `{"comm":[],"stagger":[{"cluster":""}]}`,
+		"garbage":        `nope`,
+		"unknown field":  `{"comm":[],"bogus":1}`,
+		"empty cluster":  `{"comm":[{"cluster":"","topology":"1-D"}]}`,
+		"empty stagger":  `{"comm":[],"stagger":[{"cluster":""}]}`,
+		"chain no rank":  `{"comm":[],"chain_stagger":[{"a":"x","pa":0,"b":"y","pb":1}]}`,
+		"chain to self":  `{"comm":[],"chain_stagger":[{"a":"x","pa":1,"b":"x","pb":1}]}`,
+		"chain too long": `{"comm":[],"chain_stagger":[{"a":"x","pa":1,"b":"y","pb":1025}]}`,
 	} {
 		if _, err := ReadTable(strings.NewReader(in)); err == nil {
 			t.Errorf("%s accepted", name)
 		}
+	}
+}
+
+// TestChainLines: a chain's grid grows to hold every line set, in any
+// order, and keeps each where it was; a cell never set, a count past the
+// grid and a nil chain are misses.
+func TestChainLines(t *testing.T) {
+	tbl := NewTable()
+	set := map[[2]int]PerByte{}
+	for i, pq := range [][2]int{{6, 1}, {6, 6}, {1, 1}, {2, 7}, {8, 3}, {6, 1}} {
+		line := PerByte{FixedMs: float64(i), Ms: 0.001 * float64(i+1)}
+		tbl.SetChain("a", pq[0], "b", pq[1], line)
+		set[pq] = line
+	}
+	c := tbl.Chain("a", "b")
+	for pa := 0; pa <= 9; pa++ {
+		for pb := 0; pb <= 8; pb++ {
+			want, wantOK := set[[2]int{pa, pb}]
+			if got, ok := c.Line(pa, pb); got != want || ok != wantOK {
+				t.Errorf("Line(%d, %d) = %+v %v, want %+v %v", pa, pb, got, ok, want, wantOK)
+			}
+		}
+	}
+	if tbl.Chain("b", "a") != nil {
+		t.Error("a chain set one way reads back the other")
+	}
+	if _, ok := (*Chain)(nil).Line(1, 1); ok {
+		t.Error("a nil chain has a line")
 	}
 }

@@ -1,9 +1,11 @@
 package cost
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -12,11 +14,30 @@ import (
 // paper's split between offline cost-function construction and runtime
 // use.
 type tableSpec struct {
-	Comm        []commSpec    `json:"comm"`
-	Router      []pairSpec    `json:"router,omitempty"`
-	Coerce      []pairSpec    `json:"coerce,omitempty"`
-	Stagger     []staggerSpec `json:"stagger,omitempty"`
-	PairStagger []pairSpec    `json:"pair_stagger,omitempty"`
+	Comm    []commSpec    `json:"comm"`
+	Router  []pairSpec    `json:"router,omitempty"`
+	Coerce  []pairSpec    `json:"coerce,omitempty"`
+	Stagger []staggerSpec `json:"stagger,omitempty"`
+	Chain   []chainSpec   `json:"chain_stagger,omitempty"`
+	// PairStagger is read, never written: a file from before the chain
+	// table holds its pairs' one-rank-each lines here, the (1, 1) entries
+	// (the same in either order).
+	PairStagger []pairSpec `json:"pair_stagger,omitempty"`
+}
+
+// maxChainRanks bounds a chain entry's counts in a file read: a line is
+// held in a row indexed by its second count.
+const maxChainRanks = 1 << 10
+
+// chainSpec is one line of the chain table: PA ranks on cluster A followed
+// by PB on B.
+type chainSpec struct {
+	A       string  `json:"a"`
+	PA      int     `json:"pa"`
+	B       string  `json:"b"`
+	PB      int     `json:"pb"`
+	Ms      float64 `json:"per_byte_ms"`
+	FixedMs float64 `json:"fixed_ms,omitempty"`
 }
 
 // staggerSpec is one cluster's Stagger: Eq. 1 over p ≥ 3 in commSpec's
@@ -80,8 +101,14 @@ func WriteTable(w io.Writer, t *Table) error {
 	for pair, p := range t.coerce {
 		s.Coerce = append(s.Coerce, pairSpec{A: pair.a, B: pair.b, Ms: p.Ms, FixedMs: p.FixedMs})
 	}
-	for pair, p := range t.pairStagger {
-		s.PairStagger = append(s.PairStagger, pairSpec{A: pair.a, B: pair.b, Ms: p.Ms, FixedMs: p.FixedMs})
+	for k, c := range t.chains {
+		for _, r := range c.rows {
+			for pb, l := range r.lines {
+				if l.ok {
+					s.Chain = append(s.Chain, chainSpec{A: k[0], PA: r.pa, B: k[1], PB: pb, Ms: l.stagger.Ms, FixedMs: l.stagger.FixedMs})
+				}
+			}
+		}
 	}
 	sortPairs := func(ps []pairSpec) {
 		sort.Slice(ps, func(i, j int) bool {
@@ -93,7 +120,9 @@ func WriteTable(w io.Writer, t *Table) error {
 	}
 	sortPairs(s.Router)
 	sortPairs(s.Coerce)
-	sortPairs(s.PairStagger)
+	slices.SortFunc(s.Chain, func(a, b chainSpec) int {
+		return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B), cmp.Compare(a.PA, b.PA), cmp.Compare(a.PB, b.PB))
+	})
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
@@ -130,7 +159,15 @@ func ReadTable(r io.Reader) (*Table, error) {
 		})
 	}
 	for _, p := range s.PairStagger {
-		t.SetPairStagger(p.A, p.B, PerByte{Ms: p.Ms, FixedMs: p.FixedMs})
+		line := PerByte{Ms: p.Ms, FixedMs: p.FixedMs}
+		t.SetChain(p.A, 1, p.B, 1, line)
+		t.SetChain(p.B, 1, p.A, 1, line)
+	}
+	for _, c := range s.Chain {
+		if c.A == "" || c.B == "" || c.A == c.B || c.PA < 1 || c.PB < 1 || c.PA > maxChainRanks || c.PB > maxChainRanks {
+			return nil, fmt.Errorf("cost: chain_stagger entry %+v needs two clusters and 1 … %d ranks on each", c, maxChainRanks)
+		}
+		t.SetChain(c.A, c.PA, c.B, c.PB, PerByte{Ms: c.Ms, FixedMs: c.FixedMs})
 	}
 	return t, nil
 }

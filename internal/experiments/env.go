@@ -34,10 +34,12 @@ type Env struct {
 	Jobs int
 }
 
-// NewEnv builds the environment, running the offline benchmarking step.
+// NewEnv builds the environment, running the offline benchmarking step
+// once for every topology an experiment prices on the paper's testbed:
+// 1-D, broadcast and 2-D.
 func NewEnv() (*Env, error) {
 	net := model.PaperTestbed()
-	res, err := commbench.Run(net, []topo.Topology{topo.OneD{}, topo.Broadcast{}}, commbench.DefaultGrid())
+	res, err := commbench.Run(net, []topo.Topology{topo.OneD{}, topo.Broadcast{}, topo.Mesh2D{}}, commbench.DefaultGrid())
 	if err != nil {
 		return nil, err
 	}

@@ -89,11 +89,12 @@ func TestTable2PredictionsNearMinimum(t *testing.T) {
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	// The ceiling on |T_c residual| over the 56 cells. The worst cell,
-	// +11.2 %, is N = 300 STEN-1 6+2, a crossing charged 2·own; the
-	// STEN-1 two-rank cells (2+0), charged the measured p = 2 stagger,
-	// sit within +0.1 … +1.9 %.
-	const maxResidualPct = 12.0
+	// The ceiling on |T_c residual| over the 56 cells. The worst cells,
+	// +2.7 %, are N = 60 1+0, STEN-1 and STEN-2 alike: one rank, no
+	// exchange, and T_comp 5.40 ms predicted against 5.26 simulated. Every
+	// crossing is charged from the chain table
+	// (TestTwoClusterSTEN1WithinTwoPercent).
+	const maxResidualPct = 3.0
 	for _, r := range rows {
 		// The reproduced headline claim: the predicted minimum is the
 		// measured minimum on every row.
@@ -631,5 +632,45 @@ func TestSingleClusterSTEN1WithinOnePercent(t *testing.T) {
 	}
 	if cells != 3*4+6 {
 		t.Errorf("%d cells, want 18", cells)
+	}
+}
+
+// TestTwoClusterSTEN1WithinTwoPercent: with the chain table, every
+// two-cluster STEN-1 cell of Table 2 (6+2, 6+4 and 6+6 at each N) is
+// charged a measured chain and predicted within 2 % of its simulation.
+func TestTwoClusterSTEN1WithinTwoPercent(t *testing.T) {
+	e := env(t)
+	rows, err := Table2(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	for _, r := range rows {
+		if r.Variant != stencil.STEN1 {
+			continue
+		}
+		est, err := core.NewEstimator(e.Net, e.Fitted, stencil.Annotations(r.N, r.Variant, Iterations))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range r.Cells {
+			if c.P2 == 0 {
+				continue
+			}
+			pred, err := est.Estimate(PaperConfig(c.P1, c.P2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells++
+			if pred.Charge != core.ChargeChain {
+				t.Errorf("Table 2 N=%d %d+%d: charged %q, want %q", r.N, c.P1, c.P2, pred.Charge, core.ChargeChain)
+			}
+			if res := trace.DeviationPct(pred.ElapsedMs(Iterations), c.ElapsedMs); math.Abs(res) > 2 {
+				t.Errorf("Table 2 N=%d %d+%d: T_c residual %+.2f%%", r.N, c.P1, c.P2, res)
+			}
+		}
+	}
+	if cells != 4*3 {
+		t.Errorf("%d cells, want 12", cells)
 	}
 }

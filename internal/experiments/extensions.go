@@ -251,16 +251,11 @@ type ImplSelectRow struct {
 // ImplSelect compares the two stencil implementations across problem
 // sizes, the way the paper's method chose between STEN-1 and STEN-2.
 func ImplSelect(e *Env) ([]ImplSelectRow, error) {
-	bench, err := commbench.Run(e.Net,
-		[]topo.Topology{topo.OneD{}, topo.Mesh2D{}}, commbench.DefaultGrid())
-	if err != nil {
-		return nil, err
-	}
-	// The shared 2-D benchmark above runs once; the per-size comparisons
-	// (two searches plus two simulator runs each) are independent units.
+	// The per-size comparisons (two searches on the Env's fitted 1-D and
+	// 2-D models plus two simulator runs each) are independent units.
 	return fanOut(e, len(ProblemSizes), func(env *Env, i int) (ImplSelectRow, error) {
 		n := ProblemSizes[i]
-		oneD, twoD, err := stencil2d.CompareImplementations(env.Net, bench.Table, n, Iterations)
+		oneD, twoD, err := stencil2d.CompareImplementations(env.Net, env.Fitted, n, Iterations)
 		if err != nil {
 			return ImplSelectRow{}, err
 		}
@@ -467,7 +462,8 @@ type NoiseRow struct {
 
 // Noise runs E15 at N=600 STEN-2 across jitter levels. Each level is a
 // self-contained unit (its own offline benchmark, fit, search, and eight
-// noisy measurement runs), so the levels fan out over the worker pool.
+// noisy measurement runs), so the levels fan out over the worker pool;
+// the jitter-free level's benchmark is the Env's own fit.
 func Noise(e *Env) ([]NoiseRow, error) {
 	jitters := []float64{0, 0.1, 0.3, 0.5}
 	return fanOut(e, len(jitters), func(env *Env, i int) (NoiseRow, error) { return noiseLevel(env, jitters[i]) })
@@ -476,15 +472,19 @@ func Noise(e *Env) ([]NoiseRow, error) {
 // noiseLevel runs one jitter level of E15.
 func noiseLevel(e *Env, jitter float64) (NoiseRow, error) {
 	const n = 600
-	grid := commbench.DefaultGrid()
-	grid.Jitter = jitter
-	grid.Seed = 0x9e3779b97f4a7c15
-	bench, err := commbench.Run(e.Net, []topo.Topology{topo.OneD{}}, grid)
-	if err != nil {
-		return NoiseRow{}, err
+	table, fits := e.Fitted, e.Fits
+	if jitter > 0 {
+		grid := commbench.DefaultGrid()
+		grid.Jitter = jitter
+		grid.Seed = 0x9e3779b97f4a7c15
+		bench, err := commbench.Run(e.Net, []topo.Topology{topo.OneD{}}, grid)
+		if err != nil {
+			return NoiseRow{}, err
+		}
+		table, fits = bench.Table, bench.Fits
 	}
 	row := NoiseRow{Jitter: jitter}
-	for _, f := range bench.Fits {
+	for _, f := range fits {
 		if f.Cluster == model.Sparc2Cluster && f.Topology == "1-D" {
 			row.FitR2 = f.Quality.R2
 		}
@@ -498,7 +498,7 @@ func noiseLevel(e *Env, jitter float64) (NoiseRow, error) {
 	}
 	var min trace.MinTracker
 	for i := 0; i <= len(Table2Configs); i++ {
-		tbl, cfg := menu(i, bench.Table)
+		tbl, cfg := menu(i, table)
 		pred, r, err := step(e.Net, tbl, n, stencil.STEN2, cfg, nil, opts...)
 		if err != nil {
 			return NoiseRow{}, err

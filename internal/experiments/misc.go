@@ -10,6 +10,7 @@ import (
 	"netpart/internal/gauss"
 	"netpart/internal/model"
 	"netpart/internal/stencil"
+	"netpart/internal/topo"
 )
 
 // CostFitRow compares one fitted constant set against the paper's.
@@ -24,10 +25,15 @@ type CostFitRow struct {
 
 // CostFit reproduces the Section 6.0 cost-constant table: the fitted Eq. 1
 // models from benchmarking the simulator, next to the paper's published
-// constants where they exist (1-D only).
+// constants where they exist (1-D only), for the paper's two topologies,
+// the stencils' 1-D and Gaussian elimination's broadcast. The Env's 2-D
+// fit, which only E12 prices, is not in it.
 func CostFit(e *Env) ([]CostFitRow, cost.PerByte, error) {
 	var rows []CostFitRow
 	for _, f := range e.Fits {
+		if f.Topology == (topo.Mesh2D{}).Name() {
+			continue
+		}
 		row := CostFitRow{
 			Cluster: f.Cluster, Topology: f.Topology,
 			Fitted: f.Params, R2: f.Quality.R2,
