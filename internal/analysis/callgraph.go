@@ -276,7 +276,9 @@ func (ip *Interproc) resolveCallsite(node *FuncNode, cs *Callsite, info *types.I
 	fun := ast.Unparen(call.Fun)
 
 	// Conversions and builtins are not call edges (summary.go's
-	// intraprocedural scan handles their allocation behavior).
+	// intraprocedural scan handles their allocation behavior). Package
+	// unsafe's functions (unsafe.SliceData and the like) are builtins
+	// reached through a selector; none of them allocates.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		cs.IndirectDesc = "" // conversion
 		cs.Targets = nil
@@ -286,6 +288,9 @@ func (ip *Interproc) resolveCallsite(node *FuncNode, cs *Callsite, info *types.I
 		if isBuiltin(info, id) {
 			return
 		}
+	}
+	if sel, ok := fun.(*ast.SelectorExpr); ok && isBuiltin(info, sel.Sel) {
+		return
 	}
 
 	if fn := calleeFunc(info, call); fn != nil {

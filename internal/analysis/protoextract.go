@@ -487,7 +487,9 @@ func (ex *extractor) call(call *ast.CallExpr, env *symEnv) ([]protomc.Op, error)
 }
 
 // transportCallKind classifies X.Send(dst, payload) / X.Recv(src) /
-// X.RecvAny(d) selector calls by name and arity. It is the module's one
+// X.Recv(src, into) / X.RecvAny(d) selector calls by name and arity (the
+// second Recv form receives into a destination the caller names, as the
+// stencil driver's link does). It is the module's one
 // recogniser of a transport operation: the extractor and the summaries'
 // "reaches the transport" fact (summary.go) both read it.
 func transportCallKind(call *ast.CallExpr) (protomc.OpKind, bool) {
@@ -498,7 +500,7 @@ func transportCallKind(call *ast.CallExpr) (protomc.OpKind, bool) {
 	switch {
 	case sel.Sel.Name == "Send" && len(call.Args) == 2:
 		return protomc.OpSend, true
-	case sel.Sel.Name == "Recv" && len(call.Args) == 1:
+	case sel.Sel.Name == "Recv" && (len(call.Args) == 1 || len(call.Args) == 2):
 		return protomc.OpRecv, true
 	case sel.Sel.Name == "RecvAny" && len(call.Args) == 1:
 		return protomc.OpRecvAny, true

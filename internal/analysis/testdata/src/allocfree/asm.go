@@ -1,5 +1,7 @@
 package allocfree
 
+import "unsafe"
+
 // The assembly model: a body-less declaration is allocation-free when it is
 // //go:noescape and its TEXT symbol (asm.s) is NOSPLIT with a $0 frame.
 // Anything else written in assembly is assumed to allocate, and the finding
@@ -32,6 +34,14 @@ func missingSum(p *float64, n int) float64
 //netpart:hotpath
 func (t *table) hotAsmLeaf() float64 {
 	return leafSum(&t.rows[0], len(t.rows))
+}
+
+// hotAsmSliceData hands the routine its operand through unsafe.SliceData,
+// a builtin of package unsafe, not an unresolved call: clean.
+//
+//netpart:hotpath
+func (t *table) hotAsmSliceData() float64 {
+	return leafSum((*float64)(unsafe.Pointer(unsafe.SliceData(t.rows))), len(t.rows))
 }
 
 //netpart:hotpath

@@ -4,12 +4,23 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
+
+	"netpart/internal/cpufeat"
 )
 
 // Coercion helpers: MMPS exchanges typed data between clusters of different
 // native formats by coercing to network byte order (big-endian) on the
 // wire. These helpers are the per-byte conversion the cost model's T_coerce
-// accounts for.
+// accounts for. Coercion only reverses the bytes of each word, so where the
+// processor has AVX2 a vector routine (coerce_amd64.s) reverses every whole
+// group of eight values and a Go loop the 0-7 left over; without it the Go
+// loop does all of them. Either way the wire bytes are the same.
+
+// useAVX2 is decided once, here, from what the processor and the operating
+// system report (cpufeat, the module's one probe). Only the tests write it
+// afterwards, to hold both paths to the same bytes on one machine.
+var useAVX2 = cpufeat.HasAVX2()
 
 // EncodeFloat64s serializes values big-endian.
 func EncodeFloat64s(values []float64) []byte {
@@ -30,8 +41,13 @@ func AppendFloat64s(dst []byte, values []float64) []byte {
 		dst = grown
 	}
 	dst = dst[:off+8*len(values)]
-	for i, v := range values {
-		binary.BigEndian.PutUint64(dst[off+8*i:], math.Float64bits(v))
+	i := 0
+	if useAVX2 && len(values) >= 8 {
+		i = len(values) &^ 7
+		swap64AVX2(unsafe.Pointer(unsafe.SliceData(dst[off:])), unsafe.Pointer(unsafe.SliceData(values)), i)
+	}
+	for ; i < len(values); i++ {
+		binary.BigEndian.PutUint64(dst[off+8*i:], math.Float64bits(values[i]))
 	}
 	return dst
 }
@@ -56,8 +72,14 @@ func DecodeFloat64sInto(dst []float64, buf []byte) ([]float64, error) {
 		copy(grown, dst)
 		dst = grown
 	}
-	dst = dst[:off+len(buf)/8]
-	for i := 0; i < len(buf)/8; i++ {
+	n := len(buf) / 8
+	dst = dst[:off+n]
+	i := 0
+	if useAVX2 && n >= 8 {
+		i = n &^ 7
+		swap64AVX2(unsafe.Pointer(unsafe.SliceData(dst[off:])), unsafe.Pointer(unsafe.SliceData(buf)), i)
+	}
+	for ; i < n; i++ {
 		dst[off+i] = math.Float64frombits(binary.BigEndian.Uint64(buf[8*i:]))
 	}
 	return dst, nil

@@ -436,9 +436,20 @@ func TestCoerceRoundTrips(t *testing.T) {
 	}
 }
 
+// TestCoerceRejectsMisalignedBuffers: a payload that is not a whole number
+// of float64s is refused on either coercion path, whatever its length.
 func TestCoerceRejectsMisalignedBuffers(t *testing.T) {
-	if _, err := DecodeFloat64s(make([]byte, 7)); err == nil {
-		t.Error("misaligned float64 buffer accepted")
+	for _, avx2 := range coercionPaths() {
+		withCoercion(avx2, func() {
+			for size := 1; size <= 8*67+7; size++ {
+				if size%8 == 0 {
+					continue
+				}
+				if got, err := DecodeFloat64s(make([]byte, size)); err == nil || got != nil {
+					t.Fatalf("avx2=%v: misaligned %d-byte float64 buffer decoded to %d values, err %v", avx2, size, len(got), err)
+				}
+			}
+		})
 	}
 }
 

@@ -50,8 +50,9 @@ type Config struct {
 	PredCommMs float64
 	// ThresholdPct fires an event when |EWMA deviation| crosses it.
 	ThresholdPct float64
-	// Warmup is the number of cycles observed per task before events may
-	// fire, so start-of-run jitter does not alarm.
+	// Warmup is the task's cycle, counted from 1, at which the EWMA
+	// starts and events may fire, so start-of-run jitter does not alarm:
+	// the cycles before it enter only the window for the quantiles.
 	Warmup int
 	// Notify, when non-nil, receives every fired event synchronously
 	// (outside the monitor's lock, from the observing goroutine). It is
@@ -96,27 +97,31 @@ type component struct {
 }
 
 // observe folds one deviation in and reports whether the smoothed value
-// just crossed the threshold (armed edge, not level).
+// just crossed the threshold (armed edge, not level). The EWMA starts at the
+// first warm cycle, the warmup-th, from 0 (on prediction): a cycle inside
+// the warmup enters only the window, so a start-of-run transient cannot
+// carry into the first observation that may fire, and the first warm cycle
+// counts with weight alpha like every later one, so one cycle alone — the
+// short phase of two ranks that leapfrog, say — cannot fire either.
 func (s *component) observe(devPct, threshold float64, warmup int) (fired bool) {
 	s.n++
-	if s.n == 1 {
-		s.ewma = devPct
-	} else {
-		s.ewma = alpha*devPct + (1-alpha)*s.ewma
-	}
 	if len(s.window) < cap(s.window) {
 		s.window = append(s.window, math.Abs(devPct))
 	} else {
 		s.window[s.next] = math.Abs(devPct)
 		s.next = (s.next + 1) % len(s.window)
 	}
+	if s.n < warmup {
+		return false
+	}
+	s.ewma = alpha*devPct + (1-alpha)*s.ewma
 	s.gauge.Set(s.ewma)
 	over := math.Abs(s.ewma) >= threshold
 	if !over {
 		s.alarmed = false
 		return false
 	}
-	if s.alarmed || s.n < warmup {
+	if s.alarmed {
 		return false
 	}
 	s.alarmed = true

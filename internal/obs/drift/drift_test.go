@@ -101,8 +101,8 @@ func TestWarmupSuppresses(t *testing.T) {
 }
 
 // TestWorstCountsWarmCyclesOnly: drift.worst_pct folds in the same
-// observations that may fire an event, so a start-of-run outlier inside
-// warmup counts only through the EWMA it leaves at the first warm cycle.
+// observations that may fire an event, and the EWMA starts at the first
+// warm cycle, so a start-of-run outlier inside warmup counts for nothing.
 // A component without a prediction exports no gauge.
 func TestWorstCountsWarmCyclesOnly(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -111,12 +111,12 @@ func TestWorstCountsWarmCyclesOnly(t *testing.T) {
 	for c := 1; c < 10; c++ {
 		m.OnCycle(0, c, 10, 0)
 	}
-	// The EWMA reads 200, 150, then 112.5 at the third, first warm, cycle.
-	if got := reg.Gauge("drift.worst_pct").Value(); got != 112.5 || m.Worst() != got {
-		t.Errorf("drift.worst_pct = %v, Worst() = %v, want 112.5", got, m.Worst())
+	// The EWMA starts at 0 at the third, first warm, cycle and stays there.
+	if got := reg.Gauge("drift.worst_pct").Value(); got != 0 || m.Worst() != got {
+		t.Errorf("drift.worst_pct = %v, Worst() = %v, want 0", got, m.Worst())
 	}
-	if got := reg.Counter("drift.events").Value(); got != 1 {
-		t.Errorf("events = %d, want 1 (112.5 %% at the first warm cycle)", got)
+	if got := reg.Counter("drift.events").Value(); got != 0 {
+		t.Errorf("events = %d, want 0 (the +200 %% cycle is inside the warmup)", got)
 	}
 	if out := reg.Render(); strings.Contains(out, "drift.comm_pct") {
 		t.Errorf("unpredicted T_comm exports a gauge:\n%s", out)

@@ -3,6 +3,7 @@ package stencil
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"netpart/internal/mmps"
 )
@@ -69,11 +70,11 @@ func BenchmarkBlockSweep(b *testing.B) {
 
 // BenchmarkHaloExchange measures the live link's share of one border
 // exchange between two ranks over the in-memory transport: encode both
-// ghost rows as halo frames, send, receive, decode, and recycle the
-// delivered buffers. Both ranks run on one goroutine, so every Recv finds
-// its message already queued and never blocks: this is the codec and the
-// transport's copy, not the wait (BenchmarkMMPSHaloLocal, at the root, has
-// blocking receives). CI hard-gates this at zero allocations per op once
+// ghost rows as halo frames, send, receive, decode into the ghost row,
+// and recycle the delivered buffers. Both ranks run on one goroutine, so
+// every Recv finds its message already queued and never blocks: this is
+// the codec and the transport's copy, not the wait (BenchmarkMMPSHaloLocal,
+// at the root, has blocking receives). CI hard-gates this at zero allocations per op once
 // the transport free lists are warm.
 func BenchmarkHaloExchange(b *testing.B) {
 	const n = 240
@@ -92,19 +93,16 @@ func BenchmarkHaloExchange(b *testing.B) {
 	}
 	var links [2]*liveLink
 	for r := range links {
-		links[r] = &liveLink{tr: world[r], sendBuf: make([]byte, 0, haloHeaderLen+8*n), ghostVals: make([]float64, 0, n)}
+		lk := newLiveLink(world[r], time.Now(), n, 0)
+		links[r] = &lk
 	}
 	into := make([]float64, n)
 	exchange := func(src, dst *liveLink, g, cycle int) error {
 		if err := src.Send(dst.Rank(), halo{g, cycle, row}); err != nil {
 			return err
 		}
-		h, err := dst.Recv(src.Rank())
-		if err != nil {
-			return err
-		}
-		copy(into, h.vals)
-		return nil
+		_, err := dst.Recv(src.Rank(), into)
+		return err
 	}
 	// Warm both directions so the transports' free lists are populated.
 	if err := exchange(links[0], links[1], 0, 0); err != nil {

@@ -44,9 +44,13 @@ type link interface {
 	// the receiver (Transport.Send's contract; the simulator's sends are
 	// asynchronous too). The driver's exchange relies on that: see cycles.
 	Send(dst int, h halo) error
-	// Recv blocks for the next border row from src. The values are only
-	// valid until the next Recv.
-	Recv(src int) (halo, error)
+	// Recv blocks for the next border row from src and writes its values
+	// into the ghost row into, n long, except in a time-only run, whose
+	// ghost rows stay dirty: no update reads them. The halo returned
+	// carries the sender's row and cycle and the values as received, valid
+	// until the next Recv, so the driver can check all three; a border of
+	// the wrong length may leave into partly written.
+	Recv(src int, into []float64) (halo, error)
 	// control is the byte-frame channel between the same ranks, used by
 	// the repartitioning round, row migration and the converge reduction.
 	control() repart.Link
@@ -323,16 +327,13 @@ func (s *rankState) cycles(to int) error {
 	hasNorth, hasSouth := north >= 0, south < size
 	exchangeMs := 0.0
 	recvGhost := func(src, row, iter int, into []float64) error {
-		h, err := lk.Recv(src)
+		h, err := lk.Recv(src, into)
 		if err != nil {
 			return err
 		}
 		if h.row != row || h.cycle != iter || len(h.vals) != n {
 			return fmt.Errorf("ghost row %d at cycle %d with %d values, want row %d cycle %d (%d values)",
 				h.row, h.cycle, len(h.vals), row, iter, n)
-		}
-		if !s.job.timeOnly { // a time-only ghost row stays dirty: no update reads it
-			copy(into, h.vals)
 		}
 		return nil
 	}

@@ -555,8 +555,9 @@ func (l *ftLink) Send(dst int, h halo) error {
 // budget of *silence* — iteration skew means a live owner can lag many
 // cycles behind (blocked on its own neighbour), but its keepalives keep
 // arriving. A verdict, or a recovery another rank started, returns
-// errNeedRecovery out through the driver.
-func (l *ftLink) Recv(src int) (halo, error) {
+// errNeedRecovery out through the driver. The row pump buffered is copied
+// into into.
+func (l *ftLink) Recv(src int, into []float64) (halo, error) {
 	t, s := l.t, l.t.s
 	key := borderKey{s.off + s.rows, s.iter}
 	if src < l.pos {
@@ -570,6 +571,7 @@ func (l *ftLink) Recv(src int) (halo, error) {
 		delete(t.borders, key)
 		return ok, append(waiting, owner)
 	})
+	copy(into, vals)
 	return halo{key.row, key.cycle, vals}, err
 }
 

@@ -11,7 +11,11 @@ package stencil
 // results stay bit-for-bit identical (golden tests in grid_test.go pin both
 // against the seed kernel, kernel_test.go one against the other).
 
-import "math"
+import (
+	"math"
+
+	"netpart/internal/cpufeat"
+)
 
 // block is a task-local band of grid rows in one flat row-major allocation,
 // updated in place. The logical rows — data rows 1..rows between the north
@@ -136,9 +140,10 @@ func (b *block) sweep(off, n, lo, hi, reps int, scratch []float64, delta *float6
 }
 
 // useAVX2 is decided once, here, from what the processor and the operating
-// system report. Only the tests write it afterwards, to hold both paths of
-// updateSpan to the same grids on one machine.
-var useAVX2 = cpuHasAVX2()
+// system report (cpufeat, the module's one probe). Only the tests write it
+// afterwards, to hold both paths of updateSpan to the same grids on one
+// machine.
+var useAVX2 = cpufeat.HasAVX2()
 
 // vectorMinSpan is the shortest span handed to the vector routine: the call
 // and the VZEROUPPER cost more than four lanes save at 4 points and less

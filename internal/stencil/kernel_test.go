@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"unsafe"
+
+	"netpart/internal/cpufeat"
 )
 
 // setKernel puts updateSpan on the Go loop (false) or on the vector routine
@@ -34,9 +36,17 @@ func eachKernel(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
+// TestKernelDispatchFollowsProbe: useAVX2 starts as the processor probe
+// says, so on a machine with AVX2 the vector routine is what runs.
+func TestKernelDispatchFollowsProbe(t *testing.T) {
+	if useAVX2 != cpufeat.HasAVX2() {
+		t.Fatalf("useAVX2 = %v at start-up, the probe says %v", useAVX2, cpufeat.HasAVX2())
+	}
+}
+
 // kernelPaths is how many of updateSpan's paths this machine can run.
 func kernelPaths() int {
-	if cpuHasAVX2() {
+	if cpufeat.HasAVX2() {
 		return 2
 	}
 	return 1
@@ -84,7 +94,7 @@ func aligned32(buf []float64) []float64 {
 // very same words as up, and as down — must give the disjoint call's bits at
 // every alignment of the four inputs.
 func TestSpanAVX2BitIdentical(t *testing.T) {
-	if !cpuHasAVX2() {
+	if !cpufeat.HasAVX2() {
 		t.Skip("no AVX2 on this machine")
 	}
 	const maxLen, guard = 67, 4
@@ -165,7 +175,7 @@ func TestSpanAVX2BitIdentical(t *testing.T) {
 // down, to its own disjoint call: the span's points the same bits, the rest
 // of the aliased row untouched.
 func TestUpdateSpanPathsAgree(t *testing.T) {
-	if !cpuHasAVX2() {
+	if !cpufeat.HasAVX2() {
 		t.Skip("no AVX2 on this machine")
 	}
 	setKernel(t, true)

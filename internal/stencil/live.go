@@ -59,29 +59,26 @@ func runRanks(tasks int, m *obs.Registry, body func(rank int, start time.Time) e
 }
 
 // liveLink is the driver's link over an mmps transport: each border is one
-// halo frame (halo.go) built in a reused buffer and parsed into a reused
-// scratch, so the exchange allocates nothing in steady state. One goroutine
-// owns it.
+// halo frame (halo.go) built in a reused buffer and decoded straight into
+// the ghost row, so the exchange allocates nothing in steady state and
+// copies each row only through the transport. One goroutine owns it.
 type liveLink struct {
 	tr    mmps.Transport
 	epoch time.Time
 
-	// Send copies its argument before returning and Recv's values are
-	// consumed before the next Recv, so one frame buffer and one value
-	// scratch serve every exchange of the run — across migrations too,
-	// because every block is n columns wide.
-	sendBuf   []byte
-	ghostVals []float64
+	// Send copies its argument before returning, so one frame buffer
+	// serves every send of the run — across migrations too, because every
+	// block is n columns wide.
+	sendBuf []byte
 }
 
 // newLiveLink is the link of endpoint tr in a run that began at start;
 // header is the room a send needs in front of the halo frame.
 func newLiveLink(tr mmps.Transport, start time.Time, n, header int) liveLink {
 	return liveLink{
-		tr:        tr,
-		epoch:     start,
-		sendBuf:   make([]byte, 0, header+haloHeaderLen+8*n),
-		ghostVals: make([]float64, 0, n),
+		tr:      tr,
+		epoch:   start,
+		sendBuf: make([]byte, 0, header+haloHeaderLen+8*n),
 	}
 }
 
@@ -93,18 +90,20 @@ func (l *liveLink) Send(dst int, h halo) error {
 	return l.tr.Send(dst, l.sendBuf)
 }
 
-func (l *liveLink) Recv(src int) (halo, error) {
+// Recv decodes the frame into into's own words: capped at its length, a
+// longer border decodes into a fresh slice instead, so a malformed frame
+// never writes past the ghost row, and the driver sees the wrong length.
+func (l *liveLink) Recv(src int, into []float64) (halo, error) {
 	buf, err := l.tr.Recv(src)
 	if err != nil {
 		return halo{}, err
 	}
-	row, cycle, vals, err := parseHaloFrame(buf, l.ghostVals[:0])
+	row, cycle, vals, err := parseHaloFrame(buf, into[:0:len(into)])
 	if err != nil {
 		return halo{}, err
 	}
-	l.ghostVals = vals
-	// The values now live in the scratch, so the delivered buffer can go
-	// back to the transport's free list.
+	// No value lives in the delivered buffer any more, so it can go back to
+	// the transport's free list.
 	mmps.Recycle(l.tr, buf)
 	return halo{row, cycle, vals}, nil
 }

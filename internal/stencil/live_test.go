@@ -215,3 +215,49 @@ func TestLiveAdaptiveShedsLoadedRank(t *testing.T) {
 		t.Error("numerics changed")
 	}
 }
+
+// TestLiveLinkRecvDecodesIntoGhostRow: the live link decodes a border of the
+// ghost row's length into that row's own words, and a border of any other
+// length writes nothing past the row, so the driver's length check sees it
+// before anything beyond the ghost row has changed.
+func TestLiveLinkRecvDecodesIntoGhostRow(t *testing.T) {
+	const n = 20
+	world := localWorld(t, 2)
+	defer closeWorld(world)
+	send, recv := newLiveLink(world[0], time.Now(), n+1, 0), newLiveLink(world[1], time.Now(), n, 0)
+	const guardWord = -7.5
+	for _, width := range []int{n, n + 1, n - 1} {
+		row := make([]float64, width)
+		for i := range row {
+			row[i] = float64(i) + 0.5
+		}
+		if err := send.Send(1, halo{3, 9, row}); err != nil {
+			t.Fatal(err)
+		}
+		backing := make([]float64, n+2) // the ghost row with a neighbour word on each side
+		for i := range backing {
+			backing[i] = guardWord
+		}
+		into := backing[1 : 1+n]
+		h, err := recv.Recv(0, into)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.row != 3 || h.cycle != 9 || len(h.vals) != width {
+			t.Fatalf("width %d: received row %d cycle %d with %d values", width, h.row, h.cycle, len(h.vals))
+		}
+		if backing[0] != guardWord || backing[n+1] != guardWord {
+			t.Fatalf("width %d: a word beside the ghost row changed: %v", width, backing)
+		}
+		if width == n {
+			if &h.vals[0] != &into[0] {
+				t.Fatal("a border of the row's length was not decoded into the ghost row")
+			}
+			for i := range row {
+				if into[i] != row[i] {
+					t.Fatalf("ghost row[%d] = %v, want %v", i, into[i], row[i])
+				}
+			}
+		}
+	}
+}

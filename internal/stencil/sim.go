@@ -89,14 +89,20 @@ func (l *simLink) Send(dst int, h halo) error {
 	return nil
 }
 
-// Recv leaves a payload of the wrong kind (a control frame where a border
-// is due, or the reverse in simControl.Recv) as the zero value, which the
-// driver's row and cycle check, or the frame's decoder, rejects.
-func (l *simLink) Recv(src int) (halo, error) {
-	if h, ok := l.t.Recv(src).(*halo); ok {
-		return *h, nil
+// Recv copies the slot into the ghost row in a full run and leaves the row
+// dirty in a time-only one. It leaves a payload of the wrong kind (a
+// control frame where a border is due, or the reverse in simControl.Recv)
+// as the zero value, which the driver's row and cycle check, or the
+// frame's decoder, rejects.
+func (l *simLink) Recv(src int, into []float64) (halo, error) {
+	h, ok := l.t.Recv(src).(*halo)
+	if !ok {
+		return halo{}, nil
 	}
-	return halo{}, nil
+	if !l.timeOnly {
+		copy(into, h.vals)
+	}
+	return *h, nil
 }
 
 func (l *simLink) control() repart.Link { return simControl{l.t} }
