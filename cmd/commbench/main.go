@@ -2,7 +2,10 @@
 // step on the simulated network: topology-specific communication programs
 // are executed over a grid of message sizes and processor counts, Eq. 1
 // cost functions are fitted per (cluster, topology), and the resulting
-// constants are printed next to the paper's published ones.
+// constants are printed next to the paper's published ones. With 1-D among
+// the topologies it then prints one table of measured STEN-1 staggers, a
+// line per chain: X[a:p] for a cluster alone, X[a:p + b:q] for p ranks of
+// a followed by q of b. -o writes the whole table as JSON.
 //
 // Usage:
 //
@@ -92,11 +95,6 @@ func run(spec, topoList string, cycles int, out string, showMetrics bool, serveA
 			metrics.Counter("commbench.samples").Add(int64(f.Samples))
 			metrics.Histogram("commbench.fit_r2").Observe(f.Quality.R2)
 		}
-		for _, f := range res.Staggers {
-			metrics.Counter("commbench.stagger_fits").Inc()
-			metrics.Counter("commbench.samples").Add(int64(f.Samples))
-			metrics.Histogram("commbench.stagger_r2").Observe(f.Quality.R2)
-		}
 		for _, f := range res.Chains {
 			metrics.Counter("commbench.chain_entries").Inc()
 			metrics.Counter("commbench.samples").Add(int64(f.Samples))
@@ -113,22 +111,17 @@ func run(spec, topoList string, cycles int, out string, showMetrics bool, serveA
 			fmt.Printf("      paper §6:            %s\n", p)
 		}
 	}
-	if len(res.Staggers) > 0 {
-		fmt.Println()
-		fmt.Printf("Measured STEN-1 stagger (cycle less its %g ms of compute): Eq. 1 over p ≥ 3, a line at p = 2\n", commbench.StaggerComputeMs)
-		fmt.Println()
-	}
-	for _, f := range res.Staggers {
-		fmt.Printf("  X[%s](b,p) = %s   (R²=%.4f, %d samples)\n", f.Cluster, f.Stagger.Many, f.Quality.R2, f.Samples)
-		fmt.Printf("      p = 2:            %.4g + %.4g·b\n", f.Stagger.Two.FixedMs, f.Stagger.Two.Ms)
-	}
 	if len(res.Chains) > 0 {
 		fmt.Println()
-		fmt.Println("Measured chain table (two-cluster STEN-1 chains, first cluster's ranks first): a line per entry")
+		fmt.Printf("Measured STEN-1 stagger (cycle less its %g ms of compute) per chain, one cluster or two, the first's ranks first: a line per entry\n", commbench.StaggerComputeMs)
 		fmt.Println()
 	}
 	for _, f := range res.Chains {
-		fmt.Printf("  X[%s:%d + %s:%d](b) = %.4g + %.4g·b   (%d samples)\n", f.A, f.PA, f.B, f.PB, f.Stagger.FixedMs, f.Stagger.Ms, f.Samples)
+		chain := fmt.Sprintf("%s:%d", f.A, f.PA)
+		if f.B != "" {
+			chain += fmt.Sprintf(" + %s:%d", f.B, f.PB)
+		}
+		fmt.Printf("  X[%s](b) = %.4g + %.4g·b   (%d samples)\n", chain, f.Stagger.FixedMs, f.Stagger.Ms, f.Samples)
 	}
 	fmt.Println()
 	for _, pair := range sortedPairs(res.Router) {

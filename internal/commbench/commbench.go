@@ -3,8 +3,9 @@
 // the (simulated) network for a grid of message sizes and processor counts,
 // and Eq. 1 cost functions are fitted to the measurements by least squares.
 // A STEN-1 stagger program, the 1-D exchange with compute between cycles,
-// is fitted the same way per cluster, and measured on the two-cluster
-// chains a partitioning search can reach.
+// is measured on every cluster at every p and on the two-cluster chains a
+// partitioning search can reach, each a line through its own two
+// measurements.
 // The resulting cost.Table is what the runtime partitioning method consults
 // — it never sees the simulator's raw parameters, so predictions versus
 // simulated measurements are a genuine test of the method.
@@ -221,21 +222,11 @@ type ClusterFit struct {
 	Samples  int
 }
 
-// StaggerFit records one cluster's measured stagger model (cost.Stagger)
-// and its fit quality: Quality is that of Stagger.Many over p ≥ 3, and
-// Samples counts every measurement the model was fitted from.
-type StaggerFit struct {
-	Cluster string
-	Stagger cost.Stagger
-	Quality cost.FitQuality
-	Samples int
-}
-
 // ChainFit records one entry of the chain table: the measured stagger of
-// the 1-D chain of PA ranks on cluster A followed by PB on cluster B, the
-// line through its Samples measurements. A pair at one rank each is A
-// before B in the network's cluster order, and the table holds its line
-// for either order.
+// the 1-D chain of PA ranks on cluster A followed by PB on cluster B (B
+// empty and PB 0 for PA ranks of A alone), the line through its Samples
+// measurements. A pair at one rank each is A before B in the network's
+// cluster order, and the table holds its line for either order.
 type ChainFit struct {
 	A       string
 	PA      int
@@ -248,12 +239,11 @@ type ChainFit struct {
 // Result is the full output of a benchmarking run: a ready-to-use cost
 // table plus the per-model fit diagnostics.
 type Result struct {
-	Table    *cost.Table
-	Fits     []ClusterFit
-	Staggers []StaggerFit
-	Chains   []ChainFit
-	Router   map[[2]string]cost.PerByte
-	Coerce   map[[2]string]cost.PerByte
+	Table  *cost.Table
+	Fits   []ClusterFit
+	Chains []ChainFit
+	Router map[[2]string]cost.PerByte
+	Coerce map[[2]string]cost.PerByte
 }
 
 // Run benchmarks every cluster of the network over the given topologies and
@@ -261,11 +251,10 @@ type Result struct {
 // coercion penalties per cross-segment cluster pair, and assembles the cost
 // table the partitioner consumes. With 1-D among the topologies it also
 // measures the stagger program, at the grid's smallest and largest message
-// sizes, on every cluster at p = 2 … Procs and on the chain table's
-// two-cluster chains: every cross-segment pair at one rank each, and each
-// walk pair (walkPairs), the faster cluster's Available ranks followed by
-// 1 … Procs of the other. It fits the table's stagger models and chain
-// lines from them.
+// sizes, on the chain table's chains: every cluster alone at p = 2 …
+// Procs, every cross-segment pair at one rank each, and each walk pair
+// (walkPairs), the faster cluster's Available ranks followed by 1 … Procs
+// of the other. Each entry is the line through its two measurements.
 //
 // It first lists every measurement the fits need, then runs each distinct
 // program once on a pool of GOMAXPROCS workers (each with its own
@@ -300,7 +289,6 @@ type plan struct {
 	index      map[program]int
 	fits       []cycleFit
 	pairs      []pairFit
-	staggers   []staggerFit
 	chainFits  []chainFit
 }
 
@@ -331,14 +319,9 @@ func newPlan(net *model.Network, topologies []topo.Topology, grid Grid) (*plan, 
 			pl.fits = append(pl.fits, f)
 		}
 		if oneD {
-			f := staggerFit{cluster: c.Name}
 			for p := 2; p <= c.Procs; p++ {
-				for _, b := range pl.sizes {
-					f.obs = append(f.obs, cost.Observation{B: float64(b), P: p})
-					f.slots = append(f.slots, pl.add(program{kind: progStagger, src: c.Name, dst: c.Name, p: p, split: p, b: b}))
-				}
+				pl.chain(c, p, nil, 0)
 			}
-			pl.staggers = append(pl.staggers, f)
 		}
 	}
 	for i, ci := range net.Clusters {
@@ -457,11 +440,6 @@ func (pl *plan) fit(ms []float64) (*Result, error) {
 			return nil, err
 		}
 	}
-	for _, f := range pl.staggers {
-		if err := f.fit(ms, res); err != nil {
-			return nil, err
-		}
-	}
 	for _, f := range pl.chainFits {
 		if err := f.fit(ms, res); err != nil {
 			return nil, err
@@ -476,45 +454,10 @@ func (pl *plan) fit(ms []float64) (*Result, error) {
 	return res, nil
 }
 
-// staggerFit is one cluster's stagger model fit: its observations at p = 2
-// … Procs, each at the grid's smallest and largest message sizes, and the
-// slot of the program that measures each.
-type staggerFit struct {
-	cluster string
-	obs     []cost.Observation
-	slots   []int
-}
-
-// fit fits the model from the measured slots: the line through the p = 2
-// observations and Eq. 1 over the rest; a cluster of three processors has
-// only p = 3 there, and its Eq. 1 is that line, C2 = C4 = 0.
-func (f staggerFit) fit(ms []float64, res *Result) error {
-	for i, slot := range f.slots {
-		f.obs[i].Ms = ms[slot]
-	}
-	two, err := cost.FitPerByte(f.obs[:2])
-	if err != nil {
-		return fmt.Errorf("commbench: fitting stagger %s: %w", f.cluster, err)
-	}
-	var many cost.Params
-	if rest := f.obs[2:]; len(rest) == 2 {
-		line, lerr := cost.FitPerByte(rest)
-		many, err = cost.Params{C1: line.FixedMs, C3: line.Ms}, lerr
-	} else {
-		many, err = cost.Fit(rest)
-	}
-	if err != nil {
-		return fmt.Errorf("commbench: fitting stagger %s: %w", f.cluster, err)
-	}
-	st := cost.Stagger{Two: two, Many: many}
-	res.Table.SetStagger(f.cluster, st)
-	res.Staggers = append(res.Staggers, StaggerFit{Cluster: f.cluster, Stagger: st, Quality: cost.Quality(many, f.obs[2:]), Samples: len(f.obs)})
-	return nil
-}
-
 // chainFit is one chain table entry's fit: pa ranks of cluster a followed
-// by pb of cluster b, observed at the grid's smallest and largest message
-// sizes, and the slot of the program that measures each.
+// by pb of cluster b (b empty, pb 0 for a alone), observed at the grid's
+// smallest and largest message sizes, and the slot of the program that
+// measures each.
 type chainFit struct {
 	a, b   string
 	pa, pb int
@@ -522,17 +465,22 @@ type chainFit struct {
 	slots  []int
 }
 
-// chain lists the chain of pa ranks on a followed by pb on b, once.
+// chain lists the chain of pa ranks on a followed by pb on b (nil, 0 for
+// a alone), once.
 func (pl *plan) chain(a *model.Cluster, pa int, b *model.Cluster, pb int) {
-	for _, f := range pl.chainFits {
-		if f.a == a.Name && f.pa == pa && f.b == b.Name && f.pb == pb {
+	f := chainFit{a: a.Name, pa: pa, pb: pb}
+	dst := a.Name // a program's ranks from split on are on dst: none for a alone
+	if b != nil {
+		f.b, dst = b.Name, b.Name
+	}
+	for _, g := range pl.chainFits {
+		if g.a == f.a && g.pa == pa && g.b == f.b && g.pb == pb {
 			return
 		}
 	}
-	f := chainFit{a: a.Name, b: b.Name, pa: pa, pb: pb}
 	for _, n := range pl.sizes {
 		f.obs = append(f.obs, cost.Observation{B: float64(n), P: pa + pb})
-		f.slots = append(f.slots, pl.add(program{kind: progStagger, src: a.Name, dst: b.Name, p: pa + pb, split: pa, b: n}))
+		f.slots = append(f.slots, pl.add(program{kind: progStagger, src: a.Name, dst: dst, p: pa + pb, split: pa, b: n}))
 	}
 	pl.chainFits = append(pl.chainFits, f)
 	pl.maxP = max(pl.maxP, pa+pb)
@@ -561,7 +509,8 @@ func (f chainFit) fit(ms []float64, res *Result) error {
 // first, once each. Core's locality-first search opens clusters in that
 // order and places their ranks in it, so the only two-cluster
 // configurations it evaluates are its walk pair's: the faster cluster's
-// Available ranks followed by 1 … Available of the other.
+// Available ranks followed by 1 … Available of the other. newPlan measures
+// 1 … Procs of the other.
 func walkPairs(net *model.Network) [][2]*model.Cluster {
 	var pairs [][2]*model.Cluster
 	for _, class := range []model.OpClass{model.OpFloat, model.OpInt} {

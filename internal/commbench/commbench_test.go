@@ -199,30 +199,13 @@ func TestFitsBitIdentical(t *testing.T) {
 	if len(res.Coerce) != 0 {
 		t.Errorf("coercion fits %+v on a single-format testbed", res.Coerce)
 	}
-	// The stagger models (recorded when the stagger program was added, and
-	// equal to the goroutine reference's): per cluster, Two's FixedMs and
-	// Ms, then Many's C1..C4.
-	wantStagger := []struct {
-		cluster string
-		c       [6]uint64
-	}{
-		{"sparc2", [6]uint64{0x3fe68f5c28f5cc0a, 0x3f59806f26288889, 0x3fd51eb851eb9f61, 0x3fd6147ae147b6e7, 0x3f3f8784c41f81ee, 0x3f4d36064c4a59b6}},
-		{"ipc", [6]uint64{0x3ff251eb851ebcb5, 0x3f649731098d46f6, 0x3fddd2f1a9fbf7b1, 0x3fe31a9fbe76cdda, 0x3f49751c0bcf3c82, 0x3f5795e90af0f3f7}},
-	}
-	if len(res.Staggers) != len(wantStagger) {
-		t.Fatalf("%d stagger fits, want %d", len(res.Staggers), len(wantStagger))
-	}
-	for i, f := range res.Staggers {
-		w, st := wantStagger[i], f.Stagger
-		got := [6]uint64{math.Float64bits(st.Two.FixedMs), math.Float64bits(st.Two.Ms),
-			math.Float64bits(st.Many.C1), math.Float64bits(st.Many.C2), math.Float64bits(st.Many.C3), math.Float64bits(st.Many.C4)}
-		if f.Cluster != w.cluster || got != w.c {
-			t.Errorf("stagger %d: %s %#x, want %s %#x", i, f.Cluster, got, w.cluster, w.c)
-		}
-	}
-	// The chain table: the pair at one rank each (recorded when it was the
-	// pair's stagger), then the walk's sparc2:6 + ipc:1…6, each a line's
-	// FixedMs and Ms.
+	// The chain table, each entry a line's FixedMs and Ms: every cluster
+	// alone at p = 2 … Procs, the pair at one rank each (recorded when it
+	// was the pair's stagger), then the walk's sparc2:6 + ipc:1…6. The p = 2
+	// lines are those recorded when the stagger program was added (equal to
+	// the goroutine reference's); p = 3 … 6 were recorded when a single
+	// cluster became a chain of one, each the line through its own two
+	// measurements.
 	wantChain := []struct {
 		a     string
 		pa    int
@@ -230,7 +213,17 @@ func TestFitsBitIdentical(t *testing.T) {
 		pb    int
 		fixed [2]uint64
 	}{
-		{"sparc2", 1, "ipc", 1, [2]uint64{0x40000000000004a4, 0x3f72b7fe08aefa63}}, // 7.48 ms at 1200 B
+		{"sparc2", 2, "", 0, [2]uint64{0x3fe68f5c28f5cc0a, 0x3f59806f26288889}},    // 2.57 ms at 1200 B
+		{"sparc2", 3, "", 0, [2]uint64{0x3ff599999999a64f, 0x3f69806f262887dd}},    // 5.09
+		{"sparc2", 4, "", 0, [2]uint64{0x3ffbae147ae155da, 0x3f70ced4e4c9423f}},    // 6.65
+		{"sparc2", 5, "", 0, [2]uint64{0x40007ae147ae1e10, 0x3f7449129888f73e}},    // 8.00
+		{"sparc2", 6, "", 0, [2]uint64{0x40031eb851eb8ef4, 0x3f77c3504c48ace9}},    // 9.35
+		{"ipc", 2, "", 0, [2]uint64{0x3ff251eb851ebcb5, 0x3f649731098d46f6}},       // 4.16
+		{"ipc", 3, "", 0, [2]uint64{0x4001d70a3d70aa18, 0x3f749731098d462e}},       // 8.26
+		{"ipc", 4, "", 0, [2]uint64{0x40071eb851eb8bfa, 0x3f7b24638c975148}},       // 10.84
+		{"ipc", 5, "", 0, [2]uint64{0x400bae147ae150c2, 0x3f8060fe47991af3}},       // 13.06
+		{"ipc", 6, "", 0, [2]uint64{0x40101eb851eb89c2, 0x3f832fcac8e68d5b}},       // 15.27
+		{"sparc2", 1, "ipc", 1, [2]uint64{0x40000000000004a4, 0x3f72b7fe08aefa63}}, // 7.48
 		{"sparc2", 6, "ipc", 1, [2]uint64{0x4003b1da46102e65, 0x3f7a4508713e702d}}, // 10.16
 		{"sparc2", 6, "ipc", 2, [2]uint64{0x4004065103baca89, 0x3f80cd82fea347f8}}, // 12.35
 		{"sparc2", 6, "ipc", 3, [2]uint64{0x4009f4988b2d899a, 0x3f848df2911cba0c}}, // 15.29
@@ -270,7 +263,7 @@ func TestFitsBitIdentical(t *testing.T) {
 func fingerprint(t *testing.T, res *Result) string {
 	t.Helper()
 	var b strings.Builder
-	fmt.Fprintf(&b, "%+v\n%+v\n%+v\n", res.Fits, res.Staggers, res.Chains)
+	fmt.Fprintf(&b, "%+v\n%+v\n", res.Fits, res.Chains)
 	if err := cost.WriteTable(&b, res.Table); err != nil {
 		t.Fatal(err)
 	}
@@ -387,20 +380,21 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestStaggerIgnoresGridCycles: the stagger models run StaggerCycles
-// cycles whatever the grid's Cycles, so a measurement flag cannot move them.
+// TestStaggerIgnoresGridCycles: the chain table's programs run
+// StaggerCycles cycles whatever the grid's Cycles, so a measurement flag
+// cannot move it.
 func TestStaggerIgnoresGridCycles(t *testing.T) {
 	net := model.PaperTestbed()
-	var runs [2][]StaggerFit
+	var runs [2][]ChainFit
 	for i, cycles := range []int{1, StaggerCycles + 5} {
 		res, err := Run(net, []topo.Topology{topo.OneD{}}, Grid{Bytes: []int{240, 2400}, Cycles: cycles})
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs[i] = res.Staggers
+		runs[i] = res.Chains
 	}
 	if len(runs[0]) == 0 || !reflect.DeepEqual(runs[0], runs[1]) {
-		t.Errorf("stagger fits at 1 cycle %+v, at %d %+v", runs[0], StaggerCycles+5, runs[1])
+		t.Errorf("chain table at 1 cycle %+v, at %d %+v", runs[0], StaggerCycles+5, runs[1])
 	}
 }
 
@@ -452,11 +446,11 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestThreeProcessorCluster: a cluster of three processors has one p ≥ 3,
-// so its stagger's Eq. 1 is the p = 3 line (C2 = C4 = 0), which gives the
-// measured stagger at p = 3 at both sizes. The network is drawn as the
-// generated networks are (3–6 processors per cluster); seed 1 gives a
-// three-processor cluster.
+// TestThreeProcessorCluster: every cluster alone at p = 2 … Procs is a
+// chain table entry whose line gives the measured stagger at both sizes,
+// down to a three-processor cluster's single p ≥ 3, and none past Procs.
+// The network is drawn as the generated networks are (3–6 processors per
+// cluster); seed 1 gives a three-processor cluster.
 func TestThreeProcessorCluster(t *testing.T) {
 	net := generatedNetwork(1)
 	grid := DefaultGrid()
@@ -466,25 +460,27 @@ func TestThreeProcessorCluster(t *testing.T) {
 	}
 	three := 0
 	for _, c := range net.Clusters {
-		if c.Procs != 3 {
-			continue
+		if c.Procs == 3 {
+			three++
 		}
-		three++
-		_, st, _ := res.Table.Model(c.Name, "1-D")
-		if st == nil {
-			t.Fatalf("%s: no stagger", c.Name)
-		}
-		if st.Many.C2 != 0 || st.Many.C4 != 0 {
-			t.Errorf("%s: Eq. 1 %v, want C2 = C4 = 0", c.Name, st.Many)
-		}
-		for _, b := range []int{slices.Min(grid.Bytes), slices.Max(grid.Bytes)} {
-			x, err := measureStagger(net, c.Name, 3, "", 0, b)
-			if err != nil {
-				t.Fatal(err)
+		chain := res.Table.Chain(c.Name, "")
+		for p := 2; p <= c.Procs; p++ {
+			line, ok := chain.Line(p, 0)
+			if !ok {
+				t.Fatalf("%s:%d: no stagger", c.Name, p)
 			}
-			if got := st.Eval(float64(b), 3); math.Abs(got-x) > 1e-9*x {
-				t.Errorf("%s b=%d: stagger model %v, measured %v", c.Name, b, got, x)
+			for _, b := range []int{slices.Min(grid.Bytes), slices.Max(grid.Bytes)} {
+				x, err := measureStagger(net, c.Name, p, "", 0, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := line.Eval(float64(b)); math.Abs(got-x) > 1e-9*x {
+					t.Errorf("%s:%d b=%d: stagger line %v, measured %v", c.Name, p, b, got, x)
+				}
 			}
+		}
+		if _, ok := chain.Line(c.Procs+1, 0); ok {
+			t.Errorf("%s: a line past its %d processors", c.Name, c.Procs)
 		}
 	}
 	if three == 0 {

@@ -110,6 +110,9 @@ func (a *Annotations) Validate() error {
 	if n := a.NumPDUs(); n < 1 {
 		return fmt.Errorf("core: annotations %q describe %d PDUs; the problem needs at least one", a.Name, n)
 	}
+	if a.Cycles < 0 {
+		return fmt.Errorf("core: annotations %q expect %d cycles; Cycles is 0 (unknown) or more", a.Name, a.Cycles)
+	}
 	if len(a.Compute) == 0 {
 		return ErrNoComputePhase
 	}

@@ -10,13 +10,16 @@ import (
 )
 
 // oracleAnnotationsValidate is the map-based Annotations.Validate that the
-// scanning one replaced, kept verbatim as a test-only oracle.
+// scanning one replaced, kept as a test-only oracle.
 func oracleAnnotationsValidate(a *Annotations) error {
 	if a.NumPDUs == nil {
 		return ErrNoNumPDUs
 	}
 	if n := a.NumPDUs(); n < 1 {
 		return fmt.Errorf("core: annotations %q describe %d PDUs; the problem needs at least one", a.Name, n)
+	}
+	if a.Cycles < 0 {
+		return fmt.Errorf("core: annotations %q expect %d cycles; Cycles is 0 (unknown) or more", a.Name, a.Cycles)
 	}
 	if len(a.Compute) == 0 {
 		return ErrNoComputePhase
@@ -70,6 +73,7 @@ func TestAnnotationsValidateMatchesOracle(t *testing.T) {
 	}{
 		{"no NumPDUs", func(a *Annotations) { a.NumPDUs = nil }},
 		{"no PDUs", func(a *Annotations) { a.NumPDUs = func() int { return 0 } }},
+		{"negative cycles", func(a *Annotations) { a.Cycles = -3 }},
 		{"no compute phase", func(a *Annotations) { a.Compute = nil }},
 		{"no complexity", func(a *Annotations) { a.Compute[1].ComplexityPerPDU = nil }},
 		{"TotalOps only", func(a *Annotations) {

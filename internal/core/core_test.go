@@ -359,17 +359,18 @@ func TestDecomposeGeneralBalancesNonlinearWork(t *testing.T) {
 	}
 }
 
-// measuredPaperTable is the paper's table with the stagger commbench
-// measures on the paper's testbed (cmd/commbench -topologies 1-D),
-// rounded as it prints: sparc2's Eq. 1 over p ≥ 3 and p = 2 line, and two
-// lines of the chain table, the sparc2-ipc pair at one rank each (either
-// order) and sparc2:6 + ipc:2.
+// measuredPaperTable is the paper's table with staggers commbench
+// measures on the paper's testbed (cmd/commbench -topologies 1-D), rounded
+// as it prints: sparc2 alone at p = 2 … 6, the sparc2-ipc pair at one rank
+// each (either order) and sparc2:6 + ipc:2.
 func measuredPaperTable() *cost.Table {
 	tbl := cost.PaperTable()
-	tbl.SetStagger(model.Sparc2Cluster, cost.Stagger{
-		Two:  cost.PerByte{FixedMs: 0.705, Ms: 0.001556},
-		Many: cost.Params{C1: 0.33, C2: 0.345, C3: 0.0004811, C4: 0.0008914},
-	})
+	for i, line := range []cost.PerByte{
+		{FixedMs: 0.705, Ms: 0.001556}, {FixedMs: 1.35, Ms: 0.003113}, {FixedMs: 1.73, Ms: 0.004103},
+		{FixedMs: 2.06, Ms: 0.004952}, {FixedMs: 2.39, Ms: 0.005801},
+	} {
+		tbl.SetChain(model.Sparc2Cluster, 2+i, "", 0, line)
+	}
 	pair := cost.PerByte{FixedMs: 2, Ms: 0.00457}
 	tbl.SetChain(model.Sparc2Cluster, 1, model.IPCCluster, 1, pair)
 	tbl.SetChain(model.IPCCluster, 1, model.Sparc2Cluster, 1, pair)
@@ -388,10 +389,9 @@ func TestEstimateSTEN1MatchesHandComputation(t *testing.T) {
 	}{
 		// Tcomp = 0.0003 · 5·1200 · 200 = 360 ms. The six-rank burst is
 		// (-0.0055 + 0.00283·6)·4800 + 1.1·6 = 61.704 ms. The measured
-		// stagger at p = 6 is 0.33 + 0.345·6 + 4800·(0.0004811 +
-		// 0.0008914·6) = 30.3816 ms, and the cycle is max(61.704, 360 +
-		// 30.3816) = 390.3816 ms.
-		{name: "measured", tbl: measuredPaperTable(), n: 1200, tcomp: 360, burst: 61.704, x: 30.3816, tc: 390.3816, tco: 30.3816, charge: ChargeStagger},
+		// stagger of sparc2:6 is 2.39 + 0.005801·4800 = 30.2348 ms, and the
+		// cycle is max(61.704, 360 + 30.2348) = 390.2348 ms.
+		{name: "measured", tbl: measuredPaperTable(), n: 1200, tcomp: 360, burst: 61.704, x: 30.2348, tc: 390.2348, tco: 30.2348, charge: ChargeStagger},
 		// The paper's table has no stagger: one rank's own exchange is
 		// Eq. 1 at two stations, (-0.0055 + 0.00283·2)·4800 + 1.1·2 =
 		// 2.968 ms, charged twice, and the cycle is max(61.704, 360 +
@@ -399,9 +399,9 @@ func TestEstimateSTEN1MatchesHandComputation(t *testing.T) {
 		{name: "paper", tbl: cost.PaperTable(), n: 1200, tcomp: 360, burst: 61.704, x: 5.936, tc: 365.936, tco: 5.936, charge: ChargeTwoOwn},
 		// At N = 60 the channel is the bottleneck: Tcomp = 0.9 ms, the burst
 		// (-0.0055 + 0.00283·6)·240 + 6.6 = 9.3552 ms outweighs 0.9 +
-		// 0.33 + 2.07 + 240·0.0058295 = 4.69908 ms, so the cycle is the
-		// burst and T_comm is what it charges beyond T_comp.
-		{name: "measured", tbl: measuredPaperTable(), n: 60, tcomp: 0.9, burst: 9.3552, x: 3.79908, tc: 9.3552, tco: 8.4552, charge: ChargeStagger},
+		// 2.39 + 0.005801·240 = 4.68224 ms, so the cycle is the burst and
+		// T_comm is what it charges beyond T_comp.
+		{name: "measured", tbl: measuredPaperTable(), n: 60, tcomp: 0.9, burst: 9.3552, x: 3.78224, tc: 9.3552, tco: 8.4552, charge: ChargeStagger},
 		// N = 300 across the router at 6+2: Eq. 3 gives sparc2 300/7 rows,
 		// Tcomp = 0.0003·1500·300/7 = 135/7 ms. Both clusters cross, so the
 		// burst is sparc2's Eq. 1 at seven stations plus the router,

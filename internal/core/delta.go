@@ -60,11 +60,11 @@ type deltaCluster struct {
 	term  float64        // base count / time: the Eq. 3 denominator's term
 	count int            // the count under evaluation
 	// params are the Eq. 1 constants for the dominant topology (1-D
-	// without a communication phase) and stagger the measured stagger (nil
-	// if none), resolved on first use.
-	params   cost.Params
-	paramsOK bool
-	stagger  *cost.Stagger
+	// without a communication phase) and chain the cluster's own measured
+	// staggers (nil if none), each resolved on first use.
+	params            cost.Params
+	paramsOK, chainOK bool
+	chain             *cost.Chain
 }
 
 // deltaPair memoizes the cross-segment facts of one cluster pair, and the
@@ -331,10 +331,9 @@ func (d *DeltaEval) eval(est *Estimate, k, p int, mode evalMode) error {
 }
 
 // paramsFor resolves (and memoizes) cluster i's Eq. 1 constants for the
-// dominant topology, and its measured stagger. Without a communication
-// phase they are the 1-D model's, which only the startup estimate reads;
-// with one, commCost has resolved every active cluster before startupCost
-// reads the root's.
+// dominant topology. Without a communication phase they are the 1-D
+// model's, which only the startup estimate reads; with one, commCost has
+// resolved every active cluster before startupCost reads the root's.
 //
 //netpart:hotpath
 func (d *DeltaEval) paramsFor(i int) (cost.Params, error) {
@@ -346,11 +345,11 @@ func (d *DeltaEval) paramsFor(i int) (cost.Params, error) {
 	if d.comm != nil {
 		topology = d.comm.Topology
 	}
-	params, stagger, err := d.e.Costs.Model(d.base.Clusters[i], topology)
+	params, err := d.e.Costs.Comm(d.base.Clusters[i], topology)
 	if err != nil {
 		return cost.Params{}, err
 	}
-	c.params, c.paramsOK, c.stagger = params, true, stagger
+	c.params, c.paramsOK = params, true
 	return params, nil
 }
 
@@ -390,9 +389,9 @@ func (d *DeltaEval) pairFor(i, j int) *deltaPair {
 // a cluster whose tasks communicate across the router is charged one
 // extra contending station (Section 3.0, matching cost.Table.CommCost bit
 // for bit); without it, Section 6.0's composition omits the extra station.
-// That is the burst. x, a staggered phase's stagger, is the cluster's
-// measured stagger for one active cluster, the chain table's line for two
-// active clusters at counts (and in the order) it measured, else 2·own:
+// That is the burst. x, a staggered phase's stagger, is the chain table's
+// line for the active clusters, one or two, at the counts (and in the
+// order) it measured, else 2·own:
 // own is the largest Eq. 1_i(b, 2), plus the crossing penalty when the
 // cluster's ranks cross; charge names which. Border detection uses
 // topo.SegmentCrosses on the contiguous placement's rank ranges, so no
@@ -431,8 +430,17 @@ func (d *DeltaEval) commCost(b float64, total int) (burst, x float64, charge str
 		burst, own = max(burst, c), max(own, o)
 		active, prev, last = active+1, last, i
 	}
-	if st := cl[last].stagger; active == 1 && st != nil {
-		return burst, st.Eval(b, cl[last].count), ChargeStagger, nil
+	if !d.stagger { // only a staggered phase reads x: look up no chain
+		return burst, 2 * own, ChargeTwoOwn, nil
+	}
+	if active == 1 {
+		c := &cl[last]
+		if !c.chainOK {
+			c.chain, c.chainOK = d.e.Costs.Chain(c.c.Name, ""), true
+		}
+		if line, ok := c.chain.Line(c.count, 0); ok {
+			return burst, line.Eval(b), ChargeStagger, nil
+		}
 	}
 	if active == 2 {
 		pr := d.pairFor(prev, last)

@@ -167,7 +167,9 @@ func constructedCases() []searchCase {
 			net.Cluster(model.IPCCluster).Available = 0
 			tbl := cost.NewTable()
 			tbl.SetComm(model.Sparc2Cluster, "1-D", cost.Params{C1: 5.4 / 2.5}) // T_comp(1) = 5.4 ms at N = 60
-			tbl.SetStagger(model.Sparc2Cluster, cost.Stagger{Two: cost.PerByte{FixedMs: 5.4 / 2.5}, Many: cost.Params{C1: 2 * (5.4 / 2.5)}})
+			for p := 2; p <= 6; p++ {
+				tbl.SetChain(model.Sparc2Cluster, p, "", 0, cost.PerByte{FixedMs: float64(min(p-1, 2)) * (5.4 / 2.5)})
+			}
 			e, err := NewEstimator(net, tbl, stencilAnnotations(60, false))
 			if err != nil {
 				t.Fatal(err)

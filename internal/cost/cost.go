@@ -56,24 +56,6 @@ type PerByte struct {
 // Eval returns the cost of one b-byte message.
 func (p PerByte) Eval(b float64) float64 { return p.FixedMs + p.Ms*b }
 
-// Stagger is a cluster's measured STEN-1 stagger: what one cycle of
-// commbench's stagger program costs beyond its compute, as a function of
-// the message size b and the ranks p. Many is Eq. 1 fitted over p ≥ 3; Two
-// is a per-byte line at p = 2, which is off that line (two ranks
-// leapfrog: each waits only for its one neighbour's border).
-type Stagger struct {
-	Two  PerByte
-	Many Params
-}
-
-// Eval returns the stagger of p ≥ 2 ranks exchanging b-byte borders.
-func (s Stagger) Eval(b float64, p int) float64 {
-	if p == 2 {
-		return s.Two.Eval(b)
-	}
-	return s.Many.Eval(b, p)
-}
-
 // Migration extends the Eq. 4–6 cost model with the price of *changing* a
 // partition: moving rows_moved PDUs to their new owners costs
 //
@@ -123,13 +105,15 @@ func makePair(a, b string) pairKey {
 	return pairKey{a, b}
 }
 
-// Chain is the measured stagger of the two-cluster 1-D chains of one
-// ordered cluster pair (a, b), a's ranks first: a per-byte line per (p_a,
-// p_b). The order matters: a rank sends to its lower neighbour first, so
-// the chain of a's ranks then b's and its mirror image cross the router
-// in different turns (6 sparc2 ranks then 6 ipc ranks stagger 70.5 ms at
-// 4 800 B, the mirror 47.8). Table.Chain returns it; read it, do not
-// write it.
+// Chain is the measured STEN-1 stagger of the 1-D chains of one ordered
+// cluster sequence: a per-byte line per count sequence, each through its
+// own two measurements. A single cluster a at p ranks is the chain (a, p),
+// keyed (a, ""), its lines at (p, 0). Two clusters (a, b) hold a's ranks
+// first, a line per (p_a, p_b). The order matters: a rank sends to its
+// lower neighbour first, so the chain of a's ranks then b's and its mirror
+// image cross the router in different turns (6 sparc2 ranks then 6 ipc
+// ranks stagger 70.5 ms at 4 800 B, the mirror 47.8). Table.Chain returns
+// it; read it, do not write it.
 type Chain struct{ rows []chainRow }
 
 // chainRow is a Chain's lines at one p_a, indexed by p_b.
@@ -144,9 +128,9 @@ type chainLine struct {
 	ok      bool
 }
 
-// Line returns the measured line at (pa, pb), or false when the chain (nil
-// included) has none there: a scan of the chain's few p_a rows (one per
-// walk, plus p_a = 1) and one index.
+// Line returns the measured line at (pa, pb), pb = 0 for a single
+// cluster, or false when the chain (nil included) has none there: a scan
+// of the chain's few p_a rows and one index.
 func (c *Chain) Line(pa, pb int) (PerByte, bool) {
 	if c != nil {
 		for _, r := range c.rows {
@@ -160,71 +144,47 @@ func (c *Chain) Line(pa, pb int) (PerByte, bool) {
 
 // Table holds the benchmarked cost models for one network: Eq. 1 constants
 // per (cluster, topology), per-byte router and coercion penalties per
-// cluster pair, the measured STEN-1 stagger per cluster, and the measured
-// two-cluster chains per cluster pair. Construct with NewTable and populate
-// via Set* (typically from package commbench's fits).
+// cluster pair, and the measured STEN-1 staggers per cluster sequence of
+// one or two clusters. Construct with NewTable and populate via Set*
+// (typically from package commbench's fits).
 type Table struct {
-	comm   map[string]*clusterCosts
+	comm   map[string]map[string]Params // by cluster, then topology
 	router map[pairKey]PerByte
 	coerce map[pairKey]PerByte
-	chains map[[2]string]*Chain // by (first cluster, second)
-}
-
-// clusterCosts are one cluster's models: Eq. 1 per topology, and the
-// measured stagger (nil if none).
-type clusterCosts struct {
-	topo    map[string]Params
-	stagger *Stagger
+	chains map[[2]string]*Chain // by (first cluster, second or "")
 }
 
 // NewTable returns an empty cost table.
 func NewTable() *Table {
 	return &Table{
-		comm:   make(map[string]*clusterCosts),
+		comm:   make(map[string]map[string]Params),
 		router: make(map[pairKey]PerByte),
 		coerce: make(map[pairKey]PerByte),
 		chains: make(map[[2]string]*Chain),
 	}
 }
 
-// cluster returns a cluster's models, adding an empty entry if it has none.
-func (t *Table) cluster(name string) *clusterCosts {
-	m, ok := t.comm[name]
-	if !ok {
-		m = &clusterCosts{topo: make(map[string]Params)}
-		t.comm[name] = m
-	}
-	return m
-}
-
 // SetComm records the Eq. 1 constants for a (cluster, topology) pair.
-func (t *Table) SetComm(cluster, topology string, p Params) { t.cluster(cluster).topo[topology] = p }
+func (t *Table) SetComm(cluster, topology string, p Params) {
+	m, ok := t.comm[cluster]
+	if !ok {
+		m = make(map[string]Params)
+		t.comm[cluster] = m
+	}
+	m[topology] = p
+}
 
 // Comm returns the Eq. 1 constants for a (cluster, topology) pair.
 func (t *Table) Comm(cluster, topology string) (Params, error) {
-	p, _, err := t.Model(cluster, topology)
-	return p, err
-}
-
-// SetStagger records a cluster's measured stagger.
-func (t *Table) SetStagger(cluster string, s Stagger) { t.cluster(cluster).stagger = &s }
-
-// Model returns both of a cluster's models in one lookup: the Eq. 1
-// constants for a topology, as Comm, and the cluster's measured stagger,
-// nil when the table has none (the paper's table, or one fitted without
-// the stagger program). The stagger is the table's own: read it, do not
-// write it.
-func (t *Table) Model(cluster, topology string) (Params, *Stagger, error) {
-	if m, ok := t.comm[cluster]; ok {
-		if p, ok := m.topo[topology]; ok {
-			return p, m.stagger, nil
-		}
+	if p, ok := t.comm[cluster][topology]; ok {
+		return p, nil
 	}
-	return Params{}, nil, fmt.Errorf("cost: no model for cluster %q topology %q", cluster, topology)
+	return Params{}, fmt.Errorf("cost: no model for cluster %q topology %q", cluster, topology)
 }
 
 // SetChain records the measured stagger of the 1-D chain of pa ranks on
-// cluster a followed by pb on cluster b, replacing any line already there.
+// cluster a followed by pb on cluster b, replacing any line already there;
+// a single cluster at pa is b = "", pb = 0.
 func (t *Table) SetChain(a string, pa int, b string, pb int, line PerByte) {
 	c, ok := t.chains[[2]string{a, b}]
 	if !ok {
@@ -243,8 +203,8 @@ func (t *Table) SetChain(a string, pa int, b string, pb int, line PerByte) {
 	r.lines[pb] = chainLine{stagger: line, ok: true}
 }
 
-// Chain returns the measured chains of a's ranks followed by b's, or nil
-// when the table has none.
+// Chain returns the measured chains of a's ranks followed by b's (b = ""
+// for a's own), or nil when the table has none.
 func (t *Table) Chain(a, b string) *Chain { return t.chains[[2]string{a, b}] }
 
 // SetRouter records the router penalty between two clusters (order

@@ -361,17 +361,18 @@ func TestTableRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStaggerRoundTrip: a cluster's stagger and the chain table survive
-// WriteTable and ReadTable bit for bit, each chain in its order; a file of
-// the old form, whose pairs' one-rank-each lines are pair_stagger, reads
-// them as (1, 1) entries in either order; and a table written without
-// them reads back without them.
+// TestStaggerRoundTrip: the chain table, one-cluster entries and
+// two-cluster ones alike, survives WriteTable and ReadTable bit for bit,
+// each chain in its order, one file entry kind for both; and a table
+// written without it reads back without it.
 func TestStaggerRoundTrip(t *testing.T) {
 	orig := PaperTable()
-	st := Stagger{Two: PerByte{FixedMs: 0.705, Ms: 0.001556}, Many: Params{C1: 0.33, C2: 0.345, C3: 0.0004811, C4: 0.0008914}}
+	two := PerByte{FixedMs: 0.705, Ms: 0.001556}
+	six := PerByte{FixedMs: 2.39, Ms: 0.005801}
 	pair := PerByte{FixedMs: 2, Ms: 0.00457}
 	walk := PerByte{FixedMs: 2.503, Ms: 0.008204}
-	orig.SetStagger(model.Sparc2Cluster, st)
+	orig.SetChain(model.Sparc2Cluster, 2, "", 0, two)
+	orig.SetChain(model.Sparc2Cluster, 6, "", 0, six)
 	orig.SetChain(model.IPCCluster, 1, model.Sparc2Cluster, 1, pair)
 	orig.SetChain(model.Sparc2Cluster, 6, model.IPCCluster, 2, walk)
 	var buf bytes.Buffer
@@ -379,18 +380,12 @@ func TestStaggerRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	if !strings.Contains(text, "chain_stagger") || strings.Contains(text, "pair_stagger") {
+	if strings.Count(text, `"chain_stagger"`) != 1 || strings.Count(text, `"pa"`) != 4 || strings.Count(text, `"pb"`) != 2 {
 		t.Errorf("chain table written as:\n%s", text)
 	}
 	got, err := ReadTable(&buf)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, have, _ := got.Model(model.Sparc2Cluster, "1-D"); have == nil || *have != st {
-		t.Errorf("stagger round trip: %+v, want %+v", have, st)
-	}
-	if _, have, _ := got.Model(model.IPCCluster, "1-D"); have != nil {
-		t.Error("ipc has a stagger it was never given")
 	}
 	for _, c := range []struct {
 		a      string
@@ -400,6 +395,10 @@ func TestStaggerRoundTrip(t *testing.T) {
 		want   PerByte
 		wantOK bool
 	}{
+		{model.Sparc2Cluster, 2, "", 0, two, true},
+		{model.Sparc2Cluster, 6, "", 0, six, true},
+		{model.Sparc2Cluster, 3, "", 0, PerByte{}, false},
+		{model.IPCCluster, 2, "", 0, PerByte{}, false}, // ipc was never given one
 		{model.IPCCluster, 1, model.Sparc2Cluster, 1, pair, true},
 		{model.Sparc2Cluster, 1, model.IPCCluster, 1, PerByte{}, false}, // recorded in one order only
 		{model.Sparc2Cluster, 6, model.IPCCluster, 2, walk, true},
@@ -407,18 +406,7 @@ func TestStaggerRoundTrip(t *testing.T) {
 		{model.Sparc2Cluster, 6, model.IPCCluster, 3, PerByte{}, false},
 	} {
 		if have, ok := got.Chain(c.a, c.b).Line(c.pa, c.pb); have != c.want || ok != c.wantOK {
-			t.Errorf("chain %s:%d + %s:%d read back %+v %v, want %+v %v\n%s", c.a, c.pa, c.b, c.pb, have, ok, c.want, c.wantOK, text)
-		}
-	}
-
-	old := `{"comm": [], "pair_stagger": [{"a": "ipc", "b": "sparc2", "per_byte_ms": 0.00457, "fixed_ms": 2}]}`
-	legacy, err := ReadTable(strings.NewReader(old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ab := range [][2]string{{model.IPCCluster, model.Sparc2Cluster}, {model.Sparc2Cluster, model.IPCCluster}} {
-		if have, ok := legacy.Chain(ab[0], ab[1]).Line(1, 1); !ok || have != pair {
-			t.Errorf("pair_stagger read as %s:1 + %s:1 = %+v %v, want %+v", ab[0], ab[1], have, ok, pair)
+			t.Errorf("chain %s:%d + %q:%d read back %+v %v, want %+v %v\n%s", c.a, c.pa, c.b, c.pb, have, ok, c.want, c.wantOK, text)
 		}
 	}
 
@@ -433,14 +421,8 @@ func TestStaggerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, have, _ := plain.Model(model.Sparc2Cluster, "1-D"); have != nil || plain.Chain(model.Sparc2Cluster, model.IPCCluster) != nil {
+	if plain.Chain(model.Sparc2Cluster, "") != nil || plain.Chain(model.Sparc2Cluster, model.IPCCluster) != nil {
 		t.Error("a table read without stagger has one")
-	}
-	if x := st.Eval(4800, 2); x != 0.705+0.001556*4800 {
-		t.Errorf("Eval(4800, 2) = %v, want the p = 2 line", x)
-	}
-	if x := st.Eval(4800, 6); x != st.Many.Eval(4800, 6) {
-		t.Errorf("Eval(4800, 6) = %v, want Eq. 1", x)
 	}
 }
 
@@ -449,10 +431,16 @@ func TestReadTableRejectsInvalid(t *testing.T) {
 		"garbage":        `nope`,
 		"unknown field":  `{"comm":[],"bogus":1}`,
 		"empty cluster":  `{"comm":[{"cluster":"","topology":"1-D"}]}`,
-		"empty stagger":  `{"comm":[],"stagger":[{"cluster":""}]}`,
+		"old stagger":    `{"comm":[],"stagger":[{"cluster":"x","c1":1}]}`,
+		"old pairs":      `{"comm":[],"pair_stagger":[{"a":"x","b":"y","per_byte_ms":0.001}]}`,
 		"chain no rank":  `{"comm":[],"chain_stagger":[{"a":"x","pa":0,"b":"y","pb":1}]}`,
 		"chain to self":  `{"comm":[],"chain_stagger":[{"a":"x","pa":1,"b":"x","pb":1}]}`,
 		"chain too long": `{"comm":[],"chain_stagger":[{"a":"x","pa":1,"b":"y","pb":1025}]}`,
+		"chain no first": `{"comm":[],"chain_stagger":[{"a":"","pa":2}]}`,
+		"one rank alone": `{"comm":[],"chain_stagger":[{"a":"x","pa":1}]}`,
+		"no ranks alone": `{"comm":[],"chain_stagger":[{"a":"x"}]}`,
+		"alone too long": `{"comm":[],"chain_stagger":[{"a":"x","pa":1025}]}`,
+		"pb with no b":   `{"comm":[],"chain_stagger":[{"a":"x","pa":3,"pb":2}]}`,
 	} {
 		if _, err := ReadTable(strings.NewReader(in)); err == nil {
 			t.Errorf("%s accepted", name)

@@ -14,15 +14,10 @@ import (
 // paper's split between offline cost-function construction and runtime
 // use.
 type tableSpec struct {
-	Comm    []commSpec    `json:"comm"`
-	Router  []pairSpec    `json:"router,omitempty"`
-	Coerce  []pairSpec    `json:"coerce,omitempty"`
-	Stagger []staggerSpec `json:"stagger,omitempty"`
-	Chain   []chainSpec   `json:"chain_stagger,omitempty"`
-	// PairStagger is read, never written: a file from before the chain
-	// table holds its pairs' one-rank-each lines here, the (1, 1) entries
-	// (the same in either order).
-	PairStagger []pairSpec `json:"pair_stagger,omitempty"`
+	Comm   []commSpec  `json:"comm"`
+	Router []pairSpec  `json:"router,omitempty"`
+	Coerce []pairSpec  `json:"coerce,omitempty"`
+	Chain  []chainSpec `json:"chain_stagger,omitempty"`
 }
 
 // maxChainRanks bounds a chain entry's counts in a file read: a line is
@@ -30,26 +25,14 @@ type tableSpec struct {
 const maxChainRanks = 1 << 10
 
 // chainSpec is one line of the chain table: PA ranks on cluster A followed
-// by PB on B.
+// by PB on B, or PA on A alone when B is empty.
 type chainSpec struct {
 	A       string  `json:"a"`
 	PA      int     `json:"pa"`
-	B       string  `json:"b"`
-	PB      int     `json:"pb"`
+	B       string  `json:"b,omitempty"`
+	PB      int     `json:"pb,omitempty"`
 	Ms      float64 `json:"per_byte_ms"`
 	FixedMs float64 `json:"fixed_ms,omitempty"`
-}
-
-// staggerSpec is one cluster's Stagger: Eq. 1 over p ≥ 3 in commSpec's
-// constants, and the p = 2 line.
-type staggerSpec struct {
-	Cluster    string  `json:"cluster"`
-	C1         float64 `json:"c1"`
-	C2         float64 `json:"c2"`
-	C3         float64 `json:"c3"`
-	C4         float64 `json:"c4"`
-	TwoMs      float64 `json:"two_per_byte_ms"`
-	TwoFixedMs float64 `json:"two_fixed_ms"`
 }
 
 type commSpec struct {
@@ -73,7 +56,7 @@ type pairSpec struct {
 func WriteTable(w io.Writer, t *Table) error {
 	var s tableSpec
 	for cluster, m := range t.comm {
-		for topology, p := range m.topo {
+		for topology, p := range m {
 			s.Comm = append(s.Comm, commSpec{
 				Cluster: cluster, Topology: topology,
 				C1: p.C1, C2: p.C2, C3: p.C3, C4: p.C4,
@@ -86,15 +69,6 @@ func WriteTable(w io.Writer, t *Table) error {
 		}
 		return s.Comm[i].Topology < s.Comm[j].Topology
 	})
-	for cluster, m := range t.comm {
-		if st := m.stagger; st != nil {
-			s.Stagger = append(s.Stagger, staggerSpec{
-				Cluster: cluster, C1: st.Many.C1, C2: st.Many.C2, C3: st.Many.C3, C4: st.Many.C4,
-				TwoMs: st.Two.Ms, TwoFixedMs: st.Two.FixedMs,
-			})
-		}
-	}
-	sort.Slice(s.Stagger, func(i, j int) bool { return s.Stagger[i].Cluster < s.Stagger[j].Cluster })
 	for pair, p := range t.router {
 		s.Router = append(s.Router, pairSpec{A: pair.a, B: pair.b, Ms: p.Ms, FixedMs: p.FixedMs})
 	}
@@ -149,23 +123,11 @@ func ReadTable(r io.Reader) (*Table, error) {
 	for _, p := range s.Coerce {
 		t.SetCoerce(p.A, p.B, PerByte{Ms: p.Ms, FixedMs: p.FixedMs})
 	}
-	for _, c := range s.Stagger {
-		if c.Cluster == "" {
-			return nil, fmt.Errorf("cost: stagger entry missing cluster")
-		}
-		t.SetStagger(c.Cluster, Stagger{
-			Two:  PerByte{Ms: c.TwoMs, FixedMs: c.TwoFixedMs},
-			Many: Params{C1: c.C1, C2: c.C2, C3: c.C3, C4: c.C4},
-		})
-	}
-	for _, p := range s.PairStagger {
-		line := PerByte{Ms: p.Ms, FixedMs: p.FixedMs}
-		t.SetChain(p.A, 1, p.B, 1, line)
-		t.SetChain(p.B, 1, p.A, 1, line)
-	}
 	for _, c := range s.Chain {
-		if c.A == "" || c.B == "" || c.A == c.B || c.PA < 1 || c.PB < 1 || c.PA > maxChainRanks || c.PB > maxChainRanks {
-			return nil, fmt.Errorf("cost: chain_stagger entry %+v needs two clusters and 1 … %d ranks on each", c, maxChainRanks)
+		one := c.B == "" // a single cluster: PA ranks, at least two, and no PB
+		if c.A == "" || c.A == c.B || c.PA < 1 || c.PA > maxChainRanks ||
+			(one && (c.PA < 2 || c.PB != 0)) || (!one && (c.PB < 1 || c.PB > maxChainRanks)) {
+			return nil, fmt.Errorf("cost: chain_stagger entry %+v needs one cluster at 2 … %[2]d ranks, or two at 1 … %[2]d each", c, maxChainRanks)
 		}
 		t.SetChain(c.A, c.PA, c.B, c.PB, PerByte{Ms: c.Ms, FixedMs: c.FixedMs})
 	}

@@ -674,3 +674,26 @@ func TestTwoClusterSTEN1WithinTwoPercent(t *testing.T) {
 		t.Errorf("%d cells, want 12", cells)
 	}
 }
+
+// TestSingleClusterSTEN1PricedFromItsOwnMeasurement: one cluster at p is
+// charged the chain table's line through its own two measurements, so on
+// the paper testbed every p+0 STEN-1 estimate at p = 3 … 6 is its
+// time-only simulation to within 0.001 %, at each of Table 2's STEN-1
+// sizes the line's two sizes bracket.
+func TestSingleClusterSTEN1PricedFromItsOwnMeasurement(t *testing.T) {
+	e := env(t)
+	for _, n := range []int{300, 600, 1200} {
+		for p := 3; p <= 6; p++ {
+			pred, sim, err := step(e.Net, e.Fitted, n, stencil.STEN1, PaperConfig(p, 0), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pred.Charge != core.ChargeStagger {
+				t.Errorf("N=%d %d+0: charged %q, want %q", n, p, pred.Charge, core.ChargeStagger)
+			}
+			if res := trace.DeviationPct(pred.ElapsedMs(Iterations), sim.ms); math.Abs(res) > 0.001 {
+				t.Errorf("N=%d %d+0: predicted %.4f ms, simulated %.4f: %+.4f%%", n, p, pred.ElapsedMs(Iterations), sim.ms, res)
+			}
+		}
+	}
+}

@@ -152,6 +152,9 @@ const checkEvery = 4
 // set, else Sim) and sets it up: every option becomes a job field here, and
 // only a run that keeps its grid gets the result rows.
 func newJob(live bool, vec core.Vector, tasks int, v Variant, n, iters int, opts Options) (*job, error) {
+	if iters < 0 {
+		return nil, fmt.Errorf("stencil: iters = %d; a run needs 0 or more iterations", iters)
+	}
 	if err := opts.refuse(live, tasks); err != nil {
 		return nil, err
 	}
