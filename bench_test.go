@@ -199,7 +199,7 @@ func BenchmarkGaussSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkAblations runs the A1-A5 design-choice studies of DESIGN.md.
+// BenchmarkAblations runs the A1-A4 design-choice studies of DESIGN.md.
 func BenchmarkAblations(b *testing.B) {
 	e := benchEnv(b)
 	b.ResetTimer()

@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"netpart/internal/commbench"
@@ -108,9 +109,19 @@ func main() {
 	flag.Parse()
 
 	if err := run(os.Stdout, o); err != nil {
-		fmt.Fprintln(os.Stderr, "stencil:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine is what a failed run prints: the error after the command's
+// "stencil:" prefix, which the stencil library's own errors already carry.
+func errorLine(err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "stencil: ") {
+		return msg
+	}
+	return "stencil: " + msg
 }
 
 func run(w io.Writer, o runOptions) error {

@@ -146,6 +146,22 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestErrorLinePrefixesOnce: a refusal the stencil library words prints
+// under one "stencil:" prefix, and the command's own errors gain it.
+func TestErrorLinePrefixesOnce(t *testing.T) {
+	_, err := runOut(t, runOptions{N: 12, Variant: "sten1", Iters: -1, P1: 2, P2: 0, Runtime: "sim", Verify: true})
+	if err == nil {
+		t.Fatal("-iters -1 accepted")
+	}
+	if got, want := errorLine(err), "stencil: iters = -1; a run needs 0 or more iterations"; got != want {
+		t.Errorf("printed %q, want %q", got, want)
+	}
+	_, err = runOut(t, runOptions{N: 12, Variant: "bogus", Iters: 1, P1: 2, P2: 0, Runtime: "sim"})
+	if got, want := errorLine(err), `stencil: unknown variant "bogus"`; got != want {
+		t.Errorf("printed %q, want %q", got, want)
+	}
+}
+
 // TestRunLiveFaultTolerant drives the live runtime's fault-tolerant branch:
 // a crash schedule switches it to checkpointing and recovery, and the
 // recovered grid must still verify against the sequential reference.

@@ -194,10 +194,11 @@ type AblationRow struct {
 	Speedup float64 // BaseMs / AltMs
 }
 
-// Ablations runs the design-choice studies of DESIGN.md (A1-A5) at N=600,
-// as five independent units writing fixed row slots.
+// Ablations runs the design-choice studies of DESIGN.md (A1-A4) at N=600,
+// as four independent units writing fixed row slots. The static-vs-dynamic
+// comparison of §2.0 is E9 (Adaptive), on the real stencil.
 func Ablations(e *Env) ([]AblationRow, error) {
-	return ablate(e, ablationOracle, ablationScan, ablationDecomp, ablationOverlap, ablationDynamic)
+	return ablate(e, ablationOracle, ablationScan, ablationDecomp, ablationOverlap)
 }
 
 // ablate runs each study as one unit on the worker pool.
@@ -273,41 +274,6 @@ func ablationOverlap(e *Env) (AblationRow, error) {
 		Name:   "A4 overlap",
 		Detail: "6+6: STEN-1 vs STEN-2 (border sends overlapped)",
 		BaseMs: r1.ms, AltMs: r2.ms, Speedup: r1.ms / r2.ms,
-	}, nil
-}
-
-// ablationDynamic is A5: static vs dynamic decomposition under load
-// fluctuation.
-func ablationDynamic(e *Env) (AblationRow, error) {
-	init, err := balance.EqualVector(200, 4)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	spec := balance.WorkloadSpec{
-		Net: e.Net, Cfg: PaperConfig(4, 0), NumPDUs: 200,
-		OpsPerPDU: 6000, Class: model.OpFloat,
-		BorderBytes: 1200, BytesPerPDU: 2400, Cycles: 60,
-		Slowdown: func(rank, cycle int) float64 {
-			if rank == 2 && cycle >= 5 {
-				return 4
-			}
-			return 1
-		},
-		Initial: init,
-	}
-	static, err := balance.Simulate(spec)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	spec.RebalanceEvery = 5
-	dynamic, err := balance.Simulate(spec)
-	if err != nil {
-		return AblationRow{}, err
-	}
-	return AblationRow{
-		Name:   "A5 static-vs-dynamic",
-		Detail: fmt.Sprintf("rank 2 slowed 4x at cycle 5; dynamic rebalanced %dx, migrated %d PDUs", dynamic.Rebalances, dynamic.MigratedPDUs),
-		BaseMs: static.ElapsedMs, AltMs: dynamic.ElapsedMs, Speedup: static.ElapsedMs / dynamic.ElapsedMs,
 	}, nil
 }
 

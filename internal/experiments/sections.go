@@ -53,7 +53,7 @@ func Sections(e *Env, constants string, n int) []section {
 		{"gauss", "e8", fmt.Sprintf("E8: Gaussian elimination with partial pivoting (N=%d)", n), func() (string, error) {
 			return rendered(renderGauss)(Gauss(e, n))
 		}},
-		{"ablations", "a1_a5", "Ablations A1-A5", func() (string, error) {
+		{"ablations", "a1_a4", "Ablations A1-A4", func() (string, error) {
 			return rendered(renderAblations)(Ablations(e))
 		}},
 		{"ablations", "a6_a7", "Ablations A6-A7 (composition and search extensions)", func() (string, error) {

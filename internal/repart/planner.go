@@ -199,9 +199,13 @@ func (p *Planner) Plan(cycle int, reason string, cur core.Vector, measuredMs []f
 			}
 			keptOut := kept - overlapIn(curPre, b, vPre[b], vPre[b+1]) -
 				overlapIn(curPre, b+1, vPre[b+1], vPre[b+2])
+			// A candidate is scored by (J, local): local is the larger of
+			// the two touched ranks' loads. At equal J the lower local wins,
+			// so a plateau that two ranks share at the maximum still moves.
 			bestK, bestDonor, bestJ := 0, 0, best
+			bestLocal := max(rate[b]*float64(v[b]), rate[b+1]*float64(v[b+1]))
 			for _, donor := range [2]int{b, b + 1} {
-				prev := math.Inf(1)
+				prevJ, prevLocal := math.Inf(1), math.Inf(1)
 				for k := 1; k <= v[donor]-minRows; k *= 2 {
 					evals++
 					var vb, vb1, mid int
@@ -210,23 +214,17 @@ func (p *Planner) Plan(cycle int, reason string, cur core.Vector, measuredMs []f
 					} else {
 						vb, vb1, mid = v[b]+k, v[b+1]-k, vPre[b+1]+k
 					}
-					maxL := maxOther
-					if l := rate[b] * float64(vb); l > maxL {
-						maxL = l
-					}
-					if l := rate[b+1] * float64(vb1); l > maxL {
-						maxL = l
-					}
+					local := max(rate[b]*float64(vb), rate[b+1]*float64(vb1))
 					k2 := keptOut + overlapIn(curPre, b, vPre[b], mid) +
 						overlapIn(curPre, b+1, mid, vPre[b+2])
-					j := maxL + p.cfg.Mig.Cost(total-k2)/p.cfg.horizon()
-					if j < bestJ-1e-12 {
-						bestJ, bestK, bestDonor = j, k, donor
+					j := max(maxOther, local) + p.cfg.Mig.Cost(total-k2)/p.cfg.horizon()
+					if j < bestJ-1e-12 || (j <= bestJ+1e-12 && local < bestLocal-1e-12) {
+						bestJ, bestLocal, bestK, bestDonor = j, local, k, donor
 					}
-					if j >= prev {
+					if j > prevJ || (j == prevJ && local >= prevLocal) {
 						break
 					}
-					prev = j
+					prevJ, prevLocal = j, local
 				}
 			}
 			if bestK > 0 {

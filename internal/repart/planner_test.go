@@ -161,3 +161,34 @@ func TestMigrationCostTerm(t *testing.T) {
 		t.Errorf("MigrationFromParams: %+v", fromParams)
 	}
 }
+
+// TestPlannerMovesATiedPlateau: when two ranks share the maximum load, a
+// shift that leaves the maximum where it is but lowers one of the two
+// touched ranks' loads is the way down; the plan ends near the
+// rate-proportional split (bottleneck L with Σ L/rate_r = total rows).
+func TestPlannerMovesATiedPlateau(t *testing.T) {
+	for _, c := range []struct {
+		cur   core.Vector
+		rates []float64
+	}{
+		{core.Vector{30, 30, 30, 30}, []float64{1, 1, 2, 2}},
+		{core.Vector{100, 100, 100, 100}, []float64{1, 1, 4, 1}},
+		{core.Vector{32, 32, 32, 32}, []float64{1, 1, 3, 1}},
+	} {
+		measured := make([]float64, len(c.cur))
+		inverse := 0.0
+		for i, r := range c.rates {
+			measured[i] = r * float64(c.cur[i])
+			inverse += 1 / r
+		}
+		proportional := float64(c.cur.Sum()) / inverse
+		plan := NewPlanner(PlannerConfig{}).Plan(0, "interval", c.cur, measured)
+		if plan.New.Sum() != c.cur.Sum() {
+			t.Fatalf("%v: sum changed to %v", c.cur, plan.New)
+		}
+		if plan.NewMaxMs > 1.06*proportional {
+			t.Errorf("%v at rates %v: planned %v, bottleneck %.4g ms; the proportional split's is %.4g",
+				c.cur, c.rates, plan.New, plan.NewMaxMs, proportional)
+		}
+	}
+}

@@ -145,6 +145,9 @@ func (q *eventQueue) pop() *event {
 type msgQueue struct {
 	items []*Message
 	head  int
+	// hopAt is, in a mailbox, when the sender's last routed message to
+	// this task left the router (see transmitClean).
+	hopAt float64
 }
 
 func (q *msgQueue) len() int { return len(q.items) - q.head }
@@ -897,7 +900,13 @@ func (s *Sim) transmitClean(msg *Message, dst *Proc) {
 		return
 	}
 	// Store-and-forward through the router, then the destination segment.
+	// The router forwards a stream in order: a message leaves no earlier
+	// than the previous one from the same sender to the same task, so a
+	// short message cannot overtake a long one.
 	routed := doneSrc + s.net.Router.PerMessageMs + s.net.Router.PerByteMs*b
+	box := &dst.mailboxes[msg.From.rank]
+	routed = max(routed, box.hopAt)
+	box.hopAt = routed
 	s.schedule(routed, evHop, dst, msg)
 }
 

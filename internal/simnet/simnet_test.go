@@ -471,6 +471,36 @@ func TestRecvPreservesPerSenderOrder(t *testing.T) {
 	}
 }
 
+// TestRouterKeepsStreamOrder: a short message sent across the router
+// after a long one to the same task arrives after it, as Recv promises,
+// although its own store-and-forward would finish first.
+func TestRouterKeepsStreamOrder(t *testing.T) {
+	s, _ := New(model.PaperTestbed())
+	var procs [2]*Proc
+	var got []int
+	var at [2]float64
+	procs[0] = s.Spawn("sender", model.Sparc2Cluster, func(p *Proc) {
+		p.Send(procs[1], 48000, 1)
+		p.Send(procs[1], 2400, 2)
+	})
+	procs[1] = s.Spawn("receiver", model.IPCCluster, func(p *Proc) {
+		for i := range at {
+			m := p.Recv(procs[0])
+			got = append(got, m.Payload.(int))
+			at[i] = m.DeliveredAt
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("received in order %v, want [1 2]", got)
+	}
+	if at[1] < at[0] {
+		t.Errorf("second message delivered at %v, before the first at %v", at[1], at[0])
+	}
+}
+
 func TestStatsAccounting(t *testing.T) {
 	s, _ := New(model.PaperTestbed())
 	var procs [2]*Proc

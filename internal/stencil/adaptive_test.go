@@ -1,16 +1,22 @@
 package stencil
 
 import (
+	"math"
 	"testing"
 
 	"netpart/internal/core"
 	"netpart/internal/model"
 )
 
+// TestAdaptiveNoRebalanceMatchesStatic: under stable load the rounds
+// run, but no plan moves a row, the grid is the static run's, and the
+// rounds' gather and broadcast cost time the static run does not pay:
+// the overhead the paper's static method avoids when load fluctuates
+// little.
 func TestAdaptiveNoRebalanceMatchesStatic(t *testing.T) {
 	net := model.PaperTestbed()
 	cfg := paperConfig(4, 0)
-	const n, iters = 32, 6
+	const n, iters = 200, 40
 	vec, err := core.Decompose(net, cfg, n, model.OpFloat)
 	if err != nil {
 		t.Fatal(err)
@@ -19,18 +25,74 @@ func TestAdaptiveNoRebalanceMatchesStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := Sim(net, cfg, vec, STEN1, n, iters, Options{})
+	adaptive, err := Sim(net, cfg, vec, STEN1, n, iters, Options{RebalanceEvery: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(adaptive.Plans) == 0 {
+		t.Fatal("no repartitioning round ran")
+	}
 	if adaptive.Rebalances != 0 || adaptive.MigratedRows != 0 {
-		t.Errorf("disabled rebalancing still rebalanced: %+v", adaptive)
+		t.Errorf("stable load: %d plans applied, %d rows migrated, final %v",
+			adaptive.Rebalances, adaptive.MigratedRows, adaptive.FinalVector)
 	}
 	if !gridsEqual(adaptive.Grid, static.Grid) {
-		t.Error("adaptive (disabled) grid differs from static run")
+		t.Error("adaptive grid differs from the static run's")
 	}
-	if adaptive.ElapsedMs != static.ElapsedMs {
-		t.Errorf("disabled adaptive elapsed %v vs static %v", adaptive.ElapsedMs, static.ElapsedMs)
+	if adaptive.ElapsedMs < static.ElapsedMs {
+		t.Errorf("adaptive %v ms beat static %v ms under stable load", adaptive.ElapsedMs, static.ElapsedMs)
+	}
+}
+
+// TestAdaptiveEqualSplitFindsSpeedRatio: started from an equal split on
+// 2+2, the rounds discover the 2:1 Sparc2/IPC speed ratio from measured
+// times alone.
+func TestAdaptiveEqualSplitFindsSpeedRatio(t *testing.T) {
+	net := model.PaperTestbed()
+	cfg := paperConfig(2, 2)
+	const n, iters = 120, 30
+	res, err := Sim(net, cfg, core.Vector{30, 30, 30, 30}, STEN1, n, iters, Options{RebalanceEvery: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := res.FinalVector
+	ratio := float64(f[0]+f[1]) / float64(f[2]+f[3])
+	if math.Abs(ratio-2) > 0.35 {
+		t.Errorf("final vector %v: Sparc2/IPC rows %.3f, want 2 ± 0.35", f, ratio)
+	}
+	if !gridsEqual(res.Grid, Sequential(NewGrid(n), iters)) {
+		t.Error("adaptive grid differs from sequential")
+	}
+}
+
+// TestAdaptiveMigratesAcrossTheRouter: with rank 5, the last Sparc2 of
+// 6+5, slowed, its rows migrate to rank 6 across the router, and the
+// next halo follows the row batch on the same stream. The run verifies.
+func TestAdaptiveMigratesAcrossTheRouter(t *testing.T) {
+	net := model.PaperTestbed()
+	cfg := paperConfig(6, 5)
+	const n, iters = 600, 12
+	vec, err := core.Decompose(net, cfg, n, model.OpFloat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Sim(net, cfg, vec, STEN1, n, iters, Options{
+		RebalanceEvery: 4,
+		Slowdown: func(rank, iter int) float64 {
+			if rank == 5 && iter >= 3 {
+				return 4
+			}
+			return 1
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MigratedRows == 0 || res.FinalVector[5] >= vec[5] {
+		t.Errorf("slowed rank 5 kept its rows: %v -> %v", vec, res.FinalVector)
+	}
+	if !gridsEqual(res.Grid, Sequential(NewGrid(n), iters)) {
+		t.Error("adaptive grid differs from sequential")
 	}
 }
 

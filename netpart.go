@@ -23,7 +23,7 @@
 //   - reliable UDP message passing in the style of MMPS (internal/mmps)
 //   - cluster managers and the availability protocol (internal/manager)
 //   - the evaluation applications (internal/stencil, internal/gauss)
-//   - decomposition baselines (internal/balance)
+//   - the equal-decomposition baseline (internal/balance)
 //   - metrics and structured trace recording (internal/obs), HTTP
 //     telemetry exposition (internal/obs/serve), and estimate-drift
 //     monitoring (internal/obs/drift)
