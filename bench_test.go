@@ -3,6 +3,10 @@
 // substrates and the ablation comparisons. Run:
 //
 //	go test -bench=. -benchmem
+//
+// A benchmark whose operation carries a budget builds it with an xxxOp
+// constructor that budget_test.go's tests share, so the ceiling holds the
+// very operation the benchmark times.
 package netpart_test
 
 import (
@@ -33,13 +37,22 @@ var (
 	envErr  error
 )
 
-func benchEnv(b *testing.B) *experiments.Env {
-	b.Helper()
+func benchEnv(tb testing.TB) *experiments.Env {
+	tb.Helper()
 	envOnce.Do(func() { envVal, envErr = experiments.NewEnv() })
 	if envErr != nil {
-		b.Fatal(envErr)
+		tb.Fatal(envErr)
 	}
 	return envVal
+}
+
+// benchOp times op, the operation an xxxOp constructor set up, b.N times.
+func benchOp(b *testing.B, op func(i int)) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
 }
 
 // BenchmarkTable1Partition regenerates Table 1 (E1): the partitioning
@@ -56,12 +69,13 @@ func BenchmarkTable1Partition(b *testing.B) {
 
 // BenchmarkTable2Elapsed regenerates Table 2 (E2): 56 full simulated
 // stencil executions plus the partitioner's predictions.
-func BenchmarkTable2Elapsed(b *testing.B) {
-	e := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+func BenchmarkTable2Elapsed(b *testing.B) { benchOp(b, table2Op(b)) }
+
+func table2Op(tb testing.TB) func(int) {
+	e := benchEnv(tb)
+	return func(int) {
 		if _, err := experiments.Table2(e); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
@@ -87,24 +101,26 @@ func BenchmarkTable2Jobs(b *testing.B) {
 
 // BenchmarkFig3Curve regenerates Fig. 3 (E3): the T_c-vs-processors curve
 // at N=600 (estimates plus simulated executions at every point).
-func BenchmarkFig3Curve(b *testing.B) {
-	e := benchEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+func BenchmarkFig3Curve(b *testing.B) { benchOp(b, fig3Op(b)) }
+
+func fig3Op(tb testing.TB) func(int) {
+	e := benchEnv(tb)
+	return func(int) {
 		if _, err := experiments.Fig3(e, 600, stencil.STEN1); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkCostFit regenerates the Section 6.0 cost-constant table (E4):
 // the full offline benchmarking sweep plus least-squares fits.
-func BenchmarkCostFit(b *testing.B) {
+func BenchmarkCostFit(b *testing.B) { benchOp(b, costFitOp(b)) }
+
+func costFitOp(tb testing.TB) func(int) {
 	net := model.PaperTestbed()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(int) {
 		if _, err := commbench.Run(net, []topo.Topology{topo.OneD{}}, commbench.DefaultGrid()); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
@@ -135,54 +151,56 @@ func BenchmarkFig1Validate(b *testing.B) {
 
 // BenchmarkPartitionOverhead measures the claimed O(K·log2 P) runtime
 // overhead of one partitioning decision (E7) — the cost the paper argues
-// is easily amortized.
-func BenchmarkPartitionOverhead(b *testing.B) {
-	e := benchEnv(b)
-	ann := stencil.Annotations(1200, stencil.STEN1, 10)
-	est, err := core.NewEstimator(e.Net, e.Fitted, ann)
+// is easily amortized. It is BenchmarkAblationSearch/bisect's operation.
+func BenchmarkPartitionOverhead(b *testing.B) { benchOp(b, searchOp(b, core.Partition)) }
+
+// searchOp runs search on a warm estimator over the fitted testbed table
+// at N = 1200, STEN-1.
+func searchOp(tb testing.TB, search func(*core.Estimator) (core.Result, error)) func(int) {
+	e := benchEnv(tb)
+	est, err := core.NewEstimator(e.Net, e.Fitted, stencil.Annotations(1200, stencil.STEN1, 10))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Partition(est); err != nil {
-			b.Fatal(err)
+	return func(int) {
+		if _, err := search(est); err != nil {
+			tb.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkDecision is one whole decision as a caller pays for it — a
 // fresh core.NewEstimator plus core.Partition, the decide-sweep workload's
-// unit. Its allocations are the estimator, the evaluator's state, the
-// fastest-first order and the Result (BENCH_policy.json holds the ceiling).
-func BenchmarkDecision(b *testing.B) {
-	e := benchEnv(b)
+// unit. Its allocations are the estimator and the Result's three slices
+// (TestAllocationBudgets holds the ceiling).
+func BenchmarkDecision(b *testing.B) { benchOp(b, decisionOp(b)) }
+
+func decisionOp(tb testing.TB) func(int) {
+	e := benchEnv(tb)
 	ann := stencil.Annotations(1200, stencil.STEN1, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(int) {
 		est, err := core.NewEstimator(e.Net, e.Fitted, ann)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := core.Partition(est); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkNewEstimator is what a decision pays before its first probe:
 // Annotations.Validate, Network.Validate and the Estimator, its one
-// allocation (BENCH_policy.json holds the ceiling). The network, table and
-// annotations are built once, outside the loop.
-func BenchmarkNewEstimator(b *testing.B) {
-	e := benchEnv(b)
+// allocation (TestAllocationBudgets holds the ceiling). The network, table
+// and annotations are built once, outside the loop.
+func BenchmarkNewEstimator(b *testing.B) { benchOp(b, newEstimatorOp(b)) }
+
+func newEstimatorOp(tb testing.TB) func(int) {
+	e := benchEnv(tb)
 	ann := stencil.Annotations(1200, stencil.STEN1, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(int) {
 		if _, err := core.NewEstimator(e.Net, e.Fitted, ann); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
@@ -213,48 +231,38 @@ func BenchmarkAblations(b *testing.B) {
 // BenchmarkAblationSearch compares the three search strategies (ablations
 // A1/A2) on the N=1200 STEN-1 instance.
 func BenchmarkAblationSearch(b *testing.B) {
-	e := benchEnv(b)
-	ann := stencil.Annotations(1200, stencil.STEN1, 10)
-	for _, tc := range []struct {
-		name string
-		run  func(*core.Estimator) (core.Result, error)
-	}{
-		{"bisect", core.Partition},
-		{"scan", core.PartitionLinear},
-		{"exhaustive", core.PartitionExhaustive},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			est, err := core.NewEstimator(e.Net, e.Fitted, ann)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := tc.run(est); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for _, s := range searches {
+		b.Run(s.name, func(b *testing.B) { benchOp(b, searchOp(b, s.run)) })
 	}
+}
+
+// searches are the three strategies BenchmarkAblationSearch compares.
+var searches = []struct {
+	name string
+	run  func(*core.Estimator) (core.Result, error)
+}{
+	{"bisect", core.Partition},
+	{"scan", core.PartitionLinear},
+	{"exhaustive", core.PartitionExhaustive},
 }
 
 // BenchmarkStencilSim measures one full simulated STEN-2 execution at
 // N=600 on the partitioner-chosen configuration.
-func BenchmarkStencilSim(b *testing.B) {
-	e := benchEnv(b)
-	ann := stencil.Annotations(600, stencil.STEN2, 10)
-	est, err := core.NewEstimator(e.Net, e.Fitted, ann)
+func BenchmarkStencilSim(b *testing.B) { benchOp(b, stencilSimOp(b)) }
+
+func stencilSimOp(tb testing.TB) func(int) {
+	e := benchEnv(tb)
+	est, err := core.NewEstimator(e.Net, e.Fitted, stencil.Annotations(600, stencil.STEN2, 10))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	res, err := core.Partition(est)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(int) {
 		if _, err := stencil.Sim(e.Net, res.Config, res.Vector, stencil.STEN2, 600, 10, stencil.Options{}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
@@ -286,30 +294,40 @@ func BenchmarkStencilLiveLocal(b *testing.B) {
 // BenchmarkMMPSRoundTripUDP measures the reliable-UDP substrate's
 // request/response latency on a single-datagram message. Neither side
 // recycles, so the two delivered buffers are the two allocations left.
-func BenchmarkMMPSRoundTripUDP(b *testing.B) { benchPingPong(b, netpart.NewUDPWorld, 1024, false) }
+func BenchmarkMMPSRoundTripUDP(b *testing.B) {
+	benchOp(b, pingPongOp(b, netpart.NewUDPWorld, 1024, false))
+}
 
 // BenchmarkMMPSHaloUDP is the same exchange at the live stencil's size and
 // habits: a 4 KB halo row is three fragments and one range ack, and both
 // sides hand delivered buffers back, so the steady state allocates nothing.
-func BenchmarkMMPSHaloUDP(b *testing.B) { benchPingPong(b, netpart.NewUDPWorld, 4096, true) }
+func BenchmarkMMPSHaloUDP(b *testing.B) { benchOp(b, pingPongOp(b, netpart.NewUDPWorld, 4096, true)) }
 
 // BenchmarkMMPSHaloLocal is the 4 KB recycled ping-pong over the in-memory
 // transport. Each side's receive blocks until the other has sent, as a live
 // run's mostly do, so this is the traffic whose waits the endpoint's timer
 // serves; it allocates nothing.
-func BenchmarkMMPSHaloLocal(b *testing.B) { benchPingPong(b, netpart.NewLocalWorld, 4096, true) }
+func BenchmarkMMPSHaloLocal(b *testing.B) {
+	benchOp(b, pingPongOp(b, netpart.NewLocalWorld, 4096, true))
+}
 
-func benchPingPong(b *testing.B, newWorld func(int, ...mmps.Option) ([]netpart.Transport, error), size int, recycle bool) {
+// pingPongOp is one round trip of a size-byte message between two
+// endpoints of a fresh world, rank 1 echoing on its own goroutine; the
+// world closes at tb's cleanup.
+func pingPongOp(tb testing.TB, newWorld func(int, ...mmps.Option) ([]netpart.Transport, error), size int, recycle bool) func(int) {
 	world, err := newWorld(2)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer func() {
-		for _, tr := range world {
-			tr.Close()
-		}
-	}()
 	done := make(chan struct{})
+	tb.Cleanup(func() {
+		world[1].Close()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+		}
+		world[0].Close()
+	})
 	go func() {
 		defer close(done)
 		for {
@@ -326,35 +344,26 @@ func benchPingPong(b *testing.B, newWorld func(int, ...mmps.Option) ([]netpart.T
 		}
 	}()
 	payload := make([]byte, size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(int) {
 		if err := world[0].Send(1, payload); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		buf, err := world[0].Recv(1)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if recycle {
 			mmps.Recycle(world[0], buf)
 		}
 	}
-	b.StopTimer()
-	world[1].Close()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-	}
 }
 
 // BenchmarkSequentialStencil is the single-processor reference kernel.
-func BenchmarkSequentialStencil(b *testing.B) {
+func BenchmarkSequentialStencil(b *testing.B) { benchOp(b, sequentialOp(b)) }
+
+func sequentialOp(testing.TB) func(int) {
 	grid := stencil.NewGrid(600)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stencil.Sequential(grid, 1)
-	}
+	return func(int) { stencil.Sequential(grid, 1) }
 }
 
 // BenchmarkSequentialGauss is the reference elimination kernel.
@@ -382,13 +391,15 @@ func BenchmarkAdaptiveRepartition(b *testing.B) {
 
 // BenchmarkEstimateDelta measures one warm delta-evaluated probe — the unit
 // of work the Partition search and the Fig. 3 curve now spend per candidate
-// instead of a full Estimate. CI hard-gates this at zero allocations per op
-// (BENCH_policy.json).
-func BenchmarkEstimateDelta(b *testing.B) {
+// instead of a full Estimate. internal/core's TestDeltaProbeZeroAllocs holds
+// this probe to zero allocations; TestLatencyBudgets holds its time.
+func BenchmarkEstimateDelta(b *testing.B) { benchOp(b, probeOp(b)) }
+
+func probeOp(tb testing.TB) func(int) {
 	est, err := core.NewEstimator(model.PaperTestbed(), cost.PaperTable(),
 		stencil.Annotations(600, stencil.STEN2, 100))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := cost.Config{
 		Clusters: []string{model.Sparc2Cluster, model.IPCCluster},
@@ -396,29 +407,29 @@ func BenchmarkEstimateDelta(b *testing.B) {
 	}
 	d, err := est.BeginDelta(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := d.Probe(1, 3); err != nil { // warm the lazy memos
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		e, err := d.Probe(1, 1+i%6)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if e.TcMs <= 0 {
-			b.Fatal("non-positive estimate")
+			tb.Fatal("non-positive estimate")
 		}
 	}
 }
 
 // BenchmarkRepartPlan measures one incremental-repartitioning planner
 // invocation at P=16 — the latency rank 0 pays inside a drift-triggered
-// round before broadcasting the decision. CI asserts this stays
-// sub-millisecond (the benchdiff gate, BENCH_policy.json).
-func BenchmarkRepartPlan(b *testing.B) {
+// round before broadcasting the decision. TestLatencyBudgets holds it
+// under a millisecond.
+func BenchmarkRepartPlan(b *testing.B) { benchOp(b, planOp(b)) }
+
+func planOp(tb testing.TB) func(int) {
 	p := repart.NewPlanner(repart.PlannerConfig{
 		Mig: cost.Migration{PerMoveMs: 0.05, PerByteMs: 1e-6, RowBytes: 8 * 1024},
 	})
@@ -428,12 +439,10 @@ func BenchmarkRepartPlan(b *testing.B) {
 		cur[i] = 64
 		measured[i] = float64(64 + 13*i%37)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(i int) {
 		plan := p.Plan(i, "drift", cur, measured)
 		if plan.New.Sum() != cur.Sum() {
-			b.Fatal("row total changed")
+			tb.Fatal("row total changed")
 		}
 	}
 }
@@ -491,17 +500,17 @@ func BenchmarkStartup(b *testing.B) {
 }
 
 // BenchmarkPartitionGlobal measures the general-case search (ablation A7).
-func BenchmarkPartitionGlobal(b *testing.B) {
-	e := benchEnv(b)
-	ann := stencil.Annotations(300, stencil.STEN2, 10)
-	est, err := core.NewEstimator(e.Net, e.Paper, ann)
+func BenchmarkPartitionGlobal(b *testing.B) { benchOp(b, globalOp(b)) }
+
+func globalOp(tb testing.TB) func(int) {
+	e := benchEnv(tb)
+	est, err := core.NewEstimator(e.Net, e.Paper, stencil.Annotations(300, stencil.STEN2, 10))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func(int) {
 		if _, err := core.PartitionGlobal(est); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }

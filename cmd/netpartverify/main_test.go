@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"netpart/internal/analysis"
 	"netpart/internal/analysis/protomc"
@@ -448,14 +450,23 @@ func TestUnknownBuiltinModel(t *testing.T) {
 }
 
 // BenchmarkProtoVerify measures the exhaustive check of every builtin and
-// extracted protocol instance at P=4 under the semantics it claims — the unit CI's
-// latency ceiling in BENCH_policy.json guards. Extraction runs once
-// outside the loop: the checker, not the loader, is the hot path.
+// extracted protocol instance at P=4 under the semantics it claims — the
+// unit TestProtoVerifyLatencyBudget guards. Extraction runs once outside
+// the loop: the checker, not the loader, is the hot path.
 func BenchmarkProtoVerify(b *testing.B) {
-	pkgs, ip := loadModule(b)
+	op := protoVerifyOp(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// protoVerifyOp checks every protocol instance at P=4 once.
+func protoVerifyOp(tb testing.TB) func() {
+	pkgs, ip := loadModule(tb)
 	protos, diags, err := analysis.ExtractProtos(pkgs, ip)
 	if err != nil || len(diags) > 0 {
-		b.Fatalf("extraction: %v %v", err, diags)
+		tb.Fatalf("extraction: %v %v", err, diags)
 	}
 	type unit struct {
 		sys  *protomc.System
@@ -469,27 +480,58 @@ func BenchmarkProtoVerify(b *testing.B) {
 		}
 		batch, err := systemsAt(lp, 4)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		for _, sys := range batch {
 			systems = append(systems, unit{sys, sems})
 		}
 	}
 	if len(systems) == 0 {
-		b.Fatal("no systems to check")
+		tb.Fatal("no systems to check")
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		for _, u := range systems {
 			for _, sem := range u.sems {
 				res, err := protomc.Check(u.sys, protomc.Config{Sem: sem})
 				if err != nil {
-					b.Fatal(err)
+					tb.Fatal(err)
 				}
 				if !res.OK() {
-					b.Fatalf("%s: %s", u.sys.Name, res.Violation)
+					tb.Fatalf("%s: %s", u.sys.Name, res.Violation)
 				}
 			}
 		}
 	}
+}
+
+// TestProtoVerifyLatencyBudget holds the full protocol-verification sweep
+// at P=4 within 25 ms, fast enough to run on every push. It takes the
+// fastest of five runs, so a busy machine can slow a run but not fail the
+// test, and skips under -race, where it would time the detector.
+func TestProtoVerifyLatencyBudget(t *testing.T) {
+	if raceDetector() {
+		t.Skip("the race detector slows the checker")
+	}
+	op := protoVerifyOp(t)
+	best := time.Duration(1<<63 - 1)
+	for i := 0; i < 5; i++ {
+		start := time.Now()
+		op()
+		best = min(best, time.Since(start))
+	}
+	t.Logf("%v, fastest of 5", best)
+	if best > 25*time.Millisecond {
+		t.Errorf("%v per sweep, budget 25ms", best)
+	}
+}
+
+// raceDetector reports whether this test binary was built with -race.
+func raceDetector() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

@@ -58,6 +58,36 @@ func TestRunSimAdaptive(t *testing.T) {
 	}
 }
 
+// TestRunSimRepartAfterSlowdown: a rank slowed 4x until cycle 30 sheds rows
+// to its neighbours, which end tied at the maximum beside it. Once the
+// slowdown ends, the planner must hand rows back across that tie: a plan
+// applied after cycle 30, and the grid still exact.
+func TestRunSimRepartAfterSlowdown(t *testing.T) {
+	out, err := runOut(t, runOptions{
+		N: 600, Variant: "sten1", Iters: 60, P1: -1, P2: -1, Runtime: "sim", Verify: true,
+		Repart: true, RepartEvery: 4, RepartHorizon: 32, Faults: "slow:5,4@3-30", FaultSeed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, late := 0, 0
+	for _, line := range strings.Split(out, "\n") {
+		var cycle int
+		if _, err := fmt.Sscanf(line, "  cycle=%d ", &cycle); err == nil {
+			plans++
+			if cycle > 30 {
+				late++
+			}
+		}
+	}
+	if plans < 3 || late == 0 {
+		t.Errorf("%d plans, %d after cycle 30; want a third plan after the slowdown:\n%s", plans, late, out)
+	}
+	if !strings.Contains(out, "verification   : distributed grid matches the sequential reference exactly") {
+		t.Errorf("grid not verified:\n%s", out)
+	}
+}
+
 func TestRunLiveSmall(t *testing.T) {
 	if _, err := runOut(t, runOptions{N: 24, Variant: "sten2", Iters: 2, P1: 2, P2: 1, Runtime: "live", Verify: true}); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 // execution of the function performs no heap allocation, in its own body
 // or anywhere in its call tree. That is what keeps the O(K·log2 P) runtime
 // search cheap enough to re-run on every adaptation cycle, and it turns
-// BENCH_policy.json's bench-time zero-alloc ceilings into lint-time
+// the zero-allocation budget tests' run-time ceilings into lint-time
 // findings.
 //
 // For every hot function the analyzer reads the solved summary

@@ -10,24 +10,26 @@ import (
 
 // deltaEstimators returns the estimator variants the delta path must match
 // bit for bit: the plain paper model, the overlapped-communication variant,
-// and the startup-cost variant.
+// the startup-cost variant, and both together, as stencil.Annotations
+// declares STEN-2 (the estimator BenchmarkEstimateDelta probes).
 func deltaEstimators(t *testing.T) map[string]*Estimator {
 	t.Helper()
-	plain, err := NewEstimator(model.PaperTestbed(), cost.PaperTable(), stencilAnnotations(600, false))
-	if err != nil {
-		t.Fatal(err)
+	out := map[string]*Estimator{}
+	for _, v := range []struct {
+		label            string
+		overlap, startup bool
+	}{{"plain", false, false}, {"overlap", true, false}, {"startup", false, true}, {"overlap+startup", true, true}} {
+		ann := stencilAnnotations(600, v.overlap)
+		if v.startup {
+			ann.StartupBytesPerPDU = 4 * 600
+		}
+		e, err := NewEstimator(model.PaperTestbed(), cost.PaperTable(), ann)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[v.label] = e
 	}
-	overlap, err := NewEstimator(model.PaperTestbed(), cost.PaperTable(), stencilAnnotations(600, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ann := stencilAnnotations(600, false)
-	ann.StartupBytesPerPDU = 4 * 600
-	startup, err := NewEstimator(model.PaperTestbed(), cost.PaperTable(), ann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*Estimator{"plain": plain, "overlap": overlap, "startup": startup}
+	return out
 }
 
 // TestDeltaProbeMatchesEstimate pins the delta evaluator's hard invariant:
@@ -123,7 +125,10 @@ func TestDeltaRebaseTracksMutations(t *testing.T) {
 }
 
 // TestDeltaProbeZeroAllocs pins the delta fast path's raison d'être: once
-// the memo is warm, a probe performs no heap allocations.
+// the memo is warm, a probe performs no heap allocations. Its
+// "overlap+startup" case is BenchmarkEstimateDelta's probe, so this is that
+// benchmark's zero-allocation budget; (DeltaEval).Probe is
+// //netpart:hotpath, and this is the dynamic half of that contract.
 func TestDeltaProbeZeroAllocs(t *testing.T) {
 	for label, e := range deltaEstimators(t) {
 		base := cost.Config{

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"netpart/internal/cpufeat"
@@ -191,25 +192,17 @@ func FuzzCoerce(f *testing.F) {
 // BenchmarkCoerce measures one halo row through the codec: encode n values
 // into a reused buffer and decode them back into a reused row, on the path
 // this machine dispatches (n=…) and, where that is the vector routine, on
-// the Go loop as well (go/n=…). CI gates the dispatched path at zero
-// allocations per op.
+// the Go loop as well (go/n=…). TestCoerceAllocationBudget holds the
+// dispatched path to zero allocations per op.
 func BenchmarkCoerce(b *testing.B) {
-	for _, n := range []int{64, 512, 1024} {
-		row := make([]float64, n)
-		for i := range row {
-			row[i] = float64(i) * 0.25
-		}
-		buf := make([]byte, 0, 8*n)
-		into := make([]float64, 0, n)
+	for _, n := range coerceSizes {
 		run := func(b *testing.B) {
 			b.SetBytes(int64(16 * n))
 			b.ReportAllocs()
-			var err error
+			op := coerceOp(b, n)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf = AppendFloat64s(buf[:0], row)
-				if into, err = DecodeFloat64sInto(into[:0], buf); err != nil {
-					b.Fatal(err)
-				}
+				op()
 			}
 		}
 		b.Run(fmt.Sprintf("n=%d", n), run)
@@ -219,4 +212,51 @@ func BenchmarkCoerce(b *testing.B) {
 			})
 		}
 	}
+}
+
+// coerceSizes are BenchmarkCoerce's row lengths.
+var coerceSizes = []int{64, 512, 1024}
+
+// coerceOp encodes an n-value row into a reused buffer and decodes it back
+// into a reused row.
+func coerceOp(tb testing.TB, n int) func() {
+	row := make([]float64, n)
+	for i := range row {
+		row[i] = float64(i) * 0.25
+	}
+	buf := make([]byte, 0, 8*n)
+	into := make([]float64, 0, n)
+	return func() {
+		buf = AppendFloat64s(buf[:0], row)
+		var err error
+		if into, err = DecodeFloat64sInto(into[:0], buf); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestCoerceAllocationBudget holds BenchmarkCoerce's dispatched path to
+// zero allocations per op at every size: AppendFloat64s and
+// DecodeFloat64sInto are //netpart:hotpath, and this is the dynamic half of
+// that contract. Skips under -race, which allocates on its own.
+func TestCoerceAllocationBudget(t *testing.T) {
+	if raceDetector() {
+		t.Skip("the race detector changes allocation counts")
+	}
+	for _, n := range coerceSizes {
+		if allocs := testing.AllocsPerRun(100, coerceOp(t, n)); allocs != 0 {
+			t.Errorf("n=%d: %v allocs/op, budget 0", n, allocs)
+		}
+	}
+}
+
+// raceDetector reports whether this test binary was built with -race.
+func raceDetector() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

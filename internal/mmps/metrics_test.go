@@ -37,8 +37,8 @@ func TestUDPWorldMetricsCountRetransmits(t *testing.T) {
 	m := obs.NewRegistry()
 	world, err := NewUDPWorld(2,
 		WithMetrics(m),
-		WithLossEveryNth(2), // drop every other data packet
-		WithRTO(5*time.Millisecond),
+		withLossEveryNth(2), // drop every other data packet
+		withRTO(5*time.Millisecond),
 		WithRecvTimeout(5*time.Second))
 	if err != nil {
 		t.Fatal(err)

@@ -113,26 +113,26 @@ func WithRecvTimeout(d time.Duration) Option {
 	return func(o *options) { o.recvTimeout = d }
 }
 
-// WithRTO sets the retransmission timeout.
-func WithRTO(d time.Duration) Option {
+// withRTO sets the retransmission timeout.
+func withRTO(d time.Duration) Option {
 	return func(o *options) { o.rto = d }
 }
 
-// WithMaxRetries bounds retransmissions per fragment before Send reports
+// withMaxRetries bounds retransmissions per fragment before Send reports
 // failure.
-func WithMaxRetries(n int) Option {
+func withMaxRetries(n int) Option {
 	return func(o *options) { o.maxRetries = n }
 }
 
-// WithMTU sets the maximum datagram payload; larger messages fragment.
-func WithMTU(n int) Option {
+// withMTU sets the maximum datagram payload; larger messages fragment.
+func withMTU(n int) Option {
 	return func(o *options) { o.mtu = n }
 }
 
-// WithLossEveryNth makes the UDP transport deliberately drop every nth
+// withLossEveryNth makes the UDP transport deliberately drop every nth
 // outgoing data packet (n ≥ 2), exercising the retransmission path. Test
 // hook; zero disables.
-func WithLossEveryNth(n int) Option {
+func withLossEveryNth(n int) Option {
 	return func(o *options) { o.lossEveryNth = n }
 }
 

@@ -110,7 +110,7 @@ func TestSenderIdentityPreserved(t *testing.T) {
 }
 
 func TestLargeMessageFragmentsAndReassembles(t *testing.T) {
-	for name, eps := range worlds(t, 2, WithRecvTimeout(10*time.Second), WithMTU(512)) {
+	for name, eps := range worlds(t, 2, WithRecvTimeout(10*time.Second), withMTU(512)) {
 		t.Run(name, func(t *testing.T) {
 			defer closeAll(eps)
 			want := make([]byte, 100_000) // ~196 fragments at MTU 512
@@ -219,9 +219,9 @@ func TestRetransmissionRecoversFromLoss(t *testing.T) {
 	// in order.
 	conns, err := NewUDPWorld(2,
 		WithRecvTimeout(20*time.Second),
-		WithRTO(5*time.Millisecond),
-		WithLossEveryNth(3),
-		WithMTU(256),
+		withRTO(5*time.Millisecond),
+		withLossEveryNth(3),
+		withMTU(256),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +250,7 @@ func TestRetransmissionRecoversFromLoss(t *testing.T) {
 }
 
 func TestFlushWaitsForAcks(t *testing.T) {
-	conns, err := NewUDPWorld(2, WithRecvTimeout(10*time.Second), WithRTO(5*time.Millisecond))
+	conns, err := NewUDPWorld(2, WithRecvTimeout(10*time.Second), withRTO(5*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +277,8 @@ func TestFlushWaitsForAcks(t *testing.T) {
 func TestSendFailureSurfacesWhenPeerGone(t *testing.T) {
 	conns, err := NewUDPWorld(2,
 		WithRecvTimeout(time.Second),
-		WithRTO(2*time.Millisecond),
-		WithMaxRetries(3),
+		withRTO(2*time.Millisecond),
+		withMaxRetries(3),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -101,7 +101,7 @@ func TestWindowFitsDefaultSocketBuffer(t *testing.T) {
 // 400-fragment message: only what was lost may be sent again (go-back-N
 // would re-send a window per loss).
 func TestRetransmissionIsSelective(t *testing.T) {
-	conns, m := udpPair(t, WithLossEveryNth(3), WithRTO(2*time.Millisecond), WithMTU(64))
+	conns, m := udpPair(t, withLossEveryNth(3), withRTO(2*time.Millisecond), withMTU(64))
 	want := pattern(400 * 64)
 	if err := conns[0].Send(1, want); err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestRetransmissionIsSelective(t *testing.T) {
 // within two RTOs.
 func TestLostLastFragmentRecovered(t *testing.T) {
 	const rto = 100 * time.Millisecond
-	conns, m := udpPair(t, WithLossEveryNth(17), WithRTO(rto))
+	conns, m := udpPair(t, withLossEveryNth(17), withRTO(rto))
 	want := pattern(17 * 1400) // data datagram 17 is fragment 16, just past an ack stride
 	start := time.Now()
 	if err := conns[0].Send(1, want); err != nil {
@@ -185,7 +185,7 @@ func TestQueuedMessagesKeepOrder(t *testing.T) {
 func TestEndpointFootprint(t *testing.T) {
 	const rto = 5 * time.Millisecond
 	before := runtime.NumGoroutine()
-	conns, err := NewUDPWorld(8, WithRTO(rto), WithRecvTimeout(10*time.Second))
+	conns, err := NewUDPWorld(8, withRTO(rto), WithRecvTimeout(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestAckHandlerRobustness(t *testing.T) {
 // message's reassembly state, or with the world's MTU, is neither stored nor
 // acknowledged.
 func TestInconsistentFragmentsDropped(t *testing.T) {
-	conns, _ := udpPair(t, WithMTU(4))
+	conns, _ := udpPair(t, withMTU(4))
 	c := conns[1]
 	frag := func(idx, count uint32, payload string) packet {
 		return packet{kind: kindData, src: 0, dst: 1, fragIdx: idx, fragCount: count, payload: []byte(payload)}
@@ -345,7 +345,7 @@ func TestInconsistentFragmentsDropped(t *testing.T) {
 // messages; it recycles their copies and wakes Flush and Recv with
 // ErrClosed.
 func TestCloseWithQueuedMessages(t *testing.T) {
-	conns, _ := udpPair(t, WithRTO(time.Second))
+	conns, _ := udpPair(t, withRTO(time.Second))
 	conns[1].Close() // nothing will ever be acknowledged
 	c := conns[0]
 	for i := 0; i < 50; i++ {
@@ -384,11 +384,11 @@ func TestCloseWithQueuedMessages(t *testing.T) {
 	}
 }
 
-// TestLossHookFromEveryTransmitter: WithLossEveryNth's counter used to take
+// TestLossHookFromEveryTransmitter: withLossEveryNth's counter used to take
 // the endpoint lock inside transmit, which the reader and the timer now
 // call; with a queue deep enough that all three transmit, nothing may hang.
 func TestLossHookFromEveryTransmitter(t *testing.T) {
-	conns, _ := udpPair(t, WithLossEveryNth(4), WithRTO(2*time.Millisecond))
+	conns, _ := udpPair(t, withLossEveryNth(4), withRTO(2*time.Millisecond))
 	for i := 0; i < 20; i++ {
 		if err := conns[0].Send(1, pattern(40*1400)); err != nil {
 			t.Fatal(err)

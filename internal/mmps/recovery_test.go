@@ -19,10 +19,10 @@ import (
 func TestRecvTimeoutResetsStaleReassembly(t *testing.T) {
 	conns, err := NewUDPWorld(2,
 		WithRecvTimeout(200*time.Millisecond),
-		WithRTO(10*time.Millisecond),
-		WithMaxRetries(0), // one shot per fragment: a lost fragment is abandoned
-		WithMTU(8),
-		WithLossEveryNth(2), // drops data packets 2, 4, ...
+		withRTO(10*time.Millisecond),
+		withMaxRetries(0), // one shot per fragment: a lost fragment is abandoned
+		withMTU(8),
+		withLossEveryNth(2), // drops data packets 2, 4, ...
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -74,8 +74,8 @@ func TestRecvTimeoutResetsStaleReassembly(t *testing.T) {
 func TestSendErrorScopedToPeer(t *testing.T) {
 	conns, err := NewUDPWorld(3,
 		WithRecvTimeout(2*time.Second),
-		WithRTO(5*time.Millisecond),
-		WithMaxRetries(3),
+		withRTO(5*time.Millisecond),
+		withMaxRetries(3),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -163,14 +163,14 @@ func TestInjectorDropsAreMasked(t *testing.T) {
 	sched := faults.MustParse("drop:0.3;dup:0.2")
 	for name, mk := range map[string]func(inj faults.Injector) ([]Transport, error){
 		"local": func(inj faults.Injector) ([]Transport, error) {
-			eps, err := NewLocalWorld(2, WithRecvTimeout(5*time.Second), WithRTO(2*time.Millisecond), WithInjector(inj))
+			eps, err := NewLocalWorld(2, WithRecvTimeout(5*time.Second), withRTO(2*time.Millisecond), WithInjector(inj))
 			if err != nil {
 				return nil, err
 			}
 			return []Transport{eps[0], eps[1]}, nil
 		},
 		"udp": func(inj faults.Injector) ([]Transport, error) {
-			eps, err := NewUDPWorld(2, WithRecvTimeout(5*time.Second), WithRTO(2*time.Millisecond), WithInjector(inj))
+			eps, err := NewUDPWorld(2, WithRecvTimeout(5*time.Second), withRTO(2*time.Millisecond), WithInjector(inj))
 			if err != nil {
 				return nil, err
 			}
@@ -240,7 +240,7 @@ func TestLocalInjectorPreservesOrderUnderDelay(t *testing.T) {
 // cut stall during the window and flow after it heals.
 func TestPartitionHeals(t *testing.T) {
 	inj := faults.NewEngine(faults.MustParse("part:1@0-120"), 1, nil)
-	eps, err := NewLocalWorld(2, WithRecvTimeout(5*time.Second), WithRTO(5*time.Millisecond), WithInjector(inj))
+	eps, err := NewLocalWorld(2, WithRecvTimeout(5*time.Second), withRTO(5*time.Millisecond), WithInjector(inj))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +276,8 @@ func TestPooledBuffersSurviveDupDelay(t *testing.T) {
 	sched := faults.MustParse("dup:0.4;delay:0.4,3")
 	inj := faults.NewEngine(sched, 42, nil)
 	eps, err := NewUDPWorld(2,
-		WithRecvTimeout(5*time.Second), WithRTO(3*time.Millisecond),
-		WithMTU(64), WithInjector(inj))
+		WithRecvTimeout(5*time.Second), withRTO(3*time.Millisecond),
+		withMTU(64), WithInjector(inj))
 	if err != nil {
 		t.Fatal(err)
 	}

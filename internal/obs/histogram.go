@@ -190,30 +190,6 @@ func (h *Histogram) quantileLocked(q float64) float64 {
 	return h.sorted[lo]*(1-frac) + h.sorted[hi]*frac
 }
 
-// Summary digests the histogram (zero summary for nil or empty). Count,
-// Sum, Mean, Min, and Max are exact; the quantiles are exact up to
-// reservoirCap observations and reservoir estimates beyond.
-func (h *Histogram) Summary() HistSummary {
-	if h == nil {
-		return HistSummary{}
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return HistSummary{}
-	}
-	return HistSummary{
-		N:    int(h.count),
-		Sum:  h.sum,
-		Mean: h.sum / float64(h.count),
-		Min:  h.min,
-		Max:  h.max,
-		P50:  h.quantileLocked(Quantiles[0]),
-		P90:  h.quantileLocked(Quantiles[1]),
-		P99:  h.quantileLocked(Quantiles[2]),
-	}
-}
-
 // HistExport is the exposition-layer view of one histogram: cumulative
 // bucket counts over the shared bounds, plus the exact totals — what a
 // Prometheus text writer needs.
@@ -229,7 +205,10 @@ type HistExport struct {
 	// above the last bound are included only in Count (+Inf).
 	Bounds     []float64
 	Cumulative []uint64
-	// Summary carries the quantile digest for human-readable output.
+	// Summary carries the quantile digest for human-readable output (zero
+	// for an empty histogram): N, Sum, Mean, Min and Max are exact, the
+	// quantiles exact up to reservoirCap observations and reservoir
+	// estimates beyond. Registry.Snapshot reads it.
 	Summary HistSummary
 }
 

@@ -166,38 +166,23 @@ type Snapshot struct {
 	Histograms map[string]HistSummary `json:"histograms,omitempty"`
 }
 
-// Snapshot digests the registry (empty snapshot for nil).
+// Snapshot digests the registry (empty snapshot for nil): Export's
+// values, keyed by name.
 func (r *Registry) Snapshot() Snapshot {
+	ex := r.Export()
 	snap := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]HistSummary{},
+		Counters:   make(map[string]int64, len(ex.Counters)),
+		Gauges:     make(map[string]float64, len(ex.Gauges)),
+		Histograms: make(map[string]HistSummary, len(ex.Histograms)),
 	}
-	if r == nil {
-		return snap
+	for _, c := range ex.Counters {
+		snap.Counters[c.Name] = c.Value
 	}
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
+	for _, g := range ex.Gauges {
+		snap.Gauges[g.Name] = g.Value
 	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	r.mu.Unlock()
-	for k, v := range counters {
-		snap.Counters[k] = v.Value()
-	}
-	for k, v := range gauges {
-		snap.Gauges[k] = v.Value()
-	}
-	for k, v := range hists {
-		snap.Histograms[k] = v.Summary()
+	for _, h := range ex.Histograms {
+		snap.Histograms[h.Name] = h.Summary
 	}
 	return snap
 }

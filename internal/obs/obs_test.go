@@ -25,7 +25,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}
-	s := h.Summary()
+	s := r.Snapshot().Histograms["lat"]
 	if s.N != 100 || s.Min != 1 || s.Max != 100 {
 		t.Errorf("summary = %+v", s)
 	}
@@ -52,7 +52,7 @@ func TestNilSafety(t *testing.T) {
 	if r.Histogram("x").N() != 0 || r.Histogram("x").Sum() != 0 || r.Histogram("x").Quantile(0.5) != 0 {
 		t.Error("nil histogram should read zero")
 	}
-	if s := r.Histogram("x").Summary(); s.N != 0 {
+	if s := r.Histogram("x").export("x").Summary; s.N != 0 {
 		t.Error("nil histogram summary should be empty")
 	}
 	snap := r.Snapshot()

@@ -45,6 +45,9 @@ const (
 	minRows   = 1
 )
 
+// tieTol is the relative difference under which two ranks' loads tie.
+const tieTol = 1e-9
+
 // PlannerConfig parameterizes the incremental search. The zero value is
 // usable: no migration cost (pure load balancing) and the default horizon.
 type PlannerConfig struct {
@@ -180,8 +183,10 @@ func (p *Planner) Plan(cycle int, reason string, cur core.Vector, measuredMs []f
 		kept += overlapIn(curPre, r, vPre[r], vPre[r+1])
 	}
 	evals := 1
-	base := maxLoad(rate, v) + p.cfg.Mig.Cost(total-kept)/p.cfg.horizon()
-	best := base
+	best := maxLoad(rate, v) + p.cfg.Mig.Cost(total-kept)/p.cfg.horizon()
+	// A plateau move can raise J (see tied below), so the search remembers
+	// the lowest J it has reached and returns that vector.
+	lowest, lowestV := best, append(core.Vector(nil), v...)
 	for pass := 0; pass < maxPasses; pass++ {
 		improved := false
 		for b := 0; b < ranks-1; b++ {
@@ -203,7 +208,19 @@ func (p *Planner) Plan(cycle int, reason string, cur core.Vector, measuredMs []f
 			// the two touched ranks' loads. At equal J the lower local wins,
 			// so a plateau that two ranks share at the maximum still moves.
 			bestK, bestDonor, bestJ := 0, 0, best
-			bestLocal := max(rate[b]*float64(v[b]), rate[b+1]*float64(v[b+1]))
+			curLocal := max(rate[b]*float64(v[b]), rate[b+1]*float64(v[b+1]))
+			bestLocal := curLocal
+			// With migration priced, a shift that lowers one of two ranks
+			// tied at the maximum leaves the maximum where it is and adds
+			// T_mig, so J rises; yet it is the only way down. When this
+			// boundary touches a rank at the maximum and another rank
+			// outside it is there too, the shift with the lowest local is
+			// kept as a plateau move, taken if nothing here lowers J. (With
+			// free migration that shift ties J and wins outright.) Measured
+			// window times are sums whose rounding differs rank to rank, so
+			// a tie is equality to tieTol, relative.
+			tied := math.Abs(curLocal-maxOther) <= tieTol*maxOther
+			plK, plDonor, plJ, plLocal := 0, 0, 0.0, curLocal
 			for _, donor := range [2]int{b, b + 1} {
 				prevJ, prevLocal := math.Inf(1), math.Inf(1)
 				for k := 1; k <= v[donor]-minRows; k *= 2 {
@@ -220,12 +237,17 @@ func (p *Planner) Plan(cycle int, reason string, cur core.Vector, measuredMs []f
 					j := max(maxOther, local) + p.cfg.Mig.Cost(total-k2)/p.cfg.horizon()
 					if j < bestJ-1e-12 || (j <= bestJ+1e-12 && local < bestLocal-1e-12) {
 						bestJ, bestLocal, bestK, bestDonor = j, local, k, donor
+					} else if tied && local < plLocal-1e-12 {
+						plJ, plLocal, plK, plDonor = j, local, k, donor
 					}
-					if j > prevJ || (j == prevJ && local >= prevLocal) {
+					if (j > prevJ || (j == prevJ && local >= prevLocal)) && !(tied && local < prevLocal) {
 						break
 					}
 					prevJ, prevLocal = j, local
 				}
+			}
+			if bestK == 0 {
+				bestK, bestDonor, bestJ = plK, plDonor, plJ
 			}
 			if bestK > 0 {
 				recv := b + 1
@@ -243,11 +265,18 @@ func (p *Planner) Plan(cycle int, reason string, cur core.Vector, measuredMs []f
 					overlapIn(curPre, b+1, vPre[b+1], vPre[b+2])
 				best = bestJ
 				improved = true
+				if best < lowest-1e-12 {
+					lowest = best
+					copy(lowestV, v)
+				}
 			}
 		}
 		if !improved {
 			break
 		}
+	}
+	if best > lowest+1e-12 {
+		v = lowestV
 	}
 	plan.Evaluations = evals
 	plan.OldMaxMs = maxLoad(rate, cur)

@@ -192,3 +192,25 @@ func TestPlannerMovesATiedPlateau(t *testing.T) {
 		}
 	}
 }
+
+// TestPlannerLowersTiedMaximaWithPricedMigration: two ranks tied at the
+// maximum next to a light one, with migration priced. Shifting rows from
+// the second tied rank to the light one leaves the maximum where it is and
+// adds T_mig, so no single shift lowers J; taken as a plateau move, it lets
+// the first tied rank shed rows next, and the plan ends lower.
+func TestPlannerLowersTiedMaximaWithPricedMigration(t *testing.T) {
+	p := NewPlanner(PlannerConfig{Mig: cost.Migration{PerMoveMs: 5, PerByteMs: 1e-3, RowBytes: 2400}})
+	cur := core.Vector{60, 91, 91, 22}
+	measured := []float64{216, 327.6, 327.6, 79.2} // 3.6 ms a row everywhere
+	plan := p.Plan(11, "interval", cur, measured)
+	if plan.New.Sum() != cur.Sum() {
+		t.Fatalf("sum changed: %v -> %v", cur, plan.New)
+	}
+	j := plan.NewMaxMs + plan.MigMs/DefaultHorizonCycles
+	if !plan.Changed() || j >= plan.OldMaxMs {
+		t.Fatalf("planned %s: J %.4g, want below the tied maximum %.4g", plan, j, plan.OldMaxMs)
+	}
+	if plan.New[1] >= 91 || plan.New[2] >= 91 {
+		t.Errorf("planned %v: a tied rank kept its rows", plan.New)
+	}
+}

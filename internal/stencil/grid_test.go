@@ -395,7 +395,9 @@ func TestHaloFrameRoundTrip(t *testing.T) {
 }
 
 // TestHaloCodecZeroAllocs pins the codec's allocation guarantee: with
-// capacity-sized buffers, encode and decode are allocation-free.
+// capacity-sized buffers, encode and decode are allocation-free, and so is
+// BenchmarkHaloExchange's whole exchange (codec plus the in-memory
+// transport's copy and recycled buffers) once the free lists are warm.
 func TestHaloCodecZeroAllocs(t *testing.T) {
 	const n = 240
 	row := make([]float64, n)
@@ -415,4 +417,11 @@ func TestHaloCodecZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("halo codec allocates %.2f/op, want 0", allocs)
 	}
+	t.Run("exchange", func(t *testing.T) {
+		skipUnderRace(t)
+		exchange := haloExchangeOp(t)
+		if allocs := testing.AllocsPerRun(100, func() { exchange(0) }); allocs != 0 {
+			t.Errorf("halo exchange allocates %.2f/op, budget 0", allocs)
+		}
+	})
 }

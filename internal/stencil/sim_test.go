@@ -1,7 +1,6 @@
 package stencil
 
 import (
-	"runtime/debug"
 	"testing"
 
 	"netpart/internal/core"
@@ -13,12 +12,8 @@ import (
 // race detector drops pooled items at random and allocates on its own.
 func skipUnderRace(t *testing.T) {
 	t.Helper()
-	if bi, _ := debug.ReadBuildInfo(); bi != nil {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("the race detector drops pooled items and allocates on its own")
-			}
-		}
+	if raceDetector() {
+		t.Skip("the race detector drops pooled items and allocates on its own")
 	}
 }
 
